@@ -14,10 +14,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import product
+from functools import cached_property
+from itertools import islice, product
+from typing import NamedTuple
 
-from .syntax import Formula, Structure, Sequent, OP_OF_STRUCT
-from .rules import REGISTRY, Directed, SVar, FVar, AVar, SNode, FNode
+from .syntax import Formula, Structure, Sequent, STRUCT_OF_OP, iter_structures
+from .rules import (REGISTRY, Directed, SVar, FVar, AVar, SNode, FNode,
+                    instantiate_sequent)
 
 
 class AlgebraError(ValueError):
@@ -205,8 +208,28 @@ _VAR_TARGET = {v: ("Nd" if v[0] in "*(" and not v.startswith("(+)") else "Pd")
                for v in _VARIANTS}
 
 
+# interpretable (precedent tag, succedent tag) pairs and their sequent kinds
+_KIND_BY_TAGS = {
+    ("P", "P"): "r", ("P", "Pd"): "r.", ("Pd", "Pd"): "r:",
+    ("N", "N"): "b", ("Nd", "N"): "b_", ("Nd", "Nd"): "b:",
+    ("P", "N"): "n", ("Pd", "N"): "n_", ("P", "Nd"): "n.",
+}
+_COLLAGE_TAGS = frozenset((("P", "Nd"), ("P", "N"), ("Pd", "N")))
+
+
+class InstanceView(NamedTuple):
+    """Lookup tables derived from an instance; see `FiniteFPLG.view`."""
+    tag: dict         # element -> tag of the first carrier holding it
+    tables: dict      # connective -> its shift map or binary table
+    relations: dict   # interpretable kind -> (shift applied to the left or None, pairs)
+    truth: dict       # (x, y) -> whether the relation of their tags holds
+
+
 @dataclass(frozen=True)
 class FiniteFPLG:
+    """Four carriers, the shift maps, the weakening relations and the tables.
+    Treat an instance as immutable once built: `view` is derived on first
+    use and cached on it, so later changes to a table would go unseen."""
     name: str
     P: FinitePoset
     Pd: FinitePoset
@@ -233,11 +256,33 @@ class FiniteFPLG:
     def ring_neg(self) -> FinitePoset:
         return collage(self.Nd, self.N, self.wr_shifted_neg)
 
-    def tag_of(self, x) -> str:
-        for t in TAGS:
-            if x in self.poset(t).elements:
-                return t
-        raise AlgebraError(f"element {x!r} outside every carrier")
+    @cached_property
+    def view(self) -> InstanceView:
+        """Tags, tables and relations resolved once.  A missing table is an
+        empty one, and `truth` leaves out the pairs a partial shift map cannot
+        decide, so lookups fail per assignment and never here."""
+        tag = {}
+        for t in reversed(TAGS):
+            tag.update(dict.fromkeys(self.poset(t).elements, t))
+        tables = {"up": self.up, ".up": self.up, "dn": self.dn, ".dn": self.dn,
+                  ".upl": self.upl, ".dnr": self.dnr}
+        for sym in LG_OPS:
+            tables[sym] = tables[STRUCT_OF_OP[sym]] = self.ops.get(sym, {})
+        for v in _VARIANTS:
+            tables["." + v] = self.variants.get(v, {})
+        relations = {"r": (None, self.P.leq), "r.": (None, self.wr_shifted_pos),
+                     "r:": (None, self.Pd.leq), "b": (None, self.N.leq),
+                     "b_": (None, self.wr_shifted_neg), "b:": (None, self.Nd.leq),
+                     "n": (None, self.wr_pure), "n_": (self.upl, self.N.leq),
+                     "n.": (self.up, self.Nd.leq)}
+        truth = {}
+        for (s, t), kind in _KIND_BY_TAGS.items():
+            shift, holds = relations[kind]
+            left = [x for x in tag if tag[x] == s and (shift is None or x in shift)]
+            right = [y for y in tag if tag[y] == t]
+            truth.update(((x, y), (x if shift is None else shift[x], y) in holds)
+                         for x in left for y in right)
+        return InstanceView(tag, tables, relations, truth)
 
     def eqql(self, p, nd) -> bool:
         """P x Nd, represented by the outer shift adjunction."""
@@ -249,43 +294,8 @@ class FiniteFPLG:
 
     def hvd(self, a, b) -> bool:
         """The collage weakening relation ring-pos -> ring-neg."""
-        ta, tb = self.tag_of(a), self.tag_of(b)
-        if ta == "P" and tb == "Nd":
-            return self.eqql(a, b)
-        if ta == "P" and tb == "N":
-            return (a, b) in self.wr_pure
-        if ta == "Pd" and tb == "N":
-            return self.preceqq(a, b)
-        return False
-
-    def relation_for_kind(self, kind: str):
-        table = {
-            "r": self.P.le, "r.": lambda a, b: (a, b) in self.wr_shifted_pos,
-            "r:": self.Pd.le,
-            "b": self.N.le, "b_": lambda a, b: (a, b) in self.wr_shifted_neg,
-            "b:": self.Nd.le,
-            "n": lambda a, b: (a, b) in self.wr_pure,
-            "n_": self.preceqq, "n.": self.eqql,
-        }
-        if kind not in table:
-            raise AlgebraError(f"no weakening relation interprets kind {kind!r}")
-        return table[kind]
-
-    def apply(self, sym: str, *args):
-        base = OP_OF_STRUCT.get(sym, sym)
-        if base in ("up", "dn"):
-            m = {"up": self.up, "dn": self.dn}[base]
-            return m[args[0]]
-        if sym == ".upl":
-            return self.upl[args[0]]
-        if sym == ".dnr":
-            return self.dnr[args[0]]
-        if base in _OP_TARGET:
-            return self.ops[base][args]
-        v = sym[1:] if sym.startswith(".") else sym
-        if v in _VAR_TARGET:
-            return self.variants[v][args]
-        raise AlgebraError(f"no operation for {sym!r}")
+        view = self.view
+        return (view.tag[a], view.tag[b]) in _COLLAGE_TAGS and view.truth[a, b]
 
 
 def check_fplg_axioms(a: FiniteFPLG) -> list[str]:
@@ -365,6 +375,8 @@ def check_fplg_axioms(a: FiniteFPLG) -> list[str]:
             if (x, y) not in table or table[(x, y)] not in tgt:
                 bad.append(f"{sym} not total into {_OP_TARGET[sym]} at {(x, y)!r}")
                 return bad
+    if bad:
+        return bad
 
     hvd = a.hvd
     for p_, q_ in product(rp.elements, rp.elements):
@@ -586,35 +598,58 @@ def valuations(a: FiniteFPLG, atoms):
         yield {(at.name, at.positive): v for at, v in zip(atoms, combo)}
 
 
-def _eval_formula(x: Formula, a: FiniteFPLG, v):
-    if x.conn is None:
-        return v[(x.atom.name, x.atom.positive)]
-    return a.apply(x.conn, *(_eval_formula(y, a, v) for y in x.args))
+def _values(x, tables, leaf, strict: bool) -> tuple:
+    """Values of a term, formula or pattern over a batch of assignments.
+
+    `leaf` gives the column of a leaf: one value per assignment.  A node maps
+    its table over the columns of its arguments, so every connective is
+    resolved once per batch.  Strict lookups raise KeyError on a missing
+    entry; the others yield None, which then propagates to the root.
+    """
+    if not getattr(x, "args", ()):
+        return leaf(x)
+    cols = [_values(y, tables, leaf, strict) for y in x.args]
+    table = tables.get(x.conn, {})
+    look = table.__getitem__ if strict else table.get
+    return tuple(map(look, cols[0] if len(cols) == 1 else zip(*cols)))
 
 
-def _eval_structure(x: Structure, a: FiniteFPLG, v):
-    if x.conn is None:
-        return _eval_formula(x.leaf, a, v)
-    return a.apply(x.conn, *(_eval_structure(y, a, v) for y in x.args))
+def _atom_leaf(tables, cols):
+    """The leaf function of `_values` for terms whose atoms take the values
+    in `cols`, a column per atom key."""
+    def leaf(x):
+        if isinstance(x, Structure):
+            x = x.leaf
+            if x.conn is not None:
+                return _values(x, tables, leaf, True)
+        return cols[(x.atom.name, x.atom.positive)]
+    return leaf
+
+
+def _truths(kind: str, a: FiniteFPLG, pre, suc, leaf) -> list[bool]:
+    """`interpret` of `pre |- suc`, a sequent of the given kind, over a batch
+    of valuations."""
+    view = a.view
+    if kind not in view.relations:
+        raise AlgebraError(f"no weakening relation interprets kind {kind!r}")
+    shift, holds = view.relations[kind]
+    left = _values(pre, view.tables, leaf, True)
+    right = _values(suc, view.tables, leaf, True)
+    if shift is not None:
+        left = map(shift.__getitem__, left)
+    return [pair in holds for pair in zip(left, right)]
 
 
 def interpret(seq: Sequent, a: FiniteFPLG, v) -> bool:
     """Truth of the sequent under the valuation; structural connectives are
     interpreted exactly like their operational counterparts.  The three
     admissible-but-underivable kinds have no interpreting relation."""
-    rel = a.relation_for_kind(seq.kind)
-    return rel(_eval_structure(seq.pre, a, v), _eval_structure(seq.suc, a, v))
+    leaf = _atom_leaf(a.view.tables, {key: (x,) for key, x in v.items()})
+    return _truths(seq.kind, a, seq.pre, seq.suc, leaf)[0]
 
 
 # ---------------------------------------------------------------------------
 # Rule soundness
-
-
-_KIND_BY_TAGS = {
-    ("P", "P"): "r", ("P", "Pd"): "r.", ("Pd", "Pd"): "r:",
-    ("N", "N"): "b", ("Nd", "N"): "b_", ("Nd", "Nd"): "b:",
-    ("P", "N"): "n", ("Pd", "N"): "n_", ("P", "Nd"): "n.",
-}
 
 
 def _pattern_vars(rule: Directed):
@@ -633,23 +668,6 @@ def _pattern_vars(rule: Directed):
         go(sp.pre)
         go(sp.suc)
     return out
-
-
-def _eval_pattern(pat, a: FiniteFPLG, env):
-    if isinstance(pat, (SVar, FVar, AVar)):
-        return env[pat.name]
-    sym = pat.conn
-    return a.apply(sym, *(_eval_pattern(p, a, env) for p in pat.args))
-
-
-def _pattern_truth(sp, a: FiniteFPLG, env):
-    """True/False, or None when the instance falls on an uninterpretable kind."""
-    l = _eval_pattern(sp.pre, a, env)
-    r = _eval_pattern(sp.suc, a, env)
-    kind = _KIND_BY_TAGS.get((a.tag_of(l), a.tag_of(r)))
-    if kind is None:
-        return None
-    return a.relation_for_kind(kind)(l, r)
 
 
 @dataclass
@@ -677,42 +695,34 @@ def check_rule_soundness(rule, a: FiniteFPLG, max_checks: int = 0) -> SoundnessR
     pools = []
     for n in names:
         pol, sh = varspec[n]
-        if pol:
-            pool = (a.P.elements if sh is False else ()) + \
-                   (a.Pd.elements if sh is True else ())
-            if sh is None:
-                pool = a.P.elements + a.Pd.elements
-        else:
-            pool = (a.N.elements if sh is False else ()) + \
-                   (a.Nd.elements if sh is True else ())
-            if sh is None:
-                pool = a.N.elements + a.Nd.elements
-        pools.append(pool)
-    checked = 0
-    violations = []
-    for combo in product(*pools):
-        if max_checks and checked >= max_checks:
-            break
-        env = dict(zip(names, combo))
-        checked += 1
-        try:
-            prems = [_pattern_truth(sp, a, env) for sp in rule.schema.premises]
-            conc = _pattern_truth(rule.schema.conclusion, a, env)
-        except (KeyError, AlgebraError):
-            continue
-        if conc is None or any(p is None for p in prems):
-            continue
-        if all(prems) and not conc:
-            violations.append(env)
-    return SoundnessReport(rule.name, checked, violations)
+        pure, shifted = (a.P, a.Pd) if pol else (a.N, a.Nd)
+        pools.append((pure.elements if sh is not True else ()) +
+                     (shifted.elements if sh is not False else ()))
+    combos = list(islice(product(*pools), max_checks or None))
+    if not combos:
+        return SoundnessReport(rule.name, 0, [])
+    view = a.view
+    cols = dict(zip(names, zip(*combos)))
+
+    def leaf(var):
+        return cols[var.name]
+
+    def truths(sp):
+        """Per assignment: True, False, or None (missing entry, no relation)."""
+        return map(view.truth.get, zip(_values(sp.pre, view.tables, leaf, False),
+                                       _values(sp.suc, view.tables, leaf, False)))
+
+    conc = truths(rule.schema.conclusion)
+    prems = [truths(sp) for sp in rule.schema.premises]
+    violations = [dict(zip(names, combo)) for combo, c, *ps in zip(combos, conc, *prems)
+                  if c is False and all(p is True for p in ps)]
+    return SoundnessReport(rule.name, len(combos), violations)
 
 
 def check_rule_soundness_templates(rule_name: str, a: FiniteFPLG, atoms,
                                    depth: int = 2, cap: int = 12000) -> SoundnessReport:
     """Template-level sweep: metavariables range over generated structures of
     bounded depth, then every valuation of the atoms is tested."""
-    from .syntax import iter_structures
-    from .rules import match_sequent, instantiate_sequent, MatchFail
     rule = REGISTRY[rule_name]
     varspec = _pattern_vars(rule)
     names = sorted(varspec)
@@ -725,6 +735,9 @@ def check_rule_soundness_templates(rule_name: str, a: FiniteFPLG, atoms,
         if rule.klass == "axiom" or _is_formula_var(rule, n):
             pool = [st for st in pool if st.conn is None]
         pools.append(pool)
+    schemas = (*rule.schema.premises, rule.schema.conclusion)
+    tables = a.view.tables
+    bound = {}    # (id of a pooled, so live, structure, atom keys) -> its values
     checked = 0
     violations = []
     for combo in product(*pools):
@@ -732,23 +745,32 @@ def check_rule_soundness_templates(rule_name: str, a: FiniteFPLG, atoms,
             break
         env = dict(zip(names, combo))
         try:
-            prems = [instantiate_sequent(sp, env) for sp in rule.schema.premises]
-            conc = instantiate_sequent(rule.schema.conclusion, env)
-        except Exception:
+            *prems, conc = [instantiate_sequent(sp, env) for sp in schemas]
+        except (KeyError, ValueError):
             continue
         seq_atoms = atoms_of(conc)
         for at in (at for p in prems for at in atoms_of(p)):
             if at not in seq_atoms:
                 seq_atoms.append(at)
-        for v in valuations(a, seq_atoms):
-            checked += 1
-            try:
-                pv = [interpret(p, a, v) for p in prems]
-                cv = interpret(conc, a, v)
-            except AlgebraError:
-                continue
-            if all(pv) and not cv:
-                violations.append((env, v))
+        vals = list(valuations(a, seq_atoms))
+        checked += len(vals)
+        keys = tuple((at.name, at.positive) for at in seq_atoms)
+        atom_leaf = _atom_leaf(tables, {key: tuple(v[key] for v in vals) for key in keys})
+
+        def leaf(var):
+            """Values of the structure bound to `var`; the instantiated
+            sequent is the pattern with these structures at its leaves."""
+            st = env[var.name]
+            if (id(st), keys) not in bound:
+                bound[id(st), keys] = _values(st, tables, atom_leaf, True)
+            return bound[id(st), keys]
+
+        try:
+            *pv, cv = [_truths(seq.kind, a, sp.pre, sp.suc, leaf)
+                       for seq, sp in zip((*prems, conc), schemas)]
+        except AlgebraError:
+            continue
+        violations += [(env, v) for v, c, *ps in zip(vals, cv, *pv) if all(ps) and not c]
     return SoundnessReport(rule_name, checked, violations)
 
 
@@ -836,6 +858,12 @@ def parse_algebra(text: str) -> FiniteFPLG:
             (ops if kind == "%op" else variants)[arg] = table
         else:
             raise AlgebraError(f"bad line in algebra file: {line!r}")
+    for section, found, wanted in (("%carrier", carriers, TAGS), ("%le", les, TAGS),
+                                   ("%map", maps, ("up", "upl", "dn", "dnr")),
+                                   ("%wr", wrs, ("shifted-pos", "pure", "shifted-neg"))):
+        missing = [w for w in wanted if w not in found]
+        if missing:
+            raise AlgebraError(f"algebra file has no {section} {missing[0]} line")
     posets = {t: FinitePoset(carriers[t], les[t]) for t in TAGS}
     return FiniteFPLG(name, posets["P"], posets["Pd"], posets["N"], posets["Nd"],
                       maps["up"], maps["upl"], maps["dn"], maps["dnr"],

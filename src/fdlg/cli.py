@@ -262,8 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("soundness", help="validity sweep of every rule")
     p.add_argument("--algebra", default="builtin:chain2",
                    help="file or builtin:{chain2,chain3,diamond}")
-    p.add_argument("--depth", type=int, default=2,
-                   help="accepted for compatibility; the sweep is element-complete")
     p.set_defaults(fn=cmd_soundness)
 
     p = sub.add_parser("latex", help="LaTeX for a sequent or a derivation")

@@ -116,3 +116,21 @@ def test_soundness_from_algebra_file(tmp_path):
     path.write_text(render_algebra(builtin("chain2")))
     code, out, _ = run(["soundness", "--algebra", str(path)])
     assert code == 0 and "ok" in out
+
+
+def test_soundness_incomplete_algebra_file(tmp_path):
+    path = tmp_path / "x.alg"
+    path.write_text("%name x\n")
+    code, _, err = run(["soundness", "--algebra", str(path)])
+    assert code == 2
+    assert err.startswith("error: ") and "%carrier" in err and err.count("\n") == 1
+
+
+def test_soundness_algebra_file_missing_operation(tmp_path):
+    from fdlg.algebra import builtin, render_algebra
+    path = tmp_path / "no-under.alg"
+    path.write_text("".join(line + "\n" for line in render_algebra(builtin("chain2")).splitlines()
+                            if not line.startswith("%op \\:")))
+    code, _, err = run(["soundness", "--algebra", str(path)])
+    assert code == 1
+    assert err == "instance fails the axioms: missing operation \\\n"
