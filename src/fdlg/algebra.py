@@ -13,6 +13,7 @@ sorts stay disjoint.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice, product
@@ -308,6 +309,8 @@ def check_fplg_axioms(a: FiniteFPLG) -> list[str]:
         if seen & set(carriers[t].elements):
             bad.append(f"carrier {t} overlaps another carrier")
         seen |= set(carriers[t].elements)
+    if bad:
+        return bad
 
     def monotone(m, src: FinitePoset, tgt: FinitePoset, name: str):
         for x in src.elements:
@@ -818,10 +821,29 @@ def render_algebra(a: FiniteFPLG) -> str:
     return "\n".join(lines) + "\n"
 
 
+# The token shape of each line kind of the algebra file, as text and as a
+# pattern.  An element is tag:value, and each element of a token gives a
+# (tag, value) pair of groups.
+_ELEMENT = r"([^\s:,<=>]+):([^\s,<=>]+)"
+_ENTRY = {
+    "%carrier": ("tag:value", re.compile(_ELEMENT)),
+    "%le": ("x<=y", re.compile(f"{_ELEMENT}<={_ELEMENT}")),
+    "%wr": ("x<=y", re.compile(f"{_ELEMENT}<={_ELEMENT}")),
+    "%map": ("x->y", re.compile(f"{_ELEMENT}->{_ELEMENT}")),
+    "%op": ("x,y->z", re.compile(f"{_ELEMENT},{_ELEMENT}->{_ELEMENT}")),
+    "%var": ("x,y->z", re.compile(f"{_ELEMENT},{_ELEMENT}->{_ELEMENT}")),
+}
+
+
 def parse_algebra(text: str) -> FiniteFPLG:
-    def el(tok):
-        tag, _, val = tok.partition(":")
-        return (val, tag)
+    def groups(kind: str, body: str):
+        """The groups of each token of a line; a malformed token raises."""
+        shape, pattern = _ENTRY[kind]
+        for tok in body.split():
+            m = pattern.fullmatch(tok)
+            if m is None:
+                raise AlgebraError(f"line {ln}: bad {kind} entry {tok!r}, expected {shape}")
+            yield m.groups()
 
     name = "parsed"
     carriers: dict[str, tuple] = {}
@@ -830,7 +852,7 @@ def parse_algebra(text: str) -> FiniteFPLG:
     wrs: dict[str, frozenset] = {}
     ops: dict[str, dict] = {}
     variants: dict[str, dict] = {}
-    for line in text.splitlines():
+    for ln, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -838,26 +860,22 @@ def parse_algebra(text: str) -> FiniteFPLG:
         body = body.strip()
         kind, _, arg = head.partition(" ")
         arg = arg.strip()
-        toks = body.split()
         if kind == "%name":
             name = (arg + " " + body).strip()
-        elif kind == "%carrier":
-            carriers[arg] = tuple(el(t) for t in toks)
-        elif kind == "%le":
-            les[arg] = frozenset(tuple(el(s) for s in t.split("<=")) for t in toks)
-        elif kind == "%map":
-            maps[arg] = {el(t.split("->")[0]): el(t.split("->")[1]) for t in toks}
-        elif kind == "%wr":
-            wrs[arg] = frozenset(tuple(el(s) for s in t.split("<=")) for t in toks)
-        elif kind in ("%op", "%var"):
-            table = {}
-            for t in toks:
-                lhs, _, rhs = t.partition("->")
-                x, _, y = lhs.partition(",")
-                table[(el(x), el(y))] = el(rhs)
-            (ops if kind == "%op" else variants)[arg] = table
-        else:
+            continue
+        if kind not in _ENTRY:
             raise AlgebraError(f"bad line in algebra file: {line!r}")
+        rows = groups(kind, body)
+        if kind == "%carrier":
+            carriers[arg] = tuple((v, t) for t, v in rows)
+        elif kind in ("%le", "%wr"):
+            (les if kind == "%le" else wrs)[arg] = frozenset(
+                ((v1, t1), (v2, t2)) for t1, v1, t2, v2 in rows)
+        elif kind == "%map":
+            maps[arg] = {(v1, t1): (v2, t2) for t1, v1, t2, v2 in rows}
+        else:
+            (ops if kind == "%op" else variants)[arg] = {
+                ((v1, t1), (v2, t2)): (v3, t3) for t1, v1, t2, v2, t3, v3 in rows}
     for section, found, wanted in (("%carrier", carriers, TAGS), ("%le", les, TAGS),
                                    ("%map", maps, ("up", "upl", "dn", "dnr")),
                                    ("%wr", wrs, ("shifted-pos", "pure", "shifted-neg"))):

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 from .syntax import (Formula, Structure, Sequent, Atom, leaf,
                      render_sequent, parse_sequent, render_formula,
-                     OP_OF_STRUCT, STRUCT_OF_OP)
-from .rules import (REGISTRY, ORDERED_RULES, MatchFail, match_sequent,
+                     OP_OF_STRUCT, STRUCT_OF_OP, ParseError)
+from .rules import (REGISTRY, MatchFail, candidates, match_sequent,
                     instantiate_sequent, CUT_RULES)
 
 
@@ -145,7 +145,8 @@ def backward_expansions(goal: Sequent, allow_variants: bool = False,
     allow_cuts=True, cut instances range over subformulas of the goal.
     """
     out = []
-    for rule in ORDERED_RULES:
+    rules = candidates(goal)
+    for rule in rules:
         if rule.klass == "cut":
             continue
         if not allow_variants and rule.schema.uses_variants:
@@ -164,7 +165,7 @@ def backward_expansions(goal: Sequent, allow_variants: bool = False,
             continue
         out.append((rule.name, prems))
     if allow_cuts:
-        for rule in ORDERED_RULES:
+        for rule in rules:
             if rule.klass != "cut":
                 continue
             for a in sorted(_subformulas(goal), key=render_formula):
@@ -329,15 +330,36 @@ def derivation_to_json(d: Derivation, neg_atoms) -> str:
     return json.dumps(doc, indent=1)
 
 
-def derivation_from_json(text: str) -> tuple[Derivation, frozenset[str]]:
+def read_document(text: str) -> tuple[dict, frozenset[str]]:
+    """The top-level object and the negative atoms of an exchange document;
+    a malformed document raises ParseError."""
     doc = json.loads(text)
-    neg = frozenset(doc.get("negAtoms", ()))
+    if not isinstance(doc, dict):
+        raise ParseError("a derivation document must be a JSON object")
+    neg = doc.get("negAtoms", [])
+    if not (isinstance(neg, list) and all(isinstance(a, str) for a in neg)):
+        raise ParseError("negAtoms must be a list of atom names")
+    return doc, frozenset(neg)
 
-    def node(x) -> Derivation:
-        return Derivation(x["rule"], parse_sequent(x["conclusion"], neg),
-                          tuple(node(p) for p in x.get("premises", ())))
 
-    return node(doc), neg
+def read_nodes(x, make):
+    """make(rule, conclusion text, premises) over a document's node tree,
+    premises first; a malformed node raises ParseError."""
+    if not isinstance(x, dict):
+        raise ParseError("a derivation node must be a JSON object")
+    for key in ("rule", "conclusion"):
+        if not isinstance(x.get(key), str):
+            raise ParseError(f"a derivation node needs a string {key!r}")
+    premises = x.get("premises", [])
+    if not isinstance(premises, list):
+        raise ParseError("premises must be a list")
+    return make(x["rule"], x["conclusion"], tuple(read_nodes(p, make) for p in premises))
+
+
+def derivation_from_json(text: str) -> tuple[Derivation, frozenset[str]]:
+    doc, neg = read_document(text)
+    return read_nodes(doc, lambda rule, conclusion, premises: Derivation(
+        rule, parse_sequent(conclusion, neg), premises)), neg
 
 
 def neg_atoms_of(d: Derivation) -> frozenset[str]:

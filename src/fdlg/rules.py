@@ -10,6 +10,7 @@ registered in both directions; the inverse of NAME is NAME + "'".
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .syntax import Formula, Structure, Sequent, leaf
 
@@ -422,3 +423,39 @@ TRANSLATION_RULES = frozenset(r.name for r in _RULES if r.klass == "translation"
 TONICITY_RULES = frozenset(r.name for r in _RULES if r.klass == "tonicity") | \
     frozenset(("down_L", "up_R"))
 CUT_RULES = frozenset(("P-Cut", "N-Cut", "Pn-Cut", "nN-Cut"))
+
+
+# Root-connective index.  The root key of a structure is its structural
+# connective, the operational connective of its formula leaf, or "" for an
+# atom leaf; structural connectives start with a dot, so the keys never clash.
+
+def _root(st: Structure) -> str:
+    if st.conn is not None:
+        return st.conn
+    return st.leaf.conn or ""
+
+
+def _root_fits(pat, key: str) -> bool:
+    """Whether a conclusion side pattern can match a structure with this root."""
+    if isinstance(pat, SVar):
+        return True
+    if isinstance(pat, (SNode, FNode)):
+        return pat.conn == key
+    if isinstance(pat, AVar):
+        return key == ""
+    return not key.startswith(".")      # FVar: any formula leaf
+
+
+@cache
+def _candidates_at(pre: str, suc: str) -> tuple[Directed, ...]:
+    return tuple(r for r in ORDERED_RULES
+                 if _root_fits(r.schema.conclusion.pre, pre)
+                 and _root_fits(r.schema.conclusion.suc, suc))
+
+
+def candidates(seq: Sequent) -> tuple[Directed, ...]:
+    """The rules of ORDERED_RULES, in order, whose conclusion roots fit `seq`.
+
+    Every rule whose conclusion matches `seq` is among them.
+    """
+    return _candidates_at(_root(seq.pre), _root(seq.suc))

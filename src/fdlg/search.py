@@ -16,8 +16,8 @@ from itertools import product
 
 from .syntax import (Formula, Structure, Sequent, leaf, s as snode,
                      parse_formula, ParseError)
-from .rules import (REGISTRY, ORDERED_RULES, SHIFT_DPS, match_sequent,
-                    instantiate_sequent, MatchFail)
+from .rules import (REGISTRY, ORDERED_RULES, SHIFT_DPS, candidates,
+                    match_sequent, instantiate_sequent, MatchFail)
 from .kernel import Derivation, backward_expansions
 
 
@@ -29,32 +29,47 @@ class SearchConfig:
     allow_cuts: bool = False
 
 
+# Display postulates the orbit may use, keyed by allow_variants.
+_ORBIT_DPS = {v: frozenset(r for r in ORDERED_RULES if r.klass == "dp"
+                           and r.name not in SHIFT_DPS
+                           and (v or not r.schema.uses_variants))
+              for v in (False, True)}
+
+
+def _display_steps(seq: Sequent, allow_variants: bool):
+    """(rule, premise) for each orbit display postulate concluding `seq`."""
+    dps = _ORBIT_DPS[allow_variants]
+    out = []
+    for rule in candidates(seq):
+        if rule not in dps:
+            continue
+        env: dict = {}
+        try:
+            match_sequent(rule.schema.conclusion, seq, env)
+            prem = instantiate_sequent(rule.schema.premises[0], env)
+        except (MatchFail, KeyError):
+            continue
+        out.append((rule.name, prem))
+    return out
+
+
 def _orbit(goal: Sequent, allow_variants: bool):
     """Display orbit of `goal`: list of (member, downward dp path).
 
     The path lists (rule, conclusion) pairs rebuilding the chain from the
     member down to `goal`; breadth-first, deterministic order.
     """
-    dps = [r for r in ORDERED_RULES if r.klass == "dp"
-           and r.name not in SHIFT_DPS
-           and (allow_variants or not r.schema.uses_variants)]
     seen = {goal}
     out = [(goal, [])]
     frontier = [(goal, [])]
     while frontier:
         nxt = []
         for seq, path in frontier:
-            for rule in dps:
-                env: dict = {}
-                try:
-                    match_sequent(rule.schema.conclusion, seq, env)
-                    prem = instantiate_sequent(rule.schema.premises[0], env)
-                except (MatchFail, KeyError):
-                    continue
+            for name, prem in _display_steps(seq, allow_variants):
                 if prem in seen:
                     continue
                 seen.add(prem)
-                entry = (prem, [(rule.name, seq)] + path)
+                entry = (prem, [(name, seq)] + path)
                 out.append(entry)
                 nxt.append(entry)
         frontier = nxt
@@ -174,15 +189,30 @@ class Lexicon:
 
 
 def _bracket(parts: list[Structure], shape) -> Structure:
+    """Join the words by `shape`: nested pairs of word indices that name every
+    word once, left to right; None means right-branching."""
     if shape is None:                          # right-branching default
         out = parts[-1]
         for p in reversed(parts[:-1]):
             out = snode(".*", p, out)
         return out
-    if isinstance(shape, int):
-        return parts[shape]
-    l, r = shape
-    return snode(".*", _bracket(parts, l), _bracket(parts, r))
+    order: list[int] = []
+
+    def build(x) -> Structure:
+        if isinstance(x, int) and not isinstance(x, bool):
+            if not 0 <= x < len(parts):
+                raise LexiconError(f"bracketing index {x} is out of range for "
+                                   f"{len(parts)} word(s)")
+            order.append(x)
+            return parts[x]
+        if isinstance(x, (list, tuple)) and len(x) == 2:
+            return snode(".*", build(x[0]), build(x[1]))
+        raise LexiconError(f"bracketing {x!r} is neither a word index nor a pair")
+
+    out = build(shape)
+    if order != list(range(len(parts))):
+        raise LexiconError("bracketing must name every word once, left to right")
+    return out
 
 
 def sentence_sequent(words, lexicon: Lexicon, goal: Formula,

@@ -5,11 +5,18 @@ registered with fixed sort signatures and every Formula/Structure/Sequent is
 validated at construction time, so values are well-sorted by construction and
 safe to share.  "General" (either-purity) sorts exist only as argument specs,
 never as a stored sort.
+
+Atom, Formula, Structure and Sequent are immutable slotted values that cache
+their hash (Formula, Structure and Sequent on first use).  The hash is part
+of the determinism contract: it equals the hash of the field tuple, e.g.
+hash((conn, atom, args)) for a Formula, so under a fixed PYTHONHASHSEED set
+and dict iteration, and with it the order of search results, does not depend
+on how terms are stored.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 
@@ -139,10 +146,43 @@ for _g in _GROUPS:
 # Terms
 
 
-@dataclass(frozen=True)
-class Atom:
-    name: str
-    positive: bool
+class _Term:
+    """Immutable slotted value: fields are set once, in the constructor."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (self.__class__, tuple(getattr(self, n) for n in self._fields))
+
+
+_set = object.__setattr__
+
+
+class Atom(_Term):
+    __slots__ = ("name", "positive", "_hash")
+    _fields = ("name", "positive")
+
+    def __init__(self, name: str, positive: bool):
+        _set(self, "name", name)
+        _set(self, "positive", positive)
+        _set(self, "_hash", hash((name, positive)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not Atom:
+            return NotImplemented
+        return self.name == other.name and self.positive == other.positive
 
     def __repr__(self) -> str:
         return f"{self.name}{'' if self.positive else '-'}"
@@ -160,45 +200,81 @@ def _check_args(conn: str, sig, args) -> Sort:
     return target
 
 
-@dataclass(frozen=True)
-class Formula:
-    conn: str | None                      # None for an atom
-    atom: Atom | None = None
-    args: tuple["Formula", ...] = ()
-    sort: Sort = field(init=False, compare=False, repr=False)
+class Formula(_Term):
+    __slots__ = ("conn", "atom", "args", "sort", "_hash")
+    _fields = ("conn", "atom", "args")
 
-    def __post_init__(self):
-        if self.conn is None:
-            if self.atom is None or self.args:
+    def __init__(self, conn: str | None, atom: Atom | None = None,
+                 args: tuple["Formula", ...] = ()):
+        # conn is None for an atom
+        if conn is None:
+            if atom is None or args:
                 raise SortError("atom formula must carry an Atom and no arguments")
-            sort = Sort(self.atom.positive, False)
+            sort = PP if atom.positive else NP
         else:
-            if self.conn not in OP_SIG:
-                raise SortError(f"unknown operational connective {self.conn!r}")
-            sort = _check_args(self.conn, OP_SIG[self.conn], self.args)
-        object.__setattr__(self, "sort", sort)
+            if conn not in OP_SIG:
+                raise SortError(f"unknown operational connective {conn!r}")
+            sort = _check_args(conn, OP_SIG[conn], args)
+        _set(self, "conn", conn)
+        _set(self, "atom", atom)
+        _set(self, "args", args)
+        _set(self, "sort", sort)
+        _set(self, "_hash", None)
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash((self.conn, self.atom, self.args))
+            _set(self, "_hash", h)
+        return h
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not Formula:
+            return NotImplemented
+        return (self.conn == other.conn and self.atom == other.atom
+                and self.args == other.args)
 
     def __repr__(self) -> str:
         return f"<{render_formula(self)}>"
 
 
-@dataclass(frozen=True)
-class Structure:
-    conn: str | None                      # None for a formula leaf
-    leaf: Formula | None = None
-    args: tuple["Structure", ...] = ()
-    sort: Sort = field(init=False, compare=False, repr=False)
+class Structure(_Term):
+    __slots__ = ("conn", "leaf", "args", "sort", "_hash")
+    _fields = ("conn", "leaf", "args")
 
-    def __post_init__(self):
-        if self.conn is None:
-            if self.leaf is None or self.args:
+    def __init__(self, conn: str | None, leaf: Formula | None = None,
+                 args: tuple["Structure", ...] = ()):
+        # conn is None for a formula leaf
+        if conn is None:
+            if leaf is None or args:
                 raise SortError("leaf structure must carry a formula and no arguments")
-            sort = self.leaf.sort
+            sort = leaf.sort
         else:
-            if self.conn not in STRUCT_SIG:
-                raise SortError(f"unknown structural connective {self.conn!r}")
-            sort = _check_args(self.conn, STRUCT_SIG[self.conn], self.args)
-        object.__setattr__(self, "sort", sort)
+            if conn not in STRUCT_SIG:
+                raise SortError(f"unknown structural connective {conn!r}")
+            sort = _check_args(conn, STRUCT_SIG[conn], args)
+        _set(self, "conn", conn)
+        _set(self, "leaf", leaf)
+        _set(self, "args", args)
+        _set(self, "sort", sort)
+        _set(self, "_hash", None)
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash((self.conn, self.leaf, self.args))
+            _set(self, "_hash", h)
+        return h
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not Structure:
+            return NotImplemented
+        return (self.conn == other.conn and self.leaf == other.leaf
+                and self.args == other.args)
 
     def __repr__(self) -> str:
         return f"<{render_structure(self)}>"
@@ -225,14 +301,30 @@ def s(conn: str, *args: Structure) -> Structure:
 UNDERIVABLE_KINDS = frozenset(("r_", "b.", "n:"))
 
 
-@dataclass(frozen=True)
-class Sequent:
-    pre: Structure
-    suc: Structure
+class Sequent(_Term):
+    __slots__ = ("pre", "suc", "_hash")
+    _fields = ("pre", "suc")
 
-    def __post_init__(self):
-        if not self.pre.sort.positive and self.suc.sort.positive:
+    def __init__(self, pre: Structure, suc: Structure):
+        if not pre.sort.positive and suc.sort.positive:
             raise SortError("negative precedent with positive succedent is not a sequent")
+        _set(self, "pre", pre)
+        _set(self, "suc", suc)
+        _set(self, "_hash", None)
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash((self.pre, self.suc))
+            _set(self, "_hash", h)
+        return h
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not Sequent:
+            return NotImplemented
+        return self.pre == other.pre and self.suc == other.suc
 
     @property
     def kind(self) -> str:

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 from .syntax import (Formula, Structure, Sequent, Atom, leaf, f as fnode,
                      SortError)
-from .kernel import Derivation, apply_rule_forward, iter_nodes
+from .kernel import (Derivation, apply_rule_forward, iter_nodes, read_document,
+                     read_nodes)
 from .focus import minimize_proof
 
 
@@ -661,13 +662,8 @@ def parse_flg_sequent(text: str, neg_atoms=()) -> FlgSequent:
 
 
 def flg_from_json(text: str) -> tuple[FlgDerivation, frozenset[str]]:
-    import json
-    doc = json.loads(text)
+    doc, neg = read_document(text)
     if doc.get("calculus") != "flg":
         raise TranslateError('expected a "calculus": "flg" document')
-    neg = frozenset(doc.get("negAtoms", ()))
-
-    def node(x) -> FlgDerivation:
-        return FlgDerivation(x["rule"], parse_flg_sequent(x["conclusion"], neg),
-                             tuple(node(p) for p in x.get("premises", ())))
-    return node(doc), neg
+    return read_nodes(doc, lambda rule, conclusion, premises: FlgDerivation(
+        rule, parse_flg_sequent(conclusion, neg), premises)), neg

@@ -1,0 +1,66 @@
+"""All-rules reference scans for the root-connective rule index.
+
+These are the backward expansion of `fdlg.kernel` and the display-orbit step
+of `fdlg.search` as they read before rules were indexed: every rule of
+ORDERED_RULES is tried against the sequent.  `test_rule_index` requires the
+indexed versions to return the same lists in the same order.
+"""
+
+from __future__ import annotations
+
+from fdlg.kernel import _subformulas
+from fdlg.rules import (ORDERED_RULES, SHIFT_DPS, MatchFail, instantiate_sequent,
+                        match_sequent)
+from fdlg.syntax import leaf, render_formula
+
+
+def backward_expansions(goal, allow_variants=False, allow_cuts=False):
+    out = []
+    for rule in ORDERED_RULES:
+        if rule.klass == "cut":
+            continue
+        if not allow_variants and rule.schema.uses_variants:
+            continue
+        env: dict = {}
+        try:
+            match_sequent(rule.schema.conclusion, goal, env)
+        except MatchFail:
+            continue
+        if rule.klass == "axiom":
+            out.append((rule.name, []))
+            continue
+        try:
+            prems = [instantiate_sequent(p, env) for p in rule.schema.premises]
+        except KeyError:
+            continue
+        out.append((rule.name, prems))
+    if allow_cuts:
+        for rule in ORDERED_RULES:
+            if rule.klass != "cut":
+                continue
+            for a in sorted(_subformulas(goal), key=render_formula):
+                env = {}
+                try:
+                    match_sequent(rule.schema.conclusion, goal, env)
+                    env["A"] = leaf(a)
+                    prems = [instantiate_sequent(p, env) for p in rule.schema.premises]
+                except (MatchFail, KeyError, ValueError):
+                    continue
+                out.append((rule.name, prems))
+    return out
+
+
+def display_steps(seq, allow_variants):
+    dps = [r for r in ORDERED_RULES if r.klass == "dp"
+           and r.name not in SHIFT_DPS
+           and (allow_variants or not r.schema.uses_variants)]
+    out = []
+    for rule in dps:
+        env: dict = {}
+        try:
+            match_sequent(rule.schema.conclusion, seq, env)
+            prem = instantiate_sequent(rule.schema.premises[0], env)
+        except (MatchFail, KeyError):
+            continue
+        out.append((rule.name, prem))
+    return out

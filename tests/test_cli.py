@@ -134,3 +134,71 @@ def test_soundness_algebra_file_missing_operation(tmp_path):
     code, _, err = run(["soundness", "--algebra", str(path)])
     assert code == 1
     assert err == "instance fails the axioms: missing operation \\\n"
+
+
+def _one_error_line(err):
+    return err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_soundness_malformed_algebra_entry(tmp_path):
+    path = tmp_path / "bad-map.alg"
+    path.write_text("%name bad\n%map up: P:0\n")
+    code, _, err = run(["soundness", "--algebra", str(path)])
+    assert code == 2 and _one_error_line(err)
+    assert "line 2" in err and "%map" in err
+
+
+@pytest.mark.parametrize("doc", [
+    "[]",
+    '{"format": "fdlg"}',
+    '{"rule": "p-Id"}',
+    '{"rule": "p-Id", "conclusion": "p |- p", "premises": {}}',
+    '{"rule": "P-Cut", "conclusion": "p |- p", "premises": [1, 2]}',
+    '{"negAtoms": "n", "rule": "p-Id", "conclusion": "p |- p"}',
+])
+def test_check_malformed_document(doc):
+    code, out, err = run(["check", "-"], stdin=doc)
+    assert code == 2 and out == "" and _one_error_line(err)
+
+
+@pytest.mark.parametrize("doc", [
+    "[]",
+    '{"calculus": "flg"}',
+    '{"calculus": "flg", "rule": "Ax", "conclusion": "p |- p", "premises": 3}',
+])
+def test_translate_malformed_flg_document(doc):
+    code, out, err = run(["translate", "--to", "fdlg", "-"], stdin=doc)
+    assert code == 2 and out == "" and _one_error_line(err)
+
+
+@pytest.mark.parametrize("bracketing, message", [
+    ("[0,5]", "out of range"),
+    ("[0,[1]]", "neither"),
+    ("[[0,1],[2,true]]", "neither"),
+    ("[[0,1],[3,2]]", "every word once"),
+    ("[[0,1],[2,2]]", "every word once"),
+])
+def test_parse_malformed_bracketing(tmp_path, bracketing, message):
+    lex = tmp_path / "sentence.lex"
+    lex.write_text(LEXICON_TEXT)
+    code, out, err = run(["parse", "everyone likes some teacher", "--lexicon", str(lex),
+                          "--goal", "dn s", "--bracketing", bracketing])
+    assert code == 2 and out == "" and _one_error_line(err) and message in err
+
+
+def test_parse_explicit_bracketing(tmp_path):
+    lex = tmp_path / "sentence.lex"
+    lex.write_text(LEXICON_TEXT)
+    args = ["parse", "everyone likes some teacher", "--lexicon", str(lex), "--goal", "dn s"]
+    default = run(args)
+    assert default[0] == 0
+    assert run(args + ["--bracketing", "[0,[1,[2,3]]]"]) == default
+
+
+def test_soundness_algebra_file_order_escapes_carrier(tmp_path):
+    from fdlg.algebra import builtin, render_algebra
+    path = tmp_path / "escape.alg"
+    path.write_text(render_algebra(builtin("chain2")).replace("%le P: ", "%le P: P:0<=P:9 "))
+    code, _, err = run(["soundness", "--algebra", str(path)])
+    assert code == 1
+    assert err.startswith("instance fails the axioms: P: relation escapes the carrier")

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fdlg.syntax import (Atom, Formula, Sequent, Sort, SortError, ParseError,
+from fdlg.syntax import (Atom, Formula, Sequent, Sort, SortError, ParseError, Structure,
                          PP, PS, NP, NS, parse_formula, parse_structure,
                          parse_sequent, render, render_formula, render_structure,
                          render_sequent, sort_of, bowtie, infty, iter_formulas,
@@ -176,3 +176,77 @@ def test_roundtrip_on_corpus(corpus_sequents):
     for seq in corpus_sequents:
         neg = {a.name for a in atoms_of(seq) if not a.positive}
         assert parse_sequent(render_sequent(seq), neg) == seq
+
+
+# ---------------------------------------------------------------------------
+# The term contract: immutable values whose hash is the hash of their field
+# tuple, so that set and dict iteration order under a fixed PYTHONHASHSEED
+# (and with it the order of search results) does not depend on the term
+# representation.
+
+_FIELDS = {Atom: ("name", "positive"), Formula: ("conn", "atom", "args"),
+           Structure: ("conn", "leaf", "args"), Sequent: ("pre", "suc")}
+
+
+def _nodes(x):
+    """x and every Atom, Formula and Structure inside it."""
+    yield x
+    for name in _FIELDS[type(x)]:
+        v = getattr(x, name)
+        for child in (v if isinstance(v, tuple) else (v,)):
+            if type(child) in _FIELDS:
+                yield from _nodes(child)
+
+
+def _random_sequent(rng):
+    # a positive precedent makes every succedent admissible
+    return Sequent(random_structure(rng, 4, include_variants=True, positive=True),
+                   random_structure(rng, 4, include_variants=True))
+
+
+@given(st.integers(0, 10**9))
+@settings(max_examples=100, deadline=None)
+def test_hash_is_field_tuple_hash(seed):
+    seq = _random_sequent(random.Random(seed))
+    kinds = set()
+    for x in _nodes(seq):
+        kinds.add(type(x))
+        assert hash(x) == hash(tuple(getattr(x, n) for n in _FIELDS[type(x)]))
+    assert {Atom, Formula, Structure, Sequent} <= kinds
+
+
+@given(st.integers(0, 10**9))
+@settings(max_examples=100, deadline=None)
+def test_independently_built_terms_are_equal(seed):
+    import copy
+    import pickle
+    seq = _random_sequent(random.Random(seed))
+    twin = parse_sequent(render_sequent(seq), {"n"})
+    assert twin is not seq and twin.pre is not seq.pre
+    assert twin == seq and not (twin != seq)       # compared before either is hashed
+    assert hash(twin) == hash(seq)
+    for x, y in zip(_nodes(seq), _nodes(twin)):
+        assert x == y and hash(x) == hash(y)
+    for copied in (copy.deepcopy(seq), pickle.loads(pickle.dumps(seq))):
+        assert copied == seq and hash(copied) == hash(seq)
+
+
+def test_formula_never_equals_structure():
+    for fml in iter_formulas((Atom("p", True), Atom("n", False)), 3):
+        lf = leaf(fml)
+        assert fml != lf and lf != fml
+        assert len({fml, lf}) == 2
+    p = fatom("p")
+    assert p != p.atom and Sequent(leaf(p), leaf(p)) != (leaf(p), leaf(p))
+
+
+def test_terms_are_immutable():
+    seq = parse_sequent("p .* (dn n) |- p * (dn n)", {"n"})
+    before = hash(seq)
+    for x in _nodes(seq):
+        for name in _FIELDS[type(x)] + ("sort", "_hash", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(x, name, None)
+            with pytest.raises(AttributeError):
+                delattr(x, name)
+    assert hash(seq) == before and render_sequent(seq) == "p .* dn n |- p * dn n"
