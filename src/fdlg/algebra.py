@@ -19,7 +19,8 @@ from functools import cached_property
 from itertools import islice, product
 from typing import NamedTuple
 
-from .syntax import Formula, Structure, Sequent, STRUCT_OF_OP, iter_structures
+from .syntax import (Structure, Sequent, STRUCT_OF_OP, formula_nodes,
+                     iter_structures)
 from .rules import (REGISTRY, Directed, SVar, FVar, AVar, SNode, FNode,
                     instantiate_sequent)
 
@@ -573,25 +574,8 @@ def lg_isomorphic(g1: LGAlgebra, g2: LGAlgebra) -> bool:
 
 
 def atoms_of(seq: Sequent) -> list:
-    out = {}
-
-    def go_f(x: Formula):
-        if x.conn is None:
-            out[(x.atom.name, x.atom.positive)] = x.atom
-        else:
-            for y in x.args:
-                go_f(y)
-
-    def go_s(x: Structure):
-        if x.conn is None:
-            go_f(x.leaf)
-        else:
-            for y in x.args:
-                go_s(y)
-
-    go_s(seq.pre)
-    go_s(seq.suc)
-    return list(out.values())
+    """The distinct atoms of a sequent, in order of first occurrence."""
+    return list(dict.fromkeys([x.atom for x in formula_nodes(seq) if x.conn is None]))
 
 
 def valuations(a: FiniteFPLG, atoms):

@@ -210,40 +210,42 @@ def build_parser() -> argparse.ArgumentParser:
                                  description="focused display Lambek-Grishin toolkit")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, sequent=False, file=False):
+    # Commands that read a derivation document take its negative atoms from
+    # the document, so only the sequent commands take --neg.
+    def sequent_args(p):
         p.add_argument("--neg", default="", help="comma-separated negative atoms")
-        p.add_argument("--json", action="store_true", help="emit the exchange format")
-        if sequent:
-            p.add_argument("sequent", help="sequent text, e.g. 'p .* q |- p * q'")
-        if file:
-            p.add_argument("file", nargs="?", default="-",
-                           help="derivation document (default: stdin)")
+        p.add_argument("sequent", help="sequent text, e.g. 'p .* q |- p * q'")
+
+    def file_arg(p):
+        p.add_argument("file", nargs="?", default="-",
+                       help="derivation document (default: stdin)")
 
     p = sub.add_parser("prove", help="backward focused proof search")
-    common(p, sequent=True)
+    sequent_args(p)
+    p.add_argument("--json", action="store_true", help="emit the exchange format")
     p.add_argument("--max-depth", type=int, default=40)
     p.add_argument("--max-solutions", type=int, default=0)
     p.set_defaults(fn=cmd_prove)
 
     p = sub.add_parser("check", help="re-check a derivation document")
-    common(p, file=True)
+    file_arg(p)
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("focalization", help="strong-focalization report")
-    common(p, file=True)
+    file_arg(p)
     p.set_defaults(fn=cmd_focalization)
 
     p = sub.add_parser("standardize", help="standard sequent of a sequent")
-    common(p, sequent=True)
+    sequent_args(p)
     p.set_defaults(fn=cmd_standardize)
 
     p = sub.add_parser("translate", help="translate a proof between the calculi")
-    common(p, file=True)
+    file_arg(p)
     p.add_argument("--to", choices=("fdlg", "flg"), required=True)
     p.set_defaults(fn=cmd_translate)
 
     p = sub.add_parser("cutelim", help="eliminate cuts from a derivation")
-    common(p, file=True)
+    file_arg(p)
     p.add_argument("--trace", action="store_true",
                    help="one line per move on stderr")
     p.set_defaults(fn=cmd_cutelim)

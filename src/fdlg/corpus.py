@@ -9,7 +9,7 @@ sequent differ in the order the quantifier entries are attacked.
 from __future__ import annotations
 
 from .syntax import Atom, parse_formula, parse_sequent
-from .kernel import Derivation, apply_rule_forward
+from .kernel import Derivation, derive
 from .search import Lexicon
 
 NEG_ATOMS = frozenset({"s"})
@@ -30,72 +30,64 @@ GOAL = parse_formula("dn s", NEG_ATOMS)
 
 
 def _ax(name: str, atom: str, positive: bool) -> Derivation:
-    return Derivation(name, apply_rule_forward(name, [], selector=Atom(atom, positive)))
-
-
-def _ext(d: Derivation, rule: str) -> Derivation:
-    return Derivation(rule, apply_rule_forward(rule, [d.conclusion]), (d,))
-
-
-def _bin(rule: str, l: Derivation, r: Derivation) -> Derivation:
-    return Derivation(rule, apply_rule_forward(rule, [l.conclusion, r.conclusion]), (l, r))
+    return derive(name, selector=Atom(atom, positive))
 
 
 def _likes_section() -> Derivation:
-    d = _bin("under_L", _ax("p-Id", "np", True), _ax("n-Id", "s", False))
-    d = _bin("over_L", d, _ax("p-Id", "np", True))   # (np\s)/np |- (np .\ s) ./ np
-    d = _ext(d, "down_L")
-    d = _ext(d, "s-down'")                            # likes |- (np .\ s) ./ np
+    d = derive("under_L", _ax("p-Id", "np", True), _ax("n-Id", "s", False))
+    d = derive("over_L", d, _ax("p-Id", "np", True))   # (np\s)/np |- (np .\ s) ./ np
+    d = derive("down_L", d)
+    d = derive("s-down'", d)                            # likes |- (np .\ s) ./ np
     return d
 
 
 def _quantifier_section(body: Derivation, noun: str) -> Derivation:
     """up/over/down chain attacking a displayed np against `body`."""
-    d = _ext(body, "s-up")
-    d = _ext(d, "up_L")
-    d = _bin("over_L", d, _ax("p-Id", noun, True))
-    d = _ext(d, "down_L")
-    return _ext(d, "s-down'")
+    d = derive("s-up", body)
+    d = derive("up_L", d)
+    d = derive("over_L", d, _ax("p-Id", noun, True))
+    d = derive("down_L", d)
+    return derive("s-down'", d)
 
 
 def reading_forall_exists() -> Derivation:
     """Universal wide scope: the everyone-entry is attacked first."""
     d = _likes_section()
-    d = _ext(d, "dp(.*,./)'")        # likes .* np |- np .\ s
-    d = _ext(d, "dp(.*,.\\)'")       # np |- likes .\ (np .\ s)     (object np)
+    d = derive("dp(.*,./)'", d)        # likes .* np |- np .\ s
+    d = derive("dp(.*,.\\)'", d)       # np |- likes .\ (np .\ s)     (object np)
     d = _quantifier_section(d, "n")  # some teacher
-    d = _ext(d, "dp(.*,./)'")        # some .* teacher |- likes .\ (np .\ s)
-    d = _ext(d, "dp(.*,.\\)")        # likes .* (some .* teacher) |- np .\ s
-    d = _ext(d, "dp(.*,.\\)")        # np .* (...) |- s             (subject np out)
-    d = _ext(d, "dp(.*,./)")         # np |- s ./ (likes .* (some .* teacher))
+    d = derive("dp(.*,./)'", d)        # some .* teacher |- likes .\ (np .\ s)
+    d = derive("dp(.*,.\\)", d)        # likes .* (some .* teacher) |- np .\ s
+    d = derive("dp(.*,.\\)", d)        # np .* (...) |- s             (subject np out)
+    d = derive("dp(.*,./)", d)         # np |- s ./ (likes .* (some .* teacher))
     d = _quantifier_section(d, "n")  # every one
-    d = _ext(d, "dp(.*,./)'")        # every .* one |- s ./ (...)
-    d = _ext(d, "otimes_L")          # everyone |- s ./ (...)
-    d = _ext(d, "dp(.*,./)'")        # everyone .* (...) |- s
-    d = _ext(d, "s-down")
-    return _ext(d, "down_R")
+    d = derive("dp(.*,./)'", d)        # every .* one |- s ./ (...)
+    d = derive("otimes_L", d)          # everyone |- s ./ (...)
+    d = derive("dp(.*,./)'", d)        # everyone .* (...) |- s
+    d = derive("s-down", d)
+    return derive("down_R", d)
 
 
 def reading_exists_forall() -> Derivation:
     """Existential wide scope: the some-entry is attacked first."""
     d = _likes_section()
-    d = _ext(d, "dp(.*,./)'")        # likes .* np |- np .\ s
-    d = _ext(d, "dp(.*,.\\)")        # np .* (likes .* np) |- s     (subject np out)
-    d = _ext(d, "dp(.*,./)")         # np |- s ./ (likes .* np)
+    d = derive("dp(.*,./)'", d)        # likes .* np |- np .\ s
+    d = derive("dp(.*,.\\)", d)        # np .* (likes .* np) |- s     (subject np out)
+    d = derive("dp(.*,./)", d)         # np |- s ./ (likes .* np)
     d = _quantifier_section(d, "n")  # every one
-    d = _ext(d, "dp(.*,./)'")        # every .* one |- s ./ (likes .* np)
-    d = _ext(d, "dp(.*,./)'")        # (every .* one) .* (likes .* np) |- s
-    d = _ext(d, "dp(.*,.\\)'")       # likes .* np |- (every .* one) .\ s
-    d = _ext(d, "dp(.*,.\\)'")       # np |- likes .\ ((every .* one) .\ s)
+    d = derive("dp(.*,./)'", d)        # every .* one |- s ./ (likes .* np)
+    d = derive("dp(.*,./)'", d)        # (every .* one) .* (likes .* np) |- s
+    d = derive("dp(.*,.\\)'", d)       # likes .* np |- (every .* one) .\ s
+    d = derive("dp(.*,.\\)'", d)       # np |- likes .\ ((every .* one) .\ s)
     d = _quantifier_section(d, "n")  # some teacher
-    d = _ext(d, "dp(.*,./)'")        # some .* teacher |- likes .\ (...)
-    d = _ext(d, "dp(.*,.\\)")        # likes .* (some .* teacher) |- (every .* one) .\ s
-    d = _ext(d, "dp(.*,.\\)")        # (every .* one) .* (likes .* (some .* teacher)) |- s
-    d = _ext(d, "dp(.*,./)")         # every .* one |- s ./ (...)
-    d = _ext(d, "otimes_L")          # everyone |- s ./ (...)
-    d = _ext(d, "dp(.*,./)'")        # everyone .* (...) |- s
-    d = _ext(d, "s-down")
-    return _ext(d, "down_R")
+    d = derive("dp(.*,./)'", d)        # some .* teacher |- likes .\ (...)
+    d = derive("dp(.*,.\\)", d)        # likes .* (some .* teacher) |- (every .* one) .\ s
+    d = derive("dp(.*,.\\)", d)        # (every .* one) .* (likes .* (some .* teacher)) |- s
+    d = derive("dp(.*,./)", d)         # every .* one |- s ./ (...)
+    d = derive("otimes_L", d)          # everyone |- s ./ (...)
+    d = derive("dp(.*,./)'", d)        # everyone .* (...) |- s
+    d = derive("s-down", d)
+    return derive("down_R", d)
 
 
 # ---------------------------------------------------------------------------
@@ -107,25 +99,25 @@ def cut_elim_example() -> Derivation:
     neg = {"n"}
     pid = _ax("p-Id", "p", True)
     nid = _ax("n-Id", "n", False)
-    d = _bin("under_L", pid, nid)      # p \ n |- p .\ n
-    d = _ext(d, "down_L")
-    d = _ext(d, "s-down'")
-    d = _ext(d, "dp(.*,.\\)")          # p .* dn (p \ n) |- n
-    d = _ext(d, "s-down")
-    left = _ext(d, "down_R")           # p .* dn (p \ n) |- dn n
+    d = derive("under_L", pid, nid)      # p \ n |- p .\ n
+    d = derive("down_L", d)
+    d = derive("s-down'", d)
+    d = derive("dp(.*,.\\)", d)          # p .* dn (p \ n) |- n
+    d = derive("s-down", d)
+    left = derive("down_R", d)           # p .* dn (p \ n) |- dn n
 
-    d = _ext(nid, "down_L")            # dn n |- .dn n
-    d = _ext(d, "down_R")              # dn n |- dn n
-    d = _bin("otimes_R", d, pid)       # dn n .* p |- dn n * p
-    d = _ext(d, "up_R")
-    d = _ext(d, "s-up'")
-    d = _ext(d, "dp(.*,./)")           # dn n |- up (dn n * p) ./ p
-    d = _ext(d, "s-down")
-    d = _ext(d, "dp(.upl,.dn)")        # .upl dn n |- up (dn n * p) ./ p
-    d = _ext(d, "dp(.upl,.dn)'")
-    right = _ext(d, "s-down'")         # dn n |- up (dn n * p) ./ p
+    d = derive("down_L", nid)            # dn n |- .dn n
+    d = derive("down_R", d)              # dn n |- dn n
+    d = derive("otimes_R", d, pid)       # dn n .* p |- dn n * p
+    d = derive("up_R", d)
+    d = derive("s-up'", d)
+    d = derive("dp(.*,./)", d)           # dn n |- up (dn n * p) ./ p
+    d = derive("s-down", d)
+    d = derive("dp(.upl,.dn)", d)        # .upl dn n |- up (dn n * p) ./ p
+    d = derive("dp(.upl,.dn)'", d)
+    right = derive("s-down'", d)         # dn n |- up (dn n * p) ./ p
 
-    return _bin("Pn-Cut", left, right)
+    return derive("Pn-Cut", left, right)
 
 
 def cut_elim_parametric_result() -> Derivation:
@@ -133,24 +125,24 @@ def cut_elim_parametric_result() -> Derivation:
     uppermost occurrence of `dn n`, and the section below it is mutated."""
     pid = _ax("p-Id", "p", True)
     nid = _ax("n-Id", "n", False)
-    d = _bin("under_L", pid, nid)
-    d = _ext(d, "down_L")
-    d = _ext(d, "s-down'")
-    d = _ext(d, "dp(.*,.\\)")
-    d = _ext(d, "s-down")
-    left = _ext(d, "down_R")           # p .* dn (p \ n) |- dn n
+    d = derive("under_L", pid, nid)
+    d = derive("down_L", d)
+    d = derive("s-down'", d)
+    d = derive("dp(.*,.\\)", d)
+    d = derive("s-down", d)
+    left = derive("down_R", d)           # p .* dn (p \ n) |- dn n
 
-    top = _ext(nid, "down_L")          # dn n |- .dn n
-    d = _bin("P-Cut", left, top)       # p .* dn (p \ n) |- .dn n
-    d = _ext(d, "down_R")              # ... |- dn n   (mutated refocus)
-    d = _bin("otimes_R", d, pid)
-    d = _ext(d, "up_R")
-    d = _ext(d, "s-up'")
-    d = _ext(d, "dp(.*,./)")
-    d = _ext(d, "s-down")
-    d = _ext(d, "dp(.up,.dn)'")        # the adjoint postulate, mutated
-    d = _ext(d, "dp(.up,.dn)")
-    return _ext(d, "s-down'")
+    top = derive("down_L", nid)          # dn n |- .dn n
+    d = derive("P-Cut", left, top)       # p .* dn (p \ n) |- .dn n
+    d = derive("down_R", d)              # ... |- dn n   (mutated refocus)
+    d = derive("otimes_R", d, pid)
+    d = derive("up_R", d)
+    d = derive("s-up'", d)
+    d = derive("dp(.*,./)", d)
+    d = derive("s-down", d)
+    d = derive("dp(.up,.dn)'", d)        # the adjoint postulate, mutated
+    d = derive("dp(.up,.dn)", d)
+    return derive("s-down'", d)
 
 
 # A handful of derivable sequents exercised across the test suite.

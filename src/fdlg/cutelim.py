@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 
 from .syntax import (Structure, Sequent, Sort, PP, PS, NP, NS,
                      render_formula, render_sequent)
-from .rules import REGISTRY, CUT_RULES, PRINCIPAL_LEFT, PRINCIPAL_RIGHT
-from .kernel import (Derivation, KernelError, apply_rule_forward, make_cut,
-                     thread_up_at, subst_at, struct_at)
+from .rules import REGISTRY, CUT_RULES, PRINCIPAL_LEFT, PRINCIPAL_RIGHT, candidates
+from .kernel import (Derivation, KernelError, apply_rule_forward, derive,
+                     subst_at, struct_at)
 
 
 class CutElimError(ValueError):
@@ -124,25 +124,25 @@ def _reapply(hint: str, premises: tuple[Derivation, ...], expected: Sequent) -> 
 
     The original rule name is tried first; when the mutation renames the rule
     (a variant postulate becoming its base instance, a shift adjoint becoming
-    a shift), the first rule producing exactly the expected conclusion wins.
+    a shift), the first candidate rule for the expected conclusion that
+    produces it exactly wins.
     """
     prem_seqs = [p.conclusion for p in premises]
-    candidates = [hint] + [n for n in REGISTRY if n != hint]
-    for name in candidates:
-        if REGISTRY[name].arity != len(premises):
+    for rule in (REGISTRY[hint], *candidates(expected)):
+        if rule.arity != len(premises):
             continue
         try:
-            conc = apply_rule_forward(name, prem_seqs)
+            conc = apply_rule_forward(rule.name, prem_seqs)
         except KernelError:
             continue
         if conc == expected:
-            return Derivation(name, conc, premises)
+            return Derivation(rule.name, conc, premises)
     raise CutElimError(f"mutated instance of {hint} is not derivable "
                        f"(expected {render_sequent(expected)})")
 
 
-def _trace_chain(d: Derivation, pos):
-    """Follow a parametric occurrence upward; returns (chain, top, top_pos).
+def trace_chain(d: Derivation, pos):
+    """Follow a parametric occurrence upward; returns (chain, top).
 
     chain lists (node, conclusion position, premise index) from the root up,
     excluding the node where the occurrence is principal (or an axiom).
@@ -150,16 +150,19 @@ def _trace_chain(d: Derivation, pos):
     chain = []
     node = d
     while True:
-        res = thread_up_at(node, pos)
+        res = REGISTRY[node.rule].thread_up(pos)
         if res[0] == "principal":
-            return chain, node, pos
+            return chain, node
         i, pos2 = res
         chain.append((node, pos, i))
         node, pos = node.premises[i], pos2
 
 
-def _rebuild_chain(chain, rho: Derivation, repl: Structure, mu: Mutation,
-                   trace=None) -> Derivation:
+def rebuild_chain(chain, rho: Derivation, repl: Structure, mu: Mutation,
+                  trace=None) -> Derivation:
+    """Re-run a traced section over `rho`, which replaces its top node; the
+    substituted occurrence becomes `repl`, and each conclusion relabels by
+    `mu`.  Renamed rules are logged to `trace`."""
     for node, pos, i in reversed(chain):
         prems = list(node.premises)
         prems[i] = rho
@@ -175,32 +178,28 @@ def _parametric_right(d1: Derivation, d2: Derivation, trace) -> Derivation:
     a = d2.conclusion.pre
     psi = d1.conclusion.pre
     mu = mutation_for(a.sort, "pre", psi.sort)
-    chain, top, top_pos = _trace_chain(d2, ("pre", ()))
+    chain, top = trace_chain(d2, ("pre", ()))
     if trace is not None:
         trace.append(f"parametric {render_formula(a.leaf)} {mu.name}")
     if top.rule in ("p-Id", "n-Id"):
         rho = d1
     else:
         rho = _eliminate_cut(d1, top, trace)
-    return _rebuild_chain(chain, rho, psi, mu, trace)
+    return rebuild_chain(chain, rho, psi, mu, trace)
 
 
 def _parametric_left(d1: Derivation, d2: Derivation, trace) -> Derivation:
     a = d1.conclusion.suc
     phi = d2.conclusion.suc
     mu = mutation_for(a.sort, "suc", phi.sort)
-    chain, top, top_pos = _trace_chain(d1, ("suc", ()))
+    chain, top = trace_chain(d1, ("suc", ()))
     if trace is not None:
         trace.append(f"parametric {render_formula(a.leaf)} {mu.name}")
     if top.rule in ("p-Id", "n-Id"):
         rho = d2
     else:
         rho = _eliminate_cut(top, d2, trace)
-    return _rebuild_chain(chain, rho, phi, mu, trace)
-
-
-def _ext(d: Derivation, rule: str) -> Derivation:
-    return Derivation(rule, apply_rule_forward(rule, [d.conclusion]), (d,))
+    return rebuild_chain(chain, rho, phi, mu, trace)
 
 
 def _cut(l: Derivation, r: Derivation, trace) -> Derivation:
@@ -216,75 +215,75 @@ def _principal(d1: Derivation, d2: Derivation, trace) -> Derivation:
     if conn == "*":
         pa, pb = d1.premises            # X|-P , Y|-Q
         body = d2.premises[0]           # P .* Q |- D
-        step = _ext(body, "dp(.*,.\\)'")        # Q |- P .\ D
+        step = derive("dp(.*,.\\)'", body)        # Q |- P .\ D
         step = _cut(pb, step, trace)            # Y |- P .\ D
-        step = _ext(step, "dp(.*,.\\)")         # P .* Y |- D
-        step = _ext(step, "dp(.*,./)")          # P |- D ./ Y
+        step = derive("dp(.*,.\\)", step)         # P .* Y |- D
+        step = derive("dp(.*,./)", step)          # P |- D ./ Y
         step = _cut(pa, step, trace)            # X |- D ./ Y
-        step = _ext(step, "dp(.*,./)'")         # X .* Y |- D
+        step = derive("dp(.*,./)'", step)         # X .* Y |- D
         return step
     if conn == "(+)":
         body = d1.premises[0]           # X |- N .(+) M
         pa, pb = d2.premises            # N|-G , M|-D
-        step = _ext(body, "dp(.(/),.(+))'")     # X .(/) M |- N
+        step = derive("dp(.(/),.(+))'", body)     # X .(/) M |- N
         step = _cut(step, pa, trace)            # X .(/) M |- G
-        step = _ext(step, "dp(.(/),.(+))")      # X |- G .(+) M
-        step = _ext(step, "dp(.(\\),.(+))")     # G .(\) X |- M
+        step = derive("dp(.(/),.(+))", step)      # X |- G .(+) M
+        step = derive("dp(.(\\),.(+))", step)     # G .(\) X |- M
         step = _cut(step, pb, trace)            # G .(\) X |- D
-        step = _ext(step, "dp(.(\\),.(+))'")    # X |- G .(+) D
+        step = derive("dp(.(\\),.(+))'", step)    # X |- G .(+) D
         return step
     if conn == "\\":
         body = d1.premises[0]           # X |- P .\ N
         pa, pb = d2.premises            # X'|-P , N|-D
-        step = _ext(body, "dp(.*,.\\)")         # P .* X |- N
+        step = derive("dp(.*,.\\)", body)         # P .* X |- N
         step = _cut(step, pb, trace)            # P .* X |- D
-        step = _ext(step, "dp(.*,./)")          # P |- D ./ X
+        step = derive("dp(.*,./)", step)          # P |- D ./ X
         step = _cut(pa, step, trace)            # X' |- D ./ X
-        step = _ext(step, "dp(.*,./)'")         # X' .* X |- D
-        step = _ext(step, "dp(.*,.\\)'")        # X |- X' .\ D
+        step = derive("dp(.*,./)'", step)         # X' .* X |- D
+        step = derive("dp(.*,.\\)'", step)        # X |- X' .\ D
         return step
     if conn == "/":
         body = d1.premises[0]           # X |- N ./ P
         pa, pb = d2.premises            # N|-D , X'|-P
-        step = _ext(body, "dp(.*,./)'")         # X .* P |- N
+        step = derive("dp(.*,./)'", body)         # X .* P |- N
         step = _cut(step, pa, trace)            # X .* P |- D
-        step = _ext(step, "dp(.*,.\\)'")        # P |- X .\ D
+        step = derive("dp(.*,.\\)'", step)        # P |- X .\ D
         step = _cut(pb, step, trace)            # X' |- X .\ D
-        step = _ext(step, "dp(.*,.\\)")         # X .* X' |- D
-        step = _ext(step, "dp(.*,./)")          # X |- D ./ X'
+        step = derive("dp(.*,.\\)", step)         # X .* X' |- D
+        step = derive("dp(.*,./)", step)          # X |- D ./ X'
         return step
     if conn == "(/)":
         pa, pb = d1.premises            # X|-P , N|-D
         body = d2.premises[0]           # P .(/) N |- D'
-        step = _ext(body, "dp(.(/),.(+))")      # P |- D' .(+) N
+        step = derive("dp(.(/),.(+))", body)      # P |- D' .(+) N
         step = _cut(pa, step, trace)            # X |- D' .(+) N
-        step = _ext(step, "dp(.(\\),.(+))")     # D' .(\) X |- N
+        step = derive("dp(.(\\),.(+))", step)     # D' .(\) X |- N
         step = _cut(step, pb, trace)            # D' .(\) X |- D
-        step = _ext(step, "dp(.(\\),.(+))'")    # X |- D' .(+) D
-        step = _ext(step, "dp(.(/),.(+))'")     # X .(/) D |- D'
+        step = derive("dp(.(\\),.(+))'", step)    # X |- D' .(+) D
+        step = derive("dp(.(/),.(+))'", step)     # X .(/) D |- D'
         return step
     if conn == "(\\)":
         pa, pb = d1.premises            # N|-D , X|-P
         body = d2.premises[0]           # N .(\) P |- D'
-        step = _ext(body, "dp(.(\\),.(+))'")    # P |- N .(+) D'
+        step = derive("dp(.(\\),.(+))'", body)    # P |- N .(+) D'
         step = _cut(pb, step, trace)            # X |- N .(+) D'
-        step = _ext(step, "dp(.(/),.(+))'")     # X .(/) D' |- N
+        step = derive("dp(.(/),.(+))'", step)     # X .(/) D' |- N
         step = _cut(step, pa, trace)            # X .(/) D' |- D
-        step = _ext(step, "dp(.(/),.(+))")      # X |- D .(+) D'
-        step = _ext(step, "dp(.(\\),.(+))")     # D .(\) X |- D'
+        step = derive("dp(.(/),.(+))", step)      # X |- D .(+) D'
+        step = derive("dp(.(\\),.(+))", step)     # D .(\) X |- D'
         return step
     if conn == "dn":
         body = d1.premises[0]           # X |- .dn N
         sub = d2.premises[0]            # N |- D
-        step = _ext(body, "s-down'")            # X |- N
+        step = derive("s-down'", body)            # X |- N
         step = _cut(step, sub, trace)           # X |- D
-        return _ext(step, "s-down")             # X |- .dn D
+        return derive("s-down", step)             # X |- .dn D
     if conn == "up":
         sub = d1.premises[0]            # X |- P
         body = d2.premises[0]           # .up P |- D
-        step = _ext(body, "s-up'")              # P |- D
+        step = derive("s-up'", body)              # P |- D
         step = _cut(sub, step, trace)           # X |- D
-        return _ext(step, "s-up")               # .up X |- D
+        return derive("s-up", step)               # .up X |- D
     raise CutElimError(f"no principal reduction for {conn!r}")
 
 

@@ -14,7 +14,7 @@ from .syntax import (Formula, Structure, Sequent, FAMILY, ORDER_TYPE,
                      STRUCT_SHIFTS, VARIANT_STRUCTS, render_formula)
 from .rules import REGISTRY, TONICITY_RULES, SHIFT_DPS
 from .kernel import (Derivation, iter_nodes, path_str, trace_to_intro,
-                     apply_rule_forward, check_derivation)
+                     derive, check_derivation)
 from .cutelim import eliminate_cuts, has_cut
 
 
@@ -305,13 +305,9 @@ def _pass(d: Derivation) -> Derivation:
     # the plain shift postulate is derivable from the two structural rules;
     # expanding it lets cancellation remove the fused shift detours
     if d.rule == "dp(.up,.dn)":
-        mid = Derivation("s-up'", apply_rule_forward("s-up'", [prems[0].conclusion]),
-                         (prems[0],))
-        d = Derivation("s-down", d.conclusion, (mid,))
+        d = Derivation("s-down", d.conclusion, (derive("s-up'", prems[0]),))
     elif d.rule == "dp(.up,.dn)'":
-        mid = Derivation("s-down'", apply_rule_forward("s-down'", [prems[0].conclusion]),
-                         (prems[0],))
-        d = Derivation("s-up", d.conclusion, (mid,))
+        d = Derivation("s-up", d.conclusion, (derive("s-down'", prems[0]),))
     inv = REGISTRY[d.rule].schema.inverse
     if inv and d.premises and d.premises[0].rule == inv:
         inner = d.premises[0].premises[0]

@@ -2,7 +2,9 @@
 
 Also houses the three derivation builders used by the completeness argument:
 identity expansion on structures, the structural cut, and translation
-saturation of one side of a sequent.
+saturation of one side of a sequent.  The structural cut re-runs the
+parametric section below the cut through `fdlg.cutelim`, the same surgery
+as a parametric cut-elimination move.
 """
 
 from __future__ import annotations
@@ -10,11 +12,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .syntax import (Formula, Structure, Sequent, Atom, leaf,
+from .syntax import (Formula, Structure, Sequent, Atom, leaf, formula_nodes,
                      render_sequent, parse_sequent, render_formula,
-                     OP_OF_STRUCT, STRUCT_OF_OP, ParseError)
+                     ParseError, MAX_NESTING)
 from .rules import (REGISTRY, MatchFail, candidates, match_sequent,
-                    instantiate_sequent, CUT_RULES)
+                    instantiate_sequent)
+from .standardize import StandardizeError, form_of, ftoM, ftom, str_of
 
 
 class KernelError(ValueError):
@@ -116,24 +119,11 @@ def apply_rule_forward(name: str, premises, selector: Atom | None = None) -> Seq
         raise KernelError(f"premises do not match the {name} schema") from None
 
 
-def _subformulas(x) -> set[Formula]:
-    out: set[Formula] = set()
-
-    def go_f(fml: Formula):
-        out.add(fml)
-        for a in fml.args:
-            go_f(a)
-
-    def go_s(st: Structure):
-        if st.conn is None:
-            go_f(st.leaf)
-        else:
-            for a in st.args:
-                go_s(a)
-
-    go_s(x.pre)
-    go_s(x.suc)
-    return out
+def derive(name: str, *premises: Derivation, selector: Atom | None = None) -> Derivation:
+    """Rule `name` applied forward to the premise derivations; axioms take
+    their atom from `selector`."""
+    return Derivation(name, apply_rule_forward(
+        name, [p.conclusion for p in premises], selector), premises)
 
 
 def backward_expansions(goal: Sequent, allow_variants: bool = False,
@@ -168,7 +158,7 @@ def backward_expansions(goal: Sequent, allow_variants: bool = False,
         for rule in rules:
             if rule.klass != "cut":
                 continue
-            for a in sorted(_subformulas(goal), key=render_formula):
+            for a in sorted(set(formula_nodes(goal)), key=render_formula):
                 env = {}
                 try:
                     match_sequent(rule.schema.conclusion, goal, env)
@@ -195,9 +185,7 @@ def cut_rule_for(left: Sequent, right: Sequent) -> str:
 
 
 def make_cut(d1: Derivation, d2: Derivation) -> Derivation:
-    name = cut_rule_for(d1.conclusion, d2.conclusion)
-    return Derivation(name, apply_rule_forward(name, [d1.conclusion, d2.conclusion]),
-                      (d1, d2))
+    return derive(cut_rule_for(d1.conclusion, d2.conclusion), d1, d2)
 
 
 # ---------------------------------------------------------------------------
@@ -207,21 +195,9 @@ def make_cut(d1: Derivation, d2: Derivation) -> Derivation:
 # a premise or hits the rule template itself (the occurrence is principal).
 
 
-def node_env(node: Derivation) -> dict:
-    env = match_rule(node.rule, node.conclusion, [p.conclusion for p in node.premises])
-    if env is None:
-        raise KernelError(f"node is not an instance of {node.rule}")
-    return env
-
-
-def thread_up_at(node: Derivation, pos):
-    """('principal', None) or (premise index, premise position)."""
-    return REGISTRY[node.rule].thread_up(pos)
-
-
 def trace_to_intro(node: Derivation, pos, path: tuple[int, ...] = ()):
     """Derivation path of the node whose rule introduced the occurrence."""
-    res = thread_up_at(node, pos)
+    res = REGISTRY[node.rule].thread_up(pos)
     if res[0] == "principal":
         return path
     i, pos2 = res
@@ -284,18 +260,17 @@ def subst_at(seq: Sequent, pos, repl: Structure) -> Sequent:
 def identify_rule(conclusion: Sequent, premises) -> str | None:
     """The rule this (conclusion, premises) pair instantiates, trying both
     premise orders for binary rules."""
-    from itertools import permutations
     orders = [list(premises)]
     if len(premises) == 2:
         orders.append([premises[1], premises[0]])
-    for name, rule in REGISTRY.items():
+    for rule in candidates(conclusion):
         if rule.arity != len(premises):
             continue
         for prems in orders:
-            if match_rule(name, conclusion, prems) is not None:
+            if match_rule(rule.name, conclusion, prems) is not None:
                 if prems == list(premises):
-                    return name
-                return name + "@swap"
+                    return rule.name
+                return rule.name + "@swap"
     return None
 
 
@@ -333,7 +308,10 @@ def derivation_to_json(d: Derivation, neg_atoms) -> str:
 def read_document(text: str) -> tuple[dict, frozenset[str]]:
     """The top-level object and the negative atoms of an exchange document;
     a malformed document raises ParseError."""
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise ParseError("document nested too deeply") from None
     if not isinstance(doc, dict):
         raise ParseError("a derivation document must be a JSON object")
     neg = doc.get("negAtoms", [])
@@ -344,16 +322,22 @@ def read_document(text: str) -> tuple[dict, frozenset[str]]:
 
 def read_nodes(x, make):
     """make(rule, conclusion text, premises) over a document's node tree,
-    premises first; a malformed node raises ParseError."""
-    if not isinstance(x, dict):
-        raise ParseError("a derivation node must be a JSON object")
-    for key in ("rule", "conclusion"):
-        if not isinstance(x.get(key), str):
-            raise ParseError(f"a derivation node needs a string {key!r}")
-    premises = x.get("premises", [])
-    if not isinstance(premises, list):
-        raise ParseError("premises must be a list")
-    return make(x["rule"], x["conclusion"], tuple(read_nodes(p, make) for p in premises))
+    premises first; a malformed node, or premises nested more than
+    MAX_NESTING deep, raises ParseError."""
+    def node(x, depth: int):
+        if depth > MAX_NESTING:
+            raise ParseError(f"premises nested more than {MAX_NESTING} levels deep")
+        if not isinstance(x, dict):
+            raise ParseError("a derivation node must be a JSON object")
+        for key in ("rule", "conclusion"):
+            if not isinstance(x.get(key), str):
+                raise ParseError(f"a derivation node needs a string {key!r}")
+        premises = x.get("premises", [])
+        if not isinstance(premises, list):
+            raise ParseError("premises must be a list")
+        return make(x["rule"], x["conclusion"],
+                    tuple(node(p, depth + 1) for p in premises))
+    return node(x, 0)
 
 
 def derivation_from_json(text: str) -> tuple[Derivation, frozenset[str]]:
@@ -363,55 +347,9 @@ def derivation_from_json(text: str) -> tuple[Derivation, frozenset[str]]:
 
 
 def neg_atoms_of(d: Derivation) -> frozenset[str]:
-    out = set()
-
-    def go_f(fml: Formula):
-        if fml.conn is None:
-            if not fml.atom.positive:
-                out.add(fml.atom.name)
-        else:
-            for a in fml.args:
-                go_f(a)
-
-    def go_s(st: Structure):
-        if st.conn is None:
-            go_f(st.leaf)
-        else:
-            for a in st.args:
-                go_s(a)
-
-    for _, nd in iter_nodes(d):
-        go_s(nd.conclusion.pre)
-        go_s(nd.conclusion.suc)
-    return frozenset(out)
-
-
-# ---------------------------------------------------------------------------
-# Str / Form
-
-def struct_of_formula(a: Formula) -> Structure:
-    """Turn every connective of a formula into its structural counterpart."""
-    if a.conn is None:
-        return leaf(a)
-    return Structure(STRUCT_OF_OP[a.conn], None,
-                     tuple(struct_of_formula(x) for x in a.args))
-
-
-def formula_of_struct(x: Structure) -> Formula | None:
-    """All-operational reading of a structure; None where a connective has no
-    operational counterpart (variants, shift adjoints)."""
-    if x.conn is None:
-        return x.leaf
-    op = OP_OF_STRUCT.get(x.conn)
-    if op is None:
-        return None
-    args = []
-    for a in x.args:
-        fa = formula_of_struct(a)
-        if fa is None:
-            return None
-        args.append(fa)
-    return Formula(op, None, tuple(args))
+    return frozenset(x.atom.name for _, nd in iter_nodes(d)
+                     for x in formula_nodes(nd.conclusion)
+                     if x.conn is None and not x.atom.positive)
 
 
 # ---------------------------------------------------------------------------
@@ -421,17 +359,16 @@ def formula_of_struct(x: Structure) -> Formula | None:
 # root, which the invertible structural rules remove).
 
 
-def _extend(d: Derivation, rule: str) -> Derivation:
-    return Derivation(rule, apply_rule_forward(rule, [d.conclusion]), (d,))
-
-
 def saturate_translations(d: Derivation, side: str) -> Derivation:
     """Extend `d` until the chosen side of its end-sequent is a formula."""
     if side not in ("pre", "suc"):
         raise KernelError("side must be 'pre' or 'suc'")
     target = d.conclusion.pre if side == "pre" else d.conclusion.suc
-    if formula_of_struct(target) is None:
-        raise KernelError("side contains a connective with no operational counterpart")
+    try:
+        form_of(target)
+    except StandardizeError:
+        raise KernelError("side contains a connective with no operational "
+                          "counterpart") from None
     return _fold_pre(d) if side == "pre" else _fold_suc(d)
 
 
@@ -441,44 +378,44 @@ def _fold_suc(d: Derivation) -> Derivation:
         return d
     c = suc.conn
     if c == ".dn":
-        d = _extend(d, "s-down'")
+        d = derive("s-down'", d)
         d = _fold_suc(d)
-        d = _extend(d, "s-down")
-        return _extend(d, "down_R")
+        d = derive("s-down", d)
+        return derive("down_R", d)
     if c == ".(+)":
         if suc.args[0].conn is not None:
-            d = _extend(d, "dp(.(/),.(+))'")    # left summand becomes the succedent
+            d = derive("dp(.(/),.(+))'", d)    # left summand becomes the succedent
             d = _fold_suc(d)
-            d = _extend(d, "dp(.(/),.(+))")
+            d = derive("dp(.(/),.(+))", d)
         if d.conclusion.suc.args[1].conn is not None:
-            d = _extend(d, "dp(.(\\),.(+))")    # right summand becomes the succedent
+            d = derive("dp(.(\\),.(+))", d)    # right summand becomes the succedent
             d = _fold_suc(d)
-            d = _extend(d, "dp(.(\\),.(+))'")
-        return _extend(d, "oplus_R")
+            d = derive("dp(.(\\),.(+))'", d)
+        return derive("oplus_R", d)
     if c == ".\\":
         if suc.args[0].conn is not None:
-            d = _extend(d, "dp(.*,.\\)")        # numerator to the precedent, then out
-            d = _extend(d, "dp(.*,./)")
+            d = derive("dp(.*,.\\)", d)        # numerator to the precedent, then out
+            d = derive("dp(.*,./)", d)
             d = _fold_pre(d)
-            d = _extend(d, "dp(.*,./)'")
-            d = _extend(d, "dp(.*,.\\)'")
+            d = derive("dp(.*,./)'", d)
+            d = derive("dp(.*,.\\)'", d)
         if d.conclusion.suc.args[1].conn is not None:
-            d = _extend(d, "dp(.*,.\\)")
+            d = derive("dp(.*,.\\)", d)
             d = _fold_suc(d)
-            d = _extend(d, "dp(.*,.\\)'")
-        return _extend(d, "under_R")
+            d = derive("dp(.*,.\\)'", d)
+        return derive("under_R", d)
     if c == "./":
         if suc.args[1].conn is not None:
-            d = _extend(d, "dp(.*,./)'")
-            d = _extend(d, "dp(.*,.\\)'")
+            d = derive("dp(.*,./)'", d)
+            d = derive("dp(.*,.\\)'", d)
             d = _fold_pre(d)
-            d = _extend(d, "dp(.*,.\\)")
-            d = _extend(d, "dp(.*,./)")
+            d = derive("dp(.*,.\\)", d)
+            d = derive("dp(.*,./)", d)
         if d.conclusion.suc.args[0].conn is not None:
-            d = _extend(d, "dp(.*,./)'")
+            d = derive("dp(.*,./)'", d)
             d = _fold_suc(d)
-            d = _extend(d, "dp(.*,./)")
-        return _extend(d, "over_R")
+            d = derive("dp(.*,./)", d)
+        return derive("over_R", d)
     raise KernelError(f"cannot fold succedent connective {c!r} in this position")
 
 
@@ -488,44 +425,44 @@ def _fold_pre(d: Derivation) -> Derivation:
         return d
     c = pre.conn
     if c == ".up":
-        d = _extend(d, "s-up'")
+        d = derive("s-up'", d)
         d = _fold_pre(d)
-        d = _extend(d, "s-up")
-        return _extend(d, "up_L")
+        d = derive("s-up", d)
+        return derive("up_L", d)
     if c == ".*":
         if pre.args[0].conn is not None:
-            d = _extend(d, "dp(.*,./)")
+            d = derive("dp(.*,./)", d)
             d = _fold_pre(d)
-            d = _extend(d, "dp(.*,./)'")
+            d = derive("dp(.*,./)'", d)
         if d.conclusion.pre.args[1].conn is not None:
-            d = _extend(d, "dp(.*,.\\)'")
+            d = derive("dp(.*,.\\)'", d)
             d = _fold_pre(d)
-            d = _extend(d, "dp(.*,.\\)")
-        return _extend(d, "otimes_L")
+            d = derive("dp(.*,.\\)", d)
+        return derive("otimes_L", d)
     if c == ".(/)":
         if pre.args[0].conn is not None:
-            d = _extend(d, "dp(.(/),.(+))")
+            d = derive("dp(.(/),.(+))", d)
             d = _fold_pre(d)
-            d = _extend(d, "dp(.(/),.(+))'")
+            d = derive("dp(.(/),.(+))'", d)
         if d.conclusion.pre.args[1].conn is not None:
-            d = _extend(d, "dp(.(/),.(+))")     # co-denominator to the succedent
-            d = _extend(d, "dp(.(\\),.(+))")
+            d = derive("dp(.(/),.(+))", d)     # co-denominator to the succedent
+            d = derive("dp(.(\\),.(+))", d)
             d = _fold_suc(d)
-            d = _extend(d, "dp(.(\\),.(+))'")
-            d = _extend(d, "dp(.(/),.(+))'")
-        return _extend(d, "oslash_L")
+            d = derive("dp(.(\\),.(+))'", d)
+            d = derive("dp(.(/),.(+))'", d)
+        return derive("oslash_L", d)
     if c == ".(\\)":
         if pre.args[1].conn is not None:
-            d = _extend(d, "dp(.(\\),.(+))'")
+            d = derive("dp(.(\\),.(+))'", d)
             d = _fold_pre(d)
-            d = _extend(d, "dp(.(\\),.(+))")
+            d = derive("dp(.(\\),.(+))", d)
         if d.conclusion.pre.args[0].conn is not None:
-            d = _extend(d, "dp(.(\\),.(+))'")
-            d = _extend(d, "dp(.(/),.(+))'")
+            d = derive("dp(.(\\),.(+))'", d)
+            d = derive("dp(.(/),.(+))'", d)
             d = _fold_suc(d)
-            d = _extend(d, "dp(.(/),.(+))")
-            d = _extend(d, "dp(.(\\),.(+))")
-        return _extend(d, "obslash_L")
+            d = derive("dp(.(/),.(+))", d)
+            d = derive("dp(.(\\),.(+))", d)
+        return derive("obslash_L", d)
     raise KernelError(f"cannot fold precedent connective {c!r} in this position")
 
 
@@ -534,72 +471,38 @@ def _fold_pre(d: Derivation) -> Derivation:
 # standard transforms are defined (see fdlg.standardize).
 
 
-def _expand_right(child: Structure) -> Derivation:
-    """Derivation whose end-sequent is  lo(child) |- Form(child)  (a formula)."""
-    d = identity_expansion(child)
-    return _fold_suc(d)
-
-
-def _expand_left(child: Structure) -> Derivation:
-    """Derivation whose end-sequent is  Form(child) |- hi(child)."""
-    d = identity_expansion(child)
-    return _fold_pre(d)
+# Binary structural connective -> (rule, fold of the left argument's
+# expansion, fold of the right one).  _fold_suc turns  lo(X) |- hi(X)  into
+# lo(X) |- Form(X), _fold_pre into  Form(X) |- hi(X).
+_EXPANSION = {
+    ".*": ("otimes_R", _fold_suc, _fold_suc),
+    ".(/)": ("oslash_R", _fold_suc, _fold_pre),
+    ".(\\)": ("obslash_R", _fold_pre, _fold_suc),
+    ".(+)": ("oplus_L", _fold_pre, _fold_pre),
+    ".\\": ("under_L", _fold_suc, _fold_pre),
+    "./": ("over_L", _fold_pre, _fold_suc),
+}
 
 
 def identity_expansion(psi: Structure) -> Derivation:
-    from .standardize import ftom, ftoM   # local import; standardize is pure syntax
-
-    lo_t, hi_t = ftom(psi), ftoM(psi)     # raises StandardizeError if undefined
+    ftom(psi), ftoM(psi)                  # raise StandardizeError if undefined
     if psi.conn is None:
         a = psi.leaf
         if a.conn is None:
-            name = "p-Id" if a.atom.positive else "n-Id"
-            return Derivation(name, apply_rule_forward(name, [], selector=a.atom))
-        return identity_expansion(struct_of_formula(a))
+            return derive("p-Id" if a.atom.positive else "n-Id", selector=a.atom)
+        return identity_expansion(str_of(a))
     c = psi.conn
     if c == ".dn":
         sub = identity_expansion(psi.args[0])   # Form(D) |- hi(D), precedent is a formula
-        return _extend(sub, "down_L")
+        return derive("down_L", sub)
     if c == ".up":
         sub = identity_expansion(psi.args[0])   # lo(X) |- Form(X)
-        return _extend(sub, "up_R")
-    if c == ".*":
-        l = _expand_right(psi.args[0])
-        r = _expand_right(psi.args[1])
-        return Derivation("otimes_R",
-                          apply_rule_forward("otimes_R", [l.conclusion, r.conclusion]),
-                          (l, r))
-    if c == ".(/)":
-        l = _expand_right(psi.args[0])
-        r = _expand_left(psi.args[1])
-        return Derivation("oslash_R",
-                          apply_rule_forward("oslash_R", [l.conclusion, r.conclusion]),
-                          (l, r))
-    if c == ".(\\)":
-        l = _expand_left(psi.args[0])
-        r = _expand_right(psi.args[1])
-        return Derivation("obslash_R",
-                          apply_rule_forward("obslash_R", [l.conclusion, r.conclusion]),
-                          (l, r))
-    if c == ".(+)":
-        l = _expand_left(psi.args[0])
-        r = _expand_left(psi.args[1])
-        return Derivation("oplus_L",
-                          apply_rule_forward("oplus_L", [l.conclusion, r.conclusion]),
-                          (l, r))
-    if c == ".\\":
-        l = _expand_right(psi.args[0])
-        r = _expand_left(psi.args[1])
-        return Derivation("under_L",
-                          apply_rule_forward("under_L", [l.conclusion, r.conclusion]),
-                          (l, r))
-    if c == "./":
-        l = _expand_left(psi.args[0])
-        r = _expand_right(psi.args[1])
-        return Derivation("over_L",
-                          apply_rule_forward("over_L", [l.conclusion, r.conclusion]),
-                          (l, r))
-    raise KernelError(f"identity expansion undefined at {c!r}")
+        return derive("up_R", sub)
+    if c not in _EXPANSION:
+        raise KernelError(f"identity expansion undefined at {c!r}")
+    rule, fold_l, fold_r = _EXPANSION[c]
+    return derive(rule, fold_l(identity_expansion(psi.args[0])),
+                  fold_r(identity_expansion(psi.args[1])))
 
 
 # ---------------------------------------------------------------------------
@@ -608,54 +511,8 @@ def identity_expansion(psi: Structure) -> Derivation:
 # the four formula cuts plus display moves.
 
 
-def _trace_chain(d: Derivation, pos):
-    """Follow an occurrence upward to where it is principal (or an axiom).
-
-    Returns (chain, top) where chain lists (node, conclusion position,
-    premise index) from `d` upward, excluding the top node.
-    """
-    chain = []
-    node = d
-    while True:
-        res = thread_up_at(node, pos)
-        if res[0] == "principal":
-            return chain, node
-        i, pos2 = res
-        chain.append((node, pos, i))
-        node, pos = node.premises[i], pos2
-
-
-def _rebuild_with(chain, rho: Derivation, repl: Structure) -> Derivation:
-    """Re-run a traced section over a replacement subproof; the substituted
-    occurrence may change sort, so nodes relabel per the matching mutation."""
-    from .cutelim import mutate_sequent, mutation_for, position_class, CutElimError
-    for node, pos, i in reversed(chain):
-        old = struct_at(node.conclusion, pos)
-        mu = mutation_for(old.sort, position_class(node.conclusion, pos), repl.sort)
-        expected = mutate_sequent(node.conclusion, [pos], [repl], mu)
-        prems = list(node.premises)
-        prems[i] = rho
-        rho = _reapply_any(node.rule, tuple(prems), expected)
-    return rho
-
-
-def _reapply_any(hint: str, premises, expected: Sequent) -> Derivation:
-    prem_seqs = [p.conclusion for p in premises]
-    for name in [hint] + [n for n in REGISTRY if n != hint]:
-        if REGISTRY[name].arity != len(premises):
-            continue
-        try:
-            conc = apply_rule_forward(name, prem_seqs)
-        except KernelError:
-            continue
-        if conc == expected:
-            return Derivation(name, conc, premises)
-    raise KernelError(f"mutated instance of {hint} is not derivable")
-
-
 def structural_cut(d1: Derivation, d2: Derivation, phi: Structure) -> Derivation:
     """Cut along a shared structure whose standard transforms both exist."""
-    from .standardize import ftom, ftoM
     lo_phi, hi_phi = ftom(phi), ftoM(phi)
     if d1.conclusion.suc != hi_phi or d2.conclusion.pre != lo_phi:
         raise KernelError("end-sequents do not share the cut structure's transforms")
@@ -669,88 +526,97 @@ def _inv(name: str) -> str:
 def _scut(d1: Derivation, d2: Derivation) -> Derivation:
     """The shared piece sits displayed as d1's succedent (its upper standard
     transform) and d2's precedent (its lower one).  At most one of the two is
-    structural; when both are formulas a plain cut applies."""
+    structural; when both are formulas a plain cut applies.  A parametric
+    section above the traced end-sequent is re-run over the result, relabelled
+    by the mutation the cut structure's sort change calls for."""
+    from .cutelim import mutation_for, rebuild_chain, trace_chain   # cutelim imports kernel
     suc, pre = d1.conclusion.suc, d2.conclusion.pre
     if pre.conn is not None:
         # lower transform structural: the piece is skeleton-positive, d1 ends
         # on its tonicity introduction (possibly below a parametric section)
         c = pre.conn
-        chain, top = _trace_chain(d1, ("suc", ()))
+        chain, top = trace_chain(d1, ("suc", ()))
         red = d2.conclusion.suc.sort.positive      # positive residue: variant moves
         if c == ".*":
             d_u, d_o = ("dp(.*,.\\r)", "dp(.*,./l)") if red else \
                        ("dp(.*,.\\)", "dp(.*,./)")
-            s = _extend(d2, _inv(d_u))
+            s = derive(_inv(d_u), d2)
             s = _scut(top.premises[1], s)
-            s = _extend(s, d_u)
-            s = _extend(s, d_o)
+            s = derive(d_u, s)
+            s = derive(d_o, s)
             s = _scut(top.premises[0], s)
-            s = _extend(s, _inv(d_o))
+            s = derive(_inv(d_o), s)
         elif c == ".(/)":
             d_a, d_b = ("dp(.(/),.(+)l)", "dp(.(\\)l,.(+)l)") if red else \
                        ("dp(.(/),.(+))", "dp(.(\\),.(+))")
-            s = _extend(d2, d_a)
+            s = derive(d_a, d2)
             s = _scut(top.premises[0], s)
-            s = _extend(s, d_b)
+            s = derive(d_b, s)
             s = _scut(s, top.premises[1])
-            s = _extend(s, _inv(d_b))
-            s = _extend(s, _inv(d_a))
+            s = derive(_inv(d_b), s)
+            s = derive(_inv(d_a), s)
         elif c == ".(\\)":
             d_a, d_b = ("dp(.(\\),.(+)r)", "dp(.(/)r,.(+)r)") if red else \
                        ("dp(.(\\),.(+))'", "dp(.(/),.(+))'")
-            s = _extend(d2, d_a)
+            s = derive(d_a, d2)
             s = _scut(top.premises[1], s)
-            s = _extend(s, d_b)
+            s = derive(d_b, s)
             s = _scut(s, top.premises[0])
-            s = _extend(s, _inv(d_b))
-            s = _extend(s, _inv(d_a))
+            s = derive(_inv(d_b), s)
+            s = derive(_inv(d_a), s)
         elif c == ".up":
             dp = "dp(.up,.dnr)" if d2.conclusion.suc.sort.shifted else "dp(.up,.dn)"
-            s = _extend(d2, dp)
+            s = derive(dp, d2)
             s = _scut(top.premises[0], s)
-            s = _extend(s, _inv(dp))
+            s = derive(_inv(dp), s)
         else:
             raise KernelError(f"structural cut undefined at {c!r}")
-        return _rebuild_with(chain, s, d2.conclusion.suc)
+        if chain:
+            repl = d2.conclusion.suc
+            s = rebuild_chain(chain, s, repl, mutation_for(suc.sort, "suc", repl.sort))
+        return s
     if suc.conn is not None:
         # upper transform structural: dual, d2 ends on the introduction
         c = suc.conn
-        chain, top = _trace_chain(d2, ("pre", ()))
+        chain, top = trace_chain(d2, ("pre", ()))
         blue = not d1.conclusion.pre.sort.positive
         if c == ".dn":
-            s = _extend(d1, "s-down'")
+            s = derive("s-down'", d1)
             s = _scut(s, top.premises[0])
-            s = _extend(s, "s-down")
+            s = derive("s-down", s)
         elif c == ".\\":
             d_u, d_o = ("dp(.*r,.\\)", "dp(.*r,./r)") if blue else \
                        ("dp(.*,.\\)", "dp(.*,./)")
-            s = _extend(d1, d_u)
+            s = derive(d_u, d1)
             s = _scut(s, top.premises[1])
-            s = _extend(s, d_o)
+            s = derive(d_o, s)
             s = _scut(top.premises[0], s)
-            s = _extend(s, _inv(d_o))
-            s = _extend(s, _inv(d_u))
+            s = derive(_inv(d_o), s)
+            s = derive(_inv(d_u), s)
         elif c == "./":
             d_a, d_b = ("dp(.*l,./)'", "dp(.*l,.\\l)'") if blue else \
                        ("dp(.*,./)'", "dp(.*,.\\)'")
-            s = _extend(d1, d_a)
+            s = derive(d_a, d1)
             s = _scut(s, top.premises[0])
-            s = _extend(s, d_b)
+            s = derive(d_b, s)
             s = _scut(top.premises[1], s)
-            s = _extend(s, _inv(d_b))
-            s = _extend(s, _inv(d_a))
+            s = derive(_inv(d_b), s)
+            s = derive(_inv(d_a), s)
         elif c == ".(+)":
             d_a, d_b = ("dp(.(/)l,.(+))'", "dp(.(\\)r,.(+))") if blue else \
                        ("dp(.(/),.(+))'", "dp(.(\\),.(+))")
-            s = _extend(d1, d_a)
+            s = derive(d_a, d1)
             s = _scut(s, top.premises[0])
-            s = _extend(s, _inv(d_a))
-            s = _extend(s, d_b)
+            s = derive(_inv(d_a), s)
+            s = derive(d_b, s)
             s = _scut(s, top.premises[1])
-            s = _extend(s, _inv(d_b))
+            s = derive(_inv(d_b), s)
         else:
             raise KernelError(f"structural cut undefined at {c!r}")
-        return _rebuild_with(chain, s, d1.conclusion.pre)
+        if chain:
+            repl = d1.conclusion.pre
+            s = rebuild_chain(chain, s, repl, mutation_for(pre.sort, "pre", repl.sort))
+        return s
     if pre != suc:
         raise KernelError("cut pieces disagree")
     return make_cut(d1, d2)

@@ -37,10 +37,6 @@ def form_of(x: Structure) -> Formula:
     return Formula(op, None, tuple(form_of(a) for a in x.args))
 
 
-def _formula_node(conn: str | None) -> bool:
-    return conn is None
-
-
 def _lo(x: Structure) -> Structure:
     # positively signed occurrence
     if x.conn is None:

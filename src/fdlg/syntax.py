@@ -354,8 +354,43 @@ def sort_of(x: Formula | Structure) -> Sort:
     return x.sort
 
 
+def formula_nodes(x: Sequent | Structure | Formula) -> list[Formula]:
+    """Every formula node of a sequent, structure or formula, repeats
+    included, in pre-order from left to right."""
+    out: list[Formula] = []
+    if isinstance(x, Sequent):
+        _structure_nodes(x.pre, out)
+        _structure_nodes(x.suc, out)
+    elif isinstance(x, Structure):
+        _structure_nodes(x, out)
+    else:
+        _formula_nodes(x, out)
+    return out
+
+
+def _formula_nodes(x: Formula, out: list) -> None:
+    out.append(x)
+    for a in x.args:
+        _formula_nodes(a, out)
+
+
+def _structure_nodes(x: Structure, out: list) -> None:
+    if x.conn is None:
+        _formula_nodes(x.leaf, out)
+    else:
+        for a in x.args:
+            _structure_nodes(a, out)
+
+
 # ---------------------------------------------------------------------------
 # Concrete syntax
+
+# The deepest nesting the readers accept: parentheses plus prefix shifts in
+# term text, and premises below the root of a derivation document.  Deeper
+# input is rejected with a ParseError.  The walks over terms and derivations
+# are recursive, up to three frames a level, so this keeps every command on
+# input that reads below Python's default limit of 1000 frames.
+MAX_NESTING = 256
 
 _TOKENS = sorted(
     list(OP_SIG) + list(STRUCT_SIG) + ["|-", "(", ")"],
@@ -403,10 +438,10 @@ class _Parser:
     Prefix shifts bind tighter than any binary connective.
     """
 
-    def __init__(self, tokens: list[str], neg_atoms: frozenset[str]):
+    def __init__(self, tokens: list[str]):
         self.toks = tokens
         self.pos = 0
-        self.neg = neg_atoms
+        self.depth = 0
 
     def peek(self) -> str | None:
         return self.toks[self.pos] if self.pos < len(self.toks) else None
@@ -432,14 +467,18 @@ class _Parser:
 
     def unary(self):
         tok = self.peek()
-        if tok in ("up", "dn", ".up", ".upl", ".dn", ".dnr"):
+        if tok in ("(", "up", "dn", ".up", ".upl", ".dn", ".dnr"):
             self.take()
-            return (tok, self.unary())
-        if tok == "(":
-            self.take()
-            inner = self.term()
-            if self.take() != ")":
-                raise ParseError("expected ')'")
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ParseError(f"term nested more than {MAX_NESTING} levels deep")
+            if tok == "(":
+                inner = self.term()
+                if self.take() != ")":
+                    raise ParseError("expected ')'")
+            else:
+                inner = (tok, self.unary())
+            self.depth -= 1
             return inner
         if tok is None:
             raise ParseError("unexpected end of input")
@@ -470,22 +509,22 @@ def _raw_to_structure(raw, neg: frozenset[str]) -> Structure:
     return s(conn, *(_raw_to_structure(a, neg) for a in raw[1:]))
 
 
-def parse_formula(text: str, neg_atoms=()) -> Formula:
-    neg = frozenset(neg_atoms)
-    p = _Parser(_tokenize(text), neg)
+def parse_raw(text: str):
+    """One term of the mixed grammar as nested tuples (connective, *args),
+    with atoms as strings."""
+    p = _Parser(_tokenize(text))
     raw = p.term()
     if not p.done():
         raise ParseError(f"trailing input at token {p.peek()!r}")
-    return _raw_to_formula(raw, neg)
+    return raw
+
+
+def parse_formula(text: str, neg_atoms=()) -> Formula:
+    return _raw_to_formula(parse_raw(text), frozenset(neg_atoms))
 
 
 def parse_structure(text: str, neg_atoms=()) -> Structure:
-    neg = frozenset(neg_atoms)
-    p = _Parser(_tokenize(text), neg)
-    raw = p.term()
-    if not p.done():
-        raise ParseError(f"trailing input at token {p.peek()!r}")
-    return _raw_to_structure(raw, neg)
+    return _raw_to_structure(parse_raw(text), frozenset(neg_atoms))
 
 
 def parse_sequent(text: str, neg_atoms=()) -> Sequent:

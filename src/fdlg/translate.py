@@ -15,9 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .syntax import (Formula, Structure, Sequent, Atom, leaf, f as fnode,
-                     SortError)
-from .kernel import (Derivation, apply_rule_forward, iter_nodes, read_document,
-                     read_nodes)
+                     ParseError, SortError, parse_raw)
+from .kernel import (Derivation, derive, iter_nodes, read_document, read_nodes)
 from .focus import minimize_proof
 
 
@@ -69,20 +68,15 @@ def render_cformula(a: CFormula) -> str:
 
 
 def parse_cformula(text: str, neg_atoms=()) -> CFormula:
-    from .syntax import _tokenize, _Parser
-    neg = frozenset(neg_atoms)
-    p = _Parser(_tokenize(text), neg)
-    raw = p.term()
-    if not p.done():
-        raise TranslateError(f"trailing input at {p.peek()!r}")
+    return _raw_to_cformula(parse_raw(text), frozenset(neg_atoms))
 
-    def conv(r) -> CFormula:
-        if isinstance(r, str):
-            return catom(r, r not in neg)
-        if r[0] not in _CONNS:
-            raise TranslateError(f"{r[0]!r} is not a companion formula connective")
-        return cf(r[0], conv(r[1]), conv(r[2]))
-    return conv(raw)
+
+def _raw_to_cformula(r, neg: frozenset[str]) -> CFormula:
+    if isinstance(r, str):
+        return catom(r, r not in neg)
+    if r[0] not in _CONNS:
+        raise ParseError(f"{r[0]!r} is not a companion formula connective")
+    return cf(r[0], _raw_to_cformula(r[1], neg), _raw_to_cformula(r[2], neg))
 
 
 def formula_polarity(a: CFormula) -> bool:
@@ -482,10 +476,10 @@ _SAME_NAME = {"otimes_L", "otimes_R", "oplus_L", "oplus_R", "oslash_L",
 
 
 def _fd(rule: str, premises, expected: Sequent) -> Derivation:
-    conc = apply_rule_forward(rule, [p.conclusion for p in premises])
-    if conc != expected and expected is not None:
+    d = derive(rule, *premises)
+    if d.conclusion != expected and expected is not None:
         raise TranslateError(f"{rule} image mismatch")
-    return Derivation(rule, conc, tuple(premises))
+    return d
 
 
 def translate_to_fdlg(d: FlgDerivation) -> Derivation:
@@ -501,8 +495,7 @@ def _to_fdlg(d: FlgDerivation) -> Derivation:
     r = d.rule
     if r == "Ax":
         atom = d.conclusion.pre.leaf.atom
-        name = "p-Id" if atom.positive else "n-Id"
-        return Derivation(name, apply_rule_forward(name, [], selector=atom))
+        return derive("p-Id" if atom.positive else "n-Id", selector=atom)
     if r in _SAME_NAME or r.startswith("dp("):
         prems = [_to_fdlg(p) for p in d.premises]
         return _fd(r, prems, target)
@@ -624,25 +617,12 @@ def flg_to_json(d: FlgDerivation, neg_atoms) -> str:
     return json.dumps(doc, indent=1)
 
 
-def _parse_fstruct(text: str, neg) -> FStruct:
-    from .syntax import _tokenize, _Parser
-    p = _Parser(_tokenize(text), neg)
-    raw = p.term()
-    if not p.done():
-        raise TranslateError(f"trailing input at {p.peek()!r}")
-
-    def conv(r) -> FStruct:
-        if isinstance(r, str):
-            return fleaf(catom(r, r not in neg))
-        conn = r[0]
-        if conn in _CONNS:
-            def cform(q):
-                if isinstance(q, str):
-                    return catom(q, q not in neg)
-                return cf(q[0], cform(q[1]), cform(q[2]))
-            return fleaf(cform(r))
-        return fs(conn, conv(r[1]), conv(r[2]))
-    return conv(raw)
+def _raw_to_fstruct(r, neg: frozenset[str]) -> FStruct:
+    if isinstance(r, str) or r[0] in _CONNS:
+        return fleaf(_raw_to_cformula(r, neg))
+    if r[0] not in _INPUT_CONNS and r[0] not in _OUTPUT_CONNS:
+        raise ParseError(f"{r[0]!r} is not a companion-calculus connective")
+    return fs(r[0], _raw_to_fstruct(r[1], neg), _raw_to_fstruct(r[2], neg))
 
 
 def parse_flg_sequent(text: str, neg_atoms=()) -> FlgSequent:
@@ -656,8 +636,8 @@ def parse_flg_sequent(text: str, neg_atoms=()) -> FlgSequent:
     if right.startswith("[") and right.endswith("]"):
         focus = "suc"
         right = right[1:-1]
-    pre = _parse_fstruct(left, neg)
-    suc = _parse_fstruct(right, neg)
+    pre = _raw_to_fstruct(parse_raw(left), neg)
+    suc = _raw_to_fstruct(parse_raw(right), neg)
     return FlgSequent(pre, suc, focus)
 
 

@@ -9,6 +9,8 @@ import pytest
 
 from fdlg.cli import main
 from fdlg.corpus import LEXICON_TEXT
+from fdlg.kernel import derivation_to_json, derive
+from fdlg.syntax import MAX_NESTING, Atom
 
 
 def run(argv, stdin=""):
@@ -165,6 +167,10 @@ def test_check_malformed_document(doc):
     "[]",
     '{"calculus": "flg"}',
     '{"calculus": "flg", "rule": "Ax", "conclusion": "p |- p", "premises": 3}',
+    '{"calculus": "flg", "rule": "Ax", "conclusion": "p * (up q) |- p"}',
+    '{"calculus": "flg", "rule": "Ax", "conclusion": "up p |- p"}',
+    '{"calculus": "flg", "rule": "Ax", "conclusion": ".dn p |- p"}',
+    '{"calculus": "flg", "rule": "Ax", "conclusion": "p .dnr q |- p"}',
 ])
 def test_translate_malformed_flg_document(doc):
     code, out, err = run(["translate", "--to", "fdlg", "-"], stdin=doc)
@@ -202,3 +208,54 @@ def test_soundness_algebra_file_order_escapes_carrier(tmp_path):
     code, _, err = run(["soundness", "--algebra", str(path)])
     assert code == 1
     assert err.startswith("instance fails the axioms: P: relation escapes the carrier")
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--json"], ["focalization", "--json"], ["standardize", "--json", "p |- p"],
+    ["translate", "--to", "flg", "--json"], ["cutelim", "--json"],
+    ["check", "--neg", "n"], ["focalization", "--neg", "n"],
+    ["translate", "--to", "flg", "--neg", "n"], ["cutelim", "--neg", "n"],
+])
+def test_document_commands_take_no_json_or_neg(argv):
+    code, out, _ = run(argv)
+    assert code == 2 and out == ""
+
+
+def _nested_term(depth):
+    """A formula whose parentheses nest `depth` deep."""
+    text = "p"
+    for _ in range(depth - 1):
+        text = f"(q * {text})"
+    return f"({text})"
+
+
+def _tall_document(premise_depth):
+    """An n-Id leaf with premises nested `premise_depth` deep below the root,
+    alternating s-down' and s-down over down_L."""
+    d = derive("down_L", derive("n-Id", selector=Atom("n", False)))
+    for _ in range(premise_depth - 1):
+        d = derive("s-down" if d.rule == "s-down'" else "s-down'", d)
+    return derivation_to_json(d, {"n"})
+
+
+def test_term_at_nesting_limit():
+    term = _nested_term(MAX_NESTING)
+    code, out, _ = run(["standardize", f"{term} |- {term}"])
+    assert code == 0 and out.count("q") == 2 * (MAX_NESTING - 1)
+    code, out, err = run(["prove", f"({term}) |- p"])
+    assert code == 2 and out == "" and _one_error_line(err) and "nested" in err
+
+
+def test_document_at_nesting_limit():
+    for command in (["check", "-"], ["focalization", "-"], ["cutelim", "-"]):
+        assert run(command, stdin=_tall_document(MAX_NESTING))[0] == 0
+        code, out, err = run(command, stdin=_tall_document(MAX_NESTING + 1))
+        assert code == 2 and out == "" and _one_error_line(err) and "nested" in err
+
+
+def test_document_too_deep_for_json():
+    node = '{"rule": "p-Id", "conclusion": "p |- p"}'
+    for _ in range(1500):
+        node = f'{{"rule": "s-down", "conclusion": "p |- p", "premises": [{node}]}}'
+    code, out, err = run(["check", "-"], stdin=node)
+    assert code == 2 and out == "" and _one_error_line(err)

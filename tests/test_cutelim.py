@@ -11,10 +11,12 @@ from fdlg.cutelim import (MUTATIONS, MU_ID, MU_DOTTED, MU_NEUTRAL, MU_NEUTRAL_DO
                           mutation_for, mutate_sequent, eliminate_cuts, has_cut,
                           CutElimError, position_class)
 from fdlg.syntax import PP, PS, NP, NS
+from fdlg import cutelim
 from fdlg.focus import minimize_proof
 from fdlg.corpus import cut_elim_example, cut_elim_parametric_result
 from fdlg.rules import CUT_RULES
 
+import reference_rules as ref
 from gen import random_cut_proof
 
 
@@ -109,6 +111,29 @@ def test_random_cut_proofs_eliminate():
         assert not has_cut(out), i
         assert out.conclusion == d.conclusion, i
         assert check_derivation(out).ok, i
+
+
+def test_reapply_matches_all_rules_scan(monkeypatch):
+    """The re-application after a mutation scans the candidate rules of the
+    expected conclusion; at every chain node it picks what a scan of every
+    rule picks."""
+    indexed = cutelim._reapply
+    picks = []
+
+    def both(hint, premises, expected):
+        out = indexed(hint, premises, expected)
+        assert out.rule == ref.reapply(hint, premises, expected)
+        picks.append((hint, out.rule))
+        return out
+
+    monkeypatch.setattr(cutelim, "_reapply", both)
+    rng = random.Random(31)
+    for depth in (2, 3, 4, 5):
+        for _ in range(6):
+            eliminate_cuts(random_cut_proof(rng, depth))
+    eliminate_cuts(cut_elim_example())
+    assert len(picks) > 100
+    assert any(hint != rule for hint, rule in picks)     # a mutation renamed a rule
 
 
 def test_every_cut_in_inventory():

@@ -5,15 +5,21 @@ import random
 import pytest
 
 from fdlg.syntax import (Atom, Sequent, parse_sequent, parse_structure,
-                         render_sequent, leaf)
+                         render_sequent, leaf, bowtie, infty)
+from fdlg import kernel
 from fdlg.kernel import (Derivation, CheckReport, check_derivation,
                          apply_rule_forward, backward_expansions, KernelError,
                          identity_expansion, structural_cut, saturate_translations,
                          derivation_to_json, derivation_from_json, make_cut,
-                         iter_nodes, neg_atoms_of)
+                         iter_nodes, neg_atoms_of, derive, rule_count,
+                         transform_derivation)
+from fdlg.cutelim import trace_chain
+from fdlg.corpus import golden_sequents
+from fdlg.search import SearchConfig, prove
 from fdlg.standardize import ftom, ftoM
 from fdlg.rules import REGISTRY, CUT_RULES
 
+import reference_rules as ref
 from gen import forward_closure
 
 
@@ -158,16 +164,81 @@ def test_structural_cut_shifted_root():
     assert any(r.startswith("dp(.up,.dnr)") for r in rules)
 
 
+STRUCTURAL_CUT_CASES = ["(p \\ n) ./ p", "n .(+) m", ".dn (p .\\ n)", "p .(/) (.up q)",
+                        "(.up p) .(\\) q", ".dn ((.up p) .(+) n)"]
+
+
 def test_structural_cut_property():
-    cases = ["(p \\ n) ./ p", "n .(+) m", ".dn (p .\\ n)", "p .(/) (.up q)",
-             "(.up p) .(\\) q", ".dn ((.up p) .(+) n)"]
-    for txt in cases:
+    for txt in STRUCTURAL_CUT_CASES:
         phi = parse_structure(txt, {"n", "m"})
         out = structural_cut(identity_expansion(phi), identity_expansion(phi), phi)
         assert check_derivation(out).ok
         assert out.conclusion == Sequent(ftom(phi), ftoM(phi))
         for _, node in iter_nodes(out):
             assert node.rule in REGISTRY
+
+
+def test_structural_cut_rebuilds_parametric_section():
+    """Pad the premise whose end-sequent the structural cut traces with an
+    invertible rule and its inverse.  The cut re-runs that two-node section
+    over its result, relabelled by the mutation that a change of sort on the
+    other premise's far side calls for (a refocused formula)."""
+    cases = mutated = 0
+    for txt in STRUCTURAL_CUT_CASES:
+        phi = parse_structure(txt, {"n", "m"})
+        base = identity_expansion(phi)
+        if ftom(phi).conn is not None:          # d1 ends on the introduction
+            pos, refocus = ("suc", ()), ("up_R", "s-up'")
+        elif ftoM(phi).conn is not None:        # d2 does
+            pos, refocus = ("pre", ()), ("down_L", "s-down'")
+        else:
+            continue
+        others = [base]
+        try:
+            others.append(derive(refocus[1], derive(refocus[0], base)))
+        except KernelError:
+            pass
+        for name, rule in REGISTRY.items():
+            if rule.arity != 1 or not rule.schema.inverse:
+                continue
+            try:
+                padded = derive(rule.schema.inverse, derive(name, base))
+            except KernelError:
+                continue
+            if padded.conclusion != base.conclusion or len(trace_chain(padded, pos)[0]) != 2:
+                continue
+            for other in others:
+                pair = (padded, other) if pos[0] == "suc" else (other, padded)
+                out = structural_cut(*pair, phi)
+                assert check_derivation(out).ok, (txt, name)
+                assert out.conclusion == Sequent(pair[0].conclusion.pre, pair[1].conclusion.suc)
+                plain = (base, other) if pos[0] == "suc" else (other, base)
+                assert rule_count(out) == rule_count(structural_cut(*plain, phi)) + 2
+                cases += 1
+                mutated += other is not base
+    assert cases >= 14 and mutated >= 5
+
+
+def test_identify_rule_matches_all_rules_scan(monkeypatch):
+    """identify_rule scans the candidate rules of the conclusion; on the
+    symmetry images of the corpus proofs it picks what a scan of every rule
+    picks."""
+    indexed = kernel.identify_rule
+    calls = []
+
+    def both(conclusion, premises):
+        name = indexed(conclusion, premises)
+        assert name == ref.identify_rule(conclusion, premises)
+        calls.append(name)
+        return name
+
+    monkeypatch.setattr(kernel, "identify_rule", both)
+    cfg = SearchConfig(max_depth=30, max_solutions=1)
+    for seq in golden_sequents():
+        for d in prove(seq, cfg):
+            for mapping in (bowtie, infty):
+                transform_derivation(d, mapping)
+    assert len(calls) > 100 and None not in calls
 
 
 def test_saturate_precedent():

@@ -7,7 +7,8 @@ from fdlg.syntax import (Atom, Formula, Sequent, Sort, SortError, ParseError, St
                          PP, PS, NP, NS, parse_formula, parse_structure,
                          parse_sequent, render, render_formula, render_structure,
                          render_sequent, sort_of, bowtie, infty, iter_formulas,
-                         iter_structures, UNDERIVABLE_KINDS, leaf, s, f, fatom)
+                         iter_structures, UNDERIVABLE_KINDS, leaf, s, f, fatom,
+                         formula_nodes, parse_raw, MAX_NESTING)
 
 from gen import random_formula, random_structure
 import random
@@ -250,3 +251,27 @@ def test_terms_are_immutable():
             with pytest.raises(AttributeError):
                 delattr(x, name)
     assert hash(seq) == before and render_sequent(seq) == "p .* dn n |- p * dn n"
+
+
+def test_formula_nodes_preorder():
+    seq = parse_sequent("p .* (q * p) |- dn (p \\ n)", {"n"})
+    assert [render_formula(x) for x in formula_nodes(seq)] == [
+        "p", "q * p", "q", "p", "dn (p \\ n)", "p \\ n", "p", "n"]
+    assert formula_nodes(seq.pre) == formula_nodes(seq)[:4]
+    assert formula_nodes(seq.suc.leaf) == formula_nodes(seq)[4:]
+    from fdlg.algebra import atoms_of
+    assert atoms_of(seq) == [Atom("p", True), Atom("q", True), Atom("n", False)]
+
+
+def test_nesting_limit():
+    text = "p"
+    for _ in range(MAX_NESTING - 1):
+        text = f"(q * {text})"
+    deep = parse_formula(f"({text})")                  # parentheses nest MAX_NESTING deep
+    assert parse_formula(render_formula(deep)) == deep
+    assert hash(deep) == hash(parse_formula(text))
+    with pytest.raises(ParseError, match="nested"):
+        parse_formula(f"(({text}))")
+    assert parse_raw("dn " * MAX_NESTING + "p")         # prefix shifts count too
+    with pytest.raises(ParseError, match="nested"):
+        parse_raw("dn " * (MAX_NESTING + 1) + "p")

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from fdlg.syntax import parse_formula, parse_sequent, render_formula
+from fdlg.syntax import ParseError, parse_formula, parse_sequent, render_formula
 from fdlg.kernel import check_derivation, iter_nodes
 from fdlg.focus import minimize_proof
 from fdlg.translate import (CFormula, catom, cf, parse_cformula, formula_polarity,
@@ -14,7 +14,7 @@ from fdlg.translate import (CFormula, catom, cf, parse_cformula, formula_polarit
                             check_flg, translate_to_fdlg, translate_to_flg,
                             classify_processing_sections, TranslateError,
                             flg_to_json, flg_from_json, render_flg_sequent,
-                            logical_rule_count)
+                            logical_rule_count, parse_flg_sequent)
 from fdlg.corpus import reading_forall_exists, reading_exists_forall
 
 from gen import random_flg_derivation
@@ -185,3 +185,12 @@ def test_flg_json_roundtrip(fig_forall_exists):
     text = flg_to_json(flg, {"s"})
     again, neg = flg_from_json(text)
     assert again == flg and neg == {"s"}
+
+
+@pytest.mark.parametrize("text", [
+    "p * (up q) |- p", "up p |- p", "p |- dn (p * q)", ".dn p |- p", ".upl p |- p",
+])
+def test_companion_parser_rejects_display_only_connectives(text):
+    with pytest.raises(ParseError, match="not a companion"):
+        parse_flg_sequent(text)
+
