@@ -16,7 +16,7 @@ from .syntax import (Structure, Sequent, Sort, PP, PS, NP, NS,
                      render_formula, render_sequent)
 from .rules import REGISTRY, CUT_RULES, PRINCIPAL_LEFT, PRINCIPAL_RIGHT, candidates
 from .kernel import (Derivation, KernelError, apply_rule_forward, derive,
-                     subst_at, struct_at)
+                     iter_nodes, subst_at, struct_at)
 
 
 class CutElimError(ValueError):
@@ -116,7 +116,7 @@ def _is_cut(d: Derivation) -> bool:
 
 
 def has_cut(d: Derivation) -> bool:
-    return _is_cut(d) or any(has_cut(p) for p in d.premises)
+    return any(_is_cut(node) for _, node in iter_nodes(d))
 
 
 def _reapply(hint: str, premises: tuple[Derivation, ...], expected: Sequent) -> Derivation:

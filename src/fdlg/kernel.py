@@ -39,13 +39,17 @@ def rule_count(d: Derivation) -> int:
 
 
 def height(d: Derivation) -> int:
-    return 1 + max((height(p) for p in d.premises), default=0)
+    return 1 + max(len(path) for path, _ in iter_nodes(d))
 
 
 def iter_nodes(d: Derivation, path: tuple[int, ...] = ()):
-    yield path, d
-    for i, p in enumerate(d.premises):
-        yield from iter_nodes(p, path + (i,))
+    """(path, node) for every node, in pre-order; iterative, so any depth."""
+    stack = [(path, d)]
+    while stack:
+        path, node = stack.pop()
+        yield path, node
+        for i in range(len(node.premises) - 1, -1, -1):
+            stack.append((path + (i,), node.premises[i]))
 
 
 def path_str(path: tuple[int, ...]) -> str:

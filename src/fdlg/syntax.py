@@ -12,6 +12,10 @@ of the determinism contract: it equals the hash of the field tuple, e.g.
 hash((conn, atom, args)) for a Formula, so under a fixed PYTHONHASHSEED set
 and dict iteration, and with it the order of search results, does not depend
 on how terms are stored.
+
+bowtie and infty share with their input every subterm that they map to
+itself, so bowtie(x) is x can hold.  Identity of terms means nothing beyond
+speed: compare terms with ==.
 """
 
 from __future__ import annotations
@@ -188,15 +192,22 @@ class Atom(_Term):
         return f"{self.name}{'' if self.positive else '-'}"
 
 
+def _fits(x, spec) -> bool:
+    """Whether the sort of term x meets an argument spec (polarity, purity)."""
+    pol, sh = spec
+    s = x.sort
+    return s.positive == pol and (sh is None or s.shifted == sh)
+
+
 def _check_args(conn: str, sig, args) -> Sort:
     target, specs = sig
     if len(args) != len(specs):
         raise SortError(f"{conn} takes {len(specs)} argument(s), got {len(args)}")
-    for i, (arg, (pol, sh)) in enumerate(zip(args, specs)):
-        s = arg.sort
-        if s.positive != pol or (sh is not None and s.shifted != sh):
+    for i, spec in enumerate(specs):
+        if not _fits(args[i], spec):
+            pol, sh = spec
             want = Sort(pol, sh) if sh is not None else ("positive" if pol else "negative")
-            raise SortError(f"argument {i + 1} of {conn} must be {want}, got {s}")
+            raise SortError(f"argument {i + 1} of {conn} must be {want}, got {args[i].sort}")
     return target
 
 
@@ -387,7 +398,7 @@ def _structure_nodes(x: Structure, out: list) -> None:
 
 # The deepest nesting the readers accept: parentheses plus prefix shifts in
 # term text, and premises below the root of a derivation document.  Deeper
-# input is rejected with a ParseError.  The walks over terms and derivations
+# input is rejected with a ParseError.  Some walks over terms and derivations
 # are recursive, up to three frames a level, so this keeps every command on
 # input that reads below Python's default limit of 1000 frames.
 MAX_NESTING = 256
@@ -690,109 +701,97 @@ _INFTY = {
 }
 
 
-def _map_formula(x: Formula, table, flip_atoms: bool) -> Formula:
-    if x.conn is None:
-        a = x.atom
-        return fatom(a.name, not a.positive if flip_atoms else a.positive)
-    conn2, swap = table[x.conn]
-    args = tuple(_map_formula(a, table, flip_atoms) for a in x.args)
-    if swap and len(args) == 2:
-        args = (args[1], args[0])
-    return Formula(conn2, None, args)
-
-
-def _map_structure(x: Structure, table, flip_atoms: bool) -> Structure:
-    if x.conn is None:
-        return leaf(_map_formula(x.leaf, table, flip_atoms))
-    conn2, swap = table[x.conn]
-    args = tuple(_map_structure(a, table, flip_atoms) for a in x.args)
-    if swap and len(args) == 2:
-        args = (args[1], args[0])
-    return Structure(conn2, None, args)
+def _map(x, table, flip_atoms: bool, memo: dict):
+    """Image of a formula or structure under a symmetry table, one frame a
+    level.  `memo` maps input node ids to images, so a shared node is mapped
+    once; a node whose image keeps its connective and argument objects is
+    returned itself."""
+    y = memo.get(id(x))
+    if y is not None:
+        return y
+    conn = x.conn
+    if conn is None:
+        if x.__class__ is Formula:
+            a = x.atom
+            y = Formula(None, Atom(a.name, not a.positive)) if flip_atoms else x
+        else:
+            m = _map(x.leaf, table, flip_atoms, memo)
+            y = x if m is x.leaf else Structure(None, m)
+    else:
+        conn2, swap = table[conn]
+        args = x.args
+        if len(args) == 1:
+            new = (_map(args[0], table, flip_atoms, memo),)
+            same = new[0] is args[0]
+        else:
+            l = _map(args[0], table, flip_atoms, memo)
+            r = _map(args[1], table, flip_atoms, memo)
+            new = (r, l) if swap else (l, r)
+            same = new[0] is args[0] and new[1] is args[1]
+        y = x if same and conn2 == conn else x.__class__(conn2, None, new)
+    memo[id(x)] = y
+    return y
 
 
 def bowtie(x):
     """Left/right symmetry; sort-preserving involution."""
-    if isinstance(x, Formula):
-        return _map_formula(x, _BOWTIE, False)
-    if isinstance(x, Structure):
-        return _map_structure(x, _BOWTIE, False)
-    return Sequent(_map_structure(x.pre, _BOWTIE, False),
-                   _map_structure(x.suc, _BOWTIE, False))
+    memo: dict = {}
+    if x.__class__ is not Sequent:
+        return _map(x, _BOWTIE, False, memo)
+    pre, suc = _map(x.pre, _BOWTIE, False, memo), _map(x.suc, _BOWTIE, False, memo)
+    return x if pre is x.pre and suc is x.suc else Sequent(pre, suc)
 
 
 def infty(x):
     """Order-reversing dual; flips atom polarity and swaps sequent sides."""
-    if isinstance(x, Formula):
-        return _map_formula(x, _INFTY, True)
-    if isinstance(x, Structure):
-        return _map_structure(x, _INFTY, True)
-    return Sequent(_map_structure(x.suc, _INFTY, True),
-                   _map_structure(x.pre, _INFTY, True))
+    memo: dict = {}
+    if x.__class__ is not Sequent:
+        return _map(x, _INFTY, True, memo)
+    return Sequent(_map(x.suc, _INFTY, True, memo), _map(x.pre, _INFTY, True, memo))
 
 
 # ---------------------------------------------------------------------------
 # Bounded enumeration (used by property tests and the model-checking sweeps)
 
 
-def iter_formulas(atoms: tuple[Atom, ...], depth: int) -> Iterator[Formula]:
-    older: list[Formula] = []
-    frontier: list[Formula] = [Formula(None, a) for a in atoms]
+def _levels(leaves: list, depth: int, sig: dict, make) -> Iterator:
+    """Terms of at most `depth` levels over `leaves`: each level applies the
+    connectives of `sig`, in order, to the argument tuples that fit their specs
+    and take an argument from the level below; repeats are dropped."""
+    older: list = []
+    frontier = leaves
     yield from frontier
     for _ in range(2, depth + 1):
-        level: list[Formula] = []
+        level: list = []
         both = older + frontier
-        for conn, (_, specs) in OP_SIG.items():
+        for conn, (_, specs) in sig.items():
             if len(specs) == 1:
-                for a in frontier:
-                    try:
-                        level.append(f(conn, a))
-                    except SortError:
-                        pass
-            else:
-                for a in frontier:
-                    for b in both:
-                        for l, r in ((a, b),) if a is b else ((a, b), (b, a)):
-                            try:
-                                level.append(f(conn, l, r))
-                            except SortError:
-                                pass
+                level.extend(make(conn, None, (a,)) for a in frontier if _fits(a, specs[0]))
+                continue
+            sl, sr = specs
+            fits = [(b, _fits(b, sl), _fits(b, sr)) for b in both]
+            for a, al, ar in fits[len(older):]:
+                if not (al or ar):
+                    continue
+                for b, bl, br in fits:
+                    if al and br:
+                        level.append(make(conn, None, (a, b)))
+                    if ar and bl and b is not a:
+                        level.append(make(conn, None, (b, a)))
         seen = set()
         level = [x for x in level if not (x in seen or seen.add(x))]
         older = both
         frontier = level
         yield from level
+
+
+def iter_formulas(atoms: tuple[Atom, ...], depth: int) -> Iterator[Formula]:
+    return _levels([Formula(None, a) for a in atoms], depth, OP_SIG, Formula)
 
 
 def iter_structures(atoms: tuple[Atom, ...], depth: int,
                     include_variants: bool = True) -> Iterator[Structure]:
     """Exhaustive up to the bound; the space grows fast, keep depth small."""
-    conns = [c for c in STRUCT_SIG
-             if include_variants or (c not in VARIANT_STRUCTS and c not in SHIFT_ADJOINTS)]
-    older: list[Structure] = []
-    frontier: list[Structure] = [leaf(fml) for fml in iter_formulas(atoms, depth)]
-    yield from frontier
-    for _ in range(2, depth + 1):
-        level: list[Structure] = []
-        both = older + frontier
-        for conn in conns:
-            arity = len(STRUCT_SIG[conn][1])
-            if arity == 1:
-                for a in frontier:
-                    try:
-                        level.append(s(conn, a))
-                    except SortError:
-                        pass
-            else:
-                for a in frontier:
-                    for b in both:
-                        for l, r in ((a, b),) if a is b else ((a, b), (b, a)):
-                            try:
-                                level.append(s(conn, l, r))
-                            except SortError:
-                                pass
-        seen = set()
-        level = [x for x in level if not (x in seen or seen.add(x))]
-        older = both
-        frontier = level
-        yield from level
+    sig = {c: t for c, t in STRUCT_SIG.items()
+           if include_variants or (c not in VARIANT_STRUCTS and c not in SHIFT_ADJOINTS)}
+    return _levels([leaf(x) for x in iter_formulas(atoms, depth)], depth, sig, Structure)

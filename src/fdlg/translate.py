@@ -636,14 +636,17 @@ def parse_flg_sequent(text: str, neg_atoms=()) -> FlgSequent:
     if right.startswith("[") and right.endswith("]"):
         focus = "suc"
         right = right[1:-1]
-    pre = _raw_to_fstruct(parse_raw(left), neg)
-    suc = _raw_to_fstruct(parse_raw(right), neg)
-    return FlgSequent(pre, suc, focus)
+    try:
+        pre = _raw_to_fstruct(parse_raw(left), neg)
+        suc = _raw_to_fstruct(parse_raw(right), neg)
+        return FlgSequent(pre, suc, focus)
+    except TranslateError as e:     # a structure on the wrong side, or in focus
+        raise ParseError(str(e)) from None
 
 
 def flg_from_json(text: str) -> tuple[FlgDerivation, frozenset[str]]:
     doc, neg = read_document(text)
     if doc.get("calculus") != "flg":
-        raise TranslateError('expected a "calculus": "flg" document')
+        raise ParseError('expected a "calculus": "flg" document')
     return read_nodes(doc, lambda rule, conclusion, premises: FlgDerivation(
         rule, parse_flg_sequent(conclusion, neg), premises)), neg

@@ -13,14 +13,14 @@ from fdlg.kernel import (Derivation, CheckReport, check_derivation,
                          derivation_to_json, derivation_from_json, make_cut,
                          iter_nodes, neg_atoms_of, derive, rule_count,
                          transform_derivation)
-from fdlg.cutelim import trace_chain
+from fdlg.cutelim import has_cut, trace_chain
 from fdlg.corpus import golden_sequents
 from fdlg.search import SearchConfig, prove
 from fdlg.standardize import ftom, ftoM
 from fdlg.rules import REGISTRY, CUT_RULES
 
 import reference_rules as ref
-from gen import forward_closure
+from gen import forward_closure, random_cut_proof
 
 
 def _ax(name, atom, pos=True):
@@ -284,3 +284,34 @@ def test_make_cut_rejects_undisplayed():
                     (_ax("p-Id", "p"), _ax("p-Id", "q")))
     with pytest.raises(KernelError):
         make_cut(d1, d2)
+
+
+def _nodes_recursive(d, path=()):
+    yield path, d
+    for i, p in enumerate(d.premises):
+        yield from _nodes_recursive(p, path + (i,))
+
+
+def test_iter_nodes_preorder_and_paths():
+    rng = random.Random(7)
+    for depth in (2, 3, 4, 5):
+        d = random_cut_proof(rng, depth)
+        expected = list(_nodes_recursive(d))
+        got = list(iter_nodes(d))
+        assert [p for p, _ in got] == [p for p, _ in expected]
+        assert all(x is y for (_, x), (_, y) in zip(got, expected))
+        assert kernel.height(d) == 1 + max(len(p) for p, _ in expected)
+        assert has_cut(d)
+
+
+def test_derivation_walks_on_a_deep_chain():
+    n = Atom("n", False)
+    cut = make_cut(derive("n-Id", selector=n), derive("n-Id", selector=n))
+    d = derive("down_L", cut)
+    for _ in range(2000):
+        d = derive("s-down" if d.rule == "s-down'" else "s-down'", d)
+    assert kernel.height(d) == 2003
+    nodes = list(iter_nodes(d))
+    assert [p for p, _ in nodes] == [(0,) * k for k in range(2003)] + [(0,) * 2001 + (1,)]
+    assert nodes[2001][1] is cut
+    assert has_cut(d) and not has_cut(cut.premises[0])

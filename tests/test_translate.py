@@ -194,3 +194,18 @@ def test_companion_parser_rejects_display_only_connectives(text):
     with pytest.raises(ParseError, match="not a companion"):
         parse_flg_sequent(text)
 
+
+
+@pytest.mark.parametrize("text", ["p .\\ q |- p", "p |- p .* q", "(p .\\ q) .* p |- p",
+                                  "[p .* q] |- p"])
+def test_companion_parser_rejects_misplaced_structures(text):
+    with pytest.raises(ParseError):
+        parse_flg_sequent(text)
+
+
+def test_misplaced_structure_built_in_code_is_a_translate_error():
+    p = fleaf(catom("p"))
+    with pytest.raises(TranslateError):
+        FlgSequent(fs(".\\", p, p), p)
+    with pytest.raises(TranslateError):
+        FlgSequent(fs(".*", p, p), p, "pre")
