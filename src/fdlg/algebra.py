@@ -1021,16 +1021,14 @@ def _fused_instances(p_seed: FinitePoset, n_seed: FinitePoset, w, rng,
     ring_p = collage(P, Pd, wr_sp)
     ring_n = collage(Nd, N, wr_sn)
 
+    # The pairs on which hvd holds: P below Nd as in the positive seed, P
+    # below N as in w, Pd below N as in the negative seed.
+    below = {((x, "P"), (y, "Nd")) for x, y in p_seed.leq}
+    below.update(((x, "P"), (y, "N")) for x, y in w)
+    below.update(((x, "Pd"), (y, "N")) for x, y in n_seed.leq)
+
     def hvd(a, b):
-        xa, ta = a
-        xb, tb = b
-        if ta == "P" and tb == "Nd":
-            return p_seed.le(xa, xb)
-        if ta == "P" and tb == "N":
-            return (xa, xb) in w
-        if ta == "Pd" and tb == "N":
-            return n_seed.le(xa, xb)
-        return False
+        return (a, b) in below
 
     P_el, N_el = P.elements, N.elements
     cells_p = list(product(ring_p.elements, ring_p.elements))

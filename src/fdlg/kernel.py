@@ -34,8 +34,9 @@ class Derivation:
         return f"[{self.rule}: {render_sequent(self.conclusion)}]"
 
 
-def rule_count(d: Derivation) -> int:
-    return 1 + sum(rule_count(p) for p in d.premises)
+def rule_count(d) -> int:
+    """Rule applications in a derivation of either calculus; any depth."""
+    return sum(1 for _ in iter_nodes(d))
 
 
 def height(d: Derivation) -> int:
@@ -43,7 +44,9 @@ def height(d: Derivation) -> int:
 
 
 def iter_nodes(d: Derivation, path: tuple[int, ...] = ()):
-    """(path, node) for every node, in pre-order; iterative, so any depth."""
+    """(path, node) for every node, in pre-order; iterative, so any depth.
+    Walks any tree whose nodes keep their children in `premises`, so the
+    companion calculus's derivations too."""
     stack = [(path, d)]
     while stack:
         path, node = stack.pop()

@@ -4,7 +4,10 @@ Terms come in four sorts (positive/negative x pure/shifted).  Connectives are
 registered with fixed sort signatures and every Formula/Structure/Sequent is
 validated at construction time, so values are well-sorted by construction and
 safe to share.  "General" (either-purity) sorts exist only as argument specs,
-never as a stored sort.
+never as a stored sort.  At import the signatures are compiled into one table
+from a connective and the sorts of its arguments to the target sort, so a
+well-sorted node costs one lookup; a miss falls through to the full check,
+which raises the error that names the connective, the arity or the argument.
 
 Atom, Formula, Structure and Sequent are immutable slotted values that cache
 their hash (Formula, Structure and Sequent on first use).  The hash is part
@@ -16,11 +19,17 @@ on how terms are stored.
 bowtie and infty share with their input every subterm that they map to
 itself, so bowtie(x) is x can hold.  Identity of terms means nothing beyond
 speed: compare terms with ==.
+
+Atom names are ASCII identifiers, [A-Za-z_][A-Za-z0-9_']*.  Any other
+character outside a connective, a parenthesis or the turnstile is a
+ParseError that gives its offset.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterator
 
 
@@ -151,7 +160,8 @@ for _g in _GROUPS:
 
 
 class _Term:
-    """Immutable slotted value: fields are set once, in the constructor."""
+    """Immutable slotted value: fields are set once, in the constructor,
+    through the slot descriptors bound below each class."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -166,7 +176,10 @@ class _Term:
         return (self.__class__, tuple(getattr(self, n) for n in self._fields))
 
 
-_set = object.__setattr__
+def _setters(cls) -> tuple:
+    """The `__set__` of each slot of cls, in `__slots__` order: a direct slot
+    store that bypasses the class's raising `__setattr__`."""
+    return tuple(cls.__dict__[n].__set__ for n in cls.__slots__)
 
 
 class Atom(_Term):
@@ -174,9 +187,9 @@ class Atom(_Term):
     _fields = ("name", "positive")
 
     def __init__(self, name: str, positive: bool):
-        _set(self, "name", name)
-        _set(self, "positive", positive)
-        _set(self, "_hash", hash((name, positive)))
+        _A_NAME(self, name)
+        _A_POSITIVE(self, positive)
+        _A_HASH(self, hash((name, positive)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -192,10 +205,12 @@ class Atom(_Term):
         return f"{self.name}{'' if self.positive else '-'}"
 
 
-def _fits(x, spec) -> bool:
-    """Whether the sort of term x meets an argument spec (polarity, purity)."""
+_A_NAME, _A_POSITIVE, _A_HASH = _setters(Atom)
+
+
+def _fits(s: Sort, spec) -> bool:
+    """Whether sort s meets an argument spec (polarity, purity)."""
     pol, sh = spec
-    s = x.sort
     return s.positive == pol and (sh is None or s.shifted == sh)
 
 
@@ -204,11 +219,32 @@ def _check_args(conn: str, sig, args) -> Sort:
     if len(args) != len(specs):
         raise SortError(f"{conn} takes {len(specs)} argument(s), got {len(args)}")
     for i, spec in enumerate(specs):
-        if not _fits(args[i], spec):
+        if not _fits(args[i].sort, spec):
             pol, sh = spec
             want = Sort(pol, sh) if sh is not None else ("positive" if pol else "negative")
             raise SortError(f"argument {i + 1} of {conn} must be {want}, got {args[i].sort}")
     return target
+
+
+def _sort_table(sig) -> dict:
+    """(connective, id of each argument's sort) -> target sort, for every
+    tuple of the four sorts that a connective of `sig` accepts.  The keys use
+    the identity of the four module sorts, whose hash is C-level.
+
+    A constructor looks its node up here first.  Any miss (unknown
+    connective, wrong arity, ill-sorted or non-term argument, a Sort object
+    other than the four) falls through to the full check, which raises the
+    same error, in the same order, as when there was no table."""
+    table = {}
+    for conn, (target, specs) in sig.items():
+        for sorts in product((PP, PS, NP, NS), repeat=len(specs)):
+            if all(_fits(s, spec) for s, spec in zip(sorts, specs)):
+                table[(conn,) + tuple(map(id, sorts))] = target
+    return table
+
+
+_OP_SORTS = _sort_table(OP_SIG)
+_STRUCT_SORTS = _sort_table(STRUCT_SIG)
 
 
 class Formula(_Term):
@@ -223,20 +259,29 @@ class Formula(_Term):
                 raise SortError("atom formula must carry an Atom and no arguments")
             sort = PP if atom.positive else NP
         else:
-            if conn not in OP_SIG:
-                raise SortError(f"unknown operational connective {conn!r}")
-            sort = _check_args(conn, OP_SIG[conn], args)
-        _set(self, "conn", conn)
-        _set(self, "atom", atom)
-        _set(self, "args", args)
-        _set(self, "sort", sort)
-        _set(self, "_hash", None)
+            sort = None  # one lookup; a miss takes the full check below
+            try:
+                if len(args) == 2:
+                    sort = _OP_SORTS.get((conn, id(args[0].sort), id(args[1].sort)))
+                elif len(args) == 1:
+                    sort = _OP_SORTS.get((conn, id(args[0].sort)))
+            except (AttributeError, TypeError):
+                pass  # a non-term or unsized argument: the full check names it
+            if sort is None:
+                if conn not in OP_SIG:
+                    raise SortError(f"unknown operational connective {conn!r}")
+                sort = _check_args(conn, OP_SIG[conn], args)
+        _F_CONN(self, conn)
+        _F_ATOM(self, atom)
+        _F_ARGS(self, args)
+        _F_SORT(self, sort)
+        _F_HASH(self, None)
 
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
             h = hash((self.conn, self.atom, self.args))
-            _set(self, "_hash", h)
+            _F_HASH(self, h)
         return h
 
     def __eq__(self, other):
@@ -251,6 +296,9 @@ class Formula(_Term):
         return f"<{render_formula(self)}>"
 
 
+_F_CONN, _F_ATOM, _F_ARGS, _F_SORT, _F_HASH = _setters(Formula)
+
+
 class Structure(_Term):
     __slots__ = ("conn", "leaf", "args", "sort", "_hash")
     _fields = ("conn", "leaf", "args")
@@ -263,20 +311,29 @@ class Structure(_Term):
                 raise SortError("leaf structure must carry a formula and no arguments")
             sort = leaf.sort
         else:
-            if conn not in STRUCT_SIG:
-                raise SortError(f"unknown structural connective {conn!r}")
-            sort = _check_args(conn, STRUCT_SIG[conn], args)
-        _set(self, "conn", conn)
-        _set(self, "leaf", leaf)
-        _set(self, "args", args)
-        _set(self, "sort", sort)
-        _set(self, "_hash", None)
+            sort = None  # one lookup; a miss takes the full check below
+            try:
+                if len(args) == 2:
+                    sort = _STRUCT_SORTS.get((conn, id(args[0].sort), id(args[1].sort)))
+                elif len(args) == 1:
+                    sort = _STRUCT_SORTS.get((conn, id(args[0].sort)))
+            except (AttributeError, TypeError):
+                pass  # a non-term or unsized argument: the full check names it
+            if sort is None:
+                if conn not in STRUCT_SIG:
+                    raise SortError(f"unknown structural connective {conn!r}")
+                sort = _check_args(conn, STRUCT_SIG[conn], args)
+        _S_CONN(self, conn)
+        _S_LEAF(self, leaf)
+        _S_ARGS(self, args)
+        _S_SORT(self, sort)
+        _S_HASH(self, None)
 
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
             h = hash((self.conn, self.leaf, self.args))
-            _set(self, "_hash", h)
+            _S_HASH(self, h)
         return h
 
     def __eq__(self, other):
@@ -289,6 +346,9 @@ class Structure(_Term):
 
     def __repr__(self) -> str:
         return f"<{render_structure(self)}>"
+
+
+_S_CONN, _S_LEAF, _S_ARGS, _S_SORT, _S_HASH = _setters(Structure)
 
 
 def fatom(name: str, positive: bool = True) -> Formula:
@@ -319,15 +379,15 @@ class Sequent(_Term):
     def __init__(self, pre: Structure, suc: Structure):
         if not pre.sort.positive and suc.sort.positive:
             raise SortError("negative precedent with positive succedent is not a sequent")
-        _set(self, "pre", pre)
-        _set(self, "suc", suc)
-        _set(self, "_hash", None)
+        _Q_PRE(self, pre)
+        _Q_SUC(self, suc)
+        _Q_HASH(self, None)
 
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
             h = hash((self.pre, self.suc))
-            _set(self, "_hash", h)
+            _Q_HASH(self, h)
         return h
 
     def __eq__(self, other):
@@ -358,6 +418,9 @@ class Sequent(_Term):
 
     def __repr__(self) -> str:
         return f"<{render_sequent(self)}>"
+
+
+_Q_PRE, _Q_SUC, _Q_HASH = _setters(Sequent)
 
 
 def sort_of(x: Formula | Structure) -> Sort:
@@ -403,42 +466,27 @@ def _structure_nodes(x: Structure, out: list) -> None:
 # input that reads below Python's default limit of 1000 frames.
 MAX_NESTING = 256
 
-_TOKENS = sorted(
-    list(OP_SIG) + list(STRUCT_SIG) + ["|-", "(", ")"],
-    key=len, reverse=True)
-_WORDY = {"up", "dn"}
-_IDENT_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_'")
+# One regex for every token: an ASCII identifier, or an operator or
+# punctuation token, longest first, where a token that ends in a letter must
+# not run on into an identifier character ('.up' never swallows the 'l' of
+# '.upl', and '.upx' is no token).  Whitespace between tokens is skipped; any
+# other character matches the last group and is an error.
+_IDENT_CHAR = "[A-Za-z0-9_']"
+_OPERATORS = "|".join(
+    re.escape(t) + (f"(?!{_IDENT_CHAR})" if t[-1].isalpha() else "")
+    for t in sorted(list(OP_SIG) + list(STRUCT_SIG) + ["|-", "(", ")"],
+                    key=len, reverse=True)
+    if not t[0].isalpha())
+_TOKEN_RE = re.compile(rf"([A-Za-z_]{_IDENT_CHAR}*|{_OPERATORS})|(\S)")
 
 
 def _tokenize(text: str) -> list[str]:
     out = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and text[j] in _IDENT_CHARS:
-                j += 1
-            out.append(text[i:j])
-            i = j
-            continue
-        for tok in _TOKENS:
-            if tok[0].isalpha():
-                continue
-            if text.startswith(tok, i):
-                # '.up' must not swallow the 'l' of '.upl'; handled by the
-                # longest-match ordering plus this wordy-boundary guard
-                j = i + len(tok)
-                if tok[-1].isalpha() and j < n and text[j] in _IDENT_CHARS:
-                    continue
-                out.append(tok)
-                i = j
-                break
-        else:
-            raise ParseError(f"unexpected character {text[i]!r} at offset {i}")
+    for m in _TOKEN_RE.finditer(text):
+        tok = m.group(1)
+        if tok is None:
+            raise ParseError(f"unexpected character {m.group(2)!r} at offset {m.start()}")
+        out.append(tok)
     return out
 
 
@@ -705,15 +753,18 @@ def _map(x, table, flip_atoms: bool, memo: dict):
     """Image of a formula or structure under a symmetry table, one frame a
     level.  `memo` maps input node ids to images, so a shared node is mapped
     once; a node whose image keeps its connective and argument objects is
-    returned itself."""
-    y = memo.get(id(x))
+    returned itself, and so is an atom formula when atoms keep their sign."""
+    conn = x.conn
+    if conn is None and not flip_atoms and x.__class__ is Formula:
+        return x
+    k = id(x)
+    y = memo.get(k)
     if y is not None:
         return y
-    conn = x.conn
     if conn is None:
         if x.__class__ is Formula:
             a = x.atom
-            y = Formula(None, Atom(a.name, not a.positive)) if flip_atoms else x
+            y = Formula(None, Atom(a.name, not a.positive))
         else:
             m = _map(x.leaf, table, flip_atoms, memo)
             y = x if m is x.leaf else Structure(None, m)
@@ -729,7 +780,7 @@ def _map(x, table, flip_atoms: bool, memo: dict):
             new = (r, l) if swap else (l, r)
             same = new[0] is args[0] and new[1] is args[1]
         y = x if same and conn2 == conn else x.__class__(conn2, None, new)
-    memo[id(x)] = y
+    memo[k] = y
     return y
 
 
@@ -766,10 +817,10 @@ def _levels(leaves: list, depth: int, sig: dict, make) -> Iterator:
         both = older + frontier
         for conn, (_, specs) in sig.items():
             if len(specs) == 1:
-                level.extend(make(conn, None, (a,)) for a in frontier if _fits(a, specs[0]))
+                level.extend(make(conn, None, (a,)) for a in frontier if _fits(a.sort, specs[0]))
                 continue
             sl, sr = specs
-            fits = [(b, _fits(b, sl), _fits(b, sr)) for b in both]
+            fits = [(b, _fits(b.sort, sl), _fits(b.sort, sr)) for b in both]
             for a, al, ar in fits[len(older):]:
                 if not (al or ar):
                     continue

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 from .syntax import (Formula, Structure, Sequent, Atom, leaf, f as fnode,
                      ParseError, SortError, parse_raw)
-from .kernel import (Derivation, derive, iter_nodes, read_document, read_nodes)
+from .kernel import (Derivation, derive, iter_nodes, read_document, read_nodes,
+                     rule_count)
 from .focus import minimize_proof
 
 
@@ -320,7 +321,7 @@ def apply_flg(rule: str, premises, selector: Atom | None = None,
 
 def check_flg(d: FlgDerivation) -> tuple[bool, str]:
     """Bottom-up schema check of a companion-calculus derivation."""
-    for path, node in _iter_flg(d):
+    for path, node in iter_nodes(d):
         try:
             if node.rule == "Ax":
                 atom = node.conclusion.pre.leaf.atom if node.conclusion.pre.conn is None else None
@@ -337,14 +338,9 @@ def check_flg(d: FlgDerivation) -> tuple[bool, str]:
     return True, "ok"
 
 
-def _iter_flg(d: FlgDerivation, path=()):
-    yield path, d
-    for i, p in enumerate(d.premises):
-        yield from _iter_flg(p, path + (i,))
-
-
-def flg_rule_count(d: FlgDerivation) -> int:
-    return 1 + sum(flg_rule_count(p) for p in d.premises)
+# Companion derivations have the same shape as fD.LG ones, so the kernel's
+# iterative walks (iter_nodes, rule_count) serve both calculi.
+flg_rule_count = rule_count
 
 
 def logical_rule_count(d) -> int:
@@ -352,8 +348,7 @@ def logical_rule_count(d) -> int:
     logical = {"otimes_L", "otimes_R", "oplus_L", "oplus_R", "oslash_L",
                "oslash_R", "obslash_L", "obslash_R", "under_L", "under_R",
                "over_L", "over_R"}
-    nodes = _iter_flg(d) if isinstance(d, FlgDerivation) else iter_nodes(d)
-    return sum(1 for _, n in nodes if n.rule in logical)
+    return sum(1 for _, n in iter_nodes(d) if n.rule in logical)
 
 
 # ---------------------------------------------------------------------------

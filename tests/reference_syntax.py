@@ -1,12 +1,16 @@
-"""Term symmetries and bounded enumeration rebuilt node by node, kept as the
-reference.
+"""Term symmetries, bounded enumeration, the sort check and the tokenizer
+in their straightforward form, kept as the reference.
 
 `fdlg.syntax` maps each node of a symmetry image once, shares the nodes that
 map to themselves, and checks argument sorts before it builds a candidate
 term.  This module keeps the straightforward version: every node is rebuilt,
 one map per term class, and candidates are built and dropped when the
-constructor raises `SortError`.  The differential tests require both to give
-equal terms, in the same order.
+constructor raises `SortError`.  `fdlg.syntax` looks a node's sort up in a
+table compiled from the signatures; `node_sort` here runs the full check on
+every node.  `fdlg.syntax` tokenizes with one regex; `tokenize` here tries
+each token in turn at every character.  The differential tests require both
+to give equal terms, in the same order, the same sorts and tokens, and the
+same errors.
 """
 
 from __future__ import annotations
@@ -14,8 +18,58 @@ from __future__ import annotations
 from typing import Iterator
 
 from fdlg.syntax import (OP_SIG, SHIFT_ADJOINTS, STRUCT_SIG, VARIANT_STRUCTS,
-                         _BOWTIE, _INFTY, Atom, Formula, Sequent, SortError,
-                         Structure, f, fatom, leaf, s)
+                         _BOWTIE, _INFTY, Atom, Formula, ParseError, Sequent,
+                         SortError, Structure, _check_args, f, fatom, leaf, s)
+
+
+def node_sort(cls, conn, args):
+    """Sort of a new non-leaf node of class cls by the full check alone: the
+    connective, then the arity, then each argument in turn."""
+    if cls is Formula:
+        sig, what = OP_SIG, "operational"
+    else:
+        sig, what = STRUCT_SIG, "structural"
+    if conn not in sig:
+        raise SortError(f"unknown {what} connective {conn!r}")
+    return _check_args(conn, sig[conn], args)
+
+
+_TOKENS = sorted(
+    list(OP_SIG) + list(STRUCT_SIG) + ["|-", "(", ")"],
+    key=len, reverse=True)
+_IDENT_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_'")
+
+
+def tokenize(text: str) -> list[str]:
+    """The scanning tokenizer; it loops on a non-ASCII letter, so feed it
+    ASCII only."""
+    out = []
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if c.isspace():
+            i += 1
+            continue
+        if c.isalpha() or c == "_":
+            j = i
+            while j < n and text[j] in _IDENT_CHARS:
+                j += 1
+            out.append(text[i:j])
+            i = j
+            continue
+        for tok in _TOKENS:
+            if tok[0].isalpha():
+                continue
+            if text.startswith(tok, i):
+                j = i + len(tok)
+                if tok[-1].isalpha() and j < n and text[j] in _IDENT_CHARS:
+                    continue
+                out.append(tok)
+                i = j
+                break
+        else:
+            raise ParseError(f"unexpected character {text[i]!r} at offset {i}")
+    return out
 
 
 def _map_formula(x: Formula, table, flip_atoms: bool) -> Formula:

@@ -3,7 +3,11 @@
 import contextlib
 import io
 import json
+import os
+import resource
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -263,3 +267,34 @@ def test_document_too_deep_for_json():
         node = f'{{"rule": "s-down", "conclusion": "p |- p", "premises": [{node}]}}'
     code, out, err = run(["check", "-"], stdin=node)
     assert code == 2 and out == "" and _one_error_line(err)
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+def run_isolated(argv, stdin=""):
+    """The command line in a child process with a time and memory cap, so a
+    reader that loops fails this test instead of stalling the suite."""
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONIOENCODING="utf-8")
+    proc = subprocess.run([sys.executable, "-m", "fdlg.cli", *argv], input=stdin,
+                          env=env, capture_output=True, text=True, encoding="utf-8",
+                          timeout=30, preexec_fn=_limit_memory)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_prove_rejects_non_ascii_letter():
+    code, out, err = run_isolated(["prove", "\u00e9 |- p"])
+    assert (code, out) == (2, "")
+    assert err == "error: unexpected character '\u00e9' at offset 0\n"
+
+
+def test_check_rejects_non_ascii_letter_in_conclusion():
+    doc = json.loads(derivation_to_json(derive("p-Id", selector=Atom("p", True)), ()))
+    doc["conclusion"] = "p .* \u00e9 |- p"
+    code, out, err = run_isolated(["check", "-"], stdin=json.dumps(doc))
+    assert (code, out) == (2, "")
+    assert err == "error: unexpected character '\u00e9' at offset 5\n"

@@ -301,6 +301,7 @@ def test_iter_nodes_preorder_and_paths():
         assert [p for p, _ in got] == [p for p, _ in expected]
         assert all(x is y for (_, x), (_, y) in zip(got, expected))
         assert kernel.height(d) == 1 + max(len(p) for p, _ in expected)
+        assert rule_count(d) == len(expected)
         assert has_cut(d)
 
 
@@ -311,6 +312,7 @@ def test_derivation_walks_on_a_deep_chain():
     for _ in range(2000):
         d = derive("s-down" if d.rule == "s-down'" else "s-down'", d)
     assert kernel.height(d) == 2003
+    assert rule_count(d) == 2004
     nodes = list(iter_nodes(d))
     assert [p for p, _ in nodes] == [(0,) * k for k in range(2003)] + [(0,) * 2001 + (1,)]
     assert nodes[2001][1] is cut

@@ -1,12 +1,16 @@
-"""The symmetries and enumerators of `fdlg.syntax` against the rebuild-
-everything versions kept in `reference_syntax`."""
+"""The symmetries, enumerators, sort check and tokenizer of `fdlg.syntax`
+against the straightforward versions kept in `reference_syntax`."""
 
+import random
 import sys
+from itertools import product
 
 import pytest
 
-from fdlg.syntax import (MAX_NESTING, Atom, Sequent, bowtie, f, fatom, infty,
-                         iter_formulas, iter_structures, leaf, parse_formula,
+from fdlg.syntax import (MAX_NESTING, NP, NS, OP_SIG, PP, PS, STRUCT_SIG, Atom,
+                         Formula, Sequent, SortError, Structure, _OP_SORTS,
+                         _STRUCT_SORTS, _check_args, _tokenize, bowtie, f, fatom,
+                         infty, iter_formulas, iter_structures, leaf, parse_formula,
                          parse_structure, render_formula, render_structure, s)
 
 import reference_syntax as ref
@@ -97,3 +101,97 @@ def test_deep_term_maps_within_two_frames_a_level(new, old):
     finally:
         sys.setrecursionlimit(limit)
     assert images == [old(fml), old(st), old(Sequent(st, leaf(fml)))]
+
+
+# One formula of each sort, in the order PP, PS, NP, NS, and their leaves.
+SORTED_FORMULAS = (fatom("p"), f("dn", fatom("n", False)), fatom("n", False),
+                   f("up", fatom("p")))
+SORTED_STRUCTURES = tuple(leaf(x) for x in SORTED_FORMULAS)
+SIGNATURES = [(Formula, OP_SIG, _OP_SORTS), (Structure, STRUCT_SIG, _STRUCT_SORTS)]
+
+
+def _outcome(fn, *args):
+    """What a call gives: its value, or the type and message of its error."""
+    try:
+        return fn(*args)
+    except Exception as e:  # noqa: BLE001 - any error must be the same one
+        return type(e), str(e)
+
+
+def _new_sort(cls, conn, args):
+    return cls(conn, None, args).sort
+
+
+@pytest.mark.parametrize("cls, sig, table", SIGNATURES)
+def test_sort_table_holds_exactly_the_well_sorted_tuples(cls, sig, table):
+    want = {}
+    for conn, spec in sig.items():
+        for terms in product(SORTED_FORMULAS, repeat=len(spec[1])):
+            try:
+                target = _check_args(conn, spec, terms)
+            except SortError:
+                continue
+            want[(conn,) + tuple(id(x.sort) for x in terms)] = target
+    assert table == want
+    assert all(table[k] is v for k, v in want.items())
+
+
+@pytest.mark.parametrize("cls, sig, table", SIGNATURES)
+def test_constructors_match_the_full_check(cls, sig, table):
+    other = STRUCT_SIG if cls is Formula else OP_SIG
+    conns = list(sig) + list(other) + ["", "?", "up ", "*l"]
+    # Both term classes as arguments: the check looks at sorts only.
+    terms = SORTED_FORMULAS + SORTED_STRUCTURES
+    for conn in conns:
+        for n in range(4):
+            for args in product(terms, repeat=n):
+                got = _outcome(_new_sort, cls, conn, args)
+                assert got == _outcome(ref.node_sort, cls, conn, args), (conn, args)
+                if isinstance(got, tuple):
+                    assert got[0] is SortError, (conn, args, got)
+                else:
+                    assert got in (PP, PS, NP, NS) and got is table[
+                        (conn,) + tuple(id(x.sort) for x in args)]
+
+
+@pytest.mark.parametrize("cls, sig, table", SIGNATURES)
+def test_constructors_reject_non_terms_like_the_full_check(cls, sig, table):
+    good = SORTED_FORMULAS[0] if cls is Formula else SORTED_STRUCTURES[0]
+    odd = (None, 1, "p", Atom("p", True), good)
+    for conn in [next(iter(sig)), "dn" if cls is Formula else ".dn", "?"]:
+        for n in range(1, 4):
+            for args in product(odd, repeat=n):
+                assert (_outcome(_new_sort, cls, conn, args)
+                        == _outcome(ref.node_sort, cls, conn, args)), (conn, args)
+        for args in (None, 5, [good, good], [good], "pp"):
+            assert (_outcome(_new_sort, cls, conn, args)
+                    == _outcome(ref.node_sort, cls, conn, args)), (conn, args)
+    for conn in ([], {}):
+        assert (_outcome(_new_sort, cls, conn, (good, good))
+                == _outcome(ref.node_sort, cls, conn, (good, good)))
+
+
+# Text pieces over the grammar's alphabet.  Run together without spaces they
+# make the boundary cases: '.up' before 'l' or a digit, a connective glued to
+# an identifier, a lone '.', '|' or '-', and characters of no token at all.
+_PIECES = (sorted(OP_SIG) + sorted(STRUCT_SIG)
+           + ["|-", "(", ")", ".upl", ".up", ".*l", "'", "p", "q1", "x'", "_a",
+              "l", "r", "up", "dn", "0", "7", "|", "-", ".", "+", "#", "[", " ",
+              "  ", "\t", "\n"])
+
+
+def _random_text(rng: random.Random) -> str:
+    return "".join(rng.choice(_PIECES) if rng.random() < 0.9 else chr(rng.randrange(32, 127))
+                   for _ in range(rng.randrange(10)))
+
+
+def test_tokenizer_matches_reference():
+    rng = random.Random(6061)
+    errors = 0
+    for _ in range(100_000):
+        text = _random_text(rng)
+        got = _outcome(_tokenize, text)
+        assert got == _outcome(ref.tokenize, text), text
+        errors += isinstance(got, tuple)
+    # Both outcomes occur often enough to mean something.
+    assert 10_000 < errors < 90_000

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from fdlg.syntax import ParseError, parse_formula, parse_sequent, render_formula
-from fdlg.kernel import check_derivation, iter_nodes
+from fdlg.kernel import check_derivation, iter_nodes, rule_count
 from fdlg.focus import minimize_proof
 from fdlg.translate import (CFormula, catom, cf, parse_cformula, formula_polarity,
                             polarize_formula, unpolarize_formula, depolarize,
@@ -14,7 +14,7 @@ from fdlg.translate import (CFormula, catom, cf, parse_cformula, formula_polarit
                             check_flg, translate_to_fdlg, translate_to_flg,
                             classify_processing_sections, TranslateError,
                             flg_to_json, flg_from_json, render_flg_sequent,
-                            logical_rule_count, parse_flg_sequent)
+                            flg_rule_count, logical_rule_count, parse_flg_sequent)
 from fdlg.corpus import reading_forall_exists, reading_exists_forall
 
 from gen import random_flg_derivation
@@ -165,6 +165,30 @@ def test_random_roundtrips():
         assert logical_rule_count(back) == logical_rule_count(d)
         done += 1
     assert done == 100
+
+
+def _flg_nodes_recursive(d, path=()):
+    yield path, d
+    for i, p in enumerate(d.premises):
+        yield from _flg_nodes_recursive(p, path + (i,))
+
+
+def _flg_rule_count_recursive(d) -> int:
+    return 1 + sum(_flg_rule_count_recursive(p) for p in d.premises)
+
+
+def test_companion_walks_match_recursive_references():
+    rng = random.Random(41)
+    branching = 0
+    for _ in range(100):
+        d = random_flg_derivation(rng, 6)
+        expected = list(_flg_nodes_recursive(d))
+        got = list(iter_nodes(d))
+        assert [p for p, _ in got] == [p for p, _ in expected]
+        assert all(x is y for (_, x), (_, y) in zip(got, expected))
+        assert flg_rule_count(d) == rule_count(d) == _flg_rule_count_recursive(d)
+        branching += any(len(n.premises) > 1 for _, n in expected)
+    assert branching > 10
 
 
 def test_translation_injective_on_pool():
