@@ -16,7 +16,7 @@ from .syntax import (Structure, Sequent, Sort, PP, PS, NP, NS,
                      render_formula, render_sequent)
 from .rules import REGISTRY, CUT_RULES, PRINCIPAL_LEFT, PRINCIPAL_RIGHT, candidates
 from .kernel import (Derivation, KernelError, apply_rule_forward, derive,
-                     iter_nodes, subst_at, struct_at)
+                     fold, iter_nodes, subst_at, struct_at)
 
 
 class CutElimError(ValueError):
@@ -307,10 +307,11 @@ def _eliminate_cut(d1: Derivation, d2: Derivation, trace) -> Derivation:
 
 def eliminate_cuts(d: Derivation, trace: list | None = None) -> Derivation:
     """Cut-free derivation of the same end-sequent."""
-    prems = tuple(eliminate_cuts(p, trace) for p in d.premises)
-    if d.rule not in CUT_RULES:
-        return Derivation(d.rule, d.conclusion, prems)
-    out = _eliminate_cut(prems[0], prems[1], trace)
-    if out.conclusion != d.conclusion:
-        raise CutElimError("cut elimination changed the end-sequent")
-    return out
+    def step(node: Derivation, prems) -> Derivation:
+        if node.rule not in CUT_RULES:
+            return Derivation(node.rule, node.conclusion, prems)
+        out = _eliminate_cut(prems[0], prems[1], trace)
+        if out.conclusion != node.conclusion:
+            raise CutElimError("cut elimination changed the end-sequent")
+        return out
+    return fold(d, step)

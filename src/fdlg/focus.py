@@ -9,17 +9,14 @@ never consists of shift nodes alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import is_not
 
 from .syntax import (Formula, Structure, Sequent, FAMILY, ORDER_TYPE,
                      STRUCT_SHIFTS, VARIANT_STRUCTS, render_formula)
 from .rules import REGISTRY, TONICITY_RULES, SHIFT_DPS
 from .kernel import (Derivation, iter_nodes, path_str, trace_to_intro,
-                     derive, check_derivation)
+                     derive, check_derivation, fold)
 from .cutelim import eliminate_cuts, has_cut
-
-
-class FocusError(ValueError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -69,36 +66,38 @@ def _classify(label: str, sign: bool, is_atom: bool) -> str:
     return "skeleton" if (sign and fam == "F") or (not sign and fam == "G") else "pia"
 
 
-def signed_tree(seq: Sequent) -> SignedTree:
-    raw: dict = {}
-    _walk(seq.pre, True, "pre", (), raw)
-    _walk(seq.suc, False, "suc", (), raw)
-
+def _components(raw: dict) -> list[tuple[str, set]]:
+    """Maximal same-kind components of a signed tree given as position ->
+    (label, sign, is_atom), as (kind, positions); an atom joins its parent's."""
     comp_of: dict = {}
-    components: dict[int, tuple[str, set]] = {}
-    nxt = 0
+    comps: list[tuple[str, set]] = []
     for pos in sorted(raw, key=lambda p: (p[0], len(p[1]), p[1])):
         label, sign, is_atom = raw[pos]
         cls = _classify(label, sign, is_atom)
         side, path = pos
-        parent = (side, path[:-1]) if path else None
-        if parent in comp_of and (is_atom or components[comp_of[parent]][0] == cls):
-            cid = comp_of[parent]
-            components[cid][1].add(pos)
+        cid = comp_of.get((side, path[:-1])) if path else None
+        if cid is not None and (is_atom or comps[cid][0] == cls):
+            comps[cid][1].add(pos)
         else:
-            cid = nxt
-            nxt += 1
-            components[cid] = (cls, {pos})
+            cid = len(comps)
+            comps.append((cls, {pos}))
         comp_of[pos] = cid
+    return comps
 
+
+def signed_tree(seq: Sequent) -> SignedTree:
+    raw: dict = {}
+    _walk(seq.pre, True, "pre", (), raw)
+    _walk(seq.suc, False, "suc", (), raw)
+    components = _components(raw)
     nodes = {}
     roots = {min(members, key=lambda p: (len(p[1]), p[1]))
-             for _, members in components.values()}
+             for _, members in components}
     for pos, (label, sign, is_atom) in raw.items():
         cls = _classify(label, sign, is_atom)
         is_trans = pos in roots and pos[1] != ()
         nodes[pos] = SignedNode(label, sign, is_atom, cls, is_trans)
-    comps = tuple((kind, frozenset(members)) for kind, members in components.values())
+    comps = tuple((kind, frozenset(members)) for kind, members in components)
     return SignedTree(nodes, comps)
 
 
@@ -133,13 +132,6 @@ def region(seq: Sequent) -> str:
     return "grey" if classify_phase(seq) == "non-focused" else "white"
 
 
-_EDGE_TABLE = {
-    "axiom": ((), "white"),
-    "tonicity": (("white",), "white"),
-    "translation": (("yellow",), "yellow"),
-    "struct": (("yellow", "grey"), None),      # crossings yellow <-> grey
-    "dp": (("yellow",), "yellow"),
-}
 _SHIFT_EDGES = {
     "down_L": ("white", "grey"), "up_R": ("white", "grey"),
     "down_R": ("grey", "white"), "up_L": ("grey", "white"),
@@ -206,23 +198,8 @@ def _formula_components(fml: Formula, sign: bool):
     their parent.  Yields (kind, positions of connective nodes)."""
     raw: dict = {}
     _walk_formula(fml, sign, "f", (), raw)
-    comp_of: dict = {}
-    comps: dict[int, tuple[str, set]] = {}
-    nxt = 0
-    for pos in sorted(raw, key=lambda p: (len(p[1]), p[1])):
-        label, sg, is_atom = raw[pos]
-        cls = _classify(label, sg, is_atom)
-        parent = ("f", pos[1][:-1]) if pos[1] else None
-        if parent in comp_of and (is_atom or comps[comp_of[parent]][0] == cls):
-            cid = comp_of[parent]
-            if not is_atom:
-                comps[cid][1].add(pos[1])
-        else:
-            cid = nxt
-            nxt += 1
-            comps[cid] = (cls, set() if is_atom else {pos[1]})
-        comp_of[pos] = cid
-    return [(kind, frozenset(m)) for kind, m in comps.values()]
+    return [(kind, frozenset(path for side, path in members if not raw[side, path][2]))
+            for kind, members in _components(raw)]
 
 
 def check_strong_focalization(d: Derivation) -> FocalizationReport:
@@ -299,9 +276,11 @@ class MinimizeError(ValueError):
     pass
 
 
-def _pass(d: Derivation) -> Derivation:
-    prems = tuple(_pass(p) for p in d.premises)
-    d = Derivation(d.rule, d.conclusion, prems)
+def _cancel(d: Derivation, prems) -> Derivation:
+    """One minimization step at `d`, whose premises were reduced to `prems`;
+    `d` itself when nothing changes."""
+    if any(map(is_not, prems, d.premises)):
+        d = Derivation(d.rule, d.conclusion, prems)
     # the plain shift postulate is derivable from the two structural rules;
     # expanding it lets cancellation remove the fused shift detours
     if d.rule == "dp(.up,.dn)":
@@ -314,10 +293,6 @@ def _pass(d: Derivation) -> Derivation:
         if inner.conclusion == d.conclusion:
             return inner
     return d
-
-
-def _contains_rule(d: Derivation, names) -> bool:
-    return any(node.rule in names for _, node in iter_nodes(d))
 
 
 def _contains_variants(d: Derivation) -> bool:
@@ -338,13 +313,13 @@ def minimize_proof(d: Derivation) -> Derivation:
     if has_cut(d):
         d = eliminate_cuts(d)
     while True:
-        nxt = _pass(d)
-        if nxt == d:
+        nxt = fold(d, _cancel)
+        if nxt is d:
             break
         d = nxt
     if d.conclusion != end:
         raise MinimizeError("minimization changed the end-sequent")
-    if _contains_rule(d, SHIFT_DPS):
+    if any(node.rule in SHIFT_DPS for _, node in iter_nodes(d)):
         raise MinimizeError("a shift display postulate resists cancellation; "
                             "the input is outside the reducible fragment")
     if _contains_variants(d):

@@ -1,10 +1,17 @@
 """Derivation trees, schema checking, forward/backward rule application.
 
+One tree type, `Derivation`, serves both calculi: its conclusion is an fD.LG
+`Sequent` or a companion `FlgSequent` (`fdlg.translate`), and the same walks
+run over either.  `iter_nodes` lists the nodes in pre-order and `fold`
+computes bottom-up; both keep an explicit stack, as do equality and hashing,
+so a derivation of any height goes through them.  `write_document` writes the
+JSON exchange format of either calculus.
+
 Also houses the three derivation builders used by the completeness argument:
 identity expansion on structures, the structural cut, and translation
-saturation of one side of a sequent.  The structural cut re-runs the
-parametric section below the cut through `fdlg.cutelim`, the same surgery
-as a parametric cut-elimination move.
+saturation of one side of a sequent, whose display moves are rows of a table.
+The structural cut re-runs the parametric section below the cut through
+`fdlg.cutelim`, the same surgery as a parametric cut-elimination move.
 """
 
 from __future__ import annotations
@@ -13,8 +20,8 @@ import json
 from dataclasses import dataclass
 
 from .syntax import (Formula, Structure, Sequent, Atom, leaf, formula_nodes,
-                     render_sequent, parse_sequent, render_formula,
-                     ParseError, MAX_NESTING)
+                     render_sequent, parse_sequent, render_formula, GROUP_OF,
+                     ParseError, SortError, MAX_NESTING, _Term, _setters)
 from .rules import (REGISTRY, MatchFail, candidates, match_sequent,
                     instantiate_sequent)
 from .standardize import StandardizeError, form_of, ftoM, ftom, str_of
@@ -24,18 +31,55 @@ class KernelError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Derivation:
-    rule: str
-    conclusion: Sequent
-    premises: tuple["Derivation", ...] = ()
+class Derivation(_Term):
+    """A rule application over premise derivations, in either calculus."""
+
+    __slots__ = ("rule", "conclusion", "premises", "_hash")
+    _fields = ("rule", "conclusion", "premises")
+
+    def __init__(self, rule: str, conclusion, premises: tuple["Derivation", ...] = ()):
+        _D_RULE(self, rule)
+        _D_CONCLUSION(self, conclusion)
+        _D_PREMISES(self, premises)
+        _D_HASH(self, None)
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            # hash the unhashed nodes, premises first, so that each tuple
+            # hash below reads cached premise hashes
+            todo, stack = [], [self]
+            while stack:
+                node = stack.pop()
+                if node._hash is None:
+                    todo.append(node)
+                    stack.extend(node.premises)
+            for node in reversed(todo):
+                _D_HASH(node, hash((node.rule, node.conclusion, node.premises)))
+        return self._hash
+
+    def __eq__(self, other):
+        if other.__class__ is not Derivation:
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            x, y = stack.pop()
+            if x is y:
+                continue
+            if (x.rule != y.rule or x.conclusion != y.conclusion
+                    or len(x.premises) != len(y.premises)):
+                return False
+            stack.extend(zip(x.premises, y.premises))
+        return True
 
     def __repr__(self) -> str:
-        return f"[{self.rule}: {render_sequent(self.conclusion)}]"
+        return f"[{self.rule}: {self.conclusion}]"
 
 
-def rule_count(d) -> int:
-    """Rule applications in a derivation of either calculus; any depth."""
+_D_RULE, _D_CONCLUSION, _D_PREMISES, _D_HASH = _setters(Derivation)
+
+
+def rule_count(d: Derivation) -> int:
+    """Rule applications in a derivation; any depth."""
     return sum(1 for _ in iter_nodes(d))
 
 
@@ -44,15 +88,34 @@ def height(d: Derivation) -> int:
 
 
 def iter_nodes(d: Derivation, path: tuple[int, ...] = ()):
-    """(path, node) for every node, in pre-order; iterative, so any depth.
-    Walks any tree whose nodes keep their children in `premises`, so the
-    companion calculus's derivations too."""
+    """(path, node) for every node, in pre-order; iterative, so any depth."""
     stack = [(path, d)]
     while stack:
         path, node = stack.pop()
         yield path, node
         for i in range(len(node.premises) - 1, -1, -1):
             stack.append((path + (i,), node.premises[i]))
+
+
+def fold(d: Derivation, step, children=None):
+    """step(node, results of its children) at the root, computed in
+    post-order, children left to right, with an explicit stack.  A node's
+    children are its premises unless `children(node)` picks others."""
+    results: list = []
+    stack: list = [d]
+    while stack:
+        x = stack.pop()
+        if x.__class__ is tuple:        # (node, children), their results on top
+            node, kids = x
+            start = len(results) - len(kids)
+            args = tuple(results[start:])
+            del results[start:]
+            results.append(step(node, args))
+        else:
+            kids = x.premises if children is None else children(x)
+            stack.append((x, kids))
+            stack.extend(reversed(kids))
+    return results[0]
 
 
 def path_str(path: tuple[int, ...]) -> str:
@@ -204,11 +267,14 @@ def make_cut(d1: Derivation, d2: Derivation) -> Derivation:
 
 def trace_to_intro(node: Derivation, pos, path: tuple[int, ...] = ()):
     """Derivation path of the node whose rule introduced the occurrence."""
-    res = REGISTRY[node.rule].thread_up(pos)
-    if res[0] == "principal":
-        return path
-    i, pos2 = res
-    return trace_to_intro(node.premises[i], pos2, path + (i,))
+    path = list(path)
+    while True:
+        res = REGISTRY[node.rule].thread_up(pos)
+        if res[0] == "principal":
+            return tuple(path)
+        i, pos = res
+        path.append(i)
+        node = node.premises[i]
 
 
 def struct_at(seq: Sequent, pos) -> Structure | Formula:
@@ -238,7 +304,6 @@ def subst_structure(st: Structure, path, repl: Structure) -> Structure:
         raise MutationError("substitution path crosses into a formula")
     args = list(st.args)
     args[i] = subst_structure(st.args[i], path[1:], repl)
-    from .syntax import SortError, GROUP_OF
     try:
         return Structure(st.conn, None, tuple(args))
     except SortError:
@@ -255,7 +320,6 @@ def subst_structure(st: Structure, path, repl: Structure) -> Structure:
 
 def subst_at(seq: Sequent, pos, repl: Structure) -> Sequent:
     side, path = pos
-    from .syntax import SortError
     try:
         if side == "pre":
             return Sequent(subst_structure(seq.pre, path, repl), seq.suc)
@@ -287,29 +351,50 @@ def transform_derivation(d: Derivation, seq_map) -> Derivation:
     Fails if some node's image instantiates no rule; used for pushing proofs
     through the term symmetries.
     """
-    prems = tuple(transform_derivation(p, seq_map) for p in d.premises)
-    conc = seq_map(d.conclusion)
-    name = identify_rule(conc, [p.conclusion for p in prems])
-    if name is None:
-        raise KernelError(f"image of {d.rule} instantiates no rule")
-    if name.endswith("@swap"):
-        name = name[:-5]
-        prems = (prems[1], prems[0])
-    return Derivation(name, conc, prems)
+    def step(node: Derivation, prems) -> Derivation:
+        conc = seq_map(node.conclusion)
+        name = identify_rule(conc, [p.conclusion for p in prems])
+        if name is None:
+            raise KernelError(f"image of {node.rule} instantiates no rule")
+        if name.endswith("@swap"):
+            name = name[:-5]
+            prems = (prems[1], prems[0])
+        return Derivation(name, conc, prems)
+    return fold(d, step)
 
 
 # ---------------------------------------------------------------------------
 # Exchange format
 
 
+def write_document(d: Derivation, header: dict, render) -> str:
+    """The exchange text of `d`: exactly `json.dumps(doc, indent=1)` of the
+    header's fields followed by the root node's, where a node is
+    {"rule", "conclusion": render(its conclusion), "premises": [nodes]}.
+    Written with an explicit stack, as the indenting encoder recurses."""
+    out = ["{"]
+    for key, value in header.items():
+        text = json.dumps(value, indent=1).replace("\n", "\n ")
+        out.append(f"\n {json.dumps(key)}: {text},")
+    todo: list = [(d, "\n ")]     # (node, newline and indent of its keys) or text
+    while todo:
+        x = todo.pop()
+        if x.__class__ is str:
+            out.append(x)
+            continue
+        node, pad = x
+        out.append(f'{pad}"rule": {json.dumps(node.rule)},'
+                   f'{pad}"conclusion": {json.dumps(render(node.conclusion))},'
+                   f'{pad}"premises": [')
+        todo.append(pad + "]" if node.premises else "]")
+        for i, p in enumerate(reversed(node.premises)):     # the last has no comma
+            todo += (pad + (" }," if i else " }"), (p, pad + "  "), pad + " {")
+    out.append("\n}")
+    return "".join(out)
+
+
 def derivation_to_json(d: Derivation, neg_atoms) -> str:
-    def node(x: Derivation):
-        return {"rule": x.rule,
-                "conclusion": render_sequent(x.conclusion),
-                "premises": [node(p) for p in x.premises]}
-    doc = {"negAtoms": sorted(neg_atoms)}
-    doc.update(node(d))
-    return json.dumps(doc, indent=1)
+    return write_document(d, {"negAtoms": sorted(neg_atoms)}, render_sequent)
 
 
 def read_document(text: str) -> tuple[dict, frozenset[str]]:
@@ -370,107 +455,64 @@ def saturate_translations(d: Derivation, side: str) -> Derivation:
     """Extend `d` until the chosen side of its end-sequent is a formula."""
     if side not in ("pre", "suc"):
         raise KernelError("side must be 'pre' or 'suc'")
-    target = d.conclusion.pre if side == "pre" else d.conclusion.suc
     try:
-        form_of(target)
+        form_of(getattr(d.conclusion, side))
     except StandardizeError:
         raise KernelError("side contains a connective with no operational "
                           "counterpart") from None
-    return _fold_pre(d) if side == "pre" else _fold_suc(d)
+    return _fold(d, side)
 
 
-def _fold_suc(d: Derivation) -> Derivation:
-    suc = d.conclusion.suc
-    if suc.conn is None:
+_SIDE_NAMES = {"pre": "precedent", "suc": "succedent"}
+
+
+def _inv(name: str) -> str:
+    return name[:-1] if name.endswith("'") else name + "'"
+
+
+# (side, root connective) -> (the rule that introduces its formula, and per
+# argument to fold first: its index, the display moves that make it a whole
+# side, and that side).  A structural shift's index is None: its s-* pair is
+# taken even around a formula, while a binary connective's argument that is
+# already a formula is left alone.  Each argument's fold is undone by the
+# inverse moves in reverse order.
+_SATURATION = {
+    ("suc", ".dn"): ("down_R", ((None, ("s-down'",), "suc"),)),
+    ("suc", ".(+)"): ("oplus_R", ((0, ("dp(.(/),.(+))'",), "suc"),
+                                  (1, ("dp(.(\\),.(+))",), "suc"))),
+    ("suc", ".\\"): ("under_R", ((0, ("dp(.*,.\\)", "dp(.*,./)"), "pre"),
+                                 (1, ("dp(.*,.\\)",), "suc"))),
+    ("suc", "./"): ("over_R", ((1, ("dp(.*,./)'", "dp(.*,.\\)'"), "pre"),
+                               (0, ("dp(.*,./)'",), "suc"))),
+    ("pre", ".up"): ("up_L", ((None, ("s-up'",), "pre"),)),
+    ("pre", ".*"): ("otimes_L", ((0, ("dp(.*,./)",), "pre"),
+                                 (1, ("dp(.*,.\\)'",), "pre"))),
+    ("pre", ".(/)"): ("oslash_L", ((0, ("dp(.(/),.(+))",), "pre"),
+                                   (1, ("dp(.(/),.(+))", "dp(.(\\),.(+))"), "suc"))),
+    ("pre", ".(\\)"): ("obslash_L", ((1, ("dp(.(\\),.(+))'",), "pre"),
+                                     (0, ("dp(.(\\),.(+))'", "dp(.(/),.(+))'"), "suc"))),
+}
+
+
+def _fold(d: Derivation, side: str) -> Derivation:
+    """Extend `d` until its `side` is a formula."""
+    root = getattr(d.conclusion, side)
+    if root.conn is None:
         return d
-    c = suc.conn
-    if c == ".dn":
-        d = derive("s-down'", d)
-        d = _fold_suc(d)
-        d = derive("s-down", d)
-        return derive("down_R", d)
-    if c == ".(+)":
-        if suc.args[0].conn is not None:
-            d = derive("dp(.(/),.(+))'", d)    # left summand becomes the succedent
-            d = _fold_suc(d)
-            d = derive("dp(.(/),.(+))", d)
-        if d.conclusion.suc.args[1].conn is not None:
-            d = derive("dp(.(\\),.(+))", d)    # right summand becomes the succedent
-            d = _fold_suc(d)
-            d = derive("dp(.(\\),.(+))'", d)
-        return derive("oplus_R", d)
-    if c == ".\\":
-        if suc.args[0].conn is not None:
-            d = derive("dp(.*,.\\)", d)        # numerator to the precedent, then out
-            d = derive("dp(.*,./)", d)
-            d = _fold_pre(d)
-            d = derive("dp(.*,./)'", d)
-            d = derive("dp(.*,.\\)'", d)
-        if d.conclusion.suc.args[1].conn is not None:
-            d = derive("dp(.*,.\\)", d)
-            d = _fold_suc(d)
-            d = derive("dp(.*,.\\)'", d)
-        return derive("under_R", d)
-    if c == "./":
-        if suc.args[1].conn is not None:
-            d = derive("dp(.*,./)'", d)
-            d = derive("dp(.*,.\\)'", d)
-            d = _fold_pre(d)
-            d = derive("dp(.*,.\\)", d)
-            d = derive("dp(.*,./)", d)
-        if d.conclusion.suc.args[0].conn is not None:
-            d = derive("dp(.*,./)'", d)
-            d = _fold_suc(d)
-            d = derive("dp(.*,./)", d)
-        return derive("over_R", d)
-    raise KernelError(f"cannot fold succedent connective {c!r} in this position")
-
-
-def _fold_pre(d: Derivation) -> Derivation:
-    pre = d.conclusion.pre
-    if pre.conn is None:
-        return d
-    c = pre.conn
-    if c == ".up":
-        d = derive("s-up'", d)
-        d = _fold_pre(d)
-        d = derive("s-up", d)
-        return derive("up_L", d)
-    if c == ".*":
-        if pre.args[0].conn is not None:
-            d = derive("dp(.*,./)", d)
-            d = _fold_pre(d)
-            d = derive("dp(.*,./)'", d)
-        if d.conclusion.pre.args[1].conn is not None:
-            d = derive("dp(.*,.\\)'", d)
-            d = _fold_pre(d)
-            d = derive("dp(.*,.\\)", d)
-        return derive("otimes_L", d)
-    if c == ".(/)":
-        if pre.args[0].conn is not None:
-            d = derive("dp(.(/),.(+))", d)
-            d = _fold_pre(d)
-            d = derive("dp(.(/),.(+))'", d)
-        if d.conclusion.pre.args[1].conn is not None:
-            d = derive("dp(.(/),.(+))", d)     # co-denominator to the succedent
-            d = derive("dp(.(\\),.(+))", d)
-            d = _fold_suc(d)
-            d = derive("dp(.(\\),.(+))'", d)
-            d = derive("dp(.(/),.(+))'", d)
-        return derive("oslash_L", d)
-    if c == ".(\\)":
-        if pre.args[1].conn is not None:
-            d = derive("dp(.(\\),.(+))'", d)
-            d = _fold_pre(d)
-            d = derive("dp(.(\\),.(+))", d)
-        if d.conclusion.pre.args[0].conn is not None:
-            d = derive("dp(.(\\),.(+))'", d)
-            d = derive("dp(.(/),.(+))'", d)
-            d = _fold_suc(d)
-            d = derive("dp(.(/),.(+))", d)
-            d = derive("dp(.(\\),.(+))", d)
-        return derive("obslash_L", d)
-    raise KernelError(f"cannot fold precedent connective {c!r} in this position")
+    row = _SATURATION.get((side, root.conn))
+    if row is None:
+        raise KernelError(f"cannot fold {_SIDE_NAMES[side]} connective "
+                          f"{root.conn!r} in this position")
+    rule, folds = row
+    for i, moves, inner in folds:
+        if i is not None and getattr(d.conclusion, side).args[i].conn is None:
+            continue
+        for move in moves:
+            d = derive(move, d)
+        d = _fold(d, inner)
+        for move in reversed(moves):
+            d = derive(_inv(move), d)
+    return derive(rule, d)
 
 
 # ---------------------------------------------------------------------------
@@ -478,17 +520,22 @@ def _fold_pre(d: Derivation) -> Derivation:
 # standard transforms are defined (see fdlg.standardize).
 
 
-# Binary structural connective -> (rule, fold of the left argument's
-# expansion, fold of the right one).  _fold_suc turns  lo(X) |- hi(X)  into
-# lo(X) |- Form(X), _fold_pre into  Form(X) |- hi(X).
-_EXPANSION = {
-    ".*": ("otimes_R", _fold_suc, _fold_suc),
-    ".(/)": ("oslash_R", _fold_suc, _fold_pre),
-    ".(\\)": ("obslash_R", _fold_pre, _fold_suc),
-    ".(+)": ("oplus_L", _fold_pre, _fold_pre),
-    ".\\": ("under_L", _fold_suc, _fold_pre),
-    "./": ("over_L", _fold_pre, _fold_suc),
+# The six two-premise tonicity rules: the structural connective they join
+# the premises' other sides with, and the side of each premise where its
+# argument of the new formula stands.  The companion calculus's rules of the
+# same names have the same rows (fdlg.translate).
+TONICITY_PREMISES = {
+    "otimes_R": (".*", ("suc", "suc")),
+    "oslash_R": (".(/)", ("suc", "pre")),
+    "obslash_R": (".(\\)", ("pre", "suc")),
+    "oplus_L": (".(+)", ("pre", "pre")),
+    "under_L": (".\\", ("suc", "pre")),
+    "over_L": ("./", ("pre", "suc")),
 }
+# Binary structural connective -> (rule, the side each argument's expansion
+# folds).  Folding the succedent turns  lo(X) |- hi(X)  into  lo(X) |- Form(X),
+# folding the precedent into  Form(X) |- hi(X).
+_EXPANSION = {conn: (rule, sides) for rule, (conn, sides) in TONICITY_PREMISES.items()}
 
 
 def identity_expansion(psi: Structure) -> Derivation:
@@ -499,17 +546,13 @@ def identity_expansion(psi: Structure) -> Derivation:
             return derive("p-Id" if a.atom.positive else "n-Id", selector=a.atom)
         return identity_expansion(str_of(a))
     c = psi.conn
-    if c == ".dn":
-        sub = identity_expansion(psi.args[0])   # Form(D) |- hi(D), precedent is a formula
-        return derive("down_L", sub)
-    if c == ".up":
-        sub = identity_expansion(psi.args[0])   # lo(X) |- Form(X)
-        return derive("up_R", sub)
+    if c in (".dn", ".up"):     # over  Form(D) |- hi(D)  and  lo(X) |- Form(X)
+        return derive("down_L" if c == ".dn" else "up_R", identity_expansion(psi.args[0]))
     if c not in _EXPANSION:
         raise KernelError(f"identity expansion undefined at {c!r}")
-    rule, fold_l, fold_r = _EXPANSION[c]
-    return derive(rule, fold_l(identity_expansion(psi.args[0])),
-                  fold_r(identity_expansion(psi.args[1])))
+    rule, (side_l, side_r) = _EXPANSION[c]
+    return derive(rule, _fold(identity_expansion(psi.args[0]), side_l),
+                  _fold(identity_expansion(psi.args[1]), side_r))
 
 
 # ---------------------------------------------------------------------------
@@ -526,10 +569,6 @@ def structural_cut(d1: Derivation, d2: Derivation, phi: Structure) -> Derivation
     return _scut(d1, d2)
 
 
-def _inv(name: str) -> str:
-    return name[:-1] if name.endswith("'") else name + "'"
-
-
 def _scut(d1: Derivation, d2: Derivation) -> Derivation:
     """The shared piece sits displayed as d1's succedent (its upper standard
     transform) and d2's precedent (its lower one).  At most one of the two is
@@ -538,6 +577,10 @@ def _scut(d1: Derivation, d2: Derivation) -> Derivation:
     by the mutation the cut structure's sort change calls for."""
     from .cutelim import mutation_for, rebuild_chain, trace_chain   # cutelim imports kernel
     suc, pre = d1.conclusion.suc, d2.conclusion.pre
+    if pre.conn is None and suc.conn is None:
+        if pre != suc:
+            raise KernelError("cut pieces disagree")
+        return make_cut(d1, d2)
     if pre.conn is not None:
         # lower transform structural: the piece is skeleton-positive, d1 ends
         # on its tonicity introduction (possibly below a parametric section)
@@ -578,11 +621,8 @@ def _scut(d1: Derivation, d2: Derivation) -> Derivation:
             s = derive(_inv(dp), s)
         else:
             raise KernelError(f"structural cut undefined at {c!r}")
-        if chain:
-            repl = d2.conclusion.suc
-            s = rebuild_chain(chain, s, repl, mutation_for(suc.sort, "suc", repl.sort))
-        return s
-    if suc.conn is not None:
+        repl, source, where = d2.conclusion.suc, suc.sort, "suc"
+    else:
         # upper transform structural: dual, d2 ends on the introduction
         c = suc.conn
         chain, top = trace_chain(d2, ("pre", ()))
@@ -620,10 +660,7 @@ def _scut(d1: Derivation, d2: Derivation) -> Derivation:
             s = derive(_inv(d_b), s)
         else:
             raise KernelError(f"structural cut undefined at {c!r}")
-        if chain:
-            repl = d1.conclusion.pre
-            s = rebuild_chain(chain, s, repl, mutation_for(pre.sort, "pre", repl.sort))
-        return s
-    if pre != suc:
-        raise KernelError("cut pieces disagree")
-    return make_cut(d1, d2)
+        repl, source, where = d1.conclusion.pre, pre.sort, "pre"
+    if chain:
+        s = rebuild_chain(chain, s, repl, mutation_for(source, where, repl.sort))
+    return s

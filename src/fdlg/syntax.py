@@ -214,11 +214,14 @@ def _fits(s: Sort, spec) -> bool:
     return s.positive == pol and (sh is None or s.shifted == sh)
 
 
-def _check_args(conn: str, sig, args) -> Sort:
+def _check_args(conn: str, sig, args, cls) -> Sort:
     target, specs = sig
     if len(args) != len(specs):
         raise SortError(f"{conn} takes {len(specs)} argument(s), got {len(args)}")
     for i, spec in enumerate(specs):
+        if type(args[i]) is not cls:
+            raise SortError(f"argument {i + 1} of {conn} must be a {cls.__name__}, "
+                            f"got {type(args[i]).__name__}")
         if not _fits(args[i].sort, spec):
             pol, sh = spec
             want = Sort(pol, sh) if sh is not None else ("positive" if pol else "negative")
@@ -231,10 +234,11 @@ def _sort_table(sig) -> dict:
     tuple of the four sorts that a connective of `sig` accepts.  The keys use
     the identity of the four module sorts, whose hash is C-level.
 
-    A constructor looks its node up here first.  Any miss (unknown
-    connective, wrong arity, ill-sorted or non-term argument, a Sort object
-    other than the four) falls through to the full check, which raises the
-    same error, in the same order, as when there was no table."""
+    A constructor looks its node up here first, if its arguments are of its
+    own class.  Any miss (unknown connective, wrong arity, an argument of the
+    wrong class or sort, a Sort object other than the four) falls through to
+    the full check, which raises the same error, in the same order, as when
+    there was no table."""
     table = {}
     for conn, (target, specs) in sig.items():
         for sorts in product((PP, PS, NP, NS), repeat=len(specs)):
@@ -255,22 +259,22 @@ class Formula(_Term):
                  args: tuple["Formula", ...] = ()):
         # conn is None for an atom
         if conn is None:
-            if atom is None or args:
+            if type(atom) is not Atom or args:
                 raise SortError("atom formula must carry an Atom and no arguments")
             sort = PP if atom.positive else NP
         else:
             sort = None  # one lookup; a miss takes the full check below
             try:
-                if len(args) == 2:
+                if len(args) == 2 and type(args[0]) is Formula is type(args[1]):
                     sort = _OP_SORTS.get((conn, id(args[0].sort), id(args[1].sort)))
-                elif len(args) == 1:
+                elif len(args) == 1 and type(args[0]) is Formula:
                     sort = _OP_SORTS.get((conn, id(args[0].sort)))
-            except (AttributeError, TypeError):
-                pass  # a non-term or unsized argument: the full check names it
+            except TypeError:
+                pass  # an unsized argument tuple: the full check names it
             if sort is None:
                 if conn not in OP_SIG:
                     raise SortError(f"unknown operational connective {conn!r}")
-                sort = _check_args(conn, OP_SIG[conn], args)
+                sort = _check_args(conn, OP_SIG[conn], args, Formula)
         _F_CONN(self, conn)
         _F_ATOM(self, atom)
         _F_ARGS(self, args)
@@ -307,22 +311,22 @@ class Structure(_Term):
                  args: tuple["Structure", ...] = ()):
         # conn is None for a formula leaf
         if conn is None:
-            if leaf is None or args:
+            if type(leaf) is not Formula or args:
                 raise SortError("leaf structure must carry a formula and no arguments")
             sort = leaf.sort
         else:
             sort = None  # one lookup; a miss takes the full check below
             try:
-                if len(args) == 2:
+                if len(args) == 2 and type(args[0]) is Structure is type(args[1]):
                     sort = _STRUCT_SORTS.get((conn, id(args[0].sort), id(args[1].sort)))
-                elif len(args) == 1:
+                elif len(args) == 1 and type(args[0]) is Structure:
                     sort = _STRUCT_SORTS.get((conn, id(args[0].sort)))
-            except (AttributeError, TypeError):
-                pass  # a non-term or unsized argument: the full check names it
+            except TypeError:
+                pass  # an unsized argument tuple: the full check names it
             if sort is None:
                 if conn not in STRUCT_SIG:
                     raise SortError(f"unknown structural connective {conn!r}")
-                sort = _check_args(conn, STRUCT_SIG[conn], args)
+                sort = _check_args(conn, STRUCT_SIG[conn], args, Structure)
         _S_CONN(self, conn)
         _S_LEAF(self, leaf)
         _S_ARGS(self, args)
@@ -418,6 +422,9 @@ class Sequent(_Term):
 
     def __repr__(self) -> str:
         return f"<{render_sequent(self)}>"
+
+    def __str__(self) -> str:
+        return render_sequent(self)
 
 
 _Q_PRE, _Q_SUC, _Q_HASH = _setters(Sequent)

@@ -4,6 +4,12 @@ The mini-kernel implements exactly the rules the translations exercise: atomic
 axioms, the six logical connective pairs, the focusing pair mu~ / mu* (each
 with a positive and a negative instance, fixed by the polarity of the formula
 whose focus changes), and the residuation postulates on unfocused sequents.
+The connective rules and the postulates are rows of tables that one
+`apply_flg` reads; the two-premise rows are the kernel's `TONICITY_PREMISES`.
+
+Companion derivations are `fdlg.kernel.Derivation`s over `FlgSequent`s
+(`FlgDerivation` is another name for that class), so both translations are
+`kernel.fold`s and the exchange format is the kernel's `write_document`.
 
 Polarization sends its formulas into the four-sorted language, shifts marking
 every polarity mismatch; depolarization erases the shifts.  A sequent in the
@@ -16,8 +22,8 @@ from dataclasses import dataclass
 
 from .syntax import (Formula, Structure, Sequent, Atom, leaf, f as fnode,
                      ParseError, SortError, parse_raw)
-from .kernel import (Derivation, derive, iter_nodes, read_document, read_nodes,
-                     rule_count)
+from .kernel import (Derivation, TONICITY_PREMISES, derive, fold, iter_nodes,
+                     read_document, read_nodes, rule_count, write_document)
 from .focus import minimize_proof
 
 
@@ -32,6 +38,12 @@ class TranslateError(ValueError):
 _CONNS = ("*", "(+)", "\\", "/", "(/)", "(\\)")
 _INPUT_CONNS = {".*": ("in", "in"), ".(/)": ("in", "out"), ".(\\)": ("out", "in")}
 _OUTPUT_CONNS = {".(+)": ("out", "out"), ".\\": ("in", "out"), "./": ("out", "in")}
+# Structural connective -> whether each argument is an input (positive) one.
+_ARG_SIDES = {conn: tuple(side == "in" for side in sides)
+              for conn, sides in (*_INPUT_CONNS.items(), *_OUTPUT_CONNS.items())}
+# Formula connective -> (polarity of each argument, its own polarity), read
+# off its structural counterpart.
+_POLARITY = {conn[1:]: (sides, conn in _INPUT_CONNS) for conn, sides in _ARG_SIDES.items()}
 
 
 @dataclass(frozen=True)
@@ -84,7 +96,7 @@ def formula_polarity(a: CFormula) -> bool:
     """Positive iff the head is a product-family connective or a positive atom."""
     if a.conn is None:
         return a.atom.positive
-    return a.conn in ("*", "(/)", "(\\)")
+    return _POLARITY[a.conn][1]
 
 
 @dataclass(frozen=True)
@@ -136,12 +148,12 @@ class FlgSequent:
         if self.focus not in (None, "pre", "suc"):
             raise TranslateError("focus must be None, 'pre' or 'suc'")
 
+    def __str__(self) -> str:
+        return render_flg_sequent(self)
 
-@dataclass(frozen=True)
-class FlgDerivation:
-    rule: str
-    conclusion: FlgSequent
-    premises: tuple["FlgDerivation", ...] = ()
+
+# Companion derivations are kernel derivations over companion sequents.
+FlgDerivation = Derivation
 
 
 def render_fstruct(x: FStruct) -> str:
@@ -173,6 +185,34 @@ def _formula(x: FStruct) -> CFormula:
     return x.leaf
 
 
+_SIDE_WORDS = {"suc": "right", "pre": "left"}
+_OTHER_SIDE = {"suc": "pre", "pre": "suc"}
+# Unfocused connective rules: the side whose structural root becomes a formula.
+_UNFOCUSED = {"otimes_L": ("pre", ".*"), "oslash_L": ("pre", ".(/)"),
+              "obslash_L": ("pre", ".(\\)"), "oplus_R": ("suc", ".(+)"),
+              "under_R": ("suc", ".\\"), "over_R": ("suc", "./")}
+_LOGICAL_RULES = frozenset((*TONICITY_PREMISES, *_UNFOCUSED))
+# Display postulate -> (premise side, its root connective, conclusion builder).
+_DISPLAY = {
+    "dp(.*,.\\)": ("suc", ".\\",
+                   lambda q: FlgSequent(fs(".*", q.suc.args[0], q.pre), q.suc.args[1])),
+    "dp(.*,.\\)'": ("pre", ".*",
+                    lambda q: FlgSequent(q.pre.args[1], fs(".\\", q.pre.args[0], q.suc))),
+    "dp(.*,./)": ("pre", ".*",
+                  lambda q: FlgSequent(q.pre.args[0], fs("./", q.suc, q.pre.args[1]))),
+    "dp(.*,./)'": ("suc", "./",
+                   lambda q: FlgSequent(fs(".*", q.pre, q.suc.args[1]), q.suc.args[0])),
+    "dp(.(/),.(+))": ("pre", ".(/)",
+                      lambda q: FlgSequent(q.pre.args[0], fs(".(+)", q.suc, q.pre.args[1]))),
+    "dp(.(/),.(+))'": ("suc", ".(+)",
+                       lambda q: FlgSequent(fs(".(/)", q.pre, q.suc.args[1]), q.suc.args[0])),
+    "dp(.(\\),.(+))": ("suc", ".(+)",
+                       lambda q: FlgSequent(fs(".(\\)", q.suc.args[0], q.pre), q.suc.args[1])),
+    "dp(.(\\),.(+))'": ("pre", ".(\\)",
+                        lambda q: FlgSequent(q.pre.args[1], fs(".(+)", q.pre.args[0], q.suc))),
+}
+
+
 def apply_flg(rule: str, premises, selector: Atom | None = None,
               side: str | None = None) -> FlgSequent:
     """Forward application in the companion calculus; unique conclusion.
@@ -180,7 +220,7 @@ def apply_flg(rule: str, premises, selector: Atom | None = None,
     `side` disambiguates mu~ when both a positive precedent formula and a
     negative succedent formula could take the focus.
     """
-    ps = [p.conclusion if isinstance(p, FlgDerivation) else p for p in premises]
+    ps = [p.conclusion if isinstance(p, Derivation) else p for p in premises]
 
     def arity(n):
         if len(ps) != n:
@@ -220,100 +260,43 @@ def apply_flg(rule: str, premises, selector: Atom | None = None,
             return FlgSequent(s.pre, s.suc, "suc")
         raise TranslateError("mu~ focuses a positive precedent or negative succedent formula")
 
-    if rule == "otimes_R":
+    if rule in TONICITY_PREMISES:
+        # the new formula is focused where its polarity puts it; the premises'
+        # other sides join under its structural counterpart opposite it
         arity(2)
-        l, r = ps
-        if l.focus != "suc" or r.focus != "suc":
-            raise TranslateError("otimes_R needs two right-focused premises")
-        a, b = _formula(l.suc), _formula(r.suc)
-        return FlgSequent(fs(".*", l.pre, r.pre), fleaf(cf("*", a, b)), "suc")
-    if rule == "oslash_R":
-        arity(2)
-        l, r = ps
-        if l.focus != "suc" or r.focus != "pre":
-            raise TranslateError("oslash_R needs right- and left-focused premises")
-        a, b = _formula(l.suc), _formula(r.pre)
-        return FlgSequent(fs(".(/)", l.pre, r.suc), fleaf(cf("(/)", a, b)), "suc")
-    if rule == "obslash_R":
-        arity(2)
-        l, r = ps
-        if l.focus != "pre" or r.focus != "suc":
-            raise TranslateError("obslash_R needs left- and right-focused premises")
-        a, b = _formula(l.pre), _formula(r.suc)
-        return FlgSequent(fs(".(\\)", l.suc, r.pre), fleaf(cf("(\\)", a, b)), "suc")
-    if rule == "oplus_L":
-        arity(2)
-        l, r = ps
-        if l.focus != "pre" or r.focus != "pre":
-            raise TranslateError("oplus_L needs two left-focused premises")
-        a, b = _formula(l.pre), _formula(r.pre)
-        return FlgSequent(fleaf(cf("(+)", a, b)), fs(".(+)", l.suc, r.suc), "pre")
-    if rule == "under_L":
-        arity(2)
-        l, r = ps
-        if l.focus != "suc" or r.focus != "pre":
-            raise TranslateError("under_L needs right- and left-focused premises")
-        a, b = _formula(l.suc), _formula(r.pre)
-        return FlgSequent(fleaf(cf("\\", a, b)), fs(".\\", l.pre, r.suc), "pre")
-    if rule == "over_L":
-        arity(2)
-        l, r = ps
-        if l.focus != "pre" or r.focus != "suc":
-            raise TranslateError("over_L needs left- and right-focused premises")
-        a, b = _formula(l.pre), _formula(r.suc)
-        return FlgSequent(fleaf(cf("/", a, b)), fs("./", l.suc, r.pre), "pre")
-
-    if rule in ("otimes_L", "oslash_L", "obslash_L"):
+        (l, r), (conn, (x, y)) = ps, TONICITY_PREMISES[rule]
+        if (l.focus, r.focus) != (x, y):
+            wx, wy = _SIDE_WORDS[x], _SIDE_WORDS[y]
+            raise TranslateError(f"{rule} needs two {wx}-focused premises" if x == y
+                                 else f"{rule} needs {wx}- and {wy}-focused premises")
+        a = cf(conn[1:], _formula(getattr(l, x)), _formula(getattr(r, y)))
+        rest = fs(conn, getattr(l, _OTHER_SIDE[x]), getattr(r, _OTHER_SIDE[y]))
+        return (FlgSequent(rest, fleaf(a), "suc") if formula_polarity(a)
+                else FlgSequent(fleaf(a), rest, "pre"))
+    if rule in _UNFOCUSED:
         arity(1)
         (s,) = ps
-        conn = {"otimes_L": ".*", "oslash_L": ".(/)", "obslash_L": ".(\\)"}[rule]
-        if s.focus is not None or s.pre.conn != conn:
-            raise TranslateError(f"{rule} wants an unfocused {conn}-rooted precedent")
-        a, b = (_formula(x) for x in s.pre.args)
-        return FlgSequent(fleaf(cf(conn[1:], a, b)), s.suc, None)
-    if rule in ("oplus_R", "under_R", "over_R"):
-        arity(1)
-        (s,) = ps
-        conn = {"oplus_R": ".(+)", "under_R": ".\\", "over_R": "./"}[rule]
-        if s.focus is not None or s.suc.conn != conn:
-            raise TranslateError(f"{rule} wants an unfocused {conn}-rooted succedent")
-        a, b = (_formula(x) for x in s.suc.args)
-        return FlgSequent(s.pre, fleaf(cf(conn[1:], a, b)), None)
-
+        where, conn = _UNFOCUSED[rule]
+        root = getattr(s, where)
+        if s.focus is not None or root.conn != conn:
+            raise TranslateError(f"{rule} wants an unfocused {conn}-rooted "
+                                 f"{'precedent' if where == 'pre' else 'succedent'}")
+        a = fleaf(cf(conn[1:], *(_formula(x) for x in root.args)))
+        return (FlgSequent(a, s.suc, None) if where == "pre"
+                else FlgSequent(s.pre, a, None))
     if rule.startswith("dp("):
         arity(1)
         (s,) = ps
         if s.focus is not None:
             raise TranslateError("display postulates apply in neutral phases only")
-        base, inv = (rule[:-1], True) if rule.endswith("'") else (rule, False)
-        # (premise root side+conn, builder)
-        moves = {
-            ("dp(.*,.\\)", False): ("suc", ".\\",
-                lambda q: FlgSequent(fs(".*", q.suc.args[0], q.pre), q.suc.args[1])),
-            ("dp(.*,.\\)", True): ("pre", ".*",
-                lambda q: FlgSequent(q.pre.args[1], fs(".\\", q.pre.args[0], q.suc))),
-            ("dp(.*,./)", False): ("pre", ".*",
-                lambda q: FlgSequent(q.pre.args[0], fs("./", q.suc, q.pre.args[1]))),
-            ("dp(.*,./)", True): ("suc", "./",
-                lambda q: FlgSequent(fs(".*", q.pre, q.suc.args[1]), q.suc.args[0])),
-            ("dp(.(/),.(+))", False): ("pre", ".(/)",
-                lambda q: FlgSequent(q.pre.args[0], fs(".(+)", q.suc, q.pre.args[1]))),
-            ("dp(.(/),.(+))", True): ("suc", ".(+)",
-                lambda q: FlgSequent(fs(".(/)", q.pre, q.suc.args[1]), q.suc.args[0])),
-            ("dp(.(\\),.(+))", False): ("suc", ".(+)",
-                lambda q: FlgSequent(fs(".(\\)", q.suc.args[0], q.pre), q.suc.args[1])),
-            ("dp(.(\\),.(+))", True): ("pre", ".(\\)",
-                lambda q: FlgSequent(q.pre.args[1], fs(".(+)", q.pre.args[0], q.suc))),
-        }
-        key = (base, inv)
-        if key not in moves:
+        if rule not in _DISPLAY:
             raise TranslateError(f"unknown rule {rule!r}")
-        where, conn, fn = moves[key]
+        where, conn, build = _DISPLAY[rule]
         root = s.pre if where == "pre" else s.suc
         if root.conn != conn:
             raise TranslateError(f"{rule} wants a {conn}-rooted {where} side")
         try:
-            return fn(s)
+            return build(s)
         except TranslateError:
             raise TranslateError(f"{rule} does not apply") from None
     raise TranslateError(f"unknown rule {rule!r}")
@@ -345,10 +328,7 @@ flg_rule_count = rule_count
 
 def logical_rule_count(d) -> int:
     """Applications of the six connective rules (either calculus)."""
-    logical = {"otimes_L", "otimes_R", "oplus_L", "oplus_R", "oslash_L",
-               "oslash_R", "obslash_L", "obslash_R", "under_L", "under_R",
-               "over_L", "over_R"}
-    return sum(1 for _, n in iter_nodes(d) if n.rule in logical)
+    return sum(1 for _, n in iter_nodes(d) if n.rule in _LOGICAL_RULES)
 
 
 # ---------------------------------------------------------------------------
@@ -358,30 +338,15 @@ def logical_rule_count(d) -> int:
 def polarize_formula(a: CFormula, positive: bool) -> Formula:
     """Positive or negative polarization; pure iff the polarity matches."""
     if a.conn is None:
-        base = Formula(None, a.atom)
-        if positive:
-            return base if a.atom.positive else fnode("dn", base)
-        return fnode("up", base) if a.atom.positive else base
-    l, r = a.args
-    if a.conn == "*":
-        body = fnode("*", polarize_formula(l, True), polarize_formula(r, True))
-        return body if positive else fnode("up", body)
-    if a.conn == "(/)":
-        body = fnode("(/)", polarize_formula(l, True), polarize_formula(r, False))
-        return body if positive else fnode("up", body)
-    if a.conn == "(\\)":
-        body = fnode("(\\)", polarize_formula(l, False), polarize_formula(r, True))
-        return body if positive else fnode("up", body)
-    if a.conn == "(+)":
-        body = fnode("(+)", polarize_formula(l, False), polarize_formula(r, False))
-        return fnode("dn", body) if positive else body
-    if a.conn == "\\":
-        body = fnode("\\", polarize_formula(l, True), polarize_formula(r, False))
-        return fnode("dn", body) if positive else body
-    if a.conn == "/":
-        body = fnode("/", polarize_formula(l, False), polarize_formula(r, True))
-        return fnode("dn", body) if positive else body
-    raise TranslateError(f"not a companion-calculus formula: {a!r}")
+        body, own = Formula(None, a.atom), a.atom.positive
+    elif a.conn in _POLARITY:
+        sides, own = _POLARITY[a.conn]
+        body = fnode(a.conn, *(polarize_formula(x, s) for x, s in zip(a.args, sides)))
+    else:
+        raise TranslateError(f"not a companion-calculus formula: {a!r}")
+    if own == positive:
+        return body
+    return fnode("dn", body) if positive else fnode("up", body)
 
 
 def unpolarize_formula(x: Formula) -> CFormula:
@@ -391,10 +356,6 @@ def unpolarize_formula(x: Formula) -> CFormula:
     if x.conn is None:
         return CFormula(None, x.atom)
     return CFormula(x.conn, None, tuple(unpolarize_formula(a) for a in x.args))
-
-
-_ARG_SIDES = {".*": (True, True), ".(/)": (True, False), ".(\\)": (False, True),
-              ".(+)": (False, False), ".\\": (True, False), "./": (False, True)}
 
 
 def polarize_structure(x: FStruct, positive: bool) -> Structure:
@@ -409,13 +370,10 @@ def polarize_structure(x: FStruct, positive: bool) -> Structure:
 
 
 def polarize_sequent(s: FlgSequent) -> Sequent:
-    if s.focus == "suc":
-        return Sequent(polarize_structure(s.pre, True),
-                       leaf(polarize_formula(_formula(s.suc), True)))
-    if s.focus == "pre":
-        return Sequent(leaf(polarize_formula(_formula(s.pre), False)),
-                       polarize_structure(s.suc, False))
-    return Sequent(polarize_structure(s.pre, True), polarize_structure(s.suc, False))
+    """The precedent polarizes positively and the succedent negatively, but a
+    formula in focus takes the other polarity."""
+    return Sequent(polarize_structure(s.pre, s.focus != "pre"),
+                   polarize_structure(s.suc, s.focus == "suc"))
 
 
 def depolarize(x: Formula | Structure):
@@ -435,20 +393,12 @@ def fleaf_or(v) -> FStruct:
 
 def flg_of_sequent(seq: Sequent) -> FlgSequent:
     """Inverse of polarize_sequent; raises unless `seq` is normal."""
-    fam = seq.kind[0]
-    if fam == "r":
-        if seq.suc.conn is not None:
-            raise TranslateError("a positive normal sequent focuses its succedent formula")
-        out = FlgSequent(fleaf_or(depolarize(seq.pre)),
-                         fleaf(unpolarize_formula(seq.suc.leaf)), "suc")
-    elif fam == "b":
-        if seq.pre.conn is not None:
-            raise TranslateError("a negative normal sequent focuses its precedent formula")
-        out = FlgSequent(fleaf(unpolarize_formula(seq.pre.leaf)),
-                         fleaf_or(depolarize(seq.suc)), "pre")
-    else:
-        out = FlgSequent(fleaf_or(depolarize(seq.pre)),
-                         fleaf_or(depolarize(seq.suc)), None)
+    focus = {"r": "suc", "b": "pre"}.get(seq.kind[0])
+    if focus == "suc" and seq.suc.conn is not None:
+        raise TranslateError("a positive normal sequent focuses its succedent formula")
+    if focus == "pre" and seq.pre.conn is not None:
+        raise TranslateError("a negative normal sequent focuses its precedent formula")
+    out = FlgSequent(fleaf_or(depolarize(seq.pre)), fleaf_or(depolarize(seq.suc)), focus)
     if polarize_sequent(out) != seq:
         raise TranslateError("sequent is not in the image of polarization")
     return out
@@ -465,9 +415,25 @@ def is_normal(seq: Sequent) -> bool:
 # ---------------------------------------------------------------------------
 # From the companion calculus into the display calculus
 
-_SAME_NAME = {"otimes_L", "otimes_R", "oplus_L", "oplus_R", "oslash_L",
-              "oslash_R", "obslash_L", "obslash_R", "under_L", "under_R",
-              "over_L", "over_R"}
+# A processing section's (lower rule, upper rule) -> its pattern.
+_PATTERNS = {
+    ("s-down'", "down_L"): "defocus-neg",
+    ("s-up'", "up_R"): "defocus-pos",
+    ("down_R", "s-down"): "focus-neg",
+    ("up_L", "s-up"): "focus-pos",
+    ("down_R", "down_L"): "refocus-neg",
+    ("up_L", "up_R"): "refocus-pos",
+}
+# A focusing rule and the side in focus -> the section that is its image; the
+# refocusing sections are the images of mu* followed by mu~.
+_SECTIONS = {("mu*", "pre"): ("s-down'", "down_L"), ("mu*", "suc"): ("s-up'", "up_R"),
+             ("mu~", "suc"): ("down_R", "s-down"), ("mu~", "pre"): ("up_L", "s-up")}
+_FOCUSING = {section: rule for (rule, _), section in _SECTIONS.items()}
+
+
+def _pattern(d: Derivation) -> str | None:
+    """The pattern of the processing section ending at `d`, if any."""
+    return _PATTERNS.get((d.rule, d.premises[0].rule)) if d.premises else None
 
 
 def _fd(rule: str, premises, expected: Sequent) -> Derivation:
@@ -482,46 +448,27 @@ def translate_to_fdlg(d: FlgDerivation) -> Derivation:
     ok, why = check_flg(d)
     if not ok:
         raise TranslateError(f"input does not check: {why}")
-    return _to_fdlg(d)
+    return fold(d, _to_fdlg)
 
 
-def _to_fdlg(d: FlgDerivation) -> Derivation:
+def _to_fdlg(d: FlgDerivation, prems) -> Derivation:
+    """Image of node `d`, given the images of its premises."""
     target = polarize_sequent(d.conclusion)
     r = d.rule
     if r == "Ax":
         atom = d.conclusion.pre.leaf.atom
         return derive("p-Id" if atom.positive else "n-Id", selector=atom)
-    if r in _SAME_NAME or r.startswith("dp("):
-        prems = [_to_fdlg(p) for p in d.premises]
+    if r in _LOGICAL_RULES or r.startswith("dp("):
         return _fd(r, prems, target)
-    if r == "mu*":
-        sub = _to_fdlg(d.premises[0])
-        if d.premises[0].conclusion.focus == "suc":
-            step = _fd("up_R", [sub], None)
-            return _fd("s-up'", [step], target)
-        step = _fd("down_L", [sub], None)
-        return _fd("s-down'", [step], target)
-    if r == "mu~":
-        sub = _to_fdlg(d.premises[0])
-        if d.conclusion.focus == "pre":
-            step = _fd("s-up", [sub], None)
-            return _fd("up_L", [step], target)
-        step = _fd("s-down", [sub], None)
-        return _fd("down_R", [step], target)
+    if r in ("mu*", "mu~"):
+        focused = d.premises[0] if r == "mu*" else d
+        lower, upper = _SECTIONS[r, focused.conclusion.focus]
+        return _fd(lower, [_fd(upper, prems, None)], target)
     raise TranslateError(f"no image for rule {r!r}")
 
 
 # ---------------------------------------------------------------------------
 # From the display calculus back into the companion calculus
-
-_PATTERNS = {
-    ("s-down'", "down_L"): "defocus-neg",
-    ("s-up'", "up_R"): "defocus-pos",
-    ("down_R", "s-down"): "focus-neg",
-    ("up_L", "s-up"): "focus-pos",
-    ("down_R", "down_L"): "refocus-neg",
-    ("up_L", "up_R"): "refocus-pos",
-}
 
 
 def classify_processing_sections(d: Derivation):
@@ -536,8 +483,7 @@ def classify_processing_sections(d: Derivation):
     for path, node in iter_nodes(d):
         if path in consumed:
             continue
-        pair = (node.rule, node.premises[0].rule) if node.premises else None
-        patt = _PATTERNS.get(pair)
+        patt = _pattern(node)
         if patt is None:
             from .rules import REGISTRY
             if REGISTRY[node.rule].klass in ("shift", "struct"):
@@ -562,7 +508,7 @@ def translate_to_flg(d: Derivation) -> FlgDerivation:
     d = minimize_proof(d)
     if not is_normal(d.conclusion):
         raise TranslateError("end-sequent is not normal")
-    return _to_flg(d)
+    return fold(d, _to_flg, _flg_children)
 
 
 def _flg(rule: str, premises, expected: FlgSequent, selector=None) -> FlgDerivation:
@@ -573,24 +519,26 @@ def _flg(rule: str, premises, expected: FlgSequent, selector=None) -> FlgDerivat
     return FlgDerivation(rule, conc, tuple(premises))
 
 
-def _to_flg(d: Derivation) -> FlgDerivation:
+def _flg_children(d: Derivation):
+    """A processing section's image hangs on the section's upper premise."""
+    return d.premises if _pattern(d) is None else d.premises[0].premises
+
+
+def _to_flg(d: Derivation, prems) -> FlgDerivation:
+    """Companion image of node `d`, given the images of its children."""
     target = flg_of_sequent(d.conclusion)
     r = d.rule
     if r in ("p-Id", "n-Id"):
         atom = d.conclusion.pre.leaf.atom
         return _flg("Ax", [], target, selector=atom)
-    pair = (r, d.premises[0].rule) if d.premises else None
-    patt = _PATTERNS.get(pair)
-    if patt is not None:
-        inner = _to_flg(d.premises[0].premises[0])
-        if patt in ("defocus-neg", "defocus-pos"):
-            return _flg("mu*", [inner], target)
-        if patt in ("focus-neg", "focus-pos"):
-            return _flg("mu~", [inner], target)
+    if _pattern(d) is not None:
+        section = (r, d.premises[0].rule)
+        if section in _FOCUSING:
+            return _flg(_FOCUSING[section], prems, target)
+        (inner,) = prems
         step = FlgDerivation("mu*", apply_flg("mu*", [inner]), (inner,))
         return _flg("mu~", [step], target)
-    if r in _SAME_NAME or r.startswith("dp("):
-        prems = [_to_flg(p) for p in d.premises]
+    if r in _LOGICAL_RULES or r.startswith("dp("):
         return _flg(r, prems, target)
     raise TranslateError(f"rule {r!r} has no companion image "
                          f"(unmatched section: input not minimal?)")
@@ -601,15 +549,8 @@ def _to_flg(d: Derivation) -> FlgDerivation:
 
 
 def flg_to_json(d: FlgDerivation, neg_atoms) -> str:
-    import json
-
-    def node(x: FlgDerivation):
-        return {"rule": x.rule,
-                "conclusion": render_flg_sequent(x.conclusion),
-                "premises": [node(p) for p in x.premises]}
-    doc = {"calculus": "flg", "negAtoms": sorted(neg_atoms)}
-    doc.update(node(d))
-    return json.dumps(doc, indent=1)
+    return write_document(d, {"calculus": "flg", "negAtoms": sorted(neg_atoms)},
+                          render_flg_sequent)
 
 
 def _raw_to_fstruct(r, neg: frozenset[str]) -> FStruct:

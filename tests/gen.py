@@ -1,9 +1,11 @@
 """Deterministic generators and the bounded forward enumeration used by the
-property and acceptance tests."""
+property and acceptance tests, and a way to run a deeply recursive reference."""
 
 from __future__ import annotations
 
 import random
+import sys
+import threading
 
 from fdlg.syntax import Atom, Formula, Structure, Sequent, SortError, leaf
 from fdlg.rules import ORDERED_RULES, match_sequent, instantiate_sequent, MatchFail
@@ -227,3 +229,32 @@ def random_flg_derivation(rng: random.Random, max_depth: int = 6) -> FlgDerivati
 
 def _flg_height(d: FlgDerivation) -> int:
     return 1 + max((_flg_height(p) for p in d.premises), default=0)
+
+
+def with_deep_stack(fn, *args):
+    """fn(*args) in a thread with a 64 MiB stack and a recursion limit of
+    20,000, for recursive references on derivations a few thousand deep."""
+    out: list = []
+    limit, size = sys.getrecursionlimit(), threading.stack_size(64 << 20)
+    try:
+        sys.setrecursionlimit(20_000)
+        worker = threading.Thread(target=lambda: out.append(fn(*args)))
+        worker.start()
+        worker.join(timeout=120)
+    finally:
+        threading.stack_size(size)
+        sys.setrecursionlimit(limit)
+    assert not worker.is_alive(), "the call did not finish in 120 s"
+    assert out, "the call raised"
+    return out[0]
+
+
+def document_nodes(doc: dict) -> list[tuple]:
+    """(rule, conclusion, premise count) of a loaded exchange document's
+    nodes, in pre-order; iterative."""
+    out, stack = [], [doc]
+    while stack:
+        x = stack.pop()
+        out.append((x["rule"], x["conclusion"], len(x["premises"])))
+        stack.extend(reversed(x["premises"]))
+    return out

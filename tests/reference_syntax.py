@@ -24,14 +24,15 @@ from fdlg.syntax import (OP_SIG, SHIFT_ADJOINTS, STRUCT_SIG, VARIANT_STRUCTS,
 
 def node_sort(cls, conn, args):
     """Sort of a new non-leaf node of class cls by the full check alone: the
-    connective, then the arity, then each argument in turn."""
+    connective, then the arity, then each argument in turn, its class (that
+    of the node) before its sort."""
     if cls is Formula:
         sig, what = OP_SIG, "operational"
     else:
         sig, what = STRUCT_SIG, "structural"
     if conn not in sig:
         raise SortError(f"unknown {what} connective {conn!r}")
-    return _check_args(conn, sig[conn], args)
+    return _check_args(conn, sig[conn], args, cls)
 
 
 _TOKENS = sorted(

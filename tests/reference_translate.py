@@ -1,0 +1,326 @@
+"""The companion rules, translation saturation and the exchange writers in
+their earlier hand-written form, kept as the reference.
+
+`fdlg.translate` reads the companion calculus's connective rules and display
+postulates from tables, `fdlg.kernel` saturates either side of a sequent
+through one table of display moves, and one iterative writer produces the
+exchange text of both calculi.  This module keeps one branch per rule, the
+two mirror-image folds `_fold_suc`/`_fold_pre` (with the identity expansion
+and saturation built on them), and the writers that hand nested dicts to
+`json.dumps(..., indent=1)`.  The differential tests require both to give
+equal results and the same errors, and byte-identical text.
+"""
+
+from __future__ import annotations
+
+import json
+
+from fdlg.syntax import Atom, Structure, render_sequent
+from fdlg.kernel import Derivation, KernelError, derive
+from fdlg.standardize import StandardizeError, form_of, ftoM, ftom, str_of
+from fdlg.translate import (CFormula, FlgSequent, TranslateError, _formula, cf,
+                            fleaf, formula_polarity, fs, render_flg_sequent)
+
+
+def apply_flg(rule: str, premises, selector: Atom | None = None,
+              side: str | None = None) -> FlgSequent:
+    """Forward application in the companion calculus; unique conclusion.
+
+    `side` disambiguates mu~ when both a positive precedent formula and a
+    negative succedent formula could take the focus.
+    """
+    ps = [p.conclusion if isinstance(p, Derivation) else p for p in premises]
+
+    def arity(n):
+        if len(ps) != n:
+            raise TranslateError(f"{rule} takes {n} premise(s)")
+
+    if rule == "Ax":
+        arity(0)
+        if selector is None:
+            raise TranslateError("Ax needs an atom selector")
+        a = fleaf(CFormula(None, selector))
+        return (FlgSequent(a, a, "suc") if selector.positive
+                else FlgSequent(a, a, "pre"))
+    if rule == "mu*":
+        arity(1)
+        (s,) = ps
+        if s.focus == "suc":
+            if not formula_polarity(_formula(s.suc)):
+                raise TranslateError("mu* defocuses a positive succedent formula")
+            return FlgSequent(s.pre, s.suc, None)
+        if s.focus == "pre":
+            if formula_polarity(_formula(s.pre)):
+                raise TranslateError("mu* defocuses a negative precedent formula")
+            return FlgSequent(s.pre, s.suc, None)
+        raise TranslateError("mu* needs a focused premise")
+    if rule == "mu~":
+        arity(1)
+        (s,) = ps
+        if s.focus is not None:
+            raise TranslateError("mu~ needs an unfocused premise")
+        pre_ok = s.pre.conn is None and formula_polarity(s.pre.leaf)
+        suc_ok = s.suc.conn is None and not formula_polarity(s.suc.leaf)
+        if side == "pre" or (side is None and pre_ok):
+            if not pre_ok:
+                raise TranslateError("precedent is not a positive formula")
+            return FlgSequent(s.pre, s.suc, "pre")
+        if suc_ok:
+            return FlgSequent(s.pre, s.suc, "suc")
+        raise TranslateError("mu~ focuses a positive precedent or negative succedent formula")
+
+    if rule == "otimes_R":
+        arity(2)
+        l, r = ps
+        if l.focus != "suc" or r.focus != "suc":
+            raise TranslateError("otimes_R needs two right-focused premises")
+        a, b = _formula(l.suc), _formula(r.suc)
+        return FlgSequent(fs(".*", l.pre, r.pre), fleaf(cf("*", a, b)), "suc")
+    if rule == "oslash_R":
+        arity(2)
+        l, r = ps
+        if l.focus != "suc" or r.focus != "pre":
+            raise TranslateError("oslash_R needs right- and left-focused premises")
+        a, b = _formula(l.suc), _formula(r.pre)
+        return FlgSequent(fs(".(/)", l.pre, r.suc), fleaf(cf("(/)", a, b)), "suc")
+    if rule == "obslash_R":
+        arity(2)
+        l, r = ps
+        if l.focus != "pre" or r.focus != "suc":
+            raise TranslateError("obslash_R needs left- and right-focused premises")
+        a, b = _formula(l.pre), _formula(r.suc)
+        return FlgSequent(fs(".(\\)", l.suc, r.pre), fleaf(cf("(\\)", a, b)), "suc")
+    if rule == "oplus_L":
+        arity(2)
+        l, r = ps
+        if l.focus != "pre" or r.focus != "pre":
+            raise TranslateError("oplus_L needs two left-focused premises")
+        a, b = _formula(l.pre), _formula(r.pre)
+        return FlgSequent(fleaf(cf("(+)", a, b)), fs(".(+)", l.suc, r.suc), "pre")
+    if rule == "under_L":
+        arity(2)
+        l, r = ps
+        if l.focus != "suc" or r.focus != "pre":
+            raise TranslateError("under_L needs right- and left-focused premises")
+        a, b = _formula(l.suc), _formula(r.pre)
+        return FlgSequent(fleaf(cf("\\", a, b)), fs(".\\", l.pre, r.suc), "pre")
+    if rule == "over_L":
+        arity(2)
+        l, r = ps
+        if l.focus != "pre" or r.focus != "suc":
+            raise TranslateError("over_L needs left- and right-focused premises")
+        a, b = _formula(l.pre), _formula(r.suc)
+        return FlgSequent(fleaf(cf("/", a, b)), fs("./", l.suc, r.pre), "pre")
+
+    if rule in ("otimes_L", "oslash_L", "obslash_L"):
+        arity(1)
+        (s,) = ps
+        conn = {"otimes_L": ".*", "oslash_L": ".(/)", "obslash_L": ".(\\)"}[rule]
+        if s.focus is not None or s.pre.conn != conn:
+            raise TranslateError(f"{rule} wants an unfocused {conn}-rooted precedent")
+        a, b = (_formula(x) for x in s.pre.args)
+        return FlgSequent(fleaf(cf(conn[1:], a, b)), s.suc, None)
+    if rule in ("oplus_R", "under_R", "over_R"):
+        arity(1)
+        (s,) = ps
+        conn = {"oplus_R": ".(+)", "under_R": ".\\", "over_R": "./"}[rule]
+        if s.focus is not None or s.suc.conn != conn:
+            raise TranslateError(f"{rule} wants an unfocused {conn}-rooted succedent")
+        a, b = (_formula(x) for x in s.suc.args)
+        return FlgSequent(s.pre, fleaf(cf(conn[1:], a, b)), None)
+
+    if rule.startswith("dp("):
+        arity(1)
+        (s,) = ps
+        if s.focus is not None:
+            raise TranslateError("display postulates apply in neutral phases only")
+        base, inv = (rule[:-1], True) if rule.endswith("'") else (rule, False)
+        # (premise root side+conn, builder)
+        moves = {
+            ("dp(.*,.\\)", False): ("suc", ".\\",
+                lambda q: FlgSequent(fs(".*", q.suc.args[0], q.pre), q.suc.args[1])),
+            ("dp(.*,.\\)", True): ("pre", ".*",
+                lambda q: FlgSequent(q.pre.args[1], fs(".\\", q.pre.args[0], q.suc))),
+            ("dp(.*,./)", False): ("pre", ".*",
+                lambda q: FlgSequent(q.pre.args[0], fs("./", q.suc, q.pre.args[1]))),
+            ("dp(.*,./)", True): ("suc", "./",
+                lambda q: FlgSequent(fs(".*", q.pre, q.suc.args[1]), q.suc.args[0])),
+            ("dp(.(/),.(+))", False): ("pre", ".(/)",
+                lambda q: FlgSequent(q.pre.args[0], fs(".(+)", q.suc, q.pre.args[1]))),
+            ("dp(.(/),.(+))", True): ("suc", ".(+)",
+                lambda q: FlgSequent(fs(".(/)", q.pre, q.suc.args[1]), q.suc.args[0])),
+            ("dp(.(\\),.(+))", False): ("suc", ".(+)",
+                lambda q: FlgSequent(fs(".(\\)", q.suc.args[0], q.pre), q.suc.args[1])),
+            ("dp(.(\\),.(+))", True): ("pre", ".(\\)",
+                lambda q: FlgSequent(q.pre.args[1], fs(".(+)", q.pre.args[0], q.suc))),
+        }
+        key = (base, inv)
+        if key not in moves:
+            raise TranslateError(f"unknown rule {rule!r}")
+        where, conn, fn = moves[key]
+        root = s.pre if where == "pre" else s.suc
+        if root.conn != conn:
+            raise TranslateError(f"{rule} wants a {conn}-rooted {where} side")
+        try:
+            return fn(s)
+        except TranslateError:
+            raise TranslateError(f"{rule} does not apply") from None
+    raise TranslateError(f"unknown rule {rule!r}")
+
+
+def saturate_translations(d: Derivation, side: str) -> Derivation:
+    """Extend `d` until the chosen side of its end-sequent is a formula."""
+    if side not in ("pre", "suc"):
+        raise KernelError("side must be 'pre' or 'suc'")
+    target = d.conclusion.pre if side == "pre" else d.conclusion.suc
+    try:
+        form_of(target)
+    except StandardizeError:
+        raise KernelError("side contains a connective with no operational "
+                          "counterpart") from None
+    return _fold_pre(d) if side == "pre" else _fold_suc(d)
+
+
+def _fold_suc(d: Derivation) -> Derivation:
+    suc = d.conclusion.suc
+    if suc.conn is None:
+        return d
+    c = suc.conn
+    if c == ".dn":
+        d = derive("s-down'", d)
+        d = _fold_suc(d)
+        d = derive("s-down", d)
+        return derive("down_R", d)
+    if c == ".(+)":
+        if suc.args[0].conn is not None:
+            d = derive("dp(.(/),.(+))'", d)    # left summand becomes the succedent
+            d = _fold_suc(d)
+            d = derive("dp(.(/),.(+))", d)
+        if d.conclusion.suc.args[1].conn is not None:
+            d = derive("dp(.(\\),.(+))", d)    # right summand becomes the succedent
+            d = _fold_suc(d)
+            d = derive("dp(.(\\),.(+))'", d)
+        return derive("oplus_R", d)
+    if c == ".\\":
+        if suc.args[0].conn is not None:
+            d = derive("dp(.*,.\\)", d)        # numerator to the precedent, then out
+            d = derive("dp(.*,./)", d)
+            d = _fold_pre(d)
+            d = derive("dp(.*,./)'", d)
+            d = derive("dp(.*,.\\)'", d)
+        if d.conclusion.suc.args[1].conn is not None:
+            d = derive("dp(.*,.\\)", d)
+            d = _fold_suc(d)
+            d = derive("dp(.*,.\\)'", d)
+        return derive("under_R", d)
+    if c == "./":
+        if suc.args[1].conn is not None:
+            d = derive("dp(.*,./)'", d)
+            d = derive("dp(.*,.\\)'", d)
+            d = _fold_pre(d)
+            d = derive("dp(.*,.\\)", d)
+            d = derive("dp(.*,./)", d)
+        if d.conclusion.suc.args[0].conn is not None:
+            d = derive("dp(.*,./)'", d)
+            d = _fold_suc(d)
+            d = derive("dp(.*,./)", d)
+        return derive("over_R", d)
+    raise KernelError(f"cannot fold succedent connective {c!r} in this position")
+
+
+def _fold_pre(d: Derivation) -> Derivation:
+    pre = d.conclusion.pre
+    if pre.conn is None:
+        return d
+    c = pre.conn
+    if c == ".up":
+        d = derive("s-up'", d)
+        d = _fold_pre(d)
+        d = derive("s-up", d)
+        return derive("up_L", d)
+    if c == ".*":
+        if pre.args[0].conn is not None:
+            d = derive("dp(.*,./)", d)
+            d = _fold_pre(d)
+            d = derive("dp(.*,./)'", d)
+        if d.conclusion.pre.args[1].conn is not None:
+            d = derive("dp(.*,.\\)'", d)
+            d = _fold_pre(d)
+            d = derive("dp(.*,.\\)", d)
+        return derive("otimes_L", d)
+    if c == ".(/)":
+        if pre.args[0].conn is not None:
+            d = derive("dp(.(/),.(+))", d)
+            d = _fold_pre(d)
+            d = derive("dp(.(/),.(+))'", d)
+        if d.conclusion.pre.args[1].conn is not None:
+            d = derive("dp(.(/),.(+))", d)     # co-denominator to the succedent
+            d = derive("dp(.(\\),.(+))", d)
+            d = _fold_suc(d)
+            d = derive("dp(.(\\),.(+))'", d)
+            d = derive("dp(.(/),.(+))'", d)
+        return derive("oslash_L", d)
+    if c == ".(\\)":
+        if pre.args[1].conn is not None:
+            d = derive("dp(.(\\),.(+))'", d)
+            d = _fold_pre(d)
+            d = derive("dp(.(\\),.(+))", d)
+        if d.conclusion.pre.args[0].conn is not None:
+            d = derive("dp(.(\\),.(+))'", d)
+            d = derive("dp(.(/),.(+))'", d)
+            d = _fold_suc(d)
+            d = derive("dp(.(/),.(+))", d)
+            d = derive("dp(.(\\),.(+))", d)
+        return derive("obslash_L", d)
+    raise KernelError(f"cannot fold precedent connective {c!r} in this position")
+
+
+_EXPANSION = {
+    ".*": ("otimes_R", _fold_suc, _fold_suc),
+    ".(/)": ("oslash_R", _fold_suc, _fold_pre),
+    ".(\\)": ("obslash_R", _fold_pre, _fold_suc),
+    ".(+)": ("oplus_L", _fold_pre, _fold_pre),
+    ".\\": ("under_L", _fold_suc, _fold_pre),
+    "./": ("over_L", _fold_pre, _fold_suc),
+}
+
+
+def identity_expansion(psi: Structure) -> Derivation:
+    ftom(psi), ftoM(psi)                  # raise StandardizeError if undefined
+    if psi.conn is None:
+        a = psi.leaf
+        if a.conn is None:
+            return derive("p-Id" if a.atom.positive else "n-Id", selector=a.atom)
+        return identity_expansion(str_of(a))
+    c = psi.conn
+    if c == ".dn":
+        sub = identity_expansion(psi.args[0])   # Form(D) |- hi(D), precedent is a formula
+        return derive("down_L", sub)
+    if c == ".up":
+        sub = identity_expansion(psi.args[0])   # lo(X) |- Form(X)
+        return derive("up_R", sub)
+    if c not in _EXPANSION:
+        raise KernelError(f"identity expansion undefined at {c!r}")
+    rule, fold_l, fold_r = _EXPANSION[c]
+    return derive(rule, fold_l(identity_expansion(psi.args[0])),
+                  fold_r(identity_expansion(psi.args[1])))
+
+
+def derivation_to_json(d: Derivation, neg_atoms) -> str:
+    def node(x: Derivation):
+        return {"rule": x.rule,
+                "conclusion": render_sequent(x.conclusion),
+                "premises": [node(p) for p in x.premises]}
+    doc = {"negAtoms": sorted(neg_atoms)}
+    doc.update(node(d))
+    return json.dumps(doc, indent=1)
+
+
+def flg_to_json(d: Derivation, neg_atoms) -> str:
+    def node(x: Derivation):
+        return {"rule": x.rule,
+                "conclusion": render_flg_sequent(x.conclusion),
+                "premises": [node(p) for p in x.premises]}
+    doc = {"calculus": "flg", "negAtoms": sorted(neg_atoms)}
+    doc.update(node(d))
+    return json.dumps(doc, indent=1)

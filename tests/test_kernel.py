@@ -1,5 +1,6 @@
 """Rule schemas, checking, forward/backward application, derivation builders."""
 
+import json
 import random
 
 import pytest
@@ -14,13 +15,15 @@ from fdlg.kernel import (Derivation, CheckReport, check_derivation,
                          iter_nodes, neg_atoms_of, derive, rule_count,
                          transform_derivation)
 from fdlg.cutelim import has_cut, trace_chain
+from fdlg.focus import check_strong_focalization, minimize_proof
 from fdlg.corpus import golden_sequents
 from fdlg.search import SearchConfig, prove
 from fdlg.standardize import ftom, ftoM
 from fdlg.rules import REGISTRY, CUT_RULES
 
 import reference_rules as ref
-from gen import forward_closure, random_cut_proof
+import reference_translate as ref_translate
+from gen import document_nodes, forward_closure, random_cut_proof, with_deep_stack
 
 
 def _ax(name, atom, pos=True):
@@ -305,15 +308,40 @@ def test_iter_nodes_preorder_and_paths():
         assert has_cut(d)
 
 
+def _shift_chain(base: Derivation, length: int) -> Derivation:
+    """`length` alternating s-down'/s-down steps over down_L of `base`."""
+    d = derive("down_L", base)
+    for _ in range(length):
+        d = derive("s-down" if d.rule == "s-down'" else "s-down'", d)
+    return d
+
+
 def test_derivation_walks_on_a_deep_chain():
     n = Atom("n", False)
     cut = make_cut(derive("n-Id", selector=n), derive("n-Id", selector=n))
-    d = derive("down_L", cut)
-    for _ in range(2000):
-        d = derive("s-down" if d.rule == "s-down'" else "s-down'", d)
+    d = _shift_chain(cut, 2000)
     assert kernel.height(d) == 2003
     assert rule_count(d) == 2004
     nodes = list(iter_nodes(d))
     assert [p for p, _ in nodes] == [(0,) * k for k in range(2003)] + [(0,) * 2001 + (1,)]
     assert nodes[2001][1] is cut
     assert has_cut(d) and not has_cut(cut.premises[0])
+    # equality and hashing between separately built copies
+    twin = _shift_chain(make_cut(derive("n-Id", selector=n), derive("n-Id", selector=n)), 2000)
+    assert twin is not d and twin == d and hash(twin) == hash(d)
+    assert d != _shift_chain(cut, 1998) and d != _shift_chain(cut.premises[0], 2000)
+    assert repr(d) == "[s-down: dn n |- .dn n]"
+    # the identity map rebuilds an equal proof; minimization cancels every pair
+    assert transform_derivation(d, lambda seq: seq) == d
+    assert minimize_proof(d) == derive("down_L", derive("n-Id", selector=n))
+    doc = with_deep_stack(json.loads, derivation_to_json(d, {"n"}))
+    assert doc["negAtoms"] == ["n"] and document_nodes(doc) == [
+        (x.rule, render_sequent(x.conclusion), len(x.premises)) for _, x in iter_nodes(d)]
+    short = _shift_chain(cut, 300)      # json.dumps takes quadratic time in the depth
+    assert (derivation_to_json(short, {"n"})
+            == with_deep_stack(ref_translate.derivation_to_json, short, {"n"}))
+    # a cut-free chain: every end-sequent occurrence is traced through it
+    free = _shift_chain(derive("n-Id", selector=n), 2000)
+    assert check_strong_focalization(free) == check_strong_focalization(
+        _shift_chain(derive("n-Id", selector=n), 2))
+    assert kernel.trace_to_intro(free, ("pre", ())) == (0,) * 2000

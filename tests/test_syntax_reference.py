@@ -125,10 +125,11 @@ def _new_sort(cls, conn, args):
 @pytest.mark.parametrize("cls, sig, table", SIGNATURES)
 def test_sort_table_holds_exactly_the_well_sorted_tuples(cls, sig, table):
     want = {}
+    sorted_terms = SORTED_FORMULAS if cls is Formula else SORTED_STRUCTURES
     for conn, spec in sig.items():
-        for terms in product(SORTED_FORMULAS, repeat=len(spec[1])):
+        for terms in product(sorted_terms, repeat=len(spec[1])):
             try:
-                target = _check_args(conn, spec, terms)
+                target = _check_args(conn, spec, terms, cls)
             except SortError:
                 continue
             want[(conn,) + tuple(id(x.sort) for x in terms)] = target
@@ -140,7 +141,8 @@ def test_sort_table_holds_exactly_the_well_sorted_tuples(cls, sig, table):
 def test_constructors_match_the_full_check(cls, sig, table):
     other = STRUCT_SIG if cls is Formula else OP_SIG
     conns = list(sig) + list(other) + ["", "?", "up ", "*l"]
-    # Both term classes as arguments: the check looks at sorts only.
+    # Both term classes as arguments: an argument of the other class, of any
+    # sort, must miss the table and fail the full check.
     terms = SORTED_FORMULAS + SORTED_STRUCTURES
     for conn in conns:
         for n in range(4):
@@ -150,8 +152,31 @@ def test_constructors_match_the_full_check(cls, sig, table):
                 if isinstance(got, tuple):
                     assert got[0] is SortError, (conn, args, got)
                 else:
+                    assert all(type(x) is cls for x in args), (conn, args)
                     assert got in (PP, PS, NP, NS) and got is table[
                         (conn,) + tuple(id(x.sort) for x in args)]
+
+
+def test_constructors_reject_arguments_of_the_other_class():
+    p = fatom("p")
+    cases = [(lambda: Formula("*", None, (leaf(p), leaf(p))),
+              "argument 1 of * must be a Formula, got Structure"),
+             (lambda: Formula("*", None, (p, leaf(p))),
+              "argument 2 of * must be a Formula, got Structure"),
+             (lambda: Formula("dn", None, (Atom("p", True),)),
+              "argument 1 of dn must be a Formula, got Atom"),
+             (lambda: Structure(".*", None, (p, p)),
+              "argument 1 of .* must be a Structure, got Formula"),
+             (lambda: Structure(".up", None, (p,)),
+              "argument 1 of .up must be a Structure, got Formula"),
+             (lambda: Structure(None, leaf(p)),
+              "leaf structure must carry a formula and no arguments"),
+             (lambda: Formula(None, "p"),
+              "atom formula must carry an Atom and no arguments")]
+    for build, message in cases:
+        with pytest.raises(SortError) as err:
+            build()
+        assert str(err.value) == message
 
 
 @pytest.mark.parametrize("cls, sig, table", SIGNATURES)

@@ -1,10 +1,11 @@
 """The companion calculus and the two proof translations."""
 
+import json
 import random
 
 import pytest
 
-from fdlg.syntax import ParseError, parse_formula, parse_sequent, render_formula
+from fdlg.syntax import Atom, ParseError, parse_formula, parse_sequent, render_formula
 from fdlg.kernel import check_derivation, iter_nodes, rule_count
 from fdlg.focus import minimize_proof
 from fdlg.translate import (CFormula, catom, cf, parse_cformula, formula_polarity,
@@ -17,7 +18,7 @@ from fdlg.translate import (CFormula, catom, cf, parse_cformula, formula_polarit
                             flg_rule_count, logical_rule_count, parse_flg_sequent)
 from fdlg.corpus import reading_forall_exists, reading_exists_forall
 
-from gen import random_flg_derivation
+from gen import document_nodes, random_flg_derivation, with_deep_stack
 
 
 def test_polarize_examples():
@@ -189,6 +190,27 @@ def test_companion_walks_match_recursive_references():
         assert flg_rule_count(d) == rule_count(d) == _flg_rule_count_recursive(d)
         branching += any(len(n.premises) > 1 for _, n in expected)
     assert branching > 10
+
+
+def test_companion_walks_on_a_deep_chain():
+    # otimes_R of two axioms, mu*, then 2,000 alternating display postulates
+    ax = FlgDerivation("Ax", apply_flg("Ax", [], selector=Atom("p", True)))
+    top = FlgDerivation("otimes_R", apply_flg("otimes_R", [ax, ax]), (ax, ax))
+    top = FlgDerivation("mu*", apply_flg("mu*", [top]), (top,))
+    d = top
+    for _ in range(2000):
+        rule = "dp(.*,./)'" if d.rule == "dp(.*,./)" else "dp(.*,./)"
+        d = FlgDerivation(rule, apply_flg(rule, [d]), (d,))
+    assert check_flg(d) == (True, "ok")
+    doc = with_deep_stack(json.loads, flg_to_json(d, {"n"}))
+    assert doc["calculus"] == "flg" and document_nodes(doc) == [
+        (x.rule, render_flg_sequent(x.conclusion), len(x.premises)) for _, x in iter_nodes(d)]
+    assert repr(d) == "[dp(.*,./)': p .* p |- (p * p)]"
+    image = translate_to_fdlg(d)
+    assert check_derivation(image).ok and rule_count(image) == 2000 + 5
+    assert image.conclusion == polarize_sequent(d.conclusion)
+    # minimization cancels the postulates in pairs; the rest maps back
+    assert translate_to_flg(image) == top
 
 
 def test_translation_injective_on_pool():

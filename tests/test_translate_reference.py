@@ -1,0 +1,117 @@
+"""The table-driven companion rules, translation saturation and exchange
+writer against their hand-written forms in `reference_translate`."""
+
+import random
+
+from fdlg import kernel, translate
+from fdlg.kernel import Derivation, derivation_to_json, identity_expansion, saturate_translations
+from fdlg.syntax import Atom, Sequent
+from fdlg.translate import FlgSequent, apply_flg, flg_to_json
+
+import reference_translate as ref
+from gen import random_cut_proof, random_flg_derivation, random_structure
+
+
+def _outcome(fn, *args, **kwargs):
+    """What a call gives: its value, or the type and message of its error."""
+    try:
+        return fn(*args, **kwargs)
+    except Exception as e:  # noqa: BLE001 - any error must be the same one
+        return type(e), str(e)
+
+
+# Every companion rule but the axiom, and names that are no rule.
+COMPANION_RULES = sorted({*kernel.TONICITY_PREMISES, *translate._UNFOCUSED,
+                          *translate._DISPLAY, "mu*", "mu~"})
+UNKNOWN_RULES = ["dp(.*,.*)", "dp(.*,.\\)''", "otimes", "Ax'", "", "P-Cut", "s-down"]
+
+
+def _arity(rule: str) -> int:
+    return 0 if rule == "Ax" else 2 if rule in kernel.TONICITY_PREMISES else 1
+
+
+def _companion_sequents(rng: random.Random, size: int) -> list[FlgSequent]:
+    """`size` distinct companion sequents, focused and unfocused, grown
+    forward from the axioms by random rule applications."""
+    pool = {ref.apply_flg("Ax", [], selector=a): None
+            for a in (Atom("p", True), Atom("n", False))}
+    while len(pool) < size:
+        rule = rng.choice(COMPANION_RULES)
+        seqs = list(pool)
+        premises = [rng.choice(seqs) for _ in range(_arity(rule))]
+        try:
+            pool.setdefault(ref.apply_flg(rule, premises), None)
+        except translate.TranslateError:
+            continue
+    return list(pool)
+
+
+def test_apply_flg_matches_reference():
+    rng = random.Random(7001)
+    pool = _companion_sequents(rng, 1_500)
+    atoms = [Atom("p", True), Atom("n", False), None]
+    applied, errors = set(), 0
+    for _ in range(60_000):
+        rule = rng.choice(COMPANION_RULES + ["Ax"] if rng.random() < 0.95 else UNKNOWN_RULES)
+        n = _arity(rule) if rng.random() < 0.85 else rng.randrange(4)
+        premises = [rng.choice(pool) for _ in range(n)]
+        if rng.random() < 0.2:      # derivations as premises, as the generators pass them
+            premises = [Derivation("Ax", p) for p in premises]
+        kwargs = {"selector": rng.choice(atoms), "side": rng.choice((None, "pre", "suc"))}
+        got = _outcome(apply_flg, rule, premises, **kwargs)
+        assert got == _outcome(ref.apply_flg, rule, premises, **kwargs), (rule, premises)
+        if isinstance(got, FlgSequent):
+            applied.add(rule)
+        else:
+            assert got[0] is translate.TranslateError, (rule, premises, got)
+            errors += 1
+    # Every rule applies somewhere, and errors are common enough to mean something.
+    assert applied == {*COMPANION_RULES, "Ax"} and errors > 10_000
+
+
+def _odd_atoms(tag: str):
+    """Atoms whose names need JSON escapes."""
+    return (Atom(f'p"{tag}\\', True), Atom(f"né{tag}\n", False))
+
+
+def test_exchange_writer_matches_json_dumps():
+    rng = random.Random(7002)
+    for i in range(150):
+        d = random_cut_proof(rng, 2 + i % 4)
+        for neg in ((), {"n"}, {"n", 'q"\\', "é\t"}):
+            assert derivation_to_json(d, neg) == ref.derivation_to_json(d, neg)
+    for i in range(150):
+        d = random_flg_derivation(rng, 2 + i % 6)
+        for neg in ((), {"n"}, {'q"\\', "é\t"}):
+            assert flg_to_json(d, neg) == ref.flg_to_json(d, neg)
+    # conclusions whose atom names need escapes, in both calculi
+    for tag in ("a", "b"):
+        p, n = _odd_atoms(tag)
+        d = kernel.derive("otimes_R", kernel.derive("p-Id", selector=p),
+                          kernel.derive("p-Id", selector=p))
+        assert derivation_to_json(d, {n.name}) == ref.derivation_to_json(d, {n.name})
+        c = Derivation("Ax", apply_flg("Ax", [], selector=n))
+        c = Derivation("mu*", apply_flg("mu*", [c]), (c,))
+        assert flg_to_json(c, {n.name}) == ref.flg_to_json(c, {n.name})
+
+
+def test_identity_expansion_and_saturation_match_reference():
+    rng = random.Random(7003)
+    built = folded = 0
+    for i in range(4_000):
+        psi = random_structure(rng, 1 + i % 5, include_variants=i % 7 == 0)
+        got = _outcome(identity_expansion, psi)
+        assert got == _outcome(ref.identity_expansion, psi), psi
+        # an unchecked leaf over a random sequent reaches every fold error too
+        other = random_structure(rng, 1 + i % 4)
+        bases = [Derivation("p-Id", Sequent(psi, other)) if psi.sort.positive
+                 or not other.sort.positive else None]
+        if isinstance(got, Derivation):
+            built += 1
+            bases.append(got)
+        for base in filter(None, bases):
+            for side in ("pre", "suc"):
+                out = _outcome(saturate_translations, base, side)
+                assert out == _outcome(ref.saturate_translations, base, side), (base, side)
+                folded += isinstance(out, Derivation)
+    assert built > 1_000 and folded > 2_000
