@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import random
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import islice, product
+from itertools import accumulate, islice, product
 from typing import NamedTuple
 
 from .syntax import (Structure, Sequent, STRUCT_OF_OP, formula_nodes,
@@ -573,8 +574,9 @@ def lg_isomorphic(g1: LGAlgebra, g2: LGAlgebra) -> bool:
 # Interpretation
 
 
-def atoms_of(seq: Sequent) -> list:
-    """The distinct atoms of a sequent, in order of first occurrence."""
+def atoms_of(seq: Sequent | Structure) -> list:
+    """The distinct atoms of a sequent or structure, in order of first
+    occurrence."""
     return list(dict.fromkeys([x.atom for x in formula_nodes(seq) if x.conn is None]))
 
 
@@ -699,18 +701,38 @@ def check_rule_soundness(rule, a: FiniteFPLG, max_checks: int = 0) -> SoundnessR
         return map(view.truth.get, zip(_values(sp.pre, view.tables, leaf, False),
                                        _values(sp.suc, view.tables, leaf, False)))
 
-    conc = truths(rule.schema.conclusion)
+    conc = list(truths(rule.schema.conclusion))
+    if False not in conc:   # no assignment can violate the rule
+        return SoundnessReport(rule.name, len(combos), [])
     prems = [truths(sp) for sp in rule.schema.premises]
     violations = [dict(zip(names, combo)) for combo, c, *ps in zip(combos, conc, *prems)
                   if c is False and all(p is True for p in ps)]
     return SoundnessReport(rule.name, len(combos), violations)
 
 
-def check_rule_soundness_templates(rule_name: str, a: FiniteFPLG, atoms,
-                                   depth: int = 2, cap: int = 12000) -> SoundnessReport:
+def check_rule_soundness_templates(rule, a: FiniteFPLG, atoms, depth: int = 2,
+                                   cap: int = 12000) -> SoundnessReport:
     """Template-level sweep: metavariables range over generated structures of
-    bounded depth, then every valuation of the atoms is tested."""
-    rule = REGISTRY[rule_name]
+    bounded depth, then every valuation of the atoms is tested.
+
+    A combination of structures, taken in product order, is skipped if the
+    rule does not instantiate on it; otherwise each valuation of its atoms is
+    one check, and a combination whose sequents fall on a kind with no
+    interpreting relation is counted but not judged.  The cap is checked
+    before each combination, so the sweep stops at the first one reached
+    after `cap` checks and may end above it: diamond reports 12,008.
+
+    Combinations are evaluated in groups, by their signature: the tuple of
+    their structures' sorts.  The signature alone decides whether a
+    combination instantiates and the kind of each sequent, since every pooled
+    term is a Structure and the term constructors read nothing of their
+    arguments but sort and class.  So each signature is instantiated once,
+    and each group is evaluated column-wise, with one `_truths` call per
+    schema over the concatenated rows of its members.  Violations are listed
+    in product order, then in valuation order.
+    """
+    if isinstance(rule, str):
+        rule = REGISTRY[rule]
     varspec = _pattern_vars(rule)
     names = sorted(varspec)
     all_structs = list(iter_structures(tuple(atoms), depth, include_variants=False))
@@ -723,42 +745,81 @@ def check_rule_soundness_templates(rule_name: str, a: FiniteFPLG, atoms,
             pool = [st for st in pool if st.conn is None]
         pools.append(pool)
     schemas = (*rule.schema.premises, rule.schema.conclusion)
+    # The atoms of an instance, in order of first occurrence, are those of its
+    # structures in the order their variables first occur at the schemas'
+    # leaves: conclusion first, then the premises, as `atoms_of` reads them.
+    # The keys of `conc_vars`/`prem_vars` are in that order.
+    order = [names.index(n) for n in
+             dict.fromkeys([*rule.conc_vars, *(n for p in rule.prem_vars for n in p)])]
+    atom_keys = {}  # id of a pooled structure -> its atoms' keys, in order
     tables = a.view.tables
-    bound = {}    # (id of a pooled, so live, structure, atom keys) -> its values
+    kinds_of = {}   # signature -> the schemas' kinds, or None if it does not instantiate
+    # atom keys -> (the keys, every valuation of those atoms as a row, the
+    # atom leaf of those rows, {id of a pooled, so live, structure: its values})
+    by_atoms = {}
+    groups = {}     # signature -> [(combination index, combination, its by_atoms entry)]
     checked = 0
-    violations = []
-    for combo in product(*pools):
+    for index, combo in enumerate(product(*pools)):
         if checked >= cap:
             break
-        env = dict(zip(names, combo))
-        try:
-            *prems, conc = [instantiate_sequent(sp, env) for sp in schemas]
-        except (KeyError, ValueError):
+        sig = tuple([id(st.sort) for st in combo])
+        if sig not in kinds_of:
+            env = dict(zip(names, combo))
+            try:
+                kinds_of[sig] = tuple(instantiate_sequent(sp, env).kind for sp in schemas)
+            except (KeyError, ValueError):
+                kinds_of[sig] = None
+        if kinds_of[sig] is None:
             continue
-        seq_atoms = atoms_of(conc)
-        for at in (at for p in prems for at in atoms_of(p)):
-            if at not in seq_atoms:
-                seq_atoms.append(at)
-        vals = list(valuations(a, seq_atoms))
-        checked += len(vals)
-        keys = tuple((at.name, at.positive) for at in seq_atoms)
-        atom_leaf = _atom_leaf(tables, {key: tuple(v[key] for v in vals) for key in keys})
+        merged = []
+        for i in order:
+            st = combo[i]
+            if id(st) not in atom_keys:
+                atom_keys[id(st)] = [(at.name, at.positive) for at in atoms_of(st)]
+            merged += atom_keys[id(st)]
+        keys = tuple(dict.fromkeys(merged))
+        vals = by_atoms.get(keys)
+        if vals is None:
+            rows = list(product(*[a.P.elements if pos else a.N.elements for _, pos in keys]))
+            vals = by_atoms[keys] = (keys, rows,
+                                     _atom_leaf(tables, dict(zip(keys, zip(*rows)))), {})
+        checked += len(vals[1])
+        groups.setdefault(sig, []).append((index, combo, vals))
+
+    found = []    # (combination index, valuation index, violation)
+    for sig, members in groups.items():
+        cols = {}
 
         def leaf(var):
-            """Values of the structure bound to `var`; the instantiated
-            sequent is the pattern with these structures at its leaves."""
-            st = env[var.name]
-            if (id(st), keys) not in bound:
-                bound[id(st), keys] = _values(st, tables, atom_leaf, True)
-            return bound[id(st), keys]
+            """The rows of the structures bound to `var`, member after member;
+            each instantiated sequent is the pattern with its structures at
+            the leaves."""
+            if var.name not in cols:
+                i = names.index(var.name)
+                col = cols[var.name] = []
+                for _, combo, (_, _, atom_leaf, values) in members:
+                    st = combo[i]
+                    if id(st) not in values:
+                        values[id(st)] = _values(st, tables, atom_leaf, True)
+                    col += values[id(st)]
+            return cols[var.name]
 
         try:
-            *pv, cv = [_truths(seq.kind, a, sp.pre, sp.suc, leaf)
-                       for seq, sp in zip((*prems, conc), schemas)]
+            *pv, cv = [_truths(kind, a, sp.pre, sp.suc, leaf)
+                       for kind, sp in zip(kinds_of[sig], schemas)]
         except AlgebraError:
             continue
-        violations += [(env, v) for v, c, *ps in zip(vals, cv, *pv) if all(ps) and not c]
-    return SoundnessReport(rule_name, checked, violations)
+        bad = [r for r, c in enumerate(cv) if not c and all(p[r] for p in pv)]
+        if not bad:
+            continue
+        starts = list(accumulate((len(rows) for _, _, (_, rows, _, _) in members), initial=0))
+        for r in bad:
+            m = bisect_right(starts, r) - 1
+            index, combo, (keys, rows, _, _) = members[m]
+            found.append((index, r - starts[m],
+                          (dict(zip(names, combo)), dict(zip(keys, rows[r - starts[m]])))))
+    found.sort(key=lambda x: x[:2])
+    return SoundnessReport(rule.name, checked, [v for _, _, v in found])
 
 
 def _is_formula_var(rule: Directed, name: str) -> bool:

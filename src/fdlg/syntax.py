@@ -381,6 +381,9 @@ class Sequent(_Term):
     _fields = ("pre", "suc")
 
     def __init__(self, pre: Structure, suc: Structure):
+        if type(pre) is not Structure or type(suc) is not Structure:
+            side, x = ("precedent", pre) if type(pre) is not Structure else ("succedent", suc)
+            raise SortError(f"{side} of a sequent must be a Structure, got {type(x).__name__}")
         if not pre.sort.positive and suc.sort.positive:
             raise SortError("negative precedent with positive succedent is not a sequent")
         _Q_PRE(self, pre)

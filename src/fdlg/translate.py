@@ -307,6 +307,9 @@ def check_flg(d: FlgDerivation) -> tuple[bool, str]:
     for path, node in iter_nodes(d):
         try:
             if node.rule == "Ax":
+                if node.premises:
+                    return False, (f"at {path}: Ax expects 0 premise(s), "
+                                   f"got {len(node.premises)}")
                 atom = node.conclusion.pre.leaf.atom if node.conclusion.pre.conn is None else None
                 conc = apply_flg("Ax", [], selector=atom)
             elif node.rule == "mu~":

@@ -15,12 +15,14 @@ from fdlg.syntax import Atom
 ATOMS = (Atom("p", True), Atom("n", False))
 
 
-def _corrupted():
+def _corrupted(right=False):
+    """X .* Y |- P * Q over X |- P, unsound; with `right`, over Y |- Q."""
     return Directed(RuleSchema(
-        "bogus", "tonicity",
+        "bogus-right" if right else "bogus", "tonicity",
         (SeqPat(SNode(".*", (SVar("X", True), SVar("Y", True))),
                 FNode("*", (FVar("P", True), FVar("Q", True)))),),
-        SeqPat(SVar("X", True), FVar("P", True))))
+        SeqPat(SVar("Y", True), FVar("Q", True)) if right
+        else SeqPat(SVar("X", True), FVar("P", True))))
 
 
 @pytest.fixture(scope="module")
@@ -70,11 +72,66 @@ def test_interpret_matches_reference_on_templates(chain2):
     assert seen == {True, False, "uninterpretable"}
 
 
-@pytest.mark.parametrize("name", ["otimes_R", "s-down"])
-def test_template_sweep_matches_reference(chain2, name):
-    got = check_rule_soundness_templates(name, chain2, ATOMS)
-    want = ref.check_rule_soundness_templates(name, chain2, ATOMS)
+def _template_outcome(sweep, rule, inst, cap):
+    """(checked, violations) of a template sweep, or the type of its error."""
+    try:
+        rep = sweep(rule, inst, ATOMS, cap=cap)
+    except Exception as e:  # noqa: BLE001 - any error must be the same one
+        return type(e)
+    return rep.checked, rep.violations
+
+
+@pytest.fixture
+def bogus(monkeypatch):
+    """The corrupted rule; both corrupted rules are also known by name to the
+    reference, which looks rules up in the registry."""
+    rule, right = _corrupted(), _corrupted(right=True)
+    monkeypatch.setattr(ref, "REGISTRY", {**REGISTRY, rule.name: rule, right.name: right})
+    return rule
+
+
+@pytest.mark.parametrize("name", ["otimes_R", "s-down", "bogus"])
+def test_template_sweep_matches_reference(chain2, bogus, name):
+    rule = bogus if name == "bogus" else name
+    got = _template_outcome(check_rule_soundness_templates, rule, chain2, 12000)
+    assert got == _template_outcome(ref.check_rule_soundness_templates, name, chain2, 12000)
+    if rule is bogus:
+        assert len(got[1]) == 76
+
+
+@pytest.mark.parametrize("right, name, three_atoms, cap, count", [
+    # violations from two sort signatures, interleaved in product order
+    (False, "chain2", True, 3000, 234),
+    # several violations to a combination, over atoms in an order that
+    # neither the premise's variables nor their names give
+    (True, "diamond", False, 2000, 35),
+])
+def test_template_sweep_orders_violations_as_reference(bogus, right, name, three_atoms,
+                                                       cap, count):
+    atoms = (ATOMS[0], Atom("q", True), ATOMS[1]) if three_atoms else ATOMS
+    rule, inst = _corrupted(right), builtin(name)
+    got = check_rule_soundness_templates(rule, inst, atoms, cap=cap)
+    want = ref.check_rule_soundness_templates(rule.name, inst, atoms, cap=cap)
     assert (got.checked, got.violations) == (want.checked, want.violations)
+    assert (got.rule, len(got.violations)) == (rule.name, count)
+
+
+# Small enough to keep the reference's node-by-node sweeps quick, and a cap
+# that combinations step over: diamond's sweep of otimes_R stops at 164.
+SPLIT_CAP = 150
+
+
+@pytest.mark.parametrize("index", range(17))
+def test_template_sweep_matches_reference_on_every_rule(instances, bogus, index):
+    inst = instances[index]
+    for rule in [*REGISTRY.values(), bogus]:
+        got = _template_outcome(check_rule_soundness_templates, rule, inst, SPLIT_CAP)
+        want = _template_outcome(ref.check_rule_soundness_templates, rule.name, inst,
+                                 SPLIT_CAP)
+        assert got == want, (inst.name, rule.name)
+    if inst.name == "diamond":
+        assert check_rule_soundness_templates("otimes_R", inst, ATOMS,
+                                              cap=SPLIT_CAP).checked == 164
 
 
 def test_axioms_report_missing_operation(chain2):

@@ -185,6 +185,14 @@ def test_translate_malformed_flg_document(doc):
     assert code == 2 and out == "" and _one_error_line(err)
 
 
+def test_translate_rejects_axiom_with_premises():
+    ax = '{"rule": "Ax", "conclusion": "p |- [p]", "premises": []}'
+    doc = ('{"calculus": "flg", "rule": "Ax", "conclusion": "p |- [p]", '
+           f'"premises": [{ax}, {ax}]}}')
+    code, out, err = run(["translate", "--to", "fdlg", "-"], stdin=doc)
+    assert code == 1 and out == "" and "Ax expects 0 premise(s), got 2" in err
+
+
 @pytest.mark.parametrize("bracketing, message", [
     ("[0,5]", "out of range"),
     ("[0,[1]]", "neither"),

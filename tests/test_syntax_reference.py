@@ -172,7 +172,13 @@ def test_constructors_reject_arguments_of_the_other_class():
              (lambda: Structure(None, leaf(p)),
               "leaf structure must carry a formula and no arguments"),
              (lambda: Formula(None, "p"),
-              "atom formula must carry an Atom and no arguments")]
+              "atom formula must carry an Atom and no arguments"),
+             (lambda: Sequent(p, p),
+              "precedent of a sequent must be a Structure, got Formula"),
+             (lambda: Sequent(leaf(p), p),
+              "succedent of a sequent must be a Structure, got Formula"),
+             (lambda: Sequent(None, leaf(p)),
+              "precedent of a sequent must be a Structure, got NoneType")]
     for build, message in cases:
         with pytest.raises(SortError) as err:
             build()

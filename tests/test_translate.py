@@ -94,6 +94,14 @@ def test_translate_axiom():
     assert out.rule == "p-Id"
 
 
+def test_axiom_with_premises_does_not_check():
+    ax = FlgDerivation("Ax", apply_flg("Ax", [], selector=parse_formula("p").atom))
+    bad = FlgDerivation("Ax", ax.conclusion, (ax, ax))
+    assert check_flg(bad) == (False, "at (): Ax expects 0 premise(s), got 2")
+    with pytest.raises(TranslateError, match="Ax expects 0 premise"):
+        translate_to_fdlg(bad)
+
+
 def test_translate_mu_tilde_image():
     # focusing a positive formula on the left becomes the up-shift pair
     ax = FlgDerivation("Ax", apply_flg("Ax", [], selector=parse_formula("p").atom))
