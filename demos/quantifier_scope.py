@@ -9,12 +9,12 @@ from fdlg.corpus import LEXICON, SENTENCE, GOAL, reading_forall_exists, reading_
 from fdlg.search import parse_sentence, sentence_sequent, SearchConfig
 from fdlg.focus import entry_exit_points, check_strong_focalization
 from fdlg.kernel import iter_nodes
-from fdlg.syntax import render_sequent, render_formula
+from fdlg.syntax import render_sequent, render
 
 seq = sentence_sequent(list(SENTENCE), LEXICON, GOAL)
 print("lexicon entries:")
 for word, fml in LEXICON.entries.items():
-    print(f"  {word:9s} := {render_formula(fml)}")
+    print(f"  {word:9s} := {render(fml)}")
 print("\ngoal sequent:\n ", render_sequent(seq), f"   (kind {seq.kind})\n")
 
 readings = parse_sentence(list(SENTENCE), LEXICON, GOAL, SearchConfig(max_depth=40))
@@ -27,7 +27,7 @@ for i, d in enumerate(readings, 1):
     label = names.get(d, "an alternative display route to a reading above")
     print(f"\n--- proof {i}: {label}")
     for fml, tag, concl in entry_exit_points(d):
-        print(f"  {tag:10s} {render_formula(fml):24s} in  {render_sequent(concl)}")
+        print(f"  {tag:10s} {render(fml):24s} in  {render_sequent(concl)}")
 
 print("\nfull derivation of the wide-universal reading:")
 for path, node in iter_nodes(reading_forall_exists()):

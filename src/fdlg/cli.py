@@ -13,7 +13,7 @@ import sys
 from .syntax import (parse_sequent, parse_formula, render_sequent, render,
                      ParseError, SortError)
 from .kernel import (Derivation, check_derivation, derivation_to_json,
-                     derivation_from_json, neg_atoms_of, iter_nodes, KernelError)
+                     derivation_from_json, neg_atoms_of, iter_nodes, fold, KernelError)
 from .standardize import standard_sequent, StandardizeError
 from .focus import check_strong_focalization, MinimizeError
 from .search import prove, parse_sentence, SearchConfig, Lexicon, LexiconError
@@ -56,30 +56,19 @@ _RULE_LATEX = {
 
 
 def latex_derivation(d: Derivation, color: bool = False) -> str:
-    """bussproofs rendering of a derivation tree."""
+    """bussproofs rendering of a derivation tree, in one post-order pass."""
     out: list[str] = []
 
-    def label(rule: str) -> str:
-        base = _RULE_LATEX.get(rule)
-        if base is None:
-            base = r"\texttt{" + rule.replace("\\", r"\backslash ") + "}"
-        return base
-
-    def emit(node: Derivation):
-        for p in node.premises:
-            emit(p)
+    def step(node: Derivation, _) -> None:
         if not node.premises:
             out.append(r"\AXC{}")
-            out.append(rf"\RL{{\footnotesize ${label(node.rule)}$}}")
-            out.append(rf"\UIC{{${render(node.conclusion, 'latex', color)}$}}")
-        elif len(node.premises) == 1:
-            out.append(rf"\RL{{\footnotesize ${label(node.rule)}$}}")
-            out.append(rf"\UIC{{${render(node.conclusion, 'latex', color)}$}}")
-        else:
-            out.append(rf"\RL{{\footnotesize ${label(node.rule)}$}}")
-            out.append(rf"\BIC{{${render(node.conclusion, 'latex', color)}$}}")
+        label = (_RULE_LATEX.get(node.rule)
+                 or r"\texttt{" + node.rule.replace("\\", r"\backslash ") + "}")
+        out.append(rf"\RL{{\footnotesize ${label}$}}")
+        infer = r"\BIC" if len(node.premises) > 1 else r"\UIC"
+        out.append(rf"{infer}{{${render(node.conclusion, 'latex', color)}$}}")
 
-    emit(d)
+    fold(d, step)
     out.append(r"\DP")
     return "\n".join(out)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .syntax import (Structure, Sequent, Sort, PP, PS, NP, NS,
-                     render_formula, render_sequent)
+                     render, render_sequent)
 from .rules import REGISTRY, CUT_RULES, PRINCIPAL_LEFT, PRINCIPAL_RIGHT, candidates
 from .kernel import (Derivation, KernelError, apply_rule_forward, derive,
                      fold, iter_nodes, subst_at, struct_at)
@@ -180,7 +180,7 @@ def _parametric_right(d1: Derivation, d2: Derivation, trace) -> Derivation:
     mu = mutation_for(a.sort, "pre", psi.sort)
     chain, top = trace_chain(d2, ("pre", ()))
     if trace is not None:
-        trace.append(f"parametric {render_formula(a.leaf)} {mu.name}")
+        trace.append(f"parametric {render(a.leaf)} {mu.name}")
     if top.rule in ("p-Id", "n-Id"):
         rho = d1
     else:
@@ -194,7 +194,7 @@ def _parametric_left(d1: Derivation, d2: Derivation, trace) -> Derivation:
     mu = mutation_for(a.sort, "suc", phi.sort)
     chain, top = trace_chain(d1, ("suc", ()))
     if trace is not None:
-        trace.append(f"parametric {render_formula(a.leaf)} {mu.name}")
+        trace.append(f"parametric {render(a.leaf)} {mu.name}")
     if top.rule in ("p-Id", "n-Id"):
         rho = d2
     else:
@@ -210,7 +210,7 @@ def _principal(d1: Derivation, d2: Derivation, trace) -> Derivation:
     """Both premises introduce the cut formula; reduce to smaller cuts."""
     a = d1.conclusion.suc.leaf
     if trace is not None:
-        trace.append(f"principal {render_formula(a)}")
+        trace.append(f"principal {render(a)}")
     conn = a.conn
     if conn == "*":
         pa, pb = d1.premises            # X|-P , Y|-Q

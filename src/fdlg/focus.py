@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import is_not
 
-from .syntax import (Formula, Structure, Sequent, FAMILY, ORDER_TYPE,
-                     STRUCT_SHIFTS, VARIANT_STRUCTS, render_formula)
+from .syntax import (Formula, Structure, Sequent, FAMILY, STRUCT_SHIFTS,
+                     VARIANT_STRUCTS, SHIFT_ADJOINTS, signed_nodes, render)
 from .rules import REGISTRY, TONICITY_RULES, SHIFT_DPS
 from .kernel import (Derivation, iter_nodes, path_str, trace_to_intro,
                      derive, check_derivation, fold)
@@ -39,24 +39,18 @@ class SignedTree:
     components: tuple       # tuple of (kind, frozenset of positions)
 
 
-def _walk(x: Structure, sign: bool, side: str, path: tuple, out: dict):
-    if x.conn is None:
-        _walk_formula(x.leaf, sign, side, path, out)
-        return
-    out[(side, path)] = (x.conn, sign, False)
-    for i, arg in enumerate(x.args):
-        child = sign if ORDER_TYPE[x.conn][i] == 1 else not sign
-        _walk(arg, child, side, path + (i,), out)
-
-
-def _walk_formula(a: Formula, sign: bool, side: str, path: tuple, out: dict):
-    if a.conn is None:
-        out[(side, path)] = (a.atom.name, sign, True)
-        return
-    out[(side, path)] = (a.conn, sign, False)
-    for i, arg in enumerate(a.args):
-        child = sign if ORDER_TYPE[a.conn][i] == 1 else not sign
-        _walk_formula(arg, child, side, path + (i,), out)
+def _labels(roots) -> dict:
+    """Position (side, path) -> (label, sign, is_atom) for every connective
+    and atom of the signed trees of `roots`, (side, term, sign) triples; a
+    leaf structure gives way to its formula, which shares its position."""
+    raw: dict = {}
+    for side, x, sign in roots:
+        for path, node, sg in signed_nodes(x, sign):
+            if node.conn is not None:
+                raw[side, path] = (node.conn, sg, False)
+            elif node.__class__ is Formula:
+                raw[side, path] = (node.atom.name, sg, True)
+    return raw
 
 
 def _classify(label: str, sign: bool, is_atom: bool) -> str:
@@ -86,9 +80,7 @@ def _components(raw: dict) -> list[tuple[str, set]]:
 
 
 def signed_tree(seq: Sequent) -> SignedTree:
-    raw: dict = {}
-    _walk(seq.pre, True, "pre", (), raw)
-    _walk(seq.suc, False, "suc", (), raw)
+    raw = _labels((("pre", seq.pre, True), ("suc", seq.suc, False)))
     components = _components(raw)
     nodes = {}
     roots = {min(members, key=lambda p: (len(p[1]), p[1]))
@@ -110,17 +102,15 @@ def classify_phase(seq: Sequent) -> str:
     fam = seq.kind[0]
     if fam == "n":
         return "non-focused"
-    if _has_struct_shift(seq.pre) or _has_struct_shift(seq.suc):
+    if _uses(seq, STRUCT_SHIFTS):
         return "non-focused"
     return "focused-positive" if fam == "r" else "focused-negative"
 
 
-def _has_struct_shift(x: Structure) -> bool:
-    if x.conn is None:
-        return False
-    if x.conn in STRUCT_SHIFTS:
-        return True
-    return any(_has_struct_shift(a) for a in x.args)
+def _uses(seq: Sequent, conns: frozenset) -> bool:
+    """Whether a structure node of `seq` has a connective in `conns`."""
+    return any(node.__class__ is Structure and node.conn in conns
+               for x in (seq.pre, seq.suc) for _, node, _ in signed_nodes(x))
 
 
 def region(seq: Sequent) -> str:
@@ -178,26 +168,16 @@ class FocalizationReport:
 
 def _formula_positions(seq: Sequent):
     """Positions of formula leaves in the end-sequent, with their signs."""
-    out = []
-
-    def go(x: Structure, sign: bool, side: str, path: tuple):
-        if x.conn is None:
-            out.append(((side, path), x.leaf, sign))
-            return
-        for i, arg in enumerate(x.args):
-            child = sign if ORDER_TYPE[x.conn][i] == 1 else not sign
-            go(arg, child, side, path + (i,))
-
-    go(seq.pre, True, "pre", ())
-    go(seq.suc, False, "suc", ())
-    return out
+    return [((side, path), node.leaf, sign)
+            for side, x, side_sign in (("pre", seq.pre, True), ("suc", seq.suc, False))
+            for path, node, sign in signed_nodes(x, side_sign)
+            if node.__class__ is Structure and node.conn is None]
 
 
 def _formula_components(fml: Formula, sign: bool):
     """Maximal same-kind components of a formula's signed tree; atoms join
     their parent.  Yields (kind, positions of connective nodes)."""
-    raw: dict = {}
-    _walk_formula(fml, sign, "f", (), raw)
+    raw = _labels((("f", fml, sign),))
     return [(kind, frozenset(path for side, path in members if not raw[side, path][2]))
             for kind, members in _components(raw)]
 
@@ -228,7 +208,7 @@ def check_strong_focalization(d: Derivation) -> FocalizationReport:
                 if np[:len(n0)] != n0:
                     return FocalizationReport(
                         False, "PIA subtree split across branches",
-                        f"{render_formula(fml)} at {path_str(np)}")
+                        f"{render(fml)} at {path_str(np)}")
                 for k in range(len(n0), len(np) + 1):
                     internal.add(np[:k])
             for np in internal:
@@ -238,7 +218,7 @@ def check_strong_focalization(d: Derivation) -> FocalizationReport:
                 if node.rule not in TONICITY_RULES:
                     return FocalizationReport(
                         False,
-                        f"PIA subtree of {render_formula(fml)} interrupted by {node.rule}",
+                        f"PIA subtree of {render(fml)} interrupted by {node.rule}",
                         path_str(np))
     return FocalizationReport(True)
 
@@ -295,15 +275,8 @@ def _cancel(d: Derivation, prems) -> Derivation:
     return d
 
 
-def _contains_variants(d: Derivation) -> bool:
-    def has_var(x: Structure) -> bool:
-        if x.conn is None:
-            return False
-        if x.conn in VARIANT_STRUCTS or x.conn in (".upl", ".dnr"):
-            return True
-        return any(has_var(a) for a in x.args)
-    return any(has_var(n.conclusion.pre) or has_var(n.conclusion.suc)
-               for _, n in iter_nodes(d))
+# the structural connectives that a minimal proof never uses
+_VARIANTS = VARIANT_STRUCTS | SHIFT_ADJOINTS
 
 
 def minimize_proof(d: Derivation) -> Derivation:
@@ -322,7 +295,7 @@ def minimize_proof(d: Derivation) -> Derivation:
     if any(node.rule in SHIFT_DPS for _, node in iter_nodes(d)):
         raise MinimizeError("a shift display postulate resists cancellation; "
                             "the input is outside the reducible fragment")
-    if _contains_variants(d):
+    if any(_uses(node.conclusion, _VARIANTS) for _, node in iter_nodes(d)):
         raise MinimizeError("an l/r-variant resists cancellation")
     rep = check_derivation(d)
     if not rep.ok:

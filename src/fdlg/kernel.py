@@ -20,7 +20,7 @@ import json
 from dataclasses import dataclass
 
 from .syntax import (Formula, Structure, Sequent, Atom, leaf, formula_nodes,
-                     render_sequent, parse_sequent, render_formula, GROUP_OF,
+                     render, render_sequent, parse_sequent, GROUP_OF,
                      ParseError, SortError, MAX_NESTING, _Term, _setters)
 from .rules import (REGISTRY, MatchFail, candidates, match_sequent,
                     instantiate_sequent)
@@ -228,7 +228,7 @@ def backward_expansions(goal: Sequent, allow_variants: bool = False,
         for rule in rules:
             if rule.klass != "cut":
                 continue
-            for a in sorted(set(formula_nodes(goal)), key=render_formula):
+            for a in sorted(set(formula_nodes(goal)), key=render):
                 env = {}
                 try:
                     match_sequent(rule.schema.conclusion, goal, env)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from .syntax import (Formula, Structure, Sequent, leaf, s as snode,
-                     parse_formula, ParseError)
+                     parse_formula, render, ParseError)
 from .rules import (REGISTRY, ORDERED_RULES, SHIFT_DPS, candidates,
                     match_sequent, instantiate_sequent, MatchFail)
 from .kernel import Derivation, backward_expansions
@@ -25,8 +25,12 @@ from .kernel import Derivation, backward_expansions
 class SearchConfig:
     max_depth: int = 40
     max_solutions: int = 0          # 0 = no cap
-    allow_variants: bool = False
-    allow_cuts: bool = False
+
+    def __post_init__(self):
+        for name, value in (("max_depth", self.max_depth),
+                            ("max_solutions", self.max_solutions)):
+            if value < 0:
+                raise ValueError(f"{name} must not be negative, got {value}")
 
 
 # Display postulates the orbit may use, keyed by allow_variants.
@@ -53,7 +57,7 @@ def _display_steps(seq: Sequent, allow_variants: bool):
     return out
 
 
-def _orbit(goal: Sequent, allow_variants: bool):
+def _orbit(goal: Sequent):
     """Display orbit of `goal`: list of (member, downward dp path).
 
     The path lists (rule, conclusion) pairs rebuilding the chain from the
@@ -65,7 +69,7 @@ def _orbit(goal: Sequent, allow_variants: bool):
     while frontier:
         nxt = []
         for seq, path in frontier:
-            for name, prem in _display_steps(seq, allow_variants):
+            for name, prem in _display_steps(seq, False):
                 if prem in seen:
                     continue
                 seen.add(prem)
@@ -76,10 +80,10 @@ def _orbit(goal: Sequent, allow_variants: bool):
     return out
 
 
-def _expansions(goal: Sequent, cfg: SearchConfig):
-    """Non-display backward expansions in the configured fragment."""
+def _expansions(goal: Sequent):
+    """Non-display backward expansions in the cut-free, variant-free fragment."""
     out = []
-    for name, prems in backward_expansions(goal, cfg.allow_variants, cfg.allow_cuts):
+    for name, prems in backward_expansions(goal):
         if REGISTRY[name].klass == "dp":
             continue
         out.append((name, prems))
@@ -101,7 +105,7 @@ def prove(goal: Sequent, cfg: SearchConfig | None = None) -> list[Derivation]:
     caps the returned list (the enumeration order is deterministic).
     """
     cfg = cfg or SearchConfig()
-    sols = _prove(goal, cfg.max_depth, frozenset(), cfg)
+    sols = _prove(goal, cfg.max_depth, frozenset())
     uniq: list[Derivation] = []
     seen = set()
     for d in sols:
@@ -113,25 +117,24 @@ def prove(goal: Sequent, cfg: SearchConfig | None = None) -> list[Derivation]:
     return uniq
 
 
-def _prove(goal: Sequent, depth: int, visited: frozenset,
-           cfg: SearchConfig) -> list[Derivation]:
+def _prove(goal: Sequent, depth: int, visited: frozenset) -> list[Derivation]:
     if depth <= 0 or goal in visited:
         return []
     results: list[Derivation] = []
-    orbit = _orbit(goal, cfg.allow_variants)
+    orbit = _orbit(goal)
     blocked = visited | {m for m, _ in orbit}
     for member, path in orbit:
         cost = len(path) + 1
         if cost > depth:
             continue
-        for name, prems in _expansions(member, cfg):
+        for name, prems in _expansions(member):
             if not prems:
                 results.append(_wrap_path(Derivation(name, member), path))
                 continue
             sub_lists = []
             dead = False
             for prem in prems:
-                subs = _prove(prem, depth - cost, blocked, cfg)
+                subs = _prove(prem, depth - cost, blocked)
                 if not subs:
                     dead = True
                     break
@@ -182,9 +185,8 @@ class Lexicon:
         return cls(entries, frozenset(neg))
 
     def to_text(self) -> str:
-        from .syntax import render_formula
         lines = [f"%neg {a}" for a in sorted(self.neg_atoms)]
-        lines += [f"{w} := {render_formula(fm)}" for w, fm in self.entries.items()]
+        lines += [f"{w} := {render(fm)}" for w, fm in self.entries.items()]
         return "\n".join(lines) + "\n"
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .syntax import (Formula, Structure, Sequent, leaf,
+from .syntax import (Formula, Structure, Sequent, leaf, signed_nodes,
                      FAMILY, ORDER_TYPE, STRUCT_OF_OP, OP_OF_STRUCT)
 
 
@@ -104,29 +104,10 @@ def _classify(conn: str, sign: bool) -> str:
     return "skeleton" if (sign and fam == "F") or (not sign and fam == "G") else "pia"
 
 
-def _sign_tree(x: Structure, sign: bool, path=(), op_path=()):
-    """Yield (path, connective, sign) per connective node, formulas included."""
-    if x.conn is None:
-        yield from _sign_tree_formula(x.leaf, sign, path, ())
-        return
-    yield (path + op_path, x.conn, sign)
-    for i, arg in enumerate(x.args):
-        child = sign if ORDER_TYPE[x.conn][i] == 1 else not sign
-        yield from _sign_tree(arg, child, path + op_path + (i,))
-
-
-def _sign_tree_formula(a: Formula, sign: bool, path, fpath):
-    if a.conn is None:
-        return
-    yield (path + fpath, a.conn, sign)
-    for i, arg in enumerate(a.args):
-        child = sign if ORDER_TYPE[a.conn][i] == 1 else not sign
-        yield from _sign_tree_formula(arg, child, path, fpath + (i,))
-
-
 def principal_subtree(psi: Structure, sign: bool = True) -> PrincipalSubtree:
     """Largest same-kind subtree of the signed generation tree at the root."""
-    nodes = {path: (conn, sg) for path, conn, sg in _sign_tree(psi, sign)}
+    nodes = {path: (node.conn, sg) for path, node, sg in signed_nodes(psi, sign)
+             if node.conn is not None}
     if () not in nodes:
         return PrincipalSubtree("pia", frozenset())      # bare atom
     root_kind = _classify(*nodes[()])

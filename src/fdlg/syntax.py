@@ -131,6 +131,7 @@ for _t in ("/", "./", "./l", "./r", "(/)", ".(/)", ".(/)l", ".(/)r"):
     ORDER_TYPE[_t] = (1, "d")
 for _t in ("up", "dn", ".up", ".upl", ".dn", ".dnr"):
     ORDER_TYPE[_t] = (1,)
+_ANTITONE = {c: tuple(t != 1 for t in o) for c, o in ORDER_TYPE.items()}  # sign flips
 
 STRUCT_OF_OP = {"*": ".*", "(+)": ".(+)", "\\": ".\\", "/": "./",
                 "(/)": ".(/)", "(\\)": ".(\\)", "up": ".up", "dn": ".dn"}
@@ -297,7 +298,7 @@ class Formula(_Term):
                 and self.args == other.args)
 
     def __repr__(self) -> str:
-        return f"<{render_formula(self)}>"
+        return f"<{render(self)}>"
 
 
 _F_CONN, _F_ATOM, _F_ARGS, _F_SORT, _F_HASH = _setters(Formula)
@@ -349,7 +350,7 @@ class Structure(_Term):
                 and self.args == other.args)
 
     def __repr__(self) -> str:
-        return f"<{render_structure(self)}>"
+        return f"<{render(self)}>"
 
 
 _S_CONN, _S_LEAF, _S_ARGS, _S_SORT, _S_HASH = _setters(Structure)
@@ -438,32 +439,39 @@ def sort_of(x: Formula | Structure) -> Sort:
     return x.sort
 
 
+def signed_nodes(x: Structure | Formula, sign: bool = True) -> Iterator[tuple]:
+    """(path, node, sign) for every node of a structure or formula, in
+    pre-order from left to right, by an explicit stack.
+
+    The path of a node is the tuple of argument indices from `x` down to it.
+    A leaf structure and its formula share a path, the leaf coming first,
+    and the formula's arguments continue that path: these are the positions
+    of kernel.struct_at.  `x` has sign `sign` (True = +); an argument at an
+    antitone position (ORDER_TYPE[conn][i] != 1) has the opposite sign of its
+    parent, any other argument the same."""
+    stack = [((), x, sign)]
+    while stack:
+        item = stack.pop()
+        yield item
+        path, node, sg = item
+        conn = node.conn
+        if conn is None:
+            if node.__class__ is Structure:
+                stack.append((path, node.leaf, sg))
+            continue
+        args = node.args                # one or two: push the right one first
+        flips = _ANTITONE[conn]
+        if len(args) == 2:
+            stack.append((path + (1,), args[1], sg ^ flips[1]))
+        stack.append((path + (0,), args[0], sg ^ flips[0]))
+
+
 def formula_nodes(x: Sequent | Structure | Formula) -> list[Formula]:
     """Every formula node of a sequent, structure or formula, repeats
     included, in pre-order from left to right."""
-    out: list[Formula] = []
-    if isinstance(x, Sequent):
-        _structure_nodes(x.pre, out)
-        _structure_nodes(x.suc, out)
-    elif isinstance(x, Structure):
-        _structure_nodes(x, out)
-    else:
-        _formula_nodes(x, out)
-    return out
-
-
-def _formula_nodes(x: Formula, out: list) -> None:
-    out.append(x)
-    for a in x.args:
-        _formula_nodes(a, out)
-
-
-def _structure_nodes(x: Structure, out: list) -> None:
-    if x.conn is None:
-        _formula_nodes(x.leaf, out)
-    else:
-        for a in x.args:
-            _structure_nodes(a, out)
+    parts = (x.pre, x.suc) if x.__class__ is Sequent else (x,)
+    return [node for part in parts for _, node, _ in signed_nodes(part)
+            if node.__class__ is Formula]
 
 
 # ---------------------------------------------------------------------------
@@ -471,9 +479,13 @@ def _structure_nodes(x: Structure, out: list) -> None:
 
 # The deepest nesting the readers accept: parentheses plus prefix shifts in
 # term text, and premises below the root of a derivation document.  Deeper
-# input is rejected with a ParseError.  Some walks over terms and derivations
-# are recursive, up to three frames a level, so this keeps every command on
-# input that reads below Python's default limit of 1000 frames.
+# input is rejected with a ParseError.  Derivation walks and signed_nodes use
+# explicit stacks.  The term walks that still recurse take one frame a level
+# (the printer _text, _map, the matcher in rules, kernel.subst_structure, the
+# standard transforms) or two, where the recursive call sits in a generator
+# expression (the term readers, instantiation in rules, str_of, form_of) or,
+# for a parenthesis, in the parser's unary and term.  This keeps every command
+# on input that reads below Python's default limit of 1000 frames.
 MAX_NESTING = 256
 
 # One regex for every token: an ASCII identifier, or an operator or
@@ -607,59 +619,41 @@ def parse_sequent(text: str, neg_atoms=()) -> Sequent:
 # Printing
 
 
-def _wrap(txt: str, binary: bool) -> str:
-    return f"({txt})" if binary else txt
+def _text(x: Structure | Formula, names: dict, atom, nested: bool = False) -> str:
+    """A formula or structure in the concrete syntax, each connective spelled
+    by `names` and each atom name by `atom`.  Binary connectives do not
+    associate, so a binary argument is parenthesized (`nested`); the rule
+    looks through a leaf structure to its formula."""
+    conn = x.conn
+    if conn is None:
+        if x.__class__ is Structure:
+            x = x.leaf
+            conn = x.conn
+        if conn is None:
+            return atom(x.atom.name)
+    args = x.args
+    if len(args) == 1:
+        return f"{names[conn]} {_text(args[0], names, atom, True)}"
+    out = f"{_text(args[0], names, atom, True)} {names[conn]} {_text(args[1], names, atom, True)}"
+    return f"({out})" if nested else out
 
 
-def render_formula(x: Formula) -> str:
-    if x.conn is None:
-        return x.atom.name
-    if len(x.args) == 1:
-        a = x.args[0]
-        return f"{x.conn} {_wrap(render_formula(a), a.conn is not None and len(a.args) == 2)}"
-    l, r = x.args
-    lt = _wrap(render_formula(l), l.conn is not None and len(l.args) == 2)
-    rt = _wrap(render_formula(r), r.conn is not None and len(r.args) == 2)
-    return f"{lt} {x.conn} {rt}"
+_TOKENS = {c: c for c in (*OP_SIG, *STRUCT_SIG)}
 
-
-def _is_binary_struct(x: Structure) -> bool:
-    if x.conn is None:
-        return x.leaf.conn is not None and len(x.leaf.args) == 2
-    return len(x.args) == 2
-
-
-def render_structure(x: Structure) -> str:
-    if x.conn is None:
-        return render_formula(x.leaf)
-    if len(x.args) == 1:
-        a = x.args[0]
-        return f"{x.conn} {_wrap(render_structure(a), _is_binary_struct(a))}"
-    l, r = x.args
-    return (f"{_wrap(render_structure(l), _is_binary_struct(l))} {x.conn} "
-            f"{_wrap(render_structure(r), _is_binary_struct(r))}")
-
-
-def render_sequent(x: Sequent) -> str:
-    return f"{render_structure(x.pre)} |- {render_structure(x.suc)}"
-
-
-_LATEX_OP = {
+_LATEX = {
     "*": r"\otimes", "(+)": r"\oplus", "\\": r"\backslash", "/": r"/",
     "(/)": r"\varoslash", "(\\)": r"\varobslash",
     "up": r"\uparrow", "dn": r"\downarrow",
-}
-_LATEX_STRUCT = {
-    ".*": r"\hat{\otimes}", ".(+)": r"\check{\oplus}", ".\\": r"\check{\backslash}",
-    "./": r"\check{/}", ".(/)": r"\hat{\varoslash}", ".(\\)": r"\hat{\varobslash}",
     ".up": r"\hat{\uparrow}", ".upl": r"\hat{\upharpoonleft}",
     ".dn": r"\check{\downarrow}", ".dnr": r"\check{\downharpoonright}",
 }
-for _b, _l in list(_LATEX_STRUCT.items()):
-    if _b in (".up", ".upl", ".dn", ".dnr"):
-        continue
-    _LATEX_STRUCT[_b + "l"] = _l + r"_{\ell}"
-    _LATEX_STRUCT[_b + "r"] = _l + r"_{r}"
+for _b, _l in ((".*", r"\hat{\otimes}"), (".(+)", r"\check{\oplus}"),
+               (".\\", r"\check{\backslash}"), ("./", r"\check{/}"),
+               (".(/)", r"\hat{\varoslash}"), (".(\\)", r"\hat{\varobslash}")):
+    _LATEX[_b] = _l
+    _LATEX[_b + "l"] = _l + r"_{\ell}"
+    _LATEX[_b + "r"] = _l + r"_{r}"
+_LATEX_ATOM = r"\mathit{{{}}}".format
 
 _LATEX_TURNSTILE = {
     "": r"\vdash", "_": r"\text{\d{$\Vdash$}}", ".": r"\dot{\Vdash}", ":": r"\Vvdash",
@@ -667,51 +661,24 @@ _LATEX_TURNSTILE = {
 _LATEX_COLOR = {"r": "red", "b": "blue", "n": "black"}
 
 
-def latex_formula(x: Formula) -> str:
-    if x.conn is None:
-        return rf"\mathit{{{x.atom.name}}}"
-    if len(x.args) == 1:
-        a = x.args[0]
-        return f"{_LATEX_OP[x.conn]} {_wrap(latex_formula(a), a.conn is not None and len(a.args) == 2)}"
-    l, r = x.args
-    lt = _wrap(latex_formula(l), l.conn is not None and len(l.args) == 2)
-    rt = _wrap(latex_formula(r), r.conn is not None and len(r.args) == 2)
-    return f"{lt} {_LATEX_OP[x.conn]} {rt}"
+def render_sequent(x: Sequent) -> str:
+    return f"{_text(x.pre, _TOKENS, str)} |- {_text(x.suc, _TOKENS, str)}"
 
 
-def latex_structure(x: Structure) -> str:
-    if x.conn is None:
-        return latex_formula(x.leaf)
-    if len(x.args) == 1:
-        return f"{_LATEX_STRUCT[x.conn]} {_wrap(latex_structure(x.args[0]), _is_binary_struct(x.args[0]))}"
-    l, r = x.args
-    return (f"{_wrap(latex_structure(l), _is_binary_struct(l))} {_LATEX_STRUCT[x.conn]} "
-            f"{_wrap(latex_structure(r), _is_binary_struct(r))}")
-
-
-def latex_sequent(x: Sequent, color: bool = False) -> str:
+def render(x, style: str = "ascii", color: bool = False) -> str:
+    """A formula, structure or sequent in ascii or latex; with `color`, a
+    latex turnstile takes the color of its family."""
+    if style == "ascii":
+        return render_sequent(x) if x.__class__ is Sequent else _text(x, _TOKENS, str)
+    if style != "latex":
+        raise ValueError(f"unknown style {style!r}")
+    if x.__class__ is not Sequent:
+        return _text(x, _LATEX, _LATEX_ATOM)
     kind = x.kind
     stile = _LATEX_TURNSTILE[kind[1:]]
     if color:
         stile = rf"\textcolor{{{_LATEX_COLOR[kind[0]]}}}{{{stile}}}"
-    return f"{latex_structure(x.pre)} {stile} {latex_structure(x.suc)}"
-
-
-def render(x, style: str = "ascii", color: bool = False) -> str:
-    """Render a formula, structure or sequent in ascii or latex."""
-    if style == "ascii":
-        if isinstance(x, Formula):
-            return render_formula(x)
-        if isinstance(x, Structure):
-            return render_structure(x)
-        return render_sequent(x)
-    if style == "latex":
-        if isinstance(x, Formula):
-            return latex_formula(x)
-        if isinstance(x, Structure):
-            return latex_structure(x)
-        return latex_sequent(x, color=color)
-    raise ValueError(f"unknown style {style!r}")
+    return f"{_text(x.pre, _LATEX, _LATEX_ATOM)} {stile} {_text(x.suc, _LATEX, _LATEX_ATOM)}"
 
 
 # ---------------------------------------------------------------------------

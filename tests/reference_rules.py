@@ -15,7 +15,7 @@ from __future__ import annotations
 from fdlg.kernel import KernelError, apply_rule_forward, match_rule
 from fdlg.rules import (ORDERED_RULES, REGISTRY, SHIFT_DPS, MatchFail,
                         instantiate_sequent, match_sequent)
-from fdlg.syntax import formula_nodes, leaf, render_formula
+from fdlg.syntax import formula_nodes, leaf, render
 
 
 def backward_expansions(goal, allow_variants=False, allow_cuts=False):
@@ -42,7 +42,7 @@ def backward_expansions(goal, allow_variants=False, allow_cuts=False):
         for rule in ORDERED_RULES:
             if rule.klass != "cut":
                 continue
-            for a in sorted(set(formula_nodes(goal)), key=render_formula):
+            for a in sorted(set(formula_nodes(goal)), key=render):
                 env = {}
                 try:
                     match_sequent(rule.schema.conclusion, goal, env)

@@ -116,6 +116,39 @@ def test_latex_outputs():
     assert code == 0 and r"\BIC" in out and r"\otimes_R" in out
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (["p .(+)l (n .*l p) |- n ./r m", "--neg", "n,m"],
+     r"\mathit{p} \check{\oplus}_{\ell} (\mathit{n} \hat{\otimes}_{\ell} \mathit{p})"
+     r" \Vvdash \mathit{n} \check{/}_{r} \mathit{m}"),
+    ([".dnr up p |- .upl dn n", "--neg", "n"],
+     r"\check{\downharpoonright} \uparrow \mathit{p} \vdash"
+     r" \hat{\upharpoonleft} \downarrow \mathit{n}"),
+    (["p .* (q * p) |- p * (q * p)", "--color"],
+     r"\mathit{p} \hat{\otimes} (\mathit{q} \otimes \mathit{p}) \textcolor{red}{\vdash}"
+     r" \mathit{p} \otimes (\mathit{q} \otimes \mathit{p})"),
+    (["n .(+) m |- n (+) m", "--neg", "n,m", "--color"],
+     r"\mathit{n} \check{\oplus} \mathit{m} \textcolor{blue}{\vdash} \mathit{n} \oplus \mathit{m}"),
+    (["p |- n", "--neg", "n", "--color"], r"\mathit{p} \textcolor{black}{\vdash} \mathit{n}"),
+])
+def test_latex_sequent_exact(argv, expected):
+    assert run(["latex", "--sequent"] + argv) == (0, expected + "\n", "")
+
+
+@pytest.mark.parametrize("argv", [
+    ["prove", "p |- p", "--max-solutions", "-1"],
+    ["prove", "p |- p", "--max-depth", "-1"],
+    ["parse", "everyone likes some teacher", "--goal", "dn s", "--max-solutions", "-1"],
+    ["parse", "everyone likes some teacher", "--goal", "dn s", "--max-depth", "-1"],
+])
+def test_negative_search_bounds_are_usage_errors(tmp_path, argv):
+    if argv[0] == "parse":
+        lex = tmp_path / "sentence.lex"
+        lex.write_text(LEXICON_TEXT)
+        argv = argv + ["--lexicon", str(lex)]
+    code, out, err = run(argv)
+    assert code == 2 and out == "" and _one_error_line(err) and "negative" in err
+
+
 def test_soundness_from_algebra_file(tmp_path):
     from fdlg.algebra import builtin, render_algebra
     path = tmp_path / "chain2.alg"

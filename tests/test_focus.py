@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from fdlg.syntax import Atom, parse_sequent, parse_structure, parse_formula, leaf
+from fdlg.syntax import (Atom, Sequent, parse_sequent, parse_structure, parse_formula,
+                         leaf, fatom, f, s as snode, formula_nodes)
 from fdlg.kernel import Derivation, apply_rule_forward, check_derivation, iter_nodes
 from fdlg.focus import (signed_tree, classify_phase, check_strong_focalization,
                         entry_exit_points, minimize_proof, MinimizeError,
@@ -13,6 +14,7 @@ from fdlg.corpus import (reading_forall_exists, cut_elim_example, LEXICON,
                          SENTENCE, GOAL)
 from fdlg.search import prove, SearchConfig, sentence_sequent
 from fdlg.cutelim import eliminate_cuts
+from fdlg.standardize import principal_subtree
 
 from gen import forward_closure, random_cut_proof
 
@@ -199,21 +201,16 @@ def test_no_pia_component_of_shifts_alone():
     or an atom; none consists of shift nodes only."""
     rng = random.Random(11)
     from gen import random_formula
-    from fdlg.focus import _formula_components
+    from fdlg.focus import _formula_components, _labels
     shift_labels = {"up", "dn"}
     for _ in range(400):
         fml = random_formula(rng, 5)
         for sign in (True, False):
-            raw = {}
-            from fdlg.focus import _walk_formula, _classify
-            _walk_formula(fml, sign, "f", (), raw)
+            raw = _labels((("f", fml, sign),))
             for kind, members in _formula_components(fml, sign):
                 if kind != "pia" or not members:
                     continue
                 labels = {raw[("f", m)][0] for m in members}
-                atoms_inside = any(
-                    raw[pos][2] and pos[1][:-1] in members or pos[1] == ()
-                    for pos in raw)
                 assert (labels - shift_labels) or _absorbed_atom(raw, members), \
                     (fml, kind, members)
 
@@ -231,3 +228,25 @@ def test_minimal_outputs_focalized_on_random_cut_proofs():
         d = random_cut_proof(rng, depth=2)
         out = minimize_proof(d)
         assert check_strong_focalization(out).ok
+
+
+def test_signed_walks_on_deep_terms():
+    """Every signed-tree walk takes a 2,000-deep formula and structure."""
+    p, n = fatom("p"), fatom("n", False)
+    fml, st = n, leaf(p)
+    for _ in range(2000):
+        fml = f("\\", p, fml)               # p \ (p \ ... n): negative
+        st = snode(".*", leaf(p), st)       # p .* (p .* ... p): positive
+    nodes = formula_nodes(fml)
+    assert len(nodes) == 4001 and nodes[0] is fml and nodes[-1] is n
+    assert len(formula_nodes(st)) == 2001
+    # the last argument of each \ keeps the sign, the first flips it
+    tree = signed_tree(Sequent(leaf(p), leaf(fml)))
+    assert tree.nodes["suc", (1,) * 2000].sign is False
+    assert tree.nodes["suc", (1,) * 1999 + (0,)].sign is True
+    assert len(tree.nodes) == 4002
+    tree = signed_tree(Sequent(st, leaf(p)))
+    assert len(tree.nodes) == 4002 and tree.components[0][0] == "skeleton"
+    assert classify_phase(Sequent(st, leaf(p))) == "focused-positive"
+    assert principal_subtree(st, True).paths == {(1,) * k for k in range(2000)}
+    assert principal_subtree(leaf(fml), False).paths == {(1,) * k for k in range(2000)}

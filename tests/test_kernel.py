@@ -6,7 +6,7 @@ import random
 import pytest
 
 from fdlg.syntax import (Atom, Sequent, parse_sequent, parse_structure,
-                         render_sequent, leaf, bowtie, infty)
+                         render_sequent, leaf, bowtie, infty, signed_nodes)
 from fdlg import kernel
 from fdlg.kernel import (Derivation, CheckReport, check_derivation,
                          apply_rule_forward, backward_expansions, KernelError,
@@ -345,3 +345,18 @@ def test_derivation_walks_on_a_deep_chain():
     assert check_strong_focalization(free) == check_strong_focalization(
         _shift_chain(derive("n-Id", selector=n), 2))
     assert kernel.trace_to_intro(free, ("pre", ())) == (0,) * 2000
+
+
+def test_signed_node_paths_are_kernel_positions():
+    """struct_at reads a position the way signed_nodes writes it: at a path
+    shared by a leaf and its formula, the leaf comes first."""
+    checked = 0
+    for seq in forward_closure(include_variants=True):
+        for side in ("pre", "suc"):
+            first = {}
+            for path, node, _ in signed_nodes(getattr(seq, side)):
+                first.setdefault(path, node)
+            for path, node in first.items():
+                assert kernel.struct_at(seq, (side, path)) is node, (seq, side, path)
+                checked += 1
+    assert checked > 500

@@ -51,6 +51,15 @@ def test_max_solutions_cap():
     assert len(sols) == 1
 
 
+@pytest.mark.parametrize("field", ["max_depth", "max_solutions"])
+def test_negative_search_bounds_are_rejected(field):
+    with pytest.raises(ValueError, match=field):
+        SearchConfig(**{field: -1})
+    # zero is the smallest legal value; max_solutions=0 means no cap
+    assert len(prove(parse_sequent("p .* q |- p * q"), SearchConfig(**{field: 0}))) \
+        == (0 if field == "max_depth" else 1)
+
+
 def test_golden_readings(fig_forall_exists, fig_exists_forall):
     sols = parse_sentence(list(SENTENCE), LEXICON, GOAL, SearchConfig(max_depth=40))
     assert fig_forall_exists in sols

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from fdlg.syntax import parse_structure, parse_sequent, render_structure, render_sequent
+from fdlg.syntax import parse_structure, parse_sequent, render, render_sequent
 from fdlg.standardize import (ftom, ftoM, standard_sequent, ftom_direct,
                               ftoM_direct, str_of, form_of, StandardizeError)
 from fdlg.search import prove, SearchConfig
@@ -13,15 +13,15 @@ from gen import random_structure
 
 
 def test_ftom_examples():
-    assert render_structure(ftom(parse_structure("p * q"))) == "p .* q"
-    assert render_structure(ftom(parse_structure("p"))) == "p"
-    assert render_structure(ftom(parse_structure(".up (p .* q)"))) == ".up (p .* q)"
+    assert render(ftom(parse_structure("p * q"))) == "p .* q"
+    assert render(ftom(parse_structure("p"))) == "p"
+    assert render(ftom(parse_structure(".up (p .* q)"))) == ".up (p .* q)"
 
 
 def test_ftoM_examples():
-    assert render_structure(ftoM(parse_structure("n (+) m", {"n", "m"}))) == "n .(+) m"
-    assert render_structure(ftoM(parse_structure("n", {"n"}))) == "n"
-    assert render_structure(ftoM(parse_structure(".dn (p \\ n)", {"n"}))) == ".dn (p .\\ n)"
+    assert render(ftoM(parse_structure("n (+) m", {"n", "m"}))) == "n .(+) m"
+    assert render(ftoM(parse_structure("n", {"n"}))) == "n"
+    assert render(ftoM(parse_structure(".dn (p \\ n)", {"n"}))) == ".dn (p .\\ n)"
 
 
 def test_standard_sequent():
@@ -36,9 +36,9 @@ def test_standard_sequent_idempotent():
     for _ in range(300):
         st = random_structure(rng, 4)
         try:
-            seq = parse_sequent(f"({render_structure(st)}) |- n", {"n"}) \
+            seq = parse_sequent(f"({render(st)}) |- n", {"n"}) \
                 if st.sort.positive else \
-                parse_sequent(f"p |- ({render_structure(st)})", {"n"})
+                parse_sequent(f"p |- ({render(st)})", {"n"})
         except Exception:
             continue
         try:
@@ -57,7 +57,7 @@ def test_partiality_on_variants():
 
 def test_str_form_helpers():
     a = parse_structure("p * q").leaf
-    assert render_structure(str_of(a)) == "p .* q"
+    assert render(str_of(a)) == "p .* q"
     assert form_of(str_of(a)) == a
     with pytest.raises(StandardizeError):
         form_of(parse_structure("p .\\r q"))
@@ -75,7 +75,7 @@ def test_direct_and_recursive_definitions_agree():
                 with pytest.raises(StandardizeError):
                     direct(st)
                 continue
-            assert direct(st) == got_rec, render_structure(st)
+            assert direct(st) == got_rec, render(st)
             agree += 1
     assert agree > 400
 

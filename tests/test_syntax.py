@@ -5,10 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from fdlg.syntax import (Atom, Formula, Sequent, Sort, SortError, ParseError, Structure,
                          PP, PS, NP, NS, parse_formula, parse_structure,
-                         parse_sequent, render, render_formula, render_structure,
-                         render_sequent, sort_of, bowtie, infty, iter_formulas,
-                         iter_structures, UNDERIVABLE_KINDS, leaf, s, f, fatom,
-                         formula_nodes, parse_raw, MAX_NESTING)
+                         parse_sequent, render, render_sequent, sort_of, bowtie,
+                         infty, iter_formulas, iter_structures, UNDERIVABLE_KINDS,
+                         leaf, s, f, fatom, formula_nodes, parse_raw, MAX_NESTING)
 
 from gen import random_formula, random_structure
 import random
@@ -91,12 +90,27 @@ def test_render_examples():
     assert "\\vdash" in render(parse_sequent("p |- p"), "latex")
 
 
+def test_every_connective_has_a_latex_spelling():
+    """Each connective is spelled, and no two alike, so latex output names
+    the connective exactly; every small term prints in both styles."""
+    from fdlg.syntax import OP_SIG, STRUCT_SIG, _LATEX
+    assert set(_LATEX) == set(OP_SIG) | set(STRUCT_SIG)
+    assert len(set(_LATEX.values())) == len(_LATEX)
+    roots = set()
+    for x in iter_structures((Atom("p", True), Atom("n", False)), 2):
+        root = x.conn or x.leaf.conn
+        if root is not None:
+            roots.add(root)
+            assert _LATEX[root] in render(x, "latex") and root in render(x)
+    assert roots == set(_LATEX)
+
+
 def test_roundtrip_exhaustive_small():
     atoms = (Atom("p", True), Atom("n", False))
     for fml in iter_formulas(atoms, 3):
-        assert parse_formula(render_formula(fml), {"n"}) == fml
+        assert parse_formula(render(fml), {"n"}) == fml
     for st_ in iter_structures(atoms, 2):
-        assert parse_structure(render_structure(st_), {"n"}) == st_
+        assert parse_structure(render(st_), {"n"}) == st_
 
 
 @given(st.integers(0, 10**9), st.integers(2, 5))
@@ -104,7 +118,7 @@ def test_roundtrip_exhaustive_small():
 def test_roundtrip_random(seed, depth):
     rng = random.Random(seed)
     fml = random_formula(rng, depth)
-    assert parse_formula(render_formula(fml), {"n"}) == fml
+    assert parse_formula(render(fml), {"n"}) == fml
 
 
 @given(st.integers(0, 10**9))
@@ -112,15 +126,15 @@ def test_roundtrip_random(seed, depth):
 def test_structure_roundtrip_random(seed):
     rng = random.Random(seed)
     st_ = random_structure(rng, 3, include_variants=True)
-    assert parse_structure(render_structure(st_), {"n"}) == st_
+    assert parse_structure(render(st_), {"n"}) == st_
 
 
 def test_bowtie_examples():
     ac = parse_formula("p \\ n", {"n"})
-    assert render_formula(bowtie(ac)) == "n / p"
+    assert render(bowtie(ac)) == "n / p"
     assert bowtie(parse_formula("p")) == parse_formula("p")
     osl = parse_formula("p (/) n", {"n"})
-    assert render_formula(bowtie(osl)) == "n (\\) p"
+    assert render(bowtie(osl)) == "n (\\) p"
 
 
 def test_bowtie_involution_exhaustive():
@@ -139,7 +153,7 @@ def test_bowtie_involution_exhaustive():
 
 def test_infty_examples():
     ab = parse_formula("p * q")
-    assert render_formula(infty(ab)) == "q (+) p"
+    assert render(infty(ab)) == "q (+) p"
     sq = parse_sequent("p |- p")
     assert infty(sq).kind == "b"
     assert render_sequent(infty(sq)) == "p |- p"   # atom names stay, polarity flips
@@ -255,7 +269,7 @@ def test_terms_are_immutable():
 
 def test_formula_nodes_preorder():
     seq = parse_sequent("p .* (q * p) |- dn (p \\ n)", {"n"})
-    assert [render_formula(x) for x in formula_nodes(seq)] == [
+    assert [render(x) for x in formula_nodes(seq)] == [
         "p", "q * p", "q", "p", "dn (p \\ n)", "p \\ n", "p", "n"]
     assert formula_nodes(seq.pre) == formula_nodes(seq)[:4]
     assert formula_nodes(seq.suc.leaf) == formula_nodes(seq)[4:]
@@ -268,7 +282,7 @@ def test_nesting_limit():
     for _ in range(MAX_NESTING - 1):
         text = f"(q * {text})"
     deep = parse_formula(f"({text})")                  # parentheses nest MAX_NESTING deep
-    assert parse_formula(render_formula(deep)) == deep
+    assert parse_formula(render(deep)) == deep
     assert hash(deep) == hash(parse_formula(text))
     with pytest.raises(ParseError, match="nested"):
         parse_formula(f"(({text}))")

@@ -11,7 +11,7 @@ from fdlg.syntax import (MAX_NESTING, NP, NS, OP_SIG, PP, PS, STRUCT_SIG, Atom,
                          Formula, Sequent, SortError, Structure, _OP_SORTS,
                          _STRUCT_SORTS, _check_args, _tokenize, bowtie, f, fatom,
                          infty, iter_formulas, iter_structures, leaf, parse_formula,
-                         parse_structure, render_formula, render_structure, s)
+                         parse_structure, render, s)
 
 import reference_syntax as ref
 from gen import forward_closure
@@ -51,9 +51,9 @@ def test_images_of_short_lived_terms_match_reference(new, old):
     # Each input is freed before the next is parsed, so ids are reused
     # across calls: an image remembered from an earlier call would show.
     for x in FORMULAS:
-        assert _same_image(new, old, parse_formula(render_formula(x), {"n"})), x
+        assert _same_image(new, old, parse_formula(render(x), {"n"})), x
     for x in STRUCTURES:
-        assert _same_image(new, old, parse_structure(render_structure(x), {"n"})), x
+        assert _same_image(new, old, parse_structure(render(x), {"n"})), x
 
 
 def test_mirror_invariant_terms_are_their_own_bowtie_image():

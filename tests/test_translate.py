@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from fdlg.syntax import Atom, ParseError, parse_formula, parse_sequent, render_formula
+from fdlg.syntax import Atom, ParseError, parse_formula, parse_sequent, render
 from fdlg.kernel import check_derivation, iter_nodes, rule_count
 from fdlg.focus import minimize_proof
 from fdlg.translate import (CFormula, catom, cf, parse_cformula, formula_polarity,
@@ -22,13 +22,13 @@ from gen import document_nodes, random_flg_derivation, with_deep_stack
 
 
 def test_polarize_examples():
-    assert render_formula(polarize_formula(catom("n", False), True)) == "dn n"
-    assert render_formula(polarize_formula(catom("p"), False)) == "up p"
+    assert render(polarize_formula(catom("n", False), True)) == "dn n"
+    assert render(polarize_formula(catom("p"), False)) == "up p"
     ab = parse_cformula("a * b")
-    assert render_formula(polarize_formula(ab, True)) == "a * b"
-    assert render_formula(polarize_formula(ab, False)) == "up (a * b)"
+    assert render(polarize_formula(ab, True)) == "a * b"
+    assert render(polarize_formula(ab, False)) == "up (a * b)"
     every = parse_cformula("np / n")
-    assert render_formula(polarize_formula(every, True)) == "dn (up np / n)"
+    assert render(polarize_formula(every, True)) == "dn (up np / n)"
 
 
 def test_purity_law():
