@@ -22,8 +22,7 @@ from typing import NamedTuple
 
 from .syntax import (Structure, Sequent, STRUCT_OF_OP, formula_nodes,
                      iter_structures)
-from .rules import (REGISTRY, Directed, SVar, FVar, AVar, SNode, FNode,
-                    instantiate_sequent)
+from .rules import REGISTRY, instantiate_sequent
 
 
 class AlgebraError(ValueError):
@@ -641,24 +640,6 @@ def interpret(seq: Sequent, a: FiniteFPLG, v) -> bool:
 # Rule soundness
 
 
-def _pattern_vars(rule: Directed):
-    out = {}
-
-    def go(pat):
-        if isinstance(pat, (SVar, FVar)):
-            out[pat.name] = (pat.positive, pat.shifted)
-        elif isinstance(pat, AVar):
-            out[pat.name] = (pat.positive, False)
-        elif isinstance(pat, (SNode, FNode)):
-            for p in pat.args:
-                go(p)
-
-    for sp in list(rule.schema.premises) + [rule.schema.conclusion]:
-        go(sp.pre)
-        go(sp.suc)
-    return out
-
-
 @dataclass
 class SoundnessReport:
     rule: str
@@ -679,7 +660,7 @@ def check_rule_soundness(rule, a: FiniteFPLG, max_checks: int = 0) -> SoundnessR
     """
     if isinstance(rule, str):
         rule = REGISTRY[rule]
-    varspec = _pattern_vars(rule)
+    varspec = rule.var_sorts
     names = sorted(varspec)
     pools = []
     for n in names:
@@ -733,7 +714,7 @@ def check_rule_soundness_templates(rule, a: FiniteFPLG, atoms, depth: int = 2,
     """
     if isinstance(rule, str):
         rule = REGISTRY[rule]
-    varspec = _pattern_vars(rule)
+    varspec = rule.var_sorts
     names = sorted(varspec)
     all_structs = list(iter_structures(tuple(atoms), depth, include_variants=False))
     pools = []
@@ -741,7 +722,7 @@ def check_rule_soundness_templates(rule, a: FiniteFPLG, atoms, depth: int = 2,
         pol, sh = varspec[n]
         pool = [st for st in all_structs
                 if st.sort.positive == pol and (sh is None or st.sort.shifted == sh)]
-        if rule.klass == "axiom" or _is_formula_var(rule, n):
+        if rule.klass == "axiom" or n in rule.formula_vars:
             pool = [st for st in pool if st.conn is None]
         pools.append(pool)
     schemas = (*rule.schema.premises, rule.schema.conclusion)
@@ -820,22 +801,6 @@ def check_rule_soundness_templates(rule, a: FiniteFPLG, atoms, depth: int = 2,
                           (dict(zip(names, combo)), dict(zip(keys, rows[r - starts[m]])))))
     found.sort(key=lambda x: x[:2])
     return SoundnessReport(rule.name, checked, [v for _, _, v in found])
-
-
-def _is_formula_var(rule: Directed, name: str) -> bool:
-    hit = []
-
-    def go(pat):
-        if isinstance(pat, (FVar, AVar)) and pat.name == name:
-            hit.append(True)
-        elif isinstance(pat, (SNode, FNode)):
-            for p in pat.args:
-                go(p)
-
-    for sp in list(rule.schema.premises) + [rule.schema.conclusion]:
-        go(sp.pre)
-        go(sp.suc)
-    return bool(hit)
 
 
 # ---------------------------------------------------------------------------

@@ -153,7 +153,7 @@ def cmd_parse(args) -> int:
     goal = parse_formula(args.goal, lexicon.neg_atoms)
     words = args.sentence.split()
     bracketing = None
-    if args.bracketing:
+    if args.bracketing is not None:
         import json as _json
         bracketing = _json.loads(args.bracketing)
     cfg = SearchConfig(max_depth=args.max_depth, max_solutions=args.max_solutions)
@@ -185,7 +185,7 @@ def cmd_soundness(args) -> int:
 
 
 def cmd_latex(args) -> int:
-    if args.sequent:
+    if args.sequent is not None:
         seq = parse_sequent(args.sequent, _neg(args))
         print(render(seq, "latex", color=args.color))
         return 0
@@ -243,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("sentence", help="space-separated words")
     p.add_argument("--lexicon", required=True)
     p.add_argument("--goal", required=True)
-    p.add_argument("--bracketing", default="",
+    p.add_argument("--bracketing",
                    help="nested JSON list of word indices; default right-branching")
     p.add_argument("--max-depth", type=int, default=40)
     p.add_argument("--max-solutions", type=int, default=0)
@@ -258,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("latex", help="LaTeX for a sequent or a derivation")
     p.add_argument("--neg", default="")
     p.add_argument("--color", action="store_true", help="colored turnstiles")
-    p.add_argument("--sequent", default="", help="render a sequent instead of a document")
+    p.add_argument("--sequent", help="render a sequent instead of a document")
     p.add_argument("file", nargs="?", default="-")
     p.set_defaults(fn=cmd_latex)
 

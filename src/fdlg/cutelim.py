@@ -16,7 +16,7 @@ from .syntax import (Structure, Sequent, Sort, PP, PS, NP, NS,
                      render, render_sequent)
 from .rules import REGISTRY, CUT_RULES, PRINCIPAL_LEFT, PRINCIPAL_RIGHT, candidates
 from .kernel import (Derivation, KernelError, apply_rule_forward, derive,
-                     fold, iter_nodes, subst_at, struct_at)
+                     fold, iter_nodes, subst_at, struct_at, thread)
 
 
 class CutElimError(ValueError):
@@ -141,23 +141,6 @@ def _reapply(hint: str, premises: tuple[Derivation, ...], expected: Sequent) -> 
                        f"(expected {render_sequent(expected)})")
 
 
-def trace_chain(d: Derivation, pos):
-    """Follow a parametric occurrence upward; returns (chain, top).
-
-    chain lists (node, conclusion position, premise index) from the root up,
-    excluding the node where the occurrence is principal (or an axiom).
-    """
-    chain = []
-    node = d
-    while True:
-        res = REGISTRY[node.rule].thread_up(pos)
-        if res[0] == "principal":
-            return chain, node
-        i, pos2 = res
-        chain.append((node, pos, i))
-        node, pos = node.premises[i], pos2
-
-
 def rebuild_chain(chain, rho: Derivation, repl: Structure, mu: Mutation,
                   trace=None) -> Derivation:
     """Re-run a traced section over `rho`, which replaces its top node; the
@@ -178,7 +161,7 @@ def _parametric_right(d1: Derivation, d2: Derivation, trace) -> Derivation:
     a = d2.conclusion.pre
     psi = d1.conclusion.pre
     mu = mutation_for(a.sort, "pre", psi.sort)
-    chain, top = trace_chain(d2, ("pre", ()))
+    chain, top, _ = thread(d2, ("pre", ()))
     if trace is not None:
         trace.append(f"parametric {render(a.leaf)} {mu.name}")
     if top.rule in ("p-Id", "n-Id"):
@@ -192,7 +175,7 @@ def _parametric_left(d1: Derivation, d2: Derivation, trace) -> Derivation:
     a = d1.conclusion.suc
     phi = d2.conclusion.suc
     mu = mutation_for(a.sort, "suc", phi.sort)
-    chain, top = trace_chain(d1, ("suc", ()))
+    chain, top, _ = thread(d1, ("suc", ()))
     if trace is not None:
         trace.append(f"parametric {render(a.leaf)} {mu.name}")
     if top.rule in ("p-Id", "n-Id"):

@@ -14,7 +14,7 @@ from operator import is_not
 from .syntax import (Formula, Structure, Sequent, FAMILY, STRUCT_SHIFTS,
                      VARIANT_STRUCTS, SHIFT_ADJOINTS, signed_nodes, render)
 from .rules import REGISTRY, TONICITY_RULES, SHIFT_DPS
-from .kernel import (Derivation, iter_nodes, path_str, trace_to_intro,
+from .kernel import (Derivation, iter_nodes, path_str, thread,
                      derive, check_derivation, fold)
 from .cutelim import eliminate_cuts, has_cut
 
@@ -186,40 +186,35 @@ def check_strong_focalization(d: Derivation) -> FocalizationReport:
     """Cut-free, and every PIA subtree of every formula is built by an
     uninterrupted tonicity section.
 
-    Every formula occurring in a cut-free proof occurs inside the end-sequent
-    (no rule erases material and signs are preserved along threads), so the
-    check anchors on end-sequent occurrences.
+    `d` must be a derivation that passes `check_derivation`.  Every formula
+    occurring in a cut-free proof occurs inside the end-sequent (no rule
+    erases material and signs are preserved along threads), so the check
+    anchors on end-sequent occurrences.  A component's members all lie below
+    its root, the member with the shortest path, and pattern leaves are never
+    prefixes of one another: wherever the root's occurrence threads through a
+    metavariable, so does each member, at the root's position plus the same
+    suffix.  So the root is threaded once, to the node `top` that introduces
+    it, and each member from `top` on; the whole section lies above `top`.
+    Members are visited in pre-order and each one's nodes from `top` up, so
+    of several interruptions the one reported is the lowest on the first
+    member's thread that has one.
     """
     if has_cut(d):
         return FocalizationReport(False, "proof contains a cut", "(root)")
-    for (pos, fml, sign) in _formula_positions(d.conclusion):
+    for ((side, base), fml, sign) in _formula_positions(d.conclusion):
         for kind, members in _formula_components(fml, sign):
             if kind != "pia" or not members:
                 continue
-            side, base = pos
-            intro_paths = {}
-            for fpath in members:
-                node_path = trace_to_intro(d, (side, base + fpath))
-                intro_paths[fpath] = node_path
-            root_fpath = min(members, key=len)
-            n0 = intro_paths[root_fpath]
-            internal = set()
-            for fpath, np in intro_paths.items():
-                if np[:len(n0)] != n0:
-                    return FocalizationReport(
-                        False, "PIA subtree split across branches",
-                        f"{render(fml)} at {path_str(np)}")
-                for k in range(len(n0), len(np) + 1):
-                    internal.add(np[:k])
-            for np in internal:
-                node = d
-                for i in np:
-                    node = node.premises[i]
-                if node.rule not in TONICITY_RULES:
-                    return FocalizationReport(
-                        False,
-                        f"PIA subtree of {render(fml)} interrupted by {node.rule}",
-                        path_str(np))
+            root = min(members)                 # a prefix of every member
+            chain, top, (tside, tpath) = thread(d, (side, base + root))
+            for fpath in sorted(members):       # pre-order
+                section, last, _ = thread(top, (tside, tpath + fpath[len(root):]))
+                for k, node in enumerate([node for node, _, _ in section] + [last]):
+                    if node.rule not in TONICITY_RULES:
+                        return FocalizationReport(
+                            False,
+                            f"PIA subtree of {render(fml)} interrupted by {node.rule}",
+                            path_str(tuple(i for _, _, i in chain + section[:k])))
     return FocalizationReport(True)
 
 

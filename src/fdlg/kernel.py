@@ -265,16 +265,19 @@ def make_cut(d1: Derivation, d2: Derivation) -> Derivation:
 # a premise or hits the rule template itself (the occurrence is principal).
 
 
-def trace_to_intro(node: Derivation, pos, path: tuple[int, ...] = ()):
-    """Derivation path of the node whose rule introduced the occurrence."""
-    path = list(path)
+def thread(d: Derivation, pos):
+    """Follow an occurrence from `d`'s conclusion up to the node that
+    introduces it: (chain, top, its position at top).  chain lists (node,
+    conclusion position, premise index) from `d` up, excluding top, where the
+    occurrence is principal (or an axiom atom)."""
+    chain = []
     while True:
-        res = REGISTRY[node.rule].thread_up(pos)
+        res = REGISTRY[d.rule].thread_up(pos)
         if res[0] == "principal":
-            return tuple(path)
-        i, pos = res
-        path.append(i)
-        node = node.premises[i]
+            return chain, d, pos
+        i, up = res
+        chain.append((d, pos, i))
+        d, pos = d.premises[i], up
 
 
 def struct_at(seq: Sequent, pos) -> Structure | Formula:
@@ -575,7 +578,7 @@ def _scut(d1: Derivation, d2: Derivation) -> Derivation:
     structural; when both are formulas a plain cut applies.  A parametric
     section above the traced end-sequent is re-run over the result, relabelled
     by the mutation the cut structure's sort change calls for."""
-    from .cutelim import mutation_for, rebuild_chain, trace_chain   # cutelim imports kernel
+    from .cutelim import mutation_for, rebuild_chain   # cutelim imports kernel
     suc, pre = d1.conclusion.suc, d2.conclusion.pre
     if pre.conn is None and suc.conn is None:
         if pre != suc:
@@ -585,7 +588,7 @@ def _scut(d1: Derivation, d2: Derivation) -> Derivation:
         # lower transform structural: the piece is skeleton-positive, d1 ends
         # on its tonicity introduction (possibly below a parametric section)
         c = pre.conn
-        chain, top = trace_chain(d1, ("suc", ()))
+        chain, top, _ = thread(d1, ("suc", ()))
         red = d2.conclusion.suc.sort.positive      # positive residue: variant moves
         if c == ".*":
             d_u, d_o = ("dp(.*,.\\r)", "dp(.*,./l)") if red else \
@@ -625,7 +628,7 @@ def _scut(d1: Derivation, d2: Derivation) -> Derivation:
     else:
         # upper transform structural: dual, d2 ends on the introduction
         c = suc.conn
-        chain, top = trace_chain(d2, ("pre", ()))
+        chain, top, _ = thread(d2, ("pre", ()))
         blue = not d1.conclusion.pre.sort.positive
         if c == ".dn":
             s = derive("s-down'", d1)

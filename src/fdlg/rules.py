@@ -158,29 +158,23 @@ def instantiate_sequent(pat: SeqPat, env: dict) -> Sequent:
 Pos = tuple[str, tuple[int, ...]]     # ('pre'|'suc', path)
 
 
-def _var_paths(pat, here: tuple[int, ...], acc: dict) -> None:
-    if isinstance(pat, (SVar, FVar, AVar)):
-        acc[pat.name] = here
-    elif isinstance(pat, (SNode, FNode)):
+def _leaves(pat, path: tuple[int, ...] = ()):
+    """(path, metavariable) for every metavariable leaf of a pattern."""
+    if isinstance(pat, (SNode, FNode)):
         for i, p in enumerate(pat.args):
-            _var_paths(p, here + (i,), acc)
+            yield from _leaves(p, path + (i,))
+    else:
+        yield path, pat
 
 
 def _seq_var_paths(sp: SeqPat) -> dict[str, Pos]:
-    acc: dict[str, tuple[int, ...]] = {}
-    out: dict[str, Pos] = {}
-    _var_paths(sp.pre, (), acc)
-    for k, v in acc.items():
-        out[k] = ("pre", v)
-    acc = {}
-    _var_paths(sp.suc, (), acc)
-    for k, v in acc.items():
-        out[k] = ("suc", v)
-    return out
+    """Metavariable -> its last occurrence in a sequent pattern."""
+    return {var.name: (side, path) for side in ("pre", "suc")
+            for path, var in _leaves(getattr(sp, side))}
 
 
 class Directed:
-    """A rule schema with precomputed occurrence maps."""
+    """A rule schema with its occurrence maps, compiled once."""
 
     def __init__(self, schema: RuleSchema):
         self.schema = schema
@@ -188,6 +182,21 @@ class Directed:
         self.klass = schema.klass
         self.conc_vars = _seq_var_paths(schema.conclusion)
         self.prem_vars = [_seq_var_paths(p) for p in schema.premises]
+        # threads[side]: (path, (premise index, premise side, premise path)
+        # or None) per conclusion metavariable on that side, in conc_vars
+        # order, read off its first premise occurrence.  Leaves of one side are
+        # never prefixes of each other, so one entry at most covers a position.
+        self.threads = {side: tuple(
+            (path, next(((i, *pv[var]) for i, pv in enumerate(self.prem_vars) if var in pv), None))
+            for var, (vside, path) in self.conc_vars.items() if vside == side)
+            for side in ("pre", "suc")}
+        # each metavariable's sort at its last occurrence, premises first,
+        # and the metavariables that bind formula leaves
+        leaves = [var for sp in (*schema.premises, schema.conclusion)
+                  for side in ("pre", "suc") for _, var in _leaves(getattr(sp, side))]
+        self.var_sorts = {var.name: (var.positive, False if isinstance(var, AVar) else var.shifted)
+                          for var in leaves}
+        self.formula_vars = frozenset(var.name for var in leaves if not isinstance(var, SVar))
 
     @property
     def arity(self) -> int:
@@ -201,16 +210,12 @@ class Directed:
         introduced by the rule.
         """
         side, path = pos
-        for var, (vside, vpath) in self.conc_vars.items():
-            if vside != side:
-                continue
+        for vpath, target in self.threads[side]:
             if path[:len(vpath)] == vpath:
-                rest = path[len(vpath):]
-                for i, pv in enumerate(self.prem_vars):
-                    if var in pv:
-                        pside, ppath = pv[var]
-                        return (i, (pside, ppath + rest))
-                return ("principal", None)   # var absent from premises (axiom atoms)
+                if target is None:
+                    return ("principal", None)   # absent from premises (axiom atoms)
+                i, pside, ppath = target
+                return (i, (pside, ppath + path[len(vpath):]))
         return ("principal", None)
 
 

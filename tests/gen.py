@@ -9,7 +9,8 @@ import threading
 
 from fdlg.syntax import Atom, Formula, Structure, Sequent, SortError, leaf
 from fdlg.rules import ORDERED_RULES, match_sequent, instantiate_sequent, MatchFail
-from fdlg.kernel import Derivation, apply_rule_forward, make_cut, identity_expansion
+from fdlg.kernel import (Derivation, apply_rule_forward, derive, make_cut,
+                         identity_expansion)
 from fdlg.translate import FlgDerivation, apply_flg, TranslateError
 
 ATOMS_PN = (Atom("p", True), Atom("n", False))
@@ -189,6 +190,17 @@ def random_cut_proof(rng: random.Random, depth: int = 2) -> Derivation:
         if rng.random() < 0.5:
             out = _ext(out, "s-down'")
     return out
+
+
+def interrupted_pia_proof() -> Derivation:
+    """A display detour wedged between two tonicity steps, which splits the
+    PIA construction of (p \\ n) / p: a checked proof that is not strongly
+    focalized."""
+    p, n = Atom("p", True), Atom("n", False)
+    d = derive("under_L", derive("p-Id", selector=p), derive("n-Id", selector=n))
+    d = derive("dp(.*r,.\\)", d)           # variant move inside the focused phase
+    d = derive("dp(.*r,.\\)'", d)
+    return derive("over_L", d, derive("p-Id", selector=p))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@
 resolved once per instance.  This module keeps the straightforward version:
 every node of every pattern is evaluated for every assignment by resolving
 its connective again.  The differential tests require both to give the same
-reports.
+reports.  `_pattern_vars` and `_is_formula_var` walk the rule patterns as
+`fdlg.algebra` did before `rules.Directed` compiled `var_sorts` and
+`formula_vars`; a test requires the compiled maps to equal them.
 """
 
 from __future__ import annotations
@@ -12,9 +14,9 @@ from __future__ import annotations
 from itertools import product
 
 from fdlg.algebra import (TAGS, AlgebraError, SoundnessReport, _KIND_BY_TAGS,
-                          _OP_TARGET, _VAR_TARGET, _is_formula_var, _pattern_vars,
-                          atoms_of, valuations)
-from fdlg.rules import REGISTRY, SVar, FVar, AVar, instantiate_sequent
+                          _OP_TARGET, _VAR_TARGET, atoms_of, valuations)
+from fdlg.rules import (REGISTRY, Directed, SVar, FVar, AVar, SNode, FNode,
+                        instantiate_sequent)
 from fdlg.syntax import OP_OF_STRUCT, iter_structures
 
 
@@ -60,6 +62,40 @@ def _eval_pattern(pat, a, env):
     if isinstance(pat, (SVar, FVar, AVar)):
         return env[pat.name]
     return apply(a, pat.conn, *(_eval_pattern(p, a, env) for p in pat.args))
+
+
+def _pattern_vars(rule: Directed):
+    out = {}
+
+    def go(pat):
+        if isinstance(pat, (SVar, FVar)):
+            out[pat.name] = (pat.positive, pat.shifted)
+        elif isinstance(pat, AVar):
+            out[pat.name] = (pat.positive, False)
+        elif isinstance(pat, (SNode, FNode)):
+            for p in pat.args:
+                go(p)
+
+    for sp in list(rule.schema.premises) + [rule.schema.conclusion]:
+        go(sp.pre)
+        go(sp.suc)
+    return out
+
+
+def _is_formula_var(rule: Directed, name: str) -> bool:
+    hit = []
+
+    def go(pat):
+        if isinstance(pat, (FVar, AVar)) and pat.name == name:
+            hit.append(True)
+        elif isinstance(pat, (SNode, FNode)):
+            for p in pat.args:
+                go(p)
+
+    for sp in list(rule.schema.premises) + [rule.schema.conclusion]:
+        go(sp.pre)
+        go(sp.suc)
+    return bool(hit)
 
 
 def _pattern_truth(sp, a, env):

@@ -8,12 +8,21 @@ indexed versions to return the same lists in the same order.  Likewise
 `fdlg.kernel.identify_rule` and the re-application of `fdlg.cutelim` did
 before they scanned only the candidate rules; `test_kernel` and
 `test_cutelim` require the same rule to be picked.
+
+`thread_up` is `Directed.thread_up` as it read before the rules compiled
+their thread maps: it scans the conclusion's metavariables and then the
+premises' on every call.  `check_strong_focalization` is the focalization
+check as it read before it threaded each component from its root: it traces
+every member from the end-sequent with `trace_to_intro`, itself built on this
+`thread_up`.  `test_threading` requires the same answers.
 """
 
 from __future__ import annotations
 
-from fdlg.kernel import KernelError, apply_rule_forward, match_rule
-from fdlg.rules import (ORDERED_RULES, REGISTRY, SHIFT_DPS, MatchFail,
+from fdlg.cutelim import has_cut
+from fdlg.focus import FocalizationReport, _formula_components, _formula_positions
+from fdlg.kernel import Derivation, KernelError, apply_rule_forward, match_rule, path_str
+from fdlg.rules import (ORDERED_RULES, REGISTRY, SHIFT_DPS, TONICITY_RULES, MatchFail,
                         instantiate_sequent, match_sequent)
 from fdlg.syntax import formula_nodes, leaf, render
 
@@ -97,3 +106,77 @@ def reapply(hint, premises, expected):
         if conc == expected:
             return name
     return None
+
+
+def thread_up(self, pos):
+    """Map a conclusion position to ('principal', None) or (i, premise pos).
+
+    A position inside a metavariable occurrence threads to the premise
+    holding that metavariable; anything on the template skeleton counts as
+    introduced by the rule.
+    """
+    side, path = pos
+    for var, (vside, vpath) in self.conc_vars.items():
+        if vside != side:
+            continue
+        if path[:len(vpath)] == vpath:
+            rest = path[len(vpath):]
+            for i, pv in enumerate(self.prem_vars):
+                if var in pv:
+                    pside, ppath = pv[var]
+                    return (i, (pside, ppath + rest))
+            return ("principal", None)   # var absent from premises (axiom atoms)
+    return ("principal", None)
+
+
+def trace_to_intro(node: Derivation, pos, path: tuple[int, ...] = ()):
+    """Derivation path of the node whose rule introduced the occurrence."""
+    path = list(path)
+    while True:
+        res = thread_up(REGISTRY[node.rule], pos)
+        if res[0] == "principal":
+            return tuple(path)
+        i, pos = res
+        path.append(i)
+        node = node.premises[i]
+
+
+def check_strong_focalization(d: Derivation) -> FocalizationReport:
+    """Cut-free, and every PIA subtree of every formula is built by an
+    uninterrupted tonicity section.
+
+    Every formula occurring in a cut-free proof occurs inside the end-sequent
+    (no rule erases material and signs are preserved along threads), so the
+    check anchors on end-sequent occurrences.
+    """
+    if has_cut(d):
+        return FocalizationReport(False, "proof contains a cut", "(root)")
+    for (pos, fml, sign) in _formula_positions(d.conclusion):
+        for kind, members in _formula_components(fml, sign):
+            if kind != "pia" or not members:
+                continue
+            side, base = pos
+            intro_paths = {}
+            for fpath in members:
+                node_path = trace_to_intro(d, (side, base + fpath))
+                intro_paths[fpath] = node_path
+            root_fpath = min(members, key=len)
+            n0 = intro_paths[root_fpath]
+            internal = set()
+            for fpath, np in intro_paths.items():
+                if np[:len(n0)] != n0:
+                    return FocalizationReport(
+                        False, "PIA subtree split across branches",
+                        f"{render(fml)} at {path_str(np)}")
+                for k in range(len(n0), len(np) + 1):
+                    internal.add(np[:k])
+            for np in internal:
+                node = d
+                for i in np:
+                    node = node.premises[i]
+                if node.rule not in TONICITY_RULES:
+                    return FocalizationReport(
+                        False,
+                        f"PIA subtree of {render(fml)} interrupted by {node.rule}",
+                        path_str(np))
+    return FocalizationReport(True)

@@ -25,6 +25,16 @@ def _corrupted(right=False):
         else SeqPat(SVar("X", True), FVar("P", True))))
 
 
+def test_compiled_variable_maps_match_the_pattern_walks():
+    """Each rule's var_sorts and formula_vars, compiled once, are what the
+    reference walks read off its patterns, keys in the same order."""
+    assert len(REGISTRY) == 64
+    for rule in [*REGISTRY.values(), _corrupted(), _corrupted(right=True)]:
+        varspec = ref._pattern_vars(rule)
+        assert list(rule.var_sorts.items()) == list(varspec.items()), rule.name
+        assert rule.formula_vars == {n for n in varspec if ref._is_formula_var(rule, n)}
+
+
 @pytest.fixture(scope="module")
 def instances():
     """chain2, diamond, the dual of chain2, two partial copies of chain2 (one

@@ -339,3 +339,25 @@ def test_check_rejects_non_ascii_letter_in_conclusion():
     code, out, err = run_isolated(["check", "-"], stdin=json.dumps(doc))
     assert (code, out) == (2, "")
     assert err == "error: unexpected character '\u00e9' at offset 5\n"
+
+
+def test_empty_sequent_and_bracketing_are_inputs(tmp_path):
+    """An explicit empty --sequent or --bracketing is read as given, not as
+    the option's absence: with stdin closed, latex does not fall back to
+    reading a document, and parse does not fall back to the default
+    bracketing."""
+    code, out, err = run_isolated(["latex", "--sequent", ""])
+    assert (code, out, err) == (2, "", "error: a sequent needs a |- turnstile\n")
+    lex = tmp_path / "sentence.lex"
+    lex.write_text(LEXICON_TEXT)
+    code, out, err = run_isolated(["parse", "everyone likes some teacher", "--lexicon",
+                                   str(lex), "--goal", "dn s", "--bracketing", ""])
+    assert (code, out) == (2, "") and _one_error_line(err)
+
+
+def test_focalization_reports_an_interrupted_pia_section():
+    from gen import interrupted_pia_proof
+    doc = derivation_to_json(interrupted_pia_proof(), ["n"])
+    code, out, err = run(["focalization", "-"], stdin=doc)
+    assert (code, err) == (1, "")
+    assert out == "premises[0]: PIA subtree of (p \\ n) / p interrupted by dp(.*r,.\\)'\n"

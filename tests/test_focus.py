@@ -16,7 +16,7 @@ from fdlg.search import prove, SearchConfig, sentence_sequent
 from fdlg.cutelim import eliminate_cuts
 from fdlg.standardize import principal_subtree
 
-from gen import forward_closure, random_cut_proof
+from gen import forward_closure, interrupted_pia_proof, random_cut_proof
 
 
 def _ax(name, atom, pos=True):
@@ -25,10 +25,6 @@ def _ax(name, atom, pos=True):
 
 def _ext(d, rule):
     return Derivation(rule, apply_rule_forward(rule, [d.conclusion]), (d,))
-
-
-def _bin(rule, l, r):
-    return Derivation(rule, apply_rule_forward(rule, [l.conclusion, r.conclusion]), (l, r))
 
 
 def test_atoms_are_pia():
@@ -82,14 +78,12 @@ def test_focalization_rejects_cuts():
 
 def test_focalization_detects_interrupted_pia_section():
     # a display detour wedged between two tonicity steps splits the PIA
-    # construction of (p \ n) / p
-    d = _bin("under_L", _ax("p-Id", "p"), _ax("n-Id", "n", False))
-    d = _ext(d, "dp(.*r,.\\)")         # variant move inside the focused phase
-    d = _ext(d, "dp(.*r,.\\)'")
-    d = _bin("over_L", d, _ax("p-Id", "p"))
+    # construction of (p \ n) / p; the lower move of the detour is reported
+    d = interrupted_pia_proof()
     assert check_derivation(d).ok
     rep = check_strong_focalization(d)
     assert not rep.ok and "interrupted" in rep.reason
+    assert str(rep) == "premises[0]: PIA subtree of (p \\ n) / p interrupted by dp(.*r,.\\)'"
 
 
 def test_entry_exit_examples():
@@ -156,7 +150,7 @@ def test_connective_introduction_discipline():
     """Skeleton connectives of the end-sequent enter via translation rules,
     PIA connectives via tonicity rules, over searched proofs."""
     from fdlg.rules import TRANSLATION_RULES, TONICITY_RULES
-    from fdlg.kernel import trace_to_intro
+    from fdlg.kernel import thread
     from fdlg.focus import _formula_positions, _formula_components
     closure = forward_closure(max_height=5, max_size=8, include_variants=False)
     targets = [s for s in closure if s.kind in ("r", "b", "n")][:40]
@@ -166,10 +160,11 @@ def test_connective_introduction_discipline():
                 for kind, members in _formula_components(fml, sign):
                     for fpath in members:
                         side, base = pos
-                        np = trace_to_intro(d, (side, base + fpath))
+                        chain, top, _ = thread(d, (side, base + fpath))
                         node = d
-                        for i in np:
+                        for _, _, i in chain:
                             node = node.premises[i]
+                        assert node is top
                         if kind == "pia":
                             assert node.rule in TONICITY_RULES
                         else:

@@ -14,7 +14,7 @@ from fdlg.kernel import (Derivation, CheckReport, check_derivation,
                          derivation_to_json, derivation_from_json, make_cut,
                          iter_nodes, neg_atoms_of, derive, rule_count,
                          transform_derivation)
-from fdlg.cutelim import has_cut, trace_chain
+from fdlg.cutelim import has_cut
 from fdlg.focus import check_strong_focalization, minimize_proof
 from fdlg.corpus import golden_sequents
 from fdlg.search import SearchConfig, prove
@@ -208,7 +208,7 @@ def test_structural_cut_rebuilds_parametric_section():
                 padded = derive(rule.schema.inverse, derive(name, base))
             except KernelError:
                 continue
-            if padded.conclusion != base.conclusion or len(trace_chain(padded, pos)[0]) != 2:
+            if padded.conclusion != base.conclusion or len(kernel.thread(padded, pos)[0]) != 2:
                 continue
             for other in others:
                 pair = (padded, other) if pos[0] == "suc" else (other, padded)
@@ -344,7 +344,9 @@ def test_derivation_walks_on_a_deep_chain():
     free = _shift_chain(derive("n-Id", selector=n), 2000)
     assert check_strong_focalization(free) == check_strong_focalization(
         _shift_chain(derive("n-Id", selector=n), 2))
-    assert kernel.trace_to_intro(free, ("pre", ())) == (0,) * 2000
+    chain, top, top_pos = kernel.thread(free, ("pre", ()))
+    assert [i for _, _, i in chain] == [0] * 2000
+    assert top.rule == "down_L" and top_pos == ("pre", ())
 
 
 def test_signed_node_paths_are_kernel_positions():
