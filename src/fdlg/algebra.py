@@ -16,7 +16,7 @@ import random
 import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import accumulate, islice, product
 from typing import NamedTuple
 
@@ -691,6 +691,14 @@ def check_rule_soundness(rule, a: FiniteFPLG, max_checks: int = 0) -> SoundnessR
     return SoundnessReport(rule.name, len(combos), violations)
 
 
+@lru_cache(maxsize=8)
+def _template_structures(atoms: tuple, depth: int) -> tuple:
+    """What a template sweep's metavariables range over, built once per
+    (atoms, depth): the structures of at most `depth` levels over `atoms`,
+    without the l/r-variants and shift adjoints."""
+    return tuple(iter_structures(atoms, depth, include_variants=False))
+
+
 def check_rule_soundness_templates(rule, a: FiniteFPLG, atoms, depth: int = 2,
                                    cap: int = 12000) -> SoundnessReport:
     """Template-level sweep: metavariables range over generated structures of
@@ -716,7 +724,7 @@ def check_rule_soundness_templates(rule, a: FiniteFPLG, atoms, depth: int = 2,
         rule = REGISTRY[rule]
     varspec = rule.var_sorts
     names = sorted(varspec)
-    all_structs = list(iter_structures(tuple(atoms), depth, include_variants=False))
+    all_structs = _template_structures(tuple(atoms), depth)
     pools = []
     for n in names:
         pol, sh = varspec[n]

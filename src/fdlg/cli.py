@@ -155,7 +155,10 @@ def cmd_parse(args) -> int:
     bracketing = None
     if args.bracketing is not None:
         import json as _json
-        bracketing = _json.loads(args.bracketing)
+        try:
+            bracketing = _json.loads(args.bracketing)
+        except _json.JSONDecodeError as e:
+            raise ValueError(f"--bracketing {args.bracketing!r} is not JSON: {e}") from None
     cfg = SearchConfig(max_depth=args.max_depth, max_solutions=args.max_solutions)
     readings = parse_sentence(words, lexicon, goal, cfg, bracketing)
     if not readings:

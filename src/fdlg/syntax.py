@@ -17,8 +17,13 @@ and dict iteration, and with it the order of search results, does not depend
 on how terms are stored.
 
 bowtie and infty share with their input every subterm that they map to
-itself, so bowtie(x) is x can hold.  Identity of terms means nothing beyond
-speed: compare terms with ==.
+itself, so bowtie(x) is x can hold.  A formula or structure that a call maps
+as a proper subterm keeps its image in a slot, `_bowtie` or `_infty`, and a
+node that a call builds holds its source there, its image as both maps are
+involutions.  So a subterm shared within or across calls is mapped once, and
+bowtie(bowtie(x)) is x.  The root of a call keeps no image, so a caller who
+drops the image frees it.  Identity of terms means nothing beyond speed:
+compare terms with ==, which ignores the slots, as do hash, pickle and copy.
 
 Atom names are ASCII identifiers, [A-Za-z_][A-Za-z0-9_']*.  Any other
 character outside a connective, a parenthesis or the turnstile is a
@@ -30,6 +35,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import product
+from operator import attrgetter
 from typing import Iterator
 
 
@@ -252,7 +258,19 @@ _OP_SORTS = _sort_table(OP_SIG)
 _STRUCT_SORTS = _sort_table(STRUCT_SIG)
 
 
-class Formula(_Term):
+class _Node(_Term):
+    """A formula or structure; its slots are no fields (see _map)."""
+
+    __slots__ = ("_bowtie", "_infty")
+
+    def __repr__(self) -> str:
+        return f"<{render(self)}>"
+
+
+_N_BOWTIE, _N_INFTY = _setters(_Node)
+
+
+class Formula(_Node):
     __slots__ = ("conn", "atom", "args", "sort", "_hash")
     _fields = ("conn", "atom", "args")
 
@@ -281,6 +299,8 @@ class Formula(_Term):
         _F_ARGS(self, args)
         _F_SORT(self, sort)
         _F_HASH(self, None)
+        _N_BOWTIE(self, None)
+        _N_INFTY(self, None)
 
     def __hash__(self) -> int:
         h = self._hash
@@ -297,14 +317,11 @@ class Formula(_Term):
         return (self.conn == other.conn and self.atom == other.atom
                 and self.args == other.args)
 
-    def __repr__(self) -> str:
-        return f"<{render(self)}>"
-
 
 _F_CONN, _F_ATOM, _F_ARGS, _F_SORT, _F_HASH = _setters(Formula)
 
 
-class Structure(_Term):
+class Structure(_Node):
     __slots__ = ("conn", "leaf", "args", "sort", "_hash")
     _fields = ("conn", "leaf", "args")
 
@@ -333,6 +350,8 @@ class Structure(_Term):
         _S_ARGS(self, args)
         _S_SORT(self, sort)
         _S_HASH(self, None)
+        _N_BOWTIE(self, None)
+        _N_INFTY(self, None)
 
     def __hash__(self) -> int:
         h = self._hash
@@ -348,9 +367,6 @@ class Structure(_Term):
             return NotImplemented
         return (self.conn == other.conn and self.leaf == other.leaf
                 and self.args == other.args)
-
-    def __repr__(self) -> str:
-        return f"<{render(self)}>"
 
 
 _S_CONN, _S_LEAF, _S_ARGS, _S_SORT, _S_HASH = _setters(Structure)
@@ -689,93 +705,87 @@ def render(x, style: str = "ascii", color: bool = False) -> str:
 # keeps purity.  On sequents, infty also swaps the two sides (the turnstile
 # kind follows from the sorts).
 
-_BOWTIE = {
-    "*": ("*", True), "(+)": ("(+)", True),
-    "\\": ("/", True), "/": ("\\", True),
-    "(/)": ("(\\)", True), "(\\)": ("(/)", True),
-    "up": ("up", False), "dn": ("dn", False),
-    ".*": (".*", True), ".(+)": (".(+)", True),
-    ".\\": ("./", True), "./": (".\\", True),
-    ".(/)": (".(\\)", True), ".(\\)": (".(/)", True),
-    ".up": (".up", False), ".upl": (".upl", False),
-    ".dn": (".dn", False), ".dnr": (".dnr", False),
-    ".\\l": ("./r", True), "./r": (".\\l", True),
-    ".\\r": ("./l", True), "./l": (".\\r", True),
-    ".*l": (".*r", True), ".*r": (".*l", True),
-    ".(+)l": (".(+)r", True), ".(+)r": (".(+)l", True),
-    ".(/)l": (".(\\)r", True), ".(\\)r": (".(/)l", True),
-    ".(/)r": (".(\\)l", True), ".(\\)l": (".(/)r", True),
-}
 
-_INFTY = {
-    "*": ("(+)", True), "(+)": ("*", True),
-    "\\": ("(/)", True), "(/)": ("\\", True),
-    "/": ("(\\)", True), "(\\)": ("/", True),
-    "up": ("dn", False), "dn": ("up", False),
-    ".*": (".(+)", True), ".(+)": (".*", True),
-    ".\\": (".(/)", True), ".(/)": (".\\", True),
-    "./": (".(\\)", True), ".(\\)": ("./", True),
-    ".up": (".dn", False), ".dn": (".up", False),
-    ".upl": (".dnr", False), ".dnr": (".upl", False),
-    ".\\l": (".(/)r", True), ".(/)r": (".\\l", True),
-    ".\\r": (".(/)l", True), ".(/)l": (".\\r", True),
-    ".*l": (".(+)r", True), ".(+)r": (".*l", True),
-    ".*r": (".(+)l", True), ".(+)l": (".*r", True),
-    "./l": (".(\\)r", True), ".(\\)r": ("./l", True),
-    "./r": (".(\\)l", True), ".(\\)l": ("./r", True),
-}
+def _involution(*pairs) -> dict:
+    """Connective -> (image, whether the arguments trade places: for both
+    symmetries, iff binary), from pairs that map to each other; built so, the
+    table is an involution, which the back-links of _map rely on."""
+    table = {}
+    for c, d in pairs:
+        table[c] = (d, len(ORDER_TYPE[c]) == 2)
+        table[d] = (c, len(ORDER_TYPE[d]) == 2)
+    return table
 
 
-def _map(x, table, flip_atoms: bool, memo: dict):
-    """Image of a formula or structure under a symmetry table, one frame a
-    level.  `memo` maps input node ids to images, so a shared node is mapped
-    once; a node whose image keeps its connective and argument objects is
-    returned itself, and so is an atom formula when atoms keep their sign."""
-    conn = x.conn
-    if conn is None and not flip_atoms and x.__class__ is Formula:
-        return x
-    k = id(x)
-    y = memo.get(k)
+_BOWTIE = _involution(
+    ("*", "*"), ("(+)", "(+)"), ("\\", "/"), ("(/)", "(\\)"), ("up", "up"), ("dn", "dn"),
+    (".*", ".*"), (".(+)", ".(+)"), (".\\", "./"), (".(/)", ".(\\)"),
+    (".up", ".up"), (".upl", ".upl"), (".dn", ".dn"), (".dnr", ".dnr"),
+    (".\\l", "./r"), (".\\r", "./l"), (".*l", ".*r"), (".(+)l", ".(+)r"),
+    (".(/)l", ".(\\)r"), (".(/)r", ".(\\)l"),
+)
+_INFTY = _involution(
+    ("*", "(+)"), ("\\", "(/)"), ("/", "(\\)"), ("up", "dn"),
+    (".*", ".(+)"), (".\\", ".(/)"), ("./", ".(\\)"), (".up", ".dn"), (".upl", ".dnr"),
+    (".\\l", ".(/)r"), (".\\r", ".(/)l"), (".*l", ".(+)r"), (".*r", ".(+)l"),
+    ("./l", ".(\\)r"), ("./r", ".(\\)l"),
+)
+
+
+def _map(x, sym):
+    """Image of a formula or structure under a symmetry, one frame a level.
+    `sym` is the table, whether atoms flip, and the read and write of the
+    slot.  An image in the slot of x is returned as is.  Else the arguments'
+    images, each kept in its argument's slot, make the image, and a node
+    built keeps x in its own slot: as both maps are involutions, x is its
+    image.  x keeps none, so the image lives only as long as the caller holds
+    it.  A node whose image keeps its connective and argument objects is
+    returned itself, as is an atom formula when atoms keep their sign."""
+    table, flip_atoms, get, put = sym
+    y = get(x)
     if y is not None:
         return y
-    if conn is None:
-        if x.__class__ is Formula:
-            a = x.atom
-            y = Formula(None, Atom(a.name, not a.positive))
-        else:
-            m = _map(x.leaf, table, flip_atoms, memo)
-            y = x if m is x.leaf else Structure(None, m)
+    conn = x.conn
+    if conn is None and x.__class__ is Formula:
+        if not flip_atoms:
+            return x
+        y = Formula(None, Atom(x.atom.name, not x.atom.positive))
     else:
-        conn2, swap = table[conn]
-        args = x.args
-        if len(args) == 1:
-            new = (_map(args[0], table, flip_atoms, memo),)
-            same = new[0] is args[0]
-        else:
-            l = _map(args[0], table, flip_atoms, memo)
-            r = _map(args[1], table, flip_atoms, memo)
-            new = (r, l) if swap else (l, r)
-            same = new[0] is args[0] and new[1] is args[1]
-        y = x if same and conn2 == conn else x.__class__(conn2, None, new)
-    memo[k] = y
+        args = x.args or (x.leaf,)
+        new = []
+        for a in args:
+            m = get(a)
+            if m is None:
+                m = _map(a, sym)
+                put(a, m)
+            new.append(m)
+        conn2, swap = table[conn] if conn else (None, False)
+        if swap:
+            new.reverse()
+        if conn2 == conn and new[0] is args[0] and new[-1] is args[-1]:
+            return x
+        y = x.__class__(conn2, None, tuple(new)) if conn else Structure(None, new[0])
+    put(y, x)
     return y
+
+
+_BOWTIE_SYM = (_BOWTIE, False, attrgetter("_bowtie"), _N_BOWTIE)
+_INFTY_SYM = (_INFTY, True, attrgetter("_infty"), _N_INFTY)
 
 
 def bowtie(x):
     """Left/right symmetry; sort-preserving involution."""
-    memo: dict = {}
     if x.__class__ is not Sequent:
-        return _map(x, _BOWTIE, False, memo)
-    pre, suc = _map(x.pre, _BOWTIE, False, memo), _map(x.suc, _BOWTIE, False, memo)
+        return _map(x, _BOWTIE_SYM)
+    pre, suc = _map(x.pre, _BOWTIE_SYM), _map(x.suc, _BOWTIE_SYM)
     return x if pre is x.pre and suc is x.suc else Sequent(pre, suc)
 
 
 def infty(x):
     """Order-reversing dual; flips atom polarity and swaps sequent sides."""
-    memo: dict = {}
     if x.__class__ is not Sequent:
-        return _map(x, _INFTY, True, memo)
-    return Sequent(_map(x.suc, _INFTY, True, memo), _map(x.pre, _INFTY, True, memo))
+        return _map(x, _INFTY_SYM)
+    return Sequent(_map(x.suc, _INFTY_SYM), _map(x.pre, _INFTY_SYM))
 
 
 # ---------------------------------------------------------------------------

@@ -227,6 +227,8 @@ def test_translate_rejects_axiom_with_premises():
 
 
 @pytest.mark.parametrize("bracketing, message", [
+    ("", "--bracketing '' is not JSON"),
+    ("[0,", "--bracketing '[0,' is not JSON"),
     ("[0,5]", "out of range"),
     ("[0,[1]]", "neither"),
     ("[[0,1],[2,true]]", "neither"),

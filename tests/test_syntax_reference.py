@@ -1,8 +1,11 @@
 """The symmetries, enumerators, sort check and tokenizer of `fdlg.syntax`
 against the straightforward versions kept in `reference_syntax`."""
 
+import copy
+import pickle
 import random
 import sys
+import threading
 from itertools import product
 
 import pytest
@@ -11,7 +14,7 @@ from fdlg.syntax import (MAX_NESTING, NP, NS, OP_SIG, PP, PS, STRUCT_SIG, Atom,
                          Formula, Sequent, SortError, Structure, _OP_SORTS,
                          _STRUCT_SORTS, _check_args, _tokenize, bowtie, f, fatom,
                          infty, iter_formulas, iter_structures, leaf, parse_formula,
-                         parse_structure, render, s)
+                         parse_structure, render, s, signed_nodes)
 
 import reference_syntax as ref
 from gen import forward_closure
@@ -20,6 +23,7 @@ ATOMS = (Atom("p", True), Atom("n", False))
 FORMULAS = list(ref.iter_formulas(ATOMS, 3))
 STRUCTURES = list(ref.iter_structures(ATOMS, 2))
 SYMMETRIES = [(bowtie, ref.bowtie), (infty, ref.infty)]
+SLOTS = {bowtie: "_bowtie", infty: "_infty"}
 
 
 def test_iter_formulas_matches_reference():
@@ -46,14 +50,99 @@ def test_images_match_reference(new, old):
         assert _same_image(new, old, x), x
 
 
+def _fresh(x):
+    """An equal term that shares no node with x or any earlier term."""
+    return (parse_formula if isinstance(x, Formula) else parse_structure)(render(x), {"n"})
+
+
 @pytest.mark.parametrize("new, old", SYMMETRIES)
 def test_images_of_short_lived_terms_match_reference(new, old):
     # Each input is freed before the next is parsed, so ids are reused
-    # across calls: an image remembered from an earlier call would show.
-    for x in FORMULAS:
-        assert _same_image(new, old, parse_formula(render(x), {"n"})), x
-    for x in STRUCTURES:
-        assert _same_image(new, old, parse_structure(render(x), {"n"})), x
+    # across calls: an image remembered by id rather than on the node
+    # itself would show.
+    for x in FORMULAS + STRUCTURES:
+        assert _same_image(new, old, _fresh(x)), x
+
+
+@pytest.mark.parametrize("new, old", SYMMETRIES)
+def test_image_of_an_image_is_the_source(new, old):
+    for x in FORMULAS + STRUCTURES:
+        assert new(new(x)) is x and old(old(x)) == x, x
+        x = _fresh(x)
+        assert new(new(x)) is x, x
+
+
+@pytest.mark.parametrize("first, second", [(bowtie, infty), (infty, bowtie)])
+def test_one_symmetry_never_answers_for_the_other(first, second):
+    ref_of = dict(SYMMETRIES)
+
+    def both(x):
+        return second(first(x))
+
+    def ref_both(x):
+        return ref_of[second](ref_of[first](x))
+
+    for x in FORMULAS + STRUCTURES + list(forward_closure()):
+        assert _same_image(both, ref_both, x), x
+        assert _same_image(both, ref_both, x), x     # now from the slots
+
+
+@pytest.mark.parametrize("new, old", SYMMETRIES)
+def test_only_proper_subterms_keep_their_image(new, old):
+    slot, other = SLOTS[new], SLOTS[bowtie if new is infty else infty]
+    for x in FORMULAS + STRUCTURES:
+        x = _fresh(x)
+        y = new(x)
+        assert getattr(x, slot) is None, x
+        for _, node, _ in signed_nodes(x):
+            if node is not x:
+                assert getattr(node, slot) == old(node), (x, node)
+            assert getattr(node, other) is None, (x, node)
+        if y is not x:
+            assert getattr(y, slot) is x
+
+
+@pytest.mark.parametrize("new", [bowtie, infty])
+def test_copies_of_an_image_carry_no_slots(new):
+    for x in FORMULAS + STRUCTURES:
+        y = new(_fresh(x))
+        for c in (pickle.loads(pickle.dumps(y)), copy.deepcopy(y)):
+            assert c == y and c.sort == y.sort
+            assert all(n._bowtie is None and n._infty is None
+                       for _, n, _ in signed_nodes(c)), x
+
+
+def test_threads_mapping_shared_terms_agree():
+    """Threads that fill the slots of the same terms at once may build
+    equal images twice, but every slot ends up holding a right image."""
+    terms = [_fresh(x) for x in FORMULAS + STRUCTURES]
+    errors: list = []
+
+    def work(k):
+        try:
+            for x in terms[k::2] + terms:
+                for new, old in SYMMETRIES:
+                    if not _same_image(new, old, x) or new(new(x)) != x:
+                        errors.append(x)
+        except Exception as e:  # noqa: BLE001 - reported by the main thread
+            errors.append(e)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers) and not errors, errors[:3]
+    for x in terms:
+        for _, node, _ in signed_nodes(x):
+            for new, old in SYMMETRIES:
+                y = getattr(node, SLOTS[new])
+                assert y is None or (y == old(node) and y.sort == old(node).sort), node
 
 
 def test_mirror_invariant_terms_are_their_own_bowtie_image():
