@@ -6,6 +6,11 @@ proof).  Display postulates are invertible, so within a phase the search
 explores the whole display orbit of the current goal breadth-first and
 branches only on the non-display expansions of its members; a per-branch
 visited set keeps orbits and shift ping-pong from looping.
+
+The orbit of a goal and the steps of a sequent (its display steps and other
+expansions) are pure functions of it, so one `prove` call computes each once,
+in two dicts it drops on return.  Subgoal results are not tabled: the
+visited set makes them depend on the path.
 """
 
 from __future__ import annotations
@@ -16,9 +21,9 @@ from itertools import product
 
 from .syntax import (Formula, Structure, Sequent, leaf, s as snode,
                      parse_formula, render, ParseError)
-from .rules import (REGISTRY, ORDERED_RULES, SHIFT_DPS, candidates,
-                    match_sequent, instantiate_sequent, MatchFail)
-from .kernel import Derivation, backward_expansions
+from .rules import (ORDERED_RULES, SHIFT_DPS, candidates, match_sequent,
+                    instantiate_sequent, MatchFail)
+from .kernel import Derivation
 
 
 @dataclass
@@ -33,35 +38,45 @@ class SearchConfig:
                 raise ValueError(f"{name} must not be negative, got {value}")
 
 
-# Display postulates the orbit may use, keyed by allow_variants.
-_ORBIT_DPS = {v: frozenset(r for r in ORDERED_RULES if r.klass == "dp"
-                           and r.name not in SHIFT_DPS
-                           and (v or not r.schema.uses_variants))
-              for v in (False, True)}
+# Display postulates the orbit may use (no shift postulates), and the rules
+# the search branches on: every cut-free, variant-free rule that is not a
+# display postulate.
+_ORBIT_DPS = frozenset(r for r in ORDERED_RULES if r.klass == "dp"
+                       and r.name not in SHIFT_DPS and not r.schema.uses_variants)
+_EXPANDERS = frozenset(r for r in ORDERED_RULES if r.klass not in ("dp", "cut")
+                       and not r.schema.uses_variants)
 
 
-def _display_steps(seq: Sequent, allow_variants: bool):
-    """(rule, premise) for each orbit display postulate concluding `seq`."""
-    dps = _ORBIT_DPS[allow_variants]
-    out = []
+def _steps(seq: Sequent):
+    """(display steps, expansions) of the rules concluding `seq`, in rule order.
+
+    A display step is (rule, premise) for an orbit display postulate; an
+    expansion is (rule, premise list) for a rule of `_EXPANDERS`.
+    """
+    display, expansions = [], []
     for rule in candidates(seq):
-        if rule not in dps:
+        is_dp = rule in _ORBIT_DPS
+        if not is_dp and rule not in _EXPANDERS:
             continue
         env: dict = {}
         try:
             match_sequent(rule.schema.conclusion, seq, env)
-            prem = instantiate_sequent(rule.schema.premises[0], env)
+            prems = [instantiate_sequent(p, env) for p in rule.schema.premises]
         except (MatchFail, KeyError):
             continue
-        out.append((rule.name, prem))
-    return out
+        if is_dp:
+            display.append((rule.name, prems[0]))
+        else:
+            expansions.append((rule.name, prems))
+    return display, expansions
 
 
-def _orbit(goal: Sequent):
-    """Display orbit of `goal`: list of (member, downward dp path).
+def _orbit(goal: Sequent, steps: dict):
+    """Display orbit of `goal`: (list of (member, downward dp path), members).
 
     The path lists (rule, conclusion) pairs rebuilding the chain from the
-    member down to `goal`; breadth-first, deterministic order.
+    member down to `goal`; breadth-first, deterministic order.  `steps` maps
+    a sequent to its `_steps`; every member ends up in it.
     """
     seen = {goal}
     out = [(goal, [])]
@@ -69,7 +84,10 @@ def _orbit(goal: Sequent):
     while frontier:
         nxt = []
         for seq, path in frontier:
-            for name, prem in _display_steps(seq, False):
+            found = steps.get(seq)
+            if found is None:
+                found = steps[seq] = _steps(seq)
+            for name, prem in found[0]:
                 if prem in seen:
                     continue
                 seen.add(prem)
@@ -77,17 +95,7 @@ def _orbit(goal: Sequent):
                 out.append(entry)
                 nxt.append(entry)
         frontier = nxt
-    return out
-
-
-def _expansions(goal: Sequent):
-    """Non-display backward expansions in the cut-free, variant-free fragment."""
-    out = []
-    for name, prems in backward_expansions(goal):
-        if REGISTRY[name].klass == "dp":
-            continue
-        out.append((name, prems))
-    return out
+    return out, frozenset(seen)
 
 
 def _wrap_path(d: Derivation, path) -> Derivation:
@@ -103,9 +111,12 @@ def prove(goal: Sequent, cfg: SearchConfig | None = None) -> list[Derivation]:
     Complete for the minimal-proof search space within cfg.max_depth; an
     empty list means no proof was found within the bounds.  max_solutions
     caps the returned list (the enumeration order is deterministic).
+
+    Each orbit and each sequent's steps are computed once per call and
+    dropped on return; subgoal results are not tabled.
     """
     cfg = cfg or SearchConfig()
-    sols = _prove(goal, cfg.max_depth, frozenset())
+    sols = _prove(goal, cfg.max_depth, frozenset(), {}, {})
     uniq: list[Derivation] = []
     seen = set()
     for d in sols:
@@ -117,24 +128,28 @@ def prove(goal: Sequent, cfg: SearchConfig | None = None) -> list[Derivation]:
     return uniq
 
 
-def _prove(goal: Sequent, depth: int, visited: frozenset) -> list[Derivation]:
+def _prove(goal: Sequent, depth: int, visited: frozenset, orbits: dict,
+           steps: dict) -> list[Derivation]:
     if depth <= 0 or goal in visited:
         return []
     results: list[Derivation] = []
-    orbit = _orbit(goal)
-    blocked = visited | {m for m, _ in orbit}
-    for member, path in orbit:
+    orbit = orbits.get(goal)
+    if orbit is None:
+        orbit = orbits[goal] = _orbit(goal, steps)
+    entries, members = orbit
+    blocked = visited | members
+    for member, path in entries:
         cost = len(path) + 1
         if cost > depth:
             continue
-        for name, prems in _expansions(member):
+        for name, prems in steps[member][1]:
             if not prems:
                 results.append(_wrap_path(Derivation(name, member), path))
                 continue
             sub_lists = []
             dead = False
             for prem in prems:
-                subs = _prove(prem, depth - cost, blocked)
+                subs = _prove(prem, depth - cost, blocked, orbits, steps)
                 if not subs:
                     dead = True
                     break

@@ -1,0 +1,108 @@
+"""`fdlg.search.prove`, which computes each orbit and each sequent's steps
+once per call, against the search in `reference_search`, which recomputes
+them wherever it meets a sequent."""
+
+import random
+
+import pytest
+
+import reference_search as ref
+from fdlg import search
+from fdlg.corpus import GOAL, LEXICON, SENTENCE
+from fdlg.search import Lexicon, SearchConfig, prove, sentence_sequent
+from fdlg.syntax import Sequent
+
+from gen import forward_closure, random_structure
+
+def _quantified_sentence(q: int, arity: int) -> Sequent:
+    """q quantified noun phrases around a verb of `arity`, bracketed as
+    (subject, ((verb, object1), object2) ...); ungrammatical unless q == arity."""
+    lines, words = ["%neg s"], []
+
+    def word(name, ty):
+        words.append(name)
+        lines.append(f"{name} := {ty}")
+        return len(words) - 1
+
+    def noun_phrase(i):
+        return word(f"det{i}", "dn ((up np) / n)"), word(f"noun{i}", "n")
+
+    verb = "np \\ s"
+    for _ in range(arity - 1):
+        verb = f"({verb}) / np"
+    subject = noun_phrase(0)
+    vp = word("verb", f"dn ({verb})")
+    for i in range(1, q):
+        vp = (vp, noun_phrase(i))
+    return sentence_sequent(words, Lexicon.from_text("\n".join(lines)), GOAL,
+                            (subject, vp))
+
+
+def _same(goals, depths) -> list[int]:
+    """Proofs found at each depth, after requiring the reference's list."""
+    found = []
+    for depth in depths:
+        cfg = SearchConfig(max_depth=depth)
+        found.append(0)
+        for goal in goals:
+            got = prove(goal, cfg)
+            assert got == ref.prove(goal, cfg), (goal, depth)
+            found[-1] += len(got)
+    return found
+
+
+def test_same_readings_on_the_corpus_sentence(monkeypatch):
+    calls = []
+    inner = search._prove
+
+    def recording_prove(goal, depth, *rest):
+        calls.append((goal, depth))
+        return inner(goal, depth, *rest)
+
+    monkeypatch.setattr(search, "_prove", recording_prove)
+    goal = sentence_sequent(SENTENCE, LEXICON, GOAL)
+    assert _same([goal], (4, 8, 14, 20, 30, 40, 80)) == [0, 0, 0, 0, 3, 3, 3]
+    # the bounds skip orbit members whose steps the memo already holds
+    assert any(len(path) + 1 > depth for sub, depth in calls if depth > 0
+               for _, path in search._orbit(sub, {})[0])
+
+
+@pytest.mark.parametrize("q, arity, depths, readings", [
+    (2, 2, (20, 40, 80), [0, 2, 2]),
+    (3, 3, (40, 80), [6, 6]),
+    (4, 4, (40, 80), [0, 24]),
+    (2, 1, (40, 80), [0, 0]),
+])
+def test_same_readings_on_quantified_sentences(q, arity, depths, readings):
+    assert _same([_quantified_sentence(q, arity)], depths) == readings
+
+
+def test_same_proofs_on_random_sequents():
+    rng = random.Random(12)
+    goals = [Sequent(random_structure(rng, 2 + i % 2, positive=True),
+                     random_structure(rng, 2 + i % 2, positive=False))
+             for i in range(200)]
+    assert sum(_same(goals, (3, 6, 12, 40))) > 0
+
+
+def test_same_proofs_on_forward_closure():
+    assert _same(list(forward_closure()), (4, 8)) == [34, 82]
+
+
+def test_no_state_outlives_a_call(monkeypatch):
+    calls = []
+    steps = search._steps
+
+    def counting_steps(seq):
+        calls.append(seq)
+        return steps(seq)
+
+    monkeypatch.setattr(search, "_steps", counting_steps)
+    goal = _quantified_sentence(2, 2)
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        assert len(prove(goal, SearchConfig(max_depth=40))) == 2
+        assert len(calls) == len(set(calls))      # each sequent once per call
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0

@@ -5,9 +5,11 @@ import random
 import pytest
 
 from fdlg.syntax import parse_structure, parse_sequent, render, render_sequent
-from fdlg.standardize import (ftom, ftoM, standard_sequent, ftom_direct,
-                              ftoM_direct, str_of, form_of, StandardizeError)
+from fdlg.standardize import (ftom, ftoM, standard_sequent, str_of, form_of,
+                              StandardizeError)
 from fdlg.search import prove, SearchConfig
+
+from reference_standardize import ftom_direct, ftoM_direct
 
 from gen import random_structure
 
