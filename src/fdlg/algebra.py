@@ -6,6 +6,12 @@ posets and their twelve l/r-variants.  Everything the definition demands is
 checked exhaustively; the relations that the definition says are represented
 by an adjunction are derived, not stored.
 
+The signature is read from the syntax: each binary table's argument collages
+and target carrier come from its structural connective in `STRUCT_SIG`, and
+each shift map's carriers from its shift.  The residuation laws are generated
+from the connective groups (`GROUP_OF`), and the order-reversing dual of an
+instance renames its tables by `infty` (`_INFTY`).
+
 Carriers are tagged pairs (value, tag) with tags P, Pd, N, Nd so the four
 sorts stay disjoint.
 """
@@ -15,13 +21,13 @@ from __future__ import annotations
 import random
 import re
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from itertools import accumulate, islice, product
 from typing import NamedTuple
 
-from .syntax import (Structure, Sequent, STRUCT_OF_OP, formula_nodes,
-                     iter_structures)
+from .syntax import (GROUP_OF, STRUCT_SIG, Sort, Structure, Sequent, _INFTY,
+                     formula_nodes, iter_structures)
 from .rules import REGISTRY, instantiate_sequent
 
 
@@ -75,7 +81,10 @@ def poset_from_pairs(elements, pairs) -> FinitePoset:
 
 
 def is_weakening_relation(rel, src: FinitePoset, tgt: FinitePoset) -> bool:
-    """a' <= a, a R b, b <= b'  implies  a' R b'."""
+    """rel lies inside src x tgt, and  a' <= a, a R b, b <= b'  implies
+    a' R b'."""
+    if not all(a in src.elements and b in tgt.elements for a, b in rel):
+        return False
     for (a, b) in rel:
         for a2 in src.elements:
             if not src.le(a2, a):
@@ -141,44 +150,30 @@ def lg_from_lattice(poset: FinitePoset) -> LGAlgebra:
     es = poset.elements
     le = poset.le
 
-    def meet(a, b):
-        lower = [c for c in es if le(c, a) and le(c, b)]
-        tops = [c for c in lower if all(le(d, c) for d in lower)]
-        if not tops:
-            raise AlgebraError(f"no meet of {a!r},{b!r}")
-        return tops[0]
-
-    def join(a, b):
-        upper = [c for c in es if le(a, c) and le(b, c)]
-        bots = [c for c in upper if all(le(c, d) for d in upper)]
-        if not bots:
-            raise AlgebraError(f"no join of {a!r},{b!r}")
-        return bots[0]
+    def first_bound(cands, greatest: bool, missing: str):
+        """The first of `cands` above (or below) all of them."""
+        for c in cands:
+            if all(le(d, c) if greatest else le(c, d) for d in cands):
+                return c
+        raise AlgebraError(missing)
 
     ops = {sym: {} for sym in LG_OPS}
     for a, b in product(es, es):
-        ops["*"][(a, b)] = meet(a, b)
-        ops["(+)"][(a, b)] = join(a, b)
+        ops["*"][(a, b)] = first_bound([c for c in es if le(c, a) and le(c, b)], True,
+                                       f"no meet of {a!r},{b!r}")
+        ops["(+)"][(a, b)] = first_bound([c for c in es if le(a, c) and le(b, c)], False,
+                                         f"no join of {a!r},{b!r}")
     for a, c in product(es, es):
-        under = [b for b in es if le(ops["*"][(a, b)], c)]
-        tops = [b for b in under if all(le(d, b) for d in under)]
-        if not tops:
-            raise AlgebraError("no residual; the lattice is not residuated")
-        ops["\\"][(a, c)] = tops[0]
+        ops["\\"][(a, c)] = first_bound([b for b in es if le(ops["*"][(a, b)], c)], True,
+                                        "no residual; the lattice is not residuated")
     for c, b in product(es, es):
         ops["/"][(c, b)] = ops["\\"][(b, c)]
     for c, b in product(es, es):
-        over = [a for a in es if le(c, ops["(+)"][(a, b)])]
-        bots = [a for a in over if all(le(a, d) for d in over)]
-        if not bots:
-            raise AlgebraError("no co-residual")
-        ops["(/)"][(c, b)] = bots[0]
+        ops["(/)"][(c, b)] = first_bound([a for a in es if le(c, ops["(+)"][(a, b)])], False,
+                                         "no co-residual")
     for a, c in product(es, es):
-        over = [b for b in es if le(c, ops["(+)"][(a, b)])]
-        bots = [b for b in over if all(le(b, d) for d in over)]
-        if not bots:
-            raise AlgebraError("no co-residual")
-        ops["(\\)"][(a, c)] = bots[0]
+        ops["(\\)"][(a, c)] = first_bound([b for b in es if le(c, ops["(+)"][(a, b)])], False,
+                                          "no co-residual")
     alg = LGAlgebra(poset, ops)
     bad = alg.check()
     if bad:
@@ -201,13 +196,61 @@ def diamond_poset() -> FinitePoset:
 
 TAGS = ("P", "Pd", "N", "Nd")
 
-_VARIANTS = ("*l", "*r", "(+)l", "(+)r", "\\l", "\\r", "/l", "/r",
-             "(/)l", "(/)r", "(\\)l", "(\\)r")
 
-# output carrier per operation
-_OP_TARGET = {"*": "P", "(/)": "P", "(\\)": "P", "(+)": "N", "\\": "N", "/": "N"}
-_VAR_TARGET = {v: ("Nd" if v[0] in "*(" and not v.startswith("(+)") else "Pd")
-               for v in _VARIANTS}
+def _carrier(sort: Sort) -> str:
+    """The tag of the carrier that holds the values of a sort."""
+    return ("P" if sort.positive else "N") + ("d" if sort.shifted else "")
+
+
+# The twelve l/r-variants, named like their structural connectives without
+# the dot, two per operation in the order of LG_OPS; then the 18 binary
+# symbols of an instance.
+_VARIANTS = tuple(v[1:] for sym in LG_OPS for v in GROUP_OF["." + sym][1:])
+_BINARY = LG_OPS + _VARIANTS
+
+# Each binary symbol's signature, read from its structural connective: the
+# carrier its values lie in, and per argument whether it ranges over the
+# positive collage (P then Pd) or the negative one (Nd then N).  `_BASE`
+# names the operation a variant belongs to, and an operation itself.
+_SIG = {sym: (_carrier(STRUCT_SIG["." + sym][0]),
+              tuple(pol for pol, _ in STRUCT_SIG["." + sym][1]))
+        for sym in _BINARY}
+_BASE = {sym: GROUP_OF["." + sym][0][1:] for sym in _BINARY}
+
+# Each shift map's source and target carrier, in FiniteFPLG's field order.
+_SHIFTS = {sh: (_carrier(Sort(*STRUCT_SIG["." + sh][1][0])),
+                _carrier(STRUCT_SIG["." + sh][0]))
+           for sh in ("up", "upl", "dn", "dnr")}
+
+# The two residuation law shapes over variables 0, 1, 2.  A clause
+# (group, i, j, k, left) says that the group's table at (v_i, v_j) lies
+# below v_k if `left`, else above it; a law holds when its three clauses
+# agree at every assignment.
+#   product:    x*y <= z    iff  y <= x\z     iff  x <= z/y
+#   coproduct:  x <= m(+)n  iff  x(/)n <= m   iff  m(\)x <= n
+_SHAPES = (
+    (("*", 0, 1, 2, True), ("\\", 0, 2, 1, False), ("/", 2, 1, 0, False)),
+    (("(+)", 1, 2, 0, False), ("(/)", 0, 2, 1, True), ("(\\)", 1, 0, 2, True)),
+)
+
+
+def _laws() -> tuple:
+    """Each shape at each polarity assignment of its variables for which all
+    three groups have a member taking arguments of those polarities: the two
+    base adjunctions and six mixing in the variants.  A law is the
+    variables' polarities and its clauses, each group resolved to that
+    member."""
+    member = {(_BASE[sym], _SIG[sym][1]): sym for sym in _BINARY}
+    laws = []
+    for shape, pols in product(_SHAPES, product((True, False), repeat=3)):
+        clauses = tuple((member.get((group, (pols[i], pols[j]))), i, j, k, left)
+                        for group, i, j, k, left in shape)
+        if all(sym is not None for sym, *_ in clauses):
+            laws.append((pols, clauses))
+    return tuple(laws)
+
+
+_LAWS = _laws()
 
 
 # interpretable (precedent tag, succedent tag) pairs and their sequent kinds
@@ -250,7 +293,11 @@ class FiniteFPLG:
     # -- derived structure ---------------------------------------------------
 
     def poset(self, tag: str) -> FinitePoset:
-        return {"P": self.P, "Pd": self.Pd, "N": self.N, "Nd": self.Nd}[tag]
+        return getattr(self, tag)
+
+    def table(self, sym: str) -> dict | None:
+        """The table of one of the 18 binary symbols, None if it is missing."""
+        return (self.ops if sym in LG_OPS else self.variants).get(sym)
 
     def ring_pos(self) -> FinitePoset:
         return collage(self.P, self.Pd, self.wr_shifted_pos)
@@ -268,10 +315,10 @@ class FiniteFPLG:
             tag.update(dict.fromkeys(self.poset(t).elements, t))
         tables = {"up": self.up, ".up": self.up, "dn": self.dn, ".dn": self.dn,
                   ".upl": self.upl, ".dnr": self.dnr}
+        for sym in _BINARY:
+            tables["." + sym] = self.table(sym) or {}
         for sym in LG_OPS:
-            tables[sym] = tables[STRUCT_OF_OP[sym]] = self.ops.get(sym, {})
-        for v in _VARIANTS:
-            tables["." + v] = self.variants.get(v, {})
+            tables[sym] = tables["." + sym]
         relations = {"r": (None, self.P.leq), "r.": (None, self.wr_shifted_pos),
                      "r:": (None, self.Pd.leq), "b": (None, self.N.leq),
                      "b_": (None, self.wr_shifted_neg), "b:": (None, self.Nd.leq),
@@ -318,14 +365,16 @@ def check_fplg_axioms(a: FiniteFPLG) -> list[str]:
             if x not in m or m[x] not in tgt.elements:
                 bad.append(f"{name} not total at {x!r}")
                 return
+        extra = _first_outside(m, src.elements)
+        if extra is not None:
+            bad.append(f"{name} is defined outside its domain at {extra!r}")
+            return
         for x, y in src.leq:
             if not tgt.le(m[x], m[y]):
                 bad.append(f"{name} not monotone at {x!r},{y!r}")
 
-    monotone(a.up, a.P, a.Nd, "up")
-    monotone(a.upl, a.Pd, a.N, "upl")
-    monotone(a.dn, a.N, a.Pd, "dn")
-    monotone(a.dnr, a.Nd, a.P, "dnr")
+    for sh, (src, tgt) in _SHIFTS.items():
+        monotone(getattr(a, sh), carriers[src], carriers[tgt], sh)
     if bad:
         return bad
 
@@ -366,86 +415,49 @@ def check_fplg_axioms(a: FiniteFPLG) -> list[str]:
     bad += [f"ring-pos: {m}" for m in rp.check()]
     bad += [f"ring-neg: {m}" for m in rn.check()]
 
-    for sym in LG_OPS:
-        table = a.ops.get(sym)
+    ring = {True: rp.elements, False: rn.elements}
+    tables = {}
+    for sym, (tgt, (left, right)) in _SIG.items():
+        table = tables[sym] = a.table(sym)
         if table is None:
-            bad.append(f"missing operation {sym}")
+            bad.append(f"missing {'operation' if sym in LG_OPS else 'variant'} {sym}")
             continue
-        left = rp.elements if sym in ("*", "(/)", "\\") else rn.elements
-        right = {"*": rp, "(/)": rn, "(\\)": rp,
-                 "(+)": rn, "\\": rn, "/": rp}[sym].elements
-        tgt = carriers[_OP_TARGET[sym]].elements
-        for x, y in product(left, right):
-            if (x, y) not in table or table[(x, y)] not in tgt:
-                bad.append(f"{sym} not total into {_OP_TARGET[sym]} at {(x, y)!r}")
+        cells = list(product(ring[left], ring[right]))
+        targets = set(carriers[tgt].elements)
+        for cell in cells:
+            if table.get(cell) not in targets:
+                bad.append(f"{sym} not total into {tgt} at {cell!r}")
                 return bad
+        extra = _first_outside(table, cells)
+        if extra is not None:
+            bad.append(f"{sym} is defined outside its domain at {extra!r}")
+            return bad
     if bad:
         return bad
 
-    hvd = a.hvd
-    for p_, q_ in product(rp.elements, rp.elements):
-        for n_ in rn.elements:
-            r1 = hvd(q_, a.ops["\\"][(p_, n_)])
-            r2 = hvd(a.ops["*"][(p_, q_)], n_)
-            r3 = hvd(p_, a.ops["/"][(n_, q_)])
-            if not (r1 == r2 == r3):
-                bad.append(f"product adjunction fails at {(p_, q_, n_)!r}")
-    for p_ in rp.elements:
-        for m_, n_ in product(rn.elements, rn.elements):
-            g1 = hvd(a.ops["(/)"][(p_, n_)], m_)
-            g2 = hvd(p_, a.ops["(+)"][(m_, n_)])
-            g3 = hvd(a.ops["(\\)"][(m_, p_)], n_)
-            if not (g1 == g2 == g3):
-                bad.append(f"coproduct adjunction fails at {(p_, m_, n_)!r}")
-    if bad:
-        return bad
-
-    for v in _VARIANTS:
-        if v not in a.variants:
-            bad.append(f"missing variant {v}")
-    if bad:
-        return bad
-
-    lep, len_ = rp.le, rn.le
-    P_, N_ = rp.elements, rn.elements
-    va, ops = a.variants, a.ops
-    for p_, q_, r_ in product(P_, P_, P_):
-        if not (lep(q_, va["\\r"][(p_, r_)])
-                == lep(ops["*"][(p_, q_)], r_)
-                == lep(p_, va["/l"][(r_, q_)])):
-            bad.append(f"variant adjunction (product, pos) fails at {(p_, q_, r_)!r}")
-            return bad
-    for l_, m_, n_ in product(N_, N_, N_):
-        if not (len_(va["(/)l"][(l_, n_)], m_)
-                == len_(l_, ops["(+)"][(m_, n_)])
-                == len_(va["(\\)r"][(m_, l_)], n_)):
-            bad.append(f"variant adjunction (coproduct, neg) fails at {(l_, m_, n_)!r}")
-            return bad
-    for q_, l_, n_ in product(P_, N_, N_):
-        if not (lep(q_, va["\\l"][(l_, n_)])
-                == len_(va["*l"][(l_, q_)], n_)
-                == len_(l_, ops["/"][(n_, q_)])):
-            bad.append(f"variant adjunction (mixed under) fails at {(q_, l_, n_)!r}")
-            return bad
-    for p_, r_, m_ in product(P_, P_, N_):
-        if not (len_(va["(/)r"][(p_, r_)], m_)
-                == lep(p_, va["(+)r"][(m_, r_)])
-                == lep(ops["(\\)"][(m_, p_)], r_)):
-            bad.append(f"variant adjunction (mixed co-under) fails at {(p_, r_, m_)!r}")
-            return bad
-    for l_, p_, n_ in product(N_, P_, N_):
-        if not (len_(l_, ops["\\"][(p_, n_)])
-                == len_(va["*r"][(p_, l_)], n_)
-                == lep(p_, va["/r"][(n_, l_)])):
-            bad.append(f"variant adjunction (mixed over) fails at {(l_, p_, n_)!r}")
-            return bad
-    for p_, r_, n_ in product(P_, P_, N_):
-        if not (lep(ops["(/)"][(p_, n_)], r_)
-                == lep(p_, va["(+)l"][(r_, n_)])
-                == len_(va["(\\)l"][(r_, p_)], n_)):
-            bad.append(f"variant adjunction (mixed co-over) fails at {(p_, r_, n_)!r}")
-            return bad
+    # The laws, each evaluated column-wise over every assignment of its
+    # variables.  Within a collage the order is the collage's, and from the
+    # positive collage to the negative one it is hvd: both are `truth`,
+    # which holds every pair that a law compares.
+    truth = a.view.truth
+    for pols, clauses in _LAWS:
+        cols = tuple(zip(*product(*(ring[pol] for pol in pols))))
+        verdicts = []
+        for sym, i, j, k, left in clauses:
+            values = map(tables[sym].__getitem__, zip(cols[i], cols[j]))
+            pairs = zip(values, cols[k]) if left else zip(cols[k], values)
+            verdicts.append(list(map(truth.__getitem__, pairs)))
+        if not verdicts[0] == verdicts[1] == verdicts[2]:
+            syms = ", ".join(sym for sym, *_ in clauses)
+            bad += [f"adjunction of {syms} fails at {row!r}"
+                    for row, v1, v2, v3 in zip(zip(*cols), *verdicts) if not v1 == v2 == v3]
     return bad
+
+
+def _first_outside(keys, domain):
+    """The first of `keys` that is not in `domain`, or None."""
+    domain = set(domain)
+    return next((k for k in keys if k not in domain), None)
 
 
 # ---------------------------------------------------------------------------
@@ -458,46 +470,31 @@ def from_lg(g: LGAlgebra, name: str = "from-lg") -> FiniteFPLG:
     if bad:
         raise AlgebraError("seed is not an LG-algebra: " + bad[0])
 
-    def tagd(t):
-        return tuple((x, t) for x in g.poset.elements)
-
     def lift(t1, t2=None):
         t2 = t2 or t1
         return frozenset(((x, t1), (y, t2)) for (x, y) in g.poset.leq)
 
-    posets = {t: FinitePoset(tagd(t), lift(t)) for t in TAGS}
-    up = {(x, "P"): (x, "Nd") for x in g.poset.elements}
-    upl = {(x, "Pd"): (x, "N") for x in g.poset.elements}
-    dn = {(x, "N"): (x, "Pd") for x in g.poset.elements}
-    dnr = {(x, "Nd"): (x, "P") for x in g.poset.elements}
-
-    ring_pos = posets["P"].elements + posets["Pd"].elements
-    ring_neg = posets["Nd"].elements + posets["N"].elements
-    ops = {}
-    for sym in LG_OPS:
-        left = ring_pos if sym in ("*", "(/)", "\\") else ring_neg
-        right = {"*": ring_pos, "(/)": ring_neg, "(\\)": ring_pos,
-                 "(+)": ring_neg, "\\": ring_neg, "/": ring_pos}[sym]
-        tgt = _OP_TARGET[sym]
-        ops[sym] = {((x, tx), (y, ty)): (g.op(sym, x, y), tgt)
-                    for (x, tx) in left for (y, ty) in right}
-    variants = {}
-    for v in _VARIANTS:
-        base = v[:-1]
-        tgt = _VAR_TARGET[v]
-        lefts = {"*l": ring_neg, "*r": ring_pos, "(+)l": ring_pos, "(+)r": ring_neg,
-                 "\\l": ring_neg, "\\r": ring_pos, "/l": ring_pos, "/r": ring_neg,
-                 "(/)l": ring_neg, "(/)r": ring_pos, "(\\)l": ring_pos, "(\\)r": ring_neg}
-        rights = {"*l": ring_pos, "*r": ring_neg, "(+)l": ring_neg, "(+)r": ring_pos,
-                  "\\l": ring_neg, "\\r": ring_pos, "/l": ring_pos, "/r": ring_neg,
-                  "(/)l": ring_neg, "(/)r": ring_pos, "(\\)l": ring_pos, "(\\)r": ring_neg}
-        variants[v] = {((x, tx), (y, ty)): (g.op(base, x, y), tgt)
-                       for (x, tx) in lefts[v] for (y, ty) in rights[v]}
-    inst = FiniteFPLG(name, posets["P"], posets["Pd"], posets["N"], posets["Nd"],
-                      up, upl, dn, dnr,
+    posets = {t: FinitePoset(tuple((x, t) for x in g.poset.elements), lift(t))
+              for t in TAGS}
+    ring = {True: posets["P"].elements + posets["Pd"].elements,
+            False: posets["Nd"].elements + posets["N"].elements}
+    tables = {sym: {((x, tx), (y, ty)): (g.op(_BASE[sym], x, y), tgt)
+                    for (x, tx) in ring[left] for (y, ty) in ring[right]}
+              for sym, (tgt, (left, right)) in _SIG.items()}
+    return FiniteFPLG(name, *posets.values(), *_identity_shifts(posets),
                       lift("P", "Pd"), lift("P", "N"), lift("Nd", "N"),
-                      ops, variants)
-    return inst
+                      *_split(tables))
+
+
+def _identity_shifts(carriers: dict) -> list:
+    """The four shift maps that keep each value, in FiniteFPLG's field order."""
+    return [{x: (x[0], tgt) for x in carriers[src].elements}
+            for src, tgt in _SHIFTS.values()]
+
+
+def _split(tables: dict) -> tuple:
+    """The operations' and the variants' tables of a dict of all 18."""
+    return {sym: tables[sym] for sym in LG_OPS}, {v: tables[v] for v in _VARIANTS}
 
 
 def to_lg(a: FiniteFPLG) -> LGAlgebra:
@@ -530,20 +527,14 @@ def to_lg(a: FiniteFPLG) -> LGAlgebra:
     def cast(x, positive):
         return plus(x) if positive else minus(x)
 
-    sides = {"*": (True, True), "(/)": (True, False), "(\\)": (False, True),
-             "(+)": (False, False), "\\": (True, False), "/": (False, True)}
     ops = {sym: {} for sym in LG_OPS}
     for sym in LG_OPS:
-        sl, sr = sides[sym]
+        _, (sl, sr) = _SIG[sym]
         for x, y in product(carrier, carrier):
-            v = a.ops[sym][(cast(x, sl), cast(y, sr))]
-            ops[sym][(names[cls_of[x]], names[cls_of[y]])] = names[cls_of[v]]
-    # well-definedness on representatives is implied by monotonicity; verify
-    for sym in LG_OPS:
-        sl, sr = sides[sym]
-        for x, y in product(carrier, carrier):
-            v = a.ops[sym][(cast(x, sl), cast(y, sr))]
-            if ops[sym][(names[cls_of[x]], names[cls_of[y]])] != names[cls_of[v]]:
+            v = names[cls_of[a.ops[sym][(cast(x, sl), cast(y, sr))]]]
+            # well-definedness on representatives is implied by
+            # monotonicity; verify
+            if ops[sym].setdefault((names[cls_of[x]], names[cls_of[y]]), v) != v:
                 raise AlgebraError(f"{sym} is not well-defined on the quotient")
     alg = LGAlgebra(poset, ops)
     bad = alg.check()
@@ -825,17 +816,15 @@ def render_algebra(a: FiniteFPLG) -> str:
         p = a.poset(t)
         lines.append(f"%carrier {t}: " + " ".join(el(x) for x in p.elements))
         lines.append(f"%le {t}: " + " ".join(f"{el(x)}<={el(y)}" for x, y in sorted(p.leq)))
-    for name, m in (("up", a.up), ("upl", a.upl), ("dn", a.dn), ("dnr", a.dnr)):
-        lines.append(f"%map {name}: " + " ".join(f"{el(k)}->{el(v)}" for k, v in sorted(m.items())))
+    for sh in _SHIFTS:
+        lines.append(f"%map {sh}: " + " ".join(
+            f"{el(k)}->{el(v)}" for k, v in sorted(getattr(a, sh).items())))
     for name, r in (("shifted-pos", a.wr_shifted_pos), ("pure", a.wr_pure),
                     ("shifted-neg", a.wr_shifted_neg)):
         lines.append(f"%wr {name}: " + " ".join(f"{el(x)}<={el(y)}" for x, y in sorted(r)))
-    for sym in LG_OPS:
-        lines.append(f"%op {sym}: " + " ".join(
-            f"{el(x)},{el(y)}->{el(v)}" for (x, y), v in sorted(a.ops[sym].items())))
-    for v in _VARIANTS:
-        lines.append(f"%var {v}: " + " ".join(
-            f"{el(x)},{el(y)}->{el(w)}" for (x, y), w in sorted(a.variants[v].items())))
+    for sym in _BINARY:
+        lines.append(f"{'%op' if sym in LG_OPS else '%var'} {sym}: " + " ".join(
+            f"{el(x)},{el(y)}->{el(v)}" for (x, y), v in sorted(a.table(sym).items())))
     return "\n".join(lines) + "\n"
 
 
@@ -895,14 +884,13 @@ def parse_algebra(text: str) -> FiniteFPLG:
             (ops if kind == "%op" else variants)[arg] = {
                 ((v1, t1), (v2, t2)): (v3, t3) for t1, v1, t2, v2, t3, v3 in rows}
     for section, found, wanted in (("%carrier", carriers, TAGS), ("%le", les, TAGS),
-                                   ("%map", maps, ("up", "upl", "dn", "dnr")),
+                                   ("%map", maps, _SHIFTS),
                                    ("%wr", wrs, ("shifted-pos", "pure", "shifted-neg"))):
         missing = [w for w in wanted if w not in found]
         if missing:
             raise AlgebraError(f"algebra file has no {section} {missing[0]} line")
-    posets = {t: FinitePoset(carriers[t], les[t]) for t in TAGS}
-    return FiniteFPLG(name, posets["P"], posets["Pd"], posets["N"], posets["Nd"],
-                      maps["up"], maps["upl"], maps["dn"], maps["dnr"],
+    return FiniteFPLG(name, *(FinitePoset(carriers[t], les[t]) for t in TAGS),
+                      *(maps[sh] for sh in _SHIFTS),
                       wrs["shifted-pos"], wrs["pure"], wrs["shifted-neg"],
                       ops, variants)
 
@@ -927,6 +915,13 @@ def _small_posets(max_size: int):
     return [p for p in out if len(p.elements) <= max_size]
 
 
+def _renamed(poset: FinitePoset, prefix: str) -> FinitePoset:
+    """The poset with its i-th element renamed prefix + i."""
+    new = {x: f"{prefix}{i}" for i, x in enumerate(poset.elements)}
+    return FinitePoset(tuple(new.values()),
+                       frozenset((new[x], new[y]) for x, y in poset.leq))
+
+
 def _retag(poset: FinitePoset, tag: str) -> FinitePoset:
     return FinitePoset(tuple((x, tag) for x in poset.elements),
                        frozenset(((x, tag), (y, tag)) for (x, y) in poset.leq))
@@ -935,101 +930,18 @@ def _retag(poset: FinitePoset, tag: str) -> FinitePoset:
 def _compatible_wrs(p: FinitePoset, q: FinitePoset, rng, limit=6):
     """Some weakening relations p -> q: up-closed unions of principal blocks."""
     pairs = [(x, y) for x in p.elements for y in q.elements]
-    found = set()
     out = []
     for _ in range(60):
-        seed = {pr for pr in pairs if rng.random() < 0.4}
-        rel = set(seed)
-        changed = True
-        while changed:
-            changed = False
-            for (x, y) in list(rel):
-                for x2 in p.elements:
-                    if p.le(x2, x):
-                        for y2 in q.elements:
-                            if q.le(y, y2) and (x2, y2) not in rel:
-                                rel.add((x2, y2))
-                                changed = True
-        fr = frozenset(rel)
-        if fr not in found:
-            found.add(fr)
-            out.append(fr)
+        seed = [pr for pr in pairs if rng.random() < 0.4]
+        # the up-closure of the seed, in one step as both orders are transitive
+        rel = frozenset((x2, y2) for x, y in seed
+                        for x2 in p.elements if p.le(x2, x)
+                        for y2 in q.elements if q.le(y, y2))
+        if rel not in out:
+            out.append(rel)
         if len(out) >= limit:
             break
     return out
-
-
-def _derive_residual_triple(ring_p, ring_n, hvd, P_el, N_el, left_table):
-    """Given a product table into P, derive both residuals into N, or None."""
-    prod, under, over = left_table, {}, {}
-    for x, n in product(ring_p.elements, ring_n.elements):
-        want = {y for y in ring_p.elements if hvd(prod[(x, y)], n)}
-        cands = [m for m in N_el if {y for y in ring_p.elements if hvd(y, m)} == want]
-        if not cands:
-            return None
-        under[(x, n)] = cands[0]
-    for n, y in product(ring_n.elements, ring_p.elements):
-        want = {x for x in ring_p.elements if hvd(prod[(x, y)], n)}
-        cands = [m for m in N_el if {x for x in ring_p.elements if hvd(x, m)} == want]
-        if not cands:
-            return None
-        over[(n, y)] = cands[0]
-    return prod, under, over
-
-
-def _derive_triple_from_under(ring_p, ring_n, hvd, P_el, N_el, under_table):
-    """Given a residual table into N, derive the product and the other
-    residual, then re-derive the residual for consistency."""
-    under, prod = under_table, {}
-    for x, y in product(ring_p.elements, ring_p.elements):
-        want = {n for n in ring_n.elements if hvd(y, under[(x, n)])}
-        cands = [p for p in P_el
-                 if {n for n in ring_n.elements if hvd(p, n)} == want]
-        if not cands:
-            return None
-        prod[(x, y)] = cands[0]
-    triple = _derive_residual_triple(ring_p, ring_n, hvd, P_el, N_el, prod)
-    if triple is None:
-        return None
-    if triple[1] != under:
-        return None
-    return triple
-
-
-def _derive_cotriple_from_oslash(ring_p, ring_n, hvd, P_el, N_el, osl_table):
-    """Given a co-residual table into P, derive the coproduct and the rest."""
-    osl, plus = osl_table, {}
-    for m, n in product(ring_n.elements, ring_n.elements):
-        want = {x for x in ring_p.elements if hvd(osl[(x, n)], m)}
-        cands = [v for v in N_el
-                 if {x for x in ring_p.elements if hvd(x, v)} == want]
-        if not cands:
-            return None
-        plus[(m, n)] = cands[0]
-    triple = _derive_coresidual_triple(ring_p, ring_n, hvd, P_el, N_el, plus)
-    if triple is None:
-        return None
-    if triple[1] != osl:
-        return None
-    return triple
-
-
-def _derive_coresidual_triple(ring_p, ring_n, hvd, P_el, N_el, plus_table):
-    """Given a coproduct table into N, derive both co-residuals into P."""
-    plus, osl, obsl = plus_table, {}, {}
-    for x, n in product(ring_p.elements, ring_n.elements):
-        want = {m for m in ring_n.elements if hvd(x, plus[(m, n)])}
-        cands = [p for p in P_el if {m for m in ring_n.elements if hvd(p, m)} == want]
-        if not cands:
-            return None
-        osl[(x, n)] = cands[0]
-    for m, x in product(ring_n.elements, ring_p.elements):
-        want = {n for n in ring_n.elements if hvd(x, plus[(m, n)])}
-        cands = [p for p in P_el if {n for n in ring_n.elements if hvd(p, n)} == want]
-        if not cands:
-            return None
-        obsl[(m, x)] = cands[0]
-    return plus, osl, obsl
 
 
 def _fused_instances(p_seed: FinitePoset, n_seed: FinitePoset, w, rng,
@@ -1040,20 +952,13 @@ def _fused_instances(p_seed: FinitePoset, n_seed: FinitePoset, w, rng,
     variants coincide with the base operations up to retagging, so a full
     enumeration over the small product tables is feasible.
     """
-    P = _retag(p_seed, "P")
-    N = _retag(n_seed, "N")
-    Pd = _retag(n_seed, "Pd")
-    Nd = _retag(p_seed, "Nd")
-    up = {(x, "P"): (x, "Nd") for x in p_seed.elements}
-    dnr = {(x, "Nd"): (x, "P") for x in p_seed.elements}
-    dn = {(x, "N"): (x, "Pd") for x in n_seed.elements}
-    upl = {(x, "Pd"): (x, "N") for x in n_seed.elements}
+    carriers = {"P": _retag(p_seed, "P"), "Pd": _retag(n_seed, "Pd"),
+                "N": _retag(n_seed, "N"), "Nd": _retag(p_seed, "Nd")}
+    P_el, N_el = carriers["P"].elements, carriers["N"].elements
+    rp, rn = P_el + carriers["Pd"].elements, carriers["Nd"].elements + N_el
     wr_sp = frozenset(((x, "P"), (y, "Pd")) for (x, y) in w)
     wr_pn = frozenset(((x, "P"), (y, "N")) for (x, y) in w)
     wr_sn = frozenset(((x, "Nd"), (y, "N")) for (x, y) in w)
-
-    ring_p = collage(P, Pd, wr_sp)
-    ring_n = collage(Nd, N, wr_sn)
 
     # The pairs on which hvd holds: P below Nd as in the positive seed, P
     # below N as in w, Pd below N as in the negative seed.
@@ -1061,97 +966,112 @@ def _fused_instances(p_seed: FinitePoset, n_seed: FinitePoset, w, rng,
     below.update(((x, "P"), (y, "N")) for x, y in w)
     below.update(((x, "Pd"), (y, "N")) for x, y in n_seed.leq)
 
-    def hvd(a, b):
-        return (a, b) in below
-
-    P_el, N_el = P.elements, N.elements
-    cells_p = list(product(ring_p.elements, ring_p.elements))
-    cells_n = list(product(ring_n.elements, ring_n.elements))
+    cells_p, cells_n = list(product(rp, rp)), list(product(rn, rn))
+    cells_pn, cells_np = list(product(rp, rn)), list(product(rn, rp))
 
     def tables(cells, values, limit=3000):
-        count = len(values) ** len(cells)
+        n = len(values)
+        count = n ** len(cells)
         idxs = range(count) if count <= limit else \
             (rng.randrange(count) for _ in range(limit))
         for i in idxs:
             t = {}
-            k = i
             for c in cells:
-                t[c] = values[k % len(values)]
-                k //= len(values)
+                t[c] = values[i % n]
+                i //= n
             yield t
 
-    cells_pn = list(product(ring_p.elements, ring_n.elements))
-    out = []
-    prods = []
-    if len(P_el) <= len(N_el):
-        gen = ((_derive_residual_triple(ring_p, ring_n, hvd, P_el, N_el, c))
-               for c in tables(cells_p, P_el))
-    else:
-        gen = ((_derive_triple_from_under(ring_p, ring_n, hvd, P_el, N_el, c))
-               for c in tables(cells_pn, N_el))
-    for triple in gen:
-        if triple:
-            prods.append(triple)
-        if len(prods) >= max(2, cap):
-            break
-    plusses = []
-    if len(N_el) <= len(P_el):
-        gen = ((_derive_coresidual_triple(ring_p, ring_n, hvd, P_el, N_el, c))
-               for c in tables(cells_n, N_el))
-    else:
-        gen = ((_derive_cotriple_from_oslash(ring_p, ring_n, hvd, P_el, N_el, c))
-               for c in tables(cells_pn, P_el))
-    for triple in gen:
-        if triple:
-            plusses.append(triple)
-        if len(plusses) >= max(2, cap):
-            break
-    # value-preserving isomorphisms between the two (isomorphic) collages
-    iso_np = {("Nd", "P"), ("N", "Pd")}
+    # The residual solver.  A residual's value at a cell is the first
+    # candidate whose profile, the elements of the other collage that hvd
+    # relates it to, is the set the adjunction asks for there: N candidates
+    # by what lies below them, P candidates by what lies above them.
+    by_below, by_above = {}, {}
+    for m in N_el:
+        by_below.setdefault(frozenset(x for x in rp if (x, m) in below), m)
+    for p in P_el:
+        by_above.setdefault(frozenset(n for n in rn if (p, n) in below), p)
 
-    def to_pos(x):
-        v, t = x
-        return (v, {"Nd": "P", "N": "Pd"}[t])
+    def solve(cells, wanted, candidates):
+        """The table of each cell's candidate for `wanted(*cell)`, or None
+        if some cell has none."""
+        table = {}
+        for cell in cells:
+            value = candidates.get(frozenset(wanted(*cell)))
+            if value is None:
+                return None
+            table[cell] = value
+        return table
 
-    def to_neg(x):
-        v, t = x
-        return (v, {"P": "Nd", "Pd": "N"}[t])
+    def residuals(prod):
+        """prod with both residuals into N, or None."""
+        under = solve(cells_pn, lambda x, n: (y for y in rp if (prod[x, y], n) in below),
+                      by_below)
+        over = under and solve(cells_np, lambda n, y: (x for x in rp if (prod[x, y], n) in below),
+                               by_below)
+        return over and (prod, under, over)
 
+    def coresiduals(plus):
+        """plus with both co-residuals into P, or None."""
+        osl = solve(cells_pn, lambda x, n: (m for m in rn if (x, plus[m, n]) in below),
+                    by_above)
+        obsl = osl and solve(cells_np, lambda m, x: (n for n in rn if (x, plus[m, n]) in below),
+                             by_above)
+        return obsl and (plus, osl, obsl)
+
+    def from_under(under):
+        """The product of a residual table, with both residuals, if it gives
+        that residual back."""
+        prod = solve(cells_p, lambda x, y: (n for n in rn if (y, under[x, n]) in below),
+                     by_above)
+        triple = prod and residuals(prod)
+        return triple if triple and triple[1] == under else None
+
+    def from_oslash(osl):
+        """The coproduct of a co-residual table, with both co-residuals, if
+        it gives that co-residual back."""
+        plus = solve(cells_n, lambda m, n: (x for x in rp if (osl[x, n], m) in below),
+                     by_below)
+        triple = plus and coresiduals(plus)
+        return triple if triple and triple[1] == osl else None
+
+    def triples(cells, values, derive):
+        """The first max(2, cap) triples derived from the candidate tables."""
+        found = []
+        for t in tables(cells, values):
+            triple = derive(t)
+            if triple:
+                found.append(triple)
+            if len(found) >= max(2, cap):
+                break
+        return found
+
+    # Enumerate the smaller of the two carriers a family's tables could map to.
+    prods = (triples(cells_p, P_el, residuals) if len(P_el) <= len(N_el)
+             else triples(cells_pn, N_el, from_under))
+    plusses = (triples(cells_n, N_el, coresiduals) if len(N_el) <= len(P_el)
+               else triples(cells_pn, P_el, from_oslash))
     rng.shuffle(prods)
     rng.shuffle(plusses)
-    for (prod_t, under, over), (plus_t, osl, obsl) in zip(prods, plusses):
-        ops = {"*": prod_t, "\\": under, "/": over,
-               "(+)": plus_t, "(/)": osl, "(\\)": obsl}
 
-        def variant(base_table, arg0_iso, arg1_iso, keys0, keys1, tag):
-            t = {}
-            for x in keys0:
-                for y in keys1:
-                    bx = to_pos(x) if arg0_iso == "pos" else (
-                        to_neg(x) if arg0_iso == "neg" else x)
-                    by = to_pos(y) if arg1_iso == "pos" else (
-                        to_neg(y) if arg1_iso == "neg" else y)
-                    t[(x, y)] = (base_table[(bx, by)][0], tag)
-            return t
-
-        rp_el, rn_el = ring_p.elements, ring_n.elements
-        variants = {
-            # product family: outputs land in the shifted-negative carrier
-            "*l": variant(prod_t, "pos", None, rn_el, rp_el, "Nd"),
-            "*r": variant(prod_t, None, "pos", rp_el, rn_el, "Nd"),
-            "(/)l": variant(osl, "pos", None, rn_el, rn_el, "Nd"),
-            "(/)r": variant(osl, None, "neg", rp_el, rp_el, "Nd"),
-            "(\\)l": variant(obsl, "neg", None, rp_el, rp_el, "Nd"),
-            "(\\)r": variant(obsl, None, "pos", rn_el, rn_el, "Nd"),
-            # coproduct family: outputs land in the shifted-positive carrier
-            "(+)l": variant(plus_t, "neg", None, rp_el, rn_el, "Pd"),
-            "(+)r": variant(plus_t, None, "neg", rn_el, rp_el, "Pd"),
-            "\\l": variant(under, "pos", None, rn_el, rn_el, "Pd"),
-            "\\r": variant(under, None, "neg", rp_el, rp_el, "Pd"),
-            "/l": variant(over, "neg", None, rp_el, rp_el, "Pd"),
-            "/r": variant(over, None, "pos", rn_el, rn_el, "Pd"),
-        }
-        inst = FiniteFPLG(name, P, Pd, N, Nd, up, upl, dn, dnr,
+    # A variant reads its base's table, taking an argument whose polarity
+    # differs from the base's across the value-preserving isomorphism of
+    # the two collages, and lands in its own carrier.
+    ring = {True: rp, False: rn}
+    across = {"P": "Nd", "Nd": "P", "Pd": "N", "N": "Pd"}
+    shapes = []
+    for v in _VARIANTS:
+        tgt, pols = _SIG[v]
+        flips = [pol != base_pol for pol, base_pol in zip(pols, _SIG[_BASE[v]][1])]
+        cells = [(cell, tuple((x[0], across[x[1]]) if flip else x
+                              for x, flip in zip(cell, flips)))
+                 for cell in product(ring[pols[0]], ring[pols[1]])]
+        shapes.append((v, _BASE[v], tgt, cells))
+    out = []
+    for prod_triple, plus_triple in zip(prods, plusses):
+        ops = dict(zip(("*", "\\", "/", "(+)", "(/)", "(\\)"), prod_triple + plus_triple))
+        variants = {v: {cell: (ops[base][at][0], tgt) for cell, at in cells}
+                    for v, base, tgt, cells in shapes}
+        inst = FiniteFPLG(name, *carriers.values(), *_identity_shifts(carriers),
                           wr_sp, wr_pn, wr_sn, ops, variants)
         if not check_fplg_axioms(inst):
             out.append(inst)
@@ -1164,8 +1084,9 @@ _DUAL_TAG = {"P": "N", "Pd": "Nd", "N": "P", "Nd": "Pd"}
 
 
 def dual_instance(a: FiniteFPLG) -> FiniteFPLG:
-    """Order-reversing dual: polarities swap, orders reverse, the operation
-    families trade places with arguments flipped."""
+    """Order-reversing dual: polarities swap and orders reverse; each shift
+    map and table becomes that of its `infty` image, a table with its
+    arguments swapped."""
     def rt(x):
         return (x[0], _DUAL_TAG[x[1]])
 
@@ -1182,26 +1103,14 @@ def dual_instance(a: FiniteFPLG) -> FiniteFPLG:
     def swap(table, tag):
         return {(rt(y), rt(x)): (v[0], tag) for ((x, y), v) in table.items()}
 
-    ops = {"*": swap(a.ops["(+)"], "P"), "(+)": swap(a.ops["*"], "N"),
-           "\\": swap(a.ops["(/)"], "N"), "(/)": swap(a.ops["\\"], "P"),
-           "/": swap(a.ops["(\\)"], "N"), "(\\)": swap(a.ops["/"], "P")}
-    variants = {"\\l": swap(a.variants["(/)r"], "Pd"),
-                "\\r": swap(a.variants["(/)l"], "Pd"),
-                "/l": swap(a.variants["(\\)r"], "Pd"),
-                "/r": swap(a.variants["(\\)l"], "Pd"),
-                "*l": swap(a.variants["(+)r"], "Nd"),
-                "*r": swap(a.variants["(+)l"], "Nd"),
-                "(+)l": swap(a.variants["*r"], "Pd"),
-                "(+)r": swap(a.variants["*l"], "Pd"),
-                "(/)l": swap(a.variants["\\r"], "Nd"),
-                "(/)r": swap(a.variants["\\l"], "Nd"),
-                "(\\)l": swap(a.variants["/r"], "Nd"),
-                "(\\)r": swap(a.variants["/l"], "Nd")}
-    return FiniteFPLG(a.name + "-dual",
-                      rev(a.N), rev(a.Nd), rev(a.P), rev(a.Pd),
-                      revmap(a.dn), revmap(a.dnr), revmap(a.up), revmap(a.upl),
+    def image(sym):
+        return _INFTY["." + sym][0][1:]
+
+    tables = {image(sym): swap(a.table(sym), _SIG[image(sym)][0]) for sym in _BINARY}
+    return FiniteFPLG(a.name + "-dual", *(rev(a.poset(_DUAL_TAG[t])) for t in TAGS),
+                      *(revmap(getattr(a, image(sh))) for sh in _SHIFTS),
                       revrel(a.wr_shifted_neg), revrel(a.wr_pure),
-                      revrel(a.wr_shifted_pos), ops, variants)
+                      revrel(a.wr_shifted_pos), *_split(tables))
 
 
 def random_instances(count: int, seed: int = 0) -> list[FiniteFPLG]:
@@ -1213,22 +1122,11 @@ def random_instances(count: int, seed: int = 0) -> list[FiniteFPLG]:
               if len(p.elements) + len(n.elements) <= 4]
     rng.shuffle(shapes)
     for p_seed, n_seed in shapes:
-        p2 = FinitePoset(tuple("p" + str(i) for i, _ in enumerate(p_seed.elements)),
-                         frozenset(("p" + str(p_seed.elements.index(a)),
-                                    "p" + str(p_seed.elements.index(b)))
-                                   for (a, b) in p_seed.leq))
-        n2 = FinitePoset(tuple("n" + str(i) for i, _ in enumerate(n_seed.elements)),
-                         frozenset(("n" + str(n_seed.elements.index(a)),
-                                    "n" + str(n_seed.elements.index(b)))
-                                   for (a, b) in n_seed.leq))
+        p2, n2 = _renamed(p_seed, "p"), _renamed(n_seed, "n")
         for w in _compatible_wrs(p2, n2, rng, limit=5):
             got = _fused_instances(p2, n2, w, rng, cap=3, name="fused")
             for inst in got:
-                named = FiniteFPLG(f"fused-{len(out)}", inst.P, inst.Pd,
-                                   inst.N, inst.Nd, inst.up, inst.upl,
-                                   inst.dn, inst.dnr, inst.wr_shifted_pos,
-                                   inst.wr_pure, inst.wr_shifted_neg,
-                                   inst.ops, inst.variants)
+                named = replace(inst, name=f"fused-{len(out)}")
                 out.append(named)
                 dual = dual_instance(named)
                 if not check_fplg_axioms(dual):

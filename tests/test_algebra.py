@@ -1,6 +1,7 @@
 """Finite models: axioms, constructions, interpretation, rule soundness."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -198,3 +199,36 @@ def test_instance_collages_are_posets(chain2):
     assert rp.check() == [] and rn.check() == []
     assert set(rp.elements) == set(chain2.P.elements) | set(chain2.Pd.elements)
     assert set(rn.elements) == set(chain2.N.elements) | set(chain2.Nd.elements)
+
+
+@pytest.mark.parametrize("section, entry, message", [
+    ("%wr pure:", "P:zz<=N:0", "the P-N relation is not a weakening relation"),
+    ("%op *:", "P:zz,P:0->P:0",
+     "* is defined outside its domain at (('zz', 'P'), ('0', 'P'))"),
+    ("%var (+)l:", "P:0,P:0->Pd:0",
+     "(+)l is defined outside its domain at (('0', 'P'), ('0', 'P'))"),
+    ("%map up:", "P:zz->Nd:0", "up is defined outside its domain at ('zz', 'P')"),
+])
+def test_entries_outside_the_carriers_rejected(chain2, section, entry, message):
+    """A relation must lie inside its carriers, and a map's or a table's
+    keys must be exactly its domain."""
+    text = "".join((line + " " + entry if line.startswith(section) else line) + "\n"
+                   for line in render_algebra(chain2).splitlines())
+    assert check_fplg_axioms(parse_algebra(text)) == [message]
+
+
+def test_variant_value_outside_its_carrier_rejected(chain2):
+    cell = next(iter(chain2.variants["/r"]))
+    variants = {**chain2.variants, "/r": {**chain2.variants["/r"], cell: ("0", "P")}}
+    bad = check_fplg_axioms(replace(chain2, variants=variants))
+    assert bad == [f"/r not total into Pd at {cell!r}"]
+
+
+def test_residuation_laws_from_the_signature():
+    """The product and coproduct shapes at each polarity assignment that the
+    signature can type: the two base adjunctions and six with variants,
+    which between them read every table."""
+    from fdlg.algebra import _BINARY, _LAWS
+    groups = [tuple(sym.rstrip("lr") for sym, *_ in clauses) for _, clauses in _LAWS]
+    assert groups == [("*", "\\", "/")] * 4 + [("(+)", "(/)", "(\\)")] * 4
+    assert {sym for _, clauses in _LAWS for sym, *_ in clauses} == set(_BINARY)

@@ -1,12 +1,17 @@
 """The column-wise evaluator of `fdlg.algebra` against the node-by-node
 reference in `reference_algebra`, plus the reports on incomplete instances."""
 
+import random
+import re
 from dataclasses import replace
+from itertools import product
+from pathlib import Path
 
 import pytest
 
 import reference_algebra as ref
-from fdlg.algebra import (AlgebraError, builtin, check_fplg_axioms, check_rule_soundness,
+from fdlg.algebra import (TAGS, AlgebraError, FinitePoset, builtin, check_fplg_axioms,
+                          check_rule_soundness,
                           check_rule_soundness_templates, dual_instance, interpret,
                           parse_algebra, random_instances, render_algebra)
 from fdlg.rules import REGISTRY, RuleSchema, Directed, SeqPat, SVar, FVar, SNode, FNode
@@ -157,3 +162,107 @@ def test_parse_algebra_names_missing_section(chain2):
                    if not line.startswith("%wr pure"))
     with pytest.raises(AlgebraError, match="%wr pure"):
         parse_algebra(text)
+
+
+# --- the axiom check against the previous, hand-typed one
+
+FROZEN = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "instances.txt"
+# the messages of the previous check's residuation laws
+LAW_MESSAGE = re.compile(r"(product|coproduct|variant) adjunction")
+
+
+@pytest.fixture(scope="module")
+def random50():
+    return random_instances(50, seed=101)
+
+
+def test_generator_matches_frozen_instances(random50):
+    """The instances the soundness benchmark sweeps were frozen from this
+    call; the generator still makes them, text for text."""
+    frozen = ["%name" + part for part in FROZEN.read_text().split("%name")[1:]]
+    assert [render_algebra(a) for a in random50] == frozen[-50:]
+
+
+def test_axioms_match_reference_on_valid_instances(random50):
+    base = [builtin(name) for name in ("chain2", "chain3", "diamond")] + random50
+    valid = base + [dual_instance(a) for a in base]
+    assert len(valid) == 106
+    for inst in valid:
+        assert check_fplg_axioms(inst) == [] == ref.check_fplg_axioms(inst), inst.name
+
+
+def _entry_edits(inst):
+    """(field, table, cell, value) for each entry of an operation or variant
+    table and each other element of the carrier its value lies in."""
+    return [(field, name, cell, other)
+            for field in ("ops", "variants")
+            for name, table in getattr(inst, field).items()
+            for cell, value in table.items()
+            for other in inst.poset(value[1]).elements if other != value]
+
+
+def _edited(inst, field, name, cell, value):
+    tables = getattr(inst, field)
+    return replace(inst, **{field: {**tables, name: {**tables[name], cell: value}}})
+
+
+def test_axioms_reject_every_entry_mutant_of_chain2(chain2):
+    edits = _entry_edits(chain2)
+    assert len(edits) == 288
+    for edit in edits:
+        mutant = _edited(chain2, *edit)
+        assert check_fplg_axioms(mutant) and ref.check_fplg_axioms(mutant), edit
+
+
+def test_axioms_reject_sampled_entry_mutants_of_diamond(diamond):
+    edits = _entry_edits(diamond)
+    assert len(edits) == 3456
+    for edit in random.Random(7).sample(edits, 150):
+        mutant = _edited(diamond, *edit)
+        assert check_fplg_axioms(mutant) and ref.check_fplg_axioms(mutant), edit
+
+
+def _broken_before_the_laws(inst):
+    """Copies of `inst` with one fault in what the check reads before the
+    residuation laws: an order pair of a carrier toggled, a shift map entry
+    dropped or moved, a pair of a weakening relation toggled, an operation
+    or a variant missing, an operation entry dropped or sent into another
+    carrier."""
+    for t in TAGS:
+        p = inst.poset(t)
+        for pair in product(p.elements, repeat=2):
+            if pair[0] != pair[1]:
+                yield replace(inst, **{t: FinitePoset(p.elements, p.leq ^ {pair})})
+    for sh in ("up", "upl", "dn", "dnr"):
+        m = getattr(inst, sh)
+        for x, y in m.items():
+            yield replace(inst, **{sh: {k: v for k, v in m.items() if k != x}})
+            for other in inst.poset(y[1]).elements:
+                if other != y:
+                    yield replace(inst, **{sh: {**m, x: other}})
+    for field, src, tgt in (("wr_shifted_pos", "P", "Pd"), ("wr_pure", "P", "N"),
+                            ("wr_shifted_neg", "Nd", "N")):
+        rel = getattr(inst, field)
+        for pair in product(inst.poset(src).elements, inst.poset(tgt).elements):
+            yield replace(inst, **{field: rel ^ {pair}})
+    for field in ("ops", "variants"):
+        tables = getattr(inst, field)
+        for name in tables:
+            yield replace(inst, **{field: {k: t for k, t in tables.items() if k != name}})
+    for name, table in inst.ops.items():
+        cell, value = next(iter(table.items()))
+        yield replace(inst, ops={**inst.ops, name: {k: v for k, v in table.items() if k != cell}})
+        wrong = inst.poset("Pd" if value[1] == "P" else "Nd").elements[0]
+        yield replace(inst, ops={**inst.ops, name: {**table, cell: wrong}})
+
+
+def test_axioms_first_message_unchanged_before_the_laws(chain2, diamond):
+    compared = 0
+    for inst in (chain2, diamond):
+        for broken in _broken_before_the_laws(inst):
+            old, new = ref.check_fplg_axioms(broken), check_fplg_axioms(broken)
+            assert new
+            if old and not LAW_MESSAGE.match(old[0]):
+                assert new[0] == old[0]
+                compared += 1
+    assert compared == 256

@@ -363,3 +363,30 @@ def test_focalization_reports_an_interrupted_pia_section():
     code, out, err = run(["focalization", "-"], stdin=doc)
     assert (code, err) == (1, "")
     assert out == "premises[0]: PIA subtree of (p \\ n) / p interrupted by dp(.*r,.\\)'\n"
+
+
+def _chain2_text_with(edit):
+    """chain2's algebra file with `edit` applied to each line."""
+    from fdlg.algebra import builtin, render_algebra
+    return "".join(edit(line) + "\n" for line in render_algebra(builtin("chain2")).splitlines())
+
+
+def test_soundness_partial_variant_table(tmp_path):
+    """A variant table with an entry missing fails the axioms on one line."""
+    def drop_first_entry(line):
+        head, _, body = line.partition(": ")
+        return f"{head}: {body.split(' ', 1)[1]}" if head == "%var *l" else line
+    path = tmp_path / "partial.alg"
+    path.write_text(_chain2_text_with(drop_first_entry))
+    code, out, err = run_isolated(["soundness", "--algebra", str(path)])
+    assert (code, out) == (1, "") and "Traceback" not in err and err.count("\n") == 1
+    assert err.startswith("instance fails the axioms: *l not total into Nd at ")
+
+
+def test_soundness_relation_outside_its_carriers(tmp_path):
+    path = tmp_path / "outside.alg"
+    path.write_text(_chain2_text_with(
+        lambda line: line + " P:zz<=N:0" if line.startswith("%wr pure:") else line))
+    code, out, err = run(["soundness", "--algebra", str(path)])
+    assert (code, out) == (1, "")
+    assert err == "instance fails the axioms: the P-N relation is not a weakening relation\n"
