@@ -829,8 +829,9 @@ def render_algebra(a: FiniteFPLG) -> str:
 
 
 # The token shape of each line kind of the algebra file, as text and as a
-# pattern.  An element is tag:value, and each element of a token gives a
-# (tag, value) pair of groups.
+# pattern, and the symbols a line of the kind may name, one line each.  An
+# element is tag:value, and each element of a token gives a (tag, value)
+# pair of groups.
 _ELEMENT = r"([^\s:,<=>]+):([^\s,<=>]+)"
 _ENTRY = {
     "%carrier": ("tag:value", re.compile(_ELEMENT)),
@@ -840,6 +841,8 @@ _ENTRY = {
     "%op": ("x,y->z", re.compile(f"{_ELEMENT},{_ELEMENT}->{_ELEMENT}")),
     "%var": ("x,y->z", re.compile(f"{_ELEMENT},{_ELEMENT}->{_ELEMENT}")),
 }
+_SYMBOLS = {"%carrier": TAGS, "%le": TAGS, "%map": tuple(_SHIFTS),
+            "%wr": ("shifted-pos", "pure", "shifted-neg"), "%op": LG_OPS, "%var": _VARIANTS}
 
 
 def parse_algebra(text: str) -> FiniteFPLG:
@@ -853,12 +856,7 @@ def parse_algebra(text: str) -> FiniteFPLG:
             yield m.groups()
 
     name = "parsed"
-    carriers: dict[str, tuple] = {}
-    les: dict[str, frozenset] = {}
-    maps: dict[str, dict] = {}
-    wrs: dict[str, frozenset] = {}
-    ops: dict[str, dict] = {}
-    variants: dict[str, dict] = {}
+    found: dict[str, dict] = {kind: {} for kind in _ENTRY}     # kind -> symbol -> entry
     for ln, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -872,27 +870,31 @@ def parse_algebra(text: str) -> FiniteFPLG:
             continue
         if kind not in _ENTRY:
             raise AlgebraError(f"bad line in algebra file: {line!r}")
+        if arg not in _SYMBOLS[kind]:
+            raise AlgebraError(f"line {ln}: unknown {kind} symbol {arg!r}")
+        if arg in found[kind]:
+            raise AlgebraError(f"line {ln}: a second {kind} {arg} line")
         rows = groups(kind, body)
         if kind == "%carrier":
-            carriers[arg] = tuple((v, t) for t, v in rows)
+            entry = tuple((v, t) for t, v in rows)
+            if len(set(entry)) < len(entry):
+                raise AlgebraError(f"line {ln}: %carrier {arg} lists an element twice")
         elif kind in ("%le", "%wr"):
-            (les if kind == "%le" else wrs)[arg] = frozenset(
-                ((v1, t1), (v2, t2)) for t1, v1, t2, v2 in rows)
+            entry = frozenset(((v1, t1), (v2, t2)) for t1, v1, t2, v2 in rows)
         elif kind == "%map":
-            maps[arg] = {(v1, t1): (v2, t2) for t1, v1, t2, v2 in rows}
+            entry = {(v1, t1): (v2, t2) for t1, v1, t2, v2 in rows}
         else:
-            (ops if kind == "%op" else variants)[arg] = {
-                ((v1, t1), (v2, t2)): (v3, t3) for t1, v1, t2, v2, t3, v3 in rows}
-    for section, found, wanted in (("%carrier", carriers, TAGS), ("%le", les, TAGS),
-                                   ("%map", maps, _SHIFTS),
-                                   ("%wr", wrs, ("shifted-pos", "pure", "shifted-neg"))):
-        missing = [w for w in wanted if w not in found]
+            entry = {((v1, t1), (v2, t2)): (v3, t3) for t1, v1, t2, v2, t3, v3 in rows}
+        found[kind][arg] = entry
+    for section in ("%carrier", "%le", "%map", "%wr"):
+        missing = [w for w in _SYMBOLS[section] if w not in found[section]]
         if missing:
             raise AlgebraError(f"algebra file has no {section} {missing[0]} line")
+    carriers, les, maps, wrs = (found[k] for k in ("%carrier", "%le", "%map", "%wr"))
     return FiniteFPLG(name, *(FinitePoset(carriers[t], les[t]) for t in TAGS),
                       *(maps[sh] for sh in _SHIFTS),
                       wrs["shifted-pos"], wrs["pure"], wrs["shifted-neg"],
-                      ops, variants)
+                      found["%op"], found["%var"])
 
 
 def builtin(name: str) -> FiniteFPLG:

@@ -1,11 +1,16 @@
-"""Mutations, cross-sort uniform substitution and cut elimination.
+"""Mutations, cross-sort uniform substitution, cut elimination and the
+structural cut.
 
 A parametric move pushes a cut to the uppermost principal occurrence of the
 cut formula, substituting the other premise's side for the congruent
 occurrences along the way.  The substituted structure can change sort, so the
 connectives and turnstiles on the way down relabel according to one of the
-four mutations.  Principal moves reduce a cut on an introduced connective to
-cuts on its immediate subformulas via display moves.
+four mutations.  A principal move reduces a cut on an introduced connective
+to cuts on its immediate subformulas via display moves.  The structural cut
+of the completeness argument reduces a cut on a whole structure the same
+way, one connective at a time, and re-runs the parametric section above it
+like a parametric move.  Both read their display moves and smaller cuts from
+one table, `REDUCTIONS`, keyed by the displayed structural connective.
 """
 
 from __future__ import annotations
@@ -15,8 +20,9 @@ from dataclasses import dataclass, field
 from .syntax import (Structure, Sequent, Sort, PP, PS, NP, NS,
                      render, render_sequent)
 from .rules import REGISTRY, CUT_RULES, PRINCIPAL_LEFT, PRINCIPAL_RIGHT, candidates
-from .kernel import (Derivation, KernelError, apply_rule_forward, derive,
-                     fold, iter_nodes, subst_at, struct_at, thread)
+from .kernel import (Derivation, KernelError, TONICITY_PREMISES, apply_rule_forward,
+                     derive, fold, iter_nodes, make_cut, subst_at, struct_at, thread)
+from .standardize import ftom, ftoM
 
 
 class CutElimError(ValueError):
@@ -156,118 +162,113 @@ def rebuild_chain(chain, rho: Derivation, repl: Structure, mu: Mutation,
     return rho
 
 
-def _parametric_right(d1: Derivation, d2: Derivation, trace) -> Derivation:
-    """Push the cut into the right premise (occurrence not principal there)."""
-    a = d2.conclusion.pre
-    psi = d1.conclusion.pre
-    mu = mutation_for(a.sort, "pre", psi.sort)
-    chain, top, _ = thread(d2, ("pre", ()))
+def _parametric(d1: Derivation, d2: Derivation, side: str, trace) -> Derivation:
+    """Push the cut into the premise where the cut formula, at `side` of its
+    end-sequent, is not principal: d2 for 'pre', d1 for 'suc'."""
+    traced, other = (d2, d1) if side == "pre" else (d1, d2)
+    a, repl = getattr(traced.conclusion, side), getattr(other.conclusion, side)
+    mu = mutation_for(a.sort, side, repl.sort)
+    chain, top, _ = thread(traced, (side, ()))
     if trace is not None:
         trace.append(f"parametric {render(a.leaf)} {mu.name}")
     if top.rule in ("p-Id", "n-Id"):
-        rho = d1
+        rho = other
     else:
-        rho = _eliminate_cut(d1, top, trace)
-    return rebuild_chain(chain, rho, psi, mu, trace)
+        rho = _eliminate_cut(d1, top, trace) if side == "pre" else _eliminate_cut(top, d2, trace)
+    return rebuild_chain(chain, rho, repl, mu, trace)
 
 
-def _parametric_left(d1: Derivation, d2: Derivation, trace) -> Derivation:
-    a = d1.conclusion.suc
-    phi = d2.conclusion.suc
-    mu = mutation_for(a.sort, "suc", phi.sort)
-    chain, top, _ = thread(d1, ("suc", ()))
-    if trace is not None:
-        trace.append(f"parametric {render(a.leaf)} {mu.name}")
-    if top.rule in ("p-Id", "n-Id"):
-        rho = d2
-    else:
-        rho = _eliminate_cut(top, d2, trace)
-    return rebuild_chain(chain, rho, phi, mu, trace)
+# ---------------------------------------------------------------------------
+# Cut reductions.  A cut whose piece one premise displays as a structure and
+# the other introduces (a principal cut on a formula, or the structural cut
+# on a structure) reduces to cuts against the introducing node's premises by
+# display moves on the displaying premise.  The row of the displayed
+# structural connective lists the moves and the cuts in order: a move is a
+# rule name or (plain name, l/r-variant name), and an int i cuts against
+# premise i of the introducing node, on the left of the cut when that
+# premise's argument stands in its succedent (TONICITY_PREMISES, plus the two
+# shift rows).  The variant names apply when the residue, the displaying
+# premise's other side, has a sort of the row's set.  A row's first comment
+# gives the displaying premise's end-sequent and the introducing premises;
+# the comment of each step, the sequent it derives.
+
+_POSITIVE, _NEGATIVE, _SHIFTED = frozenset((PP, PS)), frozenset((NP, NS)), frozenset((PS, NS))
+_CUT_SIDES = {**{rule: sides for rule, (_, sides) in TONICITY_PREMISES.items()},
+              "down_L": ("pre",), "up_R": ("suc",)}
+
+REDUCTIONS = {
+    ".*": (_POSITIVE, (                                       # P .* Q |- D;  X |- P  and  Y |- Q
+        ("dp(.*,.\\)'", "dp(.*,.\\r)'"),                      # Q |- P .\ D
+        1,                                                    # Y |- P .\ D
+        ("dp(.*,.\\)", "dp(.*,.\\r)"),                        # P .* Y |- D
+        ("dp(.*,./)", "dp(.*,./l)"),                          # P |- D ./ Y
+        0,                                                    # X |- D ./ Y
+        ("dp(.*,./)'", "dp(.*,./l)'"))),                      # X .* Y |- D
+    ".(+)": (_NEGATIVE, (                                     # X |- N .(+) M;  N |- G  and  M |- D
+        ("dp(.(/),.(+))'", "dp(.(/)l,.(+))'"),                # X .(/) M |- N
+        0,                                                    # X .(/) M |- G
+        ("dp(.(/),.(+))", "dp(.(/)l,.(+))"),                  # X |- G .(+) M
+        ("dp(.(\\),.(+))", "dp(.(\\)r,.(+))"),                # G .(\) X |- M
+        1,                                                    # G .(\) X |- D
+        ("dp(.(\\),.(+))'", "dp(.(\\)r,.(+))'"))),            # X |- G .(+) D
+    ".\\": (_NEGATIVE, (                                      # X |- P .\ N;  X' |- P  and  N |- D
+        ("dp(.*,.\\)", "dp(.*r,.\\)"),                        # P .* X |- N
+        1,                                                    # P .* X |- D
+        ("dp(.*,./)", "dp(.*r,./r)"),                         # P |- D ./ X
+        0,                                                    # X' |- D ./ X
+        ("dp(.*,./)'", "dp(.*r,./r)'"),                       # X' .* X |- D
+        ("dp(.*,.\\)'", "dp(.*r,.\\)'"))),                    # X |- X' .\ D
+    "./": (_NEGATIVE, (                                       # X |- N ./ P;  N |- D  and  X' |- P
+        ("dp(.*,./)'", "dp(.*l,./)'"),                        # X .* P |- N
+        0,                                                    # X .* P |- D
+        ("dp(.*,.\\)'", "dp(.*l,.\\l)'"),                     # P |- X .\ D
+        1,                                                    # X' |- X .\ D
+        ("dp(.*,.\\)", "dp(.*l,.\\l)"),                       # X .* X' |- D
+        ("dp(.*,./)", "dp(.*l,./)"))),                        # X |- D ./ X'
+    ".(/)": (_POSITIVE, (                                     # P .(/) N |- D';  X |- P  and  N |- D
+        ("dp(.(/),.(+))", "dp(.(/),.(+)l)"),                  # P |- D' .(+) N
+        0,                                                    # X |- D' .(+) N
+        ("dp(.(\\),.(+))", "dp(.(\\)l,.(+)l)"),               # D' .(\) X |- N
+        1,                                                    # D' .(\) X |- D
+        ("dp(.(\\),.(+))'", "dp(.(\\)l,.(+)l)'"),             # X |- D' .(+) D
+        ("dp(.(/),.(+))'", "dp(.(/),.(+)l)'"))),              # X .(/) D |- D'
+    ".(\\)": (_POSITIVE, (                                    # N .(\) P |- D';  N |- D  and  X |- P
+        ("dp(.(\\),.(+))'", "dp(.(\\),.(+)r)"),               # P |- N .(+) D'
+        1,                                                    # X |- N .(+) D'
+        ("dp(.(/),.(+))'", "dp(.(/)r,.(+)r)"),                # X .(/) D' |- N
+        0,                                                    # X .(/) D' |- D
+        ("dp(.(/),.(+))", "dp(.(/)r,.(+)r)'"),                # X |- D .(+) D'
+        ("dp(.(\\),.(+))", "dp(.(\\),.(+)r)'"))),             # D .(\) X |- D'
+    ".dn": ((), (                                             # X |- .dn N;  N |- D
+        "s-down'",                                            # X |- N
+        0,                                                    # X |- D
+        "s-down")),                                           # X |- .dn D
+    ".up": (_SHIFTED, (                                       # .up P |- D;  X |- P
+        ("dp(.up,.dn)", "dp(.up,.dnr)"),                      # P |- .dn D
+        0,                                                    # X |- .dn D
+        ("dp(.up,.dn)'", "dp(.up,.dnr)'"))),                  # .up X |- D
+}
+# Cut elimination takes a principal up formula apart by the structural shift
+# rule instead.
+_ELIMINATION = {**REDUCTIONS, ".up": ((), (
+    "s-up'",                                                  # P |- D
+    0,                                                        # X |- D
+    "s-up"))}                                                 # .up X |- D
 
 
-def _cut(l: Derivation, r: Derivation, trace) -> Derivation:
-    return _eliminate_cut(l, r, trace)
-
-
-def _principal(d1: Derivation, d2: Derivation, trace) -> Derivation:
-    """Both premises introduce the cut formula; reduce to smaller cuts."""
-    a = d1.conclusion.suc.leaf
-    if trace is not None:
-        trace.append(f"principal {render(a)}")
-    conn = a.conn
-    if conn == "*":
-        pa, pb = d1.premises            # X|-P , Y|-Q
-        body = d2.premises[0]           # P .* Q |- D
-        step = derive("dp(.*,.\\)'", body)        # Q |- P .\ D
-        step = _cut(pb, step, trace)            # Y |- P .\ D
-        step = derive("dp(.*,.\\)", step)         # P .* Y |- D
-        step = derive("dp(.*,./)", step)          # P |- D ./ Y
-        step = _cut(pa, step, trace)            # X |- D ./ Y
-        step = derive("dp(.*,./)'", step)         # X .* Y |- D
-        return step
-    if conn == "(+)":
-        body = d1.premises[0]           # X |- N .(+) M
-        pa, pb = d2.premises            # N|-G , M|-D
-        step = derive("dp(.(/),.(+))'", body)     # X .(/) M |- N
-        step = _cut(step, pa, trace)            # X .(/) M |- G
-        step = derive("dp(.(/),.(+))", step)      # X |- G .(+) M
-        step = derive("dp(.(\\),.(+))", step)     # G .(\) X |- M
-        step = _cut(step, pb, trace)            # G .(\) X |- D
-        step = derive("dp(.(\\),.(+))'", step)    # X |- G .(+) D
-        return step
-    if conn == "\\":
-        body = d1.premises[0]           # X |- P .\ N
-        pa, pb = d2.premises            # X'|-P , N|-D
-        step = derive("dp(.*,.\\)", body)         # P .* X |- N
-        step = _cut(step, pb, trace)            # P .* X |- D
-        step = derive("dp(.*,./)", step)          # P |- D ./ X
-        step = _cut(pa, step, trace)            # X' |- D ./ X
-        step = derive("dp(.*,./)'", step)         # X' .* X |- D
-        step = derive("dp(.*,.\\)'", step)        # X |- X' .\ D
-        return step
-    if conn == "/":
-        body = d1.premises[0]           # X |- N ./ P
-        pa, pb = d2.premises            # N|-D , X'|-P
-        step = derive("dp(.*,./)'", body)         # X .* P |- N
-        step = _cut(step, pa, trace)            # X .* P |- D
-        step = derive("dp(.*,.\\)'", step)        # P |- X .\ D
-        step = _cut(pb, step, trace)            # X' |- X .\ D
-        step = derive("dp(.*,.\\)", step)         # X .* X' |- D
-        step = derive("dp(.*,./)", step)          # X |- D ./ X'
-        return step
-    if conn == "(/)":
-        pa, pb = d1.premises            # X|-P , N|-D
-        body = d2.premises[0]           # P .(/) N |- D'
-        step = derive("dp(.(/),.(+))", body)      # P |- D' .(+) N
-        step = _cut(pa, step, trace)            # X |- D' .(+) N
-        step = derive("dp(.(\\),.(+))", step)     # D' .(\) X |- N
-        step = _cut(step, pb, trace)            # D' .(\) X |- D
-        step = derive("dp(.(\\),.(+))'", step)    # X |- D' .(+) D
-        step = derive("dp(.(/),.(+))'", step)     # X .(/) D |- D'
-        return step
-    if conn == "(\\)":
-        pa, pb = d1.premises            # N|-D , X|-P
-        body = d2.premises[0]           # N .(\) P |- D'
-        step = derive("dp(.(\\),.(+))'", body)    # P |- N .(+) D'
-        step = _cut(pb, step, trace)            # X |- N .(+) D'
-        step = derive("dp(.(/),.(+))'", step)     # X .(/) D' |- N
-        step = _cut(step, pa, trace)            # X .(/) D' |- D
-        step = derive("dp(.(/),.(+))", step)      # X |- D .(+) D'
-        step = derive("dp(.(\\),.(+))", step)     # D .(\) X |- D'
-        return step
-    if conn == "dn":
-        body = d1.premises[0]           # X |- .dn N
-        sub = d2.premises[0]            # N |- D
-        step = derive("s-down'", body)            # X |- N
-        step = _cut(step, sub, trace)           # X |- D
-        return derive("s-down", step)             # X |- .dn D
-    if conn == "up":
-        sub = d1.premises[0]            # X |- P
-        body = d2.premises[0]           # .up P |- D
-        step = derive("s-up'", body)              # P |- D
-        step = _cut(sub, step, trace)           # X |- D
-        return derive("s-up", step)               # .up X |- D
-    raise CutElimError(f"no principal reduction for {conn!r}")
+def _reduce(rows, shown: Derivation, side: str, intro: Derivation, cut) -> Derivation:
+    """Run the row of the structure at `side` of `shown`'s end-sequent,
+    introduced by `intro`; cut(left, right) makes each smaller cut."""
+    variant_sorts, steps = rows[getattr(shown.conclusion, side).conn]
+    variant = getattr(shown.conclusion, "suc" if side == "pre" else "pre").sort in variant_sorts
+    sides, s = _CUT_SIDES[intro.rule], shown
+    for step in steps:
+        if step.__class__ is int:
+            p = intro.premises[step]
+            s = cut(p, s) if sides[step] == "suc" else cut(s, p)
+        else:
+            s = derive(step if step.__class__ is str else step[variant], s)
+    return s
 
 
 def _eliminate_cut(d1: Derivation, d2: Derivation, trace) -> Derivation:
@@ -279,13 +280,16 @@ def _eliminate_cut(d1: Derivation, d2: Derivation, trace) -> Derivation:
         return d2
     if d2.rule in ("p-Id", "n-Id"):
         return d1
-    left_principal = d1.rule in PRINCIPAL_RIGHT
-    right_principal = d2.rule in PRINCIPAL_LEFT
-    if left_principal and right_principal:
-        return _principal(d1, d2, trace)
-    if not right_principal:
-        return _parametric_right(d1, d2, trace)
-    return _parametric_left(d1, d2, trace)
+    if d2.rule not in PRINCIPAL_LEFT:
+        return _parametric(d1, d2, "pre", trace)
+    if d1.rule not in PRINCIPAL_RIGHT:
+        return _parametric(d1, d2, "suc", trace)
+    if trace is not None:
+        trace.append(f"principal {render(a.leaf)}")
+    # one premise introduces the cut formula; the other's premise displays it
+    shown, side, intro = ((d2.premises[0], "pre", d1) if d1.rule in _CUT_SIDES
+                          else (d1.premises[0], "suc", d2))
+    return _reduce(_ELIMINATION, shown, side, intro, lambda l, r: _eliminate_cut(l, r, trace))
 
 
 def eliminate_cuts(d: Derivation, trace: list | None = None) -> Derivation:
@@ -298,3 +302,42 @@ def eliminate_cuts(d: Derivation, trace: list | None = None) -> Derivation:
             raise CutElimError("cut elimination changed the end-sequent")
         return out
     return fold(d, step)
+
+
+# ---------------------------------------------------------------------------
+# Structural cut: from  lo(psi) |- hi(phi)  and  lo(phi) |- hi(psi')  derive
+# lo(psi) |- hi(psi'), by induction on the shared structure phi, using only
+# the four formula cuts plus the display moves of the reductions above.
+
+
+def structural_cut(d1: Derivation, d2: Derivation, phi: Structure) -> Derivation:
+    """Cut along a shared structure whose standard transforms both exist."""
+    if d1.conclusion.suc != ftoM(phi) or d2.conclusion.pre != ftom(phi):
+        raise KernelError("end-sequents do not share the cut structure's transforms")
+    return _structural_cut(d1, d2)
+
+
+def _structural_cut(d1: Derivation, d2: Derivation) -> Derivation:
+    """The shared piece sits displayed as d1's succedent (its upper standard
+    transform) and d2's precedent (its lower one).  At most one of the two is
+    structural; when both are formulas a plain cut applies.  Otherwise the
+    other premise introduces the piece, possibly below a parametric section,
+    which is re-run over the reduction, relabelled by the mutation the cut
+    structure's sort change calls for."""
+    suc, pre = d1.conclusion.suc, d2.conclusion.pre
+    if pre.conn is None and suc.conn is None:
+        if pre != suc:
+            raise KernelError("cut pieces disagree")
+        return make_cut(d1, d2)
+    shown, side, traced, where = ((d2, "pre", d1, "suc") if pre.conn is not None
+                                  else (d1, "suc", d2, "pre"))
+    conn = getattr(shown.conclusion, side).conn
+    if conn not in REDUCTIONS:
+        raise KernelError(f"structural cut undefined at {conn!r}")
+    chain, top, _ = thread(traced, (where, ()))
+    s = _reduce(REDUCTIONS, shown, side, top, _structural_cut)
+    if chain:
+        repl = getattr(shown.conclusion, where)
+        mu = mutation_for(getattr(traced.conclusion, where).sort, where, repl.sort)
+        s = rebuild_chain(chain, s, repl, mu)
+    return s

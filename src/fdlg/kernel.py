@@ -7,11 +7,11 @@ computes bottom-up; both keep an explicit stack, as do equality and hashing,
 so a derivation of any height goes through them.  `write_document` writes the
 JSON exchange format of either calculus.
 
-Also houses the three derivation builders used by the completeness argument:
-identity expansion on structures, the structural cut, and translation
-saturation of one side of a sequent, whose display moves are rows of a table.
-The structural cut re-runs the parametric section below the cut through
-`fdlg.cutelim`, the same surgery as a parametric cut-elimination move.
+Also houses two derivation builders used by the completeness argument:
+identity expansion on structures, and translation saturation of one side of
+a sequent, whose display moves are rows of a table.  The third, the
+structural cut, lives in `fdlg.cutelim` beside the cut reductions it shares
+with cut elimination.
 """
 
 from __future__ import annotations
@@ -526,7 +526,8 @@ def _fold(d: Derivation, side: str) -> Derivation:
 # The six two-premise tonicity rules: the structural connective they join
 # the premises' other sides with, and the side of each premise where its
 # argument of the new formula stands.  The companion calculus's rules of the
-# same names have the same rows (fdlg.translate).
+# same names have the same rows (fdlg.translate), and the cut reductions read
+# from them on which side of a smaller cut each premise stands (fdlg.cutelim).
 TONICITY_PREMISES = {
     "otimes_R": (".*", ("suc", "suc")),
     "oslash_R": (".(/)", ("suc", "pre")),
@@ -556,114 +557,3 @@ def identity_expansion(psi: Structure) -> Derivation:
     rule, (side_l, side_r) = _EXPANSION[c]
     return derive(rule, _fold(identity_expansion(psi.args[0]), side_l),
                   _fold(identity_expansion(psi.args[1]), side_r))
-
-
-# ---------------------------------------------------------------------------
-# Structural cut: from  lo(psi) |- hi(phi)  and  lo(phi) |- hi(psi')  derive
-# lo(psi) |- hi(psi'), by induction on the shared structure phi, using only
-# the four formula cuts plus display moves.
-
-
-def structural_cut(d1: Derivation, d2: Derivation, phi: Structure) -> Derivation:
-    """Cut along a shared structure whose standard transforms both exist."""
-    lo_phi, hi_phi = ftom(phi), ftoM(phi)
-    if d1.conclusion.suc != hi_phi or d2.conclusion.pre != lo_phi:
-        raise KernelError("end-sequents do not share the cut structure's transforms")
-    return _scut(d1, d2)
-
-
-def _scut(d1: Derivation, d2: Derivation) -> Derivation:
-    """The shared piece sits displayed as d1's succedent (its upper standard
-    transform) and d2's precedent (its lower one).  At most one of the two is
-    structural; when both are formulas a plain cut applies.  A parametric
-    section above the traced end-sequent is re-run over the result, relabelled
-    by the mutation the cut structure's sort change calls for."""
-    from .cutelim import mutation_for, rebuild_chain   # cutelim imports kernel
-    suc, pre = d1.conclusion.suc, d2.conclusion.pre
-    if pre.conn is None and suc.conn is None:
-        if pre != suc:
-            raise KernelError("cut pieces disagree")
-        return make_cut(d1, d2)
-    if pre.conn is not None:
-        # lower transform structural: the piece is skeleton-positive, d1 ends
-        # on its tonicity introduction (possibly below a parametric section)
-        c = pre.conn
-        chain, top, _ = thread(d1, ("suc", ()))
-        red = d2.conclusion.suc.sort.positive      # positive residue: variant moves
-        if c == ".*":
-            d_u, d_o = ("dp(.*,.\\r)", "dp(.*,./l)") if red else \
-                       ("dp(.*,.\\)", "dp(.*,./)")
-            s = derive(_inv(d_u), d2)
-            s = _scut(top.premises[1], s)
-            s = derive(d_u, s)
-            s = derive(d_o, s)
-            s = _scut(top.premises[0], s)
-            s = derive(_inv(d_o), s)
-        elif c == ".(/)":
-            d_a, d_b = ("dp(.(/),.(+)l)", "dp(.(\\)l,.(+)l)") if red else \
-                       ("dp(.(/),.(+))", "dp(.(\\),.(+))")
-            s = derive(d_a, d2)
-            s = _scut(top.premises[0], s)
-            s = derive(d_b, s)
-            s = _scut(s, top.premises[1])
-            s = derive(_inv(d_b), s)
-            s = derive(_inv(d_a), s)
-        elif c == ".(\\)":
-            d_a, d_b = ("dp(.(\\),.(+)r)", "dp(.(/)r,.(+)r)") if red else \
-                       ("dp(.(\\),.(+))'", "dp(.(/),.(+))'")
-            s = derive(d_a, d2)
-            s = _scut(top.premises[1], s)
-            s = derive(d_b, s)
-            s = _scut(s, top.premises[0])
-            s = derive(_inv(d_b), s)
-            s = derive(_inv(d_a), s)
-        elif c == ".up":
-            dp = "dp(.up,.dnr)" if d2.conclusion.suc.sort.shifted else "dp(.up,.dn)"
-            s = derive(dp, d2)
-            s = _scut(top.premises[0], s)
-            s = derive(_inv(dp), s)
-        else:
-            raise KernelError(f"structural cut undefined at {c!r}")
-        repl, source, where = d2.conclusion.suc, suc.sort, "suc"
-    else:
-        # upper transform structural: dual, d2 ends on the introduction
-        c = suc.conn
-        chain, top, _ = thread(d2, ("pre", ()))
-        blue = not d1.conclusion.pre.sort.positive
-        if c == ".dn":
-            s = derive("s-down'", d1)
-            s = _scut(s, top.premises[0])
-            s = derive("s-down", s)
-        elif c == ".\\":
-            d_u, d_o = ("dp(.*r,.\\)", "dp(.*r,./r)") if blue else \
-                       ("dp(.*,.\\)", "dp(.*,./)")
-            s = derive(d_u, d1)
-            s = _scut(s, top.premises[1])
-            s = derive(d_o, s)
-            s = _scut(top.premises[0], s)
-            s = derive(_inv(d_o), s)
-            s = derive(_inv(d_u), s)
-        elif c == "./":
-            d_a, d_b = ("dp(.*l,./)'", "dp(.*l,.\\l)'") if blue else \
-                       ("dp(.*,./)'", "dp(.*,.\\)'")
-            s = derive(d_a, d1)
-            s = _scut(s, top.premises[0])
-            s = derive(d_b, s)
-            s = _scut(top.premises[1], s)
-            s = derive(_inv(d_b), s)
-            s = derive(_inv(d_a), s)
-        elif c == ".(+)":
-            d_a, d_b = ("dp(.(/)l,.(+))'", "dp(.(\\)r,.(+))") if blue else \
-                       ("dp(.(/),.(+))'", "dp(.(\\),.(+))")
-            s = derive(d_a, d1)
-            s = _scut(s, top.premises[0])
-            s = derive(_inv(d_a), s)
-            s = derive(d_b, s)
-            s = _scut(s, top.premises[1])
-            s = derive(_inv(d_b), s)
-        else:
-            raise KernelError(f"structural cut undefined at {c!r}")
-        repl, source, where = d1.conclusion.pre, pre.sort, "pre"
-    if chain:
-        s = rebuild_chain(chain, s, repl, mutation_for(source, where, repl.sort))
-    return s

@@ -1,6 +1,7 @@
 """Finite models: axioms, constructions, interpretation, rule soundness."""
 
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -232,3 +233,36 @@ def test_residuation_laws_from_the_signature():
     groups = [tuple(sym.rstrip("lr") for sym, *_ in clauses) for _, clauses in _LAWS]
     assert groups == [("*", "\\", "/")] * 4 + [("(+)", "(/)", "(\\)")] * 4
     assert {sym for _, clauses in _LAWS for sym, *_ in clauses} == set(_BINARY)
+
+
+def test_carrier_listing_an_element_twice_rejected(chain2):
+    text = render_algebra(chain2).replace("%carrier P: P:0 P:1", "%carrier P: P:0 P:1 P:1")
+    with pytest.raises(AlgebraError, match="^line 2: %carrier P lists an element twice$"):
+        parse_algebra(text)
+
+
+@pytest.mark.parametrize("line, message", [
+    ("%op bar: P:0,P:0->P:0", "unknown %op symbol 'bar'"),
+    ("%var foo: P:0,P:0->P:0", "unknown %var symbol 'foo'"),
+    ("%op *l: P:0,P:0->P:0", "unknown %op symbol '*l'"),
+    ("%map zz: P:0->Nd:0", "unknown %map symbol 'zz'"),
+    ("%carrier Q: Q:0", "unknown %carrier symbol 'Q'"),
+    ("%le Q: Q:0<=Q:0", "unknown %le symbol 'Q'"),
+    ("%wr mixed: P:0<=N:0", "unknown %wr symbol 'mixed'"),
+])
+def test_lines_of_unknown_symbols_rejected(chain2, line, message):
+    text = render_algebra(chain2) + line + "\n"
+    last = text.count("\n")
+    with pytest.raises(AlgebraError, match=f"^line {last}: {re.escape(message)}$"):
+        parse_algebra(text)
+
+
+@pytest.mark.parametrize("line", ["%op *: P:0,P:0->P:1", "%carrier N: N:0", "%wr pure:"])
+def test_a_second_line_for_a_symbol_rejected(chain2, line):
+    """A line for a symbol that already has one would replace it."""
+    kind, symbol = line.split(":")[0].split()
+    lines = [line, *render_algebra(chain2).splitlines()]
+    second = 1 + next(i for i, x in enumerate(lines) if i and x.startswith(f"{kind} {symbol}:"))
+    with pytest.raises(AlgebraError, match=f"^line {second}: a second {re.escape(kind)} "
+                                           f"{re.escape(symbol)} line$"):
+        parse_algebra("\n".join(lines))

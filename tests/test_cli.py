@@ -81,15 +81,57 @@ def test_parse_readings(tmp_path):
     assert code == 2
 
 
+# The worked example freed of its cut: each node's rule and conclusion, its
+# premises indented below it.
+WORKED_EXAMPLE_RESULT = r"""
+s-down': p .* dn (p \ n) |- up (dn n * p) ./ p
+  dp(.up,.dn): p .* dn (p \ n) |- .dn (up (dn n * p) ./ p)
+    dp(.up,.dn)': .up (p .* dn (p \ n)) |- up (dn n * p) ./ p
+      s-down: p .* dn (p \ n) |- .dn (up (dn n * p) ./ p)
+        dp(.*,./): p .* dn (p \ n) |- up (dn n * p) ./ p
+          s-up': (p .* dn (p \ n)) .* p |- up (dn n * p)
+            up_R: .up ((p .* dn (p \ n)) .* p) |- up (dn n * p)
+              otimes_R: (p .* dn (p \ n)) .* p |- dn n * p
+                down_R: p .* dn (p \ n) |- dn n
+                  s-down: p .* dn (p \ n) |- .dn n
+                    s-down': p .* dn (p \ n) |- n
+                      s-down: p .* dn (p \ n) |- .dn n
+                        dp(.*,.\): p .* dn (p \ n) |- n
+                          s-down': dn (p \ n) |- p .\ n
+                            down_L: dn (p \ n) |- .dn (p .\ n)
+                              under_L: p \ n |- p .\ n
+                                p-Id: p |- p
+                                n-Id: n |- n
+                p-Id: p |- p
+"""
+
+
+def _listed_document(listing: str, neg_atoms: list) -> str:
+    """The exchange document of a derivation listed as above."""
+    top = {"premises": []}
+    open_nodes = [(-1, top)]            # (depth, node) along the current branch
+    for line in listing.strip("\n").splitlines():
+        depth = (len(line) - len(line.lstrip())) // 2
+        rule, conclusion = line.strip().split(": ", 1)
+        node = {"rule": rule, "conclusion": conclusion, "premises": []}
+        while open_nodes[-1][0] >= depth:
+            open_nodes.pop()
+        open_nodes[-1][1]["premises"].append(node)
+        open_nodes.append((depth, node))
+    return json.dumps({"negAtoms": neg_atoms, **top["premises"][0]}, indent=1) + "\n"
+
+
 def test_cutelim_roundtrip():
     from fdlg.corpus import cut_elim_example
-    from fdlg.kernel import derivation_to_json
     doc = derivation_to_json(cut_elim_example(), {"n"})
     code, out, err = run(["cutelim", "-", "--trace"], stdin=doc)
     assert code == 0
-    assert "parametric" in err
+    assert err == ("parametric dn n mu(r.,b_)\n"
+                   "principal dn n\n"
+                   "mutated dp(.upl,.dn) -> dp(.up,.dn)' under mu(r.,b_)\n"
+                   "mutated dp(.upl,.dn)' -> dp(.up,.dn) under mu(r.,b_)\n")
+    assert out == _listed_document(WORKED_EXAMPLE_RESULT, ["n"])
     assert run(["check", "-"], stdin=out)[0] == 0
-    assert '"P-Cut"' not in out and '"Pn-Cut"' not in out
 
 
 def test_translate_both_ways(fig_forall_exists):
@@ -390,3 +432,23 @@ def test_soundness_relation_outside_its_carriers(tmp_path):
     code, out, err = run(["soundness", "--algebra", str(path)])
     assert (code, out) == (1, "")
     assert err == "instance fails the axioms: the P-N relation is not a weakening relation\n"
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda text: text.replace("%carrier P: P:0 P:1", "%carrier P: P:0 P:1 P:1"),
+     "line 2: %carrier P lists an element twice"),
+    (lambda text: text + "%op bar: P:0,P:0->P:0\n", "unknown %op symbol 'bar'"),
+    (lambda text: text + "%var foo: P:0,P:0->P:0\n", "unknown %var symbol 'foo'"),
+    (lambda text: text + "%map zz: P:0->Nd:0\n", "unknown %map symbol 'zz'"),
+    (lambda text: text + "%carrier Q: Q:0\n", "unknown %carrier symbol 'Q'"),
+    (lambda text: "%op *: P:0,P:0->P:1\n" + text, "a second %op * line"),
+])
+def test_soundness_algebra_file_bad_symbol_line(tmp_path, edit, message):
+    """A line that names no symbol of its kind, a second line for one, or a
+    carrier that lists an element twice is an input error, not a table to
+    drop or replace."""
+    from fdlg.algebra import builtin, render_algebra
+    path = tmp_path / "bad.alg"
+    path.write_text(edit(render_algebra(builtin("chain2"))))
+    code, out, err = run(["soundness", "--algebra", str(path)])
+    assert (code, out) == (2, "") and _one_error_line(err) and message in err

@@ -10,11 +10,11 @@ from fdlg.syntax import (Atom, Sequent, parse_sequent, parse_structure,
 from fdlg import kernel
 from fdlg.kernel import (Derivation, CheckReport, check_derivation,
                          apply_rule_forward, backward_expansions, KernelError,
-                         identity_expansion, structural_cut, saturate_translations,
+                         identity_expansion, saturate_translations,
                          derivation_to_json, derivation_from_json, make_cut,
                          iter_nodes, neg_atoms_of, derive, rule_count,
                          transform_derivation)
-from fdlg.cutelim import has_cut
+from fdlg.cutelim import has_cut, structural_cut
 from fdlg.focus import check_strong_focalization, minimize_proof
 from fdlg.corpus import golden_sequents
 from fdlg.search import SearchConfig, prove
