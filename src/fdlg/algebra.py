@@ -578,13 +578,16 @@ def valuations(a: FiniteFPLG, atoms):
 
 
 def _values(x, tables, leaf, strict: bool) -> tuple:
-    """Values of a term, formula or pattern over a batch of assignments.
+    """Values of a structure, formula or pattern over a batch of assignments.
 
-    `leaf` gives the column of a leaf: one value per assignment.  A node maps
-    its table over the columns of its arguments, so every connective is
-    resolved once per batch.  Strict lookups raise KeyError on a missing
-    entry; the others yield None, which then propagates to the root.
+    A leaf structure is looked through to its formula.  `leaf` gives the
+    column of an atom formula or a metavariable: one value per assignment.
+    A node maps its table over the columns of its arguments, so every
+    connective is resolved once per batch.  Strict lookups raise KeyError on
+    a missing entry; the others yield None, which then propagates to the root.
     """
+    if x.__class__ is Structure and x.conn is None:
+        x = x.leaf
     if not getattr(x, "args", ()):
         return leaf(x)
     cols = [_values(y, tables, leaf, strict) for y in x.args]
@@ -593,16 +596,10 @@ def _values(x, tables, leaf, strict: bool) -> tuple:
     return tuple(map(look, cols[0] if len(cols) == 1 else zip(*cols)))
 
 
-def _atom_leaf(tables, cols):
+def _atom_leaf(cols):
     """The leaf function of `_values` for terms whose atoms take the values
     in `cols`, a column per atom key."""
-    def leaf(x):
-        if isinstance(x, Structure):
-            x = x.leaf
-            if x.conn is not None:
-                return _values(x, tables, leaf, True)
-        return cols[(x.atom.name, x.atom.positive)]
-    return leaf
+    return lambda x: cols[x.atom.name, x.atom.positive]
 
 
 def _truths(kind: str, a: FiniteFPLG, pre, suc, leaf) -> list[bool]:
@@ -623,7 +620,7 @@ def interpret(seq: Sequent, a: FiniteFPLG, v) -> bool:
     """Truth of the sequent under the valuation; structural connectives are
     interpreted exactly like their operational counterparts.  The three
     admissible-but-underivable kinds have no interpreting relation."""
-    leaf = _atom_leaf(a.view.tables, {key: (x,) for key, x in v.items()})
+    leaf = _atom_leaf({key: (x,) for key, x in v.items()})
     return _truths(seq.kind, a, seq.pre, seq.suc, leaf)[0]
 
 
@@ -762,7 +759,7 @@ def check_rule_soundness_templates(rule, a: FiniteFPLG, atoms, depth: int = 2,
         if vals is None:
             rows = list(product(*[a.P.elements if pos else a.N.elements for _, pos in keys]))
             vals = by_atoms[keys] = (keys, rows,
-                                     _atom_leaf(tables, dict(zip(keys, zip(*rows)))), {})
+                                     _atom_leaf(dict(zip(keys, zip(*rows)))), {})
         checked += len(vals[1])
         groups.setdefault(sig, []).append((index, combo, vals))
 
@@ -874,7 +871,7 @@ def parse_algebra(text: str) -> FiniteFPLG:
             raise AlgebraError(f"line {ln}: unknown {kind} symbol {arg!r}")
         if arg in found[kind]:
             raise AlgebraError(f"line {ln}: a second {kind} {arg} line")
-        rows = groups(kind, body)
+        rows = list(groups(kind, body))
         if kind == "%carrier":
             entry = tuple((v, t) for t, v in rows)
             if len(set(entry)) < len(entry):
@@ -885,6 +882,11 @@ def parse_algebra(text: str) -> FiniteFPLG:
             entry = {(v1, t1): (v2, t2) for t1, v1, t2, v2 in rows}
         else:
             entry = {((v1, t1), (v2, t2)): (v3, t3) for t1, v1, t2, v2, t3, v3 in rows}
+        if len(entry) < len(rows) and kind in ("%map", "%op", "%var"):
+            keys = [row[:-2] for row in rows]     # a table's argument groups, one per entry
+            twice = next(key for i, key in enumerate(keys) if key in keys[:i])
+            raise AlgebraError(f"line {ln}: {kind} {arg} has a second entry for "
+                               + ",".join(map(":".join, zip(twice[::2], twice[1::2]))))
         found[kind][arg] = entry
     for section in ("%carrier", "%le", "%map", "%wr"):
         missing = [w for w in _SYMBOLS[section] if w not in found[section]]

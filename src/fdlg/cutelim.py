@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .syntax import (Structure, Sequent, Sort, PP, PS, NP, NS,
+from .syntax import (Structure, Sequent, Sort, PP, PS, NP, NS, FAMILY, ORDER_TYPE,
                      render, render_sequent)
 from .rules import REGISTRY, CUT_RULES, PRINCIPAL_LEFT, PRINCIPAL_RIGHT, candidates
 from .kernel import (Derivation, KernelError, TONICITY_PREMISES, apply_rule_forward,
@@ -82,12 +82,10 @@ def position_class(seq: Sequent, pos) -> str:
     precedent-positioned where covariant, and dually for G-connectives; whole
     sides carry their literal position.
     """
-    from .syntax import FAMILY, ORDER_TYPE
     side, path = pos
     if not path:
         return side
-    parent = struct_at(seq, (side, path[:-1]))
-    conn = parent.conn if isinstance(parent, Structure) else parent.conn
+    conn = struct_at(seq, (side, path[:-1])).conn
     fam, eps = FAMILY[conn], ORDER_TYPE[conn][path[-1]]
     return "pre" if (fam == "F") == (eps == 1) else "suc"
 

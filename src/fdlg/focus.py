@@ -1,9 +1,9 @@
 """Signed generation trees, focalization checking and proof minimization.
 
 Skeleton nodes are positively signed F-connectives or negatively signed
-G-connectives; everything else (atoms included) is PIA.  For the partition
-into maximal subtrees an atom joins its parent's component, so a PIA subtree
-never consists of shift nodes alone.
+G-connectives (`syntax.skeleton`); everything else (atoms included) is PIA.
+For the partition into maximal subtrees an atom joins its parent's component,
+so a PIA subtree never consists of shift nodes alone.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import is_not
 
-from .syntax import (Formula, Structure, Sequent, FAMILY, STRUCT_SHIFTS,
+from .syntax import (Formula, Structure, Sequent, STRUCT_SHIFTS, skeleton,
                      VARIANT_STRUCTS, SHIFT_ADJOINTS, signed_nodes, render)
 from .rules import REGISTRY, TONICITY_RULES, SHIFT_DPS
 from .kernel import (Derivation, iter_nodes, path_str, thread,
@@ -53,13 +53,6 @@ def _labels(roots) -> dict:
     return raw
 
 
-def _classify(label: str, sign: bool, is_atom: bool) -> str:
-    if is_atom:
-        return "pia"
-    fam = FAMILY[label]
-    return "skeleton" if (sign and fam == "F") or (not sign and fam == "G") else "pia"
-
-
 def _components(raw: dict) -> list[tuple[str, set]]:
     """Maximal same-kind components of a signed tree given as position ->
     (label, sign, is_atom), as (kind, positions); an atom joins its parent's."""
@@ -67,7 +60,7 @@ def _components(raw: dict) -> list[tuple[str, set]]:
     comps: list[tuple[str, set]] = []
     for pos in sorted(raw, key=lambda p: (p[0], len(p[1]), p[1])):
         label, sign, is_atom = raw[pos]
-        cls = _classify(label, sign, is_atom)
+        cls = "pia" if is_atom or not skeleton(label, sign) else "skeleton"
         side, path = pos
         cid = comp_of.get((side, path[:-1])) if path else None
         if cid is not None and (is_atom or comps[cid][0] == cls):
@@ -85,8 +78,10 @@ def signed_tree(seq: Sequent) -> SignedTree:
     nodes = {}
     roots = {min(members, key=lambda p: (len(p[1]), p[1]))
              for _, members in components}
+    # a connective's kind is its component's; an atom is PIA
+    kind_of = {pos: kind for kind, members in components for pos in members}
     for pos, (label, sign, is_atom) in raw.items():
-        cls = _classify(label, sign, is_atom)
+        cls = "pia" if is_atom else kind_of[pos]
         is_trans = pos in roots and pos[1] != ()
         nodes[pos] = SignedNode(label, sign, is_atom, cls, is_trans)
     comps = tuple((kind, frozenset(members)) for kind, members in components)

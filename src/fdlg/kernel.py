@@ -283,12 +283,9 @@ def thread(d: Derivation, pos):
 def struct_at(seq: Sequent, pos) -> Structure | Formula:
     side, path = pos
     cur = seq.pre if side == "pre" else seq.suc
-    for k, i in enumerate(path):
-        if cur.conn is None:
-            fml = cur.leaf
-            for j in path[k:]:
-                fml = fml.args[j]
-            return fml
+    for i in path:
+        if cur.conn is None and cur.__class__ is Structure:
+            cur = cur.leaf              # the path goes on into the leaf's formula
         cur = cur.args[i]
     return cur
 
@@ -469,10 +466,6 @@ def saturate_translations(d: Derivation, side: str) -> Derivation:
 _SIDE_NAMES = {"pre": "precedent", "suc": "succedent"}
 
 
-def _inv(name: str) -> str:
-    return name[:-1] if name.endswith("'") else name + "'"
-
-
 # (side, root connective) -> (the rule that introduces its formula, and per
 # argument to fold first: its index, the display moves that make it a whole
 # side, and that side).  A structural shift's index is None: its s-* pair is
@@ -514,7 +507,7 @@ def _fold(d: Derivation, side: str) -> Derivation:
             d = derive(move, d)
         d = _fold(d, inner)
         for move in reversed(moves):
-            d = derive(_inv(move), d)
+            d = derive(REGISTRY[move].schema.inverse, d)
     return derive(rule, d)
 
 

@@ -5,6 +5,10 @@ metavariables) is expressed by leaving the purity constraint open, so the
 instantiation of a logical rule against concrete sequents is deterministic.
 Invertible rules (display postulates and the two structural shift rules) are
 registered in both directions; the inverse of NAME is NAME + "'".
+
+One matcher, `_match`, and one instantiation, `_inst`, walk a pattern over
+formulas and structures alike: a formula pattern at a structure position
+looks through a leaf to its formula.
 """
 
 from __future__ import annotations
@@ -74,73 +78,54 @@ class MatchFail(Exception):
     pass
 
 
-def _match_formula(pat, fml: Formula, env: dict) -> None:
-    if isinstance(pat, FVar):
-        st = fml.sort
-        if st.positive != pat.positive or (pat.shifted is not None and st.shifted != pat.shifted):
-            raise MatchFail
-        if pat.name in env and env[pat.name] != fml:
-            raise MatchFail
-        env[pat.name] = fml
-        return
-    if isinstance(pat, AVar):
-        if fml.conn is not None or fml.atom.positive != pat.positive:
-            raise MatchFail
-        if pat.name in env and env[pat.name] != fml:
-            raise MatchFail
-        env[pat.name] = fml
-        return
-    if isinstance(pat, FNode):
-        if fml.conn != pat.conn:
-            raise MatchFail
-        for p, a in zip(pat.args, fml.args):
-            _match_formula(p, a, env)
-        return
-    raise MatchFail
+def _match(pat, x, env: dict) -> None:
+    """Match a structure or formula against a pattern, binding `env`.
 
-
-def _match(pat, st: Structure, env: dict) -> None:
-    if isinstance(pat, SVar):
-        so = st.sort
-        if so.positive != pat.positive or (pat.shifted is not None and so.shifted != pat.shifted):
+    SVar and SNode stand only at structure positions.  A formula pattern
+    (FVar, AVar, FNode) looks through a leaf structure to its formula and
+    fails on any other structure."""
+    cls = pat.__class__
+    if cls is not SVar and cls is not SNode and x.__class__ is Structure:
+        if x.conn is not None:
             raise MatchFail
-        if pat.name in env and env[pat.name] != st:
+        x = x.leaf
+    if cls is SNode or cls is FNode:
+        if x.conn != pat.conn:
             raise MatchFail
-        env[pat.name] = st
-        return
-    if isinstance(pat, (FVar, AVar, FNode)):
-        if st.conn is not None:
-            raise MatchFail
-        _match_formula(pat, st.leaf, env)
-        return
-    if isinstance(pat, SNode):
-        if st.conn != pat.conn:
-            raise MatchFail
-        for p, a in zip(pat.args, st.args):
+        for p, a in zip(pat.args, x.args):
             _match(p, a, env)
         return
-    raise MatchFail
+    if cls is AVar:
+        if x.conn is not None or x.atom.positive != pat.positive:
+            raise MatchFail
+    else:                               # SVar or FVar
+        so = x.sort
+        if so.positive != pat.positive or (pat.shifted is not None and so.shifted != pat.shifted):
+            raise MatchFail
+    bound = env.get(pat.name)
+    if bound is not None and bound != x:
+        raise MatchFail
+    env[pat.name] = x
 
 
-def _inst_formula(pat, env: dict) -> Formula:
-    if isinstance(pat, (FVar, AVar)):
-        v = env[pat.name]
-        if isinstance(v, Structure):     # a formula var may hold a leaf binding
-            v = v.leaf
-        return v
-    if isinstance(pat, FNode):
-        return Formula(pat.conn, None, tuple(_inst_formula(p, env) for p in pat.args))
-    raise ValueError(f"cannot instantiate {pat!r} as a formula")
-
-
-def _inst(pat, env: dict) -> Structure:
-    if isinstance(pat, SVar):
+def _inst(pat, env: dict, formula: bool = False):
+    """The structure a pattern denotes under `env`, or with `formula` the
+    formula; a formula pattern at a structure position gives a leaf, and a
+    formula metavariable bound to a leaf gives its formula."""
+    cls = pat.__class__
+    if cls is SVar:
         return env[pat.name]
-    if isinstance(pat, (FVar, AVar, FNode)):
-        return leaf(_inst_formula(pat, env))
-    if isinstance(pat, SNode):
-        return Structure(pat.conn, None, tuple(_inst(p, env) for p in pat.args))
-    raise ValueError(f"cannot instantiate {pat!r}")
+    if cls is SNode:
+        return Structure(pat.conn, None, tuple([_inst(p, env) for p in pat.args]))
+    if cls is FNode:
+        x = Formula(pat.conn, None, tuple([_inst(p, env, True) for p in pat.args]))
+    elif cls is FVar or cls is AVar:
+        x = env[pat.name]
+        if x.__class__ is Structure:
+            x = x.leaf
+    else:
+        raise ValueError(f"cannot instantiate {pat!r}")
+    return x if formula else leaf(x)
 
 
 def match_sequent(pat: SeqPat, seq: Sequent, env: dict) -> None:

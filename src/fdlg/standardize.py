@@ -1,19 +1,21 @@
 """Standard-sequent transforms.
 
-ftom (written lo below) turns the principal skeleton of a positively signed
-structure structural and everything else operational; ftoM is its negatively
-signed dual.  Both are partial: l/r-variants and shift adjoints have no
-operational counterpart, so a blocking occurrence leaves the transform
-undefined.  The recursion is sign-driven: a contravariant argument swaps
-transforms.
+ftom turns the principal skeleton of a positively signed structure
+structural and everything else operational; ftoM is its negatively signed
+dual.  Both are partial: l/r-variants and shift adjoints have no operational
+counterpart, so a blocking occurrence leaves the transform undefined.  Both
+are one walk over the mixed tree of structures and their formula leaves,
+`_standard`, which takes the sign of the occurrence and flips it at an
+antitone argument, where ftom and ftoM swap.  Skeleton and PIA are read from
+`syntax.skeleton`, as in `focus`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .syntax import (Formula, Structure, Sequent, leaf, signed_nodes,
-                     FAMILY, ORDER_TYPE, STRUCT_OF_OP, OP_OF_STRUCT)
+from .syntax import (Formula, Structure, Sequent, leaf, signed_nodes, skeleton, _ANTITONE,
+                     STRUCT_OF_OP, OP_OF_STRUCT)
 
 
 class StandardizeError(ValueError):
@@ -37,50 +39,34 @@ def form_of(x: Structure) -> Formula:
     return Formula(op, None, tuple(form_of(a) for a in x.args))
 
 
-def _lo(x: Structure) -> Structure:
-    # positively signed occurrence
-    if x.conn is None:
-        a = x.leaf
-        if a.conn is None:
+def _standard(x, sign: bool) -> Structure:
+    """ftom of a structure or formula signed `sign` (True = +), or ftoM if
+    negative; a leaf is looked through to its formula.  A skeleton node
+    turns structural, each argument transformed at its own sign, flipped at
+    an antitone coordinate; an atom stays, and a PIA node turns operational
+    throughout."""
+    conn = x.conn
+    if conn is None and x.__class__ is Structure:
+        if x.leaf.conn is None or not skeleton(x.leaf.conn, sign):
             return x
-        if FAMILY[a.conn] == "F":
-            return _lo(str_of(a))
-        return x                           # +G formula: PIA, stays operational
-    if FAMILY[x.conn] == "F":
-        args = []
-        for i, arg in enumerate(x.args):
-            t = _lo if ORDER_TYPE[x.conn][i] == 1 else _hi
-            args.append(t(arg))
-        return Structure(x.conn, None, tuple(args))
-    return leaf(form_of(x))                # +G structure: operationalize throughout
-
-
-def _hi(x: Structure) -> Structure:
-    # negatively signed occurrence
-    if x.conn is None:
-        a = x.leaf
-        if a.conn is None:
-            return x
-        if FAMILY[a.conn] == "G":
-            return _hi(str_of(a))
-        return x                           # -F formula: PIA, stays operational
-    if FAMILY[x.conn] == "G":
-        args = []
-        for i, arg in enumerate(x.args):
-            t = _hi if ORDER_TYPE[x.conn][i] == 1 else _lo
-            args.append(t(arg))
-        return Structure(x.conn, None, tuple(args))
-    return leaf(form_of(x))                # -F structure: operationalize throughout
+        x = x.leaf
+        conn = x.conn
+    if conn is None or not skeleton(conn, sign):
+        return leaf(form_of(x) if x.__class__ is Structure else x)
+    args = []
+    for a, flip in zip(x.args, _ANTITONE[conn]):
+        args.append(_standard(a, sign ^ flip))
+    return Structure(conn if x.__class__ is Structure else STRUCT_OF_OP[conn], None, tuple(args))
 
 
 def ftom(psi: Structure) -> Structure:
     """Lower standard transform; defined unless a variant/adjoint blocks it."""
-    return _lo(psi)
+    return _standard(psi, True)
 
 
 def ftoM(psi: Structure) -> Structure:
     """Upper standard transform, the dual of ftom."""
-    return _hi(psi)
+    return _standard(psi, False)
 
 
 def standard_sequent(seq: Sequent) -> Sequent:
@@ -99,27 +85,15 @@ class PrincipalSubtree:
     paths: frozenset           # structure-tree paths of its connective nodes
 
 
-def _classify(conn: str, sign: bool) -> str:
-    fam = FAMILY[conn]
-    return "skeleton" if (sign and fam == "F") or (not sign and fam == "G") else "pia"
-
-
 def principal_subtree(psi: Structure, sign: bool = True) -> PrincipalSubtree:
     """Largest same-kind subtree of the signed generation tree at the root."""
-    nodes = {path: (node.conn, sg) for path, node, sg in signed_nodes(psi, sign)
+    # whether each connective node is skeleton, in pre-order: parents first
+    kinds = {path: skeleton(node.conn, sg) for path, node, sg in signed_nodes(psi, sign)
              if node.conn is not None}
-    if () not in nodes:
+    if () not in kinds:
         return PrincipalSubtree("pia", frozenset())      # bare atom
-    root_kind = _classify(*nodes[()])
-    member = {(): True}
-    paths = {()}
-    for path in sorted(nodes, key=len):
-        if path == ():
-            continue
-        parent = path[:-1]
-        if member.get(parent) and _classify(*nodes[path]) == root_kind:
-            member[path] = True
+    paths = set()
+    for path, kind in kinds.items():
+        if kind == kinds[()] and (not path or path[:-1] in paths):
             paths.add(path)
-        else:
-            member[path] = False
-    return PrincipalSubtree(root_kind, frozenset(paths))
+    return PrincipalSubtree("skeleton" if kinds[()] else "pia", frozenset(paths))

@@ -139,6 +139,14 @@ for _t in ("up", "dn", ".up", ".upl", ".dn", ".dnr"):
     ORDER_TYPE[_t] = (1,)
 _ANTITONE = {c: tuple(t != 1 for t in o) for c, o in ORDER_TYPE.items()}  # sign flips
 
+
+def skeleton(conn: str, sign: bool) -> bool:
+    """Whether a node of connective `conn` signed `sign` (True = +) is
+    skeleton in a signed generation tree: an F-connective signed +, or a
+    G-connective signed -.  Every other node, atoms included, is PIA."""
+    return (FAMILY[conn] == "F") == sign
+
+
 STRUCT_OF_OP = {"*": ".*", "(+)": ".(+)", "\\": ".\\", "/": "./",
                 "(/)": ".(/)", "(\\)": ".(\\)", "up": ".up", "dn": ".dn"}
 OP_OF_STRUCT = {v: k for k, v in STRUCT_OF_OP.items()}
@@ -496,12 +504,16 @@ def formula_nodes(x: Sequent | Structure | Formula) -> list[Formula]:
 # The deepest nesting the readers accept: parentheses plus prefix shifts in
 # term text, and premises below the root of a derivation document.  Deeper
 # input is rejected with a ParseError.  Derivation walks and signed_nodes use
-# explicit stacks.  The term walks that still recurse take one frame a level
-# (the printer _text, _map, the matcher in rules, kernel.subst_structure, the
-# standard transforms) or two, where the recursive call sits in a generator
-# expression (the term readers, instantiation in rules, str_of, form_of) or,
-# for a parenthesis, in the parser's unary and term.  This keeps every command
-# on input that reads below Python's default limit of 1000 frames.
+# explicit stacks.  The term walks that still recurse are one walk per job
+# over formulas and structures alike, looking through a leaf to its formula.
+# They take one frame a level (the printers _text and
+# translate.render_companion, _map, rules._match, standardize._standard,
+# kernel.subst_structure) or two, where the recursive call sits in a
+# comprehension or generator expression (the readers _read and
+# translate._read, rules._inst, translate.polarize and depolarize,
+# algebra._values, str_of, form_of) or, for a parenthesis, in the parser's
+# unary and term.  This keeps every command on input that reads below
+# Python's default limit of 1000 frames.
 MAX_NESTING = 256
 
 # One regex for every token: an ASCII identifier, or an operator or
@@ -588,22 +600,20 @@ class _Parser:
         return self.pos == len(self.toks)
 
 
-def _raw_to_formula(raw, neg: frozenset[str]) -> Formula:
+def _read(raw, neg: frozenset[str], structural: bool):
+    """The term of parse_raw's tuples: a structure if `structural`, else a
+    formula.  In a structure, an atom or an operational connective begins a
+    formula leaf."""
     if isinstance(raw, str):
-        return fatom(raw, raw not in neg)
+        x = fatom(raw, raw not in neg)
+        return leaf(x) if structural else x
     conn = raw[0]
     if conn in STRUCT_SIG:
-        raise ParseError(f"structural connective {conn!r} inside a formula")
-    return f(conn, *(_raw_to_formula(a, neg) for a in raw[1:]))
-
-
-def _raw_to_structure(raw, neg: frozenset[str]) -> Structure:
-    if isinstance(raw, str):
-        return leaf(fatom(raw, raw not in neg))
-    conn = raw[0]
-    if conn in OP_SIG:
-        return leaf(_raw_to_formula(raw, neg))
-    return s(conn, *(_raw_to_structure(a, neg) for a in raw[1:]))
+        if not structural:
+            raise ParseError(f"structural connective {conn!r} inside a formula")
+        return s(conn, *[_read(a, neg, True) for a in raw[1:]])
+    x = f(conn, *[_read(a, neg, False) for a in raw[1:]])
+    return leaf(x) if structural else x
 
 
 def parse_raw(text: str):
@@ -617,11 +627,11 @@ def parse_raw(text: str):
 
 
 def parse_formula(text: str, neg_atoms=()) -> Formula:
-    return _raw_to_formula(parse_raw(text), frozenset(neg_atoms))
+    return _read(parse_raw(text), frozenset(neg_atoms), False)
 
 
 def parse_structure(text: str, neg_atoms=()) -> Structure:
-    return _raw_to_structure(parse_raw(text), frozenset(neg_atoms))
+    return _read(parse_raw(text), frozenset(neg_atoms), True)
 
 
 def parse_sequent(text: str, neg_atoms=()) -> Sequent:

@@ -13,7 +13,9 @@ Companion derivations are `fdlg.kernel.Derivation`s over `FlgSequent`s
 
 Polarization sends its formulas into the four-sorted language, shifts marking
 every polarity mismatch; depolarization erases the shifts.  A sequent in the
-image of polarization is called normal.
+image of polarization is called normal.  The printer `render_companion`, the
+reader, `polarize` and `depolarize` are each one walk over formulas and
+structures alike, looking through a leaf to its formula.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ class CFormula:
             raise TranslateError(f"bad companion formula head {self.conn!r}")
 
     def __repr__(self) -> str:
-        return f"<{render_cformula(self)}>"
+        return f"<{render_companion(self)}>"
 
 
 def catom(name: str, positive: bool = True) -> CFormula:
@@ -71,25 +73,25 @@ def cf(conn: str, l: CFormula, r: CFormula) -> CFormula:
     return CFormula(conn, None, (l, r))
 
 
-def render_cformula(a: CFormula) -> str:
-    if a.conn is None:
-        return a.atom.name
-    l, r = a.args
-    lt = f"({render_cformula(l)})" if l.conn is not None else render_cformula(l)
-    rt = f"({render_cformula(r)})" if r.conn is not None else render_cformula(r)
-    return f"{lt} {a.conn} {rt}"
-
-
 def parse_cformula(text: str, neg_atoms=()) -> CFormula:
-    return _raw_to_cformula(parse_raw(text), frozenset(neg_atoms))
+    return _read(parse_raw(text), frozenset(neg_atoms), False)
 
 
-def _raw_to_cformula(r, neg: frozenset[str]) -> CFormula:
+def _read(r, neg: frozenset[str], structural: bool):
+    """The companion term of parse_raw's tuples: a structure if
+    `structural`, else a formula.  In a structure, an atom or a formula
+    connective begins a formula leaf."""
     if isinstance(r, str):
-        return catom(r, r not in neg)
-    if r[0] not in _CONNS:
+        a = catom(r, r not in neg)
+    elif r[0] in _CONNS:
+        a = cf(r[0], _read(r[1], neg, False), _read(r[2], neg, False))
+    elif not structural:
         raise ParseError(f"{r[0]!r} is not a companion formula connective")
-    return cf(r[0], _raw_to_cformula(r[1], neg), _raw_to_cformula(r[2], neg))
+    elif r[0] not in _ARG_SIDES:
+        raise ParseError(f"{r[0]!r} is not a companion-calculus connective")
+    else:
+        return fs(r[0], _read(r[1], neg, True), _read(r[2], neg, True))
+    return fleaf(a) if structural else a
 
 
 def formula_polarity(a: CFormula) -> bool:
@@ -156,23 +158,23 @@ class FlgSequent:
 FlgDerivation = Derivation
 
 
-def render_fstruct(x: FStruct) -> str:
+def render_companion(x: CFormula | FStruct, nested: bool = False) -> str:
+    """A companion formula or structure in the concrete syntax.  A compound
+    argument is parenthesized (`nested`), and so is a compound formula
+    leaf: the printer looks through a leaf to its formula, which it nests."""
+    if x.__class__ is FStruct and x.conn is None:
+        x, nested = x.leaf, True
     if x.conn is None:
-        a = render_cformula(x.leaf)
-        return f"({a})" if x.leaf.conn is not None else a
-    l, r = (render_fstruct(a) for a in x.args)
-    lw = f"({l})" if x.args[0].conn is not None else l
-    rw = f"({r})" if x.args[1].conn is not None else r
-    return f"{lw} {x.conn} {rw}"
+        return x.atom.name
+    l, r = x.args
+    out = f"{render_companion(l, True)} {x.conn} {render_companion(r, True)}"
+    return f"({out})" if nested else out
 
 
 def render_flg_sequent(s: FlgSequent) -> str:
-    pre, suc = render_fstruct(s.pre), render_fstruct(s.suc)
-    if s.focus == "pre":
-        pre = f"[{render_cformula(s.pre.leaf)}]"
-    if s.focus == "suc":
-        suc = f"[{render_cformula(s.suc.leaf)}]"
-    return f"{pre} |- {suc}"
+    """A companion sequent; the formula in focus is bracketed."""
+    return " |- ".join(f"[{render_companion(x.leaf)}]" if s.focus == side else render_companion(x)
+                       for side, x in (("pre", s.pre), ("suc", s.suc)))
 
 
 # ---------------------------------------------------------------------------
@@ -338,60 +340,59 @@ def logical_rule_count(d) -> int:
 # Polarization
 
 
-def polarize_formula(a: CFormula, positive: bool) -> Formula:
-    """Positive or negative polarization; pure iff the polarity matches."""
-    if a.conn is None:
-        body, own = Formula(None, a.atom), a.atom.positive
-    elif a.conn in _POLARITY:
-        sides, own = _POLARITY[a.conn]
-        body = fnode(a.conn, *(polarize_formula(x, s) for x, s in zip(a.args, sides)))
+def polarize(x: CFormula | FStruct, positive: bool) -> Formula | Structure:
+    """Positive or negative polarization of a companion formula or
+    structure.  A formula is pure iff the polarity matches, and shifted
+    otherwise; a structure's arguments take the polarity of their side, and
+    a leaf polarizes its formula."""
+    conn = x.conn
+    if x.__class__ is FStruct:
+        if conn is None:
+            return leaf(polarize(x.leaf, positive))
+        if x.side != ("in" if positive else "out"):
+            raise TranslateError(f"{conn} cannot occur on this side")
+        args = [polarize(a, s) for a, s in zip(x.args, _ARG_SIDES[conn])]
+        return Structure(conn, None, tuple(args))
+    if conn is None:
+        body, own = Formula(None, x.atom), x.atom.positive
+    elif conn in _POLARITY:
+        sides, own = _POLARITY[conn]
+        body = fnode(conn, *[polarize(a, s) for a, s in zip(x.args, sides)])
     else:
-        raise TranslateError(f"not a companion-calculus formula: {a!r}")
+        raise TranslateError(f"not a companion-calculus formula: {x!r}")
     if own == positive:
         return body
     return fnode("dn", body) if positive else fnode("up", body)
 
 
-def unpolarize_formula(x: Formula) -> CFormula:
-    """Erase the shifts of a display-calculus formula."""
-    if x.conn in ("up", "dn"):
-        return unpolarize_formula(x.args[0])
-    if x.conn is None:
-        return CFormula(None, x.atom)
-    return CFormula(x.conn, None, tuple(unpolarize_formula(a) for a in x.args))
-
-
-def polarize_structure(x: FStruct, positive: bool) -> Structure:
-    if x.conn is None:
-        return leaf(polarize_formula(x.leaf, positive))
-    want = "in" if positive else "out"
-    if x.side != want:
-        raise TranslateError(f"{x.conn} cannot occur on this side")
-    sides = _ARG_SIDES[x.conn]
-    args = tuple(polarize_structure(a, s) for a, s in zip(x.args, sides))
-    return Structure(x.conn, None, args)
+polarize_formula = polarize
 
 
 def polarize_sequent(s: FlgSequent) -> Sequent:
     """The precedent polarizes positively and the succedent negatively, but a
     formula in focus takes the other polarity."""
-    return Sequent(polarize_structure(s.pre, s.focus != "pre"),
-                   polarize_structure(s.suc, s.focus == "suc"))
+    return Sequent(polarize(s.pre, s.focus != "pre"), polarize(s.suc, s.focus == "suc"))
 
 
-def depolarize(x: Formula | Structure):
-    """Erase the shifts; fails on structural shifts and variants."""
-    if isinstance(x, Structure):
-        if x.conn is None:
-            return unpolarize_formula(x.leaf)
-        if x.conn not in _ARG_SIDES:
-            raise TranslateError(f"{x.conn} has no companion counterpart")
-        return fs(x.conn, *(fleaf_or(depolarize(a)) for a in x.args))
-    return unpolarize_formula(x)
+def depolarize(x: Formula | Structure) -> CFormula | FStruct:
+    """Erase the shifts: a formula gives a companion formula, a structure a
+    companion structure, and a leaf a companion leaf of its formula's image.
+    Fails on structural shifts and variants."""
+    conn = x.conn
+    if x.__class__ is Structure:
+        if conn is None:
+            return fleaf(depolarize(x.leaf))
+        if conn not in _ARG_SIDES:
+            raise TranslateError(f"{conn} has no companion counterpart")
+        return fs(conn, *[depolarize(a) for a in x.args])
+    if conn in ("up", "dn"):
+        return depolarize(x.args[0])
+    if conn is None:
+        return CFormula(None, x.atom)
+    return CFormula(conn, None, tuple([depolarize(a) for a in x.args]))
 
 
-def fleaf_or(v) -> FStruct:
-    return v if isinstance(v, FStruct) else fleaf(v)
+unpolarize_formula = depolarize
 
 
 def flg_of_sequent(seq: Sequent) -> FlgSequent:
@@ -401,7 +402,7 @@ def flg_of_sequent(seq: Sequent) -> FlgSequent:
         raise TranslateError("a positive normal sequent focuses its succedent formula")
     if focus == "pre" and seq.pre.conn is not None:
         raise TranslateError("a negative normal sequent focuses its precedent formula")
-    out = FlgSequent(fleaf_or(depolarize(seq.pre)), fleaf_or(depolarize(seq.suc)), focus)
+    out = FlgSequent(depolarize(seq.pre), depolarize(seq.suc), focus)
     if polarize_sequent(out) != seq:
         raise TranslateError("sequent is not in the image of polarization")
     return out
@@ -556,29 +557,16 @@ def flg_to_json(d: FlgDerivation, neg_atoms) -> str:
                           render_flg_sequent)
 
 
-def _raw_to_fstruct(r, neg: frozenset[str]) -> FStruct:
-    if isinstance(r, str) or r[0] in _CONNS:
-        return fleaf(_raw_to_cformula(r, neg))
-    if r[0] not in _INPUT_CONNS and r[0] not in _OUTPUT_CONNS:
-        raise ParseError(f"{r[0]!r} is not a companion-calculus connective")
-    return fs(r[0], _raw_to_fstruct(r[1], neg), _raw_to_fstruct(r[2], neg))
-
-
 def parse_flg_sequent(text: str, neg_atoms=()) -> FlgSequent:
     neg = frozenset(neg_atoms)
-    left, _, right = text.partition("|-")
-    left, right = left.strip(), right.strip()
-    focus = None
-    if left.startswith("[") and left.endswith("]"):
-        focus = "pre"
-        left = left[1:-1]
-    if right.startswith("[") and right.endswith("]"):
-        focus = "suc"
-        right = right[1:-1]
+    focus, sides = None, []
     try:
-        pre = _raw_to_fstruct(parse_raw(left), neg)
-        suc = _raw_to_fstruct(parse_raw(right), neg)
-        return FlgSequent(pre, suc, focus)
+        for side, part in zip(("pre", "suc"), text.partition("|-")[::2]):
+            part = part.strip()
+            if part.startswith("[") and part.endswith("]"):
+                focus, part = side, part[1:-1]
+            sides.append(_read(parse_raw(part), neg, True))
+        return FlgSequent(*sides, focus)
     except TranslateError as e:     # a structure on the wrong side, or in focus
         raise ParseError(str(e)) from None
 

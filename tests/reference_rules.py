@@ -1,6 +1,14 @@
-"""All-rules reference scans for the root-connective rule index.
+"""The per-class matcher and all-rules reference scans.
 
-These are the backward expansion of `fdlg.kernel` and the display-orbit step
+`match_sequent` and `instantiate_sequent` are those of `fdlg.rules` as they
+read before one `_match` and one `_inst` took either a formula or a
+structure: a formula walk and a structure walk each, the structure walk
+handing a leaf's formula to the formula walk.  `test_rules_reference`
+requires both to fail or give equal bindings, and equal instances, for every
+rule pattern; the scans below use this pair, so `test_rule_index` does not
+compare the live matcher with itself.
+
+The scans are the backward expansion of `fdlg.kernel` and the display-orbit step
 of `fdlg.search` as they read before rules were indexed: every rule of
 ORDERED_RULES is tried against the sequent.  `test_rule_index` requires the
 indexed versions to return the same lists in the same order.  Likewise
@@ -22,9 +30,87 @@ from __future__ import annotations
 from fdlg.cutelim import has_cut
 from fdlg.focus import FocalizationReport, _formula_components, _formula_positions
 from fdlg.kernel import Derivation, KernelError, apply_rule_forward, match_rule, path_str
-from fdlg.rules import (ORDERED_RULES, REGISTRY, SHIFT_DPS, TONICITY_RULES, MatchFail,
-                        instantiate_sequent, match_sequent)
-from fdlg.syntax import formula_nodes, leaf, render
+from fdlg.rules import (ORDERED_RULES, REGISTRY, SHIFT_DPS, TONICITY_RULES, AVar, FNode,
+                        FVar, MatchFail, SNode, SVar)
+from fdlg.syntax import Formula, Sequent, Structure, formula_nodes, leaf, render
+
+
+def _match_formula(pat, fml: Formula, env: dict) -> None:
+    if isinstance(pat, FVar):
+        st = fml.sort
+        if st.positive != pat.positive or (pat.shifted is not None and st.shifted != pat.shifted):
+            raise MatchFail
+        if pat.name in env and env[pat.name] != fml:
+            raise MatchFail
+        env[pat.name] = fml
+        return
+    if isinstance(pat, AVar):
+        if fml.conn is not None or fml.atom.positive != pat.positive:
+            raise MatchFail
+        if pat.name in env and env[pat.name] != fml:
+            raise MatchFail
+        env[pat.name] = fml
+        return
+    if isinstance(pat, FNode):
+        if fml.conn != pat.conn:
+            raise MatchFail
+        for p, a in zip(pat.args, fml.args):
+            _match_formula(p, a, env)
+        return
+    raise MatchFail
+
+
+def _match(pat, st: Structure, env: dict) -> None:
+    if isinstance(pat, SVar):
+        so = st.sort
+        if so.positive != pat.positive or (pat.shifted is not None and so.shifted != pat.shifted):
+            raise MatchFail
+        if pat.name in env and env[pat.name] != st:
+            raise MatchFail
+        env[pat.name] = st
+        return
+    if isinstance(pat, (FVar, AVar, FNode)):
+        if st.conn is not None:
+            raise MatchFail
+        _match_formula(pat, st.leaf, env)
+        return
+    if isinstance(pat, SNode):
+        if st.conn != pat.conn:
+            raise MatchFail
+        for p, a in zip(pat.args, st.args):
+            _match(p, a, env)
+        return
+    raise MatchFail
+
+
+def _inst_formula(pat, env: dict) -> Formula:
+    if isinstance(pat, (FVar, AVar)):
+        v = env[pat.name]
+        if isinstance(v, Structure):     # a formula var may hold a leaf binding
+            v = v.leaf
+        return v
+    if isinstance(pat, FNode):
+        return Formula(pat.conn, None, tuple(_inst_formula(p, env) for p in pat.args))
+    raise ValueError(f"cannot instantiate {pat!r} as a formula")
+
+
+def _inst(pat, env: dict) -> Structure:
+    if isinstance(pat, SVar):
+        return env[pat.name]
+    if isinstance(pat, (FVar, AVar, FNode)):
+        return leaf(_inst_formula(pat, env))
+    if isinstance(pat, SNode):
+        return Structure(pat.conn, None, tuple(_inst(p, env) for p in pat.args))
+    raise ValueError(f"cannot instantiate {pat!r}")
+
+
+def match_sequent(pat, seq, env: dict) -> None:
+    _match(pat.pre, seq.pre, env)
+    _match(pat.suc, seq.suc, env)
+
+
+def instantiate_sequent(pat, env: dict):
+    return Sequent(_inst(pat.pre, env), _inst(pat.suc, env))
 
 
 def backward_expansions(goal, allow_variants=False, allow_cuts=False):

@@ -7,19 +7,106 @@ through one table of display moves, and one iterative writer produces the
 exchange text of both calculi.  This module keeps one branch per rule, the
 two mirror-image folds `_fold_suc`/`_fold_pre` (with the identity expansion
 and saturation built on them), and the writers that hand nested dicts to
-`json.dumps(..., indent=1)`.  The differential tests require both to give
-equal results and the same errors, and byte-identical text.
+`json.dumps(..., indent=1)`.  It also keeps the companion printers and the
+polarization in their per-class pairs, from before one printer, one
+polarization and one depolarization each took a formula or a structure:
+`render_cformula`/`render_fstruct`, `polarize_formula`/`polarize_structure`,
+and `unpolarize_formula`/`depolarize` with `fleaf_or`.  The differential
+tests require both to give equal results and the same errors, and
+byte-identical text.
 """
 
 from __future__ import annotations
 
 import json
 
-from fdlg.syntax import Atom, Structure, render_sequent
+from fdlg.syntax import Atom, Formula, Sequent, Structure, f as fnode, leaf, render_sequent
 from fdlg.kernel import Derivation, KernelError, derive
 from fdlg.standardize import StandardizeError, form_of, ftoM, ftom, str_of
-from fdlg.translate import (CFormula, FlgSequent, TranslateError, _formula, cf,
-                            fleaf, formula_polarity, fs, render_flg_sequent)
+from fdlg.translate import (_ARG_SIDES, _POLARITY, CFormula, FlgSequent, FStruct,
+                            TranslateError, _formula, cf, fleaf, formula_polarity, fs)
+
+
+def render_cformula(a: CFormula) -> str:
+    if a.conn is None:
+        return a.atom.name
+    l, r = a.args
+    lt = f"({render_cformula(l)})" if l.conn is not None else render_cformula(l)
+    rt = f"({render_cformula(r)})" if r.conn is not None else render_cformula(r)
+    return f"{lt} {a.conn} {rt}"
+
+
+def render_fstruct(x: FStruct) -> str:
+    if x.conn is None:
+        a = render_cformula(x.leaf)
+        return f"({a})" if x.leaf.conn is not None else a
+    l, r = (render_fstruct(a) for a in x.args)
+    lw = f"({l})" if x.args[0].conn is not None else l
+    rw = f"({r})" if x.args[1].conn is not None else r
+    return f"{lw} {x.conn} {rw}"
+
+
+def render_flg_sequent(s: FlgSequent) -> str:
+    pre, suc = render_fstruct(s.pre), render_fstruct(s.suc)
+    if s.focus == "pre":
+        pre = f"[{render_cformula(s.pre.leaf)}]"
+    if s.focus == "suc":
+        suc = f"[{render_cformula(s.suc.leaf)}]"
+    return f"{pre} |- {suc}"
+
+
+def polarize_formula(a: CFormula, positive: bool) -> Formula:
+    """Positive or negative polarization; pure iff the polarity matches."""
+    if a.conn is None:
+        body, own = Formula(None, a.atom), a.atom.positive
+    elif a.conn in _POLARITY:
+        sides, own = _POLARITY[a.conn]
+        body = fnode(a.conn, *(polarize_formula(x, s) for x, s in zip(a.args, sides)))
+    else:
+        raise TranslateError(f"not a companion-calculus formula: {a!r}")
+    if own == positive:
+        return body
+    return fnode("dn", body) if positive else fnode("up", body)
+
+
+def unpolarize_formula(x: Formula) -> CFormula:
+    """Erase the shifts of a display-calculus formula."""
+    if x.conn in ("up", "dn"):
+        return unpolarize_formula(x.args[0])
+    if x.conn is None:
+        return CFormula(None, x.atom)
+    return CFormula(x.conn, None, tuple(unpolarize_formula(a) for a in x.args))
+
+
+def polarize_structure(x: FStruct, positive: bool) -> Structure:
+    if x.conn is None:
+        return leaf(polarize_formula(x.leaf, positive))
+    want = "in" if positive else "out"
+    if x.side != want:
+        raise TranslateError(f"{x.conn} cannot occur on this side")
+    sides = _ARG_SIDES[x.conn]
+    args = tuple(polarize_structure(a, s) for a, s in zip(x.args, sides))
+    return Structure(x.conn, None, args)
+
+
+def polarize_sequent(s: FlgSequent) -> Sequent:
+    return Sequent(polarize_structure(s.pre, s.focus != "pre"),
+                   polarize_structure(s.suc, s.focus == "suc"))
+
+
+def depolarize(x: Formula | Structure):
+    """Erase the shifts; fails on structural shifts and variants."""
+    if isinstance(x, Structure):
+        if x.conn is None:
+            return unpolarize_formula(x.leaf)
+        if x.conn not in _ARG_SIDES:
+            raise TranslateError(f"{x.conn} has no companion counterpart")
+        return fs(x.conn, *(fleaf_or(depolarize(a)) for a in x.args))
+    return unpolarize_formula(x)
+
+
+def fleaf_or(v) -> FStruct:
+    return v if isinstance(v, FStruct) else fleaf(v)
 
 
 def apply_flg(rule: str, premises, selector: Atom | None = None,

@@ -257,6 +257,23 @@ def test_lines_of_unknown_symbols_rejected(chain2, line, message):
         parse_algebra(text)
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("%map up: P:0->Nd:0", "%map up: P:0->Nd:1 P:0->Nd:0",
+     "line 10: %map up has a second entry for P:0"),
+    ("%op *: P:0,P:0->P:0", "%op *: P:0,P:0->P:1 P:0,P:0->P:0",
+     "line 17: %op * has a second entry for P:0,P:0"),
+    ("%var *l: N:0,P:0->Nd:0", "%var *l: N:0,P:0->Nd:0 N:0,P:0->Nd:0",
+     "line 23: %var *l has a second entry for N:0,P:0"),
+], ids=["map", "op", "var"])
+def test_a_second_entry_for_a_key_rejected(chain2, old, new, message):
+    """A table line that gives one argument two entries, even equal ones,
+    would keep only the last."""
+    text = render_algebra(chain2)
+    assert old in text
+    with pytest.raises(AlgebraError, match=f"^{re.escape(message)}$"):
+        parse_algebra(text.replace(old, new))
+
+
 @pytest.mark.parametrize("line", ["%op *: P:0,P:0->P:1", "%carrier N: N:0", "%wr pure:"])
 def test_a_second_line_for_a_symbol_rejected(chain2, line):
     """A line for a symbol that already has one would replace it."""

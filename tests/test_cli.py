@@ -442,11 +442,15 @@ def test_soundness_relation_outside_its_carriers(tmp_path):
     (lambda text: text + "%map zz: P:0->Nd:0\n", "unknown %map symbol 'zz'"),
     (lambda text: text + "%carrier Q: Q:0\n", "unknown %carrier symbol 'Q'"),
     (lambda text: "%op *: P:0,P:0->P:1\n" + text, "a second %op * line"),
+    (lambda text: text.replace("%map up: P:0->Nd:0", "%map up: P:0->Nd:1 P:0->Nd:0"),
+     "line 10: %map up has a second entry for P:0"),
+    (lambda text: text.replace("%op *: P:0,P:0->P:0", "%op *: P:0,P:0->P:1 P:0,P:0->P:0"),
+     "line 17: %op * has a second entry for P:0,P:0"),
 ])
 def test_soundness_algebra_file_bad_symbol_line(tmp_path, edit, message):
-    """A line that names no symbol of its kind, a second line for one, or a
-    carrier that lists an element twice is an input error, not a table to
-    drop or replace."""
+    """A line that names no symbol of its kind, a second line for one, a
+    carrier that lists an element twice, or a table line with two entries for
+    one argument is an input error, not a table to drop or replace."""
     from fdlg.algebra import builtin, render_algebra
     path = tmp_path / "bad.alg"
     path.write_text(edit(render_algebra(builtin("chain2"))))

@@ -1,6 +1,7 @@
-"""Standard-sequent transforms and their two independent definitions."""
+"""Standard-sequent transforms against the other definitions in `reference_standardize`."""
 
 import random
+import re
 
 import pytest
 
@@ -9,9 +10,9 @@ from fdlg.standardize import (ftom, ftoM, standard_sequent, str_of, form_of,
                               StandardizeError)
 from fdlg.search import prove, SearchConfig
 
-from reference_standardize import ftom_direct, ftoM_direct
+from reference_standardize import ftom_direct, ftoM_direct, hi, lo
 
-from gen import random_structure
+from gen import forward_closure, random_structure
 
 
 def test_ftom_examples():
@@ -80,6 +81,29 @@ def test_direct_and_recursive_definitions_agree():
             assert direct(st) == got_rec, render(st)
             agree += 1
     assert agree > 400
+
+
+def test_one_signed_walk_matches_the_two_recursions():
+    """ftom/ftoM against the earlier pair of recursions `lo`/`hi`: equal
+    results, or the same error, on random structures with variants and on
+    both sides of every forward-closure sequent."""
+    rng = random.Random(11)
+    structures = [random_structure(rng, 1 + i % 6, include_variants=i % 3 == 0)
+                  for i in range(2_000)]
+    structures += [x for seq in forward_closure(include_variants=True)
+                   for x in (seq.pre, seq.suc)]
+    defined = 0
+    for st in structures:
+        for new, old in ((ftom, lo), (ftoM, hi)):
+            try:
+                want = old(st)
+            except StandardizeError as e:
+                with pytest.raises(StandardizeError, match=f"^{re.escape(str(e))}$"):
+                    new(st)
+                continue
+            assert new(st) == want, render(st)
+            defined += 1
+    assert defined > 4_000
 
 
 def test_completeness_bridge(corpus_sequents):

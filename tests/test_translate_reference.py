@@ -1,15 +1,17 @@
-"""The table-driven companion rules, translation saturation and exchange
-writer against their hand-written forms in `reference_translate`."""
+"""The table-driven companion rules, translation saturation, exchange
+writer, printer and polarization against their hand-written and per-class
+forms in `reference_translate`."""
 
 import random
 
 from fdlg import kernel, translate
 from fdlg.kernel import Derivation, derivation_to_json, identity_expansion, saturate_translations
 from fdlg.syntax import Atom, Sequent
-from fdlg.translate import FlgSequent, apply_flg, flg_to_json
+from fdlg.translate import (FlgSequent, apply_flg, depolarize, flg_to_json, polarize,
+                            polarize_sequent, render_companion, render_flg_sequent)
 
 import reference_translate as ref
-from gen import random_cut_proof, random_flg_derivation, random_structure
+from gen import random_cut_proof, random_flg_derivation, random_formula, random_structure
 
 
 def _outcome(fn, *args, **kwargs):
@@ -115,3 +117,35 @@ def test_identity_expansion_and_saturation_match_reference():
                 assert out == _outcome(ref.saturate_translations, base, side), (base, side)
                 folded += isinstance(out, Derivation)
     assert built > 1_000 and folded > 2_000
+
+
+def test_printer_and_polarization_match_reference():
+    """One printer, polarization and depolarization over companion formulas
+    and structures against the per-class pairs, on companion sequents, their
+    polarized images, and random display-calculus terms, shifts and variants
+    included, where depolarization fails."""
+    rng = random.Random(7004)
+    for q in _companion_sequents(rng, 400):
+        assert render_flg_sequent(q) == ref.render_flg_sequent(q)
+        for x in (q.pre, q.suc):
+            assert render_companion(x) == ref.render_fstruct(x)
+            if x.conn is None:
+                assert render_companion(x.leaf) == ref.render_cformula(x.leaf)
+            for sign in (True, False):
+                assert (_outcome(polarize, x, sign)
+                        == _outcome(ref.polarize_structure, x, sign)), (x, sign)
+                if x.conn is None:
+                    assert polarize(x.leaf, sign) == ref.polarize_formula(x.leaf, sign)
+        image = polarize_sequent(q)
+        assert image == ref.polarize_sequent(q)
+        for y in (image.pre, image.suc):
+            assert depolarize(y) == ref.fleaf_or(ref.depolarize(y))
+    failed = 0
+    for i in range(3_000):
+        st = random_structure(rng, 1 + i % 5, include_variants=i % 2 == 0)
+        got = _outcome(depolarize, st)
+        assert got == _outcome(lambda x: ref.fleaf_or(ref.depolarize(x)), st), st
+        failed += isinstance(got, tuple)
+        fml = random_formula(rng, 1 + i % 5)
+        assert depolarize(fml) == ref.unpolarize_formula(fml)
+    assert 500 < failed < 2_500
