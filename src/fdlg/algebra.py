@@ -8,9 +8,10 @@ by an adjunction are derived, not stored.
 
 The signature is read from the syntax: each binary table's argument collages
 and target carrier come from its structural connective in `STRUCT_SIG`, and
-each shift map's carriers from its shift.  The residuation laws are generated
-from the connective groups (`GROUP_OF`), and the order-reversing dual of an
-instance renames its tables by `infty` (`_INFTY`).
+each shift map's carriers from its shift.  The residuation laws are those of
+the syntax (`RESIDUATION_LAWS`), which also gives the calculus its display
+postulates, and the order-reversing dual of an instance renames its tables by
+`infty` (`_INFTY`).
 
 Carriers are tagged pairs (value, tag) with tags P, Pd, N, Nd so the four
 sorts stay disjoint.
@@ -26,8 +27,8 @@ from functools import cached_property, lru_cache
 from itertools import accumulate, islice, product
 from typing import NamedTuple
 
-from .syntax import (GROUP_OF, STRUCT_SIG, Sort, Structure, Sequent, _INFTY,
-                     formula_nodes, iter_structures)
+from .syntax import (GROUP_OF, RESIDUATION_LAWS, STRUCT_SIG, Sort, Structure, Sequent,
+                     _INFTY, formula_nodes, iter_structures)
 from .rules import REGISTRY, instantiate_sequent
 
 
@@ -222,36 +223,6 @@ _SHIFTS = {sh: (_carrier(Sort(*STRUCT_SIG["." + sh][1][0])),
                 _carrier(STRUCT_SIG["." + sh][0]))
            for sh in ("up", "upl", "dn", "dnr")}
 
-# The two residuation law shapes over variables 0, 1, 2.  A clause
-# (group, i, j, k, left) says that the group's table at (v_i, v_j) lies
-# below v_k if `left`, else above it; a law holds when its three clauses
-# agree at every assignment.
-#   product:    x*y <= z    iff  y <= x\z     iff  x <= z/y
-#   coproduct:  x <= m(+)n  iff  x(/)n <= m   iff  m(\)x <= n
-_SHAPES = (
-    (("*", 0, 1, 2, True), ("\\", 0, 2, 1, False), ("/", 2, 1, 0, False)),
-    (("(+)", 1, 2, 0, False), ("(/)", 0, 2, 1, True), ("(\\)", 1, 0, 2, True)),
-)
-
-
-def _laws() -> tuple:
-    """Each shape at each polarity assignment of its variables for which all
-    three groups have a member taking arguments of those polarities: the two
-    base adjunctions and six mixing in the variants.  A law is the
-    variables' polarities and its clauses, each group resolved to that
-    member."""
-    member = {(_BASE[sym], _SIG[sym][1]): sym for sym in _BINARY}
-    laws = []
-    for shape, pols in product(_SHAPES, product((True, False), repeat=3)):
-        clauses = tuple((member.get((group, (pols[i], pols[j]))), i, j, k, left)
-                        for group, i, j, k, left in shape)
-        if all(sym is not None for sym, *_ in clauses):
-            laws.append((pols, clauses))
-    return tuple(laws)
-
-
-_LAWS = _laws()
-
 
 # interpretable (precedent tag, succedent tag) pairs and their sequent kinds
 _KIND_BY_TAGS = {
@@ -440,15 +411,15 @@ def check_fplg_axioms(a: FiniteFPLG) -> list[str]:
     # positive collage to the negative one it is hvd: both are `truth`,
     # which holds every pair that a law compares.
     truth = a.view.truth
-    for pols, clauses in _LAWS:
+    for pols, clauses in RESIDUATION_LAWS:
         cols = tuple(zip(*product(*(ring[pol] for pol in pols))))
         verdicts = []
-        for sym, i, j, k, left in clauses:
-            values = map(tables[sym].__getitem__, zip(cols[i], cols[j]))
+        for conn, i, j, k, left in clauses:
+            values = map(tables[conn[1:]].__getitem__, zip(cols[i], cols[j]))
             pairs = zip(values, cols[k]) if left else zip(cols[k], values)
             verdicts.append(list(map(truth.__getitem__, pairs)))
         if not verdicts[0] == verdicts[1] == verdicts[2]:
-            syms = ", ".join(sym for sym, *_ in clauses)
+            syms = ", ".join(conn[1:] for conn, *_ in clauses)
             bad += [f"adjunction of {syms} fails at {row!r}"
                     for row, v1, v2, v3 in zip(zip(*cols), *verdicts) if not v1 == v2 == v3]
     return bad

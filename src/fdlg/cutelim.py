@@ -10,16 +10,19 @@ to cuts on its immediate subformulas via display moves.  The structural cut
 of the completeness argument reduces a cut on a whole structure the same
 way, one connective at a time, and re-runs the parametric section above it
 like a parametric move.  Both read their display moves and smaller cuts from
-one table, `REDUCTIONS`, keyed by the displayed structural connective.
+rows keyed by the displayed structural connective and the sort of the other
+side: a binary connective's row comes from the display chains of its
+residuation law (`rules.display_chain`), a shift's is typed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .syntax import (Structure, Sequent, Sort, PP, PS, NP, NS, FAMILY, ORDER_TYPE,
+from .syntax import (OP_OF_STRUCT, Structure, Sequent, Sort, PP, PS, NP, NS, display_side,
                      render, render_sequent)
-from .rules import REGISTRY, CUT_RULES, PRINCIPAL_LEFT, PRINCIPAL_RIGHT, candidates
+from .rules import (REGISTRY, CUT_RULES, PRINCIPAL_LEFT, PRINCIPAL_RIGHT, candidates,
+                    display_chain)
 from .kernel import (Derivation, KernelError, TONICITY_PREMISES, apply_rule_forward,
                      derive, fold, iter_nodes, make_cut, subst_at, struct_at, thread)
 from .standardize import ftom, ftoM
@@ -85,9 +88,7 @@ def position_class(seq: Sequent, pos) -> str:
     side, path = pos
     if not path:
         return side
-    conn = struct_at(seq, (side, path[:-1])).conn
-    fam, eps = FAMILY[conn], ORDER_TYPE[conn][path[-1]]
-    return "pre" if (fam == "F") == (eps == 1) else "suc"
+    return display_side(struct_at(seq, (side, path[:-1])).conn, path[-1])
 
 
 def mutate_sequent(seq: Sequent, targets, replacements, mu: Mutation) -> Sequent:
@@ -180,92 +181,65 @@ def _parametric(d1: Derivation, d2: Derivation, side: str, trace) -> Derivation:
 # Cut reductions.  A cut whose piece one premise displays as a structure and
 # the other introduces (a principal cut on a formula, or the structural cut
 # on a structure) reduces to cuts against the introducing node's premises by
-# display moves on the displaying premise.  The row of the displayed
-# structural connective lists the moves and the cuts in order: a move is a
-# rule name or (plain name, l/r-variant name), and an int i cuts against
+# display moves on the displaying premise.  A row lists them in order, for the
+# displayed structural connective and the sort of the residue, the displaying
+# premise's other side: a move is a rule name, and an int i cuts against
 # premise i of the introducing node, on the left of the cut when that
 # premise's argument stands in its succedent (TONICITY_PREMISES, plus the two
-# shift rows).  The variant names apply when the residue, the displaying
-# premise's other side, has a sort of the row's set.  A row's first comment
-# gives the displaying premise's end-sequent and the introducing premises;
-# the comment of each step, the sequent it derives.
+# shift rows).  A binary connective's row displays the argument that the
+# display chain search reaches first, cuts it, displays the other argument,
+# cuts it, and moves back.  A cut leaves a structure of the argument's
+# polarity in its place, which no binary display postulate tells apart from
+# the argument, so the sample sequent's chains serve.  The shift rows are
+# typed: a row's first comment gives the displaying premise's end-sequent and
+# the introducing premise, the comment of each step the sequent it derives.
 
-_POSITIVE, _NEGATIVE, _SHIFTED = frozenset((PP, PS)), frozenset((NP, NS)), frozenset((PS, NS))
 _CUT_SIDES = {**{rule: sides for rule, (_, sides) in TONICITY_PREMISES.items()},
               "down_L": ("pre",), "up_R": ("suc",)}
+_SORTS = (PP, PS, NP, NS)
 
-REDUCTIONS = {
-    ".*": (_POSITIVE, (                                       # P .* Q |- D;  X |- P  and  Y |- Q
-        ("dp(.*,.\\)'", "dp(.*,.\\r)'"),                      # Q |- P .\ D
-        1,                                                    # Y |- P .\ D
-        ("dp(.*,.\\)", "dp(.*,.\\r)"),                        # P .* Y |- D
-        ("dp(.*,./)", "dp(.*,./l)"),                          # P |- D ./ Y
-        0,                                                    # X |- D ./ Y
-        ("dp(.*,./)'", "dp(.*,./l)'"))),                      # X .* Y |- D
-    ".(+)": (_NEGATIVE, (                                     # X |- N .(+) M;  N |- G  and  M |- D
-        ("dp(.(/),.(+))'", "dp(.(/)l,.(+))'"),                # X .(/) M |- N
-        0,                                                    # X .(/) M |- G
-        ("dp(.(/),.(+))", "dp(.(/)l,.(+))"),                  # X |- G .(+) M
-        ("dp(.(\\),.(+))", "dp(.(\\)r,.(+))"),                # G .(\) X |- M
-        1,                                                    # G .(\) X |- D
-        ("dp(.(\\),.(+))'", "dp(.(\\)r,.(+))'"))),            # X |- G .(+) D
-    ".\\": (_NEGATIVE, (                                      # X |- P .\ N;  X' |- P  and  N |- D
-        ("dp(.*,.\\)", "dp(.*r,.\\)"),                        # P .* X |- N
-        1,                                                    # P .* X |- D
-        ("dp(.*,./)", "dp(.*r,./r)"),                         # P |- D ./ X
-        0,                                                    # X' |- D ./ X
-        ("dp(.*,./)'", "dp(.*r,./r)'"),                       # X' .* X |- D
-        ("dp(.*,.\\)'", "dp(.*r,.\\)'"))),                    # X |- X' .\ D
-    "./": (_NEGATIVE, (                                       # X |- N ./ P;  N |- D  and  X' |- P
-        ("dp(.*,./)'", "dp(.*l,./)'"),                        # X .* P |- N
-        0,                                                    # X .* P |- D
-        ("dp(.*,.\\)'", "dp(.*l,.\\l)'"),                     # P |- X .\ D
-        1,                                                    # X' |- X .\ D
-        ("dp(.*,.\\)", "dp(.*l,.\\l)"),                       # X .* X' |- D
-        ("dp(.*,./)", "dp(.*l,./)"))),                        # X |- D ./ X'
-    ".(/)": (_POSITIVE, (                                     # P .(/) N |- D';  X |- P  and  N |- D
-        ("dp(.(/),.(+))", "dp(.(/),.(+)l)"),                  # P |- D' .(+) N
-        0,                                                    # X |- D' .(+) N
-        ("dp(.(\\),.(+))", "dp(.(\\)l,.(+)l)"),               # D' .(\) X |- N
-        1,                                                    # D' .(\) X |- D
-        ("dp(.(\\),.(+))'", "dp(.(\\)l,.(+)l)'"),             # X |- D' .(+) D
-        ("dp(.(/),.(+))'", "dp(.(/),.(+)l)'"))),              # X .(/) D |- D'
-    ".(\\)": (_POSITIVE, (                                    # N .(\) P |- D';  N |- D  and  X |- P
-        ("dp(.(\\),.(+))'", "dp(.(\\),.(+)r)"),               # P |- N .(+) D'
-        1,                                                    # X |- N .(+) D'
-        ("dp(.(/),.(+))'", "dp(.(/)r,.(+)r)"),                # X .(/) D' |- N
-        0,                                                    # X .(/) D' |- D
-        ("dp(.(/),.(+))", "dp(.(/)r,.(+)r)'"),                # X |- D .(+) D'
-        ("dp(.(\\),.(+))", "dp(.(\\),.(+)r)'"))),             # D .(\) X |- D'
-    ".dn": ((), (                                             # X |- .dn N;  N |- D
+_SHIFT_REDUCTIONS = {
+    **{(".dn", residue): (                                    # X |- .dn N;  N |- D
         "s-down'",                                            # X |- N
         0,                                                    # X |- D
-        "s-down")),                                           # X |- .dn D
-    ".up": (_SHIFTED, (                                       # .up P |- D;  X |- P
-        ("dp(.up,.dn)", "dp(.up,.dnr)"),                      # P |- .dn D
+        "s-down") for residue in _SORTS},                     # X |- .dn D
+    **{(".up", residue): (                                    # .up P |- D;  X |- P
+        dp,                                                   # P |- .dn D
         0,                                                    # X |- .dn D
-        ("dp(.up,.dn)'", "dp(.up,.dnr)'"))),                  # .up X |- D
+        dp + "'") for residue in _SORTS                       # .up X |- D
+       for dp in ["dp(.up,.dnr)" if residue.shifted else "dp(.up,.dn)"]},
 }
 # Cut elimination takes a principal up formula apart by the structural shift
 # rule instead.
-_ELIMINATION = {**REDUCTIONS, ".up": ((), (
+_SHIFT_ELIMINATIONS = {**_SHIFT_REDUCTIONS, **{(".up", residue): (
     "s-up'",                                                  # P |- D
     0,                                                        # X |- D
-    "s-up"))}                                                 # .up X |- D
+    "s-up") for residue in _SORTS}}                           # .up X |- D
 
 
-def _reduce(rows, shown: Derivation, side: str, intro: Derivation, cut) -> Derivation:
+def _binary_reduction(conn: str, residue: Sort) -> tuple:
+    """The row of binary structural connective `conn` and residue sort
+    `residue`."""
+    first, i = display_chain(conn, residue, None, (0, 1))
+    then, j = display_chain(conn, residue, i, (1 - i,))
+    back, _ = display_chain(conn, residue, j, (None,))
+    return (*first, i, *then, j, *back)
+
+
+def _reduce(shifts, shown: Derivation, side: str, intro: Derivation, cut) -> Derivation:
     """Run the row of the structure at `side` of `shown`'s end-sequent,
-    introduced by `intro`; cut(left, right) makes each smaller cut."""
-    variant_sorts, steps = rows[getattr(shown.conclusion, side).conn]
-    variant = getattr(shown.conclusion, "suc" if side == "pre" else "pre").sort in variant_sorts
+    introduced by `intro`, with the shift rows `shifts`; cut(left, right)
+    makes each smaller cut."""
+    conn = getattr(shown.conclusion, side).conn
+    residue = getattr(shown.conclusion, "suc" if side == "pre" else "pre").sort
+    steps = shifts.get((conn, residue)) or _binary_reduction(conn, residue)
     sides, s = _CUT_SIDES[intro.rule], shown
     for step in steps:
         if step.__class__ is int:
             p = intro.premises[step]
             s = cut(p, s) if sides[step] == "suc" else cut(s, p)
         else:
-            s = derive(step if step.__class__ is str else step[variant], s)
+            s = derive(step, s)
     return s
 
 
@@ -287,7 +261,8 @@ def _eliminate_cut(d1: Derivation, d2: Derivation, trace) -> Derivation:
     # one premise introduces the cut formula; the other's premise displays it
     shown, side, intro = ((d2.premises[0], "pre", d1) if d1.rule in _CUT_SIDES
                           else (d1.premises[0], "suc", d2))
-    return _reduce(_ELIMINATION, shown, side, intro, lambda l, r: _eliminate_cut(l, r, trace))
+    return _reduce(_SHIFT_ELIMINATIONS, shown, side, intro,
+                   lambda l, r: _eliminate_cut(l, r, trace))
 
 
 def eliminate_cuts(d: Derivation, trace: list | None = None) -> Derivation:
@@ -330,10 +305,10 @@ def _structural_cut(d1: Derivation, d2: Derivation) -> Derivation:
     shown, side, traced, where = ((d2, "pre", d1, "suc") if pre.conn is not None
                                   else (d1, "suc", d2, "pre"))
     conn = getattr(shown.conclusion, side).conn
-    if conn not in REDUCTIONS:
+    if conn not in OP_OF_STRUCT:
         raise KernelError(f"structural cut undefined at {conn!r}")
     chain, top, _ = thread(traced, (where, ()))
-    s = _reduce(REDUCTIONS, shown, side, top, _structural_cut)
+    s = _reduce(_SHIFT_REDUCTIONS, shown, side, top, _structural_cut)
     if chain:
         repl = getattr(shown.conclusion, where)
         mu = mutation_for(getattr(traced.conclusion, where).sort, where, repl.sort)

@@ -9,7 +9,7 @@ JSON exchange format of either calculus.
 
 Also houses two derivation builders used by the completeness argument:
 identity expansion on structures, and translation saturation of one side of
-a sequent, whose display moves are rows of a table.  The third, the
+a sequent, whose display moves come from `rules.display_chain`.  The third, the
 structural cut, lives in `fdlg.cutelim` beside the cut reductions it shares
 with cut elimination.
 """
@@ -20,10 +20,11 @@ import json
 from dataclasses import dataclass
 
 from .syntax import (Formula, Structure, Sequent, Atom, leaf, formula_nodes,
-                     render, render_sequent, parse_sequent, GROUP_OF,
-                     ParseError, SortError, MAX_NESTING, _Term, _setters)
-from .rules import (REGISTRY, MatchFail, candidates, match_sequent,
-                    instantiate_sequent)
+                     render, render_sequent, parse_sequent, GROUP_OF, NP, PP,
+                     ParseError, SortError, MAX_NESTING, _Term, _setters, display_side)
+from .rules import (ORDERED_RULES, PRINCIPAL_LEFT, REGISTRY, TONICITY_RULES,
+                    TRANSLATION_OF, FVar, MatchFail, _structural, candidates,
+                    display_chain, match_sequent, instantiate_sequent)
 from .standardize import StandardizeError, form_of, ftoM, ftom, str_of
 
 
@@ -466,32 +467,32 @@ def saturate_translations(d: Derivation, side: str) -> Derivation:
 _SIDE_NAMES = {"pre": "precedent", "suc": "succedent"}
 
 
-# (side, root connective) -> (the rule that introduces its formula, and per
-# argument to fold first: its index, the display moves that make it a whole
-# side, and that side).  A structural shift's index is None: its s-* pair is
-# taken even around a formula, while a binary connective's argument that is
-# already a formula is left alone.  Each argument's fold is undone by the
+def _folds(conn: str, side: str) -> tuple:
+    """Per argument of a `side` of root connective `conn` to fold first: its
+    index, the display moves that make it a whole side, and that side.  A
+    structural shift is taken off by the inverse of its structural rule, even
+    around a formula, and its index is None.  A binary connective's moves are
+    its display chains on a neutral sequent; the arguments displayed in the
+    precedent are folded first, then the rest in index order."""
+    if conn in (".dn", ".up"):
+        return ((None, ("s-down'" if conn == ".dn" else "s-up'",), side),)
+    residue = NP if side == "pre" else PP
+    folds = [(i, display_chain(conn, residue, None, (i,))[0], display_side(conn, i))
+             for i in (0, 1)]
+    return tuple(sorted(folds, key=lambda fold: fold[2] != "pre"))
+
+
+# (side, root connective) -> (the translation rule that introduces its
+# formula, and the folds of its arguments).  Each fold is undone by the
 # inverse moves in reverse order.
-_SATURATION = {
-    ("suc", ".dn"): ("down_R", ((None, ("s-down'",), "suc"),)),
-    ("suc", ".(+)"): ("oplus_R", ((0, ("dp(.(/),.(+))'",), "suc"),
-                                  (1, ("dp(.(\\),.(+))",), "suc"))),
-    ("suc", ".\\"): ("under_R", ((0, ("dp(.*,.\\)", "dp(.*,./)"), "pre"),
-                                 (1, ("dp(.*,.\\)",), "suc"))),
-    ("suc", "./"): ("over_R", ((1, ("dp(.*,./)'", "dp(.*,.\\)'"), "pre"),
-                               (0, ("dp(.*,./)'",), "suc"))),
-    ("pre", ".up"): ("up_L", ((None, ("s-up'",), "pre"),)),
-    ("pre", ".*"): ("otimes_L", ((0, ("dp(.*,./)",), "pre"),
-                                 (1, ("dp(.*,.\\)'",), "pre"))),
-    ("pre", ".(/)"): ("oslash_L", ((0, ("dp(.(/),.(+))",), "pre"),
-                                   (1, ("dp(.(/),.(+))", "dp(.(\\),.(+))"), "suc"))),
-    ("pre", ".(\\)"): ("obslash_L", ((1, ("dp(.(\\),.(+))'",), "pre"),
-                                     (0, ("dp(.(\\),.(+))'", "dp(.(/),.(+))'"), "suc"))),
-}
+_SATURATION = {(side, conn): (rule, _folds(conn, side))
+               for conn, rule in TRANSLATION_OF.items()
+               for side in ["pre" if rule in PRINCIPAL_LEFT else "suc"]}
 
 
 def _fold(d: Derivation, side: str) -> Derivation:
-    """Extend `d` until its `side` is a formula."""
+    """Extend `d` until its `side` is a formula; a binary connective's
+    argument that is already a formula is left alone."""
     root = getattr(d.conclusion, side)
     if root.conn is None:
         return d
@@ -518,17 +519,14 @@ def _fold(d: Derivation, side: str) -> Derivation:
 
 # The six two-premise tonicity rules: the structural connective they join
 # the premises' other sides with, and the side of each premise where its
-# argument of the new formula stands.  The companion calculus's rules of the
-# same names have the same rows (fdlg.translate), and the cut reductions read
-# from them on which side of a smaller cut each premise stands (fdlg.cutelim).
+# argument of the new formula stands, read off the rules.  The companion
+# calculus's rules of the same names have the same rows (fdlg.translate), and
+# the cut reductions read from them on which side of a smaller cut each
+# premise stands (fdlg.cutelim).
 TONICITY_PREMISES = {
-    "otimes_R": (".*", ("suc", "suc")),
-    "oslash_R": (".(/)", ("suc", "pre")),
-    "obslash_R": (".(\\)", ("pre", "suc")),
-    "oplus_L": (".(+)", ("pre", "pre")),
-    "under_L": (".\\", ("suc", "pre")),
-    "over_L": ("./", ("pre", "suc")),
-}
+    r.name: (_structural(r.schema.conclusion),
+             tuple("suc" if isinstance(p.suc, FVar) else "pre" for p in r.schema.premises))
+    for r in ORDERED_RULES if r.name in TONICITY_RULES and r.arity == 2}
 # Binary structural connective -> (rule, the side each argument's expansion
 # folds).  Folding the succedent turns  lo(X) |- hi(X)  into  lo(X) |- Form(X),
 # folding the precedent into  Form(X) |- hi(X).

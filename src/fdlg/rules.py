@@ -6,6 +6,13 @@ instantiation of a logical rule against concrete sequents is deterministic.
 Invertible rules (display postulates and the two structural shift rules) are
 registered in both directions; the inverse of NAME is NAME + "'".
 
+The logical rules are generated from the operational signature (`OP_SIG`,
+`FAMILY`, `ORDER_TYPE`), and the binary display postulates from the
+residuation laws (`syntax.RESIDUATION_LAWS`); the axioms, the cuts, the shift
+display postulates and the structural shift rules are written out.  The rule
+classes and sets are read off the schemas.  `display_chain` finds the display
+moves that translation saturation and the cut reductions make.
+
 One matcher, `_match`, and one instantiation, `_inst`, walk a pattern over
 formulas and structures alike: a formula pattern at a structure position
 looks through a leaf to its formula.
@@ -16,7 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .syntax import Formula, Structure, Sequent, leaf
+from .syntax import (FAMILY, GROUP_OF, OP_SIG, RESIDUATION_LAWS, STRUCT_OF_OP, STRUCT_SHIFTS,
+                     STRUCT_SIG, VARIANT_STRUCTS, Formula, Sort, Structure, Sequent,
+                     display_side, fatom, leaf)
 
 
 # ---------------------------------------------------------------------------
@@ -207,12 +216,12 @@ class Directed:
 # ---------------------------------------------------------------------------
 # The rule inventory
 
-_sv = SVar
-_fv = FVar
+_sv, _fv, _sp = SVar, FVar, SeqPat
 
 
-def _sp(pre, suc) -> SeqPat:
-    return SeqPat(pre, suc)
+def _seq(x, y, left: bool) -> SeqPat:
+    """x |- y if `left`, else y |- x."""
+    return SeqPat(x, y) if left else SeqPat(y, x)
 
 
 _RULES: list[RuleSchema] = []
@@ -246,128 +255,75 @@ _add("nN-Cut", "cut",
      [_sp(_sv("X", True), _fv("A", False)), _sp(_fv("A", False), _sv("D", False))],
      _sp(_sv("X", True), _sv("D", False)))
 
-# Logical rules.  Translation rules turn a structural connective into its
-# operational counterpart; tonicity rules build a formula from displayed
-# premises; the four shift rules are kept as their own class.
-_add("otimes_L", "translation",
-     [_sp(SNode(".*", (_fv("P", True), _fv("Q", True))), _sv("D", False))],
-     _sp(FNode("*", (_fv("P", True), _fv("Q", True))), _sv("D", False)))
-_add("otimes_R", "tonicity",
-     [_sp(_sv("X", True), _fv("P", True)), _sp(_sv("Y", True), _fv("Q", True))],
-     _sp(SNode(".*", (_sv("X", True), _sv("Y", True))),
-         FNode("*", (_fv("P", True), _fv("Q", True)))))
-_add("oplus_L", "tonicity",
-     [_sp(_fv("N", False), _sv("G", False)), _sp(_fv("M", False), _sv("D", False))],
-     _sp(FNode("(+)", (_fv("N", False), _fv("M", False))),
-         SNode(".(+)", (_sv("G", False), _sv("D", False)))))
-_add("oplus_R", "translation",
-     [_sp(_sv("X", True), SNode(".(+)", (_fv("N", False), _fv("M", False))))],
-     _sp(_sv("X", True), FNode("(+)", (_fv("N", False), _fv("M", False)))))
-_add("oslash_L", "translation",
-     [_sp(SNode(".(/)", (_fv("P", True), _fv("N", False))), _sv("D", False))],
-     _sp(FNode("(/)", (_fv("P", True), _fv("N", False))), _sv("D", False)))
-_add("oslash_R", "tonicity",
-     [_sp(_sv("X", True), _fv("P", True)), _sp(_fv("N", False), _sv("D", False))],
-     _sp(SNode(".(/)", (_sv("X", True), _sv("D", False))),
-         FNode("(/)", (_fv("P", True), _fv("N", False)))))
-_add("obslash_L", "translation",
-     [_sp(SNode(".(\\)", (_fv("N", False), _fv("P", True))), _sv("D", False))],
-     _sp(FNode("(\\)", (_fv("N", False), _fv("P", True))), _sv("D", False)))
-_add("obslash_R", "tonicity",
-     [_sp(_fv("N", False), _sv("D", False)), _sp(_sv("X", True), _fv("P", True))],
-     _sp(SNode(".(\\)", (_sv("D", False), _sv("X", True))),
-         FNode("(\\)", (_fv("N", False), _fv("P", True)))))
-_add("under_L", "tonicity",
-     [_sp(_sv("X", True), _fv("P", True)), _sp(_fv("N", False), _sv("D", False))],
-     _sp(FNode("\\", (_fv("P", True), _fv("N", False))),
-         SNode(".\\", (_sv("X", True), _sv("D", False)))))
-_add("under_R", "translation",
-     [_sp(_sv("X", True), SNode(".\\", (_fv("P", True), _fv("N", False))))],
-     _sp(_sv("X", True), FNode("\\", (_fv("P", True), _fv("N", False)))))
-_add("over_L", "tonicity",
-     [_sp(_fv("N", False), _sv("D", False)), _sp(_sv("X", True), _fv("P", True))],
-     _sp(FNode("/", (_fv("N", False), _fv("P", True))),
-         SNode("./", (_sv("D", False), _sv("X", True)))))
-_add("over_R", "translation",
-     [_sp(_sv("X", True), SNode("./", (_fv("N", False), _fv("P", True))))],
-     _sp(_sv("X", True), FNode("/", (_fv("N", False), _fv("P", True)))))
-_add("down_L", "shift",
-     [_sp(_fv("N", False, False), _sv("D", False, False))],
-     _sp(FNode("dn", (_fv("N", False, False),)),
-         SNode(".dn", (_sv("D", False, False),))))
-_add("down_R", "shift",
-     [_sp(_sv("X", True), SNode(".dn", (_fv("N", False, False),)))],
-     _sp(_sv("X", True), FNode("dn", (_fv("N", False, False),))))
-_add("up_L", "shift",
-     [_sp(SNode(".up", (_fv("P", True, False),)), _sv("D", False))],
-     _sp(FNode("up", (_fv("P", True, False),)), _sv("D", False)))
-_add("up_R", "shift",
-     [_sp(_sv("X", True, False), _fv("P", True, False))],
-     _sp(SNode(".up", (_sv("X", True, False),)),
-         FNode("up", (_fv("P", True, False),))))
 
-# Display postulates.  The forward direction is premise-above-conclusion as
-# displayed; the primed name is the inverse.
-_add_invertible("dp(.*,.\\)", "dp",
-                _sp(_sv("Y", True), SNode(".\\", (_sv("X", True), _sv("D", False)))),
-                _sp(SNode(".*", (_sv("X", True), _sv("Y", True))), _sv("D", False)))
-_add_invertible("dp(.*,./)", "dp",
-                _sp(SNode(".*", (_sv("X", True), _sv("Y", True))), _sv("D", False)),
-                _sp(_sv("X", True), SNode("./", (_sv("D", False), _sv("Y", True)))))
-_add_invertible("dp(.*,.\\r)", "dp",
-                _sp(_sv("Y", True), SNode(".\\r", (_sv("X", True), _sv("Z", True)))),
-                _sp(SNode(".*", (_sv("X", True), _sv("Y", True))), _sv("Z", True)),
-                uses_variants=True)
-_add_invertible("dp(.*,./l)", "dp",
-                _sp(SNode(".*", (_sv("X", True), _sv("Y", True))), _sv("Z", True)),
-                _sp(_sv("X", True), SNode("./l", (_sv("Z", True), _sv("Y", True)))),
-                uses_variants=True)
-_add_invertible("dp(.(/)l,.(+))", "dp",
-                _sp(SNode(".(/)l", (_sv("S", False), _sv("D", False))), _sv("G", False)),
-                _sp(_sv("S", False), SNode(".(+)", (_sv("G", False), _sv("D", False)))),
-                uses_variants=True)
-_add_invertible("dp(.(\\)r,.(+))", "dp",
-                _sp(_sv("S", False), SNode(".(+)", (_sv("G", False), _sv("D", False)))),
-                _sp(SNode(".(\\)r", (_sv("G", False), _sv("S", False))), _sv("D", False)),
-                uses_variants=True)
-_add_invertible("dp(.(/),.(+))", "dp",
-                _sp(SNode(".(/)", (_sv("X", True), _sv("D", False))), _sv("G", False)),
-                _sp(_sv("X", True), SNode(".(+)", (_sv("G", False), _sv("D", False)))))
-_add_invertible("dp(.(\\),.(+))", "dp",
-                _sp(_sv("X", True), SNode(".(+)", (_sv("G", False), _sv("D", False)))),
-                _sp(SNode(".(\\)", (_sv("G", False), _sv("X", True))), _sv("D", False)))
-_add_invertible("dp(.(\\),.(+)r)", "dp",
-                _sp(SNode(".(\\)", (_sv("G", False), _sv("X", True))), _sv("Y", True)),
-                _sp(_sv("X", True), SNode(".(+)r", (_sv("G", False), _sv("Y", True)))),
-                uses_variants=True)
-_add_invertible("dp(.(/)r,.(+)r)", "dp",
-                _sp(_sv("X", True), SNode(".(+)r", (_sv("G", False), _sv("Y", True)))),
-                _sp(SNode(".(/)r", (_sv("X", True), _sv("Y", True))), _sv("G", False)),
-                uses_variants=True)
-_add_invertible("dp(.(/),.(+)l)", "dp",
-                _sp(SNode(".(/)", (_sv("X", True), _sv("D", False))), _sv("Y", True)),
-                _sp(_sv("X", True), SNode(".(+)l", (_sv("Y", True), _sv("D", False)))),
-                uses_variants=True)
-_add_invertible("dp(.(\\)l,.(+)l)", "dp",
-                _sp(_sv("X", True), SNode(".(+)l", (_sv("Y", True), _sv("D", False)))),
-                _sp(SNode(".(\\)l", (_sv("Y", True), _sv("X", True))), _sv("D", False)),
-                uses_variants=True)
-_add_invertible("dp(.*r,.\\)", "dp",
-                _sp(_sv("G", False), SNode(".\\", (_sv("X", True), _sv("D", False)))),
-                _sp(SNode(".*r", (_sv("X", True), _sv("G", False))), _sv("D", False)),
-                uses_variants=True)
-_add_invertible("dp(.*r,./r)", "dp",
-                _sp(SNode(".*r", (_sv("X", True), _sv("G", False))), _sv("D", False)),
-                _sp(_sv("X", True), SNode("./r", (_sv("D", False), _sv("G", False)))),
-                uses_variants=True)
-_add_invertible("dp(.*l,.\\l)", "dp",
-                _sp(_sv("Y", True), SNode(".\\l", (_sv("G", False), _sv("D", False)))),
-                _sp(SNode(".*l", (_sv("G", False), _sv("Y", True))), _sv("D", False)),
-                uses_variants=True)
-_add_invertible("dp(.*l,./)", "dp",
-                _sp(SNode(".*l", (_sv("G", False), _sv("Y", True))), _sv("D", False)),
-                _sp(_sv("G", False), SNode("./", (_sv("D", False), _sv("Y", True)))),
-                uses_variants=True)
+# Logical rules, two per operational connective, named from this table, _L
+# before _R.  The translation rule turns the connective's structural
+# counterpart into its formula; the tonicity rule builds the formula from
+# premises that display its arguments, each on the side `display_side` gives
+# it, and joins their other sides under the structural counterpart.  An
+# F-connective's translation rule is on the left and its tonicity rule on the
+# right, a G-connective's the other way round; the shifts' rules are a class
+# of their own.
+_LOGICAL_NAMES = {"*": "otimes", "(+)": "oplus", "(/)": "oslash", "(\\)": "obslash",
+                  "\\": "under", "/": "over", "dn": "down", "up": "up"}
+
+
+def _add_logical(op: str, name: str) -> None:
+    conn, (_, specs) = STRUCT_OF_OP[op], OP_SIG[op]
+    pols = [pol for pol, _ in specs]
+    # Metavariables keep the names the rules were first written with: formulas
+    # P, Q and N, M from the left, structures X, Y from the left and D, G from
+    # the right, and the other side of a translation rule X or D.
+    forms = tuple(_fv(("PQ" if pol else "NM")[pols[:i].count(pol)], pol, sh)
+                  for i, (pol, sh) in enumerate(specs))
+    structs = tuple(_sv("XY"[pols[:i].count(pol)] if pol else "DG"[pols[i + 1:].count(pol)],
+                        pol, sh) for i, (pol, sh) in enumerate(specs))
+    formula, left = FNode(op, forms), FAMILY[op] == "F"
+    other = _sv("D", False) if left else _sv("X", True)
+    klass = ("translation", "tonicity") if len(specs) == 2 else ("shift", "shift")
+    rules = [(klass[0], [_seq(SNode(conn, forms), other, left)], _seq(formula, other, left)),
+             (klass[1], [_seq(x, a, display_side(conn, i) == "pre")
+                         for i, (x, a) in enumerate(zip(structs, forms))],
+              _seq(SNode(conn, structs), formula, left))]
+    for suffix, rule in zip(("_L", "_R"), rules if left else rules[::-1]):
+        _add(name + suffix, *rule)
+
+
+for _op, _name in _LOGICAL_NAMES.items():
+    _add_logical(_op, _name)
+
+
+# Binary display postulates.  Each residuation law (syntax.RESIDUATION_LAWS)
+# is a chain of its three clause sequents, clause 1 to clause 0 to clause 2,
+# but the (+)r law's runs from clause 2 to clause 1.  Each link of a chain is
+# a postulate named dp(F-member,G-member), its premise the earlier clause; the
+# primed name is the inverse.  The laws, named by their members, keep the
+# order they were first written in, which fixes the order of search results;
+# a law variable's metavariable is named by its shape (keyed by clause 0's
+# group) and its polarity.
+_DP_LAWS = ((".*", ".\\", "./"), (".*", ".\\r", "./l"), (".(+)", ".(/)l", ".(\\)r"),
+            (".(+)", ".(/)", ".(\\)"), (".(+)r", ".(/)r", ".(\\)"), (".(+)l", ".(/)", ".(\\)l"),
+            (".*r", ".\\", "./r"), (".*l", ".\\l", "./"))
+_REVERSED_LAW = (".(+)r", ".(/)r", ".(\\)")
+_DP_VARIABLES = {".*": ("XG", "YG", "ZD"), ".(+)": ("XS", "YG", "YD")}   # (positive, negative)
+
+
+def _add_display_postulates(members: tuple, pols: tuple, clauses: tuple) -> None:
+    names = _DP_VARIABLES[GROUP_OF[members[0]][0]]
+    vs = [_sv(names[v][0 if pol else 1], pol) for v, pol in enumerate(pols)]
+    seqs = [_seq(SNode(conn, (vs[i], vs[j])), vs[k], left) for conn, i, j, k, left in clauses]
+    chain = (2, 0, 1) if members == _REVERSED_LAW else (1, 0, 2)
+    for a, b in zip(chain, chain[1:]):
+        f, g = sorted((members[a], members[b]), key=lambda c: FAMILY[c] != "F")
+        _add_invertible(f"dp({f},{g})", "dp", seqs[a], seqs[b],
+                        any(c in VARIANT_STRUCTS for c in members))
+
+
+_LAW_OF = {tuple(conn for conn, *_ in clauses): (pols, clauses)
+           for pols, clauses in RESIDUATION_LAWS}
+for _members in _DP_LAWS:
+    _add_display_postulates(_members, *_LAW_OF[_members])
+
 _add_invertible("dp(.up,.dnr)", "dp",
                 _sp(SNode(".up", (_sv("X", True, False),)), _sv("D", False, True)),
                 _sp(_sv("X", True, False), SNode(".dnr", (_sv("D", False, True),))),
@@ -392,27 +348,31 @@ _add_invertible("s-up", "struct",
 
 REGISTRY: dict[str, Directed] = {r.name: Directed(r) for r in _RULES}
 
-SHIFT_DPS = frozenset(n for n in REGISTRY
-                      if n.startswith(("dp(.up", "dp(.dn", "dp(.upl")))
-
 # Enumeration order: axioms, translation, tonicity, shift logical, structural
-# shift, display postulates, cuts.
+# shift, display postulates, cuts; within a class, the inventory's order.
 _CLASS_ORDER = ("axiom", "translation", "tonicity", "shift", "struct", "dp", "cut")
-ORDERED_RULES: list[Directed] = sorted(
-    REGISTRY.values(),
-    key=lambda r: (_CLASS_ORDER.index(r.klass),
-                   [x.name for x in _RULES].index(r.name)))
+ORDERED_RULES: list[Directed] = sorted(REGISTRY.values(),
+                                       key=lambda r: _CLASS_ORDER.index(r.klass))
+
+
+def _structural(sp: SeqPat) -> str | None:
+    """The structural connective at the root of a side of `sp`, if any."""
+    return next((x.conn for x in (sp.pre, sp.suc) if isinstance(x, SNode)), None)
+
 
 # Rules that introduce a formula principally, keyed by the side it lands on.
-PRINCIPAL_RIGHT = frozenset(("otimes_R", "oslash_R", "obslash_R",
-                             "oplus_R", "under_R", "over_R", "down_R", "up_R"))
-PRINCIPAL_LEFT = frozenset(("otimes_L", "oslash_L", "obslash_L",
-                            "oplus_L", "under_L", "over_L", "down_L", "up_L"))
-TRANSLATION_RULES = frozenset(r.name for r in _RULES if r.klass == "translation") | \
-    frozenset(("down_R", "up_L"))
-TONICITY_RULES = frozenset(r.name for r in _RULES if r.klass == "tonicity") | \
-    frozenset(("down_L", "up_R"))
-CUT_RULES = frozenset(("P-Cut", "N-Cut", "Pn-Cut", "nN-Cut"))
+PRINCIPAL_LEFT = frozenset(r.name for r in _RULES if isinstance(r.conclusion.pre, FNode))
+PRINCIPAL_RIGHT = frozenset(r.name for r in _RULES if isinstance(r.conclusion.suc, FNode))
+# A logical rule translates the structural connective of its premise into a
+# formula, or joins its premises under one in its conclusion (tonicity).
+_LOGICAL = [r for r in _RULES if r.name in PRINCIPAL_LEFT | PRINCIPAL_RIGHT]
+TRANSLATION_OF = {_structural(r.premises[0]): r.name for r in _LOGICAL
+                  if _structural(r.conclusion) is None}
+TRANSLATION_RULES = frozenset(TRANSLATION_OF.values())
+TONICITY_RULES = frozenset(r.name for r in _LOGICAL) - TRANSLATION_RULES
+SHIFT_DPS = frozenset(r.name for r in _RULES
+                      if r.klass == "dp" and _structural(r.conclusion) in STRUCT_SHIFTS)
+CUT_RULES = frozenset(r.name for r in _RULES if r.klass == "cut")
 
 
 # Root-connective index.  The root key of a structure is its structural
@@ -449,3 +409,62 @@ def candidates(seq: Sequent) -> tuple[Directed, ...]:
     Every rule whose conclusion matches `seq` is among them.
     """
     return _candidates_at(_root(seq.pre), _root(seq.suc))
+
+
+# ---------------------------------------------------------------------------
+# Display chains.  By Belnap's display theorem, binary display postulates make
+# any argument of a binary structural connective a whole side; translation
+# saturation and the cut reductions read their display moves off these chains.
+
+# Each binary display postulate, with the connective at the root of its premise.
+_BINARY_DPS = tuple((r, _structural(r.schema.premises[0])) for r in ORDERED_RULES
+                    if r.klass == "dp" and r.name not in SHIFT_DPS)
+
+
+def _search(start: Sequent, targets: tuple) -> tuple:
+    """The first shortest path of binary display postulates, in ORDERED_RULES
+    order, from `start` to a sequent with one of `targets` as a whole side:
+    its rule names and that sequent."""
+    paths = {start: ()}
+    level = [start]
+    while level:
+        for seq in level:
+            if seq.pre in targets or seq.suc in targets:
+                return paths[seq], seq
+        following = []
+        for seq in level:
+            roots = (seq.pre.conn, seq.suc.conn)
+            for rule, root in _BINARY_DPS:
+                if root not in roots:
+                    continue
+                env: dict = {}
+                try:
+                    match_sequent(rule.schema.premises[0], seq, env)
+                except MatchFail:
+                    continue
+                new = instantiate_sequent(rule.schema.conclusion, env)
+                if new not in paths:
+                    paths[new] = (*paths[seq], rule.name)
+                    following.append(new)
+        level = following
+    raise ValueError(f"no display postulates display {targets} in {start}")
+
+
+@cache
+def display_chain(conn: str, residue: Sort, start: int | None, goals: tuple) -> tuple:
+    """Display moves on a sample sequent: binary structural connective `conn`
+    over distinct atom leaves, in the precedent if it is an F-connective and
+    else in the succedent, against a residue of sort `residue`.  A part is
+    argument i of `conn`, or with None the sample's structure of `conn`.  The
+    moves are `_search`'s from the sequent displaying part `start` to one
+    displaying a part of `goals`; returns them and that part."""
+    args = tuple(leaf(fatom(f"a{i}", pol)) for i, (pol, _) in enumerate(STRUCT_SIG[conn][1]))
+    rest = leaf(fatom("r", residue.positive != residue.shifted))
+    if residue.shifted:
+        rest = Structure(".dn" if residue.positive else ".up", None, (rest,))
+    whole = Structure(conn, None, args)
+    sample = Sequent(whole, rest) if FAMILY[conn] == "F" else Sequent(rest, whole)
+    parts = {None: whole, 0: args[0], 1: args[1]}
+    seq = sample if start is None else _search(sample, (parts[start],))[1]
+    moves, end = _search(seq, tuple(parts[g] for g in goals))
+    return moves, next(g for g in goals if parts[g] in (end.pre, end.suc))

@@ -147,6 +147,13 @@ def skeleton(conn: str, sign: bool) -> bool:
     return (FAMILY[conn] == "F") == sign
 
 
+def display_side(conn: str, i: int) -> str:
+    """The side of a sequent on which argument i of `conn` is displayed: the
+    precedent for a covariant argument of an F-connective or an antitone one
+    of a G-connective, else the succedent."""
+    return "pre" if (FAMILY[conn] == "F") == (ORDER_TYPE[conn][i] == 1) else "suc"
+
+
 STRUCT_OF_OP = {"*": ".*", "(+)": ".(+)", "\\": ".\\", "/": "./",
                 "(/)": ".(/)", "(\\)": ".(\\)", "up": ".up", "dn": ".dn"}
 OP_OF_STRUCT = {v: k for k, v in STRUCT_OF_OP.items()}
@@ -168,6 +175,37 @@ GROUP_OF: dict[str, tuple[str, ...]] = {}
 for _g in _GROUPS:
     for _t in _g:
         GROUP_OF[_t] = _g
+
+# The two residuation law shapes over variables 0, 1, 2.  A clause
+# (group, i, j, k, left) is the sequent with the group's connective over
+# (v_i, v_j) on the left of v_k if `left`, else on its right; in a model, the
+# connective's value at (v_i, v_j) lies below v_k, or above it.  A law says
+# that its three clauses are interderivable, or hold together.
+#   product:    x*y <= z    iff  y <= x\z     iff  x <= z/y
+#   coproduct:  x <= m(+)n  iff  x(/)n <= m   iff  m(\)x <= n
+_RESIDUATION_SHAPES = (
+    ((".*", 0, 1, 2, True), (".\\", 0, 2, 1, False), ("./", 2, 1, 0, False)),
+    ((".(+)", 1, 2, 0, False), (".(/)", 0, 2, 1, True), (".(\\)", 1, 0, 2, True)),
+)
+
+
+def _residuation_laws() -> tuple:
+    """Each shape at each polarity assignment of its variables for which all
+    three groups have a member taking arguments of those polarities: the two
+    base laws and six mixing in the variants.  A law is the variables'
+    polarities and its clauses, each group resolved to that member."""
+    member = {(GROUP_OF[c][0], tuple(pol for pol, _ in specs)): c
+              for c, (_, specs) in STRUCT_SIG.items() if len(specs) == 2}
+    laws = []
+    for shape, pols in product(_RESIDUATION_SHAPES, product((True, False), repeat=3)):
+        clauses = tuple((member.get((group, (pols[i], pols[j]))), i, j, k, left)
+                        for group, i, j, k, left in shape)
+        if all(conn is not None for conn, *_ in clauses):
+            laws.append((pols, clauses))
+    return tuple(laws)
+
+
+RESIDUATION_LAWS = _residuation_laws()
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from .syntax import (Formula, Structure, Sequent, Atom, leaf, f as fnode,
                      ParseError, SortError, parse_raw)
 from .kernel import (Derivation, TONICITY_PREMISES, derive, fold, iter_nodes,
-                     read_document, read_nodes, rule_count, write_document)
+                     read_document, read_nodes, write_document)
 from .focus import minimize_proof
 
 
@@ -326,11 +326,6 @@ def check_flg(d: FlgDerivation) -> tuple[bool, str]:
     return True, "ok"
 
 
-# Companion derivations have the same shape as fD.LG ones, so the kernel's
-# iterative walks (iter_nodes, rule_count) serve both calculi.
-flg_rule_count = rule_count
-
-
 def logical_rule_count(d) -> int:
     """Applications of the six connective rules (either calculus)."""
     return sum(1 for _, n in iter_nodes(d) if n.rule in _LOGICAL_RULES)
@@ -365,9 +360,6 @@ def polarize(x: CFormula | FStruct, positive: bool) -> Formula | Structure:
     return fnode("dn", body) if positive else fnode("up", body)
 
 
-polarize_formula = polarize
-
-
 def polarize_sequent(s: FlgSequent) -> Sequent:
     """The precedent polarizes positively and the succedent negatively, but a
     formula in focus takes the other polarity."""
@@ -390,9 +382,6 @@ def depolarize(x: Formula | Structure) -> CFormula | FStruct:
     if conn is None:
         return CFormula(None, x.atom)
     return CFormula(conn, None, tuple([depolarize(a) for a in x.args]))
-
-
-unpolarize_formula = depolarize
 
 
 def flg_of_sequent(seq: Sequent) -> FlgSequent:

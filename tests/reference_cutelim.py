@@ -5,6 +5,10 @@ each.
 `test_cutelim_reference` requires `fdlg.cutelim.eliminate_cuts` and
 `fdlg.cutelim.structural_cut` to return the same derivations, and cut
 elimination the same trace.
+
+`REDUCTIONS` and `ELIMINATION` are the one table of `fdlg.cutelim` as it was
+typed by hand, before its binary rows were generated from the residuation
+laws; `test_generated_tables` requires the generated rows to equal them.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from fdlg.cutelim import CutElimError, mutation_for, rebuild_chain
 from fdlg.kernel import Derivation, KernelError, derive, fold, make_cut, thread
 from fdlg.rules import CUT_RULES, PRINCIPAL_LEFT, PRINCIPAL_RIGHT
 from fdlg.standardize import ftoM, ftom
-from fdlg.syntax import render
+from fdlg.syntax import NP, NS, PP, PS, render
 
 
 def _inv(name: str) -> str:
@@ -243,3 +247,79 @@ def _scut(d1, d2):
     if chain:
         s = rebuild_chain(chain, s, repl, mutation_for(source, where, repl.sort))
     return s
+
+
+# ---------------------------------------------------------------------------
+# Cut reductions.  A cut whose piece one premise displays as a structure and
+# the other introduces (a principal cut on a formula, or the structural cut
+# on a structure) reduces to cuts against the introducing node's premises by
+# display moves on the displaying premise.  The row of the displayed
+# structural connective lists the moves and the cuts in order: a move is a
+# rule name or (plain name, l/r-variant name), and an int i cuts against
+# premise i of the introducing node, on the left of the cut when that
+# premise's argument stands in its succedent (TONICITY_PREMISES, plus the two
+# shift rows).  The variant names apply when the residue, the displaying
+# premise's other side, has a sort of the row's set.  A row's first comment
+# gives the displaying premise's end-sequent and the introducing premises;
+# the comment of each step, the sequent it derives.
+
+_POSITIVE, _NEGATIVE, _SHIFTED = frozenset((PP, PS)), frozenset((NP, NS)), frozenset((PS, NS))
+
+REDUCTIONS = {
+    ".*": (_POSITIVE, (                                       # P .* Q |- D;  X |- P  and  Y |- Q
+        ("dp(.*,.\\)'", "dp(.*,.\\r)'"),                      # Q |- P .\ D
+        1,                                                    # Y |- P .\ D
+        ("dp(.*,.\\)", "dp(.*,.\\r)"),                        # P .* Y |- D
+        ("dp(.*,./)", "dp(.*,./l)"),                          # P |- D ./ Y
+        0,                                                    # X |- D ./ Y
+        ("dp(.*,./)'", "dp(.*,./l)'"))),                      # X .* Y |- D
+    ".(+)": (_NEGATIVE, (                                     # X |- N .(+) M;  N |- G  and  M |- D
+        ("dp(.(/),.(+))'", "dp(.(/)l,.(+))'"),                # X .(/) M |- N
+        0,                                                    # X .(/) M |- G
+        ("dp(.(/),.(+))", "dp(.(/)l,.(+))"),                  # X |- G .(+) M
+        ("dp(.(\\),.(+))", "dp(.(\\)r,.(+))"),                # G .(\) X |- M
+        1,                                                    # G .(\) X |- D
+        ("dp(.(\\),.(+))'", "dp(.(\\)r,.(+))'"))),            # X |- G .(+) D
+    ".\\": (_NEGATIVE, (                                      # X |- P .\ N;  X' |- P  and  N |- D
+        ("dp(.*,.\\)", "dp(.*r,.\\)"),                        # P .* X |- N
+        1,                                                    # P .* X |- D
+        ("dp(.*,./)", "dp(.*r,./r)"),                         # P |- D ./ X
+        0,                                                    # X' |- D ./ X
+        ("dp(.*,./)'", "dp(.*r,./r)'"),                       # X' .* X |- D
+        ("dp(.*,.\\)'", "dp(.*r,.\\)'"))),                    # X |- X' .\ D
+    "./": (_NEGATIVE, (                                       # X |- N ./ P;  N |- D  and  X' |- P
+        ("dp(.*,./)'", "dp(.*l,./)'"),                        # X .* P |- N
+        0,                                                    # X .* P |- D
+        ("dp(.*,.\\)'", "dp(.*l,.\\l)'"),                     # P |- X .\ D
+        1,                                                    # X' |- X .\ D
+        ("dp(.*,.\\)", "dp(.*l,.\\l)"),                       # X .* X' |- D
+        ("dp(.*,./)", "dp(.*l,./)"))),                        # X |- D ./ X'
+    ".(/)": (_POSITIVE, (                                     # P .(/) N |- D';  X |- P  and  N |- D
+        ("dp(.(/),.(+))", "dp(.(/),.(+)l)"),                  # P |- D' .(+) N
+        0,                                                    # X |- D' .(+) N
+        ("dp(.(\\),.(+))", "dp(.(\\)l,.(+)l)"),               # D' .(\) X |- N
+        1,                                                    # D' .(\) X |- D
+        ("dp(.(\\),.(+))'", "dp(.(\\)l,.(+)l)'"),             # X |- D' .(+) D
+        ("dp(.(/),.(+))'", "dp(.(/),.(+)l)'"))),              # X .(/) D |- D'
+    ".(\\)": (_POSITIVE, (                                    # N .(\) P |- D';  N |- D  and  X |- P
+        ("dp(.(\\),.(+))'", "dp(.(\\),.(+)r)"),               # P |- N .(+) D'
+        1,                                                    # X |- N .(+) D'
+        ("dp(.(/),.(+))'", "dp(.(/)r,.(+)r)"),                # X .(/) D' |- N
+        0,                                                    # X .(/) D' |- D
+        ("dp(.(/),.(+))", "dp(.(/)r,.(+)r)'"),                # X |- D .(+) D'
+        ("dp(.(\\),.(+))", "dp(.(\\),.(+)r)'"))),             # D .(\) X |- D'
+    ".dn": ((), (                                             # X |- .dn N;  N |- D
+        "s-down'",                                            # X |- N
+        0,                                                    # X |- D
+        "s-down")),                                           # X |- .dn D
+    ".up": (_SHIFTED, (                                       # .up P |- D;  X |- P
+        ("dp(.up,.dn)", "dp(.up,.dnr)"),                      # P |- .dn D
+        0,                                                    # X |- .dn D
+        ("dp(.up,.dn)'", "dp(.up,.dnr)'"))),                  # .up X |- D
+}
+# Cut elimination takes a principal up formula apart by the structural shift
+# rule instead.
+ELIMINATION = {**REDUCTIONS, ".up": ((), (
+    "s-up'",                                                  # P |- D
+    0,                                                        # X |- D
+    "s-up"))}                                                 # .up X |- D

@@ -23,6 +23,11 @@ premises' on every call.  `check_strong_focalization` is the focalization
 check as it read before it threaded each component from its root: it traces
 every member from the end-sequent with `trace_to_intro`, itself built on this
 `thread_up`.  `test_threading` requires the same answers.
+
+`HAND_RULES`, `SATURATION` and `TONICITY_PREMISES` are the rule inventory of
+`fdlg.rules` and the two tables of `fdlg.kernel` as they were typed by hand,
+before they were generated from the signature and the residuation laws.
+`test_generated_tables` requires the generated ones to equal them.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from fdlg.cutelim import has_cut
 from fdlg.focus import FocalizationReport, _formula_components, _formula_positions
 from fdlg.kernel import Derivation, KernelError, apply_rule_forward, match_rule, path_str
 from fdlg.rules import (ORDERED_RULES, REGISTRY, SHIFT_DPS, TONICITY_RULES, AVar, FNode,
-                        FVar, MatchFail, SNode, SVar)
+                        FVar, MatchFail, RuleSchema, SeqPat, SNode, SVar)
 from fdlg.syntax import Formula, Sequent, Structure, formula_nodes, leaf, render
 
 
@@ -266,3 +271,228 @@ def check_strong_focalization(d: Derivation) -> FocalizationReport:
                         f"PIA subtree of {render(fml)} interrupted by {node.rule}",
                         path_str(np))
     return FocalizationReport(True)
+
+
+# ---------------------------------------------------------------------------
+# The hand-typed rule inventory and kernel tables
+
+_sv = SVar
+_fv = FVar
+
+
+def _sp(pre, suc) -> SeqPat:
+    return SeqPat(pre, suc)
+
+
+HAND_RULES: list[RuleSchema] = []
+
+
+def _add(name, klass, premises, conclusion, inverse=None, uses_variants=False):
+    HAND_RULES.append(RuleSchema(name, klass, tuple(premises), conclusion,
+                             inverse, uses_variants))
+
+
+def _add_invertible(name, klass, premise, conclusion, uses_variants=False):
+    _add(name, klass, [premise], conclusion, name + "'", uses_variants)
+    _add(name + "'", klass, [conclusion], premise, name, uses_variants)
+
+
+# Axioms
+_add("p-Id", "axiom", [], _sp(AVar("a", True), AVar("a", True)))
+_add("n-Id", "axiom", [], _sp(AVar("a", False), AVar("a", False)))
+
+# Cuts: the four displayed combinations; anything else is an unknown rule.
+_add("P-Cut", "cut",
+     [_sp(_sv("X", True), _fv("A", True)), _sp(_fv("A", True), _sv("Y", True))],
+     _sp(_sv("X", True), _sv("Y", True)))
+_add("N-Cut", "cut",
+     [_sp(_sv("G", False), _fv("A", False)), _sp(_fv("A", False), _sv("D", False))],
+     _sp(_sv("G", False), _sv("D", False)))
+_add("Pn-Cut", "cut",
+     [_sp(_sv("X", True), _fv("A", True)), _sp(_fv("A", True), _sv("D", False))],
+     _sp(_sv("X", True), _sv("D", False)))
+_add("nN-Cut", "cut",
+     [_sp(_sv("X", True), _fv("A", False)), _sp(_fv("A", False), _sv("D", False))],
+     _sp(_sv("X", True), _sv("D", False)))
+
+# Logical rules.  Translation rules turn a structural connective into its
+# operational counterpart; tonicity rules build a formula from displayed
+# premises; the four shift rules are kept as their own class.
+_add("otimes_L", "translation",
+     [_sp(SNode(".*", (_fv("P", True), _fv("Q", True))), _sv("D", False))],
+     _sp(FNode("*", (_fv("P", True), _fv("Q", True))), _sv("D", False)))
+_add("otimes_R", "tonicity",
+     [_sp(_sv("X", True), _fv("P", True)), _sp(_sv("Y", True), _fv("Q", True))],
+     _sp(SNode(".*", (_sv("X", True), _sv("Y", True))),
+         FNode("*", (_fv("P", True), _fv("Q", True)))))
+_add("oplus_L", "tonicity",
+     [_sp(_fv("N", False), _sv("G", False)), _sp(_fv("M", False), _sv("D", False))],
+     _sp(FNode("(+)", (_fv("N", False), _fv("M", False))),
+         SNode(".(+)", (_sv("G", False), _sv("D", False)))))
+_add("oplus_R", "translation",
+     [_sp(_sv("X", True), SNode(".(+)", (_fv("N", False), _fv("M", False))))],
+     _sp(_sv("X", True), FNode("(+)", (_fv("N", False), _fv("M", False)))))
+_add("oslash_L", "translation",
+     [_sp(SNode(".(/)", (_fv("P", True), _fv("N", False))), _sv("D", False))],
+     _sp(FNode("(/)", (_fv("P", True), _fv("N", False))), _sv("D", False)))
+_add("oslash_R", "tonicity",
+     [_sp(_sv("X", True), _fv("P", True)), _sp(_fv("N", False), _sv("D", False))],
+     _sp(SNode(".(/)", (_sv("X", True), _sv("D", False))),
+         FNode("(/)", (_fv("P", True), _fv("N", False)))))
+_add("obslash_L", "translation",
+     [_sp(SNode(".(\\)", (_fv("N", False), _fv("P", True))), _sv("D", False))],
+     _sp(FNode("(\\)", (_fv("N", False), _fv("P", True))), _sv("D", False)))
+_add("obslash_R", "tonicity",
+     [_sp(_fv("N", False), _sv("D", False)), _sp(_sv("X", True), _fv("P", True))],
+     _sp(SNode(".(\\)", (_sv("D", False), _sv("X", True))),
+         FNode("(\\)", (_fv("N", False), _fv("P", True)))))
+_add("under_L", "tonicity",
+     [_sp(_sv("X", True), _fv("P", True)), _sp(_fv("N", False), _sv("D", False))],
+     _sp(FNode("\\", (_fv("P", True), _fv("N", False))),
+         SNode(".\\", (_sv("X", True), _sv("D", False)))))
+_add("under_R", "translation",
+     [_sp(_sv("X", True), SNode(".\\", (_fv("P", True), _fv("N", False))))],
+     _sp(_sv("X", True), FNode("\\", (_fv("P", True), _fv("N", False)))))
+_add("over_L", "tonicity",
+     [_sp(_fv("N", False), _sv("D", False)), _sp(_sv("X", True), _fv("P", True))],
+     _sp(FNode("/", (_fv("N", False), _fv("P", True))),
+         SNode("./", (_sv("D", False), _sv("X", True)))))
+_add("over_R", "translation",
+     [_sp(_sv("X", True), SNode("./", (_fv("N", False), _fv("P", True))))],
+     _sp(_sv("X", True), FNode("/", (_fv("N", False), _fv("P", True)))))
+_add("down_L", "shift",
+     [_sp(_fv("N", False, False), _sv("D", False, False))],
+     _sp(FNode("dn", (_fv("N", False, False),)),
+         SNode(".dn", (_sv("D", False, False),))))
+_add("down_R", "shift",
+     [_sp(_sv("X", True), SNode(".dn", (_fv("N", False, False),)))],
+     _sp(_sv("X", True), FNode("dn", (_fv("N", False, False),))))
+_add("up_L", "shift",
+     [_sp(SNode(".up", (_fv("P", True, False),)), _sv("D", False))],
+     _sp(FNode("up", (_fv("P", True, False),)), _sv("D", False)))
+_add("up_R", "shift",
+     [_sp(_sv("X", True, False), _fv("P", True, False))],
+     _sp(SNode(".up", (_sv("X", True, False),)),
+         FNode("up", (_fv("P", True, False),))))
+
+# Display postulates.  The forward direction is premise-above-conclusion as
+# displayed; the primed name is the inverse.
+_add_invertible("dp(.*,.\\)", "dp",
+                _sp(_sv("Y", True), SNode(".\\", (_sv("X", True), _sv("D", False)))),
+                _sp(SNode(".*", (_sv("X", True), _sv("Y", True))), _sv("D", False)))
+_add_invertible("dp(.*,./)", "dp",
+                _sp(SNode(".*", (_sv("X", True), _sv("Y", True))), _sv("D", False)),
+                _sp(_sv("X", True), SNode("./", (_sv("D", False), _sv("Y", True)))))
+_add_invertible("dp(.*,.\\r)", "dp",
+                _sp(_sv("Y", True), SNode(".\\r", (_sv("X", True), _sv("Z", True)))),
+                _sp(SNode(".*", (_sv("X", True), _sv("Y", True))), _sv("Z", True)),
+                uses_variants=True)
+_add_invertible("dp(.*,./l)", "dp",
+                _sp(SNode(".*", (_sv("X", True), _sv("Y", True))), _sv("Z", True)),
+                _sp(_sv("X", True), SNode("./l", (_sv("Z", True), _sv("Y", True)))),
+                uses_variants=True)
+_add_invertible("dp(.(/)l,.(+))", "dp",
+                _sp(SNode(".(/)l", (_sv("S", False), _sv("D", False))), _sv("G", False)),
+                _sp(_sv("S", False), SNode(".(+)", (_sv("G", False), _sv("D", False)))),
+                uses_variants=True)
+_add_invertible("dp(.(\\)r,.(+))", "dp",
+                _sp(_sv("S", False), SNode(".(+)", (_sv("G", False), _sv("D", False)))),
+                _sp(SNode(".(\\)r", (_sv("G", False), _sv("S", False))), _sv("D", False)),
+                uses_variants=True)
+_add_invertible("dp(.(/),.(+))", "dp",
+                _sp(SNode(".(/)", (_sv("X", True), _sv("D", False))), _sv("G", False)),
+                _sp(_sv("X", True), SNode(".(+)", (_sv("G", False), _sv("D", False)))))
+_add_invertible("dp(.(\\),.(+))", "dp",
+                _sp(_sv("X", True), SNode(".(+)", (_sv("G", False), _sv("D", False)))),
+                _sp(SNode(".(\\)", (_sv("G", False), _sv("X", True))), _sv("D", False)))
+_add_invertible("dp(.(\\),.(+)r)", "dp",
+                _sp(SNode(".(\\)", (_sv("G", False), _sv("X", True))), _sv("Y", True)),
+                _sp(_sv("X", True), SNode(".(+)r", (_sv("G", False), _sv("Y", True)))),
+                uses_variants=True)
+_add_invertible("dp(.(/)r,.(+)r)", "dp",
+                _sp(_sv("X", True), SNode(".(+)r", (_sv("G", False), _sv("Y", True)))),
+                _sp(SNode(".(/)r", (_sv("X", True), _sv("Y", True))), _sv("G", False)),
+                uses_variants=True)
+_add_invertible("dp(.(/),.(+)l)", "dp",
+                _sp(SNode(".(/)", (_sv("X", True), _sv("D", False))), _sv("Y", True)),
+                _sp(_sv("X", True), SNode(".(+)l", (_sv("Y", True), _sv("D", False)))),
+                uses_variants=True)
+_add_invertible("dp(.(\\)l,.(+)l)", "dp",
+                _sp(_sv("X", True), SNode(".(+)l", (_sv("Y", True), _sv("D", False)))),
+                _sp(SNode(".(\\)l", (_sv("Y", True), _sv("X", True))), _sv("D", False)),
+                uses_variants=True)
+_add_invertible("dp(.*r,.\\)", "dp",
+                _sp(_sv("G", False), SNode(".\\", (_sv("X", True), _sv("D", False)))),
+                _sp(SNode(".*r", (_sv("X", True), _sv("G", False))), _sv("D", False)),
+                uses_variants=True)
+_add_invertible("dp(.*r,./r)", "dp",
+                _sp(SNode(".*r", (_sv("X", True), _sv("G", False))), _sv("D", False)),
+                _sp(_sv("X", True), SNode("./r", (_sv("D", False), _sv("G", False)))),
+                uses_variants=True)
+_add_invertible("dp(.*l,.\\l)", "dp",
+                _sp(_sv("Y", True), SNode(".\\l", (_sv("G", False), _sv("D", False)))),
+                _sp(SNode(".*l", (_sv("G", False), _sv("Y", True))), _sv("D", False)),
+                uses_variants=True)
+_add_invertible("dp(.*l,./)", "dp",
+                _sp(SNode(".*l", (_sv("G", False), _sv("Y", True))), _sv("D", False)),
+                _sp(_sv("G", False), SNode("./", (_sv("D", False), _sv("Y", True)))),
+                uses_variants=True)
+_add_invertible("dp(.up,.dnr)", "dp",
+                _sp(SNode(".up", (_sv("X", True, False),)), _sv("D", False, True)),
+                _sp(_sv("X", True, False), SNode(".dnr", (_sv("D", False, True),))),
+                uses_variants=True)
+_add_invertible("dp(.up,.dn)", "dp",
+                _sp(SNode(".up", (_sv("X", True, False),)), _sv("D", False, False)),
+                _sp(_sv("X", True, False), SNode(".dn", (_sv("D", False, False),))))
+_add_invertible("dp(.upl,.dn)", "dp",
+                _sp(_sv("X", True, True), SNode(".dn", (_sv("D", False, False),))),
+                _sp(SNode(".upl", (_sv("X", True, True),)), _sv("D", False, False)),
+                uses_variants=True)
+
+# Structural shift rules (invertible): s-down pairs a neutral sequent with a
+# positive one, s-up with a negative one.
+_add_invertible("s-down", "struct",
+                _sp(_sv("X", True), _sv("D", False, False)),
+                _sp(_sv("X", True), SNode(".dn", (_sv("D", False, False),))))
+_add_invertible("s-up", "struct",
+                _sp(_sv("X", True, False), _sv("D", False)),
+                _sp(SNode(".up", (_sv("X", True, False),)), _sv("D", False)))
+
+
+# (side, root connective) -> (the rule that introduces its formula, and per
+# argument to fold first: its index, the display moves that make it a whole
+# side, and that side).  A structural shift's index is None: its s-* pair is
+# taken even around a formula, while a binary connective's argument that is
+# already a formula is left alone.  Each argument's fold is undone by the
+# inverse moves in reverse order.
+SATURATION = {
+    ("suc", ".dn"): ("down_R", ((None, ("s-down'",), "suc"),)),
+    ("suc", ".(+)"): ("oplus_R", ((0, ("dp(.(/),.(+))'",), "suc"),
+                                  (1, ("dp(.(\\),.(+))",), "suc"))),
+    ("suc", ".\\"): ("under_R", ((0, ("dp(.*,.\\)", "dp(.*,./)"), "pre"),
+                                 (1, ("dp(.*,.\\)",), "suc"))),
+    ("suc", "./"): ("over_R", ((1, ("dp(.*,./)'", "dp(.*,.\\)'"), "pre"),
+                               (0, ("dp(.*,./)'",), "suc"))),
+    ("pre", ".up"): ("up_L", ((None, ("s-up'",), "pre"),)),
+    ("pre", ".*"): ("otimes_L", ((0, ("dp(.*,./)",), "pre"),
+                                 (1, ("dp(.*,.\\)'",), "pre"))),
+    ("pre", ".(/)"): ("oslash_L", ((0, ("dp(.(/),.(+))",), "pre"),
+                                   (1, ("dp(.(/),.(+))", "dp(.(\\),.(+))"), "suc"))),
+    ("pre", ".(\\)"): ("obslash_L", ((1, ("dp(.(\\),.(+))'",), "pre"),
+                                     (0, ("dp(.(\\),.(+))'", "dp(.(/),.(+))'"), "suc"))),
+}
+
+
+# The six two-premise tonicity rules: the structural connective they join
+# the premises' other sides with, and the side of each premise where its
+# argument of the new formula stands.  The companion calculus's rules of the
+# same names have the same rows (fdlg.translate), and the cut reductions read
+# from them on which side of a smaller cut each premise stands (fdlg.cutelim).
+TONICITY_PREMISES = {
+    "otimes_R": (".*", ("suc", "suc")),
+    "oslash_R": (".(/)", ("suc", "pre")),
+    "obslash_R": (".(\\)", ("pre", "suc")),
+    "oplus_L": (".(+)", ("pre", "pre")),
+    "under_L": (".\\", ("suc", "pre")),
+    "over_L": ("./", ("pre", "suc")),
+}

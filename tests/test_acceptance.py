@@ -17,14 +17,14 @@ from fdlg.search import prove, parse_sentence, SearchConfig
 from fdlg.cutelim import eliminate_cuts, has_cut
 from fdlg.translate import (translate_to_fdlg, translate_to_flg, check_flg,
                             logical_rule_count, polarize_sequent)
-from fdlg.algebra import (builtin, random_instances, check_rule_soundness,
+from fdlg.algebra import (builtin, check_rule_soundness,
                           check_rule_soundness_templates, check_fplg_axioms)
 from fdlg.rules import REGISTRY, RuleSchema, Directed, SeqPat, SVar, FVar, SNode, FNode
 from fdlg.corpus import (LEXICON, SENTENCE, GOAL, reading_forall_exists,
                          reading_exists_forall, cut_elim_example,
                          cut_elim_parametric_result, golden_sequents)
 
-from gen import forward_closure, random_cut_proof, random_flg_derivation
+from gen import random_cut_proof, random_flg_derivation
 
 UNDERIVABLE = ("r_", "b.", "n:")
 
@@ -65,7 +65,7 @@ def test_criterion_2_standard_pair():
                            "exactly 1 minimal proof of the standard pair")
 
 
-def test_criterion_3_soundness_sweep():
+def test_criterion_3_soundness_sweep(random50):
     t0 = time.time()
     checked = 0
     for alg in (builtin("chain2"), builtin("diamond")):
@@ -80,7 +80,7 @@ def test_criterion_3_soundness_sweep():
                                              depth=2)
         assert rep.ok and rep.checked <= 12000
         checked += rep.checked
-    insts = random_instances(50, seed=101)
+    insts = random50
     assert len(insts) == 50
     for inst in insts:
         assert check_fplg_axioms(inst) == []
@@ -145,9 +145,9 @@ def test_criterion_5_translation_round_trip():
                            f"and logical-rule counts, {time.time()-t0:.1f}s")
 
 
-def test_criterion_6_non_derivability():
+def test_criterion_6_non_derivability(closure6):
     t0 = time.time()
-    closure = forward_closure(max_height=6, max_size=12, include_variants=True)
+    closure = closure6
     assert len(closure) > 500
     offenders = [s for s in closure if s.kind in UNDERIVABLE]
     assert offenders == []
@@ -177,7 +177,7 @@ def test_criterion_7_symmetries():
                            f"proved and mapped proofs re-check, {time.time()-t0:.1f}s")
 
 
-def test_criterion_8_focalization_at_scale():
+def test_criterion_8_focalization_at_scale(closure6):
     from fdlg.syntax import VARIANT_STRUCTS, SHIFT_ADJOINTS
 
     def variant_free(seq):
@@ -190,7 +190,7 @@ def test_criterion_8_focalization_at_scale():
         return go(seq.pre) and go(seq.suc)
 
     t0 = time.time()
-    closure = forward_closure(max_height=6, max_size=12, include_variants=True)
+    closure = closure6
     targets = [s for s in closure
                if s.kind not in UNDERIVABLE and variant_free(s)]
     proofs = 0

@@ -229,10 +229,12 @@ def test_residuation_laws_from_the_signature():
     """The product and coproduct shapes at each polarity assignment that the
     signature can type: the two base adjunctions and six with variants,
     which between them read every table."""
-    from fdlg.algebra import _BINARY, _LAWS
-    groups = [tuple(sym.rstrip("lr") for sym, *_ in clauses) for _, clauses in _LAWS]
+    from fdlg.algebra import _BINARY
+    from fdlg.syntax import RESIDUATION_LAWS
+    groups = [tuple(conn[1:].rstrip("lr") for conn, *_ in clauses)
+              for _, clauses in RESIDUATION_LAWS]
     assert groups == [("*", "\\", "/")] * 4 + [("(+)", "(/)", "(\\)")] * 4
-    assert {sym for _, clauses in _LAWS for sym, *_ in clauses} == set(_BINARY)
+    assert {conn[1:] for _, clauses in RESIDUATION_LAWS for conn, *_ in clauses} == set(_BINARY)
 
 
 def test_carrier_listing_an_element_twice_rejected(chain2):

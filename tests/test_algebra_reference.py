@@ -171,11 +171,6 @@ FROZEN = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "instan
 LAW_MESSAGE = re.compile(r"(product|coproduct|variant) adjunction")
 
 
-@pytest.fixture(scope="module")
-def random50():
-    return random_instances(50, seed=101)
-
-
 def test_generator_matches_frozen_instances(random50):
     """The instances the soundness benchmark sweeps were frozen from this
     call; the generator still makes them, text for text."""
