@@ -23,7 +23,7 @@ from .syntax import (OP_OF_STRUCT, Structure, Sequent, Sort, PP, PS, NP, NS, dis
                      render, render_sequent)
 from .rules import (REGISTRY, CUT_RULES, PRINCIPAL_LEFT, PRINCIPAL_RIGHT, candidates,
                     display_chain)
-from .kernel import (Derivation, KernelError, TONICITY_PREMISES, apply_rule_forward,
+from .kernel import (Derivation, KernelError, TONICITY_SIDES, apply_rule_forward,
                      derive, fold, iter_nodes, make_cut, subst_at, struct_at, thread)
 from .standardize import ftom, ftoM
 
@@ -185,17 +185,15 @@ def _parametric(d1: Derivation, d2: Derivation, side: str, trace) -> Derivation:
 # displayed structural connective and the sort of the residue, the displaying
 # premise's other side: a move is a rule name, and an int i cuts against
 # premise i of the introducing node, on the left of the cut when that
-# premise's argument stands in its succedent (TONICITY_PREMISES, plus the two
-# shift rows).  A binary connective's row displays the argument that the
-# display chain search reaches first, cuts it, displays the other argument,
-# cuts it, and moves back.  A cut leaves a structure of the argument's
-# polarity in its place, which no binary display postulate tells apart from
-# the argument, so the sample sequent's chains serve.  The shift rows are
-# typed: a row's first comment gives the displaying premise's end-sequent and
-# the introducing premise, the comment of each step the sequent it derives.
+# premise's argument stands in its succedent (kernel.TONICITY_SIDES).  A
+# binary connective's row displays the argument that the display chain search
+# reaches first, cuts it, displays the other argument, cuts it, and moves
+# back.  A cut leaves a structure of the argument's polarity in its place,
+# which no binary display postulate tells apart from the argument, so the
+# sample sequent's chains serve.  The shift rows are typed: a row's first
+# comment gives the displaying premise's end-sequent and the introducing
+# premise, the comment of each step the sequent it derives.
 
-_CUT_SIDES = {**{rule: sides for rule, (_, sides) in TONICITY_PREMISES.items()},
-              "down_L": ("pre",), "up_R": ("suc",)}
 _SORTS = (PP, PS, NP, NS)
 
 _SHIFT_REDUCTIONS = {
@@ -233,7 +231,7 @@ def _reduce(shifts, shown: Derivation, side: str, intro: Derivation, cut) -> Der
     conn = getattr(shown.conclusion, side).conn
     residue = getattr(shown.conclusion, "suc" if side == "pre" else "pre").sort
     steps = shifts.get((conn, residue)) or _binary_reduction(conn, residue)
-    sides, s = _CUT_SIDES[intro.rule], shown
+    sides, s = TONICITY_SIDES[intro.rule], shown
     for step in steps:
         if step.__class__ is int:
             p = intro.premises[step]
@@ -259,7 +257,7 @@ def _eliminate_cut(d1: Derivation, d2: Derivation, trace) -> Derivation:
     if trace is not None:
         trace.append(f"principal {render(a.leaf)}")
     # one premise introduces the cut formula; the other's premise displays it
-    shown, side, intro = ((d2.premises[0], "pre", d1) if d1.rule in _CUT_SIDES
+    shown, side, intro = ((d2.premises[0], "pre", d1) if d1.rule in TONICITY_SIDES
                           else (d1.premises[0], "suc", d2))
     return _reduce(_SHIFT_ELIMINATIONS, shown, side, intro,
                    lambda l, r: _eliminate_cut(l, r, trace))

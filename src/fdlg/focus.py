@@ -9,9 +9,9 @@ so a PIA subtree never consists of shift nodes alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import is_not
+from operator import attrgetter, is_not
 
-from .syntax import (Formula, Structure, Sequent, STRUCT_SHIFTS, skeleton,
+from .syntax import (Formula, Sequent, STRUCT_SHIFTS, skeleton,
                      VARIANT_STRUCTS, SHIFT_ADJOINTS, signed_nodes, render)
 from .rules import REGISTRY, TONICITY_RULES, SHIFT_DPS
 from .kernel import (Derivation, iter_nodes, path_str, thread,
@@ -102,10 +102,14 @@ def classify_phase(seq: Sequent) -> str:
     return "focused-positive" if fam == "r" else "focused-negative"
 
 
+# A walk that stops at leaf structures sees the structure nodes alone.
+_STRUCTURES = attrgetter("conn")
+
+
 def _uses(seq: Sequent, conns: frozenset) -> bool:
     """Whether a structure node of `seq` has a connective in `conns`."""
-    return any(node.__class__ is Structure and node.conn in conns
-               for x in (seq.pre, seq.suc) for _, node, _ in signed_nodes(x))
+    return any(node.conn in conns for x in (seq.pre, seq.suc)
+               for _, node, _ in signed_nodes(x, below=_STRUCTURES))
 
 
 def region(seq: Sequent) -> str:
@@ -165,8 +169,8 @@ def _formula_positions(seq: Sequent):
     """Positions of formula leaves in the end-sequent, with their signs."""
     return [((side, path), node.leaf, sign)
             for side, x, side_sign in (("pre", seq.pre, True), ("suc", seq.suc, False))
-            for path, node, sign in signed_nodes(x, side_sign)
-            if node.__class__ is Structure and node.conn is None]
+            for path, node, sign in signed_nodes(x, side_sign, _STRUCTURES)
+            if node.conn is None]
 
 
 def _formula_components(fml: Formula, sign: bool):

@@ -5,7 +5,9 @@ One tree type, `Derivation`, serves both calculi: its conclusion is an fD.LG
 run over either.  `iter_nodes` lists the nodes in pre-order and `fold`
 computes bottom-up; both keep an explicit stack, as do equality and hashing,
 so a derivation of any height goes through them.  `write_document` writes the
-JSON exchange format of either calculus.
+JSON exchange format of either calculus.  `derivation_from_json` reads an
+fD.LG document through one `syntax.SequentReader`, so that equal subterms of
+its conclusions are one object; the reader's tables die with the call.
 
 Also houses two derivation builders used by the completeness argument:
 identity expansion on structures, and translation saturation of one side of
@@ -20,7 +22,7 @@ import json
 from dataclasses import dataclass
 
 from .syntax import (Formula, Structure, Sequent, Atom, leaf, formula_nodes,
-                     render, render_sequent, parse_sequent, GROUP_OF, NP, PP,
+                     render, render_sequent, SequentReader, GROUP_OF, NP, PP,
                      ParseError, SortError, MAX_NESTING, _Term, _setters, display_side)
 from .rules import (ORDERED_RULES, PRINCIPAL_LEFT, REGISTRY, TONICITY_RULES,
                     TRANSLATION_OF, FVar, MatchFail, _structural, candidates,
@@ -365,7 +367,11 @@ def transform_derivation(d: Derivation, seq_map) -> Derivation:
 
 
 # ---------------------------------------------------------------------------
-# Exchange format
+# Exchange format.  A document's sequents differ from their neighbours' by a
+# rule each, so the reader reads each distinct side text once and makes equal
+# subterms one object, so the kernel check's matcher finds a metavariable's
+# bindings equal by identity.  The tables belong to one read, and no term
+# outlives its document through them.
 
 
 def write_document(d: Derivation, header: dict, render) -> str:
@@ -434,9 +440,13 @@ def read_nodes(x, make):
 
 
 def derivation_from_json(text: str) -> tuple[Derivation, frozenset[str]]:
+    """A derivation document's tree and negative atoms.  One SequentReader
+    reads all its conclusions, so a side text repeated is read once and equal
+    terms are one object; its tables go when the read returns."""
     doc, neg = read_document(text)
+    sequent = SequentReader(neg).sequent
     return read_nodes(doc, lambda rule, conclusion, premises: Derivation(
-        rule, parse_sequent(conclusion, neg), premises)), neg
+        rule, sequent(conclusion), premises)), neg
 
 
 def neg_atoms_of(d: Derivation) -> frozenset[str]:
@@ -517,15 +527,17 @@ def _fold(d: Derivation, side: str) -> Derivation:
 # standard transforms are defined (see fdlg.standardize).
 
 
-# The six two-premise tonicity rules: the structural connective they join
-# the premises' other sides with, and the side of each premise where its
-# argument of the new formula stands, read off the rules.  The companion
-# calculus's rules of the same names have the same rows (fdlg.translate), and
-# the cut reductions read from them on which side of a smaller cut each
-# premise stands (fdlg.cutelim).
+# The eight tonicity rules: the side of each premise where its argument of
+# the new formula stands, read off the rules.  The cut reductions read from
+# them on which side of a smaller cut each premise stands (fdlg.cutelim).
+TONICITY_SIDES = {
+    r.name: tuple("suc" if isinstance(p.suc, FVar) else "pre" for p in r.schema.premises)
+    for r in ORDERED_RULES if r.name in TONICITY_RULES}
+# The six two-premise ones, with the structural connective they join the
+# premises' other sides with.  The companion calculus's rules of the same
+# names have the same rows (fdlg.translate).
 TONICITY_PREMISES = {
-    r.name: (_structural(r.schema.conclusion),
-             tuple("suc" if isinstance(p.suc, FVar) else "pre" for p in r.schema.premises))
+    r.name: (_structural(r.schema.conclusion), TONICITY_SIDES[r.name])
     for r in ORDERED_RULES if r.name in TONICITY_RULES and r.arity == 2}
 # Binary structural connective -> (rule, the side each argument's expansion
 # folds).  Folding the succedent turns  lo(X) |- hi(X)  into  lo(X) |- Form(X),

@@ -9,9 +9,9 @@ from a connective and the sorts of its arguments to the target sort, so a
 well-sorted node costs one lookup; a miss falls through to the full check,
 which raises the error that names the connective, the arity or the argument.
 
-Atom, Formula, Structure and Sequent are immutable slotted values that cache
-their hash (Formula, Structure and Sequent on first use).  The hash is part
-of the determinism contract: it equals the hash of the field tuple, e.g.
+Sort, Atom, Formula, Structure and Sequent are immutable slotted values that
+cache their hash (Formula, Structure and Sequent on first use).  The hash is
+part of the determinism contract: it equals the hash of the field tuple, e.g.
 hash((conn, atom, args)) for a Formula, so under a fixed PYTHONHASHSEED set
 and dict iteration, and with it the order of search results, does not depend
 on how terms are stored.
@@ -22,7 +22,9 @@ as a proper subterm keeps its image in a slot, `_bowtie` or `_infty`, and a
 node that a call builds holds its source there, its image as both maps are
 involutions.  So a subterm shared within or across calls is mapped once, and
 bowtie(bowtie(x)) is x.  The root of a call keeps no image, so a caller who
-drops the image frees it.  Identity of terms means nothing beyond speed:
+drops the image frees it.  A SequentReader, which reads the sequents of one
+text, likewise makes equal terms of all of them one object, through tables
+that live as long as it does.  Identity of terms means nothing beyond speed:
 compare terms with ==, which ignores the slots, as do hash, pickle and copy.
 
 Atom names are ASCII identifiers, [A-Za-z_][A-Za-z0-9_']*.  Any other
@@ -33,7 +35,6 @@ ParseError that gives its offset.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import product
 from operator import attrgetter
 from typing import Iterator
@@ -48,18 +49,64 @@ class ParseError(ValueError):
 
 
 # ---------------------------------------------------------------------------
+# Immutable values: sorts, terms, sequents
+
+
+class _Term:
+    """Immutable slotted value: fields are set once, in the constructor,
+    through the slot descriptors bound below each class."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (self.__class__, tuple(getattr(self, n) for n in self._fields))
+
+
+def _setters(cls) -> tuple:
+    """The `__set__` of each slot of cls, in `__slots__` order: a direct slot
+    store that bypasses the class's raising `__setattr__`."""
+    return tuple(cls.__dict__[n].__set__ for n in cls.__slots__)
+
+
+# ---------------------------------------------------------------------------
 # Sorts
 
 
-@dataclass(frozen=True)
-class Sort:
-    positive: bool
-    shifted: bool
+class Sort(_Term):
+    """A polarity and a purity.  Its hash is cached: hash((positive,
+    shifted)), the hash of the field tuple."""
+
+    __slots__ = ("positive", "shifted", "_hash")
+    _fields = ("positive", "shifted")
+
+    def __init__(self, positive: bool, shifted: bool):
+        _SORT_POSITIVE(self, positive)
+        _SORT_SHIFTED(self, shifted)
+        _SORT_HASH(self, hash((positive, shifted)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not Sort:
+            return NotImplemented
+        return self.positive == other.positive and self.shifted == other.shifted
 
     def __repr__(self) -> str:
         pol = "positive" if self.positive else "negative"
         return ("shifted " if self.shifted else "pure ") + pol
 
+
+_SORT_POSITIVE, _SORT_SHIFTED, _SORT_HASH = _setters(Sort)
 
 PP = Sort(True, False)    # pure positive
 PS = Sort(True, True)     # shifted positive
@@ -210,29 +257,6 @@ RESIDUATION_LAWS = _residuation_laws()
 
 # ---------------------------------------------------------------------------
 # Terms
-
-
-class _Term:
-    """Immutable slotted value: fields are set once, in the constructor,
-    through the slot descriptors bound below each class."""
-
-    __slots__ = ()
-    _fields: tuple[str, ...] = ()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return (self.__class__, tuple(getattr(self, n) for n in self._fields))
-
-
-def _setters(cls) -> tuple:
-    """The `__set__` of each slot of cls, in `__slots__` order: a direct slot
-    store that bypasses the class's raising `__setattr__`."""
-    return tuple(cls.__dict__[n].__set__ for n in cls.__slots__)
 
 
 class Atom(_Term):
@@ -501,9 +525,11 @@ def sort_of(x: Formula | Structure) -> Sort:
     return x.sort
 
 
-def signed_nodes(x: Structure | Formula, sign: bool = True) -> Iterator[tuple]:
+def signed_nodes(x: Structure | Formula, sign: bool = True, below=None) -> Iterator[tuple]:
     """(path, node, sign) for every node of a structure or formula, in
-    pre-order from left to right, by an explicit stack.
+    pre-order from left to right, by an explicit stack.  With `below`, the
+    walk goes below a node only where below(node) is true:
+    `attrgetter("conn")`, for one, stops it at leaf structures.
 
     The path of a node is the tuple of argument indices from `x` down to it.
     A leaf structure and its formula share a path, the leaf coming first,
@@ -516,6 +542,8 @@ def signed_nodes(x: Structure | Formula, sign: bool = True) -> Iterator[tuple]:
         item = stack.pop()
         yield item
         path, node, sg = item
+        if below is not None and not below(node):
+            continue
         conn = node.conn
         if conn is None:
             if node.__class__ is Structure:
@@ -638,20 +666,36 @@ class _Parser:
         return self.pos == len(self.toks)
 
 
-def _read(raw, neg: frozenset[str], structural: bool):
+def _read(raw, neg: frozenset[str], structural: bool, table: dict):
     """The term of parse_raw's tuples: a structure if `structural`, else a
     formula.  In a structure, an atom or an operational connective begins a
-    formula leaf."""
+    formula leaf.  `table` holds the terms read into it: an atom formula
+    under its name, a compound term under its connective and the ids of its
+    arguments, which are read into the same table first, and a leaf under the
+    id of its formula.  So equal terms read into one table are one object,
+    and a term equal to one read before is not built again."""
     if isinstance(raw, str):
-        x = fatom(raw, raw not in neg)
-        return leaf(x) if structural else x
-    conn = raw[0]
-    if conn in STRUCT_SIG:
-        if not structural:
+        x = table.get(raw)
+        if x is None:
+            x = table[raw] = fatom(raw, raw not in neg)
+    else:
+        conn = raw[0]
+        struct = conn in STRUCT_SIG
+        if struct and not structural:
             raise ParseError(f"structural connective {conn!r} inside a formula")
-        return s(conn, *[_read(a, neg, True) for a in raw[1:]])
-    x = f(conn, *[_read(a, neg, False) for a in raw[1:]])
-    return leaf(x) if structural else x
+        args = tuple([_read(a, neg, struct, table) for a in raw[1:]])
+        key = (conn, *map(id, args))
+        x = table.get(key)
+        if x is None:
+            x = table[key] = (Structure if struct else Formula)(conn, None, args)
+        if struct:
+            return x
+    if not structural:
+        return x
+    y = table.get(id(x))
+    if y is None:
+        y = table[id(x)] = Structure(None, x)
+    return y
 
 
 def parse_raw(text: str):
@@ -665,18 +709,40 @@ def parse_raw(text: str):
 
 
 def parse_formula(text: str, neg_atoms=()) -> Formula:
-    return _read(parse_raw(text), frozenset(neg_atoms), False)
+    return _read(parse_raw(text), frozenset(neg_atoms), False, {})
 
 
 def parse_structure(text: str, neg_atoms=()) -> Structure:
-    return _read(parse_raw(text), frozenset(neg_atoms), True)
+    return _read(parse_raw(text), frozenset(neg_atoms), True, {})
+
+
+class SequentReader:
+    """Reads the sequents of one text, such as an exchange document, over
+    one set of negative atoms.  It keeps two tables for as long as it lives:
+    each side's text, with the structure read from it, and every term read,
+    so that a side text repeated is read once and equal terms of all the
+    sequents read are one object."""
+
+    def __init__(self, neg_atoms=()):
+        self._neg = frozenset(neg_atoms)
+        self._terms: dict = {}
+        self._sides: dict[str, Structure] = {}
+
+    def structure(self, text: str) -> Structure:
+        x = self._sides.get(text)
+        if x is None:
+            x = self._sides[text] = _read(parse_raw(text), self._neg, True, self._terms)
+        return x
+
+    def sequent(self, text: str) -> Sequent:
+        if "|-" not in text:
+            raise ParseError("a sequent needs a |- turnstile")
+        left, _, right = text.partition("|-")
+        return Sequent(self.structure(left), self.structure(right))
 
 
 def parse_sequent(text: str, neg_atoms=()) -> Sequent:
-    if "|-" not in text:
-        raise ParseError("a sequent needs a |- turnstile")
-    left, _, right = text.partition("|-")
-    return Sequent(parse_structure(left, neg_atoms), parse_structure(right, neg_atoms))
+    return SequentReader(neg_atoms).sequent(text)
 
 
 # ---------------------------------------------------------------------------

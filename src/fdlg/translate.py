@@ -16,6 +16,16 @@ every polarity mismatch; depolarization erases the shifts.  A sequent in the
 image of polarization is called normal.  The printer `render_companion`, the
 reader, `polarize` and `depolarize` are each one walk over formulas and
 structures alike, looking through a leaf to its formula.
+
+CFormula and FStruct are immutable slotted values, like Formula and
+Structure, with the same cached hash and identity shortcut on ==.  Each call
+of `translate_to_flg` or `translate_to_fdlg` keeps one memo of the
+depolarized and polarized images of the terms it meets, and drops it on
+return: a term shared by many sequents of a proof, as the exchange reader
+leaves them, is mapped once per call.  Each node's image takes the expected
+conclusion, itself a memoized image, so images share subterms too.  The
+public `polarize`, `depolarize`, `polarize_sequent` and `flg_of_sequent`
+each start a memo of their own.
 """
 
 from __future__ import annotations
@@ -23,9 +33,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .syntax import (Formula, Structure, Sequent, Atom, leaf, f as fnode,
-                     ParseError, SortError, parse_raw)
-from .kernel import (Derivation, TONICITY_PREMISES, derive, fold, iter_nodes,
-                     read_document, read_nodes, write_document)
+                     ParseError, SortError, STRUCT_SHIFTS, parse_raw, _Term, _setters)
+from .rules import PRINCIPAL_LEFT, TRANSLATION_OF
+from .kernel import (Derivation, TONICITY_PREMISES, apply_rule_forward, derive, fold,
+                     iter_nodes, read_document, read_nodes, write_document)
 from .focus import minimize_proof
 
 
@@ -48,21 +59,46 @@ _ARG_SIDES = {conn: tuple(side == "in" for side in sides)
 _POLARITY = {conn[1:]: (sides, conn in _INPUT_CONNS) for conn, sides in _ARG_SIDES.items()}
 
 
-@dataclass(frozen=True)
-class CFormula:
-    conn: str | None
-    atom: Atom | None = None
-    args: tuple["CFormula", ...] = ()
+class CFormula(_Term):
+    """A companion formula: an atom, or a connective of _CONNS over two
+    companion formulas.  Immutable and slotted like Formula, with the same
+    hash, cached on first use, and the same identity shortcut on ==."""
 
-    def __post_init__(self):
-        if self.conn is None:
-            if self.atom is None or self.args:
+    __slots__ = ("conn", "atom", "args", "_hash")
+    _fields = ("conn", "atom", "args")
+
+    def __init__(self, conn: str | None, atom: Atom | None = None,
+                 args: tuple["CFormula", ...] = ()):
+        if conn is None:
+            if atom is None or args:
                 raise TranslateError("atomic formula carries an atom and nothing else")
-        elif self.conn not in _CONNS or len(self.args) != 2:
-            raise TranslateError(f"bad companion formula head {self.conn!r}")
+        elif conn not in _CONNS or len(args) != 2:
+            raise TranslateError(f"bad companion formula head {conn!r}")
+        _C_CONN(self, conn)
+        _C_ATOM(self, atom)
+        _C_ARGS(self, args)
+        _C_HASH(self, None)
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash((self.conn, self.atom, self.args))
+            _C_HASH(self, h)
+        return h
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not CFormula:
+            return NotImplemented
+        return (self.conn == other.conn and self.atom == other.atom
+                and self.args == other.args)
 
     def __repr__(self) -> str:
         return f"<{render_companion(self)}>"
+
+
+_C_CONN, _C_ATOM, _C_ARGS, _C_HASH = _setters(CFormula)
 
 
 def catom(name: str, positive: bool = True) -> CFormula:
@@ -101,18 +137,44 @@ def formula_polarity(a: CFormula) -> bool:
     return _POLARITY[a.conn][1]
 
 
-@dataclass(frozen=True)
-class FStruct:
-    conn: str | None
-    leaf: CFormula | None = None
-    args: tuple["FStruct", ...] = ()
+class FStruct(_Term):
+    """A companion structure: a formula leaf, or a structural connective
+    over companion structures.  Immutable and slotted like Structure, with
+    the same hash, cached on first use, and the same identity shortcut on
+    ==."""
 
-    def __post_init__(self):
-        if self.conn is None:
-            if self.leaf is None:
+    __slots__ = ("conn", "leaf", "args", "_hash")
+    _fields = ("conn", "leaf", "args")
+
+    def __init__(self, conn: str | None, leaf: CFormula | None = None,
+                 args: tuple["FStruct", ...] = ()):
+        if conn is None:
+            if leaf is None:
                 raise TranslateError("leaf must carry a formula")
-        elif self.conn not in _INPUT_CONNS and self.conn not in _OUTPUT_CONNS:
-            raise TranslateError(f"unknown companion connective {self.conn!r}")
+        elif conn not in _INPUT_CONNS and conn not in _OUTPUT_CONNS:
+            raise TranslateError(f"unknown companion connective {conn!r}")
+        _FS_CONN(self, conn)
+        _FS_LEAF(self, leaf)
+        _FS_ARGS(self, args)
+        _FS_HASH(self, None)
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash((self.conn, self.leaf, self.args))
+            _FS_HASH(self, h)
+        return h
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not FStruct:
+            return NotImplemented
+        return (self.conn == other.conn and self.leaf == other.leaf
+                and self.args == other.args)
+
+    def __repr__(self) -> str:
+        return f"FStruct(conn={self.conn!r}, leaf={self.leaf!r}, args={self.args!r})"
 
     @property
     def side(self) -> str | None:
@@ -120,6 +182,9 @@ class FStruct:
         if self.conn is None:
             return None
         return "in" if self.conn in _INPUT_CONNS else "out"
+
+
+_FS_CONN, _FS_LEAF, _FS_ARGS, _FS_HASH = _setters(FStruct)
 
 
 def fleaf(a: CFormula) -> FStruct:
@@ -189,10 +254,10 @@ def _formula(x: FStruct) -> CFormula:
 
 _SIDE_WORDS = {"suc": "right", "pre": "left"}
 _OTHER_SIDE = {"suc": "pre", "pre": "suc"}
-# Unfocused connective rules: the side whose structural root becomes a formula.
-_UNFOCUSED = {"otimes_L": ("pre", ".*"), "oslash_L": ("pre", ".(/)"),
-              "obslash_L": ("pre", ".(\\)"), "oplus_R": ("suc", ".(+)"),
-              "under_R": ("suc", ".\\"), "over_R": ("suc", "./")}
+# Unfocused connective rules, the translation rules of the binary
+# connectives: the side whose structural root becomes a formula, and that root.
+_UNFOCUSED = {rule: ("pre" if rule in PRINCIPAL_LEFT else "suc", conn)
+              for conn, rule in TRANSLATION_OF.items() if conn not in STRUCT_SHIFTS}
 _LOGICAL_RULES = frozenset((*TONICITY_PREMISES, *_UNFOCUSED))
 # Display postulate -> (premise side, its root connective, conclusion builder).
 _DISPLAY = {
@@ -340,59 +405,96 @@ def polarize(x: CFormula | FStruct, positive: bool) -> Formula | Structure:
     structure.  A formula is pure iff the polarity matches, and shifted
     otherwise; a structure's arguments take the polarity of their side, and
     a leaf polarizes its formula."""
+    return _polarize(x, positive, {})
+
+
+def _polarize(x, positive: bool, memo: dict):
+    """polarize, with the images of one call in `memo`, keyed by the
+    companion term and the polarity."""
+    key = (x, positive)
+    y = memo.get(key)
+    if y is not None:
+        return y
     conn = x.conn
     if x.__class__ is FStruct:
         if conn is None:
-            return leaf(polarize(x.leaf, positive))
-        if x.side != ("in" if positive else "out"):
+            y = leaf(_polarize(x.leaf, positive, memo))
+        elif x.side != ("in" if positive else "out"):
             raise TranslateError(f"{conn} cannot occur on this side")
-        args = [polarize(a, s) for a, s in zip(x.args, _ARG_SIDES[conn])]
-        return Structure(conn, None, tuple(args))
-    if conn is None:
-        body, own = Formula(None, x.atom), x.atom.positive
-    elif conn in _POLARITY:
-        sides, own = _POLARITY[conn]
-        body = fnode(conn, *[polarize(a, s) for a, s in zip(x.args, sides)])
+        else:
+            y = Structure(conn, None, tuple([_polarize(a, s, memo)
+                                             for a, s in zip(x.args, _ARG_SIDES[conn])]))
     else:
-        raise TranslateError(f"not a companion-calculus formula: {x!r}")
-    if own == positive:
-        return body
-    return fnode("dn", body) if positive else fnode("up", body)
+        if conn is None:
+            y, own = Formula(None, x.atom), x.atom.positive
+        elif conn in _POLARITY:
+            sides, own = _POLARITY[conn]
+            y = fnode(conn, *[_polarize(a, s, memo) for a, s in zip(x.args, sides)])
+        else:
+            raise TranslateError(f"not a companion-calculus formula: {x!r}")
+        if own != positive:
+            y = fnode("dn", y) if positive else fnode("up", y)
+    memo[key] = y
+    return y
 
 
 def polarize_sequent(s: FlgSequent) -> Sequent:
     """The precedent polarizes positively and the succedent negatively, but a
     formula in focus takes the other polarity."""
-    return Sequent(polarize(s.pre, s.focus != "pre"), polarize(s.suc, s.focus == "suc"))
+    return _polarize_sequent(s, {})
+
+
+def _polarize_sequent(s: FlgSequent, memo: dict) -> Sequent:
+    return Sequent(_polarize(s.pre, s.focus != "pre", memo),
+                   _polarize(s.suc, s.focus == "suc", memo))
 
 
 def depolarize(x: Formula | Structure) -> CFormula | FStruct:
     """Erase the shifts: a formula gives a companion formula, a structure a
     companion structure, and a leaf a companion leaf of its formula's image.
     Fails on structural shifts and variants."""
+    return _depolarize(x, {})
+
+
+def _depolarize(x, memo: dict):
+    """depolarize, with the images of one call in `memo`, keyed by the
+    term; `_polarize`'s keys in the same memo are pairs, never equal to a
+    term."""
+    y = memo.get(x)
+    if y is not None:
+        return y
     conn = x.conn
     if x.__class__ is Structure:
         if conn is None:
-            return fleaf(depolarize(x.leaf))
-        if conn not in _ARG_SIDES:
+            y = fleaf(_depolarize(x.leaf, memo))
+        elif conn not in _ARG_SIDES:
             raise TranslateError(f"{conn} has no companion counterpart")
-        return fs(conn, *[depolarize(a) for a in x.args])
-    if conn in ("up", "dn"):
-        return depolarize(x.args[0])
-    if conn is None:
-        return CFormula(None, x.atom)
-    return CFormula(conn, None, tuple([depolarize(a) for a in x.args]))
+        else:
+            y = fs(conn, *[_depolarize(a, memo) for a in x.args])
+    elif conn in ("up", "dn"):
+        y = _depolarize(x.args[0], memo)
+    elif conn is None:
+        y = CFormula(None, x.atom)
+    else:
+        y = CFormula(conn, None, tuple([_depolarize(a, memo) for a in x.args]))
+    memo[x] = y
+    return y
 
 
 def flg_of_sequent(seq: Sequent) -> FlgSequent:
     """Inverse of polarize_sequent; raises unless `seq` is normal."""
+    return _flg_of_sequent(seq, {})
+
+
+def _flg_of_sequent(seq: Sequent, memo: dict) -> FlgSequent:
+    """flg_of_sequent, with the images of one call in `memo`."""
     focus = {"r": "suc", "b": "pre"}.get(seq.kind[0])
     if focus == "suc" and seq.suc.conn is not None:
         raise TranslateError("a positive normal sequent focuses its succedent formula")
     if focus == "pre" and seq.pre.conn is not None:
         raise TranslateError("a negative normal sequent focuses its precedent formula")
-    out = FlgSequent(depolarize(seq.pre), depolarize(seq.suc), focus)
-    if polarize_sequent(out) != seq:
+    out = FlgSequent(_depolarize(seq.pre, memo), _depolarize(seq.suc, memo), focus)
+    if _polarize_sequent(out, memo) != seq:
         raise TranslateError("sequent is not in the image of polarization")
     return out
 
@@ -429,11 +531,15 @@ def _pattern(d: Derivation) -> str | None:
     return _PATTERNS.get((d.rule, d.premises[0].rule)) if d.premises else None
 
 
-def _fd(rule: str, premises, expected: Sequent) -> Derivation:
-    d = derive(rule, *premises)
-    if d.conclusion != expected and expected is not None:
+def _fd(rule: str, premises, expected: Sequent | None) -> Derivation:
+    """`rule` applied to the premises; its conclusion must equal `expected`,
+    which then stands in for it."""
+    conc = apply_rule_forward(rule, [p.conclusion for p in premises])
+    if expected is None:
+        expected = conc
+    elif conc != expected:
         raise TranslateError(f"{rule} image mismatch")
-    return d
+    return Derivation(rule, expected, tuple(premises))
 
 
 def translate_to_fdlg(d: FlgDerivation) -> Derivation:
@@ -441,12 +547,13 @@ def translate_to_fdlg(d: FlgDerivation) -> Derivation:
     ok, why = check_flg(d)
     if not ok:
         raise TranslateError(f"input does not check: {why}")
-    return fold(d, _to_fdlg)
+    memo: dict = {}
+    return fold(d, lambda node, prems: _to_fdlg(node, prems, memo))
 
 
-def _to_fdlg(d: FlgDerivation, prems) -> Derivation:
+def _to_fdlg(d: FlgDerivation, prems, memo: dict) -> Derivation:
     """Image of node `d`, given the images of its premises."""
-    target = polarize_sequent(d.conclusion)
+    target = _polarize_sequent(d.conclusion, memo)
     r = d.rule
     if r == "Ax":
         atom = d.conclusion.pre.leaf.atom
@@ -501,15 +608,18 @@ def translate_to_flg(d: Derivation) -> FlgDerivation:
     d = minimize_proof(d)
     if not is_normal(d.conclusion):
         raise TranslateError("end-sequent is not normal")
-    return fold(d, _to_flg, _flg_children)
+    memo: dict = {}
+    return fold(d, lambda node, prems: _to_flg(node, prems, memo), _flg_children)
 
 
 def _flg(rule: str, premises, expected: FlgSequent, selector=None) -> FlgDerivation:
+    """`rule` applied to the premises; its conclusion must equal `expected`,
+    which then stands in for it."""
     conc = apply_flg(rule, premises, selector=selector)
     if conc != expected:
         raise TranslateError(f"{rule} back-translation mismatch "
                              f"({render_flg_sequent(conc)} vs {render_flg_sequent(expected)})")
-    return FlgDerivation(rule, conc, tuple(premises))
+    return FlgDerivation(rule, expected, tuple(premises))
 
 
 def _flg_children(d: Derivation):
@@ -517,9 +627,9 @@ def _flg_children(d: Derivation):
     return d.premises if _pattern(d) is None else d.premises[0].premises
 
 
-def _to_flg(d: Derivation, prems) -> FlgDerivation:
+def _to_flg(d: Derivation, prems, memo: dict) -> FlgDerivation:
     """Companion image of node `d`, given the images of its children."""
-    target = flg_of_sequent(d.conclusion)
+    target = _flg_of_sequent(d.conclusion, memo)
     r = d.rule
     if r in ("p-Id", "n-Id"):
         atom = d.conclusion.pre.leaf.atom

@@ -12,6 +12,8 @@ from fdlg.rules import ORDERED_RULES, match_sequent, instantiate_sequent, MatchF
 from fdlg.kernel import (Derivation, apply_rule_forward, derive, make_cut,
                          identity_expansion)
 from fdlg.translate import FlgDerivation, apply_flg, TranslateError
+from fdlg.corpus import GOAL
+from fdlg.search import Lexicon, sentence_sequent
 
 ATOMS_PN = (Atom("p", True), Atom("n", False))
 
@@ -270,3 +272,27 @@ def document_nodes(doc: dict) -> list[tuple]:
         out.append((x["rule"], x["conclusion"], len(x["premises"])))
         stack.extend(reversed(x["premises"]))
     return out
+
+
+def quantified_sentence(q: int, arity: int) -> Sequent:
+    """q quantified noun phrases around a verb of `arity`, bracketed as
+    (subject, ((verb, object1), object2) ...); ungrammatical unless q == arity."""
+    lines, words = ["%neg s"], []
+
+    def word(name, ty):
+        words.append(name)
+        lines.append(f"{name} := {ty}")
+        return len(words) - 1
+
+    def noun_phrase(i):
+        return word(f"det{i}", "dn ((up np) / n)"), word(f"noun{i}", "n")
+
+    verb = "np \\ s"
+    for _ in range(arity - 1):
+        verb = f"({verb}) / np"
+    subject = noun_phrase(0)
+    vp = word("verb", f"dn ({verb})")
+    for i in range(1, q):
+        vp = (vp, noun_phrase(i))
+    return sentence_sequent(words, Lexicon.from_text("\n".join(lines)), GOAL,
+                            (subject, vp))

@@ -1,0 +1,49 @@
+"""The exchange reader in its earlier form, kept as the reference.
+
+`fdlg.kernel.derivation_from_json` reads all the conclusions of a document
+through one `syntax.SequentReader`, which reads a repeated side text once and
+makes equal terms one object.  This module keeps the reader that parsed every
+conclusion from scratch, building a fresh term for each node of each side.
+The differential tests require both to give equal derivations, node for
+node, and the same ParseError messages.
+"""
+
+from __future__ import annotations
+
+from fdlg.kernel import Derivation, read_document, read_nodes
+from fdlg.syntax import (STRUCT_SIG, Formula, ParseError, Sequent, Structure, f, fatom,
+                         leaf, parse_raw, s)
+
+
+def _read(raw, neg: frozenset[str], structural: bool):
+    if isinstance(raw, str):
+        x = fatom(raw, raw not in neg)
+        return leaf(x) if structural else x
+    conn = raw[0]
+    if conn in STRUCT_SIG:
+        if not structural:
+            raise ParseError(f"structural connective {conn!r} inside a formula")
+        return s(conn, *[_read(a, neg, True) for a in raw[1:]])
+    x = f(conn, *[_read(a, neg, False) for a in raw[1:]])
+    return leaf(x) if structural else x
+
+
+def parse_formula(text: str, neg_atoms=()) -> Formula:
+    return _read(parse_raw(text), frozenset(neg_atoms), False)
+
+
+def parse_structure(text: str, neg_atoms=()) -> Structure:
+    return _read(parse_raw(text), frozenset(neg_atoms), True)
+
+
+def parse_sequent(text: str, neg_atoms=()) -> Sequent:
+    if "|-" not in text:
+        raise ParseError("a sequent needs a |- turnstile")
+    left, _, right = text.partition("|-")
+    return Sequent(parse_structure(left, neg_atoms), parse_structure(right, neg_atoms))
+
+
+def derivation_from_json(text: str) -> tuple[Derivation, frozenset[str]]:
+    doc, neg = read_document(text)
+    return read_nodes(doc, lambda rule, conclusion, premises: Derivation(
+        rule, parse_sequent(conclusion, neg), premises)), neg

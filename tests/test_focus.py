@@ -1,11 +1,14 @@
 """Signed trees, phases, strong focalization, minimization, rule topology."""
 
 import random
+from operator import attrgetter
 
 import pytest
 
-from fdlg.syntax import (Atom, Sequent, parse_sequent, parse_structure, parse_formula,
-                         leaf, fatom, f, s as snode, formula_nodes)
+from fdlg import focus
+from fdlg.syntax import (Atom, Sequent, Structure, parse_sequent, parse_structure, parse_formula,
+                         leaf, fatom, f, s as snode, formula_nodes, signed_nodes,
+                         STRUCT_SHIFTS, VARIANT_STRUCTS)
 from fdlg.kernel import Derivation, apply_rule_forward, check_derivation, iter_nodes
 from fdlg.focus import (signed_tree, classify_phase, check_strong_focalization,
                         entry_exit_points, minimize_proof, MinimizeError,
@@ -245,3 +248,22 @@ def test_signed_walks_on_deep_terms():
     assert classify_phase(Sequent(st, leaf(p))) == "focused-positive"
     assert principal_subtree(st, True).paths == {(1,) * k for k in range(2000)}
     assert principal_subtree(leaf(fml), False).paths == {(1,) * k for k in range(2000)}
+
+
+def test_a_walk_below_structures_stops_at_leaves(closure6):
+    """signed_nodes with `below` gives the structure nodes of the full walk,
+    in its order, with their paths and signs; the scans built on it agree
+    with the full walk."""
+    below = attrgetter("conn")
+    seen = set()
+    for seq in closure6:
+        for side, sign in ((seq.pre, True), (seq.suc, False)):
+            full = list(signed_nodes(side, sign))
+            assert list(signed_nodes(side, sign, below)) == [
+                item for item in full if item[1].__class__ is Structure]
+        for conns in (STRUCT_SHIFTS, VARIANT_STRUCTS):
+            used = any(node.__class__ is Structure and node.conn in conns
+                       for x in (seq.pre, seq.suc) for _, node, _ in signed_nodes(x))
+            assert focus._uses(seq, conns) == used
+            seen.add(used)
+    assert seen == {True, False}

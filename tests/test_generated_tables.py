@@ -8,7 +8,7 @@ import sys
 
 import reference_cutelim as ref_cutelim
 import reference_rules as ref
-from fdlg import cutelim, kernel, rules
+from fdlg import cutelim, kernel, rules, translate
 from fdlg.syntax import NP, NS, PP, PS
 
 SORTS = (PP, PS, NP, NS)
@@ -42,6 +42,18 @@ def test_saturation_and_tonicity_tables_equal_the_hand_tables():
     assert kernel.TONICITY_PREMISES == ref.TONICITY_PREMISES
 
 
+def test_unfocused_rules_and_cut_sides_equal_the_hand_tables():
+    """The companion calculus's unfocused rules and the cut reductions'
+    premise sides, read off the rules, equal the literals they replaced."""
+    assert translate._UNFOCUSED == {
+        "otimes_L": ("pre", ".*"), "oslash_L": ("pre", ".(/)"),
+        "obslash_L": ("pre", ".(\\)"), "oplus_R": ("suc", ".(+)"),
+        "under_R": ("suc", ".\\"), "over_R": ("suc", "./")}
+    assert kernel.TONICITY_SIDES == {
+        **{rule: sides for rule, (_, sides) in ref.TONICITY_PREMISES.items()},
+        "down_L": ("pre",), "up_R": ("suc",)}
+
+
 def _row(shifts, conn, residue):
     return shifts.get((conn, residue)) or cutelim._binary_reduction(conn, residue)
 
@@ -60,7 +72,7 @@ def test_reduction_rows_equal_the_hand_tables():
 
 
 _PRINT_TABLES = """
-from fdlg import cutelim, kernel, rules
+from fdlg import cutelim, kernel, rules, translate
 from fdlg.syntax import NP, NS, PP, PS
 for r in rules.ORDERED_RULES:
     print(r.schema)
@@ -68,8 +80,10 @@ for name in ("SHIFT_DPS", "CUT_RULES", "PRINCIPAL_LEFT", "PRINCIPAL_RIGHT",
              "TRANSLATION_RULES", "TONICITY_RULES"):
     print(name, sorted(getattr(rules, name)))
 print(rules.TRANSLATION_OF)
+print(kernel.TONICITY_SIDES)
 print(kernel.TONICITY_PREMISES)
 print(kernel._SATURATION)
+print(translate._UNFOCUSED)
 for conn in rules.TRANSLATION_OF:
     for residue in (PP, PS, NP, NS):
         for shifts in (cutelim._SHIFT_REDUCTIONS, cutelim._SHIFT_ELIMINATIONS):
@@ -87,4 +101,4 @@ def test_generated_tables_do_not_depend_on_the_hash_seed():
         outs.append(subprocess.run([sys.executable, "-c", _PRINT_TABLES], env=env,
                                    capture_output=True, check=True).stdout)
     assert outs[0] == outs[1]
-    assert outs[0].count(b"\n") == 64 + 6 + 3 + 8 * 4 * 2
+    assert outs[0].count(b"\n") == 64 + 6 + 5 + 8 * 4 * 2

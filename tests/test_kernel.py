@@ -21,9 +21,11 @@ from fdlg.search import SearchConfig, prove
 from fdlg.standardize import ftom, ftoM
 from fdlg.rules import REGISTRY, CUT_RULES
 
+import reference_kernel as ref_kernel
 import reference_rules as ref
 import reference_translate as ref_translate
-from gen import document_nodes, forward_closure, random_cut_proof, with_deep_stack
+from gen import (document_nodes, forward_closure, quantified_sentence, random_cut_proof,
+                 with_deep_stack)
 
 
 def _ax(name, atom, pos=True):
@@ -362,3 +364,104 @@ def test_signed_node_paths_are_kernel_positions():
                 assert kernel.struct_at(seq, (side, path)) is node, (seq, side, path)
                 checked += 1
     assert checked > 500
+
+
+# ---------------------------------------------------------------------------
+# The exchange reader shares equal subterms within one document
+
+
+@pytest.fixture(scope="module")
+def reading_documents(fig_forall_exists, fig_exists_forall):
+    """The corpus readings and 50 of the 120 readings of a five-quantifier
+    sentence, picked with seed 17, as exchange documents."""
+    readings = prove(quantified_sentence(5, 5), SearchConfig(max_depth=80))
+    picked = random.Random(17).sample(readings, 50)
+    return [derivation_to_json(d, neg_atoms_of(d))
+            for d in (fig_forall_exists, fig_exists_forall, *picked)]
+
+
+def test_shared_reader_equals_the_reference(reading_documents):
+    assert len(reading_documents) == 52
+    for text in reading_documents:
+        got, neg = derivation_from_json(text)
+        want, want_neg = ref_kernel.derivation_from_json(text)
+        assert neg == want_neg
+        got_nodes, want_nodes = list(iter_nodes(got)), list(iter_nodes(want))
+        assert len(got_nodes) == len(want_nodes)
+        for (gp, g), (wp, w) in zip(got_nodes, want_nodes):
+            assert gp == wp and g.rule == w.rule and len(g.premises) == len(w.premises)
+            assert g.conclusion == w.conclusion
+            assert render_sequent(g.conclusion) == render_sequent(w.conclusion)
+        assert got == want and derivation_to_json(got, neg) == text
+
+
+def _unshared(d: Derivation) -> int:
+    """Formula and structure nodes of d's conclusions that equal an earlier
+    one without being it."""
+    first, count = {}, 0
+    for _, node in iter_nodes(d):
+        for side in (node.conclusion.pre, node.conclusion.suc):
+            for _, x, _ in signed_nodes(side):
+                count += first.setdefault(x, x) is not x
+    return count
+
+
+def test_equal_subterms_of_a_document_are_one_object(reading_documents):
+    for text in reading_documents:
+        assert _unshared(derivation_from_json(text)[0]) == 0
+        assert _unshared(ref_kernel.derivation_from_json(text)[0]) > 0
+
+
+def _document(conclusions) -> str:
+    """A document of one chain of nodes whose conclusions are the given
+    texts, the root's first."""
+    node = None
+    for conclusion in reversed(conclusions):
+        node = {"rule": "p-Id", "conclusion": conclusion, "premises": [node] if node else []}
+    return json.dumps(node)
+
+
+_DEEP = 257
+_MALFORMED = [
+    _document(["p |- p", "p .* q"]),                          # no turnstile
+    _document(["p |- p", "p |- q |- p"]),
+    _document(["p |- p", "p |- .* q"]),
+    _document(["p |- p", "p |- (q"]),
+    _document(["p |- p", "p |- q)"]),
+    _document(["p |- p", "p .* q .* r |- p"]),
+    _document(["p |- p", "p |- p # q"]),
+    _document(["p |- p", "p |- dn"]),
+    _document(["p |- p", "p |- q * .* r"]),
+    _document(["p |- p", "p .* .up q |- p"]),                 # ill-sorted
+    _document(["p |- p", "(" * _DEEP + "p" + ")" * _DEEP + " |- p"]),
+    _document(["p |- p", "p |- " + "up " * _DEEP + "p"]),
+    _document(["p |- p"] * (_DEEP + 2)),                      # premises too deep
+    json.dumps({"rule": "p-Id", "conclusion": "p |- p", "premises": [["p |- p"]]}),
+    json.dumps({"rule": "p-Id", "conclusion": 3}),
+    json.dumps({"rule": "p-Id", "conclusion": "p |- p", "premises": {}}),
+    json.dumps({"negAtoms": "n", "rule": "n-Id", "conclusion": "n |- n"}),
+    json.dumps([]),
+]
+
+
+@pytest.mark.parametrize("text", _MALFORMED, ids=range(len(_MALFORMED)))
+def test_malformed_documents_raise_the_reference_errors(text):
+    """The shared reader rejects each malformed document with the error of
+    the reader that parsed every conclusion from scratch."""
+    with pytest.raises(ValueError) as want:
+        ref_kernel.derivation_from_json(text)
+    with pytest.raises(ValueError) as got:
+        derivation_from_json(text)
+    assert (got.type, str(got.value)) == (want.type, str(want.value))
+
+
+def test_nesting_cut_offs_are_reached():
+    messages = set()
+    for text in _MALFORMED:
+        try:
+            derivation_from_json(text)
+        except ValueError as e:
+            messages.add(str(e))
+    assert {"a sequent needs a |- turnstile",
+            "term nested more than 256 levels deep",
+            "premises nested more than 256 levels deep"} <= messages

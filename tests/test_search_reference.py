@@ -9,33 +9,10 @@ import pytest
 import reference_search as ref
 from fdlg import search
 from fdlg.corpus import GOAL, LEXICON, SENTENCE
-from fdlg.search import Lexicon, SearchConfig, prove, sentence_sequent
+from fdlg.search import SearchConfig, prove, sentence_sequent
 from fdlg.syntax import Sequent
 
-from gen import forward_closure, random_structure
-
-def _quantified_sentence(q: int, arity: int) -> Sequent:
-    """q quantified noun phrases around a verb of `arity`, bracketed as
-    (subject, ((verb, object1), object2) ...); ungrammatical unless q == arity."""
-    lines, words = ["%neg s"], []
-
-    def word(name, ty):
-        words.append(name)
-        lines.append(f"{name} := {ty}")
-        return len(words) - 1
-
-    def noun_phrase(i):
-        return word(f"det{i}", "dn ((up np) / n)"), word(f"noun{i}", "n")
-
-    verb = "np \\ s"
-    for _ in range(arity - 1):
-        verb = f"({verb}) / np"
-    subject = noun_phrase(0)
-    vp = word("verb", f"dn ({verb})")
-    for i in range(1, q):
-        vp = (vp, noun_phrase(i))
-    return sentence_sequent(words, Lexicon.from_text("\n".join(lines)), GOAL,
-                            (subject, vp))
+from gen import forward_closure, quantified_sentence, random_structure
 
 
 def _same(goals, depths) -> list[int]:
@@ -74,7 +51,7 @@ def test_same_readings_on_the_corpus_sentence(monkeypatch):
     (2, 1, (40, 80), [0, 0]),
 ])
 def test_same_readings_on_quantified_sentences(q, arity, depths, readings):
-    assert _same([_quantified_sentence(q, arity)], depths) == readings
+    assert _same([quantified_sentence(q, arity)], depths) == readings
 
 
 def test_same_proofs_on_random_sequents():
@@ -98,7 +75,7 @@ def test_no_state_outlives_a_call(monkeypatch):
         return steps(seq)
 
     monkeypatch.setattr(search, "_steps", counting_steps)
-    goal = _quantified_sentence(2, 2)
+    goal = quantified_sentence(2, 2)
     counts = []
     for _ in range(2):
         calls.clear()

@@ -78,6 +78,23 @@ def test_sort_of_examples():
     assert sort_of(parse_structure("p .\\r q")) == PS
 
 
+def test_sorts_are_slotted_values():
+    import copy
+    import pickle
+    assert Sort(True, False) == PP and Sort(positive=False, shifted=True) == NS
+    assert [hash(x) for x in (PP, PS, NP, NS)] == [hash((x.positive, x.shifted))
+                                                   for x in (PP, PS, NP, NS)]
+    assert PP != PS and PP != (True, False) and PP != "pure positive"
+    assert [repr(x) for x in (PP, PS, NP, NS)] == [
+        "pure positive", "shifted positive", "pure negative", "shifted negative"]
+    for x in (PP, PS, NP, NS):
+        assert pickle.loads(pickle.dumps(x)) == x
+        assert copy.copy(x) == x and copy.deepcopy(x) == x
+    assert {(NP, "suc"): 1}[(Sort(False, False), "suc")] == 1
+    with pytest.raises(AttributeError):
+        PP.positive = False
+
+
 def test_nonassociative_requires_parens():
     with pytest.raises(ParseError):
         parse_formula("p * q * r")

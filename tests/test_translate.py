@@ -1,14 +1,20 @@
 """The companion calculus and the two proof translations."""
 
+import copy
+import gc
 import json
+import pickle
 import random
+import re
+import weakref
 
 import pytest
 
 from fdlg.syntax import Atom, ParseError, parse_formula, parse_sequent, render
-from fdlg.kernel import check_derivation, iter_nodes, rule_count
+from fdlg.kernel import (check_derivation, derivation_from_json, derivation_to_json,
+                         iter_nodes, rule_count)
 from fdlg.focus import minimize_proof
-from fdlg.translate import (CFormula, catom, cf, parse_cformula, formula_polarity,
+from fdlg.translate import (CFormula, FStruct, catom, cf, parse_cformula, formula_polarity,
                             polarize, depolarize,
                             polarize_sequent, flg_of_sequent, is_normal,
                             FlgSequent, FlgDerivation, fleaf, fs, apply_flg,
@@ -17,6 +23,7 @@ from fdlg.translate import (CFormula, catom, cf, parse_cformula, formula_polarit
                             flg_to_json, flg_from_json, render_flg_sequent,
                             logical_rule_count, parse_flg_sequent)
 from fdlg.corpus import reading_forall_exists, reading_exists_forall
+from fdlg import translate
 
 from gen import document_nodes, random_flg_derivation, with_deep_stack
 
@@ -263,3 +270,65 @@ def test_misplaced_structure_built_in_code_is_a_translate_error():
         FlgSequent(fs(".\\", p, p), p)
     with pytest.raises(TranslateError):
         FlgSequent(fs(".*", p, p), p, "pre")
+
+
+def test_companion_terms_are_slotted_values():
+    a = parse_cformula("(p * q) / n", {"n"})
+    twin = parse_cformula("(p * q) / n", {"n"})
+    x = fs(".*", fleaf(a.args[0]), fleaf(catom("q")))
+    assert a is not twin and a == twin and hash(a) == hash(twin)
+    assert hash(a) == hash((a.conn, a.atom, a.args))
+    assert hash(x) == hash((x.conn, x.leaf, x.args))
+    assert a != parse_cformula("(p * q) / n") and catom("p") != parse_formula("p")
+    for y in (a, x):
+        assert pickle.loads(pickle.dumps(y)) == y and copy.deepcopy(y) == y
+        with pytest.raises(AttributeError):
+            y.conn = "*"
+    assert repr(a) == "<(p * q) / n>"
+    assert repr(fleaf(catom("p"))) == "FStruct(conn=None, leaf=<p>, args=())"
+    with pytest.raises(TranslateError):
+        CFormula("dn", None, (a,))
+    with pytest.raises(TranslateError):
+        FStruct(".dn", None, (x,))
+
+
+def test_one_memo_maps_each_term_once(fig_forall_exists, fig_exists_forall):
+    """Within one call, the sides of every sequent are depolarized and
+    polarized through one memo: equal sides get one image, which equals the
+    image of a call of its own, and the round trip gives the side back."""
+    memo, images, checked = {}, {}, 0
+    for d in (fig_forall_exists, fig_exists_forall):
+        for _, node in iter_nodes(d):
+            seq = node.conclusion
+            if not is_normal(seq):
+                continue
+            out = translate._flg_of_sequent(seq, memo)
+            assert out == flg_of_sequent(seq)
+            for x, y in ((seq.pre, out.pre), (seq.suc, out.suc)):
+                assert images.setdefault(x, y) is y
+            back = translate._polarize_sequent(out, memo)
+            assert back == seq and back == polarize_sequent(out)
+            checked += 1
+    assert checked > 40 and len(images) < checked
+
+
+def _renamed(text: str) -> str:
+    """The document with each atom np, n, s renamed with a suffix no other
+    test uses."""
+    return re.sub(r"(?<![\w'-])(np|n|s)(?![\w'-])", r"\1_freed", text)
+
+
+def test_no_table_outlives_a_read_or_a_round_trip(fig_forall_exists):
+    """The reader's tables and the translations' memos die with their calls:
+    once the results are dropped, nothing holds a term of the document."""
+    text = _renamed(derivation_to_json(fig_forall_exists, {"s"}))
+    d, neg = derivation_from_json(text)
+    assert neg == {"s_freed"}
+    image = translate_to_flg(d)
+    assert translate_to_fdlg(image) == d
+    conclusion = weakref.ref(image.conclusion)
+    del d, image
+    gc.collect()
+    assert conclusion() is None
+    assert not [x for x in gc.get_objects()
+                if x.__class__ is Atom and x.name.endswith("_freed")]
