@@ -23,8 +23,8 @@ from .syntax import (OP_OF_STRUCT, Structure, Sequent, Sort, PP, PS, NP, NS, dis
                      render, render_sequent)
 from .rules import (REGISTRY, CUT_RULES, PRINCIPAL_LEFT, PRINCIPAL_RIGHT, candidates,
                     display_chain)
-from .kernel import (Derivation, KernelError, TONICITY_SIDES, apply_rule_forward,
-                     derive, fold, iter_nodes, make_cut, subst_at, struct_at, thread)
+from .kernel import (Derivation, KernelError, TONICITY_SIDES, derive, fold, iter_nodes,
+                     make_cut, match_rule, subst_at, struct_at, thread)
 from .standardize import ftom, ftoM
 
 
@@ -129,19 +129,13 @@ def _reapply(hint: str, premises: tuple[Derivation, ...], expected: Sequent) -> 
 
     The original rule name is tried first; when the mutation renames the rule
     (a variant postulate becoming its base instance, a shift adjoint becoming
-    a shift), the first candidate rule for the expected conclusion that
-    produces it exactly wins.
+    a shift), the first candidate rule that the node instantiates, matched
+    with its premises as the kernel checks it, wins.
     """
     prem_seqs = [p.conclusion for p in premises]
     for rule in (REGISTRY[hint], *candidates(expected)):
-        if rule.arity != len(premises):
-            continue
-        try:
-            conc = apply_rule_forward(rule.name, prem_seqs)
-        except KernelError:
-            continue
-        if conc == expected:
-            return Derivation(rule.name, conc, premises)
+        if match_rule(rule.name, expected, prem_seqs) is not None:
+            return Derivation(rule.name, expected, premises)
     raise CutElimError(f"mutated instance of {hint} is not derivable "
                        f"(expected {render_sequent(expected)})")
 

@@ -144,9 +144,9 @@ def match_rule(name: str, conclusion: Sequent, premises) -> dict | None:
         return None
     env: dict = {}
     try:
-        match_sequent(rule.schema.conclusion, conclusion, env)
+        rule.schema.conclusion.match(conclusion, env)
         for pat, prem in zip(rule.schema.premises, premises):
-            match_sequent(pat, prem, env)
+            pat.match(prem, env)
     except MatchFail:
         return None
     return env
@@ -186,8 +186,8 @@ def apply_rule_forward(name: str, premises, selector: Atom | None = None) -> Seq
         env["a"] = Formula(None, selector)
     try:
         for pat, prem in zip(rule.schema.premises, premises):
-            match_sequent(pat, prem, env)
-        return instantiate_sequent(rule.schema.conclusion, env)
+            pat.match(prem, env)
+        return rule.schema.conclusion.build(env)
     except (MatchFail, KeyError):
         raise KernelError(f"premises do not match the {name} schema") from None
 
@@ -401,7 +401,14 @@ def write_document(d: Derivation, header: dict, render) -> str:
 
 
 def derivation_to_json(d: Derivation, neg_atoms) -> str:
-    return write_document(d, {"negAtoms": sorted(neg_atoms)}, render_sequent)
+    """The exchange text of an fD.LG derivation; each distinct side object is
+    printed once, into a memo by id for the call (`d` keeps every side)."""
+    sides: dict = {}
+
+    def side(x: Structure) -> str:
+        return sides.get(id(x)) or sides.setdefault(id(x), render(x))
+    return write_document(d, {"negAtoms": sorted(neg_atoms)},
+                          lambda seq: f"{side(seq.pre)} |- {side(seq.suc)}")
 
 
 def read_document(text: str) -> tuple[dict, frozenset[str]]:

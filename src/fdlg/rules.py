@@ -13,15 +13,16 @@ display postulates and the structural shift rules are written out.  The rule
 classes and sets are read off the schemas.  `display_chain` finds the display
 moves that translation saturation and the cut reductions make.
 
-One matcher, `_match`, and one instantiation, `_inst`, walk a pattern over
-formulas and structures alike: a formula pattern at a structure position
-looks through a leaf to its formula.
+Each sequent pattern is compiled on its first use into two straight-line
+functions, kept on it: a matcher and a builder of instances.  A formula
+pattern at a structure position looks through a leaf to its formula.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
+from itertools import count
 
 from .syntax import (FAMILY, GROUP_OF, OP_SIG, RESIDUATION_LAWS, STRUCT_OF_OP, STRUCT_SHIFTS,
                      STRUCT_SIG, VARIANT_STRUCTS, Formula, Sort, Structure, Sequent,
@@ -72,6 +73,14 @@ class SeqPat:
     pre: object
     suc: object
 
+    # The compiled matcher and builder, made on first use and kept on the
+    # pattern, out of its pickled and copied state.
+    match = cached_property(lambda self: _matcher(self))
+    build = cached_property(lambda self: _builder(self))
+
+    def __getstate__(self) -> dict:
+        return {"pre": self.pre, "suc": self.suc}
+
 
 @dataclass(frozen=True)
 class RuleSchema:
@@ -87,63 +96,93 @@ class MatchFail(Exception):
     pass
 
 
-def _match(pat, x, env: dict) -> None:
-    """Match a structure or formula against a pattern, binding `env`.
-
-    SVar and SNode stand only at structure positions.  A formula pattern
-    (FVar, AVar, FNode) looks through a leaf structure to its formula and
-    fails on any other structure."""
-    cls = pat.__class__
-    if cls is not SVar and cls is not SNode and x.__class__ is Structure:
-        if x.conn is not None:
-            raise MatchFail
-        x = x.leaf
-    if cls is SNode or cls is FNode:
-        if x.conn != pat.conn:
-            raise MatchFail
-        for p, a in zip(pat.args, x.args):
-            _match(p, a, env)
-        return
-    if cls is AVar:
-        if x.conn is not None or x.atom.positive != pat.positive:
-            raise MatchFail
-    else:                               # SVar or FVar
-        so = x.sort
-        if so.positive != pat.positive or (pat.shifted is not None and so.shifted != pat.shifted):
-            raise MatchFail
-    bound = env.get(pat.name)
-    if bound is not None and bound != x:
-        raise MatchFail
-    env[pat.name] = x
+def _raise(error: Exception):
+    raise error
 
 
-def _inst(pat, env: dict, formula: bool = False):
-    """The structure a pattern denotes under `env`, or with `formula` the
-    formula; a formula pattern at a structure position gives a leaf, and a
-    formula metavariable bound to a leaf gives its formula."""
-    cls = pat.__class__
-    if cls is SVar:
-        return env[pat.name]
-    if cls is SNode:
-        return Structure(pat.conn, None, tuple([_inst(p, env) for p in pat.args]))
-    if cls is FNode:
-        x = Formula(pat.conn, None, tuple([_inst(p, env, True) for p in pat.args]))
-    elif cls is FVar or cls is AVar:
-        x = env[pat.name]
-        if x.__class__ is Structure:
-            x = x.leaf
-    else:
-        raise ValueError(f"cannot instantiate {pat!r}")
-    return x if formula else leaf(x)
+_SCOPE = {"S": Structure, "F": Formula, "Q": Sequent, "MatchFail": MatchFail, "fail": _raise}
+
+
+def _define(source: str):
+    """The function `source` defines over _SCOPE."""
+    exec(source, _SCOPE, scope := {})
+    return scope.popitem()[1]
+
+
+def _matcher(sp: SeqPat):
+    """Straight-line code that matches `sp`: it checks and binds the nodes of
+    the precedent and then the succedent pattern depth-first, left to right,
+    so a failed match leaves the bindings made before it.  SVar and SNode
+    stand only at structure positions.  A formula pattern (FVar, AVar, FNode)
+    looks through a leaf structure to its formula and fails on any other
+    structure.  A metavariable bound before must be bound to an equal term."""
+    lines, temps = ["def match(seq, env):"], count()
+    local: dict = {}            # metavariable -> the local it was bound from
+
+    def term(pat, x: str, formula: bool) -> None:
+        cls = pat.__class__
+        if formula and (cls is SVar or cls is SNode) or cls not in (SVar, SNode, FVar, AVar, FNode):
+            lines.append(" raise MatchFail")
+            return
+        if not formula and cls is not SVar and cls is not SNode:
+            lines.extend((f" if {x}.conn is not None: raise MatchFail", f" {x} = {x}.leaf"))
+        if cls is SNode or cls is FNode:
+            lines.append(f" if {x}.conn != {pat.conn!r}: raise MatchFail")
+            arity = len((OP_SIG if cls is FNode else STRUCT_SIG).get(pat.conn, (0, ()))[1])
+            args = [f"t{next(temps)}" for _ in pat.args[:arity]]
+            if args:
+                lines.append(f" {''.join(a + ', ' for a in args)}= {x}.args"
+                             + ("" if len(args) == arity else f"[:{len(args)}]"))
+            for p, a in zip(pat.args, args):
+                term(p, a, cls is FNode)
+            return
+        if cls is AVar:
+            test = f"{x}.conn is not None or {x}.atom.positive != {pat.positive}"
+        else:
+            test = f"(s := {x}.sort).positive != {pat.positive}" + (
+                "" if pat.shifted is None else f" or s.shifted != {pat.shifted}")
+        b = local.setdefault(pat.name, x)
+        if b == x:
+            lines.append(f" b = env.get({pat.name!r})")
+            test += f" or b is not None and b is not {x} and b != {x}"
+        else:
+            test += f" or {b} is not {x} and {b} != {x}"
+        lines.extend((f" if {test}: raise MatchFail", f" env[{pat.name!r}] = {x}"))
+
+    for side in ("pre", "suc"):
+        lines.append(f" t_{side} = seq.{side}")
+        term(getattr(sp, side), f"t_{side}", False)
+    return _define("\n".join(lines))
+
+
+def _builder(sp: SeqPat):
+    """One expression that builds the sequent `sp` denotes under `env`, its
+    terms constructed depth-first, left to right; a formula pattern at a
+    structure position gives a leaf, and a formula metavariable bound to a
+    leaf gives its formula."""
+    def term(pat, formula: bool) -> str:
+        cls = pat.__class__
+        if cls is SVar and not formula:
+            return f"env[{pat.name!r}]"
+        if cls is SNode and not formula:
+            return f"S({pat.conn!r}, None, ({''.join(term(p, False) + ', ' for p in pat.args)}))"
+        if cls is FNode:
+            x = f"F({pat.conn!r}, None, ({''.join(term(p, True) + ', ' for p in pat.args)}))"
+        elif cls is FVar or cls is AVar:
+            x = f"(v.leaf if (v := env[{pat.name!r}]).__class__ is S else v)"
+        else:
+            error = f"cannot instantiate {pat!r}" + (" as a formula" if formula else "")
+            return f"fail(ValueError({error!r}))"
+        return x if formula else f"S(None, {x})"
+    return _define(f"def build(env):\n return Q({term(sp.pre, False)}, {term(sp.suc, False)})")
 
 
 def match_sequent(pat: SeqPat, seq: Sequent, env: dict) -> None:
-    _match(pat.pre, seq.pre, env)
-    _match(pat.suc, seq.suc, env)
+    pat.match(seq, env)
 
 
 def instantiate_sequent(pat: SeqPat, env: dict) -> Sequent:
-    return Sequent(_inst(pat.pre, env), _inst(pat.suc, env))
+    return pat.build(env)
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +213,7 @@ class Directed:
         self.schema = schema
         self.name = schema.name
         self.klass = schema.klass
+        self.arity = len(schema.premises)
         self.conc_vars = _seq_var_paths(schema.conclusion)
         self.prem_vars = [_seq_var_paths(p) for p in schema.premises]
         # threads[side]: (path, (premise index, premise side, premise path)
@@ -191,10 +231,6 @@ class Directed:
         self.var_sorts = {var.name: (var.positive, False if isinstance(var, AVar) else var.shifted)
                           for var in leaves}
         self.formula_vars = frozenset(var.name for var in leaves if not isinstance(var, SVar))
-
-    @property
-    def arity(self) -> int:
-        return len(self.schema.premises)
 
     def thread_up(self, pos: Pos):
         """Map a conclusion position to ('principal', None) or (i, premise pos).

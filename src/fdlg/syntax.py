@@ -570,13 +570,13 @@ def formula_nodes(x: Sequent | Structure | Formula) -> list[Formula]:
 # The deepest nesting the readers accept: parentheses plus prefix shifts in
 # term text, and premises below the root of a derivation document.  Deeper
 # input is rejected with a ParseError.  Derivation walks and signed_nodes use
-# explicit stacks.  The term walks that still recurse are one walk per job
-# over formulas and structures alike, looking through a leaf to its formula.
-# They take one frame a level (the printers _text and
-# translate.render_companion, _map, rules._match, standardize._standard,
-# kernel.subst_structure) or two, where the recursive call sits in a
-# comprehension or generator expression (the readers _read and
-# translate._read, rules._inst, translate.polarize and depolarize,
+# explicit stacks, and a rule pattern's compiled matcher and builder have its
+# fixed depth.  The term walks that still recurse are one walk per job over
+# formulas and structures alike, looking through a leaf to its formula.  They
+# take one frame a level (the printers _text and translate.render_companion,
+# _map, standardize._standard, kernel.subst_structure) or two, where the
+# recursive call sits in a comprehension or generator expression (the readers
+# _read and translate._read, translate.polarize and depolarize,
 # algebra._values, str_of, form_of) or, for a parenthesis, in the parser's
 # unary and term.  This keeps every command on input that reads below
 # Python's default limit of 1000 frames.

@@ -9,13 +9,20 @@ elimination the same trace.
 `REDUCTIONS` and `ELIMINATION` are the one table of `fdlg.cutelim` as it was
 typed by hand, before its binary rows were generated from the residuation
 laws; `test_generated_tables` requires the generated rows to equal them.
+
+`reapply_by_building` is the rule choice of `fdlg.cutelim._reapply` as it read
+before the rule was matched against the expected conclusion and the premises
+together: it built each candidate's conclusion forward from the premises and
+compared it with the expected one.  `test_cutelim_reference` requires the
+same rule to be picked.
 """
 
 from __future__ import annotations
 
 from fdlg.cutelim import CutElimError, mutation_for, rebuild_chain
-from fdlg.kernel import Derivation, KernelError, derive, fold, make_cut, thread
-from fdlg.rules import CUT_RULES, PRINCIPAL_LEFT, PRINCIPAL_RIGHT
+from fdlg.kernel import (Derivation, KernelError, apply_rule_forward, derive, fold, make_cut,
+                         thread)
+from fdlg.rules import CUT_RULES, PRINCIPAL_LEFT, PRINCIPAL_RIGHT, REGISTRY, candidates
 from fdlg.standardize import ftoM, ftom
 from fdlg.syntax import NP, NS, PP, PS, render
 
@@ -323,3 +330,19 @@ ELIMINATION = {**REDUCTIONS, ".up": ((), (
     "s-up'",                                                  # P |- D
     0,                                                        # X |- D
     "s-up"))}                                                 # .up X |- D
+
+
+def reapply_by_building(hint, premises, expected):
+    """The first of the hint and the candidate rules of `expected` that,
+    applied forward to the premises' conclusions, gives `expected`; or None."""
+    prem_seqs = [p.conclusion for p in premises]
+    for rule in (REGISTRY[hint], *candidates(expected)):
+        if rule.arity != len(premises):
+            continue
+        try:
+            conc = apply_rule_forward(rule.name, prem_seqs)
+        except KernelError:
+            continue
+        if conc == expected:
+            return rule.name
+    return None

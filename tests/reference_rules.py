@@ -3,10 +3,12 @@
 `match_sequent` and `instantiate_sequent` are those of `fdlg.rules` as they
 read before one `_match` and one `_inst` took either a formula or a
 structure: a formula walk and a structure walk each, the structure walk
-handing a leaf's formula to the formula walk.  `test_rules_reference`
-requires both to fail or give equal bindings, and equal instances, for every
-rule pattern; the scans below use this pair, so `test_rule_index` does not
-compare the live matcher with itself.
+handing a leaf's formula to the formula walk.  `fdlg.rules` now compiles each
+sequent pattern into a straight-line matcher and builder instead.
+`test_rules_reference` requires both to fail or give equal bindings, and
+equal instances, for every rule pattern, and to raise the same errors; the
+scans below use this pair, so `test_rule_index` does not compare the live
+matcher with itself.
 
 The scans are the backward expansion of `fdlg.kernel` and the display-orbit step
 of `fdlg.search` as they read before rules were indexed: every rule of

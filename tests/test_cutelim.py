@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from fdlg.syntax import Atom, parse_sequent, parse_structure, render_sequent
+from fdlg.syntax import (Atom, Formula, Sequent, Structure, formula_nodes, leaf, parse_sequent,
+                         parse_structure, render_sequent)
 from fdlg.kernel import (Derivation, apply_rule_forward, check_derivation,
                          iter_nodes, make_cut, KernelError)
 from fdlg.cutelim import (MUTATIONS, MU_ID, MU_DOTTED, MU_NEUTRAL, MU_NEUTRAL_DOTTED,
@@ -134,6 +135,39 @@ def test_reapply_matches_all_rules_scan(monkeypatch):
     eliminate_cuts(cut_elim_example())
     assert len(picks) > 100
     assert any(hint != rule for hint, rule in picks)     # a mutation renamed a rule
+
+
+def _renamed(x, old: str, new: str):
+    """A formula or structure with atom `old` renamed to `new`."""
+    if x.__class__ is Structure:
+        if x.conn is None:
+            return leaf(_renamed(x.leaf, old, new))
+        return Structure(x.conn, None, tuple(_renamed(a, old, new) for a in x.args))
+    if x.conn is None:
+        return Formula(None, Atom(new, x.atom.positive)) if x.atom.name == old else x
+    return Formula(x.conn, None, tuple(_renamed(a, old, new) for a in x.args))
+
+
+def test_reapply_rejects_a_conclusion_the_premises_do_not_give():
+    """Each node of cut-free proofs re-applies over its own premises to its
+    own rule; with an atom of its precedent renamed, the expected conclusion
+    no longer follows from the premises and re-application refuses it."""
+    rng = random.Random(41)
+    proofs = [eliminate_cuts(cut_elim_example())]
+    proofs += [eliminate_cuts(random_cut_proof(rng, depth)) for depth in (2, 3, 4, 5) * 3]
+    refused = 0
+    for d in proofs:
+        for _, node in iter_nodes(d):
+            if not node.premises:
+                continue
+            assert cutelim._reapply(node.rule, node.premises, node.conclusion).rule == node.rule
+            atom = next(x.atom for x in formula_nodes(node.conclusion.pre) if x.conn is None)
+            expected = Sequent(_renamed(node.conclusion.pre, atom.name, atom.name + "_renamed"),
+                               node.conclusion.suc)
+            with pytest.raises(CutElimError, match="is not derivable"):
+                cutelim._reapply(node.rule, node.premises, expected)
+            refused += 1
+    assert refused > 200
 
 
 def test_every_cut_in_inventory():

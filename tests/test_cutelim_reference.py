@@ -1,9 +1,12 @@
 """`fdlg.cutelim.eliminate_cuts` and `fdlg.cutelim.structural_cut`, which read
 their reductions from one table, against the hand-written cases kept in
 `reference_cutelim`: the same derivations, written out byte for byte, and
-the same trace lines."""
+the same trace lines; and the re-application of a rule after a mutation,
+which matches the rule, against building its conclusion and comparing."""
 
+import importlib.util
 import random
+from pathlib import Path
 
 import reference_cutelim as ref
 from fdlg import cutelim
@@ -12,7 +15,7 @@ from fdlg.kernel import (KernelError, derivation_to_json, derive, identity_expan
                          neg_atoms_of, thread)
 from fdlg.rules import REGISTRY
 from fdlg.standardize import ftoM, ftom
-from fdlg.syntax import parse_formula, parse_structure
+from fdlg.syntax import Atom, parse_formula, parse_structure
 
 from gen import random_cut_proof
 from test_kernel import STRUCTURAL_CUT_CASES
@@ -92,3 +95,36 @@ def test_structural_cut_matches_reference():
     p, q = identity_expansion(parse_structure("p")), identity_expansion(parse_structure("q"))
     phi = parse_structure("p")
     assert _outcome(cutelim.structural_cut, p, q, phi) == _outcome(ref.structural_cut, p, q, phi)
+
+
+def _bench_cut_proofs() -> list:
+    """The proof-transform benchmark's 800 cut proofs: 200 for each cut
+    formula depth 2 to 5, shapes from seed 404, as perfbench/proof_transform.py
+    makes them, over the atoms p and n."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    bench_gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_gen)
+    shapes, atoms = random.Random(404), (Atom("p", True), Atom("n", False))
+    return [bench_gen.cut_proof(shapes, depth, atoms) for depth in (2, 3, 4, 5)
+            for _ in range(200)]
+
+
+def test_reapply_picks_the_rule_building_picked(monkeypatch):
+    """On the benchmark's cut proofs, every re-application after a mutation
+    picks the rule that building each candidate's conclusion picked."""
+    matched = cutelim._reapply
+    picks = []
+
+    def both(hint, premises, expected):
+        out = matched(hint, premises, expected)
+        assert out.rule == ref.reapply_by_building(hint, premises, expected)
+        assert out.conclusion == expected
+        picks.append((hint, out.rule))
+        return out
+
+    monkeypatch.setattr(cutelim, "_reapply", both)
+    proofs = _bench_cut_proofs()
+    for d in proofs:
+        cutelim.eliminate_cuts(d)
+    assert len(proofs) == 800 and len(picks) > 10_000

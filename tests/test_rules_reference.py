@@ -1,11 +1,15 @@
-"""The matcher and instantiation of `fdlg.rules`, one walk each over formulas
-and structures, against the per-class pair kept in `reference_rules`."""
+"""The matcher and builder that `fdlg.rules` compiles for each sequent
+pattern, against the per-class walks kept in `reference_rules`."""
 
+import copy
+import pickle
 import random
+from dataclasses import dataclass
 
 import reference_rules as ref
-from fdlg.rules import ORDERED_RULES, MatchFail, instantiate_sequent, match_sequent
-from fdlg.syntax import Formula, Sequent, SortError, leaf
+from fdlg.rules import (ORDERED_RULES, REGISTRY, AVar, FNode, FVar, MatchFail, RuleSchema,
+                        SeqPat, SNode, SVar, instantiate_sequent, match_sequent)
+from fdlg.syntax import Formula, Sequent, SortError, fatom, leaf, parse_sequent, parse_structure
 
 from gen import forward_closure, random_structure
 
@@ -91,3 +95,101 @@ def test_matcher_matches_reference_on_random_sequents():
             continue
     bound, built = _compare(seqs)
     assert bound > 6_000 and built > 30_000
+
+
+@dataclass(frozen=True)
+class Odd:
+    """A pattern node of no class the rules know."""
+    name: str
+
+
+_X, _Y, _P, _Q = SVar("X", True), SVar("Y", True), FVar("P", True), FVar("Q", True)
+_TENSOR = SeqPat(SNode(".*", (_X, _Y)), FNode("*", (_P, _Q)))
+
+
+def test_errors_equal_the_reference():
+    """A conflicting binding, a missing metavariable, an ill-sorted instance
+    and a pattern node of an unknown class give the reference's error, with
+    the same partial bindings."""
+    seq = parse_sequent("p .* q |- p * q")
+    q, r, n = leaf(fatom("q")), leaf(fatom("r")), leaf(fatom("n", False))
+    axiom = REGISTRY["p-Id"].schema.conclusion
+    for pat, seq, env in [(_TENSOR, seq, {"Y": r}), (_TENSOR, seq, {"Q": r.leaf}),
+                          (_TENSOR, seq, {"X": q}), (axiom, parse_sequent("p |- q"), {}),
+                          (axiom, parse_sequent("p |- p"), {"a": q.leaf})]:
+        assert _match_both(pat, seq, env) is None and env, (pat, seq)
+    errors = {}
+    for pat, env in [(_TENSOR, {"X": q, "P": q.leaf, "Q": r.leaf}),       # no Y
+                     (_TENSOR, {"Y": q, "Q": r.leaf}),                    # no X, no P
+                     (_TENSOR, {"X": q, "Y": q}),                         # no P, no Q
+                     (_TENSOR, {"X": n, "Y": q, "P": q.leaf, "Q": r.leaf}),
+                     (_TENSOR, {"X": q, "Y": q, "P": n.leaf, "Q": r.leaf}),
+                     (SeqPat(_X, Odd("Z")), {"X": q}),
+                     (SeqPat(_X, Odd("Z")), {}),                          # no X first
+                     (SeqPat(_X, FNode("*", (Odd("Z"), _Q))), {"X": q, "Q": r.leaf})]:
+        got = _outcome(instantiate_sequent, pat, env)
+        assert got == _outcome(ref.instantiate_sequent, pat, env), (pat, env)
+        errors[got[0]] = errors.get(got[0], set()) | {got[1]}
+    assert errors == {
+        KeyError: {"'Y'", "'X'", "'P'"},
+        SortError: {"argument 1 of .* must be positive, got pure negative",
+                    "argument 1 of * must be positive, got pure negative"},
+        ValueError: {f"cannot instantiate {Odd('Z')!r}",
+                     f"cannot instantiate {Odd('Z')!r} as a formula"}}
+    for pat in (SeqPat(_X, Odd("Z")), SeqPat(_X, FNode("*", (Odd("Z"), _Q))),
+                SeqPat(SNode(".*", (_X, _P)), _Q), SeqPat(_X, SNode(".*", (_X, _X)))):
+        for seq in (parse_sequent("p |- p * q"), parse_sequent("p .* q |- p * q")):
+            _match_both(pat, seq, {})
+
+
+def test_a_schema_built_outside_the_inventory_is_compiled():
+    """A rule schema made as the corrupted-rule control makes it compiles
+    its patterns on first use and matches and builds like the reference."""
+    bogus = RuleSchema("bogus", "tonicity", (SeqPat(SNode(".*", (_X, _Y)), FNode("*", (_P, _Q))),),
+                       SeqPat(_X, _P))
+    patterns = (*bogus.premises, bogus.conclusion)
+    assert not any("match" in vars(pat) or "build" in vars(pat) for pat in patterns)
+    bound = 0
+    for seq in forward_closure(include_variants=True):
+        for pat in patterns:
+            env = _match_both(pat, seq, {})
+            if env is not None:
+                bound += 1
+                _instantiate_both(patterns, env)
+    assert bound > 10
+    assert all("match" in vars(pat) and "build" in vars(pat) for pat in patterns)
+
+
+def test_schemas_pickle_and_copy_after_use():
+    """Every schema, its patterns compiled by use, pickles and deep-copies to
+    an equal schema, and the copy matches and builds as the original does."""
+    seqs = list(forward_closure(include_variants=True, max_height=4))
+    for name, rule in REGISTRY.items():
+        schema = rule.schema
+        patterns = (*schema.premises, schema.conclusion)
+        envs = []
+        for pat in patterns:
+            for seq in seqs:
+                env = {}
+                try:
+                    match_sequent(pat, seq, env)
+                except MatchFail:
+                    env = None
+                envs.append(env)
+        for other in (pickle.loads(pickle.dumps(schema)), copy.deepcopy(schema)):
+            assert other == schema and other is not schema, name
+            twins = (*other.premises, other.conclusion)
+            assert not any("match" in vars(pat) for pat in twins), name
+            got = iter(envs)
+            for pat, twin in zip(patterns, twins):
+                for seq in seqs:
+                    want, env = next(got), {}
+                    try:
+                        match_sequent(twin, seq, env)
+                    except MatchFail:
+                        env = None
+                    assert env == want, (name, seq)
+                    if env is not None:
+                        for p, t in zip(patterns, twins):
+                            assert (_outcome(instantiate_sequent, p, env)
+                                    == _outcome(instantiate_sequent, t, env)), name
