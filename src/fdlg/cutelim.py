@@ -258,9 +258,11 @@ def _eliminate_cut(d1: Derivation, d2: Derivation, trace) -> Derivation:
 
 
 def eliminate_cuts(d: Derivation, trace: list | None = None) -> Derivation:
-    """Cut-free derivation of the same end-sequent."""
+    """Cut-free derivation of the same end-sequent, keeping its cut-free subderivations."""
     def step(node: Derivation, prems) -> Derivation:
         if node.rule not in CUT_RULES:
+            if all(p is q for p, q in zip(prems, node.premises)):
+                return node
             return Derivation(node.rule, node.conclusion, prems)
         out = _eliminate_cut(prems[0], prems[1], trace)
         if out.conclusion != node.conclusion:

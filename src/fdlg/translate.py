@@ -1,42 +1,40 @@
 """The companion focused calculus and the round-trip proof translations.
 
 The mini-kernel implements exactly the rules the translations exercise: atomic
-axioms, the six logical connective pairs, the focusing pair mu~ / mu* (each
-with a positive and a negative instance, fixed by the polarity of the formula
-whose focus changes), and the residuation postulates on unfocused sequents.
-The connective rules and the postulates are rows of tables that one
-`apply_flg` reads; the two-premise rows are the kernel's `TONICITY_PREMISES`.
+axioms, the focusing pair mu~ / mu* (each with a positive and a negative
+instance, fixed by the polarity of the formula whose focus changes), and the
+table rules: the six logical connective pairs and the residuation postulates
+on unfocused sequents.  Polarization maps companion sequents one-to-one onto
+the normal fD.LG sequents, and a table rule is the fD.LG rule of its name
+read through it, after the companion's own checks, read off the schema.
 
 Companion derivations are `fdlg.kernel.Derivation`s over `FlgSequent`s
 (`FlgDerivation` is another name for that class), so both translations are
 `kernel.fold`s and the exchange format is the kernel's `write_document`.
 
 Polarization sends its formulas into the four-sorted language, shifts marking
-every polarity mismatch; depolarization erases the shifts.  A sequent in the
-image of polarization is called normal.  The printer `render_companion`, the
-reader, `polarize` and `depolarize` are each one walk over formulas and
-structures alike, looking through a leaf to its formula.
+every polarity mismatch; depolarization erases the shifts.  The printer
+`render_companion`, the reader, `polarize` and `depolarize` are each one walk
+over formulas and structures alike, looking through a leaf to its formula.
 
 CFormula and FStruct are immutable slotted values, like Formula and
 Structure, with the same cached hash and identity shortcut on ==.  Each call
-of `translate_to_flg` or `translate_to_fdlg` keeps one memo of the
-depolarized and polarized images of the terms it meets, and drops it on
-return: a term shared by many sequents of a proof, as the exchange reader
-leaves them, is mapped once per call.  Each node's image takes the expected
-conclusion, itself a memoized image, so images share subterms too.  The
-public `polarize`, `depolarize`, `polarize_sequent` and `flg_of_sequent`
-each start a memo of their own.
+of `check_flg` or of a translation keeps one memo of the (de)polarized images
+of the terms it meets, and drops it on return, so a term shared by many
+sequents is mapped once per call; `translate_to_fdlg`'s check shares its
+memo.  Each node's image takes the expected conclusion, itself a memoized
+image, so images share subterms too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .syntax import (Formula, Structure, Sequent, Atom, leaf, f as fnode,
-                     ParseError, SortError, STRUCT_SHIFTS, parse_raw, _Term, _setters)
-from .rules import PRINCIPAL_LEFT, TRANSLATION_OF
-from .kernel import (Derivation, TONICITY_PREMISES, apply_rule_forward, derive, fold,
-                     iter_nodes, read_document, read_nodes, write_document)
+from .syntax import (OP_SIG, STRUCT_OF_OP, STRUCT_SIG, Formula, Structure, Sequent, Atom, leaf,
+                     f as fnode, ParseError, SortError, parse_raw, _Term, _setters)
+from .rules import REGISTRY, SHIFT_DPS, SNode
+from .kernel import (Derivation, KernelError, TONICITY_PREMISES, apply_rule_forward, derive,
+                     fold, iter_nodes, match_rule, read_document, read_nodes, write_document)
 from .focus import minimize_proof
 
 
@@ -48,12 +46,12 @@ class TranslateError(ValueError):
 # Companion-calculus syntax.  Its formulas are single-sorted (no purity
 # discipline, no shifts), so they get their own node type.
 
-_CONNS = ("*", "(+)", "\\", "/", "(/)", "(\\)")
-_INPUT_CONNS = {".*": ("in", "in"), ".(/)": ("in", "out"), ".(\\)": ("out", "in")}
-_OUTPUT_CONNS = {".(+)": ("out", "out"), ".\\": ("in", "out"), "./": ("out", "in")}
-# Structural connective -> whether each argument is an input (positive) one.
-_ARG_SIDES = {conn: tuple(side == "in" for side in sides)
-              for conn, sides in (*_INPUT_CONNS.items(), *_OUTPUT_CONNS.items())}
+# The signature is fD.LG's binary one: a structural connective's arguments are
+# inputs (positive) or outputs (negative), and it stands on its sort's side.
+_CONNS = tuple(op for op, (_, specs) in OP_SIG.items() if len(specs) == 2)
+_ARG_SIDES = {STRUCT_OF_OP[op]: tuple(pol for pol, _ in STRUCT_SIG[STRUCT_OF_OP[op]][1])
+              for op in _CONNS}
+_INPUT_CONNS = frozenset(conn for conn in _ARG_SIDES if STRUCT_SIG[conn][0].positive)
 # Formula connective -> (polarity of each argument, its own polarity), read
 # off its structural counterpart.
 _POLARITY = {conn[1:]: (sides, conn in _INPUT_CONNS) for conn, sides in _ARG_SIDES.items()}
@@ -151,7 +149,7 @@ class FStruct(_Term):
         if conn is None:
             if leaf is None:
                 raise TranslateError("leaf must carry a formula")
-        elif conn not in _INPUT_CONNS and conn not in _OUTPUT_CONNS:
+        elif conn not in _ARG_SIDES:
             raise TranslateError(f"unknown companion connective {conn!r}")
         _FS_CONN(self, conn)
         _FS_LEAF(self, leaf)
@@ -192,9 +190,8 @@ def fleaf(a: CFormula) -> FStruct:
 
 
 def fs(conn: str, l: FStruct, r: FStruct) -> FStruct:
-    spec = _INPUT_CONNS.get(conn) or _OUTPUT_CONNS[conn]
-    for arg, want in zip((l, r), spec):
-        if arg.side is not None and arg.side != want:
+    for arg, positive in zip((l, r), _ARG_SIDES[conn]):
+        if arg.side is not None and (arg.side == "in") != positive:
             raise TranslateError(f"argument of {conn} on the wrong side")
     return FStruct(conn, None, (l, r))
 
@@ -246,74 +243,60 @@ def render_flg_sequent(s: FlgSequent) -> str:
 # Companion-calculus rules
 
 
-def _formula(x: FStruct) -> CFormula:
-    if x.conn is not None:
-        raise TranslateError("expected a formula leaf")
-    return x.leaf
+def _premise_root(rule) -> tuple[str, str]:
+    """(side, connective) at the structural root of a rule's premise pattern."""
+    p = rule.schema.premises[0]
+    return ("pre", p.pre.conn) if isinstance(p.pre, SNode) else ("suc", p.suc.conn)
 
 
+# The table rules are the fD.LG binary logical rules and the binary display
+# postulates without variants.  A one-premise one acts on the root of one side
+# of its premise, which `_ROOTS` names.
+_LOGICAL_RULES = frozenset(r.name for r in REGISTRY.values()
+                           if r.klass in ("translation", "tonicity"))
+_ROOTS = {r.name: _premise_root(r) for r in REGISTRY.values()
+          if r.klass == "translation"
+          or r.klass == "dp" and not r.schema.uses_variants and r.name not in SHIFT_DPS}
 _SIDE_WORDS = {"suc": "right", "pre": "left"}
-_OTHER_SIDE = {"suc": "pre", "pre": "suc"}
-# Unfocused connective rules, the translation rules of the binary
-# connectives: the side whose structural root becomes a formula, and that root.
-_UNFOCUSED = {rule: ("pre" if rule in PRINCIPAL_LEFT else "suc", conn)
-              for conn, rule in TRANSLATION_OF.items() if conn not in STRUCT_SHIFTS}
-_LOGICAL_RULES = frozenset((*TONICITY_PREMISES, *_UNFOCUSED))
-# Display postulate -> (premise side, its root connective, conclusion builder).
-_DISPLAY = {
-    "dp(.*,.\\)": ("suc", ".\\",
-                   lambda q: FlgSequent(fs(".*", q.suc.args[0], q.pre), q.suc.args[1])),
-    "dp(.*,.\\)'": ("pre", ".*",
-                    lambda q: FlgSequent(q.pre.args[1], fs(".\\", q.pre.args[0], q.suc))),
-    "dp(.*,./)": ("pre", ".*",
-                  lambda q: FlgSequent(q.pre.args[0], fs("./", q.suc, q.pre.args[1]))),
-    "dp(.*,./)'": ("suc", "./",
-                   lambda q: FlgSequent(fs(".*", q.pre, q.suc.args[1]), q.suc.args[0])),
-    "dp(.(/),.(+))": ("pre", ".(/)",
-                      lambda q: FlgSequent(q.pre.args[0], fs(".(+)", q.suc, q.pre.args[1]))),
-    "dp(.(/),.(+))'": ("suc", ".(+)",
-                       lambda q: FlgSequent(fs(".(/)", q.pre, q.suc.args[1]), q.suc.args[0])),
-    "dp(.(\\),.(+))": ("suc", ".(+)",
-                       lambda q: FlgSequent(fs(".(\\)", q.suc.args[0], q.pre), q.suc.args[1])),
-    "dp(.(\\),.(+))'": ("pre", ".(\\)",
-                        lambda q: FlgSequent(q.pre.args[1], fs(".(+)", q.pre.args[0], q.suc))),
-}
+
+
+def _arity(rule: str, ps, n: int) -> None:
+    if len(ps) != n:
+        raise TranslateError(f"{rule} takes {n} premise(s)")
 
 
 def apply_flg(rule: str, premises, selector: Atom | None = None,
               side: str | None = None) -> FlgSequent:
     """Forward application in the companion calculus; unique conclusion.
 
+    Ax, mu* and mu~ are the companion's own rules.  Any other rule first
+    passes the companion's checks on its premises (`_check_premises`), and
+    is then the fD.LG rule of the same name applied to their polarizations.
     `side` disambiguates mu~ when both a positive precedent formula and a
     negative succedent formula could take the focus.
     """
     ps = [p.conclusion if isinstance(p, Derivation) else p for p in premises]
-
-    def arity(n):
-        if len(ps) != n:
-            raise TranslateError(f"{rule} takes {n} premise(s)")
-
     if rule == "Ax":
-        arity(0)
+        _arity(rule, ps, 0)
         if selector is None:
             raise TranslateError("Ax needs an atom selector")
         a = fleaf(CFormula(None, selector))
         return (FlgSequent(a, a, "suc") if selector.positive
                 else FlgSequent(a, a, "pre"))
     if rule == "mu*":
-        arity(1)
+        _arity(rule, ps, 1)
         (s,) = ps
         if s.focus == "suc":
-            if not formula_polarity(_formula(s.suc)):
+            if not formula_polarity(s.suc.leaf):
                 raise TranslateError("mu* defocuses a positive succedent formula")
             return FlgSequent(s.pre, s.suc, None)
         if s.focus == "pre":
-            if formula_polarity(_formula(s.pre)):
+            if formula_polarity(s.pre.leaf):
                 raise TranslateError("mu* defocuses a negative precedent formula")
             return FlgSequent(s.pre, s.suc, None)
         raise TranslateError("mu* needs a focused premise")
     if rule == "mu~":
-        arity(1)
+        _arity(rule, ps, 1)
         (s,) = ps
         if s.focus is not None:
             raise TranslateError("mu~ needs an unfocused premise")
@@ -326,68 +309,70 @@ def apply_flg(rule: str, premises, selector: Atom | None = None,
         if suc_ok:
             return FlgSequent(s.pre, s.suc, "suc")
         raise TranslateError("mu~ focuses a positive precedent or negative succedent formula")
+    _check_premises(rule, ps)
+    memo: dict = {}
+    try:
+        seq = apply_rule_forward(rule, [_polarize_sequent(s, memo) for s in ps])
+    except KernelError:
+        # past the checks, only a translation rule's root can have a non-formula argument
+        raise TranslateError("expected a formula leaf") from None
+    return _flg_of_sequent(seq, memo)
 
+
+def _check_premises(rule: str, ps) -> None:
+    """The companion's checks of a table rule's premises, read off the fD.LG
+    rule: their number, then a tonicity rule's focused sides, or the root of
+    an unfocused premise.  Any "dp(" name is checked up to focus first."""
     if rule in TONICITY_PREMISES:
-        # the new formula is focused where its polarity puts it; the premises'
-        # other sides join under its structural counterpart opposite it
-        arity(2)
-        (l, r), (conn, (x, y)) = ps, TONICITY_PREMISES[rule]
-        if (l.focus, r.focus) != (x, y):
+        _arity(rule, ps, 2)
+        x, y = TONICITY_PREMISES[rule][1]
+        if (ps[0].focus, ps[1].focus) != (x, y):
             wx, wy = _SIDE_WORDS[x], _SIDE_WORDS[y]
             raise TranslateError(f"{rule} needs two {wx}-focused premises" if x == y
                                  else f"{rule} needs {wx}- and {wy}-focused premises")
-        a = cf(conn[1:], _formula(getattr(l, x)), _formula(getattr(r, y)))
-        rest = fs(conn, getattr(l, _OTHER_SIDE[x]), getattr(r, _OTHER_SIDE[y]))
-        return (FlgSequent(rest, fleaf(a), "suc") if formula_polarity(a)
-                else FlgSequent(fleaf(a), rest, "pre"))
-    if rule in _UNFOCUSED:
-        arity(1)
-        (s,) = ps
-        where, conn = _UNFOCUSED[rule]
-        root = getattr(s, where)
-        if s.focus is not None or root.conn != conn:
-            raise TranslateError(f"{rule} wants an unfocused {conn}-rooted "
-                                 f"{'precedent' if where == 'pre' else 'succedent'}")
-        a = fleaf(cf(conn[1:], *(_formula(x) for x in root.args)))
-        return (FlgSequent(a, s.suc, None) if where == "pre"
-                else FlgSequent(s.pre, a, None))
-    if rule.startswith("dp("):
-        arity(1)
-        (s,) = ps
-        if s.focus is not None:
-            raise TranslateError("display postulates apply in neutral phases only")
-        if rule not in _DISPLAY:
-            raise TranslateError(f"unknown rule {rule!r}")
-        where, conn, build = _DISPLAY[rule]
-        root = s.pre if where == "pre" else s.suc
-        if root.conn != conn:
-            raise TranslateError(f"{rule} wants a {conn}-rooted {where} side")
-        try:
-            return build(s)
-        except TranslateError:
-            raise TranslateError(f"{rule} does not apply") from None
-    raise TranslateError(f"unknown rule {rule!r}")
+        return
+    display = rule.startswith("dp(")
+    if display or rule in _ROOTS:
+        _arity(rule, ps, 1)
+    if display and ps[0].focus is not None:
+        raise TranslateError("display postulates apply in neutral phases only")
+    if rule not in _ROOTS:
+        raise TranslateError(f"unknown rule {rule!r}")
+    where, conn = _ROOTS[rule]
+    if ps[0].focus is not None or getattr(ps[0], where).conn != conn:
+        raise TranslateError(f"{rule} wants a {conn}-rooted {where} side" if display else
+                             f"{rule} wants an unfocused {conn}-rooted "
+                             f"{'precedent' if where == 'pre' else 'succedent'}")
 
 
 def check_flg(d: FlgDerivation) -> tuple[bool, str]:
-    """Bottom-up schema check of a companion-calculus derivation."""
+    """Bottom-up schema check of a companion-calculus derivation; a table
+    rule's node is matched through polarization, after the companion's checks."""
+    return _check_flg(d, {})
+
+
+def _check_flg(d: FlgDerivation, memo: dict) -> tuple[bool, str]:
+    """check_flg, with the polarized images of one call in `memo`."""
     for path, node in iter_nodes(d):
+        rule, ps = node.rule, [p.conclusion for p in node.premises]
         try:
-            if node.rule == "Ax":
-                if node.premises:
-                    return False, (f"at {path}: Ax expects 0 premise(s), "
-                                   f"got {len(node.premises)}")
+            if rule == "Ax":
+                if ps:
+                    return False, f"at {path}: Ax expects 0 premise(s), got {len(ps)}"
                 atom = node.conclusion.pre.leaf.atom if node.conclusion.pre.conn is None else None
                 conc = apply_flg("Ax", [], selector=atom)
-            elif node.rule == "mu~":
-                conc = apply_flg("mu~", [p.conclusion for p in node.premises],
-                                 side=node.conclusion.focus)
+            elif rule in ("mu*", "mu~"):
+                conc = apply_flg(rule, ps, side=node.conclusion.focus)
             else:
-                conc = apply_flg(node.rule, [p.conclusion for p in node.premises])
+                _check_premises(rule, ps)
+                if match_rule(rule, _polarize_sequent(node.conclusion, memo),
+                              [_polarize_sequent(s, memo) for s in ps]) is not None:
+                    continue
+                conc = apply_flg(rule, ps)      # its error, or the instance
         except (TranslateError, AttributeError) as e:
             return False, f"at {path}: {e}"
         if conc != node.conclusion:
-            return False, f"at {path}: conclusion is not the {node.rule} instance"
+            return False, f"at {path}: conclusion is not the {rule} instance"
     return True, "ok"
 
 
@@ -543,11 +528,12 @@ def _fd(rule: str, premises, expected: Sequent | None) -> Derivation:
 
 
 def translate_to_fdlg(d: FlgDerivation) -> Derivation:
-    """Image of a checked companion derivation; ends in the polarized sequent."""
-    ok, why = check_flg(d)
+    """Image of a checked companion derivation; ends in the polarized sequent.
+    The check and the image share one memo of polarized terms."""
+    memo: dict = {}
+    ok, why = _check_flg(d, memo)
     if not ok:
         raise TranslateError(f"input does not check: {why}")
-    memo: dict = {}
     return fold(d, lambda node, prems: _to_fdlg(node, prems, memo))
 
 
@@ -559,7 +545,7 @@ def _to_fdlg(d: FlgDerivation, prems, memo: dict) -> Derivation:
         atom = d.conclusion.pre.leaf.atom
         return derive("p-Id" if atom.positive else "n-Id", selector=atom)
     if r in _LOGICAL_RULES or r.startswith("dp("):
-        return _fd(r, prems, target)
+        return Derivation(r, target, prems)     # the check matched the fD.LG rule here
     if r in ("mu*", "mu~"):
         focused = d.premises[0] if r == "mu*" else d
         lower, upper = _SECTIONS[r, focused.conclusion.focus]
@@ -585,7 +571,6 @@ def classify_processing_sections(d: Derivation):
             continue
         patt = _pattern(node)
         if patt is None:
-            from .rules import REGISTRY
             if REGISTRY[node.rule].klass in ("shift", "struct"):
                 raise TranslateError(
                     f"unmatched shift section at {path}: the proof is not minimal")
@@ -642,7 +627,10 @@ def _to_flg(d: Derivation, prems, memo: dict) -> FlgDerivation:
         step = FlgDerivation("mu*", apply_flg("mu*", [inner]), (inner,))
         return _flg("mu~", [step], target)
     if r in _LOGICAL_RULES or r.startswith("dp("):
-        return _flg(r, prems, target)
+        # minimize_proof checked this node, so past the companion's checks
+        # its image is the node read through polarization
+        _check_premises(r, [p.conclusion for p in prems])
+        return FlgDerivation(r, target, prems)
     raise TranslateError(f"rule {r!r} has no companion image "
                          f"(unmatched section: input not minimal?)")
 
@@ -663,6 +651,8 @@ def parse_flg_sequent(text: str, neg_atoms=()) -> FlgSequent:
         for side, part in zip(("pre", "suc"), text.partition("|-")[::2]):
             part = part.strip()
             if part.startswith("[") and part.endswith("]"):
+                if focus is not None:
+                    raise ParseError("a companion sequent has at most one formula in focus")
                 focus, part = side, part[1:-1]
             sides.append(_read(parse_raw(part), neg, True))
         return FlgSequent(*sides, focus)

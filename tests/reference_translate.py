@@ -1,19 +1,20 @@
 """The companion rules, translation saturation and the exchange writers in
 their earlier hand-written form, kept as the reference.
 
-`fdlg.translate` reads the companion calculus's connective rules and display
-postulates from tables, `fdlg.kernel` saturates either side of a sequent
-through one table of display moves, and one iterative writer produces the
-exchange text of both calculi.  This module keeps one branch per rule, the
-two mirror-image folds `_fold_suc`/`_fold_pre` (with the identity expansion
-and saturation built on them), and the writers that hand nested dicts to
-`json.dumps(..., indent=1)`.  It also keeps the companion printers and the
-polarization in their per-class pairs, from before one printer, one
-polarization and one depolarization each took a formula or a structure:
-`render_cformula`/`render_fstruct`, `polarize_formula`/`polarize_structure`,
-and `unpolarize_formula`/`depolarize` with `fleaf_or`.  The differential
-tests require both to give equal results and the same errors, and
-byte-identical text.
+`fdlg.translate` reads the companion calculus's signature off fD.LG's and its
+connective rules and display postulates off the fD.LG rules, through
+polarization; `fdlg.kernel` saturates either side of a sequent through one
+table of display moves, and one iterative writer produces the exchange text
+of both calculi.  This module keeps the hand-typed companion signature and
+one branch per rule, the two mirror-image folds `_fold_suc`/`_fold_pre`
+(with the identity expansion and saturation built on them), and the writers
+that hand nested dicts to `json.dumps(..., indent=1)`.  It also keeps the
+companion printers and the polarization in their per-class pairs, from
+before one printer, one polarization and one depolarization each took a
+formula or a structure: `render_cformula`/`render_fstruct`,
+`polarize_formula`/`polarize_structure`, and `unpolarize_formula`/
+`depolarize` with `fleaf_or`.  The differential tests require both to give
+equal results and the same errors, and byte-identical text.
 """
 
 from __future__ import annotations
@@ -21,10 +22,41 @@ from __future__ import annotations
 import json
 
 from fdlg.syntax import Atom, Formula, Sequent, Structure, f as fnode, leaf, render_sequent
-from fdlg.kernel import Derivation, KernelError, derive
+from fdlg.kernel import Derivation, KernelError, derive, iter_nodes
 from fdlg.standardize import StandardizeError, form_of, ftoM, ftom, str_of
-from fdlg.translate import (_ARG_SIDES, _POLARITY, CFormula, FlgSequent, FStruct,
-                            TranslateError, _formula, cf, fleaf, formula_polarity, fs)
+from fdlg.translate import CFormula, FlgSequent, FStruct, TranslateError, cf, fleaf, fs
+
+
+# The companion signature, typed by hand.
+_CONNS = ("*", "(+)", "\\", "/", "(/)", "(\\)")
+_INPUT_CONNS = {".*": ("in", "in"), ".(/)": ("in", "out"), ".(\\)": ("out", "in")}
+_OUTPUT_CONNS = {".(+)": ("out", "out"), ".\\": ("in", "out"), "./": ("out", "in")}
+# Structural connective -> whether each argument is an input (positive) one.
+_ARG_SIDES = {conn: tuple(side == "in" for side in sides)
+              for conn, sides in (*_INPUT_CONNS.items(), *_OUTPUT_CONNS.items())}
+# Formula connective -> (polarity of each argument, its own polarity), read
+# off its structural counterpart.
+_POLARITY = {conn[1:]: (sides, conn in _INPUT_CONNS) for conn, sides in _ARG_SIDES.items()}
+
+
+def formula_polarity(a: CFormula) -> bool:
+    """Positive iff the head is a product-family connective or a positive atom."""
+    if a.conn is None:
+        return a.atom.positive
+    return _POLARITY[a.conn][1]
+
+
+# The companion's connective rules and display postulates, by name.
+TABLE_RULES = ["otimes_R", "oslash_R", "obslash_R", "oplus_L", "under_L", "over_L",
+               "otimes_L", "oslash_L", "obslash_L", "oplus_R", "under_R", "over_R",
+               "dp(.*,.\\)", "dp(.*,.\\)'", "dp(.*,./)", "dp(.*,./)'",
+               "dp(.(/),.(+))", "dp(.(/),.(+))'", "dp(.(\\),.(+))", "dp(.(\\),.(+))'"]
+
+
+def _formula(x: FStruct) -> CFormula:
+    if x.conn is not None:
+        raise TranslateError("expected a formula leaf")
+    return x.leaf
 
 
 def render_cformula(a: CFormula) -> str:
@@ -253,6 +285,29 @@ def apply_flg(rule: str, premises, selector: Atom | None = None,
         except TranslateError:
             raise TranslateError(f"{rule} does not apply") from None
     raise TranslateError(f"unknown rule {rule!r}")
+
+
+def check_flg(d: Derivation) -> tuple[bool, str]:
+    """Bottom-up schema check of a companion-calculus derivation: each node's
+    conclusion is the one apply_flg gives its premises."""
+    for path, node in iter_nodes(d):
+        try:
+            if node.rule == "Ax":
+                if node.premises:
+                    return False, (f"at {path}: Ax expects 0 premise(s), "
+                                   f"got {len(node.premises)}")
+                atom = node.conclusion.pre.leaf.atom if node.conclusion.pre.conn is None else None
+                conc = apply_flg("Ax", [], selector=atom)
+            elif node.rule == "mu~":
+                conc = apply_flg("mu~", [p.conclusion for p in node.premises],
+                                 side=node.conclusion.focus)
+            else:
+                conc = apply_flg(node.rule, [p.conclusion for p in node.premises])
+        except (TranslateError, AttributeError) as e:
+            return False, f"at {path}: {e}"
+        if conc != node.conclusion:
+            return False, f"at {path}: conclusion is not the {node.rule} instance"
+    return True, "ok"
 
 
 def saturate_translations(d: Derivation, side: str) -> Derivation:

@@ -254,6 +254,7 @@ def test_check_malformed_document(doc):
     '{"calculus": "flg", "rule": "Ax", "conclusion": "p .\\\\ q |- p"}',
     '{"calculus": "flg", "rule": "Ax", "conclusion": "(p .\\\\ q) .* p |- p"}',
     '{"calculus": "flg", "rule": "Ax", "conclusion": "[p .* q] |- p"}',
+    '{"calculus": "flg", "rule": "Ax", "conclusion": "[p] |- [p]"}',
 ])
 def test_translate_malformed_flg_document(doc):
     code, out, err = run(["translate", "--to", "fdlg", "-"], stdin=doc)

@@ -8,6 +8,7 @@ import sys
 
 import reference_cutelim as ref_cutelim
 import reference_rules as ref
+import reference_translate as ref_translate
 from fdlg import cutelim, kernel, rules, translate
 from fdlg.syntax import NP, NS, PP, PS
 
@@ -43,15 +44,31 @@ def test_saturation_and_tonicity_tables_equal_the_hand_tables():
 
 
 def test_unfocused_rules_and_cut_sides_equal_the_hand_tables():
-    """The companion calculus's unfocused rules and the cut reductions'
-    premise sides, read off the rules, equal the literals they replaced."""
-    assert translate._UNFOCUSED == {
+    """The companion calculus's unfocused rules and display postulates and
+    the cut reductions' premise sides, read off the rules, equal the
+    literals they replaced."""
+    assert translate._ROOTS == {
         "otimes_L": ("pre", ".*"), "oslash_L": ("pre", ".(/)"),
         "obslash_L": ("pre", ".(\\)"), "oplus_R": ("suc", ".(+)"),
-        "under_R": ("suc", ".\\"), "over_R": ("suc", "./")}
+        "under_R": ("suc", ".\\"), "over_R": ("suc", "./"),
+        "dp(.*,.\\)": ("suc", ".\\"), "dp(.*,.\\)'": ("pre", ".*"),
+        "dp(.*,./)": ("pre", ".*"), "dp(.*,./)'": ("suc", "./"),
+        "dp(.(/),.(+))": ("pre", ".(/)"), "dp(.(/),.(+))'": ("suc", ".(+)"),
+        "dp(.(\\),.(+))": ("suc", ".(+)"), "dp(.(\\),.(+))'": ("pre", ".(\\)")}
     assert kernel.TONICITY_SIDES == {
         **{rule: sides for rule, (_, sides) in ref.TONICITY_PREMISES.items()},
         "down_L": ("pre",), "up_R": ("suc",)}
+
+
+def test_companion_rules_and_signature_equal_the_hand_tables():
+    """The companion's table rules, read off the registry, and its signature,
+    read off fD.LG's, equal the literals kept in `reference_translate`."""
+    assert translate._LOGICAL_RULES | translate._ROOTS.keys() == set(ref_translate.TABLE_RULES)
+    assert translate._LOGICAL_RULES == set(ref_translate.TABLE_RULES[:12])
+    assert sorted(translate._CONNS) == sorted(ref_translate._CONNS)
+    assert translate._INPUT_CONNS == set(ref_translate._INPUT_CONNS)
+    assert translate._ARG_SIDES == ref_translate._ARG_SIDES
+    assert translate._POLARITY == ref_translate._POLARITY
 
 
 def _row(shifts, conn, residue):
@@ -83,7 +100,9 @@ print(rules.TRANSLATION_OF)
 print(kernel.TONICITY_SIDES)
 print(kernel.TONICITY_PREMISES)
 print(kernel._SATURATION)
-print(translate._UNFOCUSED)
+print(translate._ROOTS)
+print(sorted(translate._LOGICAL_RULES), translate._CONNS, translate._ARG_SIDES,
+      translate._POLARITY, sorted(translate._INPUT_CONNS))
 for conn in rules.TRANSLATION_OF:
     for residue in (PP, PS, NP, NS):
         for shifts in (cutelim._SHIFT_REDUCTIONS, cutelim._SHIFT_ELIMINATIONS):
@@ -101,4 +120,4 @@ def test_generated_tables_do_not_depend_on_the_hash_seed():
         outs.append(subprocess.run([sys.executable, "-c", _PRINT_TABLES], env=env,
                                    capture_output=True, check=True).stdout)
     assert outs[0] == outs[1]
-    assert outs[0].count(b"\n") == 64 + 6 + 5 + 8 * 4 * 2
+    assert outs[0].count(b"\n") == 64 + 6 + 6 + 8 * 4 * 2

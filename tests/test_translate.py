@@ -264,6 +264,12 @@ def test_companion_parser_rejects_misplaced_structures(text):
         parse_flg_sequent(text)
 
 
+@pytest.mark.parametrize("text", ["[p] |- [p]", "[n] |- [p * q]"])
+def test_companion_parser_rejects_two_formulas_in_focus(text):
+    with pytest.raises(ParseError, match="at most one formula in focus"):
+        parse_flg_sequent(text, {"n"})
+
+
 def test_misplaced_structure_built_in_code_is_a_translate_error():
     p = fleaf(catom("p"))
     with pytest.raises(TranslateError):

@@ -7,7 +7,7 @@ import random
 from fdlg import kernel, translate
 from fdlg.kernel import Derivation, derivation_to_json, identity_expansion, saturate_translations
 from fdlg.syntax import Atom, Sequent
-from fdlg.translate import (FlgSequent, apply_flg, depolarize, flg_to_json, polarize,
+from fdlg.translate import (FlgSequent, apply_flg, check_flg, depolarize, flg_to_json, polarize,
                             polarize_sequent, render_companion, render_flg_sequent)
 
 import reference_translate as ref
@@ -23,8 +23,7 @@ def _outcome(fn, *args, **kwargs):
 
 
 # Every companion rule but the axiom, and names that are no rule.
-COMPANION_RULES = sorted({*kernel.TONICITY_PREMISES, *translate._UNFOCUSED,
-                          *translate._DISPLAY, "mu*", "mu~"})
+COMPANION_RULES = sorted([*ref.TABLE_RULES, "mu*", "mu~"])
 UNKNOWN_RULES = ["dp(.*,.*)", "dp(.*,.\\)''", "otimes", "Ax'", "", "P-Cut", "s-down"]
 
 
@@ -69,6 +68,44 @@ def test_apply_flg_matches_reference():
             errors += 1
     # Every rule applies somewhere, and errors are common enough to mean something.
     assert applied == {*COMPANION_RULES, "Ax"} and errors > 10_000
+
+
+def _corrupt(rng: random.Random, d: Derivation, path, kind: str, conclusions) -> Derivation:
+    """`d` with the node at `path` renamed to another companion rule, given
+    another conclusion, or with its premises dropped, duplicated or
+    reordered."""
+    if path:
+        premises = list(d.premises)
+        premises[path[0]] = _corrupt(rng, premises[path[0]], path[1:], kind, conclusions)
+        return Derivation(d.rule, d.conclusion, tuple(premises))
+    if kind == "rename":
+        rule = rng.choice([r for r in (*COMPANION_RULES, "Ax") if r != d.rule])
+        return Derivation(rule, d.conclusion, d.premises)
+    if kind == "conclusion":
+        return Derivation(d.rule, rng.choice(conclusions), d.premises)
+    premises = {"drop": d.premises[1:], "duplicate": d.premises + d.premises[:1],
+                "reorder": d.premises[::-1]}[kind]
+    return Derivation(d.rule, d.conclusion, premises)
+
+
+def test_check_flg_matches_reference_on_corrupted_derivations():
+    """check_flg, which matches the fD.LG rule through polarization, gives
+    the verdict and message of the apply-and-compare check on seeded
+    companion derivations with one corrupted node each."""
+    rng = random.Random(7005)
+    derivations = [random_flg_derivation(rng, 2 + i % 5) for i in range(300)]
+    conclusions = [n.conclusion for d in derivations for _, n in kernel.iter_nodes(d)]
+    kinds = ("rename", "conclusion", "drop", "duplicate", "reorder")
+    rejected = dict.fromkeys(kinds, 0)
+    for d in derivations:
+        assert check_flg(d) == ref.check_flg(d) == (True, "ok")
+        inner = [path for path, node in kernel.iter_nodes(d) if node.premises]
+        for kind in kinds:
+            bad = _corrupt(rng, d, rng.choice(inner or [()]), kind, conclusions)
+            got = check_flg(bad)
+            assert got == ref.check_flg(bad), (kind, bad)
+            rejected[kind] += not got[0]
+    assert all(n > 100 for n in rejected.values()), rejected
 
 
 def _odd_atoms(tag: str):
