@@ -15,6 +15,12 @@ postulates, and the order-reversing dual of an instance renames its tables by
 
 Carriers are tagged pairs (value, tag) with tags P, Pd, N, Nd so the four
 sorts stay disjoint.
+
+The element sweep of a rule runs one function compiled from the rule on its
+first use, which computes each sequent's truth as one nested `dict.get`
+expression over an assignment of the metavariables.  The
+template sweep and `interpret` evaluate terms and patterns column-wise,
+resolving each node's table once per batch of assignments.
 """
 
 from __future__ import annotations
@@ -29,7 +35,8 @@ from typing import NamedTuple
 
 from .syntax import (GROUP_OF, RESIDUATION_LAWS, STRUCT_SIG, Sort, Structure, Sequent,
                      _INFTY, formula_nodes, iter_structures)
-from .rules import REGISTRY, instantiate_sequent
+from .rules import (REGISTRY, AVar, Directed, FNode, FVar, SeqPat, SNode, SVar,
+                    instantiate_sequent)
 
 
 class AlgebraError(ValueError):
@@ -548,22 +555,20 @@ def valuations(a: FiniteFPLG, atoms):
         yield {(at.name, at.positive): v for at, v in zip(atoms, combo)}
 
 
-def _values(x, tables, leaf, strict: bool) -> tuple:
+def _values(x, tables, leaf) -> tuple:
     """Values of a structure, formula or pattern over a batch of assignments.
 
     A leaf structure is looked through to its formula.  `leaf` gives the
     column of an atom formula or a metavariable: one value per assignment.
     A node maps its table over the columns of its arguments, so every
-    connective is resolved once per batch.  Strict lookups raise KeyError on
-    a missing entry; the others yield None, which then propagates to the root.
+    connective is resolved once per batch; a missing entry raises KeyError.
     """
     if x.__class__ is Structure and x.conn is None:
         x = x.leaf
     if not getattr(x, "args", ()):
         return leaf(x)
-    cols = [_values(y, tables, leaf, strict) for y in x.args]
-    table = tables.get(x.conn, {})
-    look = table.__getitem__ if strict else table.get
+    cols = [_values(y, tables, leaf) for y in x.args]
+    look = tables.get(x.conn, {}).__getitem__
     return tuple(map(look, cols[0] if len(cols) == 1 else zip(*cols)))
 
 
@@ -580,8 +585,8 @@ def _truths(kind: str, a: FiniteFPLG, pre, suc, leaf) -> list[bool]:
     if kind not in view.relations:
         raise AlgebraError(f"no weakening relation interprets kind {kind!r}")
     shift, holds = view.relations[kind]
-    left = _values(pre, view.tables, leaf, True)
-    right = _values(suc, view.tables, leaf, True)
+    left = _values(pre, view.tables, leaf)
+    right = _values(suc, view.tables, leaf)
     if shift is not None:
         left = map(shift.__getitem__, left)
     return [pair in holds for pair in zip(left, right)]
@@ -610,44 +615,71 @@ class SoundnessReport:
         return not self.violations
 
 
+def _sweeper(rule: Directed):
+    """Straight-line code for the element sweep of `rule` on an instance: the
+    number of assignments checked and the violations.
+
+    The assignments are the product of the metavariables' carriers, in
+    sorted-name order; with a `limit`, only the first `limit` of them.  Each
+    sequent's truth is one nested `dict.get` expression over the assignment,
+    with each connective's table bound once per call.  A missing entry, or a
+    pair of no interpretable kind, gives None, which propagates to the root
+    and never counts as a violation.  The premises are evaluated only on the
+    assignments whose conclusion is False."""
+    names = sorted(rule.var_sorts)
+    index = {name: f"v{i}" for i, name in enumerate(names)}
+    looks: dict = {}            # connective -> the local bound to its table's get
+
+    def term(pat) -> str:
+        cls = pat.__class__
+        if cls is SVar or cls is FVar or cls is AVar:
+            return index[pat.name]
+        if (cls is not SNode and cls is not FNode) or not pat.args:
+            raise ValueError(f"cannot evaluate the pattern {pat!r}")
+        look = looks.setdefault(pat.conn, f"g{len(looks)}")
+        args = [term(p) for p in pat.args]
+        return f"{look}({args[0] if len(args) == 1 else '(' + ', '.join(args) + ')'})"
+
+    def truth(sp: SeqPat) -> str:
+        return f"t(({term(sp.pre)}, {term(sp.suc)}))"
+
+    conc = truth(rule.schema.conclusion)
+    prems = "".join(f" and {truth(sp)} is True" for sp in rule.schema.premises)
+    lines = ["def sweep(a, limit):", " view = a.view", " t = view.truth.get"]
+    lines += [f" {look} = view.tables.get({conn!r}, {{}}).get" for conn, look in looks.items()]
+    for i, name in enumerate(names):
+        pol, shifted = rule.var_sorts[name]
+        tags = [tag for tag, sh in zip(("P", "Pd") if pol else ("N", "Nd"), (False, True))
+                if shifted is None or shifted is sh]
+        lines.append(f" p{i} = {' + '.join(f'a.{tag}.elements' for tag in tags)}")
+    row = "".join(v + ", " for v in index.values()).rstrip()
+    pools = "product(" + ", ".join(f"p{i}" for i in range(len(names))) + ")"
+    env = "{" + ", ".join(f"{name!r}: {v}" for name, v in index.items()) + "}"
+    lines += [f" conc = [{conc} for ({row}) in islice({pools}, limit or None)]",
+              " if False not in conc: return len(conc), []",
+              f" return len(conc), [{env} for c, ({row}) in zip(conc, {pools})"
+              f" if c is False{prems}]"]
+    exec("\n".join(lines), {"islice": islice, "product": product}, scope := {})
+    return scope["sweep"]
+
+
 def check_rule_soundness(rule, a: FiniteFPLG, max_checks: int = 0) -> SoundnessReport:
     """Premises valid implies conclusion valid, for every element assignment.
 
     Structures denote elements, so sweeping metavariables over the carriers
     covers every instantiation shape; assignments whose premises or conclusion
-    land on an uninterpretable kind are vacuous and skipped.
+    land on an uninterpretable kind, or on a missing table entry, are vacuous
+    and skipped.  With `max_checks`, only that many assignments, taken in
+    product order, are checked.  Violations are listed in product order, as
+    dicts keyed by the sorted metavariable names.
     """
+    if max_checks < 0:
+        raise ValueError(f"max_checks must not be negative, got {max_checks}")
     if isinstance(rule, str):
         rule = REGISTRY[rule]
-    varspec = rule.var_sorts
-    names = sorted(varspec)
-    pools = []
-    for n in names:
-        pol, sh = varspec[n]
-        pure, shifted = (a.P, a.Pd) if pol else (a.N, a.Nd)
-        pools.append((pure.elements if sh is not True else ()) +
-                     (shifted.elements if sh is not False else ()))
-    combos = list(islice(product(*pools), max_checks or None))
-    if not combos:
-        return SoundnessReport(rule.name, 0, [])
-    view = a.view
-    cols = dict(zip(names, zip(*combos)))
-
-    def leaf(var):
-        return cols[var.name]
-
-    def truths(sp):
-        """Per assignment: True, False, or None (missing entry, no relation)."""
-        return map(view.truth.get, zip(_values(sp.pre, view.tables, leaf, False),
-                                       _values(sp.suc, view.tables, leaf, False)))
-
-    conc = list(truths(rule.schema.conclusion))
-    if False not in conc:   # no assignment can violate the rule
-        return SoundnessReport(rule.name, len(combos), [])
-    prems = [truths(sp) for sp in rule.schema.premises]
-    violations = [dict(zip(names, combo)) for combo, c, *ps in zip(combos, conc, *prems)
-                  if c is False and all(p is True for p in ps)]
-    return SoundnessReport(rule.name, len(combos), violations)
+    if rule.sweep is None:
+        rule.sweep = _sweeper(rule)
+    return SoundnessReport(rule.name, *rule.sweep(a, max_checks))
 
 
 @lru_cache(maxsize=8)
@@ -679,6 +711,8 @@ def check_rule_soundness_templates(rule, a: FiniteFPLG, atoms, depth: int = 2,
     schema over the concatenated rows of its members.  Violations are listed
     in product order, then in valuation order.
     """
+    if cap < 0:
+        raise ValueError(f"cap must not be negative, got {cap}")
     if isinstance(rule, str):
         rule = REGISTRY[rule]
     varspec = rule.var_sorts
@@ -748,7 +782,7 @@ def check_rule_soundness_templates(rule, a: FiniteFPLG, atoms, depth: int = 2,
                 for _, combo, (_, _, atom_leaf, values) in members:
                     st = combo[i]
                     if id(st) not in values:
-                        values[id(st)] = _values(st, tables, atom_leaf, True)
+                        values[id(st)] = _values(st, tables, atom_leaf)
                     col += values[id(st)]
             return cols[var.name]
 

@@ -24,7 +24,8 @@ from .syntax import (OP_OF_STRUCT, Structure, Sequent, Sort, PP, PS, NP, NS, dis
 from .rules import (REGISTRY, CUT_RULES, PRINCIPAL_LEFT, PRINCIPAL_RIGHT, candidates,
                     display_chain)
 from .kernel import (Derivation, KernelError, TONICITY_SIDES, derive, fold, iter_nodes,
-                     make_cut, match_rule, subst_at, struct_at, thread)
+                     make_cut, match_rule, MutationError, struct_at, subst_path,
+                     thread)
 from .standardize import ftom, ftoM
 
 
@@ -97,19 +98,29 @@ def mutate_sequent(seq: Sequent, targets, replacements, mu: Mutation) -> Sequent
     `targets` are positions of formula occurrences in `seq`; each replacement
     must have the sort the mutation assigns to its target.  Relabelling of
     enclosing connectives and of the turnstile is forced by the new sorts.
+    Each target is read in the sequent the earlier replacements left; a
+    relabelling keeps every display side, so targets apart from each other
+    read the same there.
     """
     if len(targets) != len(replacements):
         raise CutElimError("one replacement per target")
-    out = seq
-    for pos, repl in zip(targets, replacements):
-        pst = position_class(seq, pos)
-        old = struct_at(seq, pos)
-        old_sort = old.sort
-        if not mu.contains(old_sort, pst, repl.sort):
+    for (side, path), repl in zip(targets, replacements):
+        # one descent gives the structures above the target, its parent and
+        # the target; a path may go on into a leaf's formula, never substituted
+        node, nodes, into_formula = seq.pre if side == "pre" else seq.suc, [], False
+        for i in path:
+            nodes.append(node)
+            if node.conn is None and node.__class__ is Structure:
+                node, into_formula = node.leaf, True
+            node = node.args[i]
+        pst = display_side(nodes[-1].conn, path[-1]) if path else side
+        if not mu.contains(node.sort, pst, repl.sort):
             raise CutElimError(
-                f"{mu.name} does not contain {old_sort} --{pst}--> {repl.sort}")
-        out = subst_at(out, pos, repl)
-    return out
+                f"{mu.name} does not contain {node.sort} --{pst}--> {repl.sort}")
+        if into_formula:
+            raise MutationError("substitution path crosses into a formula")
+        seq = subst_path(seq, side, nodes, path, repl)
+    return seq
 
 
 # ---------------------------------------------------------------------------

@@ -297,38 +297,33 @@ class MutationError(KernelError):
     pass
 
 
-def subst_structure(st: Structure, path, repl: Structure) -> Structure:
-    """Replace the subtree at `path`, relabelling connectives whose argument
-    sorts no longer fit (the connective-level content of a mutation)."""
-    if not path:
-        return repl
-    i = path[0]
-    if st.conn is None:
-        raise MutationError("substitution path crosses into a formula")
-    args = list(st.args)
-    args[i] = subst_structure(st.args[i], path[1:], repl)
+def subst_path(seq: Sequent, side: str, nodes, path, repl: Structure) -> Sequent:
+    """`seq` with `repl` at `path` on `side`, where `nodes` are the structures
+    on the path above it, from the side down.  Each connective on the way up
+    whose argument sorts no longer fit is relabelled to the first member of
+    its group that fits (the connective-level content of a mutation)."""
+    for node, i in zip(reversed(nodes), reversed(path)):
+        args = list(node.args)
+        args[i] = repl
+        try:
+            repl = Structure(node.conn, None, tuple(args))
+        except SortError:
+            repl = _relabel(node.conn, tuple(args))
     try:
-        return Structure(st.conn, None, tuple(args))
-    except SortError:
-        for alt in GROUP_OF.get(st.conn, ()):
-            if alt == st.conn:
-                continue
-            try:
-                return Structure(alt, None, tuple(args))
-            except SortError:
-                continue
-        raise MutationError(f"star propagation reaches {st.conn!r}, which has "
-                            f"no mutation for the new argument sorts")
-
-
-def subst_at(seq: Sequent, pos, repl: Structure) -> Sequent:
-    side, path = pos
-    try:
-        if side == "pre":
-            return Sequent(subst_structure(seq.pre, path, repl), seq.suc)
-        return Sequent(seq.pre, subst_structure(seq.suc, path, repl))
+        return Sequent(repl, seq.suc) if side == "pre" else Sequent(seq.pre, repl)
     except SortError as e:
         raise MutationError(str(e)) from None
+
+
+def _relabel(conn: str, args: tuple) -> Structure:
+    for alt in GROUP_OF.get(conn, ()):
+        if alt != conn:
+            try:
+                return Structure(alt, None, args)
+            except SortError:
+                pass
+    raise MutationError(f"star propagation reaches {conn!r}, which has "
+                        f"no mutation for the new argument sorts")
 
 
 def identify_rule(conclusion: Sequent, premises) -> str | None:

@@ -574,7 +574,7 @@ def formula_nodes(x: Sequent | Structure | Formula) -> list[Formula]:
 # fixed depth.  The term walks that still recurse are one walk per job over
 # formulas and structures alike, looking through a leaf to its formula.  They
 # take one frame a level (the printers _text and translate.render_companion,
-# _map, standardize._standard, kernel.subst_structure) or two, where the
+# _map, standardize._standard) or two, where the
 # recursive call sits in a comprehension or generator expression (the readers
 # _read and translate._read, translate.polarize and depolarize,
 # algebra._values, str_of, form_of) or, for a parenthesis, in the parser's

@@ -15,16 +15,22 @@ before the rule was matched against the expected conclusion and the premises
 together: it built each candidate's conclusion forward from the premises and
 compared it with the expected one.  `test_cutelim_reference` requires the
 same rule to be picked.
+
+`mutate_sequent` is `fdlg.cutelim.mutate_sequent` as it read before one
+descent served the check and the substitution: it walked each target's path
+three times, for its position class, its old node and the substitution.
+`test_cutelim_reference` requires the same sequents and the same errors.
 """
 
 from __future__ import annotations
 
 from fdlg.cutelim import CutElimError, mutation_for, rebuild_chain
-from fdlg.kernel import (Derivation, KernelError, apply_rule_forward, derive, fold, make_cut,
-                         thread)
+from fdlg.kernel import (Derivation, KernelError, MutationError, apply_rule_forward, derive,
+                         fold, make_cut, struct_at, thread)
 from fdlg.rules import CUT_RULES, PRINCIPAL_LEFT, PRINCIPAL_RIGHT, REGISTRY, candidates
 from fdlg.standardize import ftoM, ftom
-from fdlg.syntax import NP, NS, PP, PS, render
+from fdlg.syntax import (GROUP_OF, NP, NS, PP, PS, Sequent, SortError, Structure,
+                         display_side, render)
 
 
 def _inv(name: str) -> str:
@@ -346,3 +352,56 @@ def reapply_by_building(hint, premises, expected):
         if conc == expected:
             return rule.name
     return None
+
+
+def position_class(seq, pos) -> str:
+    side, path = pos
+    if not path:
+        return side
+    return display_side(struct_at(seq, (side, path[:-1])).conn, path[-1])
+
+
+def subst_structure(st, path, repl):
+    if not path:
+        return repl
+    i = path[0]
+    if st.conn is None:
+        raise MutationError("substitution path crosses into a formula")
+    args = list(st.args)
+    args[i] = subst_structure(st.args[i], path[1:], repl)
+    try:
+        return Structure(st.conn, None, tuple(args))
+    except SortError:
+        for alt in GROUP_OF.get(st.conn, ()):
+            if alt == st.conn:
+                continue
+            try:
+                return Structure(alt, None, tuple(args))
+            except SortError:
+                continue
+        raise MutationError(f"star propagation reaches {st.conn!r}, which has "
+                            f"no mutation for the new argument sorts")
+
+
+def subst_at(seq, pos, repl):
+    side, path = pos
+    try:
+        if side == "pre":
+            return Sequent(subst_structure(seq.pre, path, repl), seq.suc)
+        return Sequent(seq.pre, subst_structure(seq.suc, path, repl))
+    except SortError as e:
+        raise MutationError(str(e)) from None
+
+
+def mutate_sequent(seq, targets, replacements, mu):
+    if len(targets) != len(replacements):
+        raise CutElimError("one replacement per target")
+    out = seq
+    for pos, repl in zip(targets, replacements):
+        pst = position_class(seq, pos)
+        old_sort = struct_at(seq, pos).sort
+        if not mu.contains(old_sort, pst, repl.sort):
+            raise CutElimError(
+                f"{mu.name} does not contain {old_sort} --{pst}--> {repl.sort}")
+        out = subst_at(out, pos, repl)
+    return out

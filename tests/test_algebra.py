@@ -155,6 +155,14 @@ def test_corrupted_rule_caught(chain2):
     assert not rep.ok
 
 
+def test_negative_sweep_bounds_are_rejected(chain2):
+    atoms = (Atom("p", True), Atom("n", False))
+    with pytest.raises(ValueError, match="max_checks must not be negative, got -1"):
+        check_rule_soundness("otimes_R", chain2, max_checks=-1)
+    with pytest.raises(ValueError, match="cap must not be negative, got -1"):
+        check_rule_soundness_templates("otimes_R", chain2, atoms, cap=-1)
+
+
 def test_representedness(chain2):
     # the relations represented by the two adjunctions are weakening relations
     eqql = {(p, nd) for p in chain2.P.elements for nd in chain2.Nd.elements

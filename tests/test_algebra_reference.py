@@ -1,9 +1,11 @@
 """The column-wise evaluator of `fdlg.algebra` against the node-by-node
 reference in `reference_algebra`, plus the reports on incomplete instances."""
 
+import copy
+import pickle
 import random
 import re
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from itertools import product
 from pathlib import Path
 
@@ -68,6 +70,82 @@ def test_max_checks_matches_reference(chain2):
         got = check_rule_soundness(name, chain2, max_checks=5)
         want = ref.check_rule_soundness(name, chain2, max_checks=5)
         assert (got.checked, got.violations) == (want.checked, want.violations) == (5, [])
+
+
+def _schema(name, premises, conclusion):
+    return Directed(RuleSchema(name, "tonicity", tuple(premises), conclusion))
+
+
+_X, _Y, _D = SVar("X", True), SVar("Y", True), SVar("D", False)
+_P, _Q = FVar("P", True), FVar("Q", True)
+# Rules built outside the registry: the corrupted rule; a repeated
+# metavariable, once an instance of dp(.*,./) and once unsound; and
+# connectives that no instance has a table for, inside the conclusion (a
+# missing entry there makes the whole conclusion undecided) and as the
+# premise of the corrupted rule (an undecided premise never holds).
+OUTSIDE_RULES = [
+    _corrupted(),
+    _schema("repeated", [SeqPat(_X, SNode("./", (_D, _X)))], SeqPat(SNode(".*", (_X, _X)), _D)),
+    _schema("repeated-unsound", [SeqPat(SNode(".*", (_X, _X)), _D)], SeqPat(_X, _D)),
+    _schema("no-table-in-conclusion", [SeqPat(_X, _P)],
+            SeqPat(SNode(".*", (SNode(".nope", (_X,)), _Y)), FNode("*", (_P, _Q)))),
+    _schema("no-table-in-premise", [SeqPat(SNode(".*", (_X, _Y)), FNode("nope", (_P, _Q)))],
+            SeqPat(_X, _P)),
+]
+
+
+def test_rules_outside_the_registry_match_reference(instances):
+    """The compiled sweep of each rule above gives the reference's report on
+    every instance, the incomplete ones included."""
+    violated = set()
+    for inst in instances:
+        for rule in OUTSIDE_RULES:
+            got = check_rule_soundness(rule, inst)
+            want = ref.check_rule_soundness(rule, inst)
+            assert (got.rule, got.checked, got.violations) == \
+                (rule.name, want.checked, want.violations), (inst.name, rule.name)
+            if got.violations:
+                violated.add(rule.name)
+    assert violated == {"bogus", "repeated-unsound"}
+
+
+@pytest.mark.parametrize("max_checks", [1, 5, 0])
+def test_max_checks_matches_reference_on_every_rule(chain2, max_checks):
+    for rule in [*REGISTRY.values(), *OUTSIDE_RULES]:
+        got = check_rule_soundness(rule, chain2, max_checks=max_checks)
+        want = ref.check_rule_soundness(rule, chain2, max_checks=max_checks)
+        assert (got.checked, got.violations) == (want.checked, want.violations), rule.name
+        if max_checks:
+            assert got.checked == min(max_checks, check_rule_soundness(rule, chain2).checked)
+    assert check_rule_soundness(_corrupted(), chain2, max_checks=1).checked == 1
+
+
+def test_a_rule_pickles_and_copies_after_its_sweep(diamond):
+    """The compiled sweep stays out of a rule's pickled and copied state; a
+    copy sweeps as the original does."""
+    for rule in (REGISTRY["otimes_R"], _corrupted()):
+        want = check_rule_soundness(rule, diamond)
+        for twin in (pickle.loads(pickle.dumps(rule)), copy.deepcopy(rule)):
+            assert twin is not rule and twin.schema == rule.schema
+            assert rule.sweep is not None and twin.sweep is None
+            got = check_rule_soundness(twin, diamond)
+            assert (got.rule, got.checked, got.violations) == \
+                (want.rule, want.checked, want.violations)
+    assert not check_rule_soundness(_corrupted(), diamond).ok
+
+
+@dataclass(frozen=True)
+class _Odd:
+    """A schema leaf of no pattern class, with a metavariable's fields."""
+    name: str
+    positive: bool
+    shifted: bool | None = None
+
+
+def test_a_pattern_of_an_unknown_class_is_rejected(chain2):
+    rule = _schema("odd", [SeqPat(_X, _P)], SeqPat(SNode(".*", (_Odd("Z", True), _Y)), _P))
+    with pytest.raises(ValueError, match="cannot evaluate the pattern"):
+        check_rule_soundness(rule, chain2)
 
 
 def _outcome(evaluate, seq, a, v):

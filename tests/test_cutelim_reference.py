@@ -6,6 +6,7 @@ which matches the rule, against building its conclusion and comparing."""
 
 import importlib.util
 import random
+from collections import Counter
 from pathlib import Path
 
 import reference_cutelim as ref
@@ -15,9 +16,9 @@ from fdlg.kernel import (KernelError, derivation_to_json, derive, identity_expan
                          neg_atoms_of, thread)
 from fdlg.rules import REGISTRY
 from fdlg.standardize import ftoM, ftom
-from fdlg.syntax import Atom, parse_formula, parse_structure
+from fdlg.syntax import Atom, parse_formula, parse_structure, signed_nodes
 
-from gen import random_cut_proof
+from gen import forward_closure, random_cut_proof
 from test_kernel import STRUCTURAL_CUT_CASES
 
 
@@ -128,3 +129,37 @@ def test_reapply_picks_the_rule_building_picked(monkeypatch):
     for d in proofs:
         cutelim.eliminate_cuts(d)
     assert len(proofs) == 800 and len(picks) > 10_000
+
+
+def _mutation_outcome(f, seq, targets, repls, mu):
+    try:
+        return f(seq, targets, repls, mu)
+    except (KernelError, ValueError, KeyError, IndexError) as e:
+        return f"{type(e).__name__}: {e}"
+
+
+def test_mutate_sequent_matches_reference():
+    """One descent per target gives the sequent, or the error, of the three
+    walks: every node position of the forward-closure sequents, paths into
+    a leaf's formula included, under every mutation, with replacements of
+    each sort, one target and two at a time."""
+    seqs = forward_closure(include_variants=True)
+    repls = [parse_structure(text, {"n"}) for text in
+             ("p", "n", ".dn n", ".up p", "p .* p", "n .(+) n", "p .\\ n", "q")]
+    counts = Counter()
+    for seq in seqs:
+        positions = [(side, path) for side in ("pre", "suc")
+                     for path, _, _ in signed_nodes(getattr(seq, side))]
+        for mu in cutelim.MUTATIONS:
+            for pos in dict.fromkeys(positions):
+                for repl in repls:
+                    got = _mutation_outcome(cutelim.mutate_sequent, seq, [pos], [repl], mu)
+                    assert got == _mutation_outcome(ref.mutate_sequent, seq, [pos], [repl], mu)
+                    kind = "sequent" if not isinstance(got, str) else got.split(":")[0]
+                    counts[kind] += 1
+            if seq.pre.conn is not None and seq.suc.conn is not None:
+                targets = [("pre", (0,)), ("suc", (0,))]
+                for a, b in zip(repls, repls[1:]):
+                    assert (_mutation_outcome(cutelim.mutate_sequent, seq, targets, [a, b], mu)
+                            == _mutation_outcome(ref.mutate_sequent, seq, targets, [a, b], mu))
+    assert min(counts[k] for k in ("sequent", "CutElimError", "MutationError")) > 100, counts

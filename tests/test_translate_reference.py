@@ -91,9 +91,16 @@ def _corrupt(rng: random.Random, d: Derivation, path, kind: str, conclusions) ->
 def test_check_flg_matches_reference_on_corrupted_derivations():
     """check_flg, which matches the fD.LG rule through polarization, gives
     the verdict and message of the apply-and-compare check on seeded
-    companion derivations with one corrupted node each."""
+    companion derivations with one corrupted node each.  Each derivation
+    applies a rule below its axioms: a one-node `Ax` is drawn again."""
     rng = random.Random(7005)
-    derivations = [random_flg_derivation(rng, 2 + i % 5) for i in range(300)]
+    derivations = []
+    for i in range(300):
+        d = random_flg_derivation(rng, 2 + i % 5)
+        while not d.premises:
+            d = random_flg_derivation(rng, 2 + i % 5)
+        derivations.append(d)
+    assert len(derivations) == 300 and all(d.premises for d in derivations)
     conclusions = [n.conclusion for d in derivations for _, n in kernel.iter_nodes(d)]
     kinds = ("rename", "conclusion", "drop", "duplicate", "reorder")
     rejected = dict.fromkeys(kinds, 0)
@@ -101,7 +108,7 @@ def test_check_flg_matches_reference_on_corrupted_derivations():
         assert check_flg(d) == ref.check_flg(d) == (True, "ok")
         inner = [path for path, node in kernel.iter_nodes(d) if node.premises]
         for kind in kinds:
-            bad = _corrupt(rng, d, rng.choice(inner or [()]), kind, conclusions)
+            bad = _corrupt(rng, d, rng.choice(inner), kind, conclusions)
             got = check_flg(bad)
             assert got == ref.check_flg(bad), (kind, bad)
             rejected[kind] += not got[0]
