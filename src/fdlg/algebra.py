@@ -713,6 +713,8 @@ def check_rule_soundness_templates(rule, a: FiniteFPLG, atoms, depth: int = 2,
     """
     if cap < 0:
         raise ValueError(f"cap must not be negative, got {cap}")
+    if depth < 1:
+        raise ValueError(f"depth must be at least 1, got {depth}")
     if isinstance(rule, str):
         rule = REGISTRY[rule]
     varspec = rule.var_sorts

@@ -138,13 +138,17 @@ def has_cut(d: Derivation) -> bool:
 def _reapply(hint: str, premises: tuple[Derivation, ...], expected: Sequent) -> Derivation:
     """Rebuild one rule application over mutated premises.
 
-    The original rule name is tried first; when the mutation renames the rule
-    (a variant postulate becoming its base instance, a shift adjoint becoming
-    a shift), the first candidate rule that the node instantiates, matched
-    with its premises as the kernel checks it, wins.
+    The original rule name is tried first, and the candidates are looked up
+    only if it fails; when the mutation renames the rule (a variant postulate
+    becoming its base instance, a shift adjoint becoming a shift), the first
+    candidate rule that the node instantiates, matched with its premises as
+    the kernel checks it, wins.
     """
     prem_seqs = [p.conclusion for p in premises]
-    for rule in (REGISTRY[hint], *candidates(expected)):
+    hinted = REGISTRY[hint]
+    if match_rule(hinted.name, expected, prem_seqs) is not None:
+        return Derivation(hinted.name, expected, premises)
+    for rule in candidates(expected):
         if match_rule(rule.name, expected, prem_seqs) is not None:
             return Derivation(rule.name, expected, premises)
     raise CutElimError(f"mutated instance of {hint} is not derivable "

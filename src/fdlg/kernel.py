@@ -548,17 +548,28 @@ _EXPANSION = {conn: (rule, sides) for rule, (conn, sides) in TONICITY_PREMISES.i
 
 
 def identity_expansion(psi: Structure) -> Derivation:
-    ftom(psi), ftoM(psi)                  # raise StandardizeError if undefined
+    """lo(psi) |- hi(psi).  Raises StandardizeError if a transform of psi is
+    undefined, checked once here: both are then defined on every structure
+    the expansion reaches.  A structural connective is skeleton at one sign,
+    where the transform goes on into its arguments, and PIA at the other,
+    where it reads the whole subtree operationally, which needs the subtree
+    free of l/r-variants and shift adjoints; a leaf never blocks, and neither
+    does the structural reading of a formula, which has neither."""
+    ftom(psi), ftoM(psi)
+    return _expand(psi)
+
+
+def _expand(psi: Structure) -> Derivation:
     if psi.conn is None:
         a = psi.leaf
         if a.conn is None:
             return derive("p-Id" if a.atom.positive else "n-Id", selector=a.atom)
-        return identity_expansion(str_of(a))
+        return _expand(str_of(a))
     c = psi.conn
     if c in (".dn", ".up"):     # over  Form(D) |- hi(D)  and  lo(X) |- Form(X)
-        return derive("down_L" if c == ".dn" else "up_R", identity_expansion(psi.args[0]))
+        return derive("down_L" if c == ".dn" else "up_R", _expand(psi.args[0]))
     if c not in _EXPANSION:
         raise KernelError(f"identity expansion undefined at {c!r}")
     rule, (side_l, side_r) = _EXPANSION[c]
-    return derive(rule, _fold(identity_expansion(psi.args[0]), side_l),
-                  _fold(identity_expansion(psi.args[1]), side_r))
+    return derive(rule, _fold(_expand(psi.args[0]), side_l),
+                  _fold(_expand(psi.args[1]), side_r))

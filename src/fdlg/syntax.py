@@ -11,10 +11,12 @@ which raises the error that names the connective, the arity or the argument.
 
 Sort, Atom, Formula, Structure and Sequent are immutable slotted values that
 cache their hash (Formula, Structure and Sequent on first use).  The hash is
-part of the determinism contract: it equals the hash of the field tuple, e.g.
-hash((conn, atom, args)) for a Formula, so under a fixed PYTHONHASHSEED set
-and dict iteration, and with it the order of search results, does not depend
-on how terms are stored.
+part of the determinism contract: it equals the hash of the field tuple less
+the field that is None, e.g. hash((conn, args)) for a Formula with a
+connective and hash((atom, ())) for an atom, so under a fixed PYTHONHASHSEED
+set and dict iteration, and with it the order of search results, does not
+depend on how terms are stored, nor on the process (before Python 3.12,
+hash(None) is the address of None).
 
 bowtie and infty share with their input every subterm that they map to
 itself, so bowtie(x) is x can hold.  A formula or structure that a call maps
@@ -375,7 +377,7 @@ class Formula(_Node):
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            h = hash((self.conn, self.atom, self.args))
+            h = hash((self.atom if self.conn is None else self.conn, self.args))
             _F_HASH(self, h)
         return h
 
@@ -426,7 +428,7 @@ class Structure(_Node):
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            h = hash((self.conn, self.leaf, self.args))
+            h = hash((self.leaf if self.conn is None else self.conn, self.args))
             _S_HASH(self, h)
         return h
 
@@ -909,41 +911,52 @@ def infty(x):
 def _levels(leaves: list, depth: int, sig: dict, make) -> Iterator:
     """Terms of at most `depth` levels over `leaves`: each level applies the
     connectives of `sig`, in order, to the argument tuples that fit their specs
-    and take an argument from the level below; repeats are dropped."""
+    and take an argument from the level below.
+
+    Each term is built once.  The leaves are yielded as given, but paired
+    without their repeats, so every level's terms are distinct, and so are
+    the levels.  A binary connective pairs the i-th term of the level below
+    with the older terms and with that level's terms from the i-th on, in
+    both orders: a pair of that level's i-th and j-th terms with j < i was
+    already made, in the same order, at the j-th."""
+    yield from leaves
     older: list = []
-    frontier = leaves
-    yield from frontier
+    frontier = list(dict.fromkeys(leaves))
     for _ in range(2, depth + 1):
         level: list = []
-        both = older + frontier
         for conn, (_, specs) in sig.items():
             if len(specs) == 1:
                 level.extend(make(conn, None, (a,)) for a in frontier if _fits(a.sort, specs[0]))
                 continue
             sl, sr = specs
-            fits = [(b, _fits(b.sort, sl), _fits(b.sort, sr)) for b in both]
-            for a, al, ar in fits[len(older):]:
+            fits = [(b, _fits(b.sort, sl), _fits(b.sort, sr)) for b in older + frontier]
+            old, new = fits[:len(older)], fits[len(older):]
+            for i, (a, al, ar) in enumerate(new):
                 if not (al or ar):
                     continue
-                for b, bl, br in fits:
+                for b, bl, br in old + new[i:]:
                     if al and br:
                         level.append(make(conn, None, (a, b)))
                     if ar and bl and b is not a:
                         level.append(make(conn, None, (b, a)))
-        seen = set()
-        level = [x for x in level if not (x in seen or seen.add(x))]
-        older = both
+        older = older + frontier
         frontier = level
         yield from level
 
 
 def iter_formulas(atoms: tuple[Atom, ...], depth: int) -> Iterator[Formula]:
+    """The formulas of at most `depth` levels over `atoms`, level by level;
+    `depth` is at least 1, checked at the call."""
+    if depth < 1:
+        raise ValueError(f"depth must be at least 1, got {depth}")
     return _levels([Formula(None, a) for a in atoms], depth, OP_SIG, Formula)
 
 
 def iter_structures(atoms: tuple[Atom, ...], depth: int,
                     include_variants: bool = True) -> Iterator[Structure]:
-    """Exhaustive up to the bound; the space grows fast, keep depth small."""
+    """Exhaustive up to the bound; the space grows fast, keep depth small.
+    The leaves are the formulas of `iter_formulas(atoms, depth)`, which checks
+    the depth at the call."""
     sig = {c: t for c, t in STRUCT_SIG.items()
            if include_variants or (c not in VARIANT_STRUCTS and c not in SHIFT_ADJOINTS)}
     return _levels([leaf(x) for x in iter_formulas(atoms, depth)], depth, sig, Structure)

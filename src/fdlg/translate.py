@@ -80,7 +80,7 @@ class CFormula(_Term):
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            h = hash((self.conn, self.atom, self.args))
+            h = hash((self.atom if self.conn is None else self.conn, self.args))
             _C_HASH(self, h)
         return h
 
@@ -159,7 +159,7 @@ class FStruct(_Term):
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            h = hash((self.conn, self.leaf, self.args))
+            h = hash((self.leaf if self.conn is None else self.conn, self.args))
             _FS_HASH(self, h)
         return h
 

@@ -1,4 +1,5 @@
-"""The exchange reader in its earlier form, kept as the reference.
+"""The exchange reader and identity expansion in their earlier forms, kept
+as the reference.
 
 `fdlg.kernel.derivation_from_json` reads all the conclusions of a document
 through one `syntax.SequentReader`, which reads a repeated side text once and
@@ -6,11 +7,18 @@ makes equal terms one object.  This module keeps the reader that parsed every
 conclusion from scratch, building a fresh term for each node of each side.
 The differential tests require both to give equal derivations, node for
 node, and the same ParseError messages.
+
+`fdlg.kernel.identity_expansion` checks that both standard transforms are
+defined once, at the root.  This module keeps the expansion that checked
+them again on every structure it recursed into, so quadratically in the
+depth; the differential test requires the same derivation or error.
 """
 
 from __future__ import annotations
 
-from fdlg.kernel import Derivation, read_document, read_nodes
+from fdlg.kernel import (_EXPANSION, Derivation, KernelError, _fold, derive, read_document,
+                         read_nodes)
+from fdlg.standardize import ftoM, ftom, str_of
 from fdlg.syntax import (STRUCT_SIG, Formula, ParseError, Sequent, Structure, f, fatom,
                          leaf, parse_raw, s)
 
@@ -47,3 +55,20 @@ def derivation_from_json(text: str) -> tuple[Derivation, frozenset[str]]:
     doc, neg = read_document(text)
     return read_nodes(doc, lambda rule, conclusion, premises: Derivation(
         rule, parse_sequent(conclusion, neg), premises)), neg
+
+
+def identity_expansion(psi: Structure) -> Derivation:
+    ftom(psi), ftoM(psi)                  # raise StandardizeError if undefined
+    if psi.conn is None:
+        a = psi.leaf
+        if a.conn is None:
+            return derive("p-Id" if a.atom.positive else "n-Id", selector=a.atom)
+        return identity_expansion(str_of(a))
+    c = psi.conn
+    if c in (".dn", ".up"):     # over  Form(D) |- hi(D)  and  lo(X) |- Form(X)
+        return derive("down_L" if c == ".dn" else "up_R", identity_expansion(psi.args[0]))
+    if c not in _EXPANSION:
+        raise KernelError(f"identity expansion undefined at {c!r}")
+    rule, (side_l, side_r) = _EXPANSION[c]
+    return derive(rule, _fold(identity_expansion(psi.args[0]), side_l),
+                  _fold(identity_expansion(psi.args[1]), side_r))

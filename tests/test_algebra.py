@@ -163,6 +163,13 @@ def test_negative_sweep_bounds_are_rejected(chain2):
         check_rule_soundness_templates("otimes_R", chain2, atoms, cap=-1)
 
 
+@pytest.mark.parametrize("depth", [0, -1])
+def test_template_depth_below_one_is_rejected(chain2, depth):
+    atoms = (Atom("p", True), Atom("n", False))
+    with pytest.raises(ValueError, match=f"depth must be at least 1, got {depth}"):
+        check_rule_soundness_templates("otimes_R", chain2, atoms, depth=depth)
+
+
 def test_representedness(chain2):
     # the relations represented by the two adjunctions are weakening relations
     eqql = {(p, nd) for p in chain2.P.elements for nd in chain2.Nd.elements

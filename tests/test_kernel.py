@@ -6,7 +6,8 @@ import random
 import pytest
 
 from fdlg.syntax import (Atom, Sequent, parse_sequent, parse_structure,
-                         render_sequent, leaf, bowtie, infty, signed_nodes)
+                         render_sequent, leaf, bowtie, infty, signed_nodes,
+                         iter_formulas, iter_structures)
 from fdlg import kernel
 from fdlg.kernel import (Derivation, CheckReport, check_derivation,
                          apply_rule_forward, backward_expansions, KernelError,
@@ -18,7 +19,7 @@ from fdlg.cutelim import has_cut, structural_cut
 from fdlg.focus import check_strong_focalization, minimize_proof
 from fdlg.corpus import golden_sequents
 from fdlg.search import SearchConfig, prove
-from fdlg.standardize import ftom, ftoM
+from fdlg.standardize import StandardizeError, ftom, ftoM
 from fdlg.rules import REGISTRY, CUT_RULES
 
 import reference_kernel as ref_kernel
@@ -141,6 +142,27 @@ def test_identity_expansion_embedded_shift_chain():
 def test_identity_expansion_rejects_variants():
     with pytest.raises(Exception):
         identity_expansion(parse_structure(".upl (dn n)", {"n"}))
+
+
+def _expansion_outcome(fn, psi):
+    """The exchange JSON of an expansion, or the type and message of its error."""
+    try:
+        return derivation_to_json(fn(psi), {"n"})
+    except Exception as e:  # noqa: BLE001 - any error must be the same one
+        return type(e), str(e)
+
+
+def test_identity_expansion_matches_reference():
+    """Every depth-2 structure over p and n, variants included, and the
+    leaves of the depth-3 formulas: the same derivation or the same error as
+    the expansion that checks the transforms at every level."""
+    atoms = (Atom("p", True), Atom("n", False))
+    inputs = [*iter_structures(atoms, 2), *map(leaf, iter_formulas(atoms, 3))]
+    outcomes = [_expansion_outcome(identity_expansion, psi) for psi in inputs]
+    assert outcomes == [_expansion_outcome(ref_kernel.identity_expansion, psi)
+                        for psi in inputs]
+    assert len(inputs) == 630
+    assert sum(isinstance(o, tuple) and o[0] is StandardizeError for o in outcomes) == 302
 
 
 def test_structural_cut_atomic():

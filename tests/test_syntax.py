@@ -1,8 +1,13 @@
 """Grammar, sorts, printing, and the two term symmetries."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fdlg
 from fdlg.syntax import (Atom, Formula, Sequent, Sort, SortError, ParseError, Structure,
                          PP, PS, NP, NS, parse_formula, parse_structure,
                          parse_sequent, render, render_sequent, sort_of, bowtie,
@@ -130,6 +135,15 @@ def test_roundtrip_exhaustive_small():
         assert parse_structure(render(st_), {"n"}) == st_
 
 
+@pytest.mark.parametrize("depth", [0, -1])
+def test_enumeration_depth_below_one_is_rejected(depth):
+    """At the call, before a term is asked for."""
+    atoms = (Atom("p", True), Atom("n", False))
+    for enumerate_ in (iter_formulas, iter_structures):
+        with pytest.raises(ValueError, match=f"depth must be at least 1, got {depth}"):
+            enumerate_(atoms, depth)
+
+
 @given(st.integers(0, 10**9), st.integers(2, 5))
 @settings(max_examples=120, deadline=None)
 def test_roundtrip_random(seed, depth):
@@ -212,9 +226,10 @@ def test_roundtrip_on_corpus(corpus_sequents):
 
 # ---------------------------------------------------------------------------
 # The term contract: immutable values whose hash is the hash of their field
-# tuple, so that set and dict iteration order under a fixed PYTHONHASHSEED
-# (and with it the order of search results) does not depend on the term
-# representation.
+# tuple less the field that is None, so that set and dict iteration order
+# under a fixed PYTHONHASHSEED (and with it the order of search results) does
+# not depend on the term representation, nor on the process: before Python
+# 3.12, hash(None) depends on the address of None.
 
 _FIELDS = {Atom: ("name", "positive"), Formula: ("conn", "atom", "args"),
            Structure: ("conn", "leaf", "args"), Sequent: ("pre", "suc")}
@@ -243,7 +258,8 @@ def test_hash_is_field_tuple_hash(seed):
     kinds = set()
     for x in _nodes(seq):
         kinds.add(type(x))
-        assert hash(x) == hash(tuple(getattr(x, n) for n in _FIELDS[type(x)]))
+        fields = tuple(getattr(x, n) for n in _FIELDS[type(x)])
+        assert hash(x) == hash(tuple(v for v in fields if v is not None))
     assert {Atom, Formula, Structure, Sequent} <= kinds
 
 
@@ -261,6 +277,28 @@ def test_independently_built_terms_are_equal(seed):
         assert x == y and hash(x) == hash(y)
     for copied in (copy.deepcopy(seq), pickle.loads(pickle.dumps(seq))):
         assert copied == seq and hash(copied) == hash(seq)
+
+
+_PRINT_HASHES = """
+from fdlg.syntax import parse_formula, parse_sequent
+from fdlg.translate import fleaf, fs, parse_cformula
+seq = parse_sequent("p .* (dn n) |- (n / p) ./ p", {"n"})
+a = parse_cformula("(p * q) / n", {"n"})
+for x in (parse_formula("p"), seq.pre.args[1].leaf, seq.pre, seq.suc.args[0], seq,
+          a, a.args[1], fleaf(a), fs(".*", fleaf(a.args[0]), fleaf(a.args[1]))):
+    print(type(x).__name__, hash(x))
+"""
+
+
+def test_hashes_agree_across_processes():
+    """Two processes under one PYTHONHASHSEED hash every kind of term alike,
+    atom leaves included, in both calculi."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fdlg.__file__)))
+    env = {**os.environ, "PYTHONHASHSEED": "0", "PYTHONPATH": src}
+    outs = [subprocess.run([sys.executable, "-c", _PRINT_HASHES], env=env,
+                           capture_output=True, check=True).stdout for _ in range(2)]
+    assert outs[0] == outs[1]
+    assert outs[0].count(b"\n") == 9
 
 
 def test_formula_never_equals_structure():

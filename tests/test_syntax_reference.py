@@ -2,6 +2,7 @@
 against the straightforward versions kept in `reference_syntax`."""
 
 import copy
+import hashlib
 import pickle
 import random
 import sys
@@ -24,16 +25,62 @@ FORMULAS = list(ref.iter_formulas(ATOMS, 3))
 STRUCTURES = list(ref.iter_structures(ATOMS, 2))
 SYMMETRIES = [(bowtie, ref.bowtie), (infty, ref.infty)]
 SLOTS = {bowtie: "_bowtie", infty: "_infty"}
+P, N, Q = Atom("p", True), Atom("n", False), Atom("q", True)
 
 
 def test_iter_formulas_matches_reference():
     assert list(iter_formulas(ATOMS, 3)) == FORMULAS
 
 
+@pytest.mark.parametrize("atoms, depth", [((P, N, Q), 3), ((P, P, N), 3), ((N,), 4), ((), 3),
+                                          (ATOMS, 1)])
+def test_iter_formulas_matches_reference_on_more_atoms(atoms, depth):
+    """Repeated atoms are yielded as given at the first level, and paired once."""
+    assert list(iter_formulas(atoms, depth)) == list(ref.iter_formulas(atoms, depth))
+
+
 @pytest.mark.parametrize("include_variants", [True, False])
 def test_iter_structures_matches_reference(include_variants):
     got = list(iter_structures(ATOMS, 2, include_variants))
     assert got == list(ref.iter_structures(ATOMS, 2, include_variants))
+
+
+# Structures stay at depth 2: at depth 3 over two atoms, the leaves alone are
+# the 160 depth-3 formulas, and each level above pairs the one below.
+@pytest.mark.parametrize("include_variants", [True, False])
+@pytest.mark.parametrize("atoms", [(P, P, N), (P, N, Q)])
+def test_iter_structures_matches_reference_on_more_atoms(atoms, include_variants):
+    got = list(iter_structures(atoms, 2, include_variants))
+    assert got == list(ref.iter_structures(atoms, 2, include_variants))
+
+
+def test_depth_4_formulas_are_pinned():
+    """The 38,554 formulas of depth 4 over p and n, in order, by digest."""
+    out = list(iter_formulas(ATOMS, 4))
+    assert len(out) == len(set(out)) == 38_554
+    digest = hashlib.sha256("\n".join(map(render, out)).encode()).hexdigest()
+    assert digest == "d311566b95bd4249926b829cf9043cc470e8cfa8ca87110efc18eefee4d044e5"
+
+
+def _constructions(monkeypatch, cls, run) -> int:
+    """How many objects of `cls` `run()` builds."""
+    count = 0
+    init = cls.__init__
+
+    def counted(self, *args):
+        nonlocal count
+        count += 1
+        init(self, *args)
+
+    monkeypatch.setattr(cls, "__init__", counted)
+    run()
+    monkeypatch.undo()
+    return count
+
+
+def test_each_term_is_built_once(monkeypatch):
+    assert _constructions(monkeypatch, Formula, lambda: list(iter_formulas(ATOMS, 4))) == 38_554
+    assert _constructions(monkeypatch, Structure, lambda: list(iter_structures(ATOMS, 2))) == 470
 
 
 def _same_image(new, old, x):

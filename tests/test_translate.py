@@ -283,8 +283,8 @@ def test_companion_terms_are_slotted_values():
     twin = parse_cformula("(p * q) / n", {"n"})
     x = fs(".*", fleaf(a.args[0]), fleaf(catom("q")))
     assert a is not twin and a == twin and hash(a) == hash(twin)
-    assert hash(a) == hash((a.conn, a.atom, a.args))
-    assert hash(x) == hash((x.conn, x.leaf, x.args))
+    assert hash(a) == hash((a.conn, a.args)) and hash(a.args[1]) == hash((a.args[1].atom, ()))
+    assert hash(x) == hash((x.conn, x.args)) and hash(x.args[0]) == hash((x.args[0].leaf, ()))
     assert a != parse_cformula("(p * q) / n") and catom("p") != parse_formula("p")
     for y in (a, x):
         assert pickle.loads(pickle.dumps(y)) == y and copy.deepcopy(y) == y
