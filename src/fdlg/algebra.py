@@ -33,8 +33,9 @@ from functools import cached_property, lru_cache
 from itertools import accumulate, islice, product
 from typing import NamedTuple
 
-from .syntax import (GROUP_OF, RESIDUATION_LAWS, STRUCT_SIG, Sort, Structure, Sequent,
-                     _INFTY, formula_nodes, iter_structures)
+from .syntax import (GROUP_OF, NP, NS, PP, PS, RESIDUATION_LAWS, STRUCT_SIG, UNDERIVABLE_KINDS,
+                     Sort, Structure, Sequent, _INFTY, formula_nodes, iter_structures,
+                     sequent_kind)
 from .rules import (REGISTRY, AVar, Directed, FNode, FVar, SeqPat, SNode, SVar,
                     instantiate_sequent)
 
@@ -231,12 +232,11 @@ _SHIFTS = {sh: (_carrier(Sort(*STRUCT_SIG["." + sh][1][0])),
            for sh in ("up", "upl", "dn", "dnr")}
 
 
-# interpretable (precedent tag, succedent tag) pairs and their sequent kinds
-_KIND_BY_TAGS = {
-    ("P", "P"): "r", ("P", "Pd"): "r.", ("Pd", "Pd"): "r:",
-    ("N", "N"): "b", ("Nd", "N"): "b_", ("Nd", "Nd"): "b:",
-    ("P", "N"): "n", ("Pd", "N"): "n_", ("P", "Nd"): "n.",
-}
+# interpretable (precedent tag, succedent tag) pairs and their sequent kinds:
+# every sort pair of a sequent whose kind is derivable
+_KIND_BY_TAGS = {(_carrier(x), _carrier(y)): sequent_kind(x, y)
+                 for x, y in product((PP, PS, NP, NS), repeat=2)
+                 if (x.positive or not y.positive) and sequent_kind(x, y) not in UNDERIVABLE_KINDS}
 _COLLAGE_TAGS = frozenset((("P", "Nd"), ("P", "N"), ("Pd", "N")))
 
 
@@ -916,16 +916,6 @@ def builtin(name: str) -> FiniteFPLG:
     raise AlgebraError(f"unknown builtin {name!r}")
 
 
-def _small_posets(max_size: int):
-    out = [chain_poset(1, "a"), chain_poset(2, "a"), chain_poset(3, "a")]
-    if max_size >= 2:
-        out.append(poset_from_pairs(("a0", "a1"), ()))          # antichain
-    if max_size >= 3:
-        out.append(poset_from_pairs(("a0", "a1", "a2"), {("a0", "a1"), ("a0", "a2")}))
-        out.append(poset_from_pairs(("a0", "a1", "a2"), {("a0", "a2"), ("a1", "a2")}))
-    return [p for p in out if len(p.elements) <= max_size]
-
-
 def _renamed(poset: FinitePoset, prefix: str) -> FinitePoset:
     """The poset with its i-th element renamed prefix + i."""
     new = {x: f"{prefix}{i}" for i, x in enumerate(poset.elements)}
@@ -938,8 +928,9 @@ def _retag(poset: FinitePoset, tag: str) -> FinitePoset:
                        frozenset(((x, tag), (y, tag)) for (x, y) in poset.leq))
 
 
-def _compatible_wrs(p: FinitePoset, q: FinitePoset, rng, limit=6):
-    """Some weakening relations p -> q: up-closed unions of principal blocks."""
+def _compatible_wrs(p: FinitePoset, q: FinitePoset, rng):
+    """Up to five weakening relations p -> q: up-closed unions of principal
+    blocks."""
     pairs = [(x, y) for x in p.elements for y in q.elements]
     out = []
     for _ in range(60):
@@ -950,14 +941,14 @@ def _compatible_wrs(p: FinitePoset, q: FinitePoset, rng, limit=6):
                         for y2 in q.elements if q.le(y, y2))
         if rel not in out:
             out.append(rel)
-        if len(out) >= limit:
+        if len(out) >= 5:
             break
     return out
 
 
-def _fused_instances(p_seed: FinitePoset, n_seed: FinitePoset, w, rng,
-                     cap: int, name: str):
-    """Instances whose shifted carriers mirror the opposite pure carrier.
+def _fused_instances(p_seed: FinitePoset, n_seed: FinitePoset, w, rng):
+    """Up to three instances, named "fused", whose shifted carriers mirror
+    the opposite pure carrier.
 
     The two collages coincide with the collage of the seed relation, and the
     variants coincide with the base operations up to retagging, so a full
@@ -980,11 +971,10 @@ def _fused_instances(p_seed: FinitePoset, n_seed: FinitePoset, w, rng,
     cells_p, cells_n = list(product(rp, rp)), list(product(rn, rn))
     cells_pn, cells_np = list(product(rp, rn)), list(product(rn, rp))
 
-    def tables(cells, values, limit=3000):
+    def tables(cells, values):            # all of them, or 3000 random ones
         n = len(values)
         count = n ** len(cells)
-        idxs = range(count) if count <= limit else \
-            (rng.randrange(count) for _ in range(limit))
+        idxs = range(count) if count <= 3000 else (rng.randrange(count) for _ in range(3000))
         for i in idxs:
             t = {}
             for c in cells:
@@ -1046,13 +1036,13 @@ def _fused_instances(p_seed: FinitePoset, n_seed: FinitePoset, w, rng,
         return triple if triple and triple[1] == osl else None
 
     def triples(cells, values, derive):
-        """The first max(2, cap) triples derived from the candidate tables."""
+        """The first three triples derived from the candidate tables."""
         found = []
         for t in tables(cells, values):
             triple = derive(t)
             if triple:
                 found.append(triple)
-            if len(found) >= max(2, cap):
+            if len(found) >= 3:
                 break
         return found
 
@@ -1082,11 +1072,11 @@ def _fused_instances(p_seed: FinitePoset, n_seed: FinitePoset, w, rng,
         ops = dict(zip(("*", "\\", "/", "(+)", "(/)", "(\\)"), prod_triple + plus_triple))
         variants = {v: {cell: (ops[base][at][0], tgt) for cell, at in cells}
                     for v, base, tgt, cells in shapes}
-        inst = FiniteFPLG(name, *carriers.values(), *_identity_shifts(carriers),
+        inst = FiniteFPLG("fused", *carriers.values(), *_identity_shifts(carriers),
                           wr_sp, wr_pn, wr_sn, ops, variants)
         if not check_fplg_axioms(inst):
             out.append(inst)
-        if len(out) >= cap:
+        if len(out) >= 3:
             break
     return out
 
@@ -1129,14 +1119,17 @@ def random_instances(count: int, seed: int = 0) -> list[FiniteFPLG]:
     rng = random.Random(seed)
     out: list[FiniteFPLG] = [builtin("chain2"), builtin("chain3"),
                              from_lg(lg_from_lattice(chain_poset(1)), "chain1")]
-    shapes = [(p, n) for p in _small_posets(3) for n in _small_posets(3)
-              if len(p.elements) + len(n.elements) <= 4]
+    # seeds: the chains of 1 to 3 elements, the 2-element antichain, V and its dual
+    posets = [chain_poset(1, "a"), chain_poset(2, "a"), chain_poset(3, "a"),
+              poset_from_pairs(("a0", "a1"), ()),
+              poset_from_pairs(("a0", "a1", "a2"), {("a0", "a1"), ("a0", "a2")}),
+              poset_from_pairs(("a0", "a1", "a2"), {("a0", "a2"), ("a1", "a2")})]
+    shapes = [(p, n) for p in posets for n in posets if len(p.elements) + len(n.elements) <= 4]
     rng.shuffle(shapes)
     for p_seed, n_seed in shapes:
         p2, n2 = _renamed(p_seed, "p"), _renamed(n_seed, "n")
-        for w in _compatible_wrs(p2, n2, rng, limit=5):
-            got = _fused_instances(p2, n2, w, rng, cap=3, name="fused")
-            for inst in got:
+        for w in _compatible_wrs(p2, n2, rng):
+            for inst in _fused_instances(p2, n2, w, rng):
                 named = replace(inst, name=f"fused-{len(out)}")
                 out.append(named)
                 dual = dual_instance(named)

@@ -11,7 +11,7 @@ import argparse
 import sys
 
 from .syntax import (parse_sequent, parse_formula, render_sequent, render,
-                     ParseError, SortError)
+                     ParseError, SortError, _LATEX)
 from .kernel import (Derivation, check_derivation, derivation_to_json,
                      derivation_from_json, neg_atoms_of, iter_nodes, fold, KernelError)
 from .standardize import standard_sequent, StandardizeError
@@ -22,7 +22,7 @@ from .translate import (translate_to_fdlg, translate_to_flg, flg_to_json,
                         flg_from_json, TranslateError)
 from .algebra import (builtin, parse_algebra, check_fplg_axioms,
                       check_rule_soundness, AlgebraError)
-from .rules import REGISTRY
+from .rules import REGISTRY, _LOGICAL_NAMES
 
 USAGE_ERRORS = (ParseError, SortError, LexiconError, AlgebraError, ValueError)
 
@@ -38,20 +38,16 @@ def _read_doc(path: str | None) -> str:
         return fh.read()
 
 
+# Rule labels: a logical rule's is its connective's, a structural shift
+# rule's its structural shift's.
 _RULE_LATEX = {
     "p-Id": r"p\text{-Id}", "n-Id": r"n\text{-Id}",
-    "otimes_L": r"\otimes_L", "otimes_R": r"\otimes_R",
-    "oplus_L": r"\oplus_L", "oplus_R": r"\oplus_R",
-    "oslash_L": r"\varoslash_L", "oslash_R": r"\varoslash_R",
-    "obslash_L": r"\varobslash_L", "obslash_R": r"\varobslash_R",
-    "under_L": r"\backslash_L", "under_R": r"\backslash_R",
-    "over_L": r"/_L", "over_R": r"/_R",
-    "down_L": r"\downarrow_L", "down_R": r"\downarrow_R",
-    "up_L": r"\uparrow_L", "up_R": r"\uparrow_R",
-    "s-down": r"\check{\downarrow}", "s-down'": r"\check{\downarrow}",
-    "s-up": r"\hat{\uparrow}", "s-up'": r"\hat{\uparrow}",
     "P-Cut": r"\text{P-Cut}", "N-Cut": r"\text{N-Cut}",
     "Pn-Cut": r"\text{Pn-Cut}", "nN-Cut": r"\text{nN-Cut}",
+    **{name + side: _LATEX[op] + side for op, name in _LOGICAL_NAMES.items()
+       for side in ("_L", "_R")},
+    **{f"s-{_LOGICAL_NAMES[op]}{prime}": _LATEX["." + op] for op in ("dn", "up")
+       for prime in ("", "'")},
 }
 
 

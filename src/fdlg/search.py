@@ -106,26 +106,20 @@ def _wrap_path(d: Derivation, path) -> Derivation:
 
 
 def prove(goal: Sequent, cfg: SearchConfig | None = None) -> list[Derivation]:
-    """All minimal proofs of `goal` up to the height bound, deduplicated.
+    """All minimal proofs of `goal` up to the height bound.
 
     Complete for the minimal-proof search space within cfg.max_depth; an
     empty list means no proof was found within the bounds.  max_solutions
-    caps the returned list (the enumeration order is deterministic).
+    caps the returned list (the enumeration order is deterministic).  No
+    proof comes twice: the members of an orbit are distinct, and a rule
+    matches a conclusion in one way only.
 
     Each orbit and each sequent's steps are computed once per call and
     dropped on return; subgoal results are not tabled.
     """
     cfg = cfg or SearchConfig()
     sols = _prove(goal, cfg.max_depth, frozenset(), {}, {})
-    uniq: list[Derivation] = []
-    seen = set()
-    for d in sols:
-        if d not in seen:
-            seen.add(d)
-            uniq.append(d)
-    if cfg.max_solutions:
-        uniq = uniq[:cfg.max_solutions]
-    return uniq
+    return sols[:cfg.max_solutions] if cfg.max_solutions else sols
 
 
 def _prove(goal: Sequent, depth: int, visited: frozenset, orbits: dict,

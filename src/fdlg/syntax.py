@@ -9,6 +9,13 @@ from a connective and the sorts of its arguments to the target sort, so a
 well-sorted node costs one lookup; a miss falls through to the full check,
 which raises the error that names the connective, the arity or the argument.
 
+Only the eight operational connectives, with their family and order type,
+their structural counterparts and the two shift adjoints are written out.
+The twelve l/r-variants' signatures, the variant groups, FAMILY, ORDER_TYPE,
+STRUCT_OF_OP and both symmetries' tables are derived from them at import,
+and a sequent's turnstile kind is a function of its two sorts
+(sequent_kind).
+
 Sort, Atom, Formula, Structure and Sequent are immutable slotted values that
 cache their hash (Formula, Structure and Sequent on first use).  The hash is
 part of the determinism contract: it equals the hash of the field tuple less
@@ -138,6 +145,12 @@ OP_SIG: dict[str, tuple[Sort, tuple[tuple[bool, bool | None], ...]]] = {
     "up": (NS, ((True, False),)),
 }
 
+# Family F holds the left adjoints/residuals, G the right ones; in an order
+# type, 1 is a covariant and 'd' a contravariant coordinate.
+_OP_TYPES = {"*": ("F", (1, 1)), "(/)": ("F", (1, "d")), "(\\)": ("F", ("d", 1)),
+             "(+)": ("G", (1, 1)), "\\": ("G", ("d", 1)), "/": ("G", (1, "d")),
+             "dn": ("G", (1,)), "up": ("F", (1,))}
+
 STRUCT_SIG: dict[str, tuple[Sort, tuple[tuple[bool, bool | None], ...]]] = {
     ".*": (PP, (_ANY_P, _ANY_P)),
     ".(/)": (PP, (_ANY_P, _ANY_N)),
@@ -149,43 +162,39 @@ STRUCT_SIG: dict[str, tuple[Sort, tuple[tuple[bool, bool | None], ...]]] = {
     ".dnr": (PP, ((False, True),)),
     ".up": (NS, ((True, False),)),
     ".upl": (NP, ((True, True),)),
-    # l/r-variants: same underlying arities, shifted targets
-    ".(+)l": (PS, (_ANY_P, _ANY_N)),
-    ".(+)r": (PS, (_ANY_N, _ANY_P)),
-    ".\\l": (PS, (_ANY_N, _ANY_N)),
-    ".\\r": (PS, (_ANY_P, _ANY_P)),
-    "./l": (PS, (_ANY_P, _ANY_P)),
-    "./r": (PS, (_ANY_N, _ANY_N)),
-    ".*l": (NS, (_ANY_N, _ANY_P)),
-    ".*r": (NS, (_ANY_P, _ANY_N)),
-    ".(/)l": (NS, (_ANY_N, _ANY_N)),
-    ".(/)r": (NS, (_ANY_P, _ANY_P)),
-    ".(\\)l": (NS, (_ANY_P, _ANY_P)),
-    ".(\\)r": (NS, (_ANY_N, _ANY_N)),
 }
+# The l (r) variant of a binary connective takes its argument 0 (1) at the
+# opposite polarity and targets the shifted sort of the opposite polarity;
+# the G-connectives' variants come first.
+for _c in sorted((c for c, (_, specs) in OP_SIG.items() if len(specs) == 2),
+                 key=lambda c: _OP_TYPES[c][0] == "F"):
+    _target, _specs = OP_SIG[_c]
+    for _i, _side in enumerate("lr"):
+        STRUCT_SIG[f".{_c}{_side}"] = (NS if _target.positive else PS, tuple(
+            (pol != (j == _i), sh) for j, (pol, sh) in enumerate(_specs)))
 
-# Family F holds the left adjoints/residuals, G the right ones; l/r-variants
-# and shift adjoints inherit the family of their base connective.
-FAMILY: dict[str, str] = {}
-for _t in ("*", "(/)", "(\\)", "up",
-           ".*", ".*l", ".*r", ".(/)", ".(/)l", ".(/)r",
-           ".(\\)", ".(\\)l", ".(\\)r", ".up", ".upl"):
-    FAMILY[_t] = "F"
-for _t in ("(+)", "\\", "/", "dn",
-           ".(+)", ".(+)l", ".(+)r", ".\\", ".\\l", ".\\r",
-           "./", "./l", "./r", ".dn", ".dnr"):
-    FAMILY[_t] = "G"
+STRUCT_OF_OP = {c: "." + c for c in OP_SIG}
+OP_OF_STRUCT = {v: k for k, v in STRUCT_OF_OP.items()}
 
-# Order types: 1 = covariant, 'd' = contravariant coordinate.
-ORDER_TYPE: dict[str, tuple] = {}
-for _t in ("*", ".*", ".*l", ".*r", "(+)", ".(+)", ".(+)l", ".(+)r"):
-    ORDER_TYPE[_t] = (1, 1)
-for _t in ("\\", ".\\", ".\\l", ".\\r", "(\\)", ".(\\)", ".(\\)l", ".(\\)r"):
-    ORDER_TYPE[_t] = ("d", 1)
-for _t in ("/", "./", "./l", "./r", "(/)", ".(/)", ".(/)l", ".(/)r"):
-    ORDER_TYPE[_t] = (1, "d")
-for _t in ("up", "dn", ".up", ".upl", ".dn", ".dnr"):
-    ORDER_TYPE[_t] = (1,)
+VARIANT_STRUCTS = frozenset(t for t in STRUCT_SIG
+                            if t not in OP_OF_STRUCT and t not in (".upl", ".dnr"))
+SHIFT_ADJOINTS = frozenset((".upl", ".dnr"))
+STRUCT_SHIFTS = frozenset((".up", ".upl", ".dn", ".dnr"))
+
+# Variant group for each structural connective: its base, then the base's
+# variants or shift adjoint, named by a suffix.  Used when a substituted
+# argument changes purity or polarity and the node has to be relabelled.
+_GROUPS: dict[str, tuple[str, ...]] = {}
+for _t in STRUCT_SIG:
+    _b = _t if _t in OP_OF_STRUCT else _t[:-1]
+    _GROUPS[_b] = _GROUPS.get(_b, ()) + (_t,)
+GROUP_OF = {t: g for g in _GROUPS.values() for t in g}
+
+# A connective of either layer has the family and order type of its base.
+FAMILY: dict[str, str] = {t: fam for c, (fam, _) in _OP_TYPES.items()
+                          for t in (c, *_GROUPS["." + c])}
+ORDER_TYPE: dict[str, tuple] = {t: order for c, (_, order) in _OP_TYPES.items()
+                                for t in (c, *_GROUPS["." + c])}
 _ANTITONE = {c: tuple(t != 1 for t in o) for c, o in ORDER_TYPE.items()}  # sign flips
 
 
@@ -202,28 +211,6 @@ def display_side(conn: str, i: int) -> str:
     of a G-connective, else the succedent."""
     return "pre" if (FAMILY[conn] == "F") == (ORDER_TYPE[conn][i] == 1) else "suc"
 
-
-STRUCT_OF_OP = {"*": ".*", "(+)": ".(+)", "\\": ".\\", "/": "./",
-                "(/)": ".(/)", "(\\)": ".(\\)", "up": ".up", "dn": ".dn"}
-OP_OF_STRUCT = {v: k for k, v in STRUCT_OF_OP.items()}
-
-VARIANT_STRUCTS = frozenset(t for t in STRUCT_SIG
-                            if t not in OP_OF_STRUCT and t not in (".upl", ".dnr"))
-SHIFT_ADJOINTS = frozenset((".upl", ".dnr"))
-STRUCT_SHIFTS = frozenset((".up", ".upl", ".dn", ".dnr"))
-
-# Variant group for each base structural connective, used when a substituted
-# argument changes purity or polarity and the node has to be relabelled.
-_GROUPS = (
-    (".*", ".*l", ".*r"), (".(+)", ".(+)l", ".(+)r"),
-    (".\\", ".\\l", ".\\r"), ("./", "./l", "./r"),
-    (".(/)", ".(/)l", ".(/)r"), (".(\\)", ".(\\)l", ".(\\)r"),
-    (".up", ".upl"), (".dn", ".dnr"),
-)
-GROUP_OF: dict[str, tuple[str, ...]] = {}
-for _g in _GROUPS:
-    for _t in _g:
-        GROUP_OF[_t] = _g
 
 # The two residuation law shapes over variables 0, 1, 2.  A clause
 # (group, i, j, k, left) is the sequent with the group's connective over
@@ -354,6 +341,8 @@ class Formula(_Node):
                 raise SortError("atom formula must carry an Atom and no arguments")
             sort = PP if atom.positive else NP
         else:
+            if atom is not None:
+                raise SortError(f"a {conn} formula carries no atom")
             sort = None  # one lookup; a miss takes the full check below
             try:
                 if len(args) == 2 and type(args[0]) is Formula is type(args[1]):
@@ -405,6 +394,8 @@ class Structure(_Node):
                 raise SortError("leaf structure must carry a formula and no arguments")
             sort = leaf.sort
         else:
+            if leaf is not None:
+                raise SortError(f"a {conn} structure carries no formula leaf")
             sort = None  # one lookup; a miss takes the full check below
             try:
                 if len(args) == 2 and type(args[0]) is Structure is type(args[1]):
@@ -465,6 +456,17 @@ def s(conn: str, *args: Structure) -> Structure:
 UNDERIVABLE_KINDS = frozenset(("r_", "b.", "n:"))
 
 
+def sequent_kind(pre: Sort, suc: Sort) -> str:
+    """The turnstile kind of a sequent whose sides have sorts pre and suc.
+
+    Codes: family 'r' (positive), 'b' (negative), 'n' (neutral), plus a
+    purity marker: '' both pure, '_' shifted|-pure, '.' pure|-shifted,
+    ':' both shifted.
+    """
+    fam = "n" if pre.positive != suc.positive else "r" if pre.positive else "b"
+    return fam + ("", ".", "_", ":")[2 * pre.shifted + suc.shifted]
+
+
 class Sequent(_Term):
     __slots__ = ("pre", "suc", "_hash")
     _fields = ("pre", "suc")
@@ -495,22 +497,8 @@ class Sequent(_Term):
 
     @property
     def kind(self) -> str:
-        """Turnstile kind, a pure function of the sort pair.
-
-        Codes: family 'r' (positive), 'b' (negative), 'n' (neutral), plus a
-        purity marker: '' both pure, '_' shifted|-pure, '.' pure|-shifted,
-        ':' both shifted.
-        """
-        ps, ss = self.pre.sort, self.suc.sort
-        if ps.positive and ss.positive:
-            fam = "r"
-        elif not ps.positive and not ss.positive:
-            fam = "b"
-        else:
-            fam = "n"
-        mark = {(False, False): "", (True, False): "_",
-                (False, True): ".", (True, True): ":"}[(ps.shifted, ss.shifted)]
-        return fam + mark
+        """Turnstile kind, a pure function of the sort pair (sequent_kind)."""
+        return sequent_kind(self.pre.sort, self.suc.sort)
 
     def __repr__(self) -> str:
         return f"<{render_sequent(self)}>"
@@ -824,28 +812,25 @@ def render(x, style: str = "ascii", color: bool = False) -> str:
 
 def _involution(*pairs) -> dict:
     """Connective -> (image, whether the arguments trade places: for both
-    symmetries, iff binary), from pairs that map to each other; built so, the
-    table is an involution, which the back-links of _map rely on."""
+    symmetries, iff binary), from the pairs of operational connectives that
+    map to each other.  Their groups map member to member, base to base and
+    l to r where the arguments trade places.  Built so, the table is an
+    involution, which the back-links of _map rely on."""
     table = {}
     for c, d in pairs:
-        table[c] = (d, len(ORDER_TYPE[c]) == 2)
-        table[d] = (c, len(ORDER_TYPE[d]) == 2)
+        swap = len(ORDER_TYPE[c]) == 2
+        image = _GROUPS["." + d]
+        if swap:
+            image = (image[0], image[2], image[1])
+        for x, y in zip((c, *_GROUPS["." + c]), (d, *image)):
+            table[x] = (y, swap)
+            table[y] = (x, swap)
     return table
 
 
-_BOWTIE = _involution(
-    ("*", "*"), ("(+)", "(+)"), ("\\", "/"), ("(/)", "(\\)"), ("up", "up"), ("dn", "dn"),
-    (".*", ".*"), (".(+)", ".(+)"), (".\\", "./"), (".(/)", ".(\\)"),
-    (".up", ".up"), (".upl", ".upl"), (".dn", ".dn"), (".dnr", ".dnr"),
-    (".\\l", "./r"), (".\\r", "./l"), (".*l", ".*r"), (".(+)l", ".(+)r"),
-    (".(/)l", ".(\\)r"), (".(/)r", ".(\\)l"),
-)
-_INFTY = _involution(
-    ("*", "(+)"), ("\\", "(/)"), ("/", "(\\)"), ("up", "dn"),
-    (".*", ".(+)"), (".\\", ".(/)"), ("./", ".(\\)"), (".up", ".dn"), (".upl", ".dnr"),
-    (".\\l", ".(/)r"), (".\\r", ".(/)l"), (".*l", ".(+)r"), (".*r", ".(+)l"),
-    ("./l", ".(\\)r"), ("./r", ".(\\)l"),
-)
+_BOWTIE = _involution(("*", "*"), ("(+)", "(+)"), ("\\", "/"), ("(/)", "(\\)"),
+                      ("up", "up"), ("dn", "dn"))
+_INFTY = _involution(("*", "(+)"), ("\\", "(/)"), ("/", "(\\)"), ("up", "dn"))
 
 
 def _map(x, sym):

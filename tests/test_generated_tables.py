@@ -1,16 +1,23 @@
 """The rule inventory, generated from the signature and the residuation laws,
 and the display tables read off its display chains, against the hand-typed
-inventory and tables kept in `reference_rules` and `reference_cutelim`."""
+inventory and tables kept in `reference_rules` and `reference_cutelim`; and
+the connective tables that `syntax` derives from its eight operational
+connectives, against the hand-typed tables they replaced."""
 
 import os
+import random
 import subprocess
 import sys
+
+from hypothesis import given, settings, strategies as st
 
 import reference_cutelim as ref_cutelim
 import reference_rules as ref
 import reference_translate as ref_translate
-from fdlg import cutelim, kernel, rules, translate
-from fdlg.syntax import NP, NS, PP, PS
+from fdlg import algebra, cli, cutelim, kernel, rules, syntax, translate
+from fdlg.syntax import NP, NS, PP, PS, Sort, SortError, infty, s as snode
+
+from gen import random_structure
 
 SORTS = (PP, PS, NP, NS)
 
@@ -121,3 +128,124 @@ def test_generated_tables_do_not_depend_on_the_hash_seed():
                                    capture_output=True, check=True).stdout)
     assert outs[0] == outs[1]
     assert outs[0].count(b"\n") == 64 + 6 + 6 + 8 * 4 * 2
+
+
+# ---------------------------------------------------------------------------
+# The connective tables of `syntax`, typed out by hand
+
+_P, _N = (True, None), (False, None)
+HAND_STRUCT_SIG = {
+    ".*": (PP, (_P, _P)), ".(/)": (PP, (_P, _N)), ".(\\)": (PP, (_N, _P)),
+    ".(+)": (NP, (_N, _N)), ".\\": (NP, (_P, _N)), "./": (NP, (_N, _P)),
+    ".dn": (PS, ((False, False),)), ".dnr": (PP, ((False, True),)),
+    ".up": (NS, ((True, False),)), ".upl": (NP, ((True, True),)),
+    ".(+)l": (PS, (_P, _N)), ".(+)r": (PS, (_N, _P)),
+    ".\\l": (PS, (_N, _N)), ".\\r": (PS, (_P, _P)),
+    "./l": (PS, (_P, _P)), "./r": (PS, (_N, _N)),
+    ".*l": (NS, (_N, _P)), ".*r": (NS, (_P, _N)),
+    ".(/)l": (NS, (_N, _N)), ".(/)r": (NS, (_P, _P)),
+    ".(\\)l": (NS, (_P, _P)), ".(\\)r": (NS, (_N, _N)),
+}
+HAND_FAMILY = {
+    **dict.fromkeys(("*", "(/)", "(\\)", "up", ".*", ".*l", ".*r", ".(/)", ".(/)l", ".(/)r",
+                     ".(\\)", ".(\\)l", ".(\\)r", ".up", ".upl"), "F"),
+    **dict.fromkeys(("(+)", "\\", "/", "dn", ".(+)", ".(+)l", ".(+)r", ".\\", ".\\l", ".\\r",
+                     "./", "./l", "./r", ".dn", ".dnr"), "G"),
+}
+HAND_ORDER_TYPE = {
+    **dict.fromkeys(("*", ".*", ".*l", ".*r", "(+)", ".(+)", ".(+)l", ".(+)r"), (1, 1)),
+    **dict.fromkeys(("\\", ".\\", ".\\l", ".\\r", "(\\)", ".(\\)", ".(\\)l", ".(\\)r"), ("d", 1)),
+    **dict.fromkeys(("/", "./", "./l", "./r", "(/)", ".(/)", ".(/)l", ".(/)r"), (1, "d")),
+    **dict.fromkeys(("up", "dn", ".up", ".upl", ".dn", ".dnr"), (1,)),
+}
+HAND_GROUPS = ((".*", ".*l", ".*r"), (".(+)", ".(+)l", ".(+)r"), (".\\", ".\\l", ".\\r"),
+               ("./", "./l", "./r"), (".(/)", ".(/)l", ".(/)r"), (".(\\)", ".(\\)l", ".(\\)r"),
+               (".up", ".upl"), (".dn", ".dnr"))
+HAND_BOWTIE_PAIRS = (
+    ("*", "*"), ("(+)", "(+)"), ("\\", "/"), ("(/)", "(\\)"), ("up", "up"), ("dn", "dn"),
+    (".*", ".*"), (".(+)", ".(+)"), (".\\", "./"), (".(/)", ".(\\)"),
+    (".up", ".up"), (".upl", ".upl"), (".dn", ".dn"), (".dnr", ".dnr"),
+    (".\\l", "./r"), (".\\r", "./l"), (".*l", ".*r"), (".(+)l", ".(+)r"),
+    (".(/)l", ".(\\)r"), (".(/)r", ".(\\)l"))
+HAND_INFTY_PAIRS = (
+    ("*", "(+)"), ("\\", "(/)"), ("/", "(\\)"), ("up", "dn"),
+    (".*", ".(+)"), (".\\", ".(/)"), ("./", ".(\\)"), (".up", ".dn"), (".upl", ".dnr"),
+    (".\\l", ".(/)r"), (".\\r", ".(/)l"), (".*l", ".(+)r"), (".*r", ".(+)l"),
+    ("./l", ".(\\)r"), ("./r", ".(\\)l"))
+HAND_KIND_BY_TAGS = {
+    ("P", "P"): "r", ("P", "Pd"): "r.", ("Pd", "Pd"): "r:",
+    ("N", "N"): "b", ("Nd", "N"): "b_", ("Nd", "Nd"): "b:",
+    ("P", "N"): "n", ("Pd", "N"): "n_", ("P", "Nd"): "n.",
+}
+HAND_RULE_LATEX = {
+    "p-Id": r"p\text{-Id}", "n-Id": r"n\text{-Id}",
+    "otimes_L": r"\otimes_L", "otimes_R": r"\otimes_R",
+    "oplus_L": r"\oplus_L", "oplus_R": r"\oplus_R",
+    "oslash_L": r"\varoslash_L", "oslash_R": r"\varoslash_R",
+    "obslash_L": r"\varobslash_L", "obslash_R": r"\varobslash_R",
+    "under_L": r"\backslash_L", "under_R": r"\backslash_R",
+    "over_L": r"/_L", "over_R": r"/_R",
+    "down_L": r"\downarrow_L", "down_R": r"\downarrow_R",
+    "up_L": r"\uparrow_L", "up_R": r"\uparrow_R",
+    "s-down": r"\check{\downarrow}", "s-down'": r"\check{\downarrow}",
+    "s-up": r"\hat{\uparrow}", "s-up'": r"\hat{\uparrow}",
+    "P-Cut": r"\text{P-Cut}", "N-Cut": r"\text{N-Cut}",
+    "Pn-Cut": r"\text{Pn-Cut}", "nN-Cut": r"\text{nN-Cut}",
+}
+
+
+def _hand_involution(pairs) -> dict:
+    unary = {"up", "dn", ".up", ".upl", ".dn", ".dnr"}
+    table = {}
+    for c, d in pairs:
+        table[c], table[d] = (d, c not in unary), (c, d not in unary)
+    return table
+
+
+def test_connective_tables_equal_the_hand_tables():
+    """Each table that `syntax` derives from the eight operational
+    connectives, with STRUCT_SIG in the key order `iter_structures` reads."""
+    assert list(syntax.STRUCT_SIG.items()) == list(HAND_STRUCT_SIG.items())
+    assert syntax.FAMILY == HAND_FAMILY
+    assert syntax.ORDER_TYPE == HAND_ORDER_TYPE
+    assert syntax.GROUP_OF == {t: g for g in HAND_GROUPS for t in g}
+    assert syntax.STRUCT_OF_OP == {op: "." + op for op in syntax.OP_SIG}
+    assert syntax._BOWTIE == _hand_involution(HAND_BOWTIE_PAIRS)
+    assert syntax._INFTY == _hand_involution(HAND_INFTY_PAIRS)
+    assert algebra._KIND_BY_TAGS == HAND_KIND_BY_TAGS
+    assert cli._RULE_LATEX == HAND_RULE_LATEX
+    assert set(cli._RULE_LATEX) == set(rules.REGISTRY) - {
+        name for name, r in rules.REGISTRY.items() if r.klass == "dp"}
+
+
+def test_sort_table_targets_are_the_module_sorts():
+    """The constructors' sort lookup keys on the identity of the four module
+    sorts, so every target it returns is one of them too."""
+    targets = set(map(id, syntax._STRUCT_SORTS.values())) | set(map(id, syntax._OP_SORTS.values()))
+    assert targets == set(map(id, SORTS))
+
+
+def _sort_or_none(conn, args):
+    try:
+        return snode(conn, *args).sort
+    except SortError:
+        return None
+
+
+@given(st.integers(0, 10**9))
+@settings(max_examples=100, deadline=None)
+def test_a_variant_takes_one_argument_at_the_other_polarity(seed):
+    """The l (r) variant of a binary connective accepts two structures iff
+    the connective accepts them once argument 0 (1) is mapped by infty,
+    which flips its polarity and keeps its purity; the variant's node then
+    has the shifted sort of the other polarity."""
+    rng = random.Random(seed)
+    args = [random_structure(rng, 3, include_variants=True, positive=rng.random() < 0.5)
+            for _ in range(2)]
+    for conn in (".*", ".(/)", ".(\\)", ".(+)", ".\\", "./"):
+        for i, side in enumerate("lr"):
+            flipped = list(args)
+            flipped[i] = infty(args[i])
+            base = _sort_or_none(conn, flipped)
+            want = None if base is None else Sort(not base.positive, True)
+            assert _sort_or_none(conn + side, args) == want, (conn + side, args)

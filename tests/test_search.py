@@ -1,10 +1,15 @@
 """Focused proof search and parsing-as-deduction."""
 
+import importlib.util
+import random
+from pathlib import Path
+
 import pytest
 
 from fdlg.syntax import parse_sequent, parse_formula, render_sequent
 from fdlg.kernel import check_derivation, height
 from fdlg.focus import check_strong_focalization, minimize_proof
+from fdlg import search
 from fdlg.search import (prove, parse_sentence, sentence_sequent, SearchConfig,
                          Lexicon, LexiconError)
 from fdlg.corpus import LEXICON, LEXICON_TEXT, SENTENCE, GOAL
@@ -43,6 +48,37 @@ def test_prove_deterministic():
 def test_prove_dedupes():
     sols = prove(parse_sequent("dn n |- dn n", {"n"}), SearchConfig(max_depth=10))
     assert len(sols) == len(set(sols))
+
+
+def _bench_sentences() -> list:
+    """The scope-parse benchmark's sixteen sentence shapes, slots from seed
+    303, as perfbench/scope_parse.py makes them."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    bench_gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_gen)
+    rng, goals = random.Random(303), []
+    for shape in bench_gen.SHAPES:
+        text, words, bracketing, s = bench_gen.sentence(rng, "", *shape)
+        goals.append((sentence_sequent(words, Lexicon.from_text(text), parse_formula(f"dn {s}", {s}),
+                                       bracketing), bench_gen.expected_readings(*shape)))
+    return goals
+
+
+def test_search_never_repeats_a_proof(closure6):
+    """The search itself yields each proof once, with no dedup after it: the
+    members of an orbit are distinct, and a rule matches a conclusion in one
+    way only."""
+    found = 0
+    for goal, readings in _bench_sentences():
+        proofs = search._prove(goal, 80, frozenset(), {}, {})
+        assert len(proofs) == readings and len(set(proofs)) == readings
+        found += readings
+    for goal in closure6:
+        proofs = search._prove(goal, 20, frozenset(), {}, {})
+        assert len(set(proofs)) == len(proofs), goal
+        found += len(proofs)
+    assert found == 173 + 292
 
 
 def test_max_solutions_cap():

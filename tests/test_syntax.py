@@ -35,6 +35,17 @@ def test_composed_shifts_rejected():
         parse_formula("up (up p)")
 
 
+def test_a_compound_term_carries_no_atom_or_leaf():
+    """A stray atom or leaf on a compound node would print like the node but
+    make it unequal to the same node built without it, so it is refused."""
+    p = fatom("p")
+    with pytest.raises(SortError, match="carries no atom"):
+        Formula("*", Atom("q", True), (p, p))
+    with pytest.raises(SortError, match="carries no formula leaf"):
+        Structure(".*", p, (leaf(p), leaf(p)))
+    assert Formula("*", None, (p, p)) == f("*", p, p)
+
+
 def test_sequent_kinds():
     assert parse_sequent("p |- p").kind == "r"
     assert parse_sequent("n |- n", {"n"}).kind == "b"
