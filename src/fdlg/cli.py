@@ -185,9 +185,13 @@ def cmd_soundness(args) -> int:
 
 def cmd_latex(args) -> int:
     if args.sequent is not None:
+        if args.file is not None:
+            raise ValueError("latex takes a document or --sequent, not both")
         seq = parse_sequent(args.sequent, _neg(args))
         print(render(seq, "latex", color=args.color))
         return 0
+    if args.neg is not None:
+        raise ValueError("--neg applies to --sequent; a document names its negative atoms")
     d, _ = derivation_from_json(_read_doc(args.file))
     print(latex_derivation(d, color=args.color))
     return 0
@@ -255,10 +259,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_soundness)
 
     p = sub.add_parser("latex", help="LaTeX for a sequent or a derivation")
-    p.add_argument("--neg", default="")
+    p.add_argument("--neg", help="comma-separated negative atoms of --sequent")
     p.add_argument("--color", action="store_true", help="colored turnstiles")
     p.add_argument("--sequent", help="render a sequent instead of a document")
-    p.add_argument("file", nargs="?", default="-")
+    p.add_argument("file", nargs="?", help="derivation document (default: stdin)")
     p.set_defaults(fn=cmd_latex)
 
     return ap

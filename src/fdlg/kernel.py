@@ -90,9 +90,9 @@ def height(d: Derivation) -> int:
     return 1 + max(len(path) for path, _ in iter_nodes(d))
 
 
-def iter_nodes(d: Derivation, path: tuple[int, ...] = ()):
+def iter_nodes(d: Derivation):
     """(path, node) for every node, in pre-order; iterative, so any depth."""
-    stack = [(path, d)]
+    stack = [((), d)]
     while stack:
         path, node = stack.pop()
         yield path, node
@@ -219,14 +219,7 @@ def backward_expansions(goal: Sequent, allow_variants: bool = False,
             match_sequent(rule.schema.conclusion, goal, env)
         except MatchFail:
             continue
-        if rule.klass == "axiom":
-            out.append((rule.name, []))
-            continue
-        try:
-            prems = [instantiate_sequent(p, env) for p in rule.schema.premises]
-        except KeyError:
-            continue
-        out.append((rule.name, prems))
+        out.append((rule.name, [instantiate_sequent(p, env) for p in rule.schema.premises]))
     if allow_cuts:
         for rule in rules:
             if rule.klass != "cut":
@@ -237,7 +230,7 @@ def backward_expansions(goal: Sequent, allow_variants: bool = False,
                     match_sequent(rule.schema.conclusion, goal, env)
                     env["A"] = leaf(a)
                     prems = [instantiate_sequent(p, env) for p in rule.schema.premises]
-                except (MatchFail, KeyError, ValueError):
+                except (MatchFail, ValueError):
                     continue
                 out.append((rule.name, prems))
     return out

@@ -62,7 +62,7 @@ def _steps(seq: Sequent):
         try:
             match_sequent(rule.schema.conclusion, seq, env)
             prems = [instantiate_sequent(p, env) for p in rule.schema.premises]
-        except (MatchFail, KeyError):
+        except MatchFail:
             continue
         if is_dp:
             display.append((rule.name, prems[0]))

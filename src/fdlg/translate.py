@@ -18,12 +18,13 @@ every polarity mismatch; depolarization erases the shifts.  The printer
 over formulas and structures alike, looking through a leaf to its formula.
 
 CFormula and FStruct are immutable slotted values, like Formula and
-Structure, with the same cached hash and identity shortcut on ==.  Each call
-of `check_flg` or of a translation keeps one memo of the (de)polarized images
-of the terms it meets, and drops it on return, so a term shared by many
-sequents is mapped once per call; `translate_to_fdlg`'s check shares its
-memo.  Each node's image takes the expected conclusion, itself a memoized
-image, so images share subterms too.
+Structure, with the same cached hash and identity shortcut on ==.  Two slots,
+which are no fields, keep a term's positive and negative polarization, filled
+by `polarize` on first use and seeded by `depolarize` with the term it read:
+a well-sorted term has each argument at its own sort's polarity, and
+`flg_of_sequent`'s focus puts each side at its own sort's polarity, so
+polarize(depolarize(x), x.sort.positive) == x.  A call of `depolarize`,
+`flg_of_sequent` or `translate_to_flg` keeps one memo of depolarized images.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .syntax import (OP_SIG, STRUCT_OF_OP, STRUCT_SIG, Formula, Structure, Sequent, Atom, leaf,
-                     f as fnode, ParseError, SortError, parse_raw, _Term, _setters)
+                     f as fnode, ParseError, parse_raw, _Term, _setters)
 from .rules import REGISTRY, SHIFT_DPS, SNode
 from .kernel import (Derivation, KernelError, TONICITY_PREMISES, apply_rule_forward, derive,
                      fold, iter_nodes, match_rule, read_document, read_nodes, write_document)
@@ -57,7 +58,16 @@ _INPUT_CONNS = frozenset(conn for conn in _ARG_SIDES if STRUCT_SIG[conn][0].posi
 _POLARITY = {conn[1:]: (sides, conn in _INPUT_CONNS) for conn, sides in _ARG_SIDES.items()}
 
 
-class CFormula(_Term):
+class _Companion(_Term):
+    """A companion formula or structure; its slots hold its polarizations."""
+
+    __slots__ = ("_neg", "_pos")
+
+
+_CP_NEG, _CP_POS = _setters(_Companion)
+
+
+class CFormula(_Companion):
     """A companion formula: an atom, or a connective of _CONNS over two
     companion formulas.  Immutable and slotted like Formula, with the same
     hash, cached on first use, and the same identity shortcut on ==."""
@@ -76,6 +86,8 @@ class CFormula(_Term):
         _C_ATOM(self, atom)
         _C_ARGS(self, args)
         _C_HASH(self, None)
+        _CP_NEG(self, None)
+        _CP_POS(self, None)
 
     def __hash__(self) -> int:
         h = self._hash
@@ -135,7 +147,7 @@ def formula_polarity(a: CFormula) -> bool:
     return _POLARITY[a.conn][1]
 
 
-class FStruct(_Term):
+class FStruct(_Companion):
     """A companion structure: a formula leaf, or a structural connective
     over companion structures.  Immutable and slotted like Structure, with
     the same hash, cached on first use, and the same identity shortcut on
@@ -155,6 +167,8 @@ class FStruct(_Term):
         _FS_LEAF(self, leaf)
         _FS_ARGS(self, args)
         _FS_HASH(self, None)
+        _CP_NEG(self, None)
+        _CP_POS(self, None)
 
     def __hash__(self) -> int:
         h = self._hash
@@ -310,13 +324,12 @@ def apply_flg(rule: str, premises, selector: Atom | None = None,
             return FlgSequent(s.pre, s.suc, "suc")
         raise TranslateError("mu~ focuses a positive precedent or negative succedent formula")
     _check_premises(rule, ps)
-    memo: dict = {}
     try:
-        seq = apply_rule_forward(rule, [_polarize_sequent(s, memo) for s in ps])
+        seq = apply_rule_forward(rule, [polarize_sequent(s) for s in ps])
     except KernelError:
         # past the checks, only a translation rule's root can have a non-formula argument
         raise TranslateError("expected a formula leaf") from None
-    return _flg_of_sequent(seq, memo)
+    return flg_of_sequent(seq)
 
 
 def _check_premises(rule: str, ps) -> None:
@@ -348,11 +361,6 @@ def _check_premises(rule: str, ps) -> None:
 def check_flg(d: FlgDerivation) -> tuple[bool, str]:
     """Bottom-up schema check of a companion-calculus derivation; a table
     rule's node is matched through polarization, after the companion's checks."""
-    return _check_flg(d, {})
-
-
-def _check_flg(d: FlgDerivation, memo: dict) -> tuple[bool, str]:
-    """check_flg, with the polarized images of one call in `memo`."""
     for path, node in iter_nodes(d):
         rule, ps = node.rule, [p.conclusion for p in node.premises]
         try:
@@ -365,8 +373,8 @@ def _check_flg(d: FlgDerivation, memo: dict) -> tuple[bool, str]:
                 conc = apply_flg(rule, ps, side=node.conclusion.focus)
             else:
                 _check_premises(rule, ps)
-                if match_rule(rule, _polarize_sequent(node.conclusion, memo),
-                              [_polarize_sequent(s, memo) for s in ps]) is not None:
+                if match_rule(rule, polarize_sequent(node.conclusion),
+                              [polarize_sequent(s) for s in ps]) is not None:
                     continue
                 conc = apply_flg(rule, ps)      # its error, or the instance
         except (TranslateError, AttributeError) as e:
@@ -389,62 +397,49 @@ def polarize(x: CFormula | FStruct, positive: bool) -> Formula | Structure:
     """Positive or negative polarization of a companion formula or
     structure.  A formula is pure iff the polarity matches, and shifted
     otherwise; a structure's arguments take the polarity of their side, and
-    a leaf polarizes its formula."""
-    return _polarize(x, positive, {})
-
-
-def _polarize(x, positive: bool, memo: dict):
-    """polarize, with the images of one call in `memo`, keyed by the
-    companion term and the polarity."""
-    key = (x, positive)
-    y = memo.get(key)
+    a leaf polarizes its formula.  The image is kept in x's slot of that
+    polarity, unless depolarize already put its input there."""
+    y = x._pos if positive else x._neg
     if y is not None:
         return y
     conn = x.conn
     if x.__class__ is FStruct:
         if conn is None:
-            y = leaf(_polarize(x.leaf, positive, memo))
+            y = leaf(polarize(x.leaf, positive))
         elif x.side != ("in" if positive else "out"):
             raise TranslateError(f"{conn} cannot occur on this side")
         else:
-            y = Structure(conn, None, tuple([_polarize(a, s, memo)
+            y = Structure(conn, None, tuple([polarize(a, s)
                                              for a, s in zip(x.args, _ARG_SIDES[conn])]))
     else:
         if conn is None:
             y, own = Formula(None, x.atom), x.atom.positive
-        elif conn in _POLARITY:
-            sides, own = _POLARITY[conn]
-            y = fnode(conn, *[_polarize(a, s, memo) for a, s in zip(x.args, sides)])
         else:
-            raise TranslateError(f"not a companion-calculus formula: {x!r}")
+            sides, own = _POLARITY[conn]
+            y = fnode(conn, *[polarize(a, s) for a, s in zip(x.args, sides)])
         if own != positive:
             y = fnode("dn", y) if positive else fnode("up", y)
-    memo[key] = y
+    (_CP_POS if positive else _CP_NEG)(x, y)
     return y
 
 
 def polarize_sequent(s: FlgSequent) -> Sequent:
     """The precedent polarizes positively and the succedent negatively, but a
     formula in focus takes the other polarity."""
-    return _polarize_sequent(s, {})
-
-
-def _polarize_sequent(s: FlgSequent, memo: dict) -> Sequent:
-    return Sequent(_polarize(s.pre, s.focus != "pre", memo),
-                   _polarize(s.suc, s.focus == "suc", memo))
+    return Sequent(polarize(s.pre, s.focus != "pre"), polarize(s.suc, s.focus == "suc"))
 
 
 def depolarize(x: Formula | Structure) -> CFormula | FStruct:
     """Erase the shifts: a formula gives a companion formula, a structure a
     companion structure, and a leaf a companion leaf of its formula's image.
-    Fails on structural shifts and variants."""
+    Fails on structural shifts and variants.  Each image it builds holds the
+    term it was read from as its polarization at that term's polarity, so
+    polarize(depolarize(x), x.sort.positive) is x."""
     return _depolarize(x, {})
 
 
 def _depolarize(x, memo: dict):
-    """depolarize, with the images of one call in `memo`, keyed by the
-    term; `_polarize`'s keys in the same memo are pairs, never equal to a
-    term."""
+    """depolarize, with the images of one call in `memo`, keyed by the term."""
     y = memo.get(x)
     if y is not None:
         return y
@@ -462,33 +457,35 @@ def _depolarize(x, memo: dict):
         y = CFormula(None, x.atom)
     else:
         y = CFormula(conn, None, tuple([_depolarize(a, memo) for a in x.args]))
+    (_CP_POS if x.sort.positive else _CP_NEG)(y, x)
     memo[x] = y
     return y
 
 
 def flg_of_sequent(seq: Sequent) -> FlgSequent:
-    """Inverse of polarize_sequent; raises unless `seq` is normal."""
+    """Inverse of polarize_sequent; raises unless `seq` is normal.  The
+    focus, read off the sequent's kind, puts each side at its own sort's
+    polarity, so polarize_sequent of the result has `seq`'s sides."""
     return _flg_of_sequent(seq, {})
 
 
 def _flg_of_sequent(seq: Sequent, memo: dict) -> FlgSequent:
-    """flg_of_sequent, with the images of one call in `memo`."""
+    """flg_of_sequent, with the depolarized images of one call in `memo`."""
     focus = {"r": "suc", "b": "pre"}.get(seq.kind[0])
     if focus == "suc" and seq.suc.conn is not None:
         raise TranslateError("a positive normal sequent focuses its succedent formula")
     if focus == "pre" and seq.pre.conn is not None:
         raise TranslateError("a negative normal sequent focuses its precedent formula")
-    out = FlgSequent(_depolarize(seq.pre, memo), _depolarize(seq.suc, memo), focus)
-    if _polarize_sequent(out, memo) != seq:
-        raise TranslateError("sequent is not in the image of polarization")
-    return out
+    return FlgSequent(_depolarize(seq.pre, memo), _depolarize(seq.suc, memo), focus)
 
 
 def is_normal(seq: Sequent) -> bool:
+    """Whether `seq` is the polarization of a companion sequent: whether
+    flg_of_sequent accepts it."""
     try:
         flg_of_sequent(seq)
         return True
-    except (TranslateError, SortError):
+    except TranslateError:
         return False
 
 
@@ -529,17 +526,16 @@ def _fd(rule: str, premises, expected: Sequent | None) -> Derivation:
 
 def translate_to_fdlg(d: FlgDerivation) -> Derivation:
     """Image of a checked companion derivation; ends in the polarized sequent.
-    The check and the image share one memo of polarized terms."""
-    memo: dict = {}
-    ok, why = _check_flg(d, memo)
+    The image reuses the polarizations the check kept on the terms."""
+    ok, why = check_flg(d)
     if not ok:
         raise TranslateError(f"input does not check: {why}")
-    return fold(d, lambda node, prems: _to_fdlg(node, prems, memo))
+    return fold(d, _to_fdlg)
 
 
-def _to_fdlg(d: FlgDerivation, prems, memo: dict) -> Derivation:
+def _to_fdlg(d: FlgDerivation, prems) -> Derivation:
     """Image of node `d`, given the images of its premises."""
-    target = _polarize_sequent(d.conclusion, memo)
+    target = polarize_sequent(d.conclusion)
     r = d.rule
     if r == "Ax":
         atom = d.conclusion.pre.leaf.atom

@@ -62,6 +62,21 @@ def test_check_rejects_tampered_document():
     assert code == 1 and "not an instance" in text
 
 
+@pytest.mark.parametrize("command", ["focalization", "cutelim"])
+def test_document_commands_reject_a_document_that_does_not_check(command):
+    _, out, _ = run(["prove", "p .* q |- p * q", "--json"])
+    doc = json.loads(out)
+    doc["conclusion"] = "q .* p |- p * q"
+    code, text, err = run([command, "-"], stdin=json.dumps(doc))
+    assert code == 1 and "not an instance" in text + err
+    assert (text if command == "cutelim" else err) == ""
+
+
+def test_unreadable_input_path_is_a_usage_error(tmp_path):
+    code, out, err = run(["check", str(tmp_path / "missing.json")])
+    assert code == 2 and out == "" and _one_error_line(err) and "missing.json" in err
+
+
 def test_standardize():
     code, out, _ = run(["standardize", "p * q |- p * q"])
     assert code == 0 and out.strip() == "p .* q |- p * q"
@@ -79,6 +94,8 @@ def test_parse_readings(tmp_path):
     code, _, _ = run(["parse", "everyone likes some qux",
                       "--lexicon", str(lex), "--goal", "dn s"])
     assert code == 2
+    code, out, err = run(["parse", "everyone likes", "--lexicon", str(lex), "--goal", "dn s"])
+    assert (code, out, err) == (1, "", "no reading\n")
 
 
 # The worked example freed of its cut: each node's rule and conclusion, its
@@ -156,6 +173,21 @@ def test_latex_outputs():
     _, proof_doc, _ = run(["prove", "p .* q |- p * q", "--json"])
     code, out, _ = run(["latex", "-"], stdin=proof_doc)
     assert code == 0 and r"\BIC" in out and r"\otimes_R" in out
+
+
+def test_latex_rejects_what_it_would_ignore(tmp_path):
+    """latex renders a document or a --sequent: --neg, even empty, with a
+    document, and a document with --sequent, are usage errors."""
+    _, proof_doc, _ = run(["prove", "p .* q |- p * q", "--json"])
+    path = tmp_path / "proof.json"
+    path.write_text(proof_doc)
+    code, out, _ = run(["latex", str(path)])
+    assert code == 0 and r"\otimes_R" in out
+    for argv in (["latex", str(path), "--neg", "n"], ["latex", str(path), "--neg", ""],
+                 ["latex", "--sequent", "p |- p", str(path)],
+                 ["latex", "--sequent", "p |- p", "-"]):
+        code, out, err = run(argv, stdin=proof_doc)
+        assert code == 2 and out == "" and _one_error_line(err), argv
 
 
 @pytest.mark.parametrize("argv, expected", [

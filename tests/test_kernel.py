@@ -88,6 +88,16 @@ def test_backward_expansions_axiom():
     assert ("p-Id", []) in exps
 
 
+def test_premise_metavariables_occur_in_the_conclusion():
+    """Backward expansion builds a rule's premises from the match of its
+    conclusion alone: every premise metavariable of a non-cut rule occurs
+    in its conclusion, and a cut adds only its cut formula A."""
+    extra = {name: set().union(*rule.prem_vars) - set(rule.conc_vars)
+             for name, rule in REGISTRY.items()}
+    assert len(extra) - len(CUT_RULES) == 60
+    assert {name: e for name, e in extra.items() if e} == dict.fromkeys(CUT_RULES, {"A"})
+
+
 def test_backward_expansions_tonicity():
     exps = backward_expansions(parse_sequent("p .* q |- p * q"))
     tgt = ("otimes_R", [parse_sequent("p |- p"), parse_sequent("q |- q")])

@@ -117,10 +117,20 @@ def test_nonassociative_requires_parens():
     parse_formula("(p * q) * r")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("p .* q", "structural connective '.*' inside a formula"), ("(p q)", "expected '\\)'"),
+])
+def test_malformed_formula_is_a_parse_error(text, message):
+    with pytest.raises(ParseError, match=message):
+        parse_formula(text)
+
+
 def test_render_examples():
     assert render(parse_formula("p * q")) == "p * q"
     assert render(parse_structure("p .* q")) == "p .* q"
     assert "\\vdash" in render(parse_sequent("p |- p"), "latex")
+    with pytest.raises(ValueError, match="unknown style 'html'"):
+        render(parse_formula("p * q"), "html")
 
 
 def test_every_connective_has_a_latex_spelling():

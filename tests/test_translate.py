@@ -151,6 +151,35 @@ def test_refocus_patterns():
     assert [n.rule for _, n in _walk(flg)] == ["mu~", "mu*", "Ax"]
 
 
+def _apply(rule, *premises, **kwargs):
+    return FlgDerivation(rule, apply_flg(rule, list(premises), **kwargs), premises)
+
+
+def test_dotted_focus_patterns():
+    """mu~ on a negative succedent formula under a negative precedent
+    formula, and on a positive precedent formula over a positive succedent
+    formula, gives the dotted focusing sections: the other side is shifted."""
+    p, q, n = Atom("p", True), Atom("q", True), Atom("n", False)
+    neg = _apply("mu~", _apply("over_R", _apply("mu*", _apply(
+        "over_L", _apply("Ax", selector=n), _apply("Ax", selector=p)))))
+    pos = _apply("mu~", _apply("otimes_L", _apply("mu*", _apply(
+        "otimes_R", _apply("Ax", selector=p), _apply("Ax", selector=q)))))
+    for d, pattern, text in ((neg, "focus-neg.", "(n / p) |- [n / p]"),
+                             (pos, "focus-pos.", "[p * q] |- (p * q)")):
+        assert render_flg_sequent(d.conclusion) == text
+        image = minimize_proof(translate_to_fdlg(d))
+        assert classify_processing_sections(image)[0] == ((), pattern)
+        assert translate_to_flg(image) == d
+
+
+def test_translate_to_flg_rejects_a_non_normal_end_sequent():
+    from fdlg.kernel import derive
+    d = derive("down_L", derive("n-Id", selector=Atom("n", False)))
+    assert render(d.conclusion) == "dn n |- .dn n"
+    with pytest.raises(TranslateError, match="end-sequent is not normal"):
+        translate_to_flg(d)
+
+
 def _walk(d, path=()):
     yield path, d
     for i, p in enumerate(d.premises):
@@ -299,9 +328,11 @@ def test_companion_terms_are_slotted_values():
 
 
 def test_one_memo_maps_each_term_once(fig_forall_exists, fig_exists_forall):
-    """Within one call, the sides of every sequent are depolarized and
-    polarized through one memo: equal sides get one image, which equals the
-    image of a call of its own, and the round trip gives the side back."""
+    """Within one call, the sides of every sequent are depolarized through
+    one memo: equal sides get one image, which equals the image of a call of
+    its own.  Each image holds a side it was read from as its polarization,
+    so a call's round trip gives back the input's side objects, and an
+    unseeded copy polarizes to an equal side, which it then holds."""
     memo, images, checked = {}, {}, 0
     for d in (fig_forall_exists, fig_exists_forall):
         for _, node in iter_nodes(d):
@@ -309,11 +340,19 @@ def test_one_memo_maps_each_term_once(fig_forall_exists, fig_exists_forall):
             if not is_normal(seq):
                 continue
             out = translate._flg_of_sequent(seq, memo)
-            assert out == flg_of_sequent(seq)
+            own = flg_of_sequent(seq)
+            assert out == own
+            back = polarize_sequent(own)
+            assert back == seq and back.pre is seq.pre
+            assert back.suc is (seq.pre if seq.suc == seq.pre else seq.suc)
             for x, y in ((seq.pre, out.pre), (seq.suc, out.suc)):
                 assert images.setdefault(x, y) is y
-            back = translate._polarize_sequent(out, memo)
-            assert back == seq and back == polarize_sequent(out)
+            assert polarize_sequent(out) == seq
+            fresh = copy.deepcopy(out)
+            again = polarize_sequent(fresh)
+            assert again == seq and again.pre is not seq.pre and again.suc is not seq.suc
+            twice = polarize_sequent(fresh)
+            assert twice.pre is again.pre and twice.suc is again.suc
             checked += 1
     assert checked > 40 and len(images) < checked
 

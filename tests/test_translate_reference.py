@@ -2,13 +2,15 @@
 writer, printer and polarization against their hand-written and per-class
 forms in `reference_translate`."""
 
+import copy
 import random
 
 from fdlg import kernel, translate
 from fdlg.kernel import Derivation, derivation_to_json, identity_expansion, saturate_translations
-from fdlg.syntax import Atom, Sequent
-from fdlg.translate import (FlgSequent, apply_flg, check_flg, depolarize, flg_to_json, polarize,
-                            polarize_sequent, render_companion, render_flg_sequent)
+from fdlg.syntax import Atom, Sequent, SortError, iter_structures
+from fdlg.translate import (FlgSequent, apply_flg, check_flg, depolarize, flg_to_json,
+                            is_normal, polarize, polarize_sequent, render_companion,
+                            render_flg_sequent)
 
 import reference_translate as ref
 from gen import random_cut_proof, random_flg_derivation, random_formula, random_structure
@@ -193,3 +195,52 @@ def test_printer_and_polarization_match_reference():
         fml = random_formula(rng, 1 + i % 5)
         assert depolarize(fml) == ref.unpolarize_formula(fml)
     assert 500 < failed < 2_500
+
+
+def _reference_normal(seq: Sequent, images: dict) -> bool:
+    """The earlier normality check: the sides' reference depolarizations
+    (`images`, keyed by the side object), under the focus read off the
+    sequent's kind, polarize back to the sequent."""
+    focus = {"r": "suc", "b": "pre"}.get(seq.kind[0])
+    pre, suc = images[id(seq.pre)], images[id(seq.suc)]
+    if pre is None or suc is None or focus and getattr(seq, focus).conn is not None:
+        return False
+    try:
+        return ref.polarize_sequent(FlgSequent(pre, suc, focus)) == seq
+    except (translate.TranslateError, SortError):
+        return False
+
+
+def test_normality_and_polarization_seeds_on_all_small_sequents():
+    """On every sequent of two depth-2 structures over (p, n), variants
+    included, is_normal, which depolarizes without polarizing back, agrees
+    with the reference check that polarizes back and compares.  Every side
+    that depolarizes is its image's seeded polarization at its own polarity,
+    which equals the polarization of an unseeded copy; at the other polarity,
+    polarizing through the seeded subterms gives the unseeded outcome."""
+    structures = list(iter_structures((Atom("p", True), Atom("n", False)), 2))
+    images = {}
+    for x in structures:
+        out = _outcome(lambda: ref.fleaf_or(ref.depolarize(x)))
+        images[id(x)] = out if isinstance(out, translate.FStruct) else None
+    total = normal = 0
+    for pre in structures:
+        for suc in structures:
+            if not pre.sort.positive and suc.sort.positive:
+                continue
+            seq = Sequent(pre, suc)
+            got = is_normal(seq)
+            assert got == _reference_normal(seq, images), seq
+            total += 1
+            normal += got
+    assert (total, normal) == (165_675, 7_200)
+    seeded = 0
+    for x in structures:
+        if images[id(x)] is None:
+            assert _outcome(depolarize, x)[0] is translate.TranslateError
+            continue
+        c, own = depolarize(x), x.sort.positive
+        assert polarize(c, own) is x and polarize(copy.deepcopy(c), own) == x
+        assert _outcome(polarize, c, not own) == _outcome(polarize, copy.deepcopy(c), not own)
+        seeded += 1
+    assert seeded == 160
