@@ -179,10 +179,7 @@ def _parametric(d1: Derivation, d2: Derivation, side: str, trace) -> Derivation:
     chain, top, _ = thread(traced, (side, ()))
     if trace is not None:
         trace.append(f"parametric {render(a.leaf)} {mu.name}")
-    if top.rule in ("p-Id", "n-Id"):
-        rho = other
-    else:
-        rho = _eliminate_cut(d1, top, trace) if side == "pre" else _eliminate_cut(top, d2, trace)
+    rho = _eliminate_cut(d1, top, trace) if side == "pre" else _eliminate_cut(top, d2, trace)
     return rebuild_chain(chain, rho, repl, mu, trace)
 
 

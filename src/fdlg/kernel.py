@@ -152,21 +152,45 @@ def match_rule(name: str, conclusion: Sequent, premises) -> dict | None:
     return env
 
 
+def _fits(node: Derivation) -> bool:
+    """Whether `node` applies a known rule to as many premises as it takes,
+    its conclusion and premise conclusions matching the rule's schema."""
+    rule = REGISTRY.get(node.rule)
+    if rule is None or rule.arity != len(node.premises):
+        return False
+    env: dict = {}
+    try:
+        rule.schema.conclusion.match(node.conclusion, env)
+        for pat, prem in zip(rule.schema.premises, node.premises):
+            pat.match(prem.conclusion, env)
+    except MatchFail:
+        return False
+    return True
+
+
 def check_derivation(d: Derivation) -> CheckReport:
-    """Bottom-up schema check; reports the uppermost failing node."""
+    """Bottom-up schema check; reports the uppermost failing node.
+
+    A first walk checks every node without tracking paths; only when a node
+    fails are the nodes sorted by depth, to report the uppermost failure."""
+    stack = [d]
+    while stack:
+        node = stack.pop()
+        if not _fits(node):
+            break
+        stack.extend(node.premises)
+    else:
+        return CheckReport(True)
     nodes = sorted(iter_nodes(d), key=lambda pn: len(pn[0]), reverse=True)
-    for path, node in nodes:
-        rule = REGISTRY.get(node.rule)
-        if rule is None:
-            return CheckReport(False, path, f"unknown rule {node.rule!r}")
-        if rule.arity != len(node.premises):
-            return CheckReport(False, path,
-                               f"{node.rule} expects {rule.arity} premise(s), got {len(node.premises)}")
-        env = match_rule(node.rule, node.conclusion, [p.conclusion for p in node.premises])
-        if env is None:
-            return CheckReport(False, path,
-                               f"{render_sequent(node.conclusion)} is not an instance of {node.rule}")
-    return CheckReport(True)
+    path, node = next((path, node) for path, node in nodes if not _fits(node))
+    rule = REGISTRY.get(node.rule)
+    if rule is None:
+        return CheckReport(False, path, f"unknown rule {node.rule!r}")
+    if rule.arity != len(node.premises):
+        return CheckReport(False, path,
+                           f"{node.rule} expects {rule.arity} premise(s), got {len(node.premises)}")
+    return CheckReport(False, path,
+                       f"{render_sequent(node.conclusion)} is not an instance of {node.rule}")
 
 
 def apply_rule_forward(name: str, premises, selector: Atom | None = None) -> Sequent:

@@ -7,10 +7,17 @@ explores the whole display orbit of the current goal breadth-first and
 branches only on the non-display expansions of its members; a per-branch
 visited set keeps orbits and shift ping-pong from looping.
 
-The orbit of a goal and the steps of a sequent (its display steps and other
-expansions) are pure functions of it, so one `prove` call computes each once,
-in two dicts it drops on return.  Subgoal results are not tabled: the
-visited set makes them depend on the path.
+The orbit display postulates come in inverse pairs, so orbits are equivalence
+classes: every member of an orbit has the same orbit.  One `prove` call gives
+each class one bit of an int when its first orbit is built, and the visited
+set is the int of the classes on the path.  The orbit of a goal and the steps
+of a sequent (its display steps and other expansions) are pure functions of
+it and are computed once per call.  Subgoal results are tabled for the call
+under the completion rule of tabled resolution: a result depends on the path
+only through the classes its search tested and through the depth bound, so it
+is stored when the search tested no class on the path and no bound cut it, and
+reused under a path that holds none of the classes it tested and a bound no
+lower than the least one it needs.  All the tables die with the call.
 """
 
 from __future__ import annotations
@@ -72,7 +79,7 @@ def _steps(seq: Sequent):
 
 
 def _orbit(goal: Sequent, steps: dict):
-    """Display orbit of `goal`: (list of (member, downward dp path), members).
+    """Display orbit of `goal`: list of (member, downward dp path).
 
     The path lists (rule, conclusion) pairs rebuilding the chain from the
     member down to `goal`; breadth-first, deterministic order.  `steps` maps
@@ -95,7 +102,7 @@ def _orbit(goal: Sequent, steps: dict):
                 out.append(entry)
                 nxt.append(entry)
         frontier = nxt
-    return out, frozenset(seen)
+    return out
 
 
 def _wrap_path(d: Derivation, path) -> Derivation:
@@ -103,6 +110,20 @@ def _wrap_path(d: Derivation, path) -> Derivation:
     for rule, concl in path:
         d = Derivation(rule, concl, (d,))
     return d
+
+
+class _Tables:
+    """The state of one `prove` call: each sequent's steps, each goal's orbit
+    and tabled result, and each orbit member's class bit."""
+
+    __slots__ = ("steps", "orbits", "classes", "answers", "next_bit")
+
+    def __init__(self):
+        self.steps: dict = {}
+        self.orbits: dict = {}
+        self.classes: dict = {}
+        self.answers: dict = {}
+        self.next_bit = 1
 
 
 def prove(goal: Sequent, cfg: SearchConfig | None = None) -> list[Derivation]:
@@ -114,45 +135,74 @@ def prove(goal: Sequent, cfg: SearchConfig | None = None) -> list[Derivation]:
     proof comes twice: the members of an orbit are distinct, and a rule
     matches a conclusion in one way only.
 
-    Each orbit and each sequent's steps are computed once per call and
-    dropped on return; subgoal results are not tabled.
+    Each orbit and each sequent's steps are computed once per call, and a
+    subgoal's result is reused wherever the path and the bound cannot change
+    it; the proofs and their order are those of the untabled search.  Every
+    table is dropped on return.
     """
     cfg = cfg or SearchConfig()
-    sols = _prove(goal, cfg.max_depth, frozenset(), {}, {})
+    sols = _prove(goal, cfg.max_depth, 0, _Tables())[0]
     return sols[:cfg.max_solutions] if cfg.max_solutions else sols
 
 
-def _prove(goal: Sequent, depth: int, visited: frozenset, orbits: dict,
-           steps: dict) -> list[Derivation]:
-    if depth <= 0 or goal in visited:
-        return []
+def _prove(goal: Sequent, depth: int, visited: int, tables: _Tables):
+    """(proofs, reached, need) of `goal` within `depth`, off the classes in
+    the bits of `visited`.
+
+    `reached` ORs the class bits of every goal tested at or below this one.
+    `need` is the least depth at which no bound skipped an orbit member or a
+    subgoal; it exceeds `depth` exactly when one did.  The result is the same
+    for any `visited` that shares no bit with `reached` and any depth of at
+    least `need`, so it is tabled and reused under those conditions.
+    """
+    if depth <= 0:
+        return [], 0, 1
+    bit = tables.classes.get(goal)
+    if bit is not None:
+        if visited & bit:
+            return [], bit, 1
+        hit = tables.answers.get(goal)
+        if hit is not None and hit[2] <= depth and not visited & hit[1]:
+            return hit
+    steps = tables.steps
+    entries = tables.orbits.get(goal)
+    if entries is None:
+        entries = tables.orbits[goal] = _orbit(goal, steps)
+        if bit is None:
+            bit = tables.next_bit
+            tables.next_bit = bit << 1
+            classes = tables.classes
+            for member, _ in entries:
+                classes[member] = bit
+    blocked = visited | bit
+    reached, need = bit, 1
     results: list[Derivation] = []
-    orbit = orbits.get(goal)
-    if orbit is None:
-        orbit = orbits[goal] = _orbit(goal, steps)
-    entries, members = orbit
-    blocked = visited | members
     for member, path in entries:
         cost = len(path) + 1
-        if cost > depth:
-            continue
+        if cost > need:
+            need = cost
+        if cost > depth:                # breadth-first: the rest cost more
+            break
         for name, prems in steps[member][1]:
             if not prems:
                 results.append(_wrap_path(Derivation(name, member), path))
                 continue
             sub_lists = []
-            dead = False
             for prem in prems:
-                subs = _prove(prem, depth - cost, blocked, orbits, steps)
+                subs, sub_reached, sub_need = _prove(prem, depth - cost, blocked, tables)
+                reached |= sub_reached
+                if cost + sub_need > need:
+                    need = cost + sub_need
                 if not subs:
-                    dead = True
                     break
                 sub_lists.append(subs)
-            if dead:
-                continue
-            for combo in product(*sub_lists):
-                results.append(_wrap_path(Derivation(name, member, tuple(combo)), path))
-    return results
+            else:
+                for combo in product(*sub_lists):
+                    results.append(_wrap_path(Derivation(name, member, tuple(combo)), path))
+    out = results, reached, need
+    if need <= depth and not visited & reached:
+        tables.answers[goal] = out
+    return out
 
 
 # ---------------------------------------------------------------------------

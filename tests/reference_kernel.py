@@ -12,15 +12,21 @@ node, and the same ParseError messages.
 defined once, at the root.  This module keeps the expansion that checked
 them again on every structure it recursed into, so quadratically in the
 depth; the differential test requires the same derivation or error.
+
+`fdlg.kernel.check_derivation` first checks every node in one walk without
+paths.  This module keeps the check that sorted every node's path by length
+before checking any; the differential test requires the same report on
+derivations with corrupted nodes.
 """
 
 from __future__ import annotations
 
-from fdlg.kernel import (_EXPANSION, Derivation, KernelError, _fold, derive, read_document,
-                         read_nodes)
+from fdlg.kernel import (_EXPANSION, CheckReport, Derivation, KernelError, _fold, derive,
+                         iter_nodes, match_rule, read_document, read_nodes)
+from fdlg.rules import REGISTRY
 from fdlg.standardize import ftoM, ftom, str_of
 from fdlg.syntax import (STRUCT_SIG, Formula, ParseError, Sequent, Structure, f, fatom,
-                         leaf, parse_raw, s)
+                         leaf, parse_raw, render_sequent, s)
 
 
 def _read(raw, neg: frozenset[str], structural: bool):
@@ -72,3 +78,20 @@ def identity_expansion(psi: Structure) -> Derivation:
     rule, (side_l, side_r) = _EXPANSION[c]
     return derive(rule, _fold(identity_expansion(psi.args[0]), side_l),
                   _fold(identity_expansion(psi.args[1]), side_r))
+
+
+def check_derivation(d: Derivation) -> CheckReport:
+    """Bottom-up schema check; reports the uppermost failing node."""
+    nodes = sorted(iter_nodes(d), key=lambda pn: len(pn[0]), reverse=True)
+    for path, node in nodes:
+        rule = REGISTRY.get(node.rule)
+        if rule is None:
+            return CheckReport(False, path, f"unknown rule {node.rule!r}")
+        if rule.arity != len(node.premises):
+            return CheckReport(False, path,
+                               f"{node.rule} expects {rule.arity} premise(s), got {len(node.premises)}")
+        env = match_rule(node.rule, node.conclusion, [p.conclusion for p in node.premises])
+        if env is None:
+            return CheckReport(False, path,
+                               f"{render_sequent(node.conclusion)} is not an instance of {node.rule}")
+    return CheckReport(True)

@@ -66,6 +66,45 @@ def test_check_reports_offending_path():
     assert not rep.ok and "premises[1]" in str(rep)
 
 
+def _corrupt(rng: random.Random, d: Derivation, path, conclusions) -> Derivation:
+    """`d` with the node at `path` renamed, given another conclusion, or with
+    its premises dropped, duplicated or reordered."""
+    if path:
+        premises = list(d.premises)
+        premises[path[0]] = _corrupt(rng, premises[path[0]], path[1:], conclusions)
+        return Derivation(d.rule, d.conclusion, tuple(premises))
+    kind = rng.choice(("rename", "unknown", "conclusion", "drop", "duplicate", "reorder"))
+    if kind == "rename":
+        return Derivation(rng.choice(sorted(REGISTRY)), d.conclusion, d.premises)
+    if kind == "unknown":
+        return Derivation("frobnicate", d.conclusion, d.premises)
+    if kind == "conclusion":
+        return Derivation(d.rule, rng.choice(conclusions), d.premises)
+    premises = {"drop": d.premises[1:], "duplicate": d.premises + d.premises[:1],
+                "reorder": d.premises[::-1]}[kind]
+    return Derivation(d.rule, d.conclusion, premises)
+
+
+def test_check_matches_reference_on_corrupted_derivations():
+    """The path-free first walk gives the report of the path-sorted check,
+    which names the uppermost failing node, on derivations with one to three
+    corrupted nodes."""
+    rng = random.Random(7006)
+    rejected = 0
+    for i in range(200):
+        d = random_cut_proof(rng, 2 + i % 4)
+        assert check_derivation(d) == ref_kernel.check_derivation(d) == CheckReport(True)
+        paths = [path for path, _ in iter_nodes(d)]
+        conclusions = [node.conclusion for _, node in iter_nodes(d)]
+        for _ in range(1 + i % 3):
+            d = _corrupt(rng, d, rng.choice(paths), conclusions)
+            paths = [path for path, _ in iter_nodes(d)]
+        rep = check_derivation(d)
+        assert rep == ref_kernel.check_derivation(d), d
+        rejected += not rep.ok
+    assert rejected > 150
+
+
 def test_apply_down_L():
     seq = apply_rule_forward("down_L", [parse_sequent("n |- n", {"n"})])
     assert render_sequent(seq) == "dn n |- .dn n" and seq.kind == "r:"

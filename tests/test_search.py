@@ -71,14 +71,38 @@ def test_search_never_repeats_a_proof(closure6):
     way only."""
     found = 0
     for goal, readings in _bench_sentences():
-        proofs = search._prove(goal, 80, frozenset(), {}, {})
+        proofs = search._prove(goal, 80, 0, search._Tables())[0]
         assert len(proofs) == readings and len(set(proofs)) == readings
         found += readings
     for goal in closure6:
-        proofs = search._prove(goal, 20, frozenset(), {}, {})
+        proofs = search._prove(goal, 20, 0, search._Tables())[0]
         assert len(set(proofs)) == len(proofs), goal
         found += len(proofs)
     assert found == 173 + 292
+
+
+def test_orbits_are_classes(closure6):
+    """Every member of every orbit the search builds has the same orbit, so
+    the class bits stand for the orbits' member sets."""
+    members = 0
+    for goal, depth in [(g, 80) for g, _ in _bench_sentences()] + [(g, 20) for g in closure6]:
+        tables = search._Tables()
+        search._prove(goal, depth, 0, tables)
+        for entries in tables.orbits.values():
+            orbit = {m for m, _ in entries}
+            for member, _ in entries:
+                assert {m for m, _ in search._orbit(member, tables.steps)} == orbit, member
+                assert tables.classes[member] == tables.classes[entries[0][0]]
+            members += len(entries)
+    assert members == 6_128 + 3_670
+
+
+def test_orbit_postulates_come_in_inverse_pairs():
+    """The reason the orbits are classes: each orbit display postulate's
+    premise and conclusion are another one's conclusion and premise."""
+    swapped = {(r.schema.premises[0], r.schema.conclusion) for r in search._ORBIT_DPS}
+    for rule in search._ORBIT_DPS:
+        assert (rule.schema.conclusion, rule.schema.premises[0]) in swapped, rule.name
 
 
 def test_max_solutions_cap():

@@ -41,7 +41,7 @@ def test_same_readings_on_the_corpus_sentence(monkeypatch):
     assert _same([goal], (4, 8, 14, 20, 30, 40, 80)) == [0, 0, 0, 0, 3, 3, 3]
     # the bounds skip orbit members whose steps the memo already holds
     assert any(len(path) + 1 > depth for sub, depth in calls if depth > 0
-               for _, path in search._orbit(sub, {})[0])
+               for _, path in search._orbit(sub, {}))
 
 
 @pytest.mark.parametrize("q, arity, depths, readings", [
@@ -52,6 +52,20 @@ def test_same_readings_on_the_corpus_sentence(monkeypatch):
 ])
 def test_same_readings_on_quantified_sentences(q, arity, depths, readings):
     assert _same([quantified_sentence(q, arity)], depths) == readings
+
+
+@pytest.mark.parametrize("q, depths, first, last", [
+    (2, range(1, 31), 0, 2),
+    (3, range(30, 41), 0, 6),
+    (4, range(44, 55), 0, 24),
+])
+def test_tabled_results_hold_at_every_bound(q, depths, first, last):
+    """A subgoal result is tabled only when no bound cut its search, and
+    reused only under bounds that cannot change it.  The bounds where a
+    subgoal's proofs first appear are the ones that go wrong without either
+    check: at 24 for two quantifiers, 33 for three and 51 for four."""
+    found = _same([quantified_sentence(q, q)], depths)
+    assert found[0] == first and found[-1] == last
 
 
 def test_same_proofs_on_random_sequents():
