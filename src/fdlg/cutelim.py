@@ -23,7 +23,7 @@ from .syntax import (OP_OF_STRUCT, Structure, Sequent, Sort, PP, PS, NP, NS, dis
                      render, render_sequent)
 from .rules import (REGISTRY, CUT_RULES, PRINCIPAL_LEFT, PRINCIPAL_RIGHT, candidates,
                     display_chain)
-from .kernel import (Derivation, KernelError, TONICITY_SIDES, derive, fold, iter_nodes,
+from .kernel import (Derivation, KernelError, TONICITY_SIDES, derive, fold,
                      make_cut, match_rule, MutationError, struct_at, subst_path,
                      thread)
 from .standardize import ftom, ftoM
@@ -127,12 +127,14 @@ def mutate_sequent(seq: Sequent, targets, replacements, mu: Mutation) -> Sequent
 # Cut elimination
 
 
-def _is_cut(d: Derivation) -> bool:
-    return d.rule in CUT_RULES
-
-
 def has_cut(d: Derivation) -> bool:
-    return any(_is_cut(node) for _, node in iter_nodes(d))
+    stack = [d]
+    while stack:
+        node = stack.pop()
+        if node.rule in CUT_RULES:
+            return True
+        stack.extend(node.premises)
+    return False
 
 
 def _reapply(hint: str, premises: tuple[Derivation, ...], expected: Sequent) -> Derivation:

@@ -4,6 +4,20 @@ Skeleton nodes are positively signed F-connectives or negatively signed
 G-connectives (`syntax.skeleton`); everything else (atoms included) is PIA.
 For the partition into maximal subtrees an atom joins its parent's component,
 so a PIA subtree never consists of shift nodes alone.
+
+A cut-free proof is strongly focalized when each PIA subtree of the
+end-sequent is built by one uninterrupted tonicity section.  The check is
+local to the nodes: no node is a cut, a node that introduces a PIA connective
+applies a tonicity rule, and each PIA connective that is an argument of that
+one meets only tonicity nodes on its thread up to the node that introduces
+it.  Each rule's conclusion pattern gives the connectives it introduces and
+their argument signs once (`rules.Directed.pia`).  On a kernel-valid
+derivation this equals the definition anchored on the end-sequent, because:
+- in a cut-free proof each end-sequent connective is introduced by exactly
+  one node, and every connective a node introduces reaches the end-sequent;
+- every rule keeps each metavariable's sign from conclusion to premise;
+- a member's thread passes through the node that introduces its parent.
+Only a proof that fails is walked from the end-sequent, to build the report.
 """
 
 from __future__ import annotations
@@ -13,8 +27,8 @@ from operator import attrgetter, is_not
 
 from .syntax import (Formula, Sequent, STRUCT_SHIFTS, skeleton,
                      VARIANT_STRUCTS, SHIFT_ADJOINTS, signed_nodes, render)
-from .rules import REGISTRY, TONICITY_RULES, SHIFT_DPS
-from .kernel import (Derivation, iter_nodes, path_str, thread,
+from .rules import CUT_RULES, REGISTRY, TONICITY_RULES, SHIFT_DPS
+from .kernel import (Derivation, iter_nodes, path_str, struct_at, thread,
                      derive, check_derivation, fold)
 from .cutelim import eliminate_cuts, has_cut
 
@@ -181,22 +195,75 @@ def _formula_components(fml: Formula, sign: bool):
             for kind, members in _components(raw)]
 
 
+def _focalized(d: Derivation) -> bool:
+    """Whether every node of `d` passes its local test: it is no cut, it is
+    a tonicity rule if it introduces a PIA connective, and each PIA child
+    connective of that one meets only tonicity nodes on its thread up to the
+    node that introduces it."""
+    stack = [d]
+    while stack:
+        node = stack.pop()
+        if node.rule in CUT_RULES:
+            return False
+        for side, children in REGISTRY[node.rule].pia:
+            if node.rule not in TONICITY_RULES:
+                return False
+            for path, sign, (i, pside, ppath) in children:
+                child = struct_at(node.conclusion, (side, path))
+                if child.conn is None or skeleton(child.conn, sign):
+                    continue
+                if not _tonic(node.premises[i], (pside, ppath)):
+                    return False
+        stack.extend(node.premises)
+    return True
+
+
+def _tonic(d: Derivation, pos) -> bool:
+    """Whether the occurrence at `pos` of d's conclusion meets only tonicity
+    nodes on its thread from `d` up to the node that introduces it, that
+    node excluded."""
+    while (res := REGISTRY[d.rule].thread_up(pos))[0] != "principal":
+        if d.rule not in TONICITY_RULES:
+            return False
+        d, pos = d.premises[res[0]], res[1]
+    return True
+
+
 def check_strong_focalization(d: Derivation) -> FocalizationReport:
     """Cut-free, and every PIA subtree of every formula is built by an
     uninterrupted tonicity section.
 
-    `d` must be a derivation that passes `check_derivation`.  Every formula
-    occurring in a cut-free proof occurs inside the end-sequent (no rule
-    erases material and signs are preserved along threads), so the check
-    anchors on end-sequent occurrences.  A component's members all lie below
-    its root, the member with the shortest path, and pattern leaves are never
-    prefixes of one another: wherever the root's occurrence threads through a
-    metavariable, so does each member, at the root's position plus the same
-    suffix.  So the root is threaded once, to the node `top` that introduces
-    it, and each member from `top` on; the whole section lies above `top`.
-    Members are visited in pre-order and each one's nodes from `top` up, so
-    of several interruptions the one reported is the lowest on the first
-    member's thread that has one.
+    `d` must be a derivation that passes `check_derivation`.  The verdict is
+    local: each node passes a test that reads its rule's `pia` table (see
+    `_focalized`).  On such a derivation this is the anchored definition,
+    for three reasons.  A cut-free proof erases nothing, so each connective
+    of the end-sequent is introduced by exactly one node, and each node
+    introduces connectives of the end-sequent.  Every rule keeps each
+    metavariable's sign from conclusion to premise, so a connective that is
+    PIA where it is introduced is PIA in the end-sequent.  And a member's
+    thread passes through the node that introduces its parent, so a
+    component's section is the union of its parent-child segments.
+
+    Only a derivation that fails gets the anchored walk, which picks the
+    report (`_anchored`), so every report is the anchored one.
+    """
+    if _focalized(d):
+        return FocalizationReport(True)
+    return _anchored(d)
+
+
+def _anchored(d: Derivation) -> FocalizationReport:
+    """The report of the check, anchored on end-sequent occurrences.
+
+    A component's members all lie below its root, the member with the
+    shortest path, and pattern leaves are never prefixes of one another:
+    wherever the root's occurrence threads through a metavariable, so does
+    each member, at the root's position plus the same suffix.  So the root is
+    threaded once, to the node `top` that introduces it, and each member from
+    `top` on; the whole section lies above `top`.  Members are visited in
+    pre-order and each one's nodes from `top` up, so of several
+    interruptions the one reported is the lowest on the first member's thread
+    that has one.
     """
     if has_cut(d):
         return FocalizationReport(False, "proof contains a cut", "(root)")
@@ -286,10 +353,16 @@ def minimize_proof(d: Derivation) -> Derivation:
         d = nxt
     if d.conclusion != end:
         raise MinimizeError("minimization changed the end-sequent")
-    if any(node.rule in SHIFT_DPS for _, node in iter_nodes(d)):
-        raise MinimizeError("a shift display postulate resists cancellation; "
-                            "the input is outside the reducible fragment")
-    if any(_uses(node.conclusion, _VARIANTS) for _, node in iter_nodes(d)):
+    # one walk; a shift display postulate is reported before any variant
+    stack, variant = [d], False
+    while stack:
+        node = stack.pop()
+        if node.rule in SHIFT_DPS:
+            raise MinimizeError("a shift display postulate resists cancellation; "
+                                "the input is outside the reducible fragment")
+        variant = variant or _uses(node.conclusion, _VARIANTS)
+        stack.extend(node.premises)
+    if variant:
         raise MinimizeError("an l/r-variant resists cancellation")
     rep = check_derivation(d)
     if not rep.ok:

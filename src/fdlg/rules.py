@@ -25,8 +25,8 @@ from functools import cache, cached_property
 from itertools import count
 
 from .syntax import (FAMILY, GROUP_OF, OP_SIG, RESIDUATION_LAWS, STRUCT_OF_OP, STRUCT_SHIFTS,
-                     STRUCT_SIG, VARIANT_STRUCTS, Formula, Sort, Structure, Sequent,
-                     display_side, fatom, leaf)
+                     STRUCT_SIG, VARIANT_STRUCTS, Formula, Sort, Structure, Sequent, _ANTITONE,
+                     display_side, fatom, leaf, skeleton)
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +191,15 @@ def instantiate_sequent(pat: SeqPat, env: dict) -> Sequent:
 Pos = tuple[str, tuple[int, ...]]     # ('pre'|'suc', path)
 
 
+def _signed(pat, sign: bool, path: tuple[int, ...] = ()):
+    """(path, node, sign) for every node of a pattern signed `sign`, in
+    pre-order; an argument at an antitone position flips its parent's sign."""
+    yield path, pat, sign
+    if isinstance(pat, (SNode, FNode)):
+        for i, (p, flip) in enumerate(zip(pat.args, _ANTITONE[pat.conn])):
+            yield from _signed(p, sign ^ flip, path + (i,))
+
+
 def _leaves(pat, path: tuple[int, ...] = ()):
     """(path, metavariable) for every metavariable leaf of a pattern."""
     if isinstance(pat, (SNode, FNode)):
@@ -237,6 +246,21 @@ class Directed:
 
     def __getstate__(self) -> dict:
         return {**self.__dict__, "sweep": None}
+
+    @cached_property
+    def pia(self) -> tuple:
+        """(side, children) per operational connective of the conclusion
+        pattern that is PIA under its static sign (precedent +, succedent -),
+        in pre-order; children holds (path, sign, premise target as in
+        threads) for each of its metavariable arguments.  Read by the
+        focalization check; computed on first use."""
+        return tuple(
+            (side, tuple((path + (i,), sign ^ flip, dict(self.threads[side])[path + (i,)])
+                               for i, (arg, flip) in enumerate(zip(node.args, _ANTITONE[node.conn]))
+                               if isinstance(arg, FVar)))
+            for side, side_sign in (("pre", True), ("suc", False))
+            for path, node, sign in _signed(getattr(self.schema.conclusion, side), side_sign)
+            if isinstance(node, FNode) and not skeleton(node.conn, sign))
 
     def thread_up(self, pos: Pos):
         """Map a conclusion position to ('principal', None) or (i, premise pos).

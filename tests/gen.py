@@ -9,7 +9,7 @@ import threading
 
 from fdlg.syntax import Atom, Formula, Structure, Sequent, SortError, leaf
 from fdlg.rules import ORDERED_RULES, match_sequent, instantiate_sequent, MatchFail
-from fdlg.kernel import (Derivation, apply_rule_forward, derive, make_cut,
+from fdlg.kernel import (Derivation, KernelError, apply_rule_forward, derive, make_cut,
                          identity_expansion)
 from fdlg.translate import FlgDerivation, apply_flg, TranslateError
 from fdlg.corpus import GOAL
@@ -203,6 +203,57 @@ def interrupted_pia_proof() -> Derivation:
     d = derive("dp(.*r,.\\)", d)           # variant move inside the focused phase
     d = derive("dp(.*r,.\\)'", d)
     return derive("over_L", d, derive("p-Id", selector=p))
+
+
+# ---------------------------------------------------------------------------
+# Random derivations built forward by every non-cut rule.
+
+ATOMS_PQNM = (Atom("p", True), Atom("q", True), Atom("n", False), Atom("m", False))
+
+
+def random_derivations(rng: random.Random, count: int, max_size: int = 12) -> list[Derivation]:
+    """`count` distinct derivations built forward, axioms first.  A step
+    extends a random member of the pool by one of the unary non-cut rules
+    that fit it, variants and shift postulates included, or joins random
+    fitting members by a binary rule, keeping conclusions of at most
+    `max_size` nodes.  Nothing steers the steps towards focalized proofs,
+    so display moves and translations land inside PIA sections."""
+    pool = [derive("p-Id" if a.positive else "n-Id", selector=a) for a in ATOMS_PQNM]
+    seen = set(pool)
+    unary = [r.name for r in ORDERED_RULES if r.arity == 1]
+    binary = [r for r in ORDERED_RULES if r.arity == 2 and r.klass != "cut"]
+
+    def fits(pat):
+        out = []
+        for d in rng.sample(pool, min(len(pool), 40)):
+            try:
+                match_sequent(pat, d.conclusion, {})
+            except MatchFail:
+                continue
+            out.append(d)
+        return out
+
+    while len(pool) < count:
+        if rng.random() < 0.3:
+            rule = rng.choice(binary)
+            left, right = (fits(pat) for pat in rule.schema.premises)
+            if not left or not right:
+                continue
+            steps = [(rule.name, (rng.choice(left), rng.choice(right)))]
+        else:
+            d = rng.choice(pool)
+            steps = [(name, (d,)) for name in unary]
+            rng.shuffle(steps)
+        for name, prems in steps:
+            try:
+                d = derive(name, *prems)
+            except (KernelError, SortError):
+                continue
+            if _seq_size(d.conclusion) <= max_size and d not in seen:
+                seen.add(d)
+                pool.append(d)
+            break
+    return pool
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,9 @@ their thread maps: it scans the conclusion's metavariables and then the
 premises' on every call.  `check_strong_focalization` is the focalization
 check as it read before it threaded each component from its root: it traces
 every member from the end-sequent with `trace_to_intro`, itself built on this
-`thread_up`.  `test_threading` requires the same answers.
+`thread_up`.  `lowest_first` traces the same way but reports the lowest of
+several interruptions, as the live check does.  `test_threading` and
+`test_focalization` require the same answers.
 
 `HAND_RULES`, `SATURATION` and `TONICITY_PREMISES` are the rule inventory of
 `fdlg.rules` and the two tables of `fdlg.kernel` as they were typed by hand,
@@ -272,6 +274,31 @@ def check_strong_focalization(d: Derivation) -> FocalizationReport:
                         False,
                         f"PIA subtree of {render(fml)} interrupted by {node.rule}",
                         path_str(np))
+    return FocalizationReport(True)
+
+
+def lowest_first(d: Derivation) -> FocalizationReport:
+    """The tracing of `check_strong_focalization`, with the live check's
+    choice among several interruptions: members in pre-order, each one's
+    nodes from the root's introduction up."""
+    if has_cut(d):
+        return check_strong_focalization(d)
+    for ((side, base), fml, sign) in _formula_positions(d.conclusion):
+        for kind, members in _formula_components(fml, sign):
+            if kind != "pia" or not members:
+                continue
+            intro = {fpath: trace_to_intro(d, (side, base + fpath)) for fpath in members}
+            n0 = intro[min(members)]
+            for fpath in sorted(members):
+                np = intro[fpath]
+                for k in range(len(n0), len(np) + 1):
+                    node = d
+                    for i in np[:k]:
+                        node = node.premises[i]
+                    if node.rule not in TONICITY_RULES:
+                        return FocalizationReport(
+                            False, f"PIA subtree of {render(fml)} interrupted by {node.rule}",
+                            path_str(np[:k]))
     return FocalizationReport(True)
 
 

@@ -97,6 +97,20 @@ def test_orbits_are_classes(closure6):
     assert members == 6_128 + 3_670
 
 
+def test_tabled_answers_hold_their_own_class(closure6):
+    """A tabled result's `reached` holds its goal's own class bit, so a
+    parent result that used the goal's proofs is never reused on a path
+    that holds the goal's class."""
+    answers = 0
+    for goal, depth in [(g, 80) for g, _ in _bench_sentences()] + [(g, 20) for g in closure6]:
+        tables = search._Tables()
+        search._prove(goal, depth, 0, tables)
+        for sub, (_, reached, _) in tables.answers.items():
+            assert reached & tables.classes[sub], sub
+        answers += len(tables.answers)
+    assert answers == 2_789
+
+
 def test_orbit_postulates_come_in_inverse_pairs():
     """The reason the orbits are classes: each orbit display postulate's
     premise and conclusion are another one's conclusion and premise."""

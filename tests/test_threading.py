@@ -1,20 +1,17 @@
-"""The compiled occurrence maps and the focalization check that threads each
-PIA component from its root, against the scanning references in
-`reference_rules`."""
+"""The compiled occurrence maps and the focalization check, against the
+scanning references in `reference_rules`."""
 
 import random
 
 import pytest
 
 import reference_rules as ref
-from fdlg.cutelim import eliminate_cuts, has_cut
-from fdlg.focus import (FocalizationReport, _formula_components, _formula_positions,
-                        check_strong_focalization)
-from fdlg.kernel import (Derivation, KernelError, check_derivation, derive, iter_nodes,
-                         path_str)
+from fdlg.cutelim import eliminate_cuts
+from fdlg.focus import check_strong_focalization
+from fdlg.kernel import Derivation, KernelError, check_derivation, derive, iter_nodes
 from fdlg.rules import REGISTRY, TONICITY_RULES
 from fdlg.search import SearchConfig, prove
-from fdlg.syntax import render, signed_nodes
+from fdlg.syntax import signed_nodes
 
 from gen import forward_closure, interrupted_pia_proof, random_cut_proof
 
@@ -66,31 +63,6 @@ def padded(proofs):
     return [p for d in proofs for p in _padded(d)]
 
 
-def _lowest_first(d: Derivation) -> FocalizationReport:
-    """The reference's tracing, with the compiled check's choice among
-    several interruptions: members in pre-order, each one's nodes from the
-    root's introduction up."""
-    if has_cut(d):
-        return ref.check_strong_focalization(d)
-    for ((side, base), fml, sign) in _formula_positions(d.conclusion):
-        for kind, members in _formula_components(fml, sign):
-            if kind != "pia" or not members:
-                continue
-            intro = {fpath: ref.trace_to_intro(d, (side, base + fpath)) for fpath in members}
-            n0 = intro[min(members)]
-            for fpath in sorted(members):
-                np = intro[fpath]
-                for k in range(len(n0), len(np) + 1):
-                    node = d
-                    for i in np[:k]:
-                        node = node.premises[i]
-                    if node.rule not in TONICITY_RULES:
-                        return FocalizationReport(
-                            False, f"PIA subtree of {render(fml)} interrupted by {node.rule}",
-                            path_str(np[:k]))
-    return FocalizationReport(True)
-
-
 def test_thread_up_matches_the_scan(proofs, padded):
     """At every position of every node, skeleton and formula positions
     alike, the compiled map threads where the scan does."""
@@ -116,7 +88,7 @@ def test_focalization_matches_the_reference(proofs, padded):
     for d in proofs + padded:
         assert check_derivation(d).ok
         new, old = check_strong_focalization(d), ref.check_strong_focalization(d)
-        assert new == _lowest_first(d)
+        assert new == ref.lowest_first(d)
         assert new.ok == old.ok
         failing += not new.ok
         if new != old:
