@@ -30,12 +30,12 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
-from itertools import accumulate, islice, product
+from itertools import accumulate, product
 from typing import NamedTuple
 
 from .syntax import (GROUP_OF, NP, NS, PP, PS, RESIDUATION_LAWS, STRUCT_SIG, UNDERIVABLE_KINDS,
-                     Sort, Structure, Sequent, _INFTY, formula_nodes, iter_structures,
-                     sequent_kind)
+                     Sort, Structure, Sequent, _INFTY, _RESIDUATION_SHAPES, formula_nodes,
+                     iter_structures, sequent_kind)
 from .rules import (REGISTRY, AVar, Directed, FNode, FVar, SeqPat, SNode, SVar,
                     instantiate_sequent)
 
@@ -140,17 +140,14 @@ class LGAlgebra:
                     bad.append(f"{sym} not total at {(a, b)!r}")
         if bad:
             return bad
-        for a, b, c in product(es, es, es):
-            r1 = le(b, self.op("\\", a, c))
-            r2 = le(self.op("*", a, b), c)
-            r3 = le(a, self.op("/", c, b))
-            if not (r1 == r2 == r3):
-                bad.append(f"product residuation fails at {(a, b, c)!r}")
-            g1 = le(self.op("(/)", c, b), a)
-            g2 = le(c, self.op("(+)", a, b))
-            g3 = le(self.op("(\\)", a, c), b)
-            if not (g1 == g2 == g3):
-                bad.append(f"coproduct residuation fails at {(a, b, c)!r}")
+        # each law shape's three clauses at the variables v, read as plain
+        # operations by dropping the structural dot
+        for v in product(es, repeat=3):
+            for law, shape in zip(("product", "coproduct"), _RESIDUATION_SHAPES):
+                if len({le(self.op(conn[1:], v[i], v[j]), v[k]) if left
+                        else le(v[k], self.op(conn[1:], v[i], v[j]))
+                        for conn, i, j, k, left in shape}) > 1:
+                    bad.append(f"{law} residuation fails at {v!r}")
         return bad
 
 
@@ -620,12 +617,12 @@ def _sweeper(rule: Directed):
     number of assignments checked and the violations.
 
     The assignments are the product of the metavariables' carriers, in
-    sorted-name order; with a `limit`, only the first `limit` of them.  Each
-    sequent's truth is one nested `dict.get` expression over the assignment,
-    with each connective's table bound once per call.  A missing entry, or a
-    pair of no interpretable kind, gives None, which propagates to the root
-    and never counts as a violation.  The premises are evaluated only on the
-    assignments whose conclusion is False."""
+    sorted-name order.  Each sequent's truth is one nested `dict.get`
+    expression over the assignment, with each connective's table bound once
+    per call.  A missing entry, or a pair of no interpretable kind, gives
+    None, which propagates to the root and never counts as a violation.  The
+    premises are evaluated only on the assignments whose conclusion is
+    False."""
     names = sorted(rule.var_sorts)
     index = {name: f"v{i}" for i, name in enumerate(names)}
     looks: dict = {}            # connective -> the local bound to its table's get
@@ -645,7 +642,7 @@ def _sweeper(rule: Directed):
 
     conc = truth(rule.schema.conclusion)
     prems = "".join(f" and {truth(sp)} is True" for sp in rule.schema.premises)
-    lines = ["def sweep(a, limit):", " view = a.view", " t = view.truth.get"]
+    lines = ["def sweep(a):", " view = a.view", " t = view.truth.get"]
     lines += [f" {look} = view.tables.get({conn!r}, {{}}).get" for conn, look in looks.items()]
     for i, name in enumerate(names):
         pol, shifted = rule.var_sorts[name]
@@ -655,31 +652,28 @@ def _sweeper(rule: Directed):
     row = "".join(v + ", " for v in index.values()).rstrip()
     pools = "product(" + ", ".join(f"p{i}" for i in range(len(names))) + ")"
     env = "{" + ", ".join(f"{name!r}: {v}" for name, v in index.items()) + "}"
-    lines += [f" conc = [{conc} for ({row}) in islice({pools}, limit or None)]",
+    lines += [f" conc = [{conc} for ({row}) in {pools}]",
               " if False not in conc: return len(conc), []",
               f" return len(conc), [{env} for c, ({row}) in zip(conc, {pools})"
               f" if c is False{prems}]"]
-    exec("\n".join(lines), {"islice": islice, "product": product}, scope := {})
+    exec("\n".join(lines), {"product": product}, scope := {})
     return scope["sweep"]
 
 
-def check_rule_soundness(rule, a: FiniteFPLG, max_checks: int = 0) -> SoundnessReport:
+def check_rule_soundness(rule, a: FiniteFPLG) -> SoundnessReport:
     """Premises valid implies conclusion valid, for every element assignment.
 
     Structures denote elements, so sweeping metavariables over the carriers
     covers every instantiation shape; assignments whose premises or conclusion
     land on an uninterpretable kind, or on a missing table entry, are vacuous
-    and skipped.  With `max_checks`, only that many assignments, taken in
-    product order, are checked.  Violations are listed in product order, as
-    dicts keyed by the sorted metavariable names.
+    and skipped.  Violations are listed in product order, as dicts keyed by
+    the sorted metavariable names.
     """
-    if max_checks < 0:
-        raise ValueError(f"max_checks must not be negative, got {max_checks}")
     if isinstance(rule, str):
         rule = REGISTRY[rule]
     if rule.sweep is None:
         rule.sweep = _sweeper(rule)
-    return SoundnessReport(rule.name, *rule.sweep(a, max_checks))
+    return SoundnessReport(rule.name, *rule.sweep(a))
 
 
 @lru_cache(maxsize=8)

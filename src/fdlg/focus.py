@@ -2,16 +2,18 @@
 
 Skeleton nodes are positively signed F-connectives or negatively signed
 G-connectives (`syntax.skeleton`); everything else (atoms included) is PIA.
-For the partition into maximal subtrees an atom joins its parent's component,
-so a PIA subtree never consists of shift nodes alone.
+`syntax.signed_partition` splits a tree into maximal subtrees of one kind;
+an atom joins its parent's component, so a PIA subtree never consists of
+shift nodes alone.
 
 A cut-free proof is strongly focalized when each PIA subtree of the
 end-sequent is built by one uninterrupted tonicity section.  The check is
-local to the nodes: no node is a cut, a node that introduces a PIA connective
-applies a tonicity rule, and each PIA connective that is an argument of that
-one meets only tonicity nodes on its thread up to the node that introduces
-it.  Each rule's conclusion pattern gives the connectives it introduces and
-their argument signs once (`rules.Directed.pia`).  On a kernel-valid
+local to the nodes: no node is a cut, and each PIA connective that is an
+argument of a PIA connective a node introduces meets only tonicity nodes on
+its thread up to the node that introduces it.  Each rule's conclusion
+pattern gives the connectives it introduces and their argument signs once
+(`rules.Directed.pia`); only the tonicity rules introduce a PIA connective,
+so a node that introduces one is a tonicity node.  On a kernel-valid
 derivation this equals the definition anchored on the end-sequent, because:
 - in a cut-free proof each end-sequent connective is introduced by exactly
   one node, and every connective a node introduces reaches the end-sequent;
@@ -25,8 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import attrgetter, is_not
 
-from .syntax import (Formula, Sequent, STRUCT_SHIFTS, skeleton,
-                     VARIANT_STRUCTS, SHIFT_ADJOINTS, signed_nodes, render)
+from .syntax import (Formula, Sequent, STRUCT_SHIFTS, skeleton, VARIANT_STRUCTS,
+                     SHIFT_ADJOINTS, signed_nodes, signed_partition, render)
 from .rules import CUT_RULES, REGISTRY, TONICITY_RULES, SHIFT_DPS
 from .kernel import (Derivation, iter_nodes, path_str, struct_at, thread,
                      derive, check_derivation, fold)
@@ -53,53 +55,15 @@ class SignedTree:
     components: tuple       # tuple of (kind, frozenset of positions)
 
 
-def _labels(roots) -> dict:
-    """Position (side, path) -> (label, sign, is_atom) for every connective
-    and atom of the signed trees of `roots`, (side, term, sign) triples; a
-    leaf structure gives way to its formula, which shares its position."""
-    raw: dict = {}
-    for side, x, sign in roots:
-        for path, node, sg in signed_nodes(x, sign):
-            if node.conn is not None:
-                raw[side, path] = (node.conn, sg, False)
-            elif node.__class__ is Formula:
-                raw[side, path] = (node.atom.name, sg, True)
-    return raw
-
-
-def _components(raw: dict) -> list[tuple[str, set]]:
-    """Maximal same-kind components of a signed tree given as position ->
-    (label, sign, is_atom), as (kind, positions); an atom joins its parent's."""
-    comp_of: dict = {}
-    comps: list[tuple[str, set]] = []
-    for pos in sorted(raw, key=lambda p: (p[0], len(p[1]), p[1])):
-        label, sign, is_atom = raw[pos]
-        cls = "pia" if is_atom or not skeleton(label, sign) else "skeleton"
-        side, path = pos
-        cid = comp_of.get((side, path[:-1])) if path else None
-        if cid is not None and (is_atom or comps[cid][0] == cls):
-            comps[cid][1].add(pos)
-        else:
-            cid = len(comps)
-            comps.append((cls, {pos}))
-        comp_of[pos] = cid
-    return comps
-
-
 def signed_tree(seq: Sequent) -> SignedTree:
-    raw = _labels((("pre", seq.pre, True), ("suc", seq.suc, False)))
-    components = _components(raw)
-    nodes = {}
-    roots = {min(members, key=lambda p: (len(p[1]), p[1]))
-             for _, members in components}
+    labels, components = signed_partition((("pre", seq.pre, True), ("suc", seq.suc, False)))
+    roots = {min(members, key=lambda p: (len(p[1]), p[1])) for _, members in components}
     # a connective's kind is its component's; an atom is PIA
     kind_of = {pos: kind for kind, members in components for pos in members}
-    for pos, (label, sign, is_atom) in raw.items():
-        cls = "pia" if is_atom else kind_of[pos]
-        is_trans = pos in roots and pos[1] != ()
-        nodes[pos] = SignedNode(label, sign, is_atom, cls, is_trans)
-    comps = tuple((kind, frozenset(members)) for kind, members in components)
-    return SignedTree(nodes, comps)
+    nodes = {pos: SignedNode(label, sign, is_atom, "pia" if is_atom else kind_of[pos],
+                             pos in roots and pos[1] != ())
+             for pos, (label, sign, is_atom) in labels.items()}
+    return SignedTree(nodes, tuple((kind, frozenset(members)) for kind, members in components))
 
 
 # ---------------------------------------------------------------------------
@@ -188,26 +152,23 @@ def _formula_positions(seq: Sequent):
 
 
 def _formula_components(fml: Formula, sign: bool):
-    """Maximal same-kind components of a formula's signed tree; atoms join
-    their parent.  Yields (kind, positions of connective nodes)."""
-    raw = _labels((("f", fml, sign),))
-    return [(kind, frozenset(path for side, path in members if not raw[side, path][2]))
-            for kind, members in _components(raw)]
+    """The components of a formula's signed tree (`signed_partition`), as
+    (kind, paths of their connective nodes)."""
+    labels, components = signed_partition((("f", fml, sign),))
+    return [(kind, frozenset(pos[1] for pos in members if not labels[pos][2]))
+            for kind, members in components]
 
 
 def _focalized(d: Derivation) -> bool:
-    """Whether every node of `d` passes its local test: it is no cut, it is
-    a tonicity rule if it introduces a PIA connective, and each PIA child
-    connective of that one meets only tonicity nodes on its thread up to the
-    node that introduces it."""
+    """Whether every node of `d` passes its local test: it is no cut, and
+    each PIA child connective of a PIA connective it introduces meets only
+    tonicity nodes on its thread up to the node that introduces it."""
     stack = [d]
     while stack:
         node = stack.pop()
         if node.rule in CUT_RULES:
             return False
         for side, children in REGISTRY[node.rule].pia:
-            if node.rule not in TONICITY_RULES:
-                return False
             for path, sign, (i, pside, ppath) in children:
                 child = struct_at(node.conclusion, (side, path))
                 if child.conn is None or skeleton(child.conn, sign):
@@ -263,7 +224,8 @@ def _anchored(d: Derivation) -> FocalizationReport:
     `top` on; the whole section lies above `top`.  Members are visited in
     pre-order and each one's nodes from `top` up, so of several
     interruptions the one reported is the lowest on the first member's thread
-    that has one.
+    that has one.  A member's own introducer is not visited: it introduces a
+    PIA connective, so it is a tonicity node.
     """
     if has_cut(d):
         return FocalizationReport(False, "proof contains a cut", "(root)")
@@ -274,8 +236,8 @@ def _anchored(d: Derivation) -> FocalizationReport:
             root = min(members)                 # a prefix of every member
             chain, top, (tside, tpath) = thread(d, (side, base + root))
             for fpath in sorted(members):       # pre-order
-                section, last, _ = thread(top, (tside, tpath + fpath[len(root):]))
-                for k, node in enumerate([node for node, _, _ in section] + [last]):
+                section, _, _ = thread(top, (tside, tpath + fpath[len(root):]))
+                for k, (node, _, _) in enumerate(section):
                     if node.rule not in TONICITY_RULES:
                         return FocalizationReport(
                             False,

@@ -26,7 +26,7 @@ from itertools import count
 
 from .syntax import (FAMILY, GROUP_OF, OP_SIG, RESIDUATION_LAWS, STRUCT_OF_OP, STRUCT_SHIFTS,
                      STRUCT_SIG, VARIANT_STRUCTS, Formula, Sort, Structure, Sequent, _ANTITONE,
-                     display_side, fatom, leaf, skeleton)
+                     display_side, fatom, leaf, signed_nodes, skeleton)
 
 
 # ---------------------------------------------------------------------------
@@ -191,15 +191,6 @@ def instantiate_sequent(pat: SeqPat, env: dict) -> Sequent:
 Pos = tuple[str, tuple[int, ...]]     # ('pre'|'suc', path)
 
 
-def _signed(pat, sign: bool, path: tuple[int, ...] = ()):
-    """(path, node, sign) for every node of a pattern signed `sign`, in
-    pre-order; an argument at an antitone position flips its parent's sign."""
-    yield path, pat, sign
-    if isinstance(pat, (SNode, FNode)):
-        for i, (p, flip) in enumerate(zip(pat.args, _ANTITONE[pat.conn])):
-            yield from _signed(p, sign ^ flip, path + (i,))
-
-
 def _leaves(pat, path: tuple[int, ...] = ()):
     """(path, metavariable) for every metavariable leaf of a pattern."""
     if isinstance(pat, (SNode, FNode)):
@@ -251,7 +242,8 @@ class Directed:
     def pia(self) -> tuple:
         """(side, children) per operational connective of the conclusion
         pattern that is PIA under its static sign (precedent +, succedent -),
-        in pre-order; children holds (path, sign, premise target as in
+        in pre-order, walked by `syntax.signed_nodes` down to the
+        metavariables; children holds (path, sign, premise target as in
         threads) for each of its metavariable arguments.  Read by the
         focalization check; computed on first use."""
         return tuple(
@@ -259,7 +251,8 @@ class Directed:
                                for i, (arg, flip) in enumerate(zip(node.args, _ANTITONE[node.conn]))
                                if isinstance(arg, FVar)))
             for side, side_sign in (("pre", True), ("suc", False))
-            for path, node, sign in _signed(getattr(self.schema.conclusion, side), side_sign)
+            for path, node, sign in signed_nodes(getattr(self.schema.conclusion, side), side_sign,
+                                                 lambda p: isinstance(p, (SNode, FNode)))
             if isinstance(node, FNode) and not skeleton(node.conn, sign))
 
     def thread_up(self, pos: Pos):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .syntax import (Formula, Structure, Sequent, leaf, signed_nodes, skeleton, _ANTITONE,
+from .syntax import (Formula, Structure, Sequent, leaf, signed_partition, skeleton, _ANTITONE,
                      STRUCT_OF_OP, OP_OF_STRUCT)
 
 
@@ -86,14 +86,9 @@ class PrincipalSubtree:
 
 
 def principal_subtree(psi: Structure, sign: bool = True) -> PrincipalSubtree:
-    """Largest same-kind subtree of the signed generation tree at the root."""
-    # whether each connective node is skeleton, in pre-order: parents first
-    kinds = {path: skeleton(node.conn, sg) for path, node, sg in signed_nodes(psi, sign)
-             if node.conn is not None}
-    if () not in kinds:
-        return PrincipalSubtree("pia", frozenset())      # bare atom
-    paths = set()
-    for path, kind in kinds.items():
-        if kind == kinds[()] and (not path or path[:-1] in paths):
-            paths.add(path)
-    return PrincipalSubtree("skeleton" if kinds[()] else "pia", frozenset(paths))
+    """Largest same-kind subtree of the signed generation tree at the root:
+    the root's component in `syntax.signed_partition`, without its atoms, so
+    a bare atom's is PIA and empty."""
+    labels, components = signed_partition((("psi", psi, sign),))
+    kind, members = components[0]
+    return PrincipalSubtree(kind, frozenset(pos[1] for pos in members if not labels[pos][2]))

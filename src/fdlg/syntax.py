@@ -519,7 +519,9 @@ def signed_nodes(x: Structure | Formula, sign: bool = True, below=None) -> Itera
     """(path, node, sign) for every node of a structure or formula, in
     pre-order from left to right, by an explicit stack.  With `below`, the
     walk goes below a node only where below(node) is true:
-    `attrgetter("conn")`, for one, stops it at leaf structures.
+    `attrgetter("conn")`, for one, stops it at leaf structures.  A rule
+    pattern, whose connective nodes also have `conn` and `args`, is walked
+    with a `below` that stops at its metavariables.
 
     The path of a node is the tuple of argument indices from `x` down to it.
     A leaf structure and its formula share a path, the leaf coming first,
@@ -544,6 +546,38 @@ def signed_nodes(x: Structure | Formula, sign: bool = True, below=None) -> Itera
         if len(args) == 2:
             stack.append((path + (1,), args[1], sg ^ flips[1]))
         stack.append((path + (0,), args[0], sg ^ flips[0]))
+
+
+def signed_partition(roots) -> tuple[dict, list]:
+    """The signed generation trees of `roots`, (key, term, sign) triples, and
+    their partition into maximal skeleton and PIA components.
+
+    The label map takes the position (key, path) of every connective and
+    atom, in pre-order, to (label, sign, is_atom); a leaf structure gives way
+    to its formula, which shares its path.  An atom is PIA but joins its
+    parent's component.  The components are (kind, set of positions),
+    ordered by root: by key, then breadth-first."""
+    labels: dict = {}
+    for key, x, sign in roots:
+        for path, node, sg in signed_nodes(x, sign):
+            if node.conn is not None:
+                labels[key, path] = (node.conn, sg, False)
+            elif node.__class__ is Formula:
+                labels[key, path] = (node.atom.name, sg, True)
+    comp_of: dict = {}
+    comps: list[tuple[str, set]] = []
+    for pos in sorted(labels, key=lambda p: (p[0], len(p[1]), p[1])):
+        label, sign, is_atom = labels[pos]
+        kind = "pia" if is_atom or not skeleton(label, sign) else "skeleton"
+        key, path = pos
+        cid = comp_of.get((key, path[:-1])) if path else None
+        if cid is not None and (is_atom or comps[cid][0] == kind):
+            comps[cid][1].add(pos)
+        else:
+            cid = len(comps)
+            comps.append((kind, {pos}))
+        comp_of[pos] = cid
+    return labels, comps
 
 
 def formula_nodes(x: Sequent | Structure | Formula) -> list[Formula]:

@@ -205,6 +205,22 @@ def interrupted_pia_proof() -> Derivation:
     return derive("over_L", d, derive("p-Id", selector=p))
 
 
+def interrupted_join_proof() -> Derivation:
+    """up p (+) (q \\ m) |- (q .\\ up (q * p)) .(+) (q .\\ m), joined by
+    oplus_L.  The first premise has a display detour inside the PIA subtree
+    up (q * p) of its succedent; in the second, one wedged below under_L
+    splits the PIA subtree that (+) and q \\ m form in the end-sequent.  The
+    report, anchored on the end-sequent's precedent first, names the second
+    premise, though the first interruption in pre-order lies in the first."""
+    p, q, m = Atom("p", True), Atom("q", True), Atom("m", False)
+    d1 = derive("otimes_R", derive("p-Id", selector=q), derive("p-Id", selector=p))
+    for rule in ("dp(.*,./l)", "dp(.*,./l)'", "up_R", "s-up'", "dp(.*,.\\)'", "s-up", "up_L"):
+        d1 = derive(rule, d1)                   # up p |- q .\ up (q * p)
+    d2 = derive("under_L", derive("p-Id", selector=q), derive("n-Id", selector=m))
+    d2 = derive("dp(.*r,.\\)'", derive("dp(.*r,.\\)", d2))
+    return derive("oplus_L", d1, d2)
+
+
 # ---------------------------------------------------------------------------
 # Random derivations built forward by every non-cut rule.
 

@@ -123,7 +123,7 @@ def _pattern_truth(sp, a, env):
     return relation_for_kind(a, kind)(l, r)
 
 
-def check_rule_soundness(rule, a, max_checks: int = 0) -> SoundnessReport:
+def check_rule_soundness(rule, a) -> SoundnessReport:
     if isinstance(rule, str):
         rule = REGISTRY[rule]
     varspec = _pattern_vars(rule)
@@ -145,8 +145,6 @@ def check_rule_soundness(rule, a, max_checks: int = 0) -> SoundnessReport:
     checked = 0
     violations = []
     for combo in product(*pools):
-        if max_checks and checked >= max_checks:
-            break
         env = dict(zip(names, combo))
         checked += 1
         try:

@@ -9,13 +9,13 @@ import reference_rules as ref
 from fdlg import focus
 from fdlg.cutelim import eliminate_cuts
 from fdlg.focus import check_strong_focalization
-from fdlg.kernel import check_derivation, iter_nodes, thread
+from fdlg.kernel import check_derivation, derive, iter_nodes, thread
 from fdlg.rules import REGISTRY, TONICITY_RULES, TRANSLATION_RULES, FNode, FVar, SNode
 from fdlg.search import SearchConfig, prove
-from fdlg.syntax import FAMILY, _ANTITONE, signed_nodes
+from fdlg.syntax import FAMILY, _ANTITONE, render, signed_nodes
 
-from gen import (interrupted_pia_proof, quantified_sentence, random_cut_proof,
-                 random_derivations)
+from gen import (interrupted_join_proof, interrupted_pia_proof, quantified_sentence,
+                 random_cut_proof, random_derivations)
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +73,39 @@ def test_local_verdict_on_proofs(others):
     assert failing == [interrupted_pia_proof()]
     assert str(check_strong_focalization(failing[0])) == \
         "premises[0]: PIA subtree of (p \\ n) / p interrupted by dp(.*r,.\\)'"
+
+
+@pytest.fixture(scope="module")
+def joins():
+    """oplus_L joins of d1, which proves N |- G and fails in a formula of G
+    only, with each of 20 derivations of M |- D whose G-rooted M threads
+    through a non-tonicity node, and the interrupted join of `gen`.  In a
+    join, M's root is a member of the PIA subtree rooted at N (+) M."""
+    pool = random_derivations(random.Random(3), 2000, max_size=16)
+    negative = [d for d in pool if d.conclusion.pre.conn is None
+                and not d.conclusion.pre.leaf.sort.positive]
+    # The report visits the precedent first, so one that does not name N
+    # means that N holds no interruption.
+    d1 = next(d for d in negative if not (rep := check_strong_focalization(d)).ok
+              and not rep.reason.startswith(f"PIA subtree of {render(d.conclusion.pre.leaf)} "))
+    d2s = [d for d in negative if FAMILY.get(d.conclusion.pre.leaf.conn) == "G"
+           and any(n.rule not in TONICITY_RULES for n, _, _ in thread(d, ("pre", ()))[0])]
+    return [derive("oplus_L", d1, d2) for d2 in d2s[:20]] + [interrupted_join_proof()]
+
+
+def test_report_follows_the_end_sequent_not_pre_order(joins):
+    """Each join is reported under premises[1], where the anchored order
+    finds its first interruption, though an interruption of d1 inside G lies
+    under premises[0], first in pre-order."""
+    assert len(joins) == 21
+    for d in joins:
+        assert not _agree(d)
+        assert not check_strong_focalization(d.premises[0]).ok
+        assert check_strong_focalization(d).where.startswith("premises[1]")
+    assert str(check_strong_focalization(joins[0])) == \
+        "premises[1]: PIA subtree of (up p / dn (q \\ m)) (+) (q \\ m) interrupted by dp(.*r,.\\)'"
+    assert str(check_strong_focalization(joins[-1])) == \
+        "premises[1]: PIA subtree of up p (+) (q \\ m) interrupted by dp(.*r,.\\)'"
 
 
 def test_thread_walk_follows_the_threads(built):

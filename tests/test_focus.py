@@ -199,12 +199,13 @@ def test_no_pia_component_of_shifts_alone():
     or an atom; none consists of shift nodes only."""
     rng = random.Random(11)
     from gen import random_formula
-    from fdlg.focus import _formula_components, _labels
+    from fdlg.focus import _formula_components
+    from fdlg.syntax import signed_partition
     shift_labels = {"up", "dn"}
     for _ in range(400):
         fml = random_formula(rng, 5)
         for sign in (True, False):
-            raw = _labels((("f", fml, sign),))
+            raw, _ = signed_partition((("f", fml, sign),))
             for kind, members in _formula_components(fml, sign):
                 if kind != "pia" or not members:
                     continue
