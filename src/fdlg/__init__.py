@@ -5,7 +5,7 @@ from .syntax import (Atom, Formula, Structure, Sequent, Sort, SortError,
                      ParseError, parse_formula, parse_structure, parse_sequent,
                      render, render_sequent, sort_of, bowtie, infty)
 from .kernel import (Derivation, check_derivation, apply_rule_forward,
-                     backward_expansions, identity_expansion, saturate_translations,
+                     identity_expansion, saturate_translations,
                      derivation_to_json, derivation_from_json)
 from .standardize import ftom, ftoM, standard_sequent
 from .focus import (signed_tree, classify_phase, check_strong_focalization,

@@ -21,11 +21,10 @@ from dataclasses import dataclass, field
 
 from .syntax import (OP_OF_STRUCT, Structure, Sequent, Sort, PP, PS, NP, NS, display_side,
                      render, render_sequent)
-from .rules import (REGISTRY, CUT_RULES, PRINCIPAL_LEFT, PRINCIPAL_RIGHT, candidates,
-                    display_chain)
+from .rules import (REGISTRY, CUT_RULES, PRINCIPAL_LEFT, PRINCIPAL_RIGHT, display_chain,
+                    identify)
 from .kernel import (Derivation, KernelError, TONICITY_SIDES, derive, fold,
-                     make_cut, match_rule, MutationError, struct_at, subst_path,
-                     thread)
+                     make_cut, MutationError, struct_at, subst_path, thread)
 from .standardize import ftom, ftoM
 
 
@@ -140,21 +139,16 @@ def has_cut(d: Derivation) -> bool:
 def _reapply(hint: str, premises: tuple[Derivation, ...], expected: Sequent) -> Derivation:
     """Rebuild one rule application over mutated premises.
 
-    The original rule name is tried first, and the candidates are looked up
-    only if it fails; when the mutation renames the rule (a variant postulate
-    becoming its base instance, a shift adjoint becoming a shift), the first
-    candidate rule that the node instantiates, matched with its premises as
-    the kernel checks it, wins.
+    The original rule is tried first, then the candidates: when the mutation
+    renames the rule (a variant postulate becoming its base instance, a shift
+    adjoint becoming a shift), the first candidate rule that the node
+    instantiates, matched with its premises as the kernel checks it, wins.
     """
-    prem_seqs = [p.conclusion for p in premises]
-    hinted = REGISTRY[hint]
-    if match_rule(hinted.name, expected, prem_seqs) is not None:
-        return Derivation(hinted.name, expected, premises)
-    for rule in candidates(expected):
-        if match_rule(rule.name, expected, prem_seqs) is not None:
-            return Derivation(rule.name, expected, premises)
-    raise CutElimError(f"mutated instance of {hint} is not derivable "
-                       f"(expected {render_sequent(expected)})")
+    found = identify(expected, [premises], REGISTRY[hint])
+    if found is None:
+        raise CutElimError(f"mutated instance of {hint} is not derivable "
+                           f"(expected {render_sequent(expected)})")
+    return Derivation(found[0].name, expected, premises)
 
 
 def rebuild_chain(chain, rho: Derivation, repl: Structure, mu: Mutation,

@@ -1,4 +1,4 @@
-"""Derivation trees, schema checking, forward/backward rule application.
+"""Derivation trees, schema checking by `rules.fits`, forward rule application.
 
 One tree type, `Derivation`, serves both calculi: its conclusion is an fD.LG
 `Sequent` or a companion `FlgSequent` (`fdlg.translate`), and the same walks
@@ -21,12 +21,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .syntax import (Formula, Structure, Sequent, Atom, leaf, formula_nodes,
+from .syntax import (Formula, Structure, Sequent, Atom, formula_nodes,
                      render, render_sequent, SequentReader, GROUP_OF, NP, PP,
                      ParseError, SortError, MAX_NESTING, _Term, _setters, display_side)
 from .rules import (ORDERED_RULES, PRINCIPAL_LEFT, REGISTRY, TONICITY_RULES,
-                    TRANSLATION_OF, FVar, MatchFail, _structural, candidates,
-                    display_chain, match_sequent, instantiate_sequent)
+                    TRANSLATION_OF, FVar, MatchFail, _structural, display_chain, fits,
+                    identify)
 from .standardize import StandardizeError, form_of, ftoM, ftom, str_of
 
 
@@ -137,37 +137,6 @@ class CheckReport:
         return f"{path_str(self.path)}: {self.reason}"
 
 
-def match_rule(name: str, conclusion: Sequent, premises) -> dict | None:
-    """Environment instantiating rule `name` at the given node, or None."""
-    rule = REGISTRY.get(name)
-    if rule is None or rule.arity != len(premises):
-        return None
-    env: dict = {}
-    try:
-        rule.schema.conclusion.match(conclusion, env)
-        for pat, prem in zip(rule.schema.premises, premises):
-            pat.match(prem, env)
-    except MatchFail:
-        return None
-    return env
-
-
-def _fits(node: Derivation) -> bool:
-    """Whether `node` applies a known rule to as many premises as it takes,
-    its conclusion and premise conclusions matching the rule's schema."""
-    rule = REGISTRY.get(node.rule)
-    if rule is None or rule.arity != len(node.premises):
-        return False
-    env: dict = {}
-    try:
-        rule.schema.conclusion.match(node.conclusion, env)
-        for pat, prem in zip(rule.schema.premises, node.premises):
-            pat.match(prem.conclusion, env)
-    except MatchFail:
-        return False
-    return True
-
-
 def check_derivation(d: Derivation) -> CheckReport:
     """Bottom-up schema check; reports the uppermost failing node.
 
@@ -176,21 +145,22 @@ def check_derivation(d: Derivation) -> CheckReport:
     stack = [d]
     while stack:
         node = stack.pop()
-        if not _fits(node):
+        rule = REGISTRY.get(node.rule)
+        if rule is None or not fits(rule, node.conclusion, node.premises):
             break
         stack.extend(node.premises)
     else:
         return CheckReport(True)
-    nodes = sorted(iter_nodes(d), key=lambda pn: len(pn[0]), reverse=True)
-    path, node = next((path, node) for path, node in nodes if not _fits(node))
-    rule = REGISTRY.get(node.rule)
-    if rule is None:
-        return CheckReport(False, path, f"unknown rule {node.rule!r}")
-    if rule.arity != len(node.premises):
-        return CheckReport(False, path,
-                           f"{node.rule} expects {rule.arity} premise(s), got {len(node.premises)}")
-    return CheckReport(False, path,
-                       f"{render_sequent(node.conclusion)} is not an instance of {node.rule}")
+    for path, node in sorted(iter_nodes(d), key=lambda pn: len(pn[0]), reverse=True):
+        rule = REGISTRY.get(node.rule)
+        if rule is None:
+            return CheckReport(False, path, f"unknown rule {node.rule!r}")
+        if rule.arity != len(node.premises):
+            return CheckReport(False, path,
+                               f"{node.rule} expects {rule.arity} premise(s), got {len(node.premises)}")
+        if not fits(rule, node.conclusion, node.premises):
+            return CheckReport(False, path,
+                               f"{render_sequent(node.conclusion)} is not an instance of {node.rule}")
 
 
 def apply_rule_forward(name: str, premises, selector: Atom | None = None) -> Sequent:
@@ -212,7 +182,7 @@ def apply_rule_forward(name: str, premises, selector: Atom | None = None) -> Seq
         for pat, prem in zip(rule.schema.premises, premises):
             pat.match(prem, env)
         return rule.schema.conclusion.build(env)
-    except (MatchFail, KeyError):
+    except MatchFail:
         raise KernelError(f"premises do not match the {name} schema") from None
 
 
@@ -223,45 +193,9 @@ def derive(name: str, *premises: Derivation, selector: Atom | None = None) -> De
         name, [p.conclusion for p in premises], selector), premises)
 
 
-def backward_expansions(goal: Sequent, allow_variants: bool = False,
-                        allow_cuts: bool = False):
-    """All (rule, premise list) whose conclusion equals `goal`.
-
-    With allow_variants=False, rules mentioning l/r-variants or shift adjoints
-    are skipped.  Cut premises are not finitely enumerable in general; with
-    allow_cuts=True, cut instances range over subformulas of the goal.
-    """
-    out = []
-    rules = candidates(goal)
-    for rule in rules:
-        if rule.klass == "cut":
-            continue
-        if not allow_variants and rule.schema.uses_variants:
-            continue
-        env: dict = {}
-        try:
-            match_sequent(rule.schema.conclusion, goal, env)
-        except MatchFail:
-            continue
-        out.append((rule.name, [instantiate_sequent(p, env) for p in rule.schema.premises]))
-    if allow_cuts:
-        for rule in rules:
-            if rule.klass != "cut":
-                continue
-            for a in sorted(set(formula_nodes(goal)), key=render):
-                env = {}
-                try:
-                    match_sequent(rule.schema.conclusion, goal, env)
-                    env["A"] = leaf(a)
-                    prems = [instantiate_sequent(p, env) for p in rule.schema.premises]
-                except (MatchFail, ValueError):
-                    continue
-                out.append((rule.name, prems))
-    return out
-
-
-def cut_rule_for(left: Sequent, right: Sequent) -> str:
-    """The cut name in the four-rule inventory joining these premises."""
+def make_cut(d1: Derivation, d2: Derivation) -> Derivation:
+    """The cut of the four-rule inventory joining two derivations."""
+    left, right = d1.conclusion, d2.conclusion
     a = left.suc
     if a.conn is not None or right.pre != a:
         raise KernelError("cut premises must share a displayed cut formula")
@@ -269,12 +203,7 @@ def cut_rule_for(left: Sequent, right: Sequent) -> str:
         name = "P-Cut" if right.suc.sort.positive else "Pn-Cut"
     else:
         name = "N-Cut" if not left.pre.sort.positive else "nN-Cut"
-    apply_rule_forward(name, [left, right])     # raises if they do not fit it
-    return name
-
-
-def make_cut(d1: Derivation, d2: Derivation) -> Derivation:
-    return derive(cut_rule_for(d1.conclusion, d2.conclusion), d1, d2)
+    return derive(name, d1, d2)       # raises if they do not fit it
 
 
 # ---------------------------------------------------------------------------
@@ -342,38 +271,19 @@ def _relabel(conn: str, args: tuple) -> Structure:
                         f"no mutation for the new argument sorts")
 
 
-def identify_rule(conclusion: Sequent, premises) -> str | None:
-    """The rule this (conclusion, premises) pair instantiates, trying both
-    premise orders for binary rules."""
-    orders = [list(premises)]
-    if len(premises) == 2:
-        orders.append([premises[1], premises[0]])
-    for rule in candidates(conclusion):
-        if rule.arity != len(premises):
-            continue
-        for prems in orders:
-            if match_rule(rule.name, conclusion, prems) is not None:
-                if prems == list(premises):
-                    return rule.name
-                return rule.name + "@swap"
-    return None
-
-
 def transform_derivation(d: Derivation, seq_map) -> Derivation:
-    """Map every sequent through `seq_map` and re-identify each rule.
+    """Map every sequent through `seq_map` and re-identify each rule, with
+    both premise orders of a binary node (`rules.identify`).
 
     Fails if some node's image instantiates no rule; used for pushing proofs
     through the term symmetries.
     """
     def step(node: Derivation, prems) -> Derivation:
         conc = seq_map(node.conclusion)
-        name = identify_rule(conc, [p.conclusion for p in prems])
-        if name is None:
+        found = identify(conc, [prems, prems[::-1]] if len(prems) == 2 else [prems])
+        if found is None:
             raise KernelError(f"image of {node.rule} instantiates no rule")
-        if name.endswith("@swap"):
-            name = name[:-5]
-            prems = (prems[1], prems[0])
-        return Derivation(name, conc, prems)
+        return Derivation(found[0].name, conc, found[1])
     return fold(d, step)
 
 

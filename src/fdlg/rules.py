@@ -11,7 +11,9 @@ The logical rules are generated from the operational signature (`OP_SIG`,
 residuation laws (`syntax.RESIDUATION_LAWS`); the axioms, the cuts, the shift
 display postulates and the structural shift rules are written out.  The rule
 classes and sets are read off the schemas.  `display_chain` finds the display
-moves that translation saturation and the cut reductions make.
+moves that translation saturation and the cut reductions make.  `fits`,
+`backward` and `identify` tell every other layer which rules a node or a
+sequent instantiates.
 
 Each sequent pattern is compiled on its first use into two straight-line
 functions, kept on it: a matcher and a builder of instances.  A formula
@@ -468,6 +470,61 @@ def candidates(seq: Sequent) -> tuple[Directed, ...]:
     Every rule whose conclusion matches `seq` is among them.
     """
     return _candidates_at(_root(seq.pre), _root(seq.suc))
+
+
+# ---------------------------------------------------------------------------
+# Rule instances.  Every layer asks which rules a node or a goal instantiates:
+# the kernel check, backward search, re-application after a mutation, the
+# symmetry transform and the companion check.  These three functions are the
+# only code that matches a rule's conclusion pattern.
+
+
+def fits(rule: Directed, conclusion: Sequent, premises) -> bool:
+    """Whether `rule` concludes `conclusion` from the premise derivations
+    `premises` (anything with a `.conclusion`), as many as it takes."""
+    if rule.arity != len(premises):
+        return False
+    env: dict = {}
+    try:
+        rule.schema.conclusion.match(conclusion, env)
+        for pat, prem in zip(rule.schema.premises, premises):
+            pat.match(prem.conclusion, env)
+    except MatchFail:
+        return False
+    return True
+
+
+def backward(seq: Sequent, admitted) -> list:
+    """(rule, premise sequents) for each rule of the set `admitted` whose
+    conclusion matches `seq`, in ORDERED_RULES order.  `admitted` holds no
+    cut: every premise metavariable of any other rule occurs in its
+    conclusion, so the match builds the premises."""
+    out = []
+    for rule in candidates(seq):
+        if rule in admitted:
+            env: dict = {}
+            try:
+                rule.schema.conclusion.match(seq, env)
+            except MatchFail:
+                continue
+            out.append((rule, [p.build(env) for p in rule.schema.premises]))
+    return out
+
+
+def identify(conclusion: Sequent, premise_orders, hint: Directed | None = None):
+    """(rule, premises) for the first rule that fits `conclusion` over one of
+    `premise_orders`, tried in turn for each rule: `hint` first, then the
+    candidates in order, looked up only if `hint` does not fit; None if no
+    rule fits."""
+    if hint is not None:
+        for premises in premise_orders:
+            if fits(hint, conclusion, premises):
+                return hint, premises
+    for rule in candidates(conclusion):
+        for premises in premise_orders:
+            if fits(rule, conclusion, premises):
+                return rule, premises
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,7 @@ from itertools import product
 
 from .syntax import (Formula, Structure, Sequent, leaf, s as snode,
                      parse_formula, render, ParseError)
-from .rules import (ORDERED_RULES, SHIFT_DPS, candidates, match_sequent,
-                    instantiate_sequent, MatchFail)
+from .rules import ORDERED_RULES, SHIFT_DPS, backward
 from .kernel import Derivation
 
 
@@ -52,6 +51,7 @@ _ORBIT_DPS = frozenset(r for r in ORDERED_RULES if r.klass == "dp"
                        and r.name not in SHIFT_DPS and not r.schema.uses_variants)
 _EXPANDERS = frozenset(r for r in ORDERED_RULES if r.klass not in ("dp", "cut")
                        and not r.schema.uses_variants)
+_ADMITTED = _ORBIT_DPS | _EXPANDERS
 
 
 def _steps(seq: Sequent):
@@ -61,17 +61,8 @@ def _steps(seq: Sequent):
     expansion is (rule, premise list) for a rule of `_EXPANDERS`.
     """
     display, expansions = [], []
-    for rule in candidates(seq):
-        is_dp = rule in _ORBIT_DPS
-        if not is_dp and rule not in _EXPANDERS:
-            continue
-        env: dict = {}
-        try:
-            match_sequent(rule.schema.conclusion, seq, env)
-            prems = [instantiate_sequent(p, env) for p in rule.schema.premises]
-        except MatchFail:
-            continue
-        if is_dp:
+    for rule, prems in backward(seq, _ADMITTED):
+        if rule in _ORBIT_DPS:
             display.append((rule.name, prems[0]))
         else:
             expansions.append((rule.name, prems))
@@ -130,10 +121,12 @@ def prove(goal: Sequent, cfg: SearchConfig | None = None) -> list[Derivation]:
     """All minimal proofs of `goal` up to the height bound.
 
     Complete for the minimal-proof search space within cfg.max_depth; an
-    empty list means no proof was found within the bounds.  max_solutions
-    caps the returned list (the enumeration order is deterministic).  No
-    proof comes twice: the members of an orbit are distinct, and a rule
-    matches a conclusion in one way only.
+    empty list means no proof was found within the bounds.  Only goals with
+    no l/r-variant and no shift adjoint are covered: for any other, such as
+    `p |- .dnr up p`, the list is empty even though the goal is derivable.
+    max_solutions caps the returned list (the enumeration order is
+    deterministic).  No proof comes twice: the members of an orbit are
+    distinct, and a rule matches a conclusion in one way only.
 
     Each orbit and each sequent's steps are computed once per call, and a
     subgoal's result is reused wherever the path and the bound cannot change

@@ -33,9 +33,9 @@ from dataclasses import dataclass
 
 from .syntax import (OP_SIG, STRUCT_OF_OP, STRUCT_SIG, Formula, Structure, Sequent, Atom, leaf,
                      f as fnode, ParseError, parse_raw, _Term, _setters)
-from .rules import REGISTRY, SHIFT_DPS, SNode
+from .rules import REGISTRY, SHIFT_DPS, SNode, fits
 from .kernel import (Derivation, KernelError, TONICITY_PREMISES, apply_rule_forward, derive,
-                     fold, iter_nodes, match_rule, read_document, read_nodes, write_document)
+                     fold, iter_nodes, read_document, read_nodes, write_document)
 from .focus import minimize_proof
 
 
@@ -360,7 +360,8 @@ def _check_premises(rule: str, ps) -> None:
 
 def check_flg(d: FlgDerivation) -> tuple[bool, str]:
     """Bottom-up schema check of a companion-calculus derivation; a table
-    rule's node is matched through polarization, after the companion's checks."""
+    rule's node is matched through polarization by `rules.fits`, after the
+    companion's checks."""
     for path, node in iter_nodes(d):
         rule, ps = node.rule, [p.conclusion for p in node.premises]
         try:
@@ -373,8 +374,8 @@ def check_flg(d: FlgDerivation) -> tuple[bool, str]:
                 conc = apply_flg(rule, ps, side=node.conclusion.focus)
             else:
                 _check_premises(rule, ps)
-                if match_rule(rule, polarize_sequent(node.conclusion),
-                              [polarize_sequent(s) for s in ps]) is not None:
+                leaves = [Derivation(p.rule, polarize_sequent(p.conclusion)) for p in node.premises]
+                if fits(REGISTRY[rule], polarize_sequent(node.conclusion), leaves):
                     continue
                 conc = apply_flg(rule, ps)      # its error, or the instance
         except (TranslateError, AttributeError) as e:

@@ -15,18 +15,21 @@ depth; the differential test requires the same derivation or error.
 
 `fdlg.kernel.check_derivation` first checks every node in one walk without
 paths.  This module keeps the check that sorted every node's path by length
-before checking any; the differential test requires the same report on
-derivations with corrupted nodes.
+before checking any, matching each node with `reference_rules.match_rule`; the
+differential test requires the same report on derivations with corrupted
+nodes.
 """
 
 from __future__ import annotations
 
 from fdlg.kernel import (_EXPANSION, CheckReport, Derivation, KernelError, _fold, derive,
-                         iter_nodes, match_rule, read_document, read_nodes)
+                         iter_nodes, read_document, read_nodes)
 from fdlg.rules import REGISTRY
 from fdlg.standardize import ftoM, ftom, str_of
 from fdlg.syntax import (STRUCT_SIG, Formula, ParseError, Sequent, Structure, f, fatom,
                          leaf, parse_raw, render_sequent, s)
+
+from reference_rules import match_rule
 
 
 def _read(raw, neg: frozenset[str], structural: bool):

@@ -10,14 +10,17 @@ equal instances, for every rule pattern, and to raise the same errors; the
 scans below use this pair, so `test_rule_index` does not compare the live
 matcher with itself.
 
-The scans are the backward expansion of `fdlg.kernel` and the display-orbit step
-of `fdlg.search` as they read before rules were indexed: every rule of
-ORDERED_RULES is tried against the sequent.  `test_rule_index` requires the
-indexed versions to return the same lists in the same order.  Likewise
-`identify_rule` and `reapply` try every rule of REGISTRY, as
-`fdlg.kernel.identify_rule` and the re-application of `fdlg.cutelim` did
-before they scanned only the candidate rules; `test_kernel` and
-`test_cutelim` require the same rule to be picked.
+`match_rule` is the node test of `fdlg.kernel` as it read before
+`fdlg.rules.fits` served every layer, on this matcher.  The scans are the
+backward expansion of `fdlg.kernel` and the display-orbit step of
+`fdlg.search` as they read before rules were indexed: every rule of
+ORDERED_RULES is tried against the sequent.  `test_rule_index` requires
+`fdlg.rules.backward` and the search's steps to return the same lists in the
+same order, and `reference_search` takes its expansions from
+`backward_expansions`.  Likewise `identify_rule` and `reapply` try every rule
+of REGISTRY, as the rule identification of `fdlg.kernel` and the
+re-application of `fdlg.cutelim` did before they scanned only the candidate
+rules; `test_kernel` and `test_cutelim` require the same rule to be picked.
 
 `thread_up` is `Directed.thread_up` as it read before the rules compiled
 their thread maps: it scans the conclusion's metavariables and then the
@@ -38,10 +41,10 @@ from __future__ import annotations
 
 from fdlg.cutelim import has_cut
 from fdlg.focus import FocalizationReport, _formula_components, _formula_positions
-from fdlg.kernel import Derivation, KernelError, apply_rule_forward, match_rule, path_str
+from fdlg.kernel import Derivation, KernelError, apply_rule_forward, path_str
 from fdlg.rules import (ORDERED_RULES, REGISTRY, SHIFT_DPS, TONICITY_RULES, AVar, FNode,
                         FVar, MatchFail, RuleSchema, SeqPat, SNode, SVar)
-from fdlg.syntax import Formula, Sequent, Structure, formula_nodes, leaf, render
+from fdlg.syntax import Formula, Sequent, Structure, leaf, render
 
 
 def _match_formula(pat, fml: Formula, env: dict) -> None:
@@ -122,7 +125,23 @@ def instantiate_sequent(pat, env: dict):
     return Sequent(_inst(pat.pre, env), _inst(pat.suc, env))
 
 
-def backward_expansions(goal, allow_variants=False, allow_cuts=False):
+def match_rule(name, conclusion, premises):
+    """Environment instantiating rule `name` at the given node, or None."""
+    rule = REGISTRY.get(name)
+    if rule is None or rule.arity != len(premises):
+        return None
+    env: dict = {}
+    try:
+        match_sequent(rule.schema.conclusion, conclusion, env)
+        for pat, prem in zip(rule.schema.premises, premises):
+            match_sequent(pat, prem, env)
+    except MatchFail:
+        return None
+    return env
+
+
+def backward_expansions(goal, allow_variants=False):
+    """(rule name, premises) for every non-cut rule concluding `goal`."""
     out = []
     for rule in ORDERED_RULES:
         if rule.klass == "cut":
@@ -142,19 +161,6 @@ def backward_expansions(goal, allow_variants=False, allow_cuts=False):
         except KeyError:
             continue
         out.append((rule.name, prems))
-    if allow_cuts:
-        for rule in ORDERED_RULES:
-            if rule.klass != "cut":
-                continue
-            for a in sorted(set(formula_nodes(goal)), key=render):
-                env = {}
-                try:
-                    match_sequent(rule.schema.conclusion, goal, env)
-                    env["A"] = leaf(a)
-                    prems = [instantiate_sequent(p, env) for p in rule.schema.premises]
-                except (MatchFail, KeyError, ValueError):
-                    continue
-                out.append((rule.name, prems))
     return out
 
 
@@ -175,15 +181,18 @@ def display_steps(seq, allow_variants):
 
 
 def identify_rule(conclusion, premises):
-    orders = [list(premises)]
+    """(name, premise derivations in the order that fits) of the first rule
+    of REGISTRY the node instantiates, trying both orders of two premises;
+    None if no rule fits."""
+    orders = [tuple(premises)]
     if len(premises) == 2:
-        orders.append([premises[1], premises[0]])
+        orders.append((premises[1], premises[0]))
     for name, rule in REGISTRY.items():
         if rule.arity != len(premises):
             continue
         for prems in orders:
-            if match_rule(name, conclusion, prems) is not None:
-                return name if prems == list(premises) else name + "@swap"
+            if match_rule(name, conclusion, [p.conclusion for p in prems]) is not None:
+                return name, prems
     return None
 
 

@@ -2,20 +2,24 @@
 computed each orbit and each sequent's steps once.
 
 Every goal the search meets has its orbit rebuilt, and every orbit member has
-its display postulates matched by `_display_steps` and, through
-`backward_expansions`, once more by `_expansions`.  `test_search_reference`
-requires `fdlg.search.prove` to return the same list, in the same order.
+its display postulates matched by `_display_steps` and its other rules by
+`_expansions`, which takes them from the all-rules scan
+`reference_rules.backward_expansions`, not from `fdlg.rules.backward`.
+`test_search_reference` requires `fdlg.search.prove` to return the same
+list, in the same order.
 """
 
 from __future__ import annotations
 
 from itertools import product
 
-from fdlg.kernel import Derivation, backward_expansions
+from fdlg.kernel import Derivation
 from fdlg.rules import (REGISTRY, ORDERED_RULES, SHIFT_DPS, candidates,
                         match_sequent, instantiate_sequent, MatchFail)
 from fdlg.search import SearchConfig
 from fdlg.syntax import Sequent
+
+from reference_rules import backward_expansions
 
 
 # Display postulates the orbit may use, keyed by allow_variants.

@@ -12,7 +12,7 @@ from fdlg.cutelim import (MUTATIONS, MU_ID, MU_DOTTED, MU_NEUTRAL, MU_NEUTRAL_DO
                           mutation_for, mutate_sequent, eliminate_cuts, has_cut,
                           CutElimError, position_class)
 from fdlg.syntax import PP, PS, NP, NS
-from fdlg import cutelim
+from fdlg import cutelim, rules
 from fdlg.focus import minimize_proof
 from fdlg.corpus import cut_elim_example, cut_elim_parametric_result
 from fdlg.rules import CUT_RULES
@@ -135,6 +135,35 @@ def test_reapply_matches_all_rules_scan(monkeypatch):
     eliminate_cuts(cut_elim_example())
     assert len(picks) > 100
     assert any(hint != rule for hint, rule in picks)     # a mutation renamed a rule
+
+
+def test_reapply_tries_the_original_rule_first(monkeypatch):
+    """Exactly one rule fits each re-applied node, so the original rule comes
+    first only to spare the scan: a re-application that keeps its rule tests
+    that rule alone, and one that renames it tests that rule before any
+    candidate."""
+    fits, reapply = rules.fits, cutelim._reapply
+    tried, outcomes = [], []
+
+    def recording_fits(rule, conclusion, premises):
+        tried.append(rule.name)
+        return fits(rule, conclusion, premises)
+
+    def watched(hint, premises, expected):
+        tried.clear()
+        out = reapply(hint, premises, expected)
+        assert tried[0] == hint and (out.rule != hint or tried == [hint])
+        outcomes.append(out.rule == hint)
+        return out
+
+    monkeypatch.setattr(rules, "fits", recording_fits)
+    monkeypatch.setattr(cutelim, "_reapply", watched)
+    rng = random.Random(31)
+    for depth in (2, 3, 4, 5):
+        for _ in range(6):
+            eliminate_cuts(random_cut_proof(rng, depth))
+    eliminate_cuts(cut_elim_example())
+    assert outcomes.count(True) > 100 and False in outcomes
 
 
 def _renamed(x, old: str, new: str):

@@ -10,7 +10,7 @@ from fdlg.syntax import (Atom, Sequent, parse_sequent, parse_structure,
                          iter_formulas, iter_structures)
 from fdlg import kernel
 from fdlg.kernel import (Derivation, CheckReport, check_derivation,
-                         apply_rule_forward, backward_expansions, KernelError,
+                         apply_rule_forward, KernelError,
                          identity_expansion, saturate_translations,
                          derivation_to_json, derivation_from_json, make_cut,
                          iter_nodes, neg_atoms_of, derive, rule_count,
@@ -20,7 +20,7 @@ from fdlg.focus import check_strong_focalization, minimize_proof
 from fdlg.corpus import golden_sequents
 from fdlg.search import SearchConfig, prove
 from fdlg.standardize import StandardizeError, ftom, ftoM
-from fdlg.rules import REGISTRY, CUT_RULES
+from fdlg.rules import ORDERED_RULES, REGISTRY, CUT_RULES, backward
 
 import reference_kernel as ref_kernel
 import reference_rules as ref
@@ -122,44 +122,51 @@ def test_apply_display_postulate():
     assert render_sequent(seq) == "q |- p .\\ d"
 
 
+# The non-cut rules, and those of them with no l/r-variant or shift adjoint.
+_NON_CUT = frozenset(r for r in ORDERED_RULES if r.klass != "cut")
+_VARIANT_FREE = frozenset(r for r in _NON_CUT if not r.schema.uses_variants)
+
+
+def _expansions(seq, admitted=_VARIANT_FREE):
+    return [(rule.name, prems) for rule, prems in backward(seq, admitted)]
+
+
 def test_backward_expansions_axiom():
-    exps = backward_expansions(parse_sequent("p |- p"))
+    exps = _expansions(parse_sequent("p |- p"))
     assert ("p-Id", []) in exps
 
 
 def test_premise_metavariables_occur_in_the_conclusion():
     """Backward expansion builds a rule's premises from the match of its
     conclusion alone: every premise metavariable of a non-cut rule occurs
-    in its conclusion, and a cut adds only its cut formula A."""
+    in its conclusion, and a cut adds only its cut formula A.  Conversely,
+    forward application builds the conclusion from the premises' match: every
+    conclusion metavariable of a non-axiom rule occurs in a premise, and the
+    axioms' only one, a, comes from the atom selector."""
     extra = {name: set().union(*rule.prem_vars) - set(rule.conc_vars)
              for name, rule in REGISTRY.items()}
     assert len(extra) - len(CUT_RULES) == 60
     assert {name: e for name, e in extra.items() if e} == dict.fromkeys(CUT_RULES, {"A"})
+    missing = {name: set(rule.conc_vars) - set().union(*rule.prem_vars)
+               for name, rule in REGISTRY.items()}
+    assert {name: m for name, m in missing.items() if m} == dict.fromkeys(("p-Id", "n-Id"), {"a"})
 
 
 def test_backward_expansions_tonicity():
-    exps = backward_expansions(parse_sequent("p .* q |- p * q"))
+    exps = _expansions(parse_sequent("p .* q |- p * q"))
     tgt = ("otimes_R", [parse_sequent("p |- p"), parse_sequent("q |- q")])
     assert tgt in exps
 
 
 def test_backward_expansions_neutral_atomics():
-    exps = backward_expansions(parse_sequent("p |- n", {"n"}), allow_cuts=False)
+    exps = _expansions(parse_sequent("p |- n", {"n"}))
     assert sorted(name for name, _ in exps) == ["s-down'", "s-up'"]
-
-
-def test_backward_cuts_are_analytic():
-    exps = backward_expansions(parse_sequent("p |- n", {"n"}), allow_cuts=True)
-    cuts = [(n, prems) for n, prems in exps if n in CUT_RULES]
-    assert cuts, "cut instances over subformulas expected"
-    for _, prems in cuts:
-        assert len(prems) == 2
 
 
 def test_forward_backward_coherence():
     closure = forward_closure(max_height=4, max_size=8)
     for seq in closure:
-        for name, prems in backward_expansions(seq, allow_variants=True):
+        for name, prems in _expansions(seq, _NON_CUT):
             if not prems:
                 atom = seq.pre.leaf.atom
                 assert apply_rule_forward(name, [], selector=atom) == seq
@@ -296,19 +303,20 @@ def test_structural_cut_rebuilds_parametric_section():
 
 
 def test_identify_rule_matches_all_rules_scan(monkeypatch):
-    """identify_rule scans the candidate rules of the conclusion; on the
-    symmetry images of the corpus proofs it picks what a scan of every rule
-    picks."""
-    indexed = kernel.identify_rule
+    """The rule identification of `transform_derivation` scans the candidate
+    rules of the conclusion; on the symmetry images of the corpus proofs it
+    picks what a scan of every rule picks, and the same premise order."""
+    indexed = kernel.identify
     calls = []
 
-    def both(conclusion, premises):
-        name = indexed(conclusion, premises)
-        assert name == ref.identify_rule(conclusion, premises)
-        calls.append(name)
-        return name
+    def both(conclusion, premise_orders, hint=None):
+        found = indexed(conclusion, premise_orders, hint)
+        got = None if found is None else (found[0].name, found[1])
+        assert got == ref.identify_rule(conclusion, premise_orders[0])
+        calls.append(got)
+        return found
 
-    monkeypatch.setattr(kernel, "identify_rule", both)
+    monkeypatch.setattr(kernel, "identify", both)
     cfg = SearchConfig(max_depth=30, max_solutions=1)
     for seq in golden_sequents():
         for d in prove(seq, cfg):

@@ -1,7 +1,9 @@
 """The root-connective rule index against the all-rules reference scans in
 `reference_rules`, on the forward closure, on every sequent the search visits
-while parsing the corpus sentence, and on random sequents.  The search's steps
-are variant-free, so they are compared only without variants."""
+while parsing the corpus sentence, and on random sequents: `rules.backward`
+over the non-cut rules, with and without variants, and the search's steps.
+The search's steps are variant-free, so they are compared only without
+variants."""
 
 import random
 
@@ -10,8 +12,7 @@ import pytest
 import reference_rules as ref
 from fdlg import search
 from fdlg.corpus import GOAL, LEXICON, SENTENCE
-from fdlg.kernel import backward_expansions
-from fdlg.rules import ORDERED_RULES, REGISTRY, candidates
+from fdlg.rules import ORDERED_RULES, REGISTRY, backward, candidates
 from fdlg.syntax import Sequent
 
 from gen import forward_closure, random_structure
@@ -47,11 +48,15 @@ def corpus_visits():
     return list(seen)
 
 
+# The non-cut rules admitted with and without variants.
+_ADMITTED = {v: frozenset(r for r in ORDERED_RULES if r.klass != "cut"
+                          and (v or not r.schema.uses_variants)) for v in (False, True)}
+
+
 def _compare(seqs, allow_variants):
     for seq in seqs:
-        for cuts in (False, True):
-            assert (backward_expansions(seq, allow_variants, cuts)
-                    == ref.backward_expansions(seq, allow_variants, cuts)), seq
+        assert ([(rule.name, prems) for rule, prems in backward(seq, _ADMITTED[allow_variants])]
+                == ref.backward_expansions(seq, allow_variants)), seq
         if not allow_variants:
             display, expansions = search._steps(seq)
             assert display == ref.display_steps(seq, False), seq
