@@ -123,6 +123,10 @@ def cmd_translate(args) -> int:
         print(derivation_to_json(out, neg or neg_atoms_of(out)))
     else:
         d, neg = derivation_from_json(text)
+        report = check_derivation(d)
+        if not report.ok:
+            print(report, file=sys.stderr)
+            return 1
         out = translate_to_flg(d)
         print(flg_to_json(out, neg))
     return 0

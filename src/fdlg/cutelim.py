@@ -220,9 +220,9 @@ _SHIFT_ELIMINATIONS = {**_SHIFT_REDUCTIONS, **{(".up", residue): (
 def _binary_reduction(conn: str, residue: Sort) -> tuple:
     """The row of binary structural connective `conn` and residue sort
     `residue`."""
-    first, i = display_chain(conn, residue, None, (0, 1))
-    then, j = display_chain(conn, residue, i, (1 - i,))
-    back, _ = display_chain(conn, residue, j, (None,))
+    first, i = display_chain(conn, residue.positive, None, (0, 1))
+    then, j = display_chain(conn, residue.positive, i, (1 - i,))
+    back, _ = display_chain(conn, residue.positive, j, (None,))
     return (*first, i, *then, j, *back)
 
 

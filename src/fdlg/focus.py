@@ -304,7 +304,8 @@ _VARIANTS = VARIANT_STRUCTS | SHIFT_ADJOINTS
 
 def minimize_proof(d: Derivation) -> Derivation:
     """Cut-free, variant-free proof of the same end-sequent with no adjacent
-    rule/inverse pair and no shift display postulate."""
+    rule/inverse pair and no shift display postulate; `d` must pass
+    `check_derivation`."""
     end = d.conclusion
     if has_cut(d):
         d = eliminate_cuts(d)

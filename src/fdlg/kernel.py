@@ -22,7 +22,7 @@ import json
 from dataclasses import dataclass
 
 from .syntax import (Formula, Structure, Sequent, Atom, formula_nodes,
-                     render, render_sequent, SequentReader, GROUP_OF, NP, PP,
+                     render, render_sequent, SequentReader, GROUP_OF,
                      ParseError, SortError, MAX_NESTING, _Term, _setters, display_side)
 from .rules import (ORDERED_RULES, PRINCIPAL_LEFT, REGISTRY, TONICITY_RULES,
                     TRANSLATION_OF, FVar, MatchFail, _structural, display_chain, fits,
@@ -372,6 +372,8 @@ def derivation_from_json(text: str) -> tuple[Derivation, frozenset[str]]:
     reads all its conclusions, so a side text repeated is read once and equal
     terms are one object; its tables go when the read returns."""
     doc, neg = read_document(text)
+    if "calculus" in doc:
+        raise ParseError('a fD.LG derivation document has no "calculus" field')
     sequent = SequentReader(neg).sequent
     return read_nodes(doc, lambda rule, conclusion, premises: Derivation(
         rule, sequent(conclusion), premises)), neg
@@ -414,8 +416,7 @@ def _folds(conn: str, side: str) -> tuple:
     precedent are folded first, then the rest in index order."""
     if conn in (".dn", ".up"):
         return ((None, ("s-down'" if conn == ".dn" else "s-up'",), side),)
-    residue = NP if side == "pre" else PP
-    folds = [(i, display_chain(conn, residue, None, (i,))[0], display_side(conn, i))
+    folds = [(i, display_chain(conn, side == "suc", None, (i,))[0], display_side(conn, i))
              for i in (0, 1)]
     return tuple(sorted(folds, key=lambda fold: fold[2] != "pre"))
 

@@ -10,10 +10,12 @@ The logical rules are generated from the operational signature (`OP_SIG`,
 `FAMILY`, `ORDER_TYPE`), and the binary display postulates from the
 residuation laws (`syntax.RESIDUATION_LAWS`); the axioms, the cuts, the shift
 display postulates and the structural shift rules are written out.  The rule
-classes and sets are read off the schemas.  `display_chain` finds the display
-moves that translation saturation and the cut reductions make.  `fits`,
-`backward` and `identify` tell every other layer which rules a node or a
-sequent instantiates.
+classes and sets are read off the schemas.  `orbit` walks a display orbit;
+search walks its goals' orbits with it, and `display_chain` reads off the
+orbit of a sample sequent the display moves that translation saturation and
+the cut reductions make.  `fits`, `backward` and `identify` tell every other
+layer which rules a node or a sequent instantiates; apart from them only
+`kernel.apply_rule_forward` matches a premise pattern.
 
 Each sequent pattern is compiled on its first use into two straight-line
 functions, kept on it: a matcher and a builder of instances.  A formula
@@ -27,7 +29,7 @@ from functools import cache, cached_property
 from itertools import count
 
 from .syntax import (FAMILY, GROUP_OF, OP_SIG, RESIDUATION_LAWS, STRUCT_OF_OP, STRUCT_SHIFTS,
-                     STRUCT_SIG, VARIANT_STRUCTS, Formula, Sort, Structure, Sequent, _ANTITONE,
+                     STRUCT_SIG, VARIANT_STRUCTS, Formula, Structure, Sequent, _ANTITONE,
                      display_side, fatom, leaf, signed_nodes, skeleton)
 
 
@@ -434,6 +436,11 @@ TONICITY_RULES = frozenset(r.name for r in _LOGICAL) - TRANSLATION_RULES
 SHIFT_DPS = frozenset(r.name for r in _RULES
                       if r.klass == "dp" and _structural(r.conclusion) in STRUCT_SHIFTS)
 CUT_RULES = frozenset(r.name for r in _RULES if r.klass == "cut")
+# The binary display postulates, and the display postulates of the variant-
+# free fragment that search and the companion calculus work in: no variant,
+# no shift.
+_BINARY_DPS = frozenset(r for r in ORDERED_RULES if r.klass == "dp" and r.name not in SHIFT_DPS)
+ORBIT_DPS = frozenset(r for r in _BINARY_DPS if not r.schema.uses_variants)
 
 
 # Root-connective index.  The root key of a structure is its structural
@@ -476,7 +483,8 @@ def candidates(seq: Sequent) -> tuple[Directed, ...]:
 # Rule instances.  Every layer asks which rules a node or a goal instantiates:
 # the kernel check, backward search, re-application after a mutation, the
 # symmetry transform and the companion check.  These three functions are the
-# only code that matches a rule's conclusion pattern.
+# only code that matches a rule's conclusion pattern; a premise pattern is
+# matched only here and by kernel.apply_rule_forward.
 
 
 def fits(rule: Directed, conclusion: Sequent, premises) -> bool:
@@ -528,59 +536,57 @@ def identify(conclusion: Sequent, premise_orders, hint: Directed | None = None):
 
 
 # ---------------------------------------------------------------------------
-# Display chains.  By Belnap's display theorem, binary display postulates make
-# any argument of a binary structural connective a whole side; translation
-# saturation and the cut reductions read their display moves off these chains.
-
-# Each binary display postulate, with the connective at the root of its premise.
-_BINARY_DPS = tuple((r, _structural(r.schema.premises[0])) for r in ORDERED_RULES
-                    if r.klass == "dp" and r.name not in SHIFT_DPS)
+# Display orbits.  By Belnap's display theorem, binary display postulates make
+# any argument of a binary structural connective a whole side, and the
+# sequents they reach from a sequent are its display orbit.  Backward search
+# branches on the orbits of its goals; translation saturation and the cut
+# reductions read their display moves off the orbits of sample sequents.
 
 
-def _search(start: Sequent, targets: tuple) -> tuple:
-    """The first shortest path of binary display postulates, in ORDERED_RULES
-    order, from `start` to a sequent with one of `targets` as a whole side:
-    its rule names and that sequent."""
-    paths = {start: ()}
-    level = [start]
-    while level:
-        for seq in level:
-            if seq.pre in targets or seq.suc in targets:
-                return paths[seq], seq
-        following = []
-        for seq in level:
-            roots = (seq.pre.conn, seq.suc.conn)
-            for rule, root in _BINARY_DPS:
-                if root not in roots:
-                    continue
-                env: dict = {}
-                try:
-                    match_sequent(rule.schema.premises[0], seq, env)
-                except MatchFail:
-                    continue
-                new = instantiate_sequent(rule.schema.conclusion, env)
-                if new not in paths:
-                    paths[new] = (*paths[seq], rule.name)
-                    following.append(new)
-        level = following
+def orbit(goal: Sequent, step) -> list:
+    """Display orbit of `goal`: list of (member, downward display path),
+    breadth-first in the order `step` gives the steps.
+
+    `step(seq)` lists the display steps of `seq` as (rule name, premise)
+    pairs.  The path lists (rule, conclusion) pairs rebuilding the chain from
+    the member down to `goal`.
+    """
+    seen = {goal}
+    out = [(goal, [])]
+    for seq, path in out:               # a queue: members are walked as found
+        for name, prem in step(seq):
+            if prem not in seen:
+                seen.add(prem)
+                out.append((prem, [(name, seq)] + path))
+    return out
+
+
+def _display(start: Sequent, targets: tuple) -> tuple:
+    """The display moves, forward, along the first shortest path of binary
+    display postulates from `start` to a sequent with one of `targets` as a
+    whole side, and that sequent."""
+    for seq, path in orbit(start, lambda seq: [(rule.name, prems[0]) for rule, prems
+                                               in backward(seq, _BINARY_DPS)]):
+        if seq.pre in targets or seq.suc in targets:
+            return tuple(REGISTRY[name].schema.inverse for name, _ in reversed(path)), seq
     raise ValueError(f"no display postulates display {targets} in {start}")
 
 
 @cache
-def display_chain(conn: str, residue: Sort, start: int | None, goals: tuple) -> tuple:
+def display_chain(conn: str, positive: bool, start: int | None, goals: tuple) -> tuple:
     """Display moves on a sample sequent: binary structural connective `conn`
     over distinct atom leaves, in the precedent if it is an F-connective and
-    else in the succedent, against a residue of sort `residue`.  A part is
-    argument i of `conn`, or with None the sample's structure of `conn`.  The
-    moves are `_search`'s from the sequent displaying part `start` to one
-    displaying a part of `goals`; returns them and that part."""
+    else in the succedent, against an atom leaf of polarity `positive`.  A
+    residuation law's metavariables take either purity, so the moves depend
+    on the residue's polarity only.  A part is argument i of `conn`, or with
+    None the sample's structure of `conn`.  The moves are `_display`'s from
+    the sequent displaying part `start` to one displaying a part of `goals`;
+    returns them and that part."""
     args = tuple(leaf(fatom(f"a{i}", pol)) for i, (pol, _) in enumerate(STRUCT_SIG[conn][1]))
-    rest = leaf(fatom("r", residue.positive != residue.shifted))
-    if residue.shifted:
-        rest = Structure(".dn" if residue.positive else ".up", None, (rest,))
+    rest = leaf(fatom("r", positive))
     whole = Structure(conn, None, args)
     sample = Sequent(whole, rest) if FAMILY[conn] == "F" else Sequent(rest, whole)
     parts = {None: whole, 0: args[0], 1: args[1]}
-    seq = sample if start is None else _search(sample, (parts[start],))[1]
-    moves, end = _search(seq, tuple(parts[g] for g in goals))
+    seq = sample if start is None else _display(sample, (parts[start],))[1]
+    moves, end = _display(seq, tuple(parts[g] for g in goals))
     return moves, next(g for g in goals if parts[g] in (end.pre, end.suc))

@@ -3,8 +3,9 @@
 The search space is the minimal-proof fragment: cut-free, variant-free, no
 shift display postulates (every derivable variant-free sequent has such a
 proof).  Display postulates are invertible, so within a phase the search
-explores the whole display orbit of the current goal breadth-first and
-branches only on the non-display expansions of its members; a per-branch
+explores the whole display orbit of the current goal breadth-first, by
+`rules.orbit` over `rules.ORBIT_DPS`, and branches only on the non-display
+expansions of its members, all matched by `rules.backward`; a per-branch
 visited set keeps orbits and shift ping-pong from looping.
 
 The orbit display postulates come in inverse pairs, so orbits are equivalence
@@ -28,7 +29,7 @@ from itertools import product
 
 from .syntax import (Formula, Structure, Sequent, leaf, s as snode,
                      parse_formula, render, ParseError)
-from .rules import ORDERED_RULES, SHIFT_DPS, backward
+from .rules import ORBIT_DPS as _ORBIT_DPS, ORDERED_RULES, backward, orbit
 from .kernel import Derivation
 
 
@@ -44,11 +45,8 @@ class SearchConfig:
                 raise ValueError(f"{name} must not be negative, got {value}")
 
 
-# Display postulates the orbit may use (no shift postulates), and the rules
-# the search branches on: every cut-free, variant-free rule that is not a
-# display postulate.
-_ORBIT_DPS = frozenset(r for r in ORDERED_RULES if r.klass == "dp"
-                       and r.name not in SHIFT_DPS and not r.schema.uses_variants)
+# The rules the search branches on: every cut-free, variant-free rule that is
+# not a display postulate.
 _EXPANDERS = frozenset(r for r in ORDERED_RULES if r.klass not in ("dp", "cut")
                        and not r.schema.uses_variants)
 _ADMITTED = _ORBIT_DPS | _EXPANDERS
@@ -67,33 +65,6 @@ def _steps(seq: Sequent):
         else:
             expansions.append((rule.name, prems))
     return display, expansions
-
-
-def _orbit(goal: Sequent, steps: dict):
-    """Display orbit of `goal`: list of (member, downward dp path).
-
-    The path lists (rule, conclusion) pairs rebuilding the chain from the
-    member down to `goal`; breadth-first, deterministic order.  `steps` maps
-    a sequent to its `_steps`; every member ends up in it.
-    """
-    seen = {goal}
-    out = [(goal, [])]
-    frontier = [(goal, [])]
-    while frontier:
-        nxt = []
-        for seq, path in frontier:
-            found = steps.get(seq)
-            if found is None:
-                found = steps[seq] = _steps(seq)
-            for name, prem in found[0]:
-                if prem in seen:
-                    continue
-                seen.add(prem)
-                entry = (prem, [(name, seq)] + path)
-                out.append(entry)
-                nxt.append(entry)
-        frontier = nxt
-    return out
 
 
 def _wrap_path(d: Derivation, path) -> Derivation:
@@ -115,6 +86,13 @@ class _Tables:
         self.classes: dict = {}
         self.answers: dict = {}
         self.next_bit = 1
+
+    def display(self, seq: Sequent) -> list:
+        """The display steps of `seq`; its `_steps` are kept in `steps`."""
+        found = self.steps.get(seq)
+        if found is None:
+            found = self.steps[seq] = _steps(seq)
+        return found[0]
 
 
 def prove(goal: Sequent, cfg: SearchConfig | None = None) -> list[Derivation]:
@@ -157,10 +135,9 @@ def _prove(goal: Sequent, depth: int, visited: int, tables: _Tables):
         hit = tables.answers.get(goal)
         if hit is not None and hit[2] <= depth and not visited & hit[1]:
             return hit
-    steps = tables.steps
     entries = tables.orbits.get(goal)
     if entries is None:
-        entries = tables.orbits[goal] = _orbit(goal, steps)
+        entries = tables.orbits[goal] = orbit(goal, tables.display)
         if bit is None:
             bit = tables.next_bit
             tables.next_bit = bit << 1
@@ -176,7 +153,7 @@ def _prove(goal: Sequent, depth: int, visited: int, tables: _Tables):
             need = cost
         if cost > depth:                # breadth-first: the rest cost more
             break
-        for name, prems in steps[member][1]:
+        for name, prems in tables.steps[member][1]:
             if not prems:
                 results.append(_wrap_path(Derivation(name, member), path))
                 continue

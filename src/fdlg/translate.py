@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 from .syntax import (OP_SIG, STRUCT_OF_OP, STRUCT_SIG, Formula, Structure, Sequent, Atom, leaf,
                      f as fnode, ParseError, parse_raw, _Term, _setters)
-from .rules import REGISTRY, SHIFT_DPS, SNode, fits
+from .rules import ORBIT_DPS, REGISTRY, SNode, fits
 from .kernel import (Derivation, KernelError, TONICITY_PREMISES, apply_rule_forward, derive,
                      fold, iter_nodes, read_document, read_nodes, write_document)
 from .focus import minimize_proof
@@ -263,14 +263,13 @@ def _premise_root(rule) -> tuple[str, str]:
     return ("pre", p.pre.conn) if isinstance(p.pre, SNode) else ("suc", p.suc.conn)
 
 
-# The table rules are the fD.LG binary logical rules and the binary display
-# postulates without variants.  A one-premise one acts on the root of one side
-# of its premise, which `_ROOTS` names.
+# The table rules are the fD.LG binary logical rules and the display
+# postulates of `rules.ORBIT_DPS`, binary and without variants.  A one-premise
+# one acts on the root of one side of its premise, which `_ROOTS` names.
 _LOGICAL_RULES = frozenset(r.name for r in REGISTRY.values()
                            if r.klass in ("translation", "tonicity"))
 _ROOTS = {r.name: _premise_root(r) for r in REGISTRY.values()
-          if r.klass == "translation"
-          or r.klass == "dp" and not r.schema.uses_variants and r.name not in SHIFT_DPS}
+          if r.klass == "translation" or r in ORBIT_DPS}
 _SIDE_WORDS = {"suc": "right", "pre": "left"}
 
 
@@ -582,7 +581,8 @@ def classify_processing_sections(d: Derivation):
 
 
 def translate_to_flg(d: Derivation) -> FlgDerivation:
-    """Companion image of a display-calculus proof of a normal sequent.
+    """Companion image of a display-calculus proof of a normal sequent; `d`
+    must pass `check_derivation`.
 
     Minimizes the input first; normal rules map to themselves and processing
     sections to one or two focusing moves.

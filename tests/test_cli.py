@@ -1,9 +1,11 @@
 """Exit codes and format round trips through the command line."""
 
 import contextlib
+import copy
 import io
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -14,6 +16,7 @@ import pytest
 from fdlg.cli import main
 from fdlg.corpus import LEXICON_TEXT
 from fdlg.kernel import derivation_to_json, derive
+from fdlg.rules import REGISTRY
 from fdlg.syntax import MAX_NESTING, Atom
 
 
@@ -268,10 +271,76 @@ def test_soundness_malformed_algebra_entry(tmp_path):
     '{"rule": "p-Id", "conclusion": "p |- p", "premises": {}}',
     '{"rule": "P-Cut", "conclusion": "p |- p", "premises": [1, 2]}',
     '{"negAtoms": "n", "rule": "p-Id", "conclusion": "p |- p"}',
+    '{"calculus": "flg", "rule": "p-Id", "conclusion": "p |- p"}',
 ])
 def test_check_malformed_document(doc):
     code, out, err = run(["check", "-"], stdin=doc)
     assert code == 2 and out == "" and _one_error_line(err)
+
+
+@pytest.mark.parametrize("argv", [["focalization", "-"], ["cutelim", "-"], ["latex", "-"],
+                                  ["translate", "--to", "flg", "-"]])
+@pytest.mark.parametrize("doc", ['{"calculus": "flg", "rule": "p-Id", "conclusion": "p |- p"}',
+                                 '{"calculus": "flg", "rule": "Ax", "conclusion": "[p] |- [p]"}'])
+def test_display_calculus_commands_reject_a_companion_document(argv, doc):
+    code, out, err = run(argv, stdin=doc)
+    assert code == 2 and out == "" and _one_error_line(err)
+
+
+@pytest.mark.parametrize("doc", [
+    '{"rule": "nope", "conclusion": "p |- p"}',
+    '{"rule": "P-Cut", "conclusion": "p |- p", "premises": ['
+    '{"rule": "nope", "conclusion": "p |- p"}, {"rule": "nope", "conclusion": "p |- p"}]}',
+])
+def test_translate_to_flg_checks_the_document_first(doc):
+    code, out, err = run(["translate", "--to", "flg", "-"], stdin=doc)
+    assert code == 1 and out == "" and "unknown rule 'nope'" in err
+
+
+def _nodes(node):
+    yield node
+    for premise in node.get("premises", []):
+        yield from _nodes(premise)
+
+
+_MUTANT_RULES = sorted(REGISTRY) + ["Ax", "mu*", "mu~", "nope"]
+
+
+def _mutant(doc: dict, rng: random.Random) -> str:
+    """`doc` with one node changed: its rule renamed, a premise dropped or
+    duplicated, or its conclusion swapped with another node's."""
+    doc = copy.deepcopy(doc)
+    nodes = list(_nodes(doc))
+    node = rng.choice(nodes)
+    premises = node.setdefault("premises", [])
+    kind = rng.randrange(4)
+    if kind == 0:
+        node["rule"] = rng.choice(_MUTANT_RULES)
+    elif kind == 1 and premises:
+        del premises[rng.randrange(len(premises))]
+    elif kind == 2 and premises:
+        premises.insert(rng.randrange(len(premises) + 1), copy.deepcopy(rng.choice(premises)))
+    else:
+        other = rng.choice(nodes)
+        node["conclusion"], other["conclusion"] = other["conclusion"], node["conclusion"]
+    return json.dumps(doc)
+
+
+def test_document_commands_survive_mutated_documents(fig_forall_exists):
+    """Seeded one-node mutants of the worked cut example, a corpus reading
+    and the reading's companion image: every document command exits 0, 1 or
+    2 on each, and no exception escapes it."""
+    from fdlg.corpus import NEG_ATOMS, cut_elim_example
+    reading = derivation_to_json(fig_forall_exists, NEG_ATOMS)
+    docs = [json.loads(text) for text in (derivation_to_json(cut_elim_example(), {"n"}), reading,
+                                          run(["translate", "--to", "flg", "-"], stdin=reading)[1])]
+    rng = random.Random(1)
+    for _ in range(150):
+        text = _mutant(rng.choice(docs), rng)
+        for argv in (["check", "-"], ["focalization", "-"], ["cutelim", "-", "--trace"],
+                     ["translate", "--to", "flg", "-"], ["translate", "--to", "fdlg", "-"],
+                     ["latex", "-"]):
+            assert run(argv, stdin=text)[0] in (0, 1, 2), (argv, text)
 
 
 @pytest.mark.parametrize("doc", [

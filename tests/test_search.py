@@ -9,7 +9,7 @@ import pytest
 from fdlg.syntax import parse_sequent, parse_formula, render_sequent
 from fdlg.kernel import check_derivation, height
 from fdlg.focus import check_strong_focalization, minimize_proof
-from fdlg import search
+from fdlg import rules, search
 from fdlg.search import (prove, parse_sentence, sentence_sequent, SearchConfig,
                          Lexicon, LexiconError)
 from fdlg.corpus import LEXICON, LEXICON_TEXT, SENTENCE, GOAL
@@ -91,7 +91,7 @@ def test_orbits_are_classes(closure6):
         for entries in tables.orbits.values():
             orbit = {m for m, _ in entries}
             for member, _ in entries:
-                assert {m for m, _ in search._orbit(member, tables.steps)} == orbit, member
+                assert {m for m, _ in rules.orbit(member, tables.display)} == orbit, member
                 assert tables.classes[member] == tables.classes[entries[0][0]]
             members += len(entries)
     assert members == 6_128 + 3_670

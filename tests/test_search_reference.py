@@ -7,7 +7,7 @@ import random
 import pytest
 
 import reference_search as ref
-from fdlg import search
+from fdlg import rules, search
 from fdlg.corpus import GOAL, LEXICON, SENTENCE
 from fdlg.search import SearchConfig, prove, sentence_sequent
 from fdlg.syntax import Sequent
@@ -41,7 +41,7 @@ def test_same_readings_on_the_corpus_sentence(monkeypatch):
     assert _same([goal], (4, 8, 14, 20, 30, 40, 80)) == [0, 0, 0, 0, 3, 3, 3]
     # the bounds skip orbit members whose steps the memo already holds
     assert any(len(path) + 1 > depth for sub, depth in calls if depth > 0
-               for _, path in search._orbit(sub, {}))
+               for _, path in rules.orbit(sub, search._Tables().display))
 
 
 @pytest.mark.parametrize("q, arity, depths, readings", [
