@@ -1,7 +1,8 @@
 """Round-tripping proofs between the display calculus and its companion.
 
-The companion calculus keeps a single focus bracket and two focusing rules;
-polarization inserts shifts exactly at the polarity mismatches.  On the
+The companion calculus keeps a single focus bracket and two focusing rules.
+A companion sequent is kept as its polarization, which has shifts exactly
+at the polarity mismatches; its companion text leaves them out.  On the
 sentence corpus the round trip is the identity.
 """
 

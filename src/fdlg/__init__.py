@@ -12,8 +12,7 @@ from .focus import (signed_tree, classify_phase, check_strong_focalization,
                     entry_exit_points, minimize_proof)
 from .search import SearchConfig, Lexicon, prove, parse_sentence
 from .cutelim import Mutation, MUTATIONS, mutate_sequent, eliminate_cuts
-from .translate import (FlgSequent, FlgDerivation, polarize, depolarize,
-                        translate_to_fdlg, translate_to_flg,
+from .translate import (FlgDerivation, translate_to_fdlg, translate_to_flg,
                         classify_processing_sections, is_normal)
 from .algebra import (FinitePoset, FiniteFPLG, LGAlgebra, collage, from_lg,
                       to_lg, interpret, check_fplg_axioms, check_rule_soundness,

@@ -8,6 +8,7 @@ or format errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .syntax import (parse_sequent, parse_formula, render_sequent, render,
@@ -201,7 +202,9 @@ def cmd_latex(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once: parsing leaves it unchanged."""
     ap = argparse.ArgumentParser(prog="fdlg",
                                  description="focused display Lambek-Grishin toolkit")
     sub = ap.add_subparsers(dest="command", required=True)

@@ -1,13 +1,14 @@
 """Derivation trees, schema checking by `rules.fits`, forward rule application.
 
 One tree type, `Derivation`, serves both calculi: its conclusion is an fD.LG
-`Sequent` or a companion `FlgSequent` (`fdlg.translate`), and the same walks
-run over either.  `iter_nodes` lists the nodes in pre-order and `fold`
-computes bottom-up; both keep an explicit stack, as do equality and hashing,
-so a derivation of any height goes through them.  `write_document` writes the
-JSON exchange format of either calculus.  `derivation_from_json` reads an
-fD.LG document through one `syntax.SequentReader`, so that equal subterms of
-its conclusions are one object; the reader's tables die with the call.
+`Sequent`, and a companion sequent is kept as its polarization, a normal
+`Sequent` (`fdlg.translate`), so the same walks run over either.
+`iter_nodes` lists the nodes in pre-order and `fold` computes bottom-up;
+both keep an explicit stack, as do equality and hashing, so a derivation of
+any height goes through them.  `write_document` writes the JSON exchange
+format of either calculus.  `derivation_from_json` reads an fD.LG document
+through one `syntax.SequentReader`, so that equal subterms of its
+conclusions are one object; the reader's tables die with the call.
 
 Also houses two derivation builders used by the completeness argument:
 identity expansion on structures, and translation saturation of one side of

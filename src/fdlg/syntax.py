@@ -597,13 +597,12 @@ def formula_nodes(x: Sequent | Structure | Formula) -> list[Formula]:
 # explicit stacks, and a rule pattern's compiled matcher and builder have its
 # fixed depth.  The term walks that still recurse are one walk per job over
 # formulas and structures alike, looking through a leaf to its formula.  They
-# take one frame a level (the printers _text and translate.render_companion,
-# _map, standardize._standard) or two, where the
-# recursive call sits in a comprehension or generator expression (the readers
-# _read and translate._read, translate.polarize and depolarize,
-# algebra._values, str_of, form_of) or, for a parenthesis, in the parser's
-# unary and term.  This keeps every command on input that reads below
-# Python's default limit of 1000 frames.
+# take one frame a level (the printers _text and translate._text, the
+# companion reader translate._read, _map, standardize._standard) or two,
+# where the recursive call sits in a comprehension or generator expression
+# (the reader _read, algebra._values, str_of, form_of) or, for a
+# parenthesis, in the parser's unary and term.  This keeps every command on
+# input that reads below Python's default limit of 1000 frames.
 MAX_NESTING = 256
 
 # One regex for every token: an ASCII identifier, or an operator or

@@ -1,30 +1,36 @@
-"""The companion rules, translation saturation and the exchange writers in
-their earlier hand-written form, kept as the reference.
+"""The companion calculus in its earlier single-sorted terms, with its rules,
+translation saturation and the exchange writers in their earlier
+hand-written form, kept as the reference.
 
-`fdlg.translate` reads the companion calculus's signature off fD.LG's and its
-connective rules and display postulates off the fD.LG rules, through
-polarization; `fdlg.kernel` saturates either side of a sequent through one
-table of display moves, and one iterative writer produces the exchange text
-of both calculi.  This module keeps the hand-typed companion signature and
-one branch per rule, the two mirror-image folds `_fold_suc`/`_fold_pre`
-(with the identity expansion and saturation built on them), and the writers
-that hand nested dicts to `json.dumps(..., indent=1)`.  It also keeps the
-companion printers and the polarization in their per-class pairs, from
-before one printer, one polarization and one depolarization each took a
-formula or a structure: `render_cformula`/`render_fstruct`,
+`fdlg.translate` keeps a companion sequent as its polarization, a normal
+fD.LG `Sequent`, reads its connective rules and display postulates off the
+fD.LG rules, and reads and prints the companion text straight from and into
+polarized terms.  This module keeps the companion calculus's own terms:
+plain frozen dataclasses `CFormula`, `FStruct` and `FlgSequent`, built by
+`cf`, `fleaf` and `fs`, whose constructors check the sides of structures.
+Over them it keeps the bottom-up text reader, the printers and the
+polarization in their per-class pairs, `render_cformula`/`render_fstruct`,
 `polarize_formula`/`polarize_structure`, and `unpolarize_formula`/
-`depolarize` with `fleaf_or`.  The differential tests require both to give
-equal results and the same errors, and byte-identical text.
+`depolarize` with `fleaf_or`, and the inverse of polarization on sequents
+(`flg_of`) and on derivations (`flg_derivation`).  It also keeps the
+hand-typed companion signature and one branch per rule, the two
+mirror-image folds `_fold_suc`/`_fold_pre` (with the identity expansion and
+saturation built on them), and the writers that hand nested dicts to
+`json.dumps(..., indent=1)`.  The differential tests require both to give
+equal results, through polarization, and the same errors, and
+byte-identical text.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 
-from fdlg.syntax import Atom, Formula, Sequent, Structure, f as fnode, leaf, render_sequent
-from fdlg.kernel import Derivation, KernelError, derive, iter_nodes
+from fdlg.syntax import (Atom, Formula, ParseError, Sequent, Structure, f as fnode, leaf,
+                         parse_raw, render_sequent)
+from fdlg.kernel import Derivation, KernelError, derive, fold, iter_nodes
 from fdlg.standardize import StandardizeError, form_of, ftoM, ftom, str_of
-from fdlg.translate import CFormula, FlgSequent, FStruct, TranslateError, cf, fleaf, fs
+from fdlg.translate import TranslateError
 
 
 # The companion signature, typed by hand.
@@ -37,6 +43,97 @@ _ARG_SIDES = {conn: tuple(side == "in" for side in sides)
 # Formula connective -> (polarity of each argument, its own polarity), read
 # off its structural counterpart.
 _POLARITY = {conn[1:]: (sides, conn in _INPUT_CONNS) for conn, sides in _ARG_SIDES.items()}
+
+
+# ---------------------------------------------------------------------------
+# Companion terms and sequents
+
+
+@dataclass(frozen=True)
+class CFormula:
+    """An atom (`conn` None), or a companion connective over two formulas."""
+    conn: str | None
+    atom: Atom | None = None
+    args: tuple = ()
+
+
+@dataclass(frozen=True)
+class FStruct:
+    """A formula leaf (`conn` None), or a structural connective over two
+    structures."""
+    conn: str | None
+    leaf: CFormula | None = None
+    args: tuple = ()
+
+    @property
+    def side(self) -> str | None:
+        """'in', 'out', or None for a bare formula leaf."""
+        if self.conn is None:
+            return None
+        return "in" if self.conn in _INPUT_CONNS else "out"
+
+
+@dataclass(frozen=True)
+class FlgSequent:
+    pre: FStruct
+    suc: FStruct
+    focus: str | None = None          # None | 'pre' | 'suc'
+
+    def __post_init__(self):
+        if self.pre.side == "out" or self.suc.side == "in":
+            raise TranslateError("structure on the wrong side of the turnstile")
+        if self.focus == "pre" and self.pre.conn is not None:
+            raise TranslateError("only a formula can be in focus")
+        if self.focus == "suc" and self.suc.conn is not None:
+            raise TranslateError("only a formula can be in focus")
+
+
+def cf(conn: str, l: CFormula, r: CFormula) -> CFormula:
+    return CFormula(conn, None, (l, r))
+
+
+def fleaf(a: CFormula) -> FStruct:
+    return FStruct(None, a)
+
+
+def fs(conn: str, l: FStruct, r: FStruct) -> FStruct:
+    for arg, positive in zip((l, r), _ARG_SIDES[conn]):
+        if arg.side is not None and (arg.side == "in") != positive:
+            raise TranslateError(f"argument of {conn} on the wrong side")
+    return FStruct(conn, None, (l, r))
+
+
+def _read(r, neg: frozenset[str], structural: bool):
+    """The companion term of parse_raw's tuples, built bottom-up: a structure
+    if `structural`, else a formula.  In a structure, an atom or a formula
+    connective begins a formula leaf."""
+    if isinstance(r, str):
+        a = CFormula(None, Atom(r, r not in neg))
+    elif r[0] in _CONNS:
+        a = cf(r[0], _read(r[1], neg, False), _read(r[2], neg, False))
+    elif not structural:
+        raise ParseError(f"{r[0]!r} is not a companion formula connective")
+    elif r[0] not in _ARG_SIDES:
+        raise ParseError(f"{r[0]!r} is not a companion-calculus connective")
+    else:
+        return fs(r[0], _read(r[1], neg, True), _read(r[2], neg, True))
+    return fleaf(a) if structural else a
+
+
+def parse_flg_sequent(text: str, neg_atoms=()) -> FlgSequent:
+    neg = frozenset(neg_atoms)
+    focus, sides = None, []
+    try:
+        for side, part in zip(("pre", "suc"), text.partition("|-")[::2]):
+            part = part.strip()
+            if part.startswith("[") and part.endswith("]"):
+                if focus is not None:
+                    raise ParseError("a companion sequent has at most one formula in focus")
+                focus, part = side, part[1:-1]
+            sides.append(_read(parse_raw(part), neg, True))
+        return FlgSequent(*sides, focus)
+    except TranslateError as e:     # a structure on the wrong side, or in focus
+        raise ParseError(str(e)) from None
 
 
 def formula_polarity(a: CFormula) -> bool:
@@ -87,18 +184,24 @@ def render_flg_sequent(s: FlgSequent) -> str:
     return f"{pre} |- {suc}"
 
 
-def polarize_formula(a: CFormula, positive: bool) -> Formula:
-    """Positive or negative polarization; pure iff the polarity matches."""
+def polarize_formula(a: CFormula, positive: bool, memo: dict | None = None) -> Formula:
+    """Positive or negative polarization; pure iff the polarity matches.
+    A `memo` keeps each term's image, with the term, by the term's id and
+    the polarity."""
+    if memo is not None and (id(a), positive) in memo:
+        return memo[id(a), positive][1]
     if a.conn is None:
         body, own = Formula(None, a.atom), a.atom.positive
     elif a.conn in _POLARITY:
         sides, own = _POLARITY[a.conn]
-        body = fnode(a.conn, *(polarize_formula(x, s) for x, s in zip(a.args, sides)))
+        body = fnode(a.conn, *(polarize_formula(x, s, memo) for x, s in zip(a.args, sides)))
     else:
         raise TranslateError(f"not a companion-calculus formula: {a!r}")
-    if own == positive:
-        return body
-    return fnode("dn", body) if positive else fnode("up", body)
+    if own != positive:
+        body = fnode("dn", body) if positive else fnode("up", body)
+    if memo is not None:
+        memo[id(a), positive] = (a, body)
+    return body
 
 
 def unpolarize_formula(x: Formula) -> CFormula:
@@ -110,20 +213,25 @@ def unpolarize_formula(x: Formula) -> CFormula:
     return CFormula(x.conn, None, tuple(unpolarize_formula(a) for a in x.args))
 
 
-def polarize_structure(x: FStruct, positive: bool) -> Structure:
+def polarize_structure(x: FStruct, positive: bool, memo: dict | None = None) -> Structure:
+    if memo is not None and (id(x), positive) in memo:
+        return memo[id(x), positive][1]
     if x.conn is None:
-        return leaf(polarize_formula(x.leaf, positive))
-    want = "in" if positive else "out"
-    if x.side != want:
+        y = leaf(polarize_formula(x.leaf, positive, memo))
+    elif x.side != ("in" if positive else "out"):
         raise TranslateError(f"{x.conn} cannot occur on this side")
-    sides = _ARG_SIDES[x.conn]
-    args = tuple(polarize_structure(a, s) for a, s in zip(x.args, sides))
-    return Structure(x.conn, None, args)
+    else:
+        sides = _ARG_SIDES[x.conn]
+        y = Structure(x.conn, None,
+                      tuple(polarize_structure(a, s, memo) for a, s in zip(x.args, sides)))
+    if memo is not None:
+        memo[id(x), positive] = (x, y)
+    return y
 
 
-def polarize_sequent(s: FlgSequent) -> Sequent:
-    return Sequent(polarize_structure(s.pre, s.focus != "pre"),
-                   polarize_structure(s.suc, s.focus == "suc"))
+def polarize_sequent(s: FlgSequent, memo: dict | None = None) -> Sequent:
+    return Sequent(polarize_structure(s.pre, s.focus != "pre", memo),
+                   polarize_structure(s.suc, s.focus == "suc", memo))
 
 
 def depolarize(x: Formula | Structure):
@@ -139,6 +247,24 @@ def depolarize(x: Formula | Structure):
 
 def fleaf_or(v) -> FStruct:
     return v if isinstance(v, FStruct) else fleaf(v)
+
+
+def flg_of(seq: Sequent) -> FlgSequent:
+    """The companion sequent whose polarization is `seq`; raises unless
+    `seq` is normal.  The focus is read off the sequent's kind."""
+    focus = {"r": "suc", "b": "pre"}.get(seq.kind[0])
+    if focus == "suc" and seq.suc.conn is not None:
+        raise TranslateError("a positive normal sequent focuses its succedent formula")
+    if focus == "pre" and seq.pre.conn is not None:
+        raise TranslateError("a negative normal sequent focuses its precedent formula")
+    return FlgSequent(fleaf_or(depolarize(seq.pre)), fleaf_or(depolarize(seq.suc)), focus)
+
+
+def flg_derivation(d: Derivation) -> Derivation:
+    """The companion derivation over companion sequents whose polarization
+    is `d`."""
+    return fold(d, lambda node, premises: Derivation(node.rule, flg_of(node.conclusion),
+                                                     premises))
 
 
 def apply_flg(rule: str, premises, selector: Atom | None = None,

@@ -16,7 +16,7 @@ from fdlg.focus import check_strong_focalization, entry_exit_points, minimize_pr
 from fdlg.search import prove, parse_sentence, SearchConfig
 from fdlg.cutelim import eliminate_cuts, has_cut
 from fdlg.translate import (translate_to_fdlg, translate_to_flg, check_flg,
-                            logical_rule_count, polarize_sequent)
+                            logical_rule_count)
 from fdlg.algebra import (builtin, check_rule_soundness,
                           check_rule_soundness_templates, check_fplg_axioms)
 from fdlg.rules import REGISTRY, RuleSchema, Directed, SeqPat, SVar, FVar, SNode, FNode

@@ -335,7 +335,7 @@ def test_document_commands_survive_mutated_documents(fig_forall_exists):
     docs = [json.loads(text) for text in (derivation_to_json(cut_elim_example(), {"n"}), reading,
                                           run(["translate", "--to", "flg", "-"], stdin=reading)[1])]
     rng = random.Random(1)
-    for _ in range(150):
+    for _ in range(300):
         text = _mutant(rng.choice(docs), rng)
         for argv in (["check", "-"], ["focalization", "-"], ["cutelim", "-", "--trace"],
                      ["translate", "--to", "flg", "-"], ["translate", "--to", "fdlg", "-"],

@@ -73,9 +73,13 @@ def test_companion_rules_and_signature_equal_the_hand_tables():
     assert translate._LOGICAL_RULES | translate._ROOTS.keys() == set(ref_translate.TABLE_RULES)
     assert translate._LOGICAL_RULES == set(ref_translate.TABLE_RULES[:12])
     assert sorted(translate._CONNS) == sorted(ref_translate._CONNS)
-    assert translate._INPUT_CONNS == set(ref_translate._INPUT_CONNS)
     assert translate._ARG_SIDES == ref_translate._ARG_SIDES
-    assert translate._POLARITY == ref_translate._POLARITY
+    assert ({c for c in translate._ARG_SIDES if syntax.STRUCT_SIG[c][0].positive}
+            == set(ref_translate._INPUT_CONNS))
+    # a formula connective's argument polarities are its counterpart's, and
+    # its own polarity is its sort's
+    assert {c: (translate._ARG_SIDES[syntax.STRUCT_OF_OP[c]], syntax.OP_SIG[c][0].positive)
+            for c in translate._CONNS} == ref_translate._POLARITY
 
 
 def _row(shifts, conn, residue):
@@ -108,8 +112,7 @@ print(kernel.TONICITY_SIDES)
 print(kernel.TONICITY_PREMISES)
 print(kernel._SATURATION)
 print(translate._ROOTS)
-print(sorted(translate._LOGICAL_RULES), translate._CONNS, translate._ARG_SIDES,
-      translate._POLARITY, sorted(translate._INPUT_CONNS))
+print(sorted(translate._LOGICAL_RULES), translate._CONNS, translate._ARG_SIDES)
 for conn in rules.TRANSLATION_OF:
     for residue in (PP, PS, NP, NS):
         for shifts in (cutelim._SHIFT_REDUCTIONS, cutelim._SHIFT_ELIMINATIONS):

@@ -302,11 +302,11 @@ def test_independently_built_terms_are_equal(seed):
 
 _PRINT_HASHES = """
 from fdlg.syntax import parse_formula, parse_sequent
-from fdlg.translate import fleaf, fs, parse_cformula
+from fdlg.translate import parse_flg_sequent
 seq = parse_sequent("p .* (dn n) |- (n / p) ./ p", {"n"})
-a = parse_cformula("(p * q) / n", {"n"})
+c = parse_flg_sequent("[(p * q) / n] |- n ./ p", {"n"})
 for x in (parse_formula("p"), seq.pre.args[1].leaf, seq.pre, seq.suc.args[0], seq,
-          a, a.args[1], fleaf(a), fs(".*", fleaf(a.args[0]), fleaf(a.args[1]))):
+          c, c.pre, c.pre.leaf.args[0], c.suc.args[1]):
     print(type(x).__name__, hash(x))
 """
 

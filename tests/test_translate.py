@@ -1,23 +1,17 @@
 """The companion calculus and the two proof translations."""
 
-import copy
 import gc
 import json
-import pickle
 import random
 import re
-import weakref
 
 import pytest
 
-from fdlg.syntax import Atom, ParseError, parse_formula, parse_sequent, render
+from fdlg.syntax import Atom, ParseError, leaf, parse_formula, parse_sequent, render
 from fdlg.kernel import (check_derivation, derivation_from_json, derivation_to_json,
                          iter_nodes, rule_count)
 from fdlg.focus import minimize_proof
-from fdlg.translate import (CFormula, FStruct, catom, cf, parse_cformula, formula_polarity,
-                            polarize, depolarize,
-                            polarize_sequent, flg_of_sequent, is_normal,
-                            FlgSequent, FlgDerivation, fleaf, fs, apply_flg,
+from fdlg.translate import (focus_of, is_normal, FlgDerivation, apply_flg,
                             check_flg, translate_to_fdlg, translate_to_flg,
                             classify_processing_sections, TranslateError,
                             flg_to_json, flg_from_json, render_flg_sequent,
@@ -28,45 +22,61 @@ from fdlg import translate
 from gen import document_nodes, random_flg_derivation, with_deep_stack
 
 
-def test_polarize_examples():
-    assert render(polarize(catom("n", False), True)) == "dn n"
-    assert render(polarize(catom("p"), False)) == "up p"
-    ab = parse_cformula("a * b")
-    assert render(polarize(ab, True)) == "a * b"
-    assert render(polarize(ab, False)) == "up (a * b)"
-    every = parse_cformula("np / n")
-    assert render(polarize(every, True)) == "dn (up np / n)"
+def test_polarization_examples():
+    """The reader puts a shift at every polarity mismatch: the precedent is
+    read positively and the succedent negatively."""
+    assert render(parse_flg_sequent("n |- p", {"n"})) == "dn n |- up p"
+    assert render(parse_flg_sequent("(a * b) |- (a * b)")) == "a * b |- up (a * b)"
+    assert render(parse_flg_sequent("(np / n) |- s", {"s"})) == "dn (up np / n) |- s"
+
+
+def _companion_text(a) -> str:
+    """The companion text of a formula leaf of `a`: its shifts left out."""
+    return translate._text(leaf(a))
 
 
 def test_purity_law():
+    """A formula is pure at its own polarity, the polarity of its head with
+    any root shift taken off, and shifted at the other."""
     rng = random.Random(23)
     from gen import random_formula
     for _ in range(300):
-        a = depolarize(random_formula(rng, 4))
-        pos = polarize(a, True)
-        neg = polarize(a, False)
-        assert pos.sort.shifted != formula_polarity(a)
-        assert neg.sort.shifted == formula_polarity(a)
+        a = random_formula(rng, 4)
+        own = (a.args[0] if a.conn in ("up", "dn") else a).sort.positive
+        text = _companion_text(a)
+        seq = parse_flg_sequent(f"{text} |- {text}", {"n"})
+        assert seq.pre.sort.shifted != own
+        assert seq.suc.sort.shifted == own
 
 
-def test_depolarize_roundtrip():
+def test_reader_printer_roundtrip():
+    """Printing a polarized formula and reading the text back gives its
+    polarization at either polarity, the formula itself at its own sort's."""
     rng = random.Random(29)
     from gen import random_formula
     for _ in range(300):
-        a = depolarize(random_formula(rng, 4))
-        for sign in (True, False):
-            assert depolarize(polarize(a, sign)) == a
+        a = random_formula(rng, 4)
+        text = f"{_companion_text(a)} |- {_companion_text(a)}"
+        seq = parse_flg_sequent(text, {"n"})
+        assert render_flg_sequent(seq) == text
+        assert (seq.pre if a.sort.positive else seq.suc).leaf == a
+        for side, focused in (("pre", f"[{translate._text(a)}] |- p"),
+                              ("suc", f"p |- [{translate._text(a)}]")):
+            seq = parse_flg_sequent(focused, {"n"})
+            assert focus_of(seq) == side and render_flg_sequent(seq) == focused
 
 
-def test_depolarize_example():
+def test_reader_example():
     likes = parse_formula("dn ((np \\ s) / np)", {"s"})
-    assert depolarize(likes) == parse_cformula("(np \\ s) / np", {"s"})
+    seq = parse_flg_sequent("((np \\ s) / np) |- s", {"s"})
+    assert seq.pre.leaf == likes and render_flg_sequent(seq) == "((np \\ s) / np) |- s"
 
 
-def test_depolarize_rejects_structural_shifts():
-    from fdlg.syntax import parse_structure
-    with pytest.raises(TranslateError):
-        depolarize(parse_structure(".dn n", {"n"}))
+def test_normality_rejects_structural_shifts():
+    seq = parse_sequent("(.dn n) .* p |- up p", {"n"})
+    assert not is_normal(seq)
+    with pytest.raises(TranslateError, match=r"^\.dn has no companion counterpart$"):
+        translate._normal(seq)
 
 
 def test_normal_sequents():
@@ -80,19 +90,19 @@ def test_normal_sequents():
 
 def test_flg_axiom_and_focus_shapes():
     ax = apply_flg("Ax", [], selector=parse_formula("p").atom)
-    assert ax.focus == "suc" and render_flg_sequent(ax) == "p |- [p]"
+    assert focus_of(ax) == "suc" and render_flg_sequent(ax) == "p |- [p]"
     nax = apply_flg("Ax", [], selector=parse_formula("n", {"n"}).atom)
-    assert nax.focus == "pre" and render_flg_sequent(nax) == "[n] |- n"
+    assert focus_of(nax) == "pre" and render_flg_sequent(nax) == "[n] |- n"
 
 
 def test_flg_mu_side_conditions():
     ax = FlgDerivation("Ax", apply_flg("Ax", [], selector=parse_formula("p").atom))
     defocused = apply_flg("mu*", [ax])
-    assert defocused.focus is None
+    assert focus_of(defocused) is None and render(defocused) == "p |- up p"
     refocused = apply_flg("mu~", [defocused])
-    assert refocused.focus == "pre"
+    assert focus_of(refocused) == "pre" and render(refocused) == "up p |- up p"
     with pytest.raises(TranslateError):
-        apply_flg("mu*", [FlgSequent(fleaf(catom("p")), fleaf(catom("p")), None)])
+        apply_flg("mu*", [parse_flg_sequent("p |- p")])
 
 
 def test_translate_axiom():
@@ -202,7 +212,7 @@ def test_random_roundtrips():
         d = random_flg_derivation(rng, 6)
         image = translate_to_fdlg(d)
         assert check_derivation(image).ok
-        assert image.conclusion == polarize_sequent(d.conclusion)
+        assert image.conclusion == d.conclusion
         back = translate_to_flg(image)
         ok, why = check_flg(back)
         assert ok, why
@@ -249,10 +259,10 @@ def test_companion_walks_on_a_deep_chain():
     doc = with_deep_stack(json.loads, flg_to_json(d, {"n"}))
     assert doc["calculus"] == "flg" and document_nodes(doc) == [
         (x.rule, render_flg_sequent(x.conclusion), len(x.premises)) for _, x in iter_nodes(d)]
-    assert repr(d) == "[dp(.*,./)': p .* p |- (p * p)]"
+    assert repr(d) == "[dp(.*,./)': p .* p |- up (p * p)]"
     image = translate_to_fdlg(d)
     assert check_derivation(image).ok and rule_count(image) == 2000 + 5
-    assert image.conclusion == polarize_sequent(d.conclusion)
+    assert image.conclusion == d.conclusion
     # minimization cancels the postulates in pairs; the rest maps back
     assert translate_to_flg(image) == top
 
@@ -299,64 +309,6 @@ def test_companion_parser_rejects_two_formulas_in_focus(text):
         parse_flg_sequent(text, {"n"})
 
 
-def test_misplaced_structure_built_in_code_is_a_translate_error():
-    p = fleaf(catom("p"))
-    with pytest.raises(TranslateError):
-        FlgSequent(fs(".\\", p, p), p)
-    with pytest.raises(TranslateError):
-        FlgSequent(fs(".*", p, p), p, "pre")
-
-
-def test_companion_terms_are_slotted_values():
-    a = parse_cformula("(p * q) / n", {"n"})
-    twin = parse_cformula("(p * q) / n", {"n"})
-    x = fs(".*", fleaf(a.args[0]), fleaf(catom("q")))
-    assert a is not twin and a == twin and hash(a) == hash(twin)
-    assert hash(a) == hash((a.conn, a.args)) and hash(a.args[1]) == hash((a.args[1].atom, ()))
-    assert hash(x) == hash((x.conn, x.args)) and hash(x.args[0]) == hash((x.args[0].leaf, ()))
-    assert a != parse_cformula("(p * q) / n") and catom("p") != parse_formula("p")
-    for y in (a, x):
-        assert pickle.loads(pickle.dumps(y)) == y and copy.deepcopy(y) == y
-        with pytest.raises(AttributeError):
-            y.conn = "*"
-    assert repr(a) == "<(p * q) / n>"
-    assert repr(fleaf(catom("p"))) == "FStruct(conn=None, leaf=<p>, args=())"
-    with pytest.raises(TranslateError):
-        CFormula("dn", None, (a,))
-    with pytest.raises(TranslateError):
-        FStruct(".dn", None, (x,))
-
-
-def test_one_memo_maps_each_term_once(fig_forall_exists, fig_exists_forall):
-    """Within one call, the sides of every sequent are depolarized through
-    one memo: equal sides get one image, which equals the image of a call of
-    its own.  Each image holds a side it was read from as its polarization,
-    so a call's round trip gives back the input's side objects, and an
-    unseeded copy polarizes to an equal side, which it then holds."""
-    memo, images, checked = {}, {}, 0
-    for d in (fig_forall_exists, fig_exists_forall):
-        for _, node in iter_nodes(d):
-            seq = node.conclusion
-            if not is_normal(seq):
-                continue
-            out = translate._flg_of_sequent(seq, memo)
-            own = flg_of_sequent(seq)
-            assert out == own
-            back = polarize_sequent(own)
-            assert back == seq and back.pre is seq.pre
-            assert back.suc is (seq.pre if seq.suc == seq.pre else seq.suc)
-            for x, y in ((seq.pre, out.pre), (seq.suc, out.suc)):
-                assert images.setdefault(x, y) is y
-            assert polarize_sequent(out) == seq
-            fresh = copy.deepcopy(out)
-            again = polarize_sequent(fresh)
-            assert again == seq and again.pre is not seq.pre and again.suc is not seq.suc
-            twice = polarize_sequent(fresh)
-            assert twice.pre is again.pre and twice.suc is again.suc
-            checked += 1
-    assert checked > 40 and len(images) < checked
-
-
 def _renamed(text: str) -> str:
     """The document with each atom np, n, s renamed with a suffix no other
     test uses."""
@@ -364,16 +316,15 @@ def _renamed(text: str) -> str:
 
 
 def test_no_table_outlives_a_read_or_a_round_trip(fig_forall_exists):
-    """The reader's tables and the translations' memos die with their calls:
-    once the results are dropped, nothing holds a term of the document."""
+    """The reader's tables die with its call, and the translations keep
+    nothing: once the results are dropped, nothing holds a term of the
+    document."""
     text = _renamed(derivation_to_json(fig_forall_exists, {"s"}))
     d, neg = derivation_from_json(text)
     assert neg == {"s_freed"}
     image = translate_to_flg(d)
     assert translate_to_fdlg(image) == d
-    conclusion = weakref.ref(image.conclusion)
     del d, image
     gc.collect()
-    assert conclusion() is None
     assert not [x for x in gc.get_objects()
                 if x.__class__ is Atom and x.name.endswith("_freed")]
