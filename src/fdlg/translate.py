@@ -210,7 +210,8 @@ def apply_flg(rule: str, premises, selector: Atom | None = None,
               side: str | None = None) -> Sequent:
     """Forward application in the companion calculus; unique conclusion.
 
-    Ax, mu* and mu~ are the companion's own rules.  Any other rule first
+    Ax, mu* and mu~ are the companion's own rules; a mu premise that is not
+    a companion sequent is a TranslateError of `_normal`.  Any other rule first
     passes the companion's checks on its premises (`_check_premises`), and
     is then the fD.LG rule of the same name.  `side` disambiguates mu~ when
     both a positive precedent formula and a negative succedent formula could
@@ -224,7 +225,7 @@ def apply_flg(rule: str, premises, selector: Atom | None = None,
         return apply_rule_forward("p-Id" if selector.positive else "n-Id", [], selector)
     if rule == "mu*":
         _arity(rule, ps, 1)
-        (s,) = ps
+        s = _normal(ps[0])
         focus = focus_of(s)
         if focus is None:
             raise TranslateError("mu* needs a focused premise")
@@ -233,7 +234,7 @@ def apply_flg(rule: str, premises, selector: Atom | None = None,
         return _refocus(s, focus)
     if rule == "mu~":
         _arity(rule, ps, 1)
-        (s,) = ps
+        s = _normal(ps[0])
         if focus_of(s) is not None:
             raise TranslateError("mu~ needs an unfocused premise")
         pre_ok = _at_own_polarity(s.pre)

@@ -50,6 +50,14 @@ def test_usage_error():
     assert code == 2
 
 
+def test_parser_is_built_once():
+    """Each call of `main` parses with the one cached argument parser."""
+    from fdlg.cli import build_parser
+    parser = build_parser()
+    assert run(["prove", "p |- p"])[0] == 0 and run(["prove", "p |- #"])[0] == 2
+    assert build_parser() is parser
+
+
 def test_check_and_focalization_roundtrip():
     code, out, _ = run(["prove", "p .* q |- p * q", "--json"])
     assert code == 0

@@ -79,6 +79,27 @@ def test_normality_rejects_structural_shifts():
         translate._normal(seq)
 
 
+def test_normal_names_the_focus_first_then_the_precedent():
+    """`_normal` reports a structure in focus before any connective, and a
+    connective of the precedent before one of the succedent."""
+    for text, message in (("(.dn n) .* p |- (up p) .\\l (up q)",
+                           "a positive normal sequent focuses its succedent formula"),
+                          ("p .* (.dn n) |- .up p", ".dn has no companion counterpart")):
+        with pytest.raises(TranslateError, match=f"^{re.escape(message)}$"):
+            translate._normal(parse_sequent(text, {"n"}))
+
+
+def test_misplaced_structure_built_in_code_is_a_translate_error():
+    """A sequent built in code rather than read is a companion premise only
+    if it is normal: mu* and mu~ reject the others as `_normal` does, and a
+    table rule's conclusion passes the same check."""
+    for text, rule in (("n |- .up p", "mu*"), ("p |- .up p", "mu~")):
+        with pytest.raises(TranslateError, match=r"^\.up has no companion counterpart$"):
+            apply_flg(rule, [parse_sequent(text, {"n"})])
+    with pytest.raises(TranslateError, match=r"^\.dn has no companion counterpart$"):
+        apply_flg("dp(.*,./)", [parse_sequent("p .* (.dn n) |- up p", {"n"})])
+
+
 def test_normal_sequents():
     assert is_normal(parse_sequent("p |- p"))
     assert is_normal(parse_sequent("p .* q |- p * q"))
