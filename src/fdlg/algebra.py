@@ -18,19 +18,18 @@ sorts stay disjoint.
 
 The element sweep of a rule runs one function compiled from the rule on its
 first use, which computes each sequent's truth as one nested `dict.get`
-expression over an assignment of the metavariables.  The
-template sweep and `interpret` evaluate terms and patterns column-wise,
-resolving each node's table once per batch of assignments.
+expression over an assignment of the metavariables.  The template sweep
+evaluates each structure once per atom set, a value per valuation, and
+judges each tuple of the metavariables' values once.
 """
 
 from __future__ import annotations
 
 import random
 import re
-from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
-from itertools import accumulate, product
+from itertools import product
 from typing import NamedTuple
 
 from .syntax import (GROUP_OF, NP, NS, PP, PS, RESIDUATION_LAWS, STRUCT_SIG, UNDERIVABLE_KINDS,
@@ -552,49 +551,40 @@ def valuations(a: FiniteFPLG, atoms):
         yield {(at.name, at.positive): v for at, v in zip(atoms, combo)}
 
 
-def _values(x, tables, leaf) -> tuple:
+def _values(x, tables, cols) -> tuple:
     """Values of a structure, formula or pattern over a batch of assignments.
 
-    A leaf structure is looked through to its formula.  `leaf` gives the
-    column of an atom formula or a metavariable: one value per assignment.
-    A node maps its table over the columns of its arguments, so every
-    connective is resolved once per batch; a missing entry raises KeyError.
+    A leaf structure is looked through to its formula.  `cols` holds the
+    column of each atom key and metavariable name: one value per assignment.
+    A node maps its table over the columns of its arguments; a missing entry
+    raises KeyError.
     """
     if x.__class__ is Structure and x.conn is None:
         x = x.leaf
     if not getattr(x, "args", ()):
-        return leaf(x)
-    cols = [_values(y, tables, leaf) for y in x.args]
+        atom = getattr(x, "atom", None)
+        return cols[x.name if atom is None else (atom.name, atom.positive)]
+    args = [_values(y, tables, cols) for y in x.args]
     look = tables.get(x.conn, {}).__getitem__
-    return tuple(map(look, cols[0] if len(cols) == 1 else zip(*cols)))
+    return tuple(map(look, args[0] if len(args) == 1 else zip(*args)))
 
 
-def _atom_leaf(cols):
-    """The leaf function of `_values` for terms whose atoms take the values
-    in `cols`, a column per atom key."""
-    return lambda x: cols[x.atom.name, x.atom.positive]
-
-
-def _truths(kind: str, a: FiniteFPLG, pre, suc, leaf) -> list[bool]:
-    """`interpret` of `pre |- suc`, a sequent of the given kind, over a batch
-    of valuations."""
+def _truth(kind: str, a: FiniteFPLG, pre, suc, cols) -> bool:
+    """`interpret` of `pre |- suc`, a sequent of the given kind, whose atoms
+    and metavariables take the one-row columns `cols`."""
     view = a.view
     if kind not in view.relations:
         raise AlgebraError(f"no weakening relation interprets kind {kind!r}")
     shift, holds = view.relations[kind]
-    left = _values(pre, view.tables, leaf)
-    right = _values(suc, view.tables, leaf)
-    if shift is not None:
-        left = map(shift.__getitem__, left)
-    return [pair in holds for pair in zip(left, right)]
+    (left,), (right,) = _values(pre, view.tables, cols), _values(suc, view.tables, cols)
+    return (left if shift is None else shift[left], right) in holds
 
 
 def interpret(seq: Sequent, a: FiniteFPLG, v) -> bool:
     """Truth of the sequent under the valuation; structural connectives are
     interpreted exactly like their operational counterparts.  The three
     admissible-but-underivable kinds have no interpreting relation."""
-    leaf = _atom_leaf({key: (x,) for key, x in v.items()})
-    return _truths(seq.kind, a, seq.pre, seq.suc, leaf)[0]
+    return _truth(seq.kind, a, seq.pre, seq.suc, {key: (x,) for key, x in v.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -696,14 +686,10 @@ def check_rule_soundness_templates(rule, a: FiniteFPLG, atoms, depth: int = 2,
     before each combination, so the sweep stops at the first one reached
     after `cap` checks and may end above it: diamond reports 12,008.
 
-    Combinations are evaluated in groups, by their signature: the tuple of
-    their structures' sorts.  The signature alone decides whether a
-    combination instantiates and the kind of each sequent, since every pooled
-    term is a Structure and the term constructors read nothing of their
-    arguments but sort and class.  So each signature is instantiated once,
-    and each group is evaluated column-wise, with one `_truths` call per
-    schema over the concatenated rows of its members.  Violations are listed
-    in product order, then in valuation order.
+    Sorts decide whether a combination instantiates and each sequent's kind,
+    and values decide each check: each signature is instantiated once, each
+    structure evaluated once per atom set, each value tuple judged once.
+    Violations are listed in product order, then in valuation order.
     """
     if cap < 0:
         raise ValueError(f"cap must not be negative, got {cap}")
@@ -729,75 +715,59 @@ def check_rule_soundness_templates(rule, a: FiniteFPLG, atoms, depth: int = 2,
     # The keys of `conc_vars`/`prem_vars` are in that order.
     order = [names.index(n) for n in
              dict.fromkeys([*rule.conc_vars, *(n for p in rule.prem_vars for n in p)])]
+    view = a.view
     atom_keys = {}  # id of a pooled structure -> its atoms' keys, in order
-    tables = a.view.tables
-    kinds_of = {}   # signature -> the schemas' kinds, or None if it does not instantiate
-    # atom keys -> (the keys, every valuation of those atoms as a row, the
-    # atom leaf of those rows, {id of a pooled, so live, structure: its values})
-    by_atoms = {}
-    groups = {}     # signature -> [(combination index, combination, its by_atoms entry)]
+    # signature -> None if it does not instantiate, else the kinds before the
+    # first with no interpreting relation, whether that is all, the variables
+    # they read (only those are evaluated) and the verdict per value tuple
+    kinds_of = {}
+    rows_of = {}    # atom keys -> (valuation rows, atom columns, {pooled structure id: column})
     checked = 0
-    for index, combo in enumerate(product(*pools)):
+    found = []
+    for combo in product(*pools):
         if checked >= cap:
             break
         sig = tuple([id(st.sort) for st in combo])
         if sig not in kinds_of:
             env = dict(zip(names, combo))
             try:
-                kinds_of[sig] = tuple(instantiate_sequent(sp, env).kind for sp in schemas)
+                kinds = [instantiate_sequent(sp, env).kind for sp in schemas]
             except (KeyError, ValueError):
                 kinds_of[sig] = None
+            else:
+                n = next((i for i, k in enumerate(kinds) if k not in view.relations), len(kinds))
+                used = sorted({names.index(v) for vs in (*rule.prem_vars, rule.conc_vars)[:n]
+                               for v in vs})
+                kinds_of[sig] = (kinds[:n], n == len(kinds), used, {})
         if kinds_of[sig] is None:
             continue
-        merged = []
-        for i in order:
-            st = combo[i]
+        kinds, judged, used, verdicts = kinds_of[sig]
+        for st in combo:
             if id(st) not in atom_keys:
                 atom_keys[id(st)] = [(at.name, at.positive) for at in atoms_of(st)]
-            merged += atom_keys[id(st)]
-        keys = tuple(dict.fromkeys(merged))
-        vals = by_atoms.get(keys)
-        if vals is None:
+        keys = tuple(dict.fromkeys([key for i in order for key in atom_keys[id(combo[i])]]))
+        entry = rows_of.get(keys)
+        if entry is None:
             rows = list(product(*[a.P.elements if pos else a.N.elements for _, pos in keys]))
-            vals = by_atoms[keys] = (keys, rows,
-                                     _atom_leaf(dict(zip(keys, zip(*rows)))), {})
-        checked += len(vals[1])
-        groups.setdefault(sig, []).append((index, combo, vals))
-
-    found = []    # (combination index, valuation index, violation)
-    for sig, members in groups.items():
-        cols = {}
-
-        def leaf(var):
-            """The rows of the structures bound to `var`, member after member;
-            each instantiated sequent is the pattern with its structures at
-            the leaves."""
-            if var.name not in cols:
-                i = names.index(var.name)
-                col = cols[var.name] = []
-                for _, combo, (_, _, atom_leaf, values) in members:
-                    st = combo[i]
-                    if id(st) not in values:
-                        values[id(st)] = _values(st, tables, atom_leaf)
-                    col += values[id(st)]
-            return cols[var.name]
-
-        try:
-            *pv, cv = [_truths(kind, a, sp.pre, sp.suc, leaf)
-                       for kind, sp in zip(kinds_of[sig], schemas)]
-        except AlgebraError:
-            continue
-        bad = [r for r, c in enumerate(cv) if not c and all(p[r] for p in pv)]
-        if not bad:
-            continue
-        starts = list(accumulate((len(rows) for _, _, (_, rows, _, _) in members), initial=0))
-        for r in bad:
-            m = bisect_right(starts, r) - 1
-            index, combo, (keys, rows, _, _) = members[m]
-            found.append((index, r - starts[m],
-                          (dict(zip(names, combo)), dict(zip(keys, rows[r - starts[m]])))))
-    found.sort(key=lambda x: x[:2])
-    return SoundnessReport(rule.name, checked, [v for _, _, v in found])
+            entry = rows_of[keys] = rows, dict(zip(keys, zip(*rows))), {}
+        rows, atom_cols, columns = entry
+        checked += len(rows)
+        cols = []
+        for i in used:
+            sid = id(combo[i])
+            if sid not in columns:
+                columns[sid] = _values(combo[i], view.tables, atom_cols)
+            cols.append(columns[sid])
+        for row, values in zip(rows, zip(*cols)):
+            verdict = verdicts.get(values)
+            if verdict is None:
+                point = {names[i]: (x,) for i, x in zip(used, values)}
+                truths = [_truth(kind, a, sp.pre, sp.suc, point)
+                          for kind, sp in zip(kinds, schemas)]
+                verdict = verdicts[values] = judged and all(truths[:-1]) and not truths[-1]
+            if verdict:
+                found.append((dict(zip(names, combo)), dict(zip(keys, row))))
+    return SoundnessReport(rule.name, checked, found)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 """Node-by-node evaluator for finite instances, kept as the reference.
 
-`fdlg.algebra` evaluates rule patterns and sequents column-wise over tables
+`fdlg.algebra` compiles each rule's element sweep into one expression per
+sequent, and its template sweep evaluates each structure once per atom set
+and judges each tuple of the metavariables' values once, all over tables
 resolved once per instance.  This module keeps the straightforward version:
-every node of every pattern is evaluated for every assignment by resolving
-its connective again.  The differential tests require both to give the same
-reports.  `_pattern_vars` and `_is_formula_var` walk the rule patterns as
-`fdlg.algebra` did before `rules.Directed` compiled `var_sorts` and
-`formula_vars`; a test requires the compiled maps to equal them.
+every node of every pattern and sequent is evaluated for every assignment by
+resolving its connective again.  The differential tests require both to give
+the same reports.  `_pattern_vars` and `_is_formula_var` walk the rule
+patterns as `fdlg.algebra` did before `rules.Directed` compiled `var_sorts`
+and `formula_vars`; a test requires the compiled maps to equal them.
 
 `check_fplg_axioms` is the axiom check as it was before `fdlg.algebra` read
 its signature from `syntax.STRUCT_SIG` and generated its residuation laws:

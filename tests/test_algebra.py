@@ -178,11 +178,16 @@ def test_all_rules_sound_on_diamond(diamond):
         assert rep.ok, (name, rep.violations[:1])
 
 
-def test_template_sweep_matches(chain2):
-    rep = check_rule_soundness_templates("otimes_R", chain2,
-                                         (Atom("p", True), Atom("n", False)),
-                                         depth=2)
-    assert rep.ok and rep.checked > 1000
+def test_template_sweep_matches(chain2, diamond):
+    """The benchmark's five template sweeps on chain2 check 49,224
+    valuations; the cap is tested before each combination, so diamond's sweep
+    of otimes_R ends above it."""
+    atoms = (Atom("p", True), Atom("n", False))
+    reps = [check_rule_soundness_templates(name, chain2, atoms, depth=2)
+            for name in ("otimes_R", "under_L", "down_L", "s-down", "dp(.*,.\\)")]
+    reps.append(check_rule_soundness_templates("otimes_R", diamond, atoms))
+    assert [(rep.ok, rep.checked) for rep in reps] == \
+        [(True, 12000), (True, 12000), (True, 1224), (True, 12000), (True, 12000), (True, 12008)]
 
 
 def test_corrupted_rule_caught(chain2):

@@ -1,5 +1,6 @@
-"""The column-wise evaluator of `fdlg.algebra` against the node-by-node
-reference in `reference_algebra`, plus the reports on incomplete instances."""
+"""The compiled element sweep and the value-memoized template sweep of
+`fdlg.algebra` against the node-by-node reference in `reference_algebra`,
+plus the reports on incomplete instances."""
 
 import copy
 import pickle
@@ -207,6 +208,63 @@ def test_template_sweep_matches_reference_on_every_rule(instances, bogus, index)
     if inst.name == "diamond":
         assert check_rule_soundness_templates("otimes_R", inst, ATOMS,
                                               cap=SPLIT_CAP).checked == 164
+
+
+def _without_first_entry(inst, table):
+    """A copy of `inst` whose shift map or operation `table` lacks its first
+    entry."""
+    if table in ("up", "dn"):
+        return replace(inst, **{table: dict(list(getattr(inst, table).items())[1:])})
+    return replace(inst, ops={**inst.ops, table: dict(list(inst.ops[table].items())[1:])})
+
+
+def test_template_sweep_matches_reference_on_partial_tables(chain2):
+    """Template structures contain the shifts and the base operations, so a
+    missing entry of one of their tables must raise where the reference
+    raises, and nowhere else."""
+    outcomes = []
+    for table in ("dn", "up", "*", "(+)"):
+        inst = _without_first_entry(chain2, table)
+        for name in ["otimes_R", "under_L", "down_L", "s-down", "dp(.*,.\\)", "oplus_L",
+                     "up_L", "down_R"]:
+            got = _template_outcome(check_rule_soundness_templates, name, inst, SPLIT_CAP)
+            want = _template_outcome(ref.check_rule_soundness_templates, name, inst,
+                                     SPLIT_CAP)
+            assert got == want, (table, name)
+            outcomes.append(got if got is KeyError else "report")
+    assert (outcomes.count(KeyError), outcomes.count("report")) == (20, 12)
+
+
+@pytest.mark.parametrize("cap, want", [(30, (30, [])), (40, KeyError)])
+def test_template_sweep_evaluates_no_structure_past_an_uninterpretable_kind(chain2,
+                                                                            cap, want):
+    """otimes_R's second premise Y |- Q has no interpreting relation when Y
+    is `dn n` and Q is pure, so the reference never evaluates that Y; its
+    missing `dn` entry raises only once a later Y reads it in a judged
+    premise."""
+    inst = _without_first_entry(chain2, "dn")
+    got = _template_outcome(check_rule_soundness_templates, "otimes_R", inst, cap)
+    assert got == want == _template_outcome(ref.check_rule_soundness_templates, "otimes_R",
+                                            inst, cap)
+
+
+def test_template_violations_are_element_violations():
+    """A template violation, read as its structures' values under its
+    valuation, is a violation of the element sweep.  Not conversely:
+    diamond's element sweep of the corrupted rule has violations that no
+    template reaches before the cap."""
+    found = 0
+    for inst in (builtin("chain2"), builtin("diamond"), builtin("chain3")):
+        for rule in (_corrupted(), _corrupted(right=True)):
+            elements = check_rule_soundness(rule, inst).violations
+            templates = check_rule_soundness_templates(rule, inst, ATOMS).violations
+            for env, v in templates:
+                assert {n: ref._eval_structure(st, inst, v) for n, st in env.items()} \
+                    in elements, (inst.name, rule.name, env, v)
+            found += len(templates)
+            if (inst.name, rule.name) == ("diamond", "bogus"):
+                assert (len(elements), len(templates)) == (576, 0)
+    assert found == 491
 
 
 def test_axioms_report_missing_operation(chain2):
