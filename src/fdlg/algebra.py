@@ -150,35 +150,40 @@ class LGAlgebra:
         return bad
 
 
+def _solve(cells, wanted, candidates):
+    """The table of each cell's candidate for `wanted(*cell)`, or None if
+    some cell has none.  `candidates` maps a profile, the set of elements an
+    element relates to, to the element: a residual's value at a cell is the
+    element whose profile is the set its adjunction names there."""
+    table = {}
+    for cell in cells:
+        value = candidates.get(frozenset(wanted(*cell)))
+        if value is None:
+            return None
+        table[cell] = value
+    return table
+
+
 def lg_from_lattice(poset: FinitePoset) -> LGAlgebra:
-    """Meet/join with their residuals and co-residuals, when they all exist."""
-    es = poset.elements
-    le = poset.le
-
-    def first_bound(cands, greatest: bool, missing: str):
-        """The first of `cands` above (or below) all of them."""
-        for c in cands:
-            if all(le(d, c) if greatest else le(c, d) for d in cands):
-                return c
-        raise AlgebraError(missing)
-
-    ops = {sym: {} for sym in LG_OPS}
-    for a, b in product(es, es):
-        ops["*"][(a, b)] = first_bound([c for c in es if le(c, a) and le(c, b)], True,
-                                       f"no meet of {a!r},{b!r}")
-        ops["(+)"][(a, b)] = first_bound([c for c in es if le(a, c) and le(b, c)], False,
-                                         f"no join of {a!r},{b!r}")
-    for a, c in product(es, es):
-        ops["\\"][(a, c)] = first_bound([b for b in es if le(ops["*"][(a, b)], c)], True,
-                                        "no residual; the lattice is not residuated")
-    for c, b in product(es, es):
-        ops["/"][(c, b)] = ops["\\"][(b, c)]
-    for c, b in product(es, es):
-        ops["(/)"][(c, b)] = first_bound([a for a in es if le(c, ops["(+)"][(a, b)])], False,
-                                         "no co-residual")
-    for a, c in product(es, es):
-        ops["(\\)"][(a, c)] = first_bound([b for b in es if le(c, ops["(+)"][(a, b)])], False,
-                                          "no co-residual")
+    """Meet/join with their residuals and co-residuals, when they all exist,
+    each read off down-set or up-set profiles (`_solve`)."""
+    es, le = poset.elements, poset.le
+    cells = list(product(es, es))
+    downs = {frozenset(x for x in es if le(x, c)): c for c in es}
+    ups = {frozenset(x for x in es if le(c, x)): c for c in es}
+    ops: dict = {}
+    for sym, wanted, candidates, missing in (
+            ("*", lambda a, b: (c for c in es if le(c, a) and le(c, b)), downs, "no meet"),
+            ("(+)", lambda a, b: (c for c in es if le(a, c) and le(b, c)), ups, "no join"),
+            ("\\", lambda a, c: (b for b in es if le(ops["*"][a, b], c)), downs,
+             "no residual; the lattice is not residuated"),
+            ("(/)", lambda c, b: (a for a in es if le(c, ops["(+)"][a, b])), ups, "no co-residual"),
+            ("(\\)", lambda a, c: (b for b in es if le(c, ops["(+)"][a, b])), ups,
+             "no co-residual")):
+        ops[sym] = _solve(cells, wanted, candidates)
+        if ops[sym] is None:
+            raise AlgebraError(missing)
+    ops["/"] = {(c, b): ops["\\"][b, c] for c, b in cells}
     alg = LGAlgebra(poset, ops)
     bad = alg.check()
     if bad:
@@ -946,56 +951,40 @@ def _fused_instances(p_seed: FinitePoset, n_seed: FinitePoset, w, rng):
                 i //= n
             yield t
 
-    # The residual solver.  A residual's value at a cell is the first
-    # candidate whose profile, the elements of the other collage that hvd
-    # relates it to, is the set the adjunction asks for there: N candidates
-    # by what lies below them, P candidates by what lies above them.
-    by_below, by_above = {}, {}
-    for m in N_el:
-        by_below.setdefault(frozenset(x for x in rp if (x, m) in below), m)
-    for p in P_el:
-        by_above.setdefault(frozenset(n for n in rn if (p, n) in below), p)
-
-    def solve(cells, wanted, candidates):
-        """The table of each cell's candidate for `wanted(*cell)`, or None
-        if some cell has none."""
-        table = {}
-        for cell in cells:
-            value = candidates.get(frozenset(wanted(*cell)))
-            if value is None:
-                return None
-            table[cell] = value
-        return table
+    # The residual solver's profiles (`_solve`): what lies below each N
+    # candidate and above each P candidate, told apart by the seed orders.
+    by_below = {frozenset(x for x in rp if (x, m) in below): m for m in N_el}
+    by_above = {frozenset(n for n in rn if (p, n) in below): p for p in P_el}
 
     def residuals(prod):
         """prod with both residuals into N, or None."""
-        under = solve(cells_pn, lambda x, n: (y for y in rp if (prod[x, y], n) in below),
-                      by_below)
-        over = under and solve(cells_np, lambda n, y: (x for x in rp if (prod[x, y], n) in below),
-                               by_below)
+        under = _solve(cells_pn, lambda x, n: (y for y in rp if (prod[x, y], n) in below),
+                       by_below)
+        over = under and _solve(cells_np, lambda n, y: (x for x in rp if (prod[x, y], n) in below),
+                                by_below)
         return over and (prod, under, over)
 
     def coresiduals(plus):
         """plus with both co-residuals into P, or None."""
-        osl = solve(cells_pn, lambda x, n: (m for m in rn if (x, plus[m, n]) in below),
-                    by_above)
-        obsl = osl and solve(cells_np, lambda m, x: (n for n in rn if (x, plus[m, n]) in below),
-                             by_above)
+        osl = _solve(cells_pn, lambda x, n: (m for m in rn if (x, plus[m, n]) in below),
+                     by_above)
+        obsl = osl and _solve(cells_np, lambda m, x: (n for n in rn if (x, plus[m, n]) in below),
+                              by_above)
         return obsl and (plus, osl, obsl)
 
     def from_under(under):
         """The product of a residual table, with both residuals, if it gives
         that residual back."""
-        prod = solve(cells_p, lambda x, y: (n for n in rn if (y, under[x, n]) in below),
-                     by_above)
+        prod = _solve(cells_p, lambda x, y: (n for n in rn if (y, under[x, n]) in below),
+                      by_above)
         triple = prod and residuals(prod)
         return triple if triple and triple[1] == under else None
 
     def from_oslash(osl):
         """The coproduct of a co-residual table, with both co-residuals, if
         it gives that co-residual back."""
-        plus = solve(cells_n, lambda m, n: (x for x in rp if (osl[x, n], m) in below),
-                     by_below)
+        plus = _solve(cells_n, lambda m, n: (x for x in rp if (osl[x, n], m) in below),
+                      by_below)
         triple = plus and coresiduals(plus)
         return triple if triple and triple[1] == osl else None
 

@@ -160,6 +160,8 @@ def cmd_parse(args) -> int:
             bracketing = _json.loads(args.bracketing)
         except _json.JSONDecodeError as e:
             raise ValueError(f"--bracketing {args.bracketing!r} is not JSON: {e}") from None
+        except RecursionError:
+            raise ValueError("--bracketing nested too deeply") from None
     cfg = SearchConfig(max_depth=args.max_depth, max_solutions=args.max_solutions)
     readings = parse_sentence(words, lexicon, goal, cfg, bracketing)
     if not readings:

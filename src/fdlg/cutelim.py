@@ -24,7 +24,7 @@ from .syntax import (OP_OF_STRUCT, Structure, Sequent, Sort, PP, PS, NP, NS, dis
 from .rules import (REGISTRY, CUT_RULES, PRINCIPAL_LEFT, PRINCIPAL_RIGHT, display_chain,
                     identify)
 from .kernel import (Derivation, KernelError, TONICITY_SIDES, derive, fold,
-                     make_cut, MutationError, struct_at, subst_path, thread)
+                     make_cut, MutationError, nodes, struct_at, subst_path, thread)
 from .standardize import ftom, ftoM
 
 
@@ -127,13 +127,7 @@ def mutate_sequent(seq: Sequent, targets, replacements, mu: Mutation) -> Sequent
 
 
 def has_cut(d: Derivation) -> bool:
-    stack = [d]
-    while stack:
-        node = stack.pop()
-        if node.rule in CUT_RULES:
-            return True
-        stack.extend(node.premises)
-    return False
+    return any(node.rule in CUT_RULES for node in nodes(d))
 
 
 def _reapply(hint: str, premises: tuple[Derivation, ...], expected: Sequent) -> Derivation:

@@ -30,7 +30,7 @@ from operator import attrgetter, is_not
 from .syntax import (Formula, Sequent, STRUCT_SHIFTS, skeleton, VARIANT_STRUCTS,
                      SHIFT_ADJOINTS, signed_nodes, signed_partition, render)
 from .rules import CUT_RULES, REGISTRY, TONICITY_RULES, SHIFT_DPS
-from .kernel import (Derivation, iter_nodes, path_str, struct_at, thread,
+from .kernel import (Derivation, iter_nodes, nodes, path_str, struct_at, thread,
                      derive, check_derivation, fold)
 from .cutelim import eliminate_cuts, has_cut
 
@@ -163,9 +163,7 @@ def _focalized(d: Derivation) -> bool:
     """Whether every node of `d` passes its local test: it is no cut, and
     each PIA child connective of a PIA connective it introduces meets only
     tonicity nodes on its thread up to the node that introduces it."""
-    stack = [d]
-    while stack:
-        node = stack.pop()
+    for node in nodes(d):
         if node.rule in CUT_RULES:
             return False
         for side, children in REGISTRY[node.rule].pia:
@@ -173,20 +171,9 @@ def _focalized(d: Derivation) -> bool:
                 child = struct_at(node.conclusion, (side, path))
                 if child.conn is None or skeleton(child.conn, sign):
                     continue
-                if not _tonic(node.premises[i], (pside, ppath)):
-                    return False
-        stack.extend(node.premises)
-    return True
-
-
-def _tonic(d: Derivation, pos) -> bool:
-    """Whether the occurrence at `pos` of d's conclusion meets only tonicity
-    nodes on its thread from `d` up to the node that introduces it, that
-    node excluded."""
-    while (res := REGISTRY[d.rule].thread_up(pos))[0] != "principal":
-        if d.rule not in TONICITY_RULES:
-            return False
-        d, pos = d.premises[res[0]], res[1]
+                for above, _, _ in thread(node.premises[i], (pside, ppath))[0]:
+                    if above.rule not in TONICITY_RULES:
+                        return False
     return True
 
 
@@ -317,14 +304,12 @@ def minimize_proof(d: Derivation) -> Derivation:
     if d.conclusion != end:
         raise MinimizeError("minimization changed the end-sequent")
     # one walk; a shift display postulate is reported before any variant
-    stack, variant = [d], False
-    while stack:
-        node = stack.pop()
+    variant = False
+    for node in nodes(d):
         if node.rule in SHIFT_DPS:
             raise MinimizeError("a shift display postulate resists cancellation; "
                                 "the input is outside the reducible fragment")
         variant = variant or _uses(node.conclusion, _VARIANTS)
-        stack.extend(node.premises)
     if variant:
         raise MinimizeError("an l/r-variant resists cancellation")
     rep = check_derivation(d)

@@ -3,12 +3,13 @@
 One tree type, `Derivation`, serves both calculi: its conclusion is an fD.LG
 `Sequent`, and a companion sequent is kept as its polarization, a normal
 `Sequent` (`fdlg.translate`), so the same walks run over either.
-`iter_nodes` lists the nodes in pre-order and `fold` computes bottom-up;
-both keep an explicit stack, as do equality and hashing, so a derivation of
-any height goes through them.  `write_document` writes the JSON exchange
-format of either calculus.  `derivation_from_json` reads an fD.LG document
-through one `syntax.SequentReader`, so that equal subterms of its
-conclusions are one object; the reader's tables die with the call.
+`nodes` yields the nodes in no promised order, `iter_nodes` with paths in
+pre-order, and `fold` computes bottom-up; all keep an explicit stack, as do
+equality and hashing, so a derivation of any height goes through them.
+`write_document` writes the JSON exchange format of either calculus, and
+`derivation_from_json` reads an fD.LG document through one
+`syntax.SequentReader`, so that equal subterms of its conclusions are one
+object; the reader's tables die with the call.
 
 Also houses two derivation builders used by the completeness argument:
 identity expansion on structures, and translation saturation of one side of
@@ -82,9 +83,18 @@ class Derivation(_Term):
 _D_RULE, _D_CONCLUSION, _D_PREMISES, _D_HASH = _setters(Derivation)
 
 
+def nodes(d: Derivation):
+    """Every node of `d`, in no promised order; iterative, so any depth."""
+    stack = [d]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(node.premises)
+
+
 def rule_count(d: Derivation) -> int:
     """Rule applications in a derivation; any depth."""
-    return sum(1 for _ in iter_nodes(d))
+    return sum(1 for _ in nodes(d))
 
 
 def height(d: Derivation) -> int:
@@ -143,13 +153,10 @@ def check_derivation(d: Derivation) -> CheckReport:
 
     A first walk checks every node without tracking paths; only when a node
     fails are the nodes sorted by depth, to report the uppermost failure."""
-    stack = [d]
-    while stack:
-        node = stack.pop()
+    for node in nodes(d):
         rule = REGISTRY.get(node.rule)
         if rule is None or not fits(rule, node.conclusion, node.premises):
             break
-        stack.extend(node.premises)
     else:
         return CheckReport(True)
     for path, node in sorted(iter_nodes(d), key=lambda pn: len(pn[0]), reverse=True):
@@ -381,7 +388,7 @@ def derivation_from_json(text: str) -> tuple[Derivation, frozenset[str]]:
 
 
 def neg_atoms_of(d: Derivation) -> frozenset[str]:
-    return frozenset(x.atom.name for _, nd in iter_nodes(d)
+    return frozenset(x.atom.name for nd in nodes(d)
                      for x in formula_nodes(nd.conclusion)
                      if x.conn is None and not x.atom.positive)
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from .syntax import (Formula, Structure, Sequent, leaf, s as snode,
-                     parse_formula, render, ParseError)
+                     parse_formula, render, ParseError, MAX_NESTING)
 from .rules import ORBIT_DPS as _ORBIT_DPS, ORDERED_RULES, backward, orbit
 from .kernel import Derivation
 
@@ -221,15 +221,15 @@ class Lexicon:
 
 def _bracket(parts: list[Structure], shape) -> Structure:
     """Join the words by `shape`: nested pairs of word indices that name every
-    word once, left to right; None means right-branching."""
+    word once, left to right; None means right-branching.  Pairs nested more
+    than MAX_NESTING deep are rejected, as the parser rejects such terms."""
     if shape is None:                          # right-branching default
-        out = parts[-1]
-        for p in reversed(parts[:-1]):
-            out = snode(".*", p, out)
-        return out
+        shape = len(parts) - 1
+        for i in range(len(parts) - 2, -1, -1):
+            shape = [i, shape]
     order: list[int] = []
 
-    def build(x) -> Structure:
+    def build(x, depth: int) -> Structure:
         if isinstance(x, int) and not isinstance(x, bool):
             if not 0 <= x < len(parts):
                 raise LexiconError(f"bracketing index {x} is out of range for "
@@ -237,10 +237,12 @@ def _bracket(parts: list[Structure], shape) -> Structure:
             order.append(x)
             return parts[x]
         if isinstance(x, (list, tuple)) and len(x) == 2:
-            return snode(".*", build(x[0]), build(x[1]))
+            if depth == MAX_NESTING:
+                raise LexiconError(f"bracketing nested more than {MAX_NESTING} levels deep")
+            return snode(".*", build(x[0], depth + 1), build(x[1], depth + 1))
         raise LexiconError(f"bracketing {x!r} is neither a word index nor a pair")
 
-    out = build(shape)
+    out = build(shape, 0)
     if order != list(range(len(parts))):
         raise LexiconError("bracketing must name every word once, left to right")
     return out

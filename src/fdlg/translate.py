@@ -29,7 +29,7 @@ from .syntax import (OP_SIG, STRUCT_OF_OP, STRUCT_SIG, Formula, Structure, Seque
                      f as fnode, ParseError, parse_raw)
 from .rules import ORBIT_DPS, REGISTRY, SNode, fits
 from .kernel import (Derivation, KernelError, TONICITY_PREMISES, apply_rule_forward,
-                     fold, iter_nodes, read_document, read_nodes, write_document)
+                     fold, iter_nodes, nodes, read_document, read_nodes, write_document)
 from .focus import minimize_proof
 
 
@@ -309,7 +309,7 @@ def check_flg(d: FlgDerivation) -> tuple[bool, str]:
 
 def logical_rule_count(d) -> int:
     """Applications of the six connective rules (either calculus)."""
-    return sum(1 for _, n in iter_nodes(d) if n.rule in _LOGICAL_RULES)
+    return sum(1 for n in nodes(d) if n.rule in _LOGICAL_RULES)
 
 
 # ---------------------------------------------------------------------------

@@ -79,6 +79,33 @@ def test_to_lg_quotient_is_lg_algebra(chain2):
     assert not lg_isomorphic(q, lg_from_lattice(chain_poset(2)))
 
 
+def test_lg_from_lattice_rejects_a_poset_without_residuals():
+    with pytest.raises(AlgebraError, match="no meet"):
+        lg_from_lattice(poset_from_pairs(("a", "b"), ()))
+    # the pentagon N5 is a lattice, but not a distributive one
+    n5 = poset_from_pairs(("0", "a", "b", "c", "1"),
+                          {("0", "a"), ("a", "b"), ("b", "1"), ("0", "c"), ("c", "1")})
+    with pytest.raises(AlgebraError, match="not residuated"):
+        lg_from_lattice(n5)
+
+
+def test_lg_isomorphic_searches_the_permutations():
+    """A relabelled copy of the diamond algebra, its elements listed in
+    another order, is isomorphic to it; the four-element quotient of chain2
+    is not."""
+    g = lg_from_lattice(diamond_poset())
+    new = {"0": "w", "a": "y", "b": "x", "1": "v"}
+    copy = LGAlgebra(FinitePoset(("v", "w", "x", "y"),
+                                 frozenset((new[x], new[y]) for x, y in g.poset.leq)),
+                     {sym: {(new[x], new[y]): new[v] for (x, y), v in table.items()}
+                      for sym, table in g.ops.items()})
+    assert copy.check() == []
+    assert lg_isomorphic(g, copy) and lg_isomorphic(copy, g)
+    q = to_lg(builtin("chain2"))
+    assert len(q.poset.elements) == len(g.poset.elements) == 4
+    assert not lg_isomorphic(q, g)
+
+
 def test_to_lg_trivial_seed():
     q = to_lg(from_lg(lg_from_lattice(chain_poset(1))))
     assert q.check() == []

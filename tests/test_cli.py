@@ -395,6 +395,21 @@ def test_parse_malformed_bracketing(tmp_path, bracketing, message):
     assert code == 2 and out == "" and _one_error_line(err) and message in err
 
 
+def test_parse_input_nested_too_deeply(tmp_path):
+    """A sentence or bracketing deeper than a term may nest, or deeper than
+    the JSON reader can read, is a usage error."""
+    lex = tmp_path / "sentence.lex"
+    lex.write_text(LEXICON_TEXT)
+    args = ["parse", "--lexicon", str(lex), "--goal", "dn s"]
+    deep = "[0," * (MAX_NESTING + 1) + "1" + "]" * (MAX_NESTING + 1)
+    for argv, message in ((["everyone " * 2000], "bracketing nested more than"),
+                          (["everyone", "--bracketing", deep], "bracketing nested more than"),
+                          (["everyone", "--bracketing", "[" * 5000 + "]" * 5000],
+                           "--bracketing nested too deeply")):
+        code, out, err = run(args + argv)
+        assert code == 2 and out == "" and _one_error_line(err) and message in err
+
+
 def test_parse_explicit_bracketing(tmp_path):
     lex = tmp_path / "sentence.lex"
     lex.write_text(LEXICON_TEXT)

@@ -110,8 +110,9 @@ def test_report_follows_the_end_sequent_not_pre_order(joins):
 
 def test_thread_walk_follows_the_threads(built):
     """At every position of the conclusions of a sample of the built
-    derivations' nodes, `_tonic` finds a non-tonicity node exactly where the
-    chain that `kernel.thread` follows has one."""
+    derivations' nodes, the chain that `kernel.thread` follows takes the
+    premises that the tracing reference takes, and some chains are
+    interrupted above a tonicity node or by translations alone."""
     seen, deep, translated = set(), 0, 0
     for d in built[::5]:
         for _, node in iter_nodes(d):
@@ -120,11 +121,13 @@ def test_thread_walk_follows_the_threads(built):
             seen.add(node)
             for side in ("pre", "suc"):
                 for path, _, _ in signed_nodes(getattr(node.conclusion, side)):
-                    chain = [n.rule for n, _, _ in thread(node, (side, path))[0]]
-                    breaks = [rule for rule in chain if rule not in TONICITY_RULES]
-                    assert focus._tonic(node, (side, path)) == (not breaks), (node, side, path)
+                    chain = thread(node, (side, path))[0]
+                    assert tuple(i for _, _, i in chain) == \
+                        ref.trace_to_intro(node, (side, path)), (node, side, path)
+                    rules = [n.rule for n, _, _ in chain]
+                    breaks = [rule for rule in rules if rule not in TONICITY_RULES]
                     # an interruption above a tonicity node, or by translations alone
-                    deep += bool(breaks) and chain[0] in TONICITY_RULES
+                    deep += bool(breaks) and rules[0] in TONICITY_RULES
                     translated += bool(breaks) and set(breaks) <= TRANSLATION_RULES
     assert deep and translated
 

@@ -1,6 +1,7 @@
 """Signed trees, phases, strong focalization, minimization, rule topology."""
 
 import random
+from collections import Counter
 from operator import attrgetter
 
 import pytest
@@ -19,7 +20,7 @@ from fdlg.search import prove, SearchConfig, sentence_sequent
 from fdlg.cutelim import eliminate_cuts
 from fdlg.standardize import principal_subtree
 
-from gen import forward_closure, interrupted_pia_proof, random_cut_proof
+from gen import forward_closure, interrupted_pia_proof, random_cut_proof, random_derivations
 
 
 def _ax(name, atom, pos=True):
@@ -135,6 +136,26 @@ def test_minimize_eliminates_cuts_first():
     out = minimize_proof(cut_elim_example())
     assert check_derivation(out).ok
     assert check_strong_focalization(out).ok
+
+
+def test_minimize_rejects_what_cancellation_leaves():
+    """On the forward-built derivations, shift display postulates and
+    l/r-variants that no cancellation removes are reported, a postulate
+    before any variant; an input that is no proof fails the re-check."""
+    reasons = Counter()
+    for d in random_derivations(random.Random(1), 1000):
+        try:
+            minimize_proof(d)
+        except MinimizeError as e:
+            reasons[str(e)] += 1
+    assert reasons == {
+        "a shift display postulate resists cancellation; "
+        "the input is outside the reducible fragment": 171,
+        "an l/r-variant resists cancellation": 289}
+    with pytest.raises(MinimizeError) as e:
+        minimize_proof(Derivation("p-Id", parse_sequent("p |- q")))
+    assert str(e.value) == \
+        "minimized proof fails to re-check: (root): p |- q is not an instance of p-Id"
 
 
 def test_topology_conformance(fig_forall_exists, fig_exists_forall):

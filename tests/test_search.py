@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from fdlg.syntax import parse_sequent, parse_formula, render_sequent
+from fdlg.syntax import MAX_NESTING, parse_sequent, parse_formula, render_sequent
 from fdlg.kernel import check_derivation, height
 from fdlg.focus import check_strong_focalization, minimize_proof
 from fdlg import rules, search
@@ -169,6 +169,21 @@ def test_bracketing_argument():
     seq_left = sentence_sequent(list(SENTENCE), LEXICON, GOAL,
                                 bracketing=(((0, 1), 2), 3))
     assert seq_left != seq_default
+
+
+def test_bracketing_nested_at_most_max_nesting_deep():
+    """The default and an explicit bracketing nest MAX_NESTING pairs deep at
+    most, as terms do."""
+    words = ["everyone"] * (MAX_NESTING + 1)
+    shape = MAX_NESTING
+    for i in range(MAX_NESTING - 1, -1, -1):
+        shape = (i, shape)
+    assert sentence_sequent(words, LEXICON, GOAL) == \
+        sentence_sequent(words, LEXICON, GOAL, bracketing=shape)
+    with pytest.raises(LexiconError, match=f"nested more than {MAX_NESTING} levels deep"):
+        sentence_sequent(words + ["everyone"], LEXICON, GOAL)
+    with pytest.raises(LexiconError, match=f"nested more than {MAX_NESTING} levels deep"):
+        sentence_sequent(words + ["everyone"], LEXICON, GOAL, bracketing=(shape, MAX_NESTING + 1))
 
 
 def test_sentence_sequent_matches_figures(fig_forall_exists):
