@@ -38,5 +38,5 @@ print(f"countermodel for `p |- n`: {cm}")
 insts = random_instances(10, seed=1)
 print(f"{len(insts)} random instances generated, all validated:",
       all(check_fplg_axioms(i) == [] for i in insts))
-print("carrier shapes:", sorted({tuple(len(i.poset(t).elements) for t in ('P','Pd','N','Nd'))
-                                 for i in insts}))
+print("carrier shapes (chains of 1 to 3 elements):",
+      sorted({tuple(len(i.poset(t).elements) for t in ('P','Pd','N','Nd')) for i in insts}))

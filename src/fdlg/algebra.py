@@ -16,6 +16,13 @@ postulates, and the order-reversing dual of an instance renames its tables by
 Carriers are tagged pairs (value, tag) with tags P, Pd, N, Nd so the four
 sorts stay disjoint.
 
+Plain Lambek-Grishin algebras come from one constructor, `residuated`, which
+solves the four residuals of a product and a coproduct on a poset; a lattice
+gives meet and join (`lg_from_lattice`), and the random instances are chains
+whose product and coproduct are random monotone tables, so that a product
+need not commute, associate or lie below its arguments.  `from_lg` lifts a
+plain algebra to an instance.
+
 The element sweep of a rule runs one function compiled from the rule on its
 first use, which computes each sequent's truth as one nested `dict.get`
 expression over an assignment of the metavariables.  The template sweep
@@ -27,7 +34,7 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import product
 from typing import NamedTuple
@@ -164,31 +171,52 @@ def _solve(cells, wanted, candidates):
     return table
 
 
-def lg_from_lattice(poset: FinitePoset) -> LGAlgebra:
-    """Meet/join with their residuals and co-residuals, when they all exist,
-    each read off down-set or up-set profiles (`_solve`)."""
+def _profiles(poset: FinitePoset) -> tuple:
+    """The cells of a binary table on `poset`, and each element keyed by its
+    down-set and by its up-set: the candidates of `_solve`."""
     es, le = poset.elements, poset.le
-    cells = list(product(es, es))
-    downs = {frozenset(x for x in es if le(x, c)): c for c in es}
-    ups = {frozenset(x for x in es if le(c, x)): c for c in es}
-    ops: dict = {}
+    return (list(product(es, es)), {frozenset(x for x in es if le(x, c)): c for c in es},
+            {frozenset(x for x in es if le(c, x)): c for c in es})
+
+
+def residuated(poset: FinitePoset, prod: dict, plus: dict) -> LGAlgebra:
+    """The LG-algebra of a product and a coproduct on `poset`, with the four
+    residuals solved off down-set and up-set profiles (`_solve`).  Neither
+    table need commute, so `/` and `\\` are solved apart, as are `(/)` and
+    `(\\)`.  A missing residual, or a result that fails `LGAlgebra.check`,
+    raises AlgebraError."""
+    es, le = poset.elements, poset.le
+    cells, downs, ups = _profiles(poset)
+    ops = {"*": prod, "(+)": plus}
     for sym, wanted, candidates, missing in (
-            ("*", lambda a, b: (c for c in es if le(c, a) and le(c, b)), downs, "no meet"),
-            ("(+)", lambda a, b: (c for c in es if le(a, c) and le(b, c)), ups, "no join"),
-            ("\\", lambda a, c: (b for b in es if le(ops["*"][a, b], c)), downs,
-             "no residual; the lattice is not residuated"),
-            ("(/)", lambda c, b: (a for a in es if le(c, ops["(+)"][a, b])), ups, "no co-residual"),
-            ("(\\)", lambda a, c: (b for b in es if le(c, ops["(+)"][a, b])), ups,
-             "no co-residual")):
+            ("\\", lambda a, c: (b for b in es if le(prod[a, b], c)), downs,
+             "no residual; the product is not residuated"),
+            ("/", lambda c, b: (a for a in es if le(prod[a, b], c)), downs,
+             "no residual; the product is not residuated"),
+            ("(/)", lambda c, b: (a for a in es if le(c, plus[a, b])), ups, "no co-residual"),
+            ("(\\)", lambda a, c: (b for b in es if le(c, plus[a, b])), ups, "no co-residual")):
         ops[sym] = _solve(cells, wanted, candidates)
         if ops[sym] is None:
             raise AlgebraError(missing)
-    ops["/"] = {(c, b): ops["\\"][b, c] for c, b in cells}
     alg = LGAlgebra(poset, ops)
     bad = alg.check()
     if bad:
         raise AlgebraError("; ".join(bad[:3]))
     return alg
+
+
+def lg_from_lattice(poset: FinitePoset) -> LGAlgebra:
+    """Meet and join, read off down-set and up-set profiles, with their
+    residuals (`residuated`), when they all exist."""
+    es, le = poset.elements, poset.le
+    cells, downs, ups = _profiles(poset)
+    meet = _solve(cells, lambda a, b: (c for c in es if le(c, a) and le(c, b)), downs)
+    if meet is None:
+        raise AlgebraError("no meet")
+    join = _solve(cells, lambda a, b: (c for c in es if le(a, c) and le(b, c)), ups)
+    if join is None:
+        raise AlgebraError("no join")
+    return residuated(poset, meet, join)
 
 
 def chain_poset(n: int, prefix: str = "") -> FinitePoset:
@@ -460,15 +488,10 @@ def from_lg(g: LGAlgebra, name: str = "from-lg") -> FiniteFPLG:
     tables = {sym: {((x, tx), (y, ty)): (g.op(_BASE[sym], x, y), tgt)
                     for (x, tx) in ring[left] for (y, ty) in ring[right]}
               for sym, (tgt, (left, right)) in _SIG.items()}
-    return FiniteFPLG(name, *posets.values(), *_identity_shifts(posets),
+    shifts = ({x: (x[0], tgt) for x in posets[src].elements} for src, tgt in _SHIFTS.values())
+    return FiniteFPLG(name, *posets.values(), *shifts,
                       lift("P", "Pd"), lift("P", "N"), lift("Nd", "N"),
                       *_split(tables))
-
-
-def _identity_shifts(carriers: dict) -> list:
-    """The four shift maps that keep each value, in FiniteFPLG's field order."""
-    return [{x: (x[0], tgt) for x in carriers[src].elements}
-            for src, tgt in _SHIFTS.values()]
 
 
 def _split(tables: dict) -> tuple:
@@ -885,155 +908,6 @@ def builtin(name: str) -> FiniteFPLG:
     raise AlgebraError(f"unknown builtin {name!r}")
 
 
-def _renamed(poset: FinitePoset, prefix: str) -> FinitePoset:
-    """The poset with its i-th element renamed prefix + i."""
-    new = {x: f"{prefix}{i}" for i, x in enumerate(poset.elements)}
-    return FinitePoset(tuple(new.values()),
-                       frozenset((new[x], new[y]) for x, y in poset.leq))
-
-
-def _retag(poset: FinitePoset, tag: str) -> FinitePoset:
-    return FinitePoset(tuple((x, tag) for x in poset.elements),
-                       frozenset(((x, tag), (y, tag)) for (x, y) in poset.leq))
-
-
-def _compatible_wrs(p: FinitePoset, q: FinitePoset, rng):
-    """Up to five weakening relations p -> q: up-closed unions of principal
-    blocks."""
-    pairs = [(x, y) for x in p.elements for y in q.elements]
-    out = []
-    for _ in range(60):
-        seed = [pr for pr in pairs if rng.random() < 0.4]
-        # the up-closure of the seed, in one step as both orders are transitive
-        rel = frozenset((x2, y2) for x, y in seed
-                        for x2 in p.elements if p.le(x2, x)
-                        for y2 in q.elements if q.le(y, y2))
-        if rel not in out:
-            out.append(rel)
-        if len(out) >= 5:
-            break
-    return out
-
-
-def _fused_instances(p_seed: FinitePoset, n_seed: FinitePoset, w, rng):
-    """Up to three instances, named "fused", whose shifted carriers mirror
-    the opposite pure carrier.
-
-    The two collages coincide with the collage of the seed relation, and the
-    variants coincide with the base operations up to retagging, so a full
-    enumeration over the small product tables is feasible.
-    """
-    carriers = {"P": _retag(p_seed, "P"), "Pd": _retag(n_seed, "Pd"),
-                "N": _retag(n_seed, "N"), "Nd": _retag(p_seed, "Nd")}
-    P_el, N_el = carriers["P"].elements, carriers["N"].elements
-    rp, rn = P_el + carriers["Pd"].elements, carriers["Nd"].elements + N_el
-    wr_sp = frozenset(((x, "P"), (y, "Pd")) for (x, y) in w)
-    wr_pn = frozenset(((x, "P"), (y, "N")) for (x, y) in w)
-    wr_sn = frozenset(((x, "Nd"), (y, "N")) for (x, y) in w)
-
-    # The pairs on which hvd holds: P below Nd as in the positive seed, P
-    # below N as in w, Pd below N as in the negative seed.
-    below = {((x, "P"), (y, "Nd")) for x, y in p_seed.leq}
-    below.update(((x, "P"), (y, "N")) for x, y in w)
-    below.update(((x, "Pd"), (y, "N")) for x, y in n_seed.leq)
-
-    cells_p, cells_n = list(product(rp, rp)), list(product(rn, rn))
-    cells_pn, cells_np = list(product(rp, rn)), list(product(rn, rp))
-
-    def tables(cells, values):            # all of them, or 3000 random ones
-        n = len(values)
-        count = n ** len(cells)
-        idxs = range(count) if count <= 3000 else (rng.randrange(count) for _ in range(3000))
-        for i in idxs:
-            t = {}
-            for c in cells:
-                t[c] = values[i % n]
-                i //= n
-            yield t
-
-    # The residual solver's profiles (`_solve`): what lies below each N
-    # candidate and above each P candidate, told apart by the seed orders.
-    by_below = {frozenset(x for x in rp if (x, m) in below): m for m in N_el}
-    by_above = {frozenset(n for n in rn if (p, n) in below): p for p in P_el}
-
-    def residuals(prod):
-        """prod with both residuals into N, or None."""
-        under = _solve(cells_pn, lambda x, n: (y for y in rp if (prod[x, y], n) in below),
-                       by_below)
-        over = under and _solve(cells_np, lambda n, y: (x for x in rp if (prod[x, y], n) in below),
-                                by_below)
-        return over and (prod, under, over)
-
-    def coresiduals(plus):
-        """plus with both co-residuals into P, or None."""
-        osl = _solve(cells_pn, lambda x, n: (m for m in rn if (x, plus[m, n]) in below),
-                     by_above)
-        obsl = osl and _solve(cells_np, lambda m, x: (n for n in rn if (x, plus[m, n]) in below),
-                              by_above)
-        return obsl and (plus, osl, obsl)
-
-    def from_under(under):
-        """The product of a residual table, with both residuals, if it gives
-        that residual back."""
-        prod = _solve(cells_p, lambda x, y: (n for n in rn if (y, under[x, n]) in below),
-                      by_above)
-        triple = prod and residuals(prod)
-        return triple if triple and triple[1] == under else None
-
-    def from_oslash(osl):
-        """The coproduct of a co-residual table, with both co-residuals, if
-        it gives that co-residual back."""
-        plus = _solve(cells_n, lambda m, n: (x for x in rp if (osl[x, n], m) in below),
-                      by_below)
-        triple = plus and coresiduals(plus)
-        return triple if triple and triple[1] == osl else None
-
-    def triples(cells, values, derive):
-        """The first three triples derived from the candidate tables."""
-        found = []
-        for t in tables(cells, values):
-            triple = derive(t)
-            if triple:
-                found.append(triple)
-            if len(found) >= 3:
-                break
-        return found
-
-    # Enumerate the smaller of the two carriers a family's tables could map to.
-    prods = (triples(cells_p, P_el, residuals) if len(P_el) <= len(N_el)
-             else triples(cells_pn, N_el, from_under))
-    plusses = (triples(cells_n, N_el, coresiduals) if len(N_el) <= len(P_el)
-               else triples(cells_pn, P_el, from_oslash))
-    rng.shuffle(prods)
-    rng.shuffle(plusses)
-
-    # A variant reads its base's table, taking an argument whose polarity
-    # differs from the base's across the value-preserving isomorphism of
-    # the two collages, and lands in its own carrier.
-    ring = {True: rp, False: rn}
-    across = {"P": "Nd", "Nd": "P", "Pd": "N", "N": "Pd"}
-    shapes = []
-    for v in _VARIANTS:
-        tgt, pols = _SIG[v]
-        flips = [pol != base_pol for pol, base_pol in zip(pols, _SIG[_BASE[v]][1])]
-        cells = [(cell, tuple((x[0], across[x[1]]) if flip else x
-                              for x, flip in zip(cell, flips)))
-                 for cell in product(ring[pols[0]], ring[pols[1]])]
-        shapes.append((v, _BASE[v], tgt, cells))
-    out = []
-    for prod_triple, plus_triple in zip(prods, plusses):
-        ops = dict(zip(("*", "\\", "/", "(+)", "(/)", "(\\)"), prod_triple + plus_triple))
-        variants = {v: {cell: (ops[base][at][0], tgt) for cell, at in cells}
-                    for v, base, tgt, cells in shapes}
-        inst = FiniteFPLG("fused", *carriers.values(), *_identity_shifts(carriers),
-                          wr_sp, wr_pn, wr_sn, ops, variants)
-        if not check_fplg_axioms(inst):
-            out.append(inst)
-        if len(out) >= 3:
-            break
-    return out
-
-
 _DUAL_TAG = {"P": "N", "Pd": "Nd", "N": "P", "Nd": "Pd"}
 
 
@@ -1067,32 +941,45 @@ def dual_instance(a: FiniteFPLG) -> FiniteFPLG:
                       revrel(a.wr_shifted_pos), *_split(tables))
 
 
+def _absorbing(n: int, rng) -> tuple:
+    """A random monotone table on the chain 0 < 1 < ... < n-1 in which 0
+    absorbs, as its values in row-major order: each cell lies at or above
+    the cells before it in its row and its column."""
+    t = {}
+    for x, y in product(range(n), repeat=2):
+        t[x, y] = 0 if 0 in (x, y) else rng.randint(max(t[x - 1, y], t[x, y - 1]), n - 1)
+    return tuple(t.values())
+
+
+# The instances `random_instances` can give: the builtins and the chains of 2
+# and 3 elements but chain2 and chain3, with 2 and 20 tables of `_absorbing`.
+_CHAINS = 3 + (2 * 2 - 1) + (20 * 20 - 1)
+
+
 def random_instances(count: int, seed: int = 0) -> list[FiniteFPLG]:
-    """Mixed bag of validated instances with carriers of size <= 3."""
+    """chain2, chain3 and chain1, then residuated chains of 2 or 3 elements
+    (`residuated`), lifted by `from_lg`: the product a random monotone table
+    in which bottom absorbs, the coproduct a random monotone table in which
+    top absorbs, and neither need commute.  A chain has no automorphism but
+    the identity, so no chain repeats another or a builtin up to
+    isomorphism; there are `_CHAINS` instances in all, and a larger `count`
+    raises ValueError."""
+    if count > _CHAINS:
+        raise ValueError(f"there are only {_CHAINS} instances, not {count}")
+    out = [builtin("chain2"), builtin("chain3"),
+           from_lg(lg_from_lattice(chain_poset(1)), "chain1")]
     rng = random.Random(seed)
-    out: list[FiniteFPLG] = [builtin("chain2"), builtin("chain3"),
-                             from_lg(lg_from_lattice(chain_poset(1)), "chain1")]
-    # seeds: the chains of 1 to 3 elements, the 2-element antichain, V and its dual
-    posets = [chain_poset(1, "a"), chain_poset(2, "a"), chain_poset(3, "a"),
-              poset_from_pairs(("a0", "a1"), ()),
-              poset_from_pairs(("a0", "a1", "a2"), {("a0", "a1"), ("a0", "a2")}),
-              poset_from_pairs(("a0", "a1", "a2"), {("a0", "a2"), ("a1", "a2")})]
-    shapes = [(p, n) for p in posets for n in posets if len(p.elements) + len(n.elements) <= 4]
-    rng.shuffle(shapes)
-    for p_seed, n_seed in shapes:
-        p2, n2 = _renamed(p_seed, "p"), _renamed(n_seed, "n")
-        for w in _compatible_wrs(p2, n2, rng):
-            for inst in _fused_instances(p2, n2, w, rng):
-                named = replace(inst, name=f"fused-{len(out)}")
-                out.append(named)
-                dual = dual_instance(named)
-                if not check_fplg_axioms(dual):
-                    out.append(dual)
-            if len(out) >= count:
-                return out[:count]
-    i = 0
+    seen = {(n, tuple(map(min, cells)), tuple(map(max, cells)))     # chain2, chain3
+            for n in (2, 3) for cells in [list(product(range(n), repeat=2))]}
     while len(out) < count:
-        out.append(from_lg(lg_from_lattice(chain_poset(2, f"r{i}.")),
-                           f"chain2-copy{i}"))
-        i += 1
+        n = rng.choice((2, 3))
+        # the coproduct is the order dual of such a table, in which top absorbs
+        key = (n, _absorbing(n, rng), tuple(n - 1 - v for v in reversed(_absorbing(n, rng))))
+        if key in seen:
+            continue
+        seen.add(key)
+        poset = chain_poset(n)
+        es = poset.elements
+        g = residuated(poset, *({c: es[v] for c, v in zip(product(es, es), t)} for t in key[1:]))
+        out.append(from_lg(g, f"chain{n}-{len(out)}"))
     return out[:count]

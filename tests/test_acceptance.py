@@ -5,6 +5,7 @@ summary lines and timings.
 """
 
 import random
+import re
 import time
 
 import pytest
@@ -18,7 +19,8 @@ from fdlg.cutelim import eliminate_cuts, has_cut
 from fdlg.translate import (translate_to_fdlg, translate_to_flg, check_flg,
                             logical_rule_count)
 from fdlg.algebra import (builtin, check_rule_soundness,
-                          check_rule_soundness_templates, check_fplg_axioms)
+                          check_rule_soundness_templates, check_fplg_axioms, render_algebra,
+                          TAGS)
 from fdlg.rules import REGISTRY, RuleSchema, Directed, SeqPat, SVar, FVar, SNode, FNode
 from fdlg.corpus import (LEXICON, SENTENCE, GOAL, reading_forall_exists,
                          reading_exists_forall, cut_elim_example,
@@ -65,6 +67,15 @@ def test_criterion_2_standard_pair():
                            "exactly 1 minimal proof of the standard pair")
 
 
+def _unnamed_text(a) -> str:
+    """`render_algebra` text without the %name line, each element renamed
+    by its place in its carrier: equal for two instances that differ only
+    in their names."""
+    place = {f"{t}:{x[0]}": f"{t}:{i}" for t in TAGS for i, x in enumerate(a.poset(t).elements)}
+    text = render_algebra(a).partition("\n")[2]
+    return re.sub(r"[^\s,<=>-]+:[^\s,<=>-]+", lambda m: place[m.group()], text)
+
+
 def test_criterion_3_soundness_sweep(random50):
     t0 = time.time()
     checked = 0
@@ -82,6 +93,7 @@ def test_criterion_3_soundness_sweep(random50):
         checked += rep.checked
     insts = random50
     assert len(insts) == 50
+    assert len(set(map(_unnamed_text, insts))) == 50
     for inst in insts:
         assert check_fplg_axioms(inst) == []
         for name in REGISTRY:

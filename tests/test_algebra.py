@@ -16,7 +16,7 @@ from fdlg.algebra import (FinitePoset, poset_from_pairs, collage,
                           interpret, valuations, atoms_of, check_rule_soundness,
                           check_rule_soundness_templates, builtin,
                           random_instances, dual_instance, render_algebra,
-                          parse_algebra, AlgebraError)
+                          parse_algebra, residuated, AlgebraError, _CHAINS)
 from fdlg.rules import REGISTRY, RuleSchema, Directed, SeqPat, SVar, FVar, SNode, FNode
 from fdlg.corpus import golden_sequents, reading_forall_exists
 from fdlg.search import prove, SearchConfig
@@ -87,6 +87,69 @@ def test_lg_from_lattice_rejects_a_poset_without_residuals():
                           {("0", "a"), ("a", "b"), ("b", "1"), ("0", "c"), ("c", "1")})
     with pytest.raises(AlgebraError, match="not residuated"):
         lg_from_lattice(n5)
+
+
+def _chain3_tables(prod_rows, plus_rows):
+    """chain3's product and coproduct tables from their rows of values."""
+    es = chain_poset(3).elements
+    return [{(x, y): es[v] for x, row in zip(es, rows) for y, v in zip(es, row)}
+            for rows in (prod_rows, plus_rows)]
+
+
+def test_residuated_solves_each_residual_apart():
+    """On chain3 with the product x * y = x for y > 0, each entry of `/` is
+    the largest a with a * b <= c, and `/` is not `\\` with its arguments
+    swapped, as it is for a commutative product."""
+    poset = chain_poset(3)
+    es, le = poset.elements, poset.le
+    g = residuated(poset, *_chain3_tables([(0, 0, 0), (0, 1, 1), (0, 2, 2)],
+                                          [(0, 1, 2), (1, 1, 2), (2, 2, 2)]))
+    assert g.op("*", "1", "2") != g.op("*", "2", "1")
+    for c, b in product(es, es):
+        below = [a for a in es if le(g.op("*", a, b), c)]
+        assert g.op("/", c, b) == max(below, key=es.index)
+    assert any(g.op("/", c, b) != g.op("\\", b, c) for c, b in product(es, es))
+
+
+def test_residuated_rejects_a_product_bottom_does_not_absorb():
+    """The constant product 1 is monotone, but 1 <= 0 fails for every b, so
+    `\\` has no value at (a, 0)."""
+    with pytest.raises(AlgebraError, match="not residuated"):
+        residuated(chain_poset(3), *_chain3_tables([(1, 1, 1)] * 3,
+                                                   [(0, 1, 2), (1, 1, 2), (2, 2, 2)]))
+
+
+def _absorbing_tables(n):
+    """The monotone tables on the chain 0 < ... < n-1 in which 0 absorbs,
+    by brute force."""
+    cells = list(product(range(n), repeat=2))
+    tables = [dict(zip(cells, values)) for values in product(range(n), repeat=n * n)]
+    return [t for t in tables if all(t[c] == 0 for c in cells if 0 in c)
+            and all(t[x, y] <= t[x2, y2] for x, y in cells for x2, y2 in cells
+                    if x <= x2 and y <= y2)]
+
+
+def test_random_instances_are_bounded_by_the_chains():
+    """`_CHAINS` counts the builtins and one chain of 2 or 3 elements per
+    pair of absorbing tables, the coproduct's dual to one, but chain2 and
+    chain3; no more instances are given."""
+    assert _CHAINS == 3 + sum(len(_absorbing_tables(n)) ** 2 - 1 for n in (2, 3))
+    with pytest.raises(ValueError, match="only 405 instances"):
+        random_instances(_CHAINS + 1)
+
+
+# Exchange, weakening, p * p below p, and associativity: LG derives none.
+NON_THEOREMS = ("p * q |- up (q * p)", "p * q |- up p", "p * p |- up p",
+                "(p * q) * p |- up (p * (q * p))")
+
+
+def test_random_instances_refute_structural_sequents(random50):
+    """None of `NON_THEOREMS` has a proof, and some instance refutes each."""
+    for text in NON_THEOREMS:
+        seq = parse_sequent(text)
+        assert prove(seq, SearchConfig(max_depth=10 ** 6)) == [], text
+        assert any(not interpret(seq, a, v) for a in random50
+                   for v in valuations(a, atoms_of(seq))), text
 
 
 def test_lg_isomorphic_searches_the_permutations():

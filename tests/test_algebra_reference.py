@@ -43,20 +43,42 @@ def test_compiled_variable_maps_match_the_pattern_walks():
         assert rule.formula_vars == {n for n in varspec if ref._is_formula_var(rule, n)}
 
 
+# The algebras the soundness benchmark sweeps, as `render_algebra` text:
+# chain2, diamond and 50 generated instances, among them instances whose
+# shifted carriers mirror the opposite pure carrier, so that P and N may
+# differ in size.
+FROZEN = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "instances.txt"
+
+
+def _frozen_texts() -> list[str]:
+    return ["%name" + part for part in FROZEN.read_text().split("%name")[1:]]
+
+
+# frozen instances whose carriers P, Pd, N, Nd have 2, 1, 1, 2, then
+# 1, 2, 2, 1, then 1, 3, 3, 1 and then 3, 1, 1, 3 elements
+UNEVEN = ("fused-3", "fused-3-dual", "fused-5", "fused-5-dual")
+
+
 @pytest.fixture(scope="module")
 def instances():
     """chain2, diamond, the dual of chain2, two partial copies of chain2 (one
-    without the *l variant table, one whose upl map lacks an entry) and
-    twelve random instances."""
+    without the *l variant table, one whose upl map lacks an entry), twelve
+    random instances and the four frozen instances of `UNEVEN`."""
     chain2 = builtin("chain2")
     no_variant = replace(chain2, name="no-*l",
                          variants={k: t for k, t in chain2.variants.items() if k != "*l"})
     partial_upl = replace(chain2, name="partial-upl", upl=dict(list(chain2.upl.items())[1:]))
+    frozen = {a.name: a for a in map(parse_algebra, _frozen_texts())}
     return ([chain2, builtin("diamond"), dual_instance(chain2), no_variant, partial_upl]
-            + random_instances(12, seed=5))
+            + random_instances(12, seed=5) + [frozen[name] for name in UNEVEN])
 
 
-@pytest.mark.parametrize("index", range(17))
+def test_uneven_instances_have_carriers_of_different_sizes(instances):
+    shapes = [tuple(len(a.poset(t).elements) for t in TAGS) for a in instances[-4:]]
+    assert shapes == [(2, 1, 1, 2), (1, 2, 2, 1), (1, 3, 3, 1), (3, 1, 1, 3)]
+
+
+@pytest.mark.parametrize("index", range(21))
 def test_rule_sweep_matches_reference(instances, index):
     inst = instances[index]
     for rule in [*REGISTRY.values(), _corrupted()]:
@@ -197,7 +219,7 @@ def test_template_sweep_orders_violations_as_reference(bogus, right, name, three
 SPLIT_CAP = 150
 
 
-@pytest.mark.parametrize("index", range(17))
+@pytest.mark.parametrize("index", range(21))
 def test_template_sweep_matches_reference_on_every_rule(instances, bogus, index):
     inst = instances[index]
     for rule in [*REGISTRY.values(), bogus]:
@@ -284,16 +306,20 @@ def test_parse_algebra_names_missing_section(chain2):
 
 # --- the axiom check against the previous, hand-typed one
 
-FROZEN = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "instances.txt"
 # the messages of the previous check's residuation laws
 LAW_MESSAGE = re.compile(r"(product|coproduct|variant) adjunction")
 
 
-def test_generator_matches_frozen_instances(random50):
-    """The instances the soundness benchmark sweeps were frozen from this
-    call; the generator still makes them, text for text."""
-    frozen = ["%name" + part for part in FROZEN.read_text().split("%name")[1:]]
-    assert [render_algebra(a) for a in random50] == frozen[-50:]
+def test_frozen_instances_are_valid():
+    """Every frozen instance reads back, prints to its own text, passes both
+    axiom checks and has every rule sound."""
+    texts = _frozen_texts()
+    assert len(texts) == 52
+    for text in texts:
+        inst = parse_algebra(text)
+        assert render_algebra(inst) == text
+        assert check_fplg_axioms(inst) == [] == ref.check_fplg_axioms(inst), inst.name
+        assert all(check_rule_soundness(rule, inst).ok for rule in REGISTRY), inst.name
 
 
 def test_axioms_match_reference_on_valid_instances(random50):
