@@ -3,7 +3,7 @@ display Lambek-Grishin calculus, with finite fully polarized models."""
 
 from .syntax import (Atom, Formula, Structure, Sequent, Sort, SortError,
                      ParseError, parse_formula, parse_structure, parse_sequent,
-                     render, render_sequent, sort_of, bowtie, infty)
+                     render, render_sequent, bowtie, infty)
 from .kernel import (Derivation, check_derivation, apply_rule_forward,
                      identity_expansion, saturate_translations,
                      derivation_to_json, derivation_from_json)

@@ -219,8 +219,8 @@ def lg_from_lattice(poset: FinitePoset) -> LGAlgebra:
     return residuated(poset, meet, join)
 
 
-def chain_poset(n: int, prefix: str = "") -> FinitePoset:
-    es = tuple(f"{prefix}{i}" for i in range(n))
+def chain_poset(n: int) -> FinitePoset:
+    es = tuple(str(i) for i in range(n))
     return poset_from_pairs(es, {(es[i], es[i + 1]) for i in range(n - 1)})
 
 
@@ -472,10 +472,11 @@ def _first_outside(keys, domain):
 
 
 def from_lg(g: LGAlgebra, name: str = "from-lg") -> FiniteFPLG:
-    """Four tagged copies, identity shifts, relations read off the order."""
-    bad = g.check()
-    if bad:
-        raise AlgebraError("seed is not an LG-algebra: " + bad[0])
+    """Four tagged copies, identity shifts, relations read off the order.
+
+    `g` must be an LG-algebra, as every `LGAlgebra` that `residuated`,
+    `lg_from_lattice` or `to_lg` returns is: they check their output, and
+    this lift does not check it again."""
 
     def lift(t1, t2=None):
         t2 = t2 or t1
@@ -543,23 +544,6 @@ def to_lg(a: FiniteFPLG) -> LGAlgebra:
     if bad:
         raise AlgebraError("quotient is not an LG-algebra: " + bad[0])
     return alg
-
-
-def lg_isomorphic(g1: LGAlgebra, g2: LGAlgebra) -> bool:
-    """Brute-force isomorphism search; desk scale only."""
-    e1, e2 = g1.poset.elements, g2.poset.elements
-    if len(e1) != len(e2):
-        return False
-    from itertools import permutations
-    for perm in permutations(e2):
-        iso = dict(zip(e1, perm))
-        if any(g1.poset.le(a, b) != g2.poset.le(iso[a], iso[b])
-               for a in e1 for b in e1):
-            continue
-        if all(iso[g1.op(s, a, b)] == g2.op(s, iso[a], iso[b])
-               for s in LG_OPS for a in e1 for b in e1):
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------------

@@ -11,21 +11,17 @@ import argparse
 import functools
 import sys
 
-from .syntax import (parse_sequent, parse_formula, render_sequent, render,
-                     ParseError, SortError, _LATEX)
+from .syntax import parse_sequent, parse_formula, render_sequent, render, _LATEX
 from .kernel import (Derivation, check_derivation, derivation_to_json,
                      derivation_from_json, neg_atoms_of, iter_nodes, fold, KernelError)
 from .standardize import standard_sequent, StandardizeError
 from .focus import check_strong_focalization, MinimizeError
-from .search import prove, parse_sentence, SearchConfig, Lexicon, LexiconError
+from .search import prove, parse_sentence, SearchConfig, Lexicon
 from .cutelim import eliminate_cuts, CutElimError
 from .translate import (translate_to_fdlg, translate_to_flg, flg_to_json,
                         flg_from_json, TranslateError)
-from .algebra import (builtin, parse_algebra, check_fplg_axioms,
-                      check_rule_soundness, AlgebraError)
+from .algebra import builtin, parse_algebra, check_fplg_axioms, check_rule_soundness
 from .rules import REGISTRY, _LOGICAL_NAMES
-
-USAGE_ERRORS = (ParseError, SortError, LexiconError, AlgebraError, ValueError)
 
 
 def _neg(args) -> frozenset[str]:
@@ -286,10 +282,7 @@ def main(argv=None) -> int:
             StandardizeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except USAGE_ERRORS as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (ValueError, OSError) as e:     # usage, format and file errors
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -8,7 +8,7 @@ sequent differ in the order the quantifier entries are attacked.
 
 from __future__ import annotations
 
-from .syntax import Atom, parse_formula, parse_sequent
+from .syntax import Atom, parse_formula
 from .kernel import Derivation, derive
 from .search import Lexicon
 
@@ -143,20 +143,3 @@ def cut_elim_parametric_result() -> Derivation:
     d = derive("dp(.up,.dn)'", d)        # the adjoint postulate, mutated
     d = derive("dp(.up,.dn)", d)
     return derive("s-down'", d)
-
-
-# A handful of derivable sequents exercised across the test suite.
-def golden_sequents():
-    out = [
-        parse_sequent("p |- p"),
-        parse_sequent("n |- n", {"n"}),
-        parse_sequent("p .* q |- p * q"),
-        parse_sequent("dn n .* p |- up (dn n * p)", {"n"}),
-        parse_sequent("p .* dn (p \\ n) |- dn n", {"n"}),
-        parse_sequent("dn n |- dn n", {"n"}),
-        parse_sequent("n .(+) m |- n (+) m", {"n", "m"}),
-        parse_sequent("p \\ n |- p .\\ n", {"n"}),
-        parse_sequent("p (/) n |- p .(/) n", {"n"}),
-    ]
-    out.append(reading_forall_exists().conclusion)
-    return out

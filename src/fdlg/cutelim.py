@@ -24,7 +24,7 @@ from .syntax import (OP_OF_STRUCT, Structure, Sequent, Sort, PP, PS, NP, NS, dis
 from .rules import (REGISTRY, CUT_RULES, PRINCIPAL_LEFT, PRINCIPAL_RIGHT, display_chain,
                     identify)
 from .kernel import (Derivation, KernelError, TONICITY_SIDES, derive, fold,
-                     make_cut, MutationError, nodes, struct_at, subst_path, thread)
+                     make_cut, MutationError, nodes, subst_path, thread)
 from .standardize import ftom, ftoM
 
 
@@ -78,48 +78,29 @@ def mutation_for(source: Sort, pst: str, target: Sort) -> Mutation:
                        f"the source sequent kind cannot be derivable")
 
 
-def position_class(seq: Sequent, pos) -> str:
-    """Display position of an occurrence: 'pre' or 'suc'.
-
-    Invariant under display postulates: an argument slot of an F-connective is
-    precedent-positioned where covariant, and dually for G-connectives; whole
-    sides carry their literal position.
-    """
-    side, path = pos
-    if not path:
-        return side
-    return display_side(struct_at(seq, (side, path[:-1])).conn, path[-1])
-
-
-def mutate_sequent(seq: Sequent, targets, replacements, mu: Mutation) -> Sequent:
+def mutate_sequent(seq: Sequent, pos, repl: Structure, mu: Mutation) -> Sequent:
     """Uniform substitution with mutation.
 
-    `targets` are positions of formula occurrences in `seq`; each replacement
-    must have the sort the mutation assigns to its target.  Relabelling of
-    enclosing connectives and of the turnstile is forced by the new sorts.
-    Each target is read in the sequent the earlier replacements left; a
-    relabelling keeps every display side, so targets apart from each other
-    read the same there.
+    `pos` is the position of a formula occurrence in `seq`; `repl` must have
+    the sort the mutation assigns to it there.  Relabelling of enclosing
+    connectives and of the turnstile is forced by the new sorts.
     """
-    if len(targets) != len(replacements):
-        raise CutElimError("one replacement per target")
-    for (side, path), repl in zip(targets, replacements):
-        # one descent gives the structures above the target, its parent and
-        # the target; a path may go on into a leaf's formula, never substituted
-        node, nodes, into_formula = seq.pre if side == "pre" else seq.suc, [], False
-        for i in path:
-            nodes.append(node)
-            if node.conn is None and node.__class__ is Structure:
-                node, into_formula = node.leaf, True
-            node = node.args[i]
-        pst = display_side(nodes[-1].conn, path[-1]) if path else side
-        if not mu.contains(node.sort, pst, repl.sort):
-            raise CutElimError(
-                f"{mu.name} does not contain {node.sort} --{pst}--> {repl.sort}")
-        if into_formula:
-            raise MutationError("substitution path crosses into a formula")
-        seq = subst_path(seq, side, nodes, path, repl)
-    return seq
+    side, path = pos
+    # one descent gives the structures above the target, its parent and the
+    # target; a path may go on into a leaf's formula, never substituted
+    node, nodes, into_formula = seq.pre if side == "pre" else seq.suc, [], False
+    for i in path:
+        nodes.append(node)
+        if node.conn is None and node.__class__ is Structure:
+            node, into_formula = node.leaf, True
+        node = node.args[i]
+    pst = display_side(nodes[-1].conn, path[-1]) if path else side
+    if not mu.contains(node.sort, pst, repl.sort):
+        raise CutElimError(
+            f"{mu.name} does not contain {node.sort} --{pst}--> {repl.sort}")
+    if into_formula:
+        raise MutationError("substitution path crosses into a formula")
+    return subst_path(seq, side, nodes, path, repl)
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +134,7 @@ def rebuild_chain(chain, rho: Derivation, repl: Structure, mu: Mutation,
     for node, pos, i in reversed(chain):
         prems = list(node.premises)
         prems[i] = rho
-        expected = mutate_sequent(node.conclusion, [pos], [repl], mu)
+        expected = mutate_sequent(node.conclusion, pos, repl, mu)
         rho = _reapply(node.rule, tuple(prems), expected)
         if trace is not None and rho.rule != node.rule:
             trace.append(f"mutated {node.rule} -> {rho.rule} under {mu.name}")

@@ -17,8 +17,10 @@ so a node that introduces one is a tonicity node.  On a kernel-valid
 derivation this equals the definition anchored on the end-sequent, because:
 - in a cut-free proof each end-sequent connective is introduced by exactly
   one node, and every connective a node introduces reaches the end-sequent;
-- every rule keeps each metavariable's sign from conclusion to premise;
-- a member's thread passes through the node that introduces its parent.
+- every rule keeps each metavariable's sign from conclusion to premise, so a
+  connective that is PIA where it is introduced is PIA in the end-sequent;
+- a member's thread passes through the node that introduces its parent, so
+  a component's section is the union of its parent-child segments.
 Only a proof that fails is walked from the end-sequent, to build the report.
 """
 
@@ -182,18 +184,10 @@ def check_strong_focalization(d: Derivation) -> FocalizationReport:
     uninterrupted tonicity section.
 
     `d` must be a derivation that passes `check_derivation`.  The verdict is
-    local: each node passes a test that reads its rule's `pia` table (see
-    `_focalized`).  On such a derivation this is the anchored definition,
-    for three reasons.  A cut-free proof erases nothing, so each connective
-    of the end-sequent is introduced by exactly one node, and each node
-    introduces connectives of the end-sequent.  Every rule keeps each
-    metavariable's sign from conclusion to premise, so a connective that is
-    PIA where it is introduced is PIA in the end-sequent.  And a member's
-    thread passes through the node that introduces its parent, so a
-    component's section is the union of its parent-child segments.
-
-    Only a derivation that fails gets the anchored walk, which picks the
-    report (`_anchored`), so every report is the anchored one.
+    local (`_focalized`); the module docstring says why it is the anchored
+    definition on such a derivation.  Only a derivation that fails gets the
+    anchored walk, which picks the report (`_anchored`), so every report is
+    the anchored one.
     """
     if _focalized(d):
         return FocalizationReport(True)

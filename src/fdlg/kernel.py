@@ -92,15 +92,6 @@ def nodes(d: Derivation):
         stack.extend(node.premises)
 
 
-def rule_count(d: Derivation) -> int:
-    """Rule applications in a derivation; any depth."""
-    return sum(1 for _ in nodes(d))
-
-
-def height(d: Derivation) -> int:
-    return 1 + max(len(path) for path, _ in iter_nodes(d))
-
-
 def iter_nodes(d: Derivation):
     """(path, node) for every node, in pre-order; iterative, so any depth."""
     stack = [((), d)]

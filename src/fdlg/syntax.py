@@ -510,11 +510,6 @@ class Sequent(_Term):
 _Q_PRE, _Q_SUC, _Q_HASH = _setters(Sequent)
 
 
-def sort_of(x: Formula | Structure) -> Sort:
-    """Sort of a well-formed term (total; terms validate at construction)."""
-    return x.sort
-
-
 def signed_nodes(x: Structure | Formula, sign: bool = True, below=None) -> Iterator[tuple]:
     """(path, node, sign) for every node of a structure or formula, in
     pre-order from left to right, by an explicit stack.  With `below`, the

@@ -5,12 +5,10 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from fdlg.corpus import (reading_forall_exists, reading_exists_forall,
-                         cut_elim_example, cut_elim_parametric_result,
-                         golden_sequents, LEXICON, SENTENCE, GOAL)
+from fdlg.corpus import reading_forall_exists, reading_exists_forall
 from fdlg.algebra import builtin, random_instances
 
-from gen import forward_closure
+from gen import forward_closure, golden_sequents
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,6 @@
-"""Deterministic generators and the bounded forward enumeration used by the
-property and acceptance tests, and a way to run a deeply recursive reference."""
+"""Deterministic generators, the bounded forward enumeration and the golden
+sequents used by the property and acceptance tests, and a way to run a deeply
+recursive reference."""
 
 from __future__ import annotations
 
@@ -7,12 +8,12 @@ import random
 import sys
 import threading
 
-from fdlg.syntax import Atom, Formula, Structure, Sequent, SortError, leaf
+from fdlg.syntax import Atom, Formula, Structure, Sequent, SortError, leaf, parse_sequent
 from fdlg.rules import ORDERED_RULES, match_sequent, instantiate_sequent, MatchFail
 from fdlg.kernel import (Derivation, KernelError, apply_rule_forward, derive, make_cut,
                          identity_expansion)
 from fdlg.translate import FlgDerivation, apply_flg, TranslateError
-from fdlg.corpus import GOAL
+from fdlg.corpus import GOAL, reading_forall_exists
 from fdlg.search import Lexicon, sentence_sequent
 
 ATOMS_PN = (Atom("p", True), Atom("n", False))
@@ -363,3 +364,20 @@ def quantified_sentence(q: int, arity: int) -> Sequent:
         vp = (vp, noun_phrase(i))
     return sentence_sequent(words, Lexicon.from_text("\n".join(lines)), GOAL,
                             (subject, vp))
+
+
+# A handful of derivable sequents exercised across the test suite.
+def golden_sequents():
+    out = [
+        parse_sequent("p |- p"),
+        parse_sequent("n |- n", {"n"}),
+        parse_sequent("p .* q |- p * q"),
+        parse_sequent("dn n .* p |- up (dn n * p)", {"n"}),
+        parse_sequent("p .* dn (p \\ n) |- dn n", {"n"}),
+        parse_sequent("dn n |- dn n", {"n"}),
+        parse_sequent("n .(+) m |- n (+) m", {"n", "m"}),
+        parse_sequent("p \\ n |- p .\\ n", {"n"}),
+        parse_sequent("p (/) n |- p .(/) n", {"n"}),
+    ]
+    out.append(reading_forall_exists().conclusion)
+    return out

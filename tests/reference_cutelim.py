@@ -17,9 +17,10 @@ compared it with the expected one.  `test_cutelim_reference` requires the
 same rule to be picked.
 
 `mutate_sequent` is `fdlg.cutelim.mutate_sequent` as it read before one
-descent served the check and the substitution: it walked each target's path
-three times, for its position class, its old node and the substitution.
-`test_cutelim_reference` requires the same sequents and the same errors.
+descent served the check and the substitution, when it took a list of
+targets: it walked each target's path three times, for its position class,
+its old node and the substitution.  `test_cutelim_reference` requires the
+same sequents and the same errors, of one call per target.
 """
 
 from __future__ import annotations

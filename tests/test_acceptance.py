@@ -11,7 +11,7 @@ import time
 import pytest
 
 from fdlg.syntax import parse_sequent, render_sequent, bowtie, infty, Atom
-from fdlg.kernel import (check_derivation, transform_derivation, height,
+from fdlg.kernel import (check_derivation, transform_derivation, iter_nodes,
                          derivation_to_json, derivation_from_json)
 from fdlg.focus import check_strong_focalization, entry_exit_points, minimize_proof
 from fdlg.search import prove, parse_sentence, SearchConfig
@@ -24,9 +24,9 @@ from fdlg.algebra import (builtin, check_rule_soundness,
 from fdlg.rules import REGISTRY, RuleSchema, Directed, SeqPat, SVar, FVar, SNode, FNode
 from fdlg.corpus import (LEXICON, SENTENCE, GOAL, reading_forall_exists,
                          reading_exists_forall, cut_elim_example,
-                         cut_elim_parametric_result, golden_sequents)
+                         cut_elim_parametric_result)
 
-from gen import random_cut_proof, random_flg_derivation
+from gen import golden_sequents, random_cut_proof, random_flg_derivation
 
 UNDERIVABLE = ("r_", "b.", "n:")
 
@@ -122,7 +122,7 @@ def test_criterion_4_cut_elimination():
     rng = random.Random(404)
     for i in range(200):
         d = random_cut_proof(rng, depth=rng.choice((1, 2, 2)))
-        while height(d) > 8:
+        while 1 + max(len(p) for p, _ in iter_nodes(d)) > 8:
             d = random_cut_proof(rng, depth=1)
         assert has_cut(d), i
         out = eliminate_cuts(d)

@@ -4,7 +4,7 @@ import random
 import re
 from ast import literal_eval
 from dataclasses import replace
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -12,13 +12,13 @@ from fdlg.syntax import Atom, parse_sequent, parse_formula
 from fdlg.algebra import (FinitePoset, poset_from_pairs, collage,
                           is_weakening_relation, LGAlgebra, lg_from_lattice,
                           chain_poset, diamond_poset, FiniteFPLG,
-                          check_fplg_axioms, from_lg, to_lg, lg_isomorphic,
+                          check_fplg_axioms, from_lg, to_lg, LG_OPS,
                           interpret, valuations, atoms_of, check_rule_soundness,
                           check_rule_soundness_templates, builtin,
                           random_instances, dual_instance, render_algebra,
                           parse_algebra, residuated, AlgebraError, _CHAINS)
 from fdlg.rules import REGISTRY, RuleSchema, Directed, SeqPat, SVar, FVar, SNode, FNode
-from fdlg.corpus import golden_sequents, reading_forall_exists
+from fdlg.corpus import reading_forall_exists
 from fdlg.search import prove, SearchConfig
 
 
@@ -40,8 +40,8 @@ def test_collage_examples():
 
 
 def test_weakening_relation_compatibility():
-    p = chain_poset(2, "p")
-    q = chain_poset(2, "q")
+    p = poset_from_pairs(("p0", "p1"), {("p0", "p1")})
+    q = poset_from_pairs(("q0", "q1"), {("q0", "q1")})
     assert is_weakening_relation({("p0", "q0"), ("p0", "q1"), ("p1", "q1")}, p, q)
     assert not is_weakening_relation({("p1", "q0")}, p, q)
 
@@ -68,6 +68,22 @@ def test_broken_instance_reported(chain2):
                         chain2.ops, chain2.variants)
     bad = check_fplg_axioms(broken)
     assert any("shift intro/elim" in m for m in bad)
+
+
+def lg_isomorphic(g1: LGAlgebra, g2: LGAlgebra) -> bool:
+    """Brute-force isomorphism search; desk scale only."""
+    e1, e2 = g1.poset.elements, g2.poset.elements
+    if len(e1) != len(e2):
+        return False
+    for perm in permutations(e2):
+        iso = dict(zip(e1, perm))
+        if any(g1.poset.le(a, b) != g2.poset.le(iso[a], iso[b])
+               for a in e1 for b in e1):
+            continue
+        if all(iso[g1.op(s, a, b)] == g2.op(s, iso[a], iso[b])
+               for s in LG_OPS for a in e1 for b in e1):
+            return True
+    return False
 
 
 def test_to_lg_quotient_is_lg_algebra(chain2):
@@ -136,6 +152,16 @@ def test_random_instances_are_bounded_by_the_chains():
     assert _CHAINS == 3 + sum(len(_absorbing_tables(n)) ** 2 - 1 for n in (2, 3))
     with pytest.raises(ValueError, match="only 405 instances"):
         random_instances(_CHAINS + 1)
+
+
+def test_random_instances_check_each_algebra_once(monkeypatch):
+    """Each of the 50 plain algebras is checked where it is built, and
+    `from_lg` does not check it again."""
+    calls = []
+    check = LGAlgebra.check
+    monkeypatch.setattr(LGAlgebra, "check", lambda g: calls.append(g) or check(g))
+    assert len(random_instances(50, seed=101)) == 50
+    assert len(calls) == 50
 
 
 # Exchange, weakening, p * p below p, and associativity: LG derives none.

@@ -4,13 +4,13 @@ import random
 
 import pytest
 
-from fdlg.syntax import (Atom, Formula, Sequent, Structure, formula_nodes, leaf, parse_sequent,
-                         parse_structure, render_sequent)
+from fdlg.syntax import (Atom, Formula, Sequent, Structure, display_side, formula_nodes, leaf,
+                         parse_sequent, parse_structure, render_sequent)
 from fdlg.kernel import (Derivation, apply_rule_forward, check_derivation,
                          iter_nodes, make_cut, KernelError)
 from fdlg.cutelim import (MUTATIONS, MU_ID, MU_DOTTED, MU_NEUTRAL, MU_NEUTRAL_DOTTED,
                           mutation_for, mutate_sequent, eliminate_cuts, has_cut,
-                          CutElimError, position_class)
+                          CutElimError)
 from fdlg.syntax import PP, PS, NP, NS
 from fdlg import cutelim, rules
 from fdlg.focus import minimize_proof
@@ -37,19 +37,14 @@ def test_mutate_sequent_adjoint_becomes_shift():
     seq = parse_sequent("(.upl (dn n)) |- d", {"n", "d"})
     assert seq.kind == "b"
     repl = parse_structure("p .* (dn (p \\ n))", {"n"})
-    out = mutate_sequent(seq, [("pre", (0,))], [repl], MU_DOTTED)
+    out = mutate_sequent(seq, ("pre", (0,)), repl, MU_DOTTED)
     assert render_sequent(out) == ".up (p .* dn (p \\ n)) |- d"
     assert out.kind == "b_"
 
 
-def test_mutate_sequent_empty_targets():
-    seq = parse_sequent("p |- n", {"n"})
-    assert mutate_sequent(seq, [], [], MU_ID) == seq
-
-
 def test_mutate_overloaded_connective_unchanged():
     seq = parse_sequent("dn n .* p |- n", {"n"})
-    out = mutate_sequent(seq, [("pre", (0,))], [parse_structure("q")], MU_DOTTED)
+    out = mutate_sequent(seq, ("pre", (0,)), parse_structure("q"), MU_DOTTED)
     assert render_sequent(out) == "q .* p |- n"
     assert out.pre.conn == ".*"
 
@@ -57,16 +52,18 @@ def test_mutate_overloaded_connective_unchanged():
 def test_mutate_checks_pattern():
     seq = parse_sequent("p .* q |- n", {"n"})
     with pytest.raises(CutElimError):
-        mutate_sequent(seq, [("pre", (0,))],
-                       [parse_structure("dn n", {"n"})], MU_DOTTED)
+        mutate_sequent(seq, ("pre", (0,)), parse_structure("dn n", {"n"}), MU_DOTTED)
 
 
 def test_position_class_is_display_invariant():
     seq = parse_sequent("q |- p .\\ n", {"n"})
     # the p inside the succedent slash is precedent-positioned
-    assert position_class(seq, ("suc", (0,))) == "pre"
-    assert position_class(seq, ("suc", (1,))) == "suc"
-    assert position_class(seq, ("pre", ())) == "pre"
+    assert display_side(seq.suc.conn, 0) == "pre"
+    assert display_side(seq.suc.conn, 1) == "suc"
+    # displayed as p .* q |- n, p and the whole precedent q stay in the precedent
+    moved = apply_rule_forward("dp(.*,.\\)", [seq])
+    assert render_sequent(moved) == "p .* q |- n"
+    assert display_side(moved.pre.conn, 0) == display_side(moved.pre.conn, 1) == "pre"
 
 
 def test_worked_example_parametric_and_principal():

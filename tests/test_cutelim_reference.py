@@ -131,11 +131,19 @@ def test_reapply_picks_the_rule_building_picked(monkeypatch):
     assert len(proofs) == 800 and len(picks) > 10_000
 
 
-def _mutation_outcome(f, seq, targets, repls, mu):
+def _mutation_outcome(f, *args):
     try:
-        return f(seq, targets, repls, mu)
+        return f(*args)
     except (KernelError, ValueError, KeyError, IndexError) as e:
         return f"{type(e).__name__}: {e}"
+
+
+def _mutate_in_turn(seq, targets, repls, mu):
+    """One `cutelim.mutate_sequent` call per target, each on the sequent the
+    earlier ones left: the reference's list semantics."""
+    for pos, repl in zip(targets, repls):
+        seq = cutelim.mutate_sequent(seq, pos, repl, mu)
+    return seq
 
 
 def test_mutate_sequent_matches_reference():
@@ -153,13 +161,13 @@ def test_mutate_sequent_matches_reference():
         for mu in cutelim.MUTATIONS:
             for pos in dict.fromkeys(positions):
                 for repl in repls:
-                    got = _mutation_outcome(cutelim.mutate_sequent, seq, [pos], [repl], mu)
+                    got = _mutation_outcome(cutelim.mutate_sequent, seq, pos, repl, mu)
                     assert got == _mutation_outcome(ref.mutate_sequent, seq, [pos], [repl], mu)
                     kind = "sequent" if not isinstance(got, str) else got.split(":")[0]
                     counts[kind] += 1
             if seq.pre.conn is not None and seq.suc.conn is not None:
                 targets = [("pre", (0,)), ("suc", (0,))]
                 for a, b in zip(repls, repls[1:]):
-                    assert (_mutation_outcome(cutelim.mutate_sequent, seq, targets, [a, b], mu)
+                    assert (_mutation_outcome(_mutate_in_turn, seq, targets, [a, b], mu)
                             == _mutation_outcome(ref.mutate_sequent, seq, targets, [a, b], mu))
     assert min(counts[k] for k in ("sequent", "CutElimError", "MutationError")) > 100, counts

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from fdlg.syntax import MAX_NESTING, parse_sequent, parse_formula, render_sequent
-from fdlg.kernel import check_derivation, height
+from fdlg.kernel import check_derivation, iter_nodes
 from fdlg.focus import check_strong_focalization, minimize_proof
 from fdlg import rules, search
 from fdlg.search import (prove, parse_sentence, sentence_sequent, SearchConfig,
@@ -193,4 +193,4 @@ def test_sentence_sequent_matches_figures(fig_forall_exists):
 
 def test_search_height_within_bound(fig_forall_exists):
     sols = parse_sentence(list(SENTENCE), LEXICON, GOAL, SearchConfig(max_depth=40))
-    assert all(height(d) <= 40 for d in sols)
+    assert all(len(p) < 40 for d in sols for p, _ in iter_nodes(d))

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import fdlg
 from fdlg.syntax import (Atom, Formula, Sequent, Sort, SortError, ParseError, Structure,
                          PP, PS, NP, NS, parse_formula, parse_structure,
-                         parse_sequent, render, render_sequent, sort_of, bowtie,
+                         parse_sequent, render, render_sequent, bowtie,
                          infty, iter_formulas, iter_structures, UNDERIVABLE_KINDS,
                          leaf, s, f, fatom, formula_nodes, parse_raw, MAX_NESTING)
 
@@ -88,10 +88,10 @@ def test_turnstile_uniqueness():
 
 
 def test_sort_of_examples():
-    assert sort_of(parse_formula("p")) == PP
-    assert sort_of(parse_formula("dn n", {"n"})) == PS
-    assert sort_of(parse_structure(".up p")) == NS
-    assert sort_of(parse_structure("p .\\r q")) == PS
+    assert parse_formula("p").sort == PP
+    assert parse_formula("dn n", {"n"}).sort == PS
+    assert parse_structure(".up p").sort == NS
+    assert parse_structure("p .\\r q").sort == PS
 
 
 def test_sorts_are_slotted_values():

@@ -9,7 +9,7 @@ import pytest
 
 from fdlg.syntax import Atom, ParseError, leaf, parse_formula, parse_sequent, render
 from fdlg.kernel import (check_derivation, derivation_from_json, derivation_to_json,
-                         iter_nodes, rule_count)
+                         iter_nodes, nodes)
 from fdlg.focus import minimize_proof
 from fdlg.translate import (focus_of, is_normal, FlgDerivation, apply_flg,
                             check_flg, translate_to_fdlg, translate_to_flg,
@@ -262,7 +262,7 @@ def test_companion_walks_match_recursive_references():
         got = list(iter_nodes(d))
         assert [p for p, _ in got] == [p for p, _ in expected]
         assert all(x is y for (_, x), (_, y) in zip(got, expected))
-        assert rule_count(d) == _flg_rule_count_recursive(d)
+        assert len([*nodes(d)]) == _flg_rule_count_recursive(d)
         branching += any(len(n.premises) > 1 for _, n in expected)
     assert branching > 10
 
@@ -282,7 +282,7 @@ def test_companion_walks_on_a_deep_chain():
         (x.rule, render_flg_sequent(x.conclusion), len(x.premises)) for _, x in iter_nodes(d)]
     assert repr(d) == "[dp(.*,./)': p .* p |- up (p * p)]"
     image = translate_to_fdlg(d)
-    assert check_derivation(image).ok and rule_count(image) == 2000 + 5
+    assert check_derivation(image).ok and len([*nodes(image)]) == 2000 + 5
     assert image.conclusion == d.conclusion
     # minimization cancels the postulates in pairs; the rest maps back
     assert translate_to_flg(image) == top
