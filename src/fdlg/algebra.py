@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import random
 import re
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import product
@@ -135,7 +136,6 @@ class LGAlgebra:
     def check(self) -> list[str]:
         bad = self.poset.check()
         es = self.poset.elements
-        le = self.poset.le
         for sym in LG_OPS:
             table = self.ops.get(sym)
             if table is None:
@@ -146,15 +146,25 @@ class LGAlgebra:
                     bad.append(f"{sym} not total at {(a, b)!r}")
         if bad:
             return bad
-        # each law shape's three clauses at the variables v, read as plain
-        # operations by dropping the structural dot
-        for v in product(es, repeat=3):
-            for law, shape in zip(("product", "coproduct"), _RESIDUATION_SHAPES):
-                if len({le(self.op(conn[1:], v[i], v[j]), v[k]) if left
-                        else le(v[k], self.op(conn[1:], v[i], v[j]))
-                        for conn, i, j, k, left in shape}) > 1:
-                    bad.append(f"{law} residuation fails at {v!r}")
+        for law, shape in zip(("product", "coproduct"), _RESIDUATION_SHAPES):
+            bad += [f"{law} residuation fails at {v!r}" for v in
+                    _law_failures(shape, (es, es, es), self.ops, self.poset.leq.__contains__)]
         return bad
+
+
+def _law_failures(clauses, carriers, tables, holds) -> list:
+    """The assignments, in product order of the variables' `carriers`, at
+    which the clauses of a residuation law disagree; a clause reads the table
+    of its connective without the dot, and `holds` judges a pair (x, y)."""
+    rows = list(product(*carriers))
+    cols = tuple(zip(*rows)) or ((),) * len(carriers)
+    verdicts = []
+    for conn, i, j, k, left in clauses:
+        values = map(tables[conn[1:]].__getitem__, zip(cols[i], cols[j]))
+        verdicts.append(list(map(holds, zip(values, cols[k]) if left else zip(cols[k], values))))
+    if verdicts[0] == verdicts[1] == verdicts[2]:
+        return []
+    return [row for row, v1, v2, v3 in zip(rows, *verdicts) if not v1 == v2 == v3]
 
 
 def _solve(cells, wanted, candidates):
@@ -273,7 +283,6 @@ class InstanceView(NamedTuple):
     """Lookup tables derived from an instance; see `FiniteFPLG.view`."""
     tag: dict         # element -> tag of the first carrier holding it
     tables: dict      # connective -> its shift map or binary table
-    relations: dict   # interpretable kind -> (shift applied to the left or None, pairs)
     truth: dict       # (x, y) -> whether the relation of their tags holds
 
 
@@ -314,7 +323,7 @@ class FiniteFPLG:
 
     @cached_property
     def view(self) -> InstanceView:
-        """Tags, tables and relations resolved once.  A missing table is an
+        """Tags, tables and truth resolved once.  A missing table is an
         empty one, and `truth` leaves out the pairs a partial shift map cannot
         decide, so lookups fail per assignment and never here."""
         tag = {}
@@ -338,7 +347,7 @@ class FiniteFPLG:
             right = [y for y in tag if tag[y] == t]
             truth.update(((x, y), (x if shift is None else shift[x], y) in holds)
                          for x in left for y in right)
-        return InstanceView(tag, tables, relations, truth)
+        return InstanceView(tag, tables, truth)
 
     def eqql(self, p, nd) -> bool:
         """P x Nd, represented by the outer shift adjunction."""
@@ -446,18 +455,11 @@ def check_fplg_axioms(a: FiniteFPLG) -> list[str]:
     # variables.  Within a collage the order is the collage's, and from the
     # positive collage to the negative one it is hvd: both are `truth`,
     # which holds every pair that a law compares.
-    truth = a.view.truth
+    holds = a.view.truth.__getitem__
     for pols, clauses in RESIDUATION_LAWS:
-        cols = tuple(zip(*product(*(ring[pol] for pol in pols))))
-        verdicts = []
-        for conn, i, j, k, left in clauses:
-            values = map(tables[conn[1:]].__getitem__, zip(cols[i], cols[j]))
-            pairs = zip(values, cols[k]) if left else zip(cols[k], values)
-            verdicts.append(list(map(truth.__getitem__, pairs)))
-        if not verdicts[0] == verdicts[1] == verdicts[2]:
-            syms = ", ".join(conn[1:] for conn, *_ in clauses)
-            bad += [f"adjunction of {syms} fails at {row!r}"
-                    for row, v1, v2, v3 in zip(zip(*cols), *verdicts) if not v1 == v2 == v3]
+        syms = ", ".join(conn[1:] for conn, *_ in clauses)
+        bad += [f"adjunction of {syms} fails at {row!r}" for row in
+                _law_failures(clauses, [ring[pol] for pol in pols], tables, holds)]
     return bad
 
 
@@ -584,12 +586,11 @@ def _values(x, tables, cols) -> tuple:
 def _truth(kind: str, a: FiniteFPLG, pre, suc, cols) -> bool:
     """`interpret` of `pre |- suc`, a sequent of the given kind, whose atoms
     and metavariables take the one-row columns `cols`."""
-    view = a.view
-    if kind not in view.relations:
+    if kind in UNDERIVABLE_KINDS:
         raise AlgebraError(f"no weakening relation interprets kind {kind!r}")
-    shift, holds = view.relations[kind]
+    view = a.view
     (left,), (right,) = _values(pre, view.tables, cols), _values(suc, view.tables, cols)
-    return (left if shift is None else shift[left], right) in holds
+    return view.truth[left, right]
 
 
 def interpret(seq: Sequent, a: FiniteFPLG, v) -> bool:
@@ -612,6 +613,11 @@ class SoundnessReport:
     @property
     def ok(self) -> bool:
         return not self.violations
+
+
+# Each rule object's compiled element sweep, while the rule lives; a new rule
+# under an old name compiles its own.
+_SWEEPS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _sweeper(rule: Directed):
@@ -673,9 +679,10 @@ def check_rule_soundness(rule, a: FiniteFPLG) -> SoundnessReport:
     """
     if isinstance(rule, str):
         rule = REGISTRY[rule]
-    if rule.sweep is None:
-        rule.sweep = _sweeper(rule)
-    return SoundnessReport(rule.name, *rule.sweep(a))
+    sweep = _SWEEPS.get(rule)
+    if sweep is None:
+        sweep = _SWEEPS[rule] = _sweeper(rule)
+    return SoundnessReport(rule.name, *sweep(a))
 
 
 @lru_cache(maxsize=8)
@@ -747,7 +754,7 @@ def check_rule_soundness_templates(rule, a: FiniteFPLG, atoms, depth: int = 2,
             except (KeyError, ValueError):
                 kinds_of[sig] = None
             else:
-                n = next((i for i, k in enumerate(kinds) if k not in view.relations), len(kinds))
+                n = next((i for i, k in enumerate(kinds) if k in UNDERIVABLE_KINDS), len(kinds))
                 used = sorted({names.index(v) for vs in (*rule.prem_vars, rule.conc_vars)[:n]
                                for v in vs})
                 kinds_of[sig] = (kinds[:n], n == len(kinds), used, {})

@@ -235,12 +235,6 @@ class Directed:
         self.var_sorts = {var.name: (var.positive, False if isinstance(var, AVar) else var.shifted)
                           for var in leaves}
         self.formula_vars = frozenset(var.name for var in leaves if not isinstance(var, SVar))
-        # The compiled soundness sweep, made by algebra.check_rule_soundness on
-        # the rule's first sweep and kept out of its pickled and copied state.
-        self.sweep = None
-
-    def __getstate__(self) -> dict:
-        return {**self.__dict__, "sweep": None}
 
     @cached_property
     def pia(self) -> tuple:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from .syntax import (Formula, Structure, Sequent, leaf, s as snode,
-                     parse_formula, render, ParseError, MAX_NESTING)
+                     parse_formula, ParseError, MAX_NESTING)
 from .rules import ORBIT_DPS as _ORBIT_DPS, ORDERED_RULES, backward, orbit
 from .kernel import Derivation
 
@@ -190,17 +190,20 @@ class Lexicon:
 
     @classmethod
     def from_text(cls, text: str) -> "Lexicon":
-        """One `word := formula` per line; `%neg atom` declares a negative
-        atom; `#` starts a comment."""
+        """One `word := formula` per line; `%neg a b ...` declares negative
+        atoms; `#` starts a comment."""
         neg: set[str] = set()
         raw: list[tuple[str, str]] = []
         for ln, line in enumerate(text.splitlines(), start=1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
-            if line.startswith("%neg"):
-                neg.update(line[4:].split())
+            directive, *atoms = line.split()
+            if directive == "%neg":
+                neg.update(atoms)
                 continue
+            if directive.startswith("%neg"):
+                raise LexiconError(f"line {ln}: unknown directive {directive!r}")
             if ":=" not in line:
                 raise LexiconError(f"line {ln}: expected `word := formula`")
             word, _, body = line.partition(":=")
@@ -212,11 +215,6 @@ class Lexicon:
             except ParseError as e:
                 raise LexiconError(f"entry for {word!r}: {e}") from None
         return cls(entries, frozenset(neg))
-
-    def to_text(self) -> str:
-        lines = [f"%neg {a}" for a in sorted(self.neg_atoms)]
-        lines += [f"{w} := {render(fm)}" for w, fm in self.entries.items()]
-        return "\n".join(lines) + "\n"
 
 
 def _bracket(parts: list[Structure], shape) -> Structure:

@@ -566,6 +566,7 @@ def test_soundness_relation_outside_its_carriers(tmp_path):
     (lambda text: text + "%var foo: P:0,P:0->P:0\n", "unknown %var symbol 'foo'"),
     (lambda text: text + "%map zz: P:0->Nd:0\n", "unknown %map symbol 'zz'"),
     (lambda text: text + "%carrier Q: Q:0\n", "unknown %carrier symbol 'Q'"),
+    (lambda text: text + "%order P: P:0<=P:1\n", "bad line in algebra file: '%order P: P:0<=P:1'"),
     (lambda text: "%op *: P:0,P:0->P:1\n" + text, "a second %op * line"),
     (lambda text: text.replace("%map up: P:0->Nd:0", "%map up: P:0->Nd:1 P:0->Nd:0"),
      "line 10: %map up has a second entry for P:0"),
@@ -581,3 +582,45 @@ def test_soundness_algebra_file_bad_symbol_line(tmp_path, edit, message):
     path.write_text(edit(render_algebra(builtin("chain2"))))
     code, out, err = run(["soundness", "--algebra", str(path)])
     assert (code, out) == (2, "") and _one_error_line(err) and message in err
+
+
+def test_soundness_unknown_builtin():
+    code, out, err = run(["soundness", "--algebra", "builtin:nope"])
+    assert (code, out, err) == (2, "", "error: unknown builtin 'nope'\n")
+
+
+def test_soundness_algebra_file_comments_and_blank_lines(tmp_path):
+    """Comment lines and blank lines in an algebra file change nothing."""
+    from fdlg.algebra import builtin, render_algebra
+    lines = render_algebra(builtin("diamond")).splitlines()
+    path = tmp_path / "commented.alg"
+    path.write_text("# diamond\n\n" + "".join(f"{line}\n\n  # line {i}\n"
+                                                 for i, line in enumerate(lines)))
+    want = run(["soundness", "--algebra", "builtin:diamond"])
+    assert want[0] == 0 and run(["soundness", "--algebra", str(path)]) == want
+
+
+def test_soundness_on_empty_carriers(tmp_path):
+    """An instance on empty carriers meets the axioms vacuously, and each
+    rule is swept over no assignment."""
+    from fdlg.algebra import chain_poset, from_lg, lg_from_lattice, render_algebra
+    path = tmp_path / "empty.alg"
+    path.write_text(render_algebra(from_lg(lg_from_lattice(chain_poset(0)))))
+    code, out, err = run(["soundness", "--algebra", str(path)])
+    assert (code, err) == (0, "")
+    assert out == "".join(f"{name}: 0 checks, ok\n" for name in sorted(REGISTRY))
+
+
+@pytest.mark.parametrize("lexicon, sentence, message", [
+    ("w s\n", "w", "error: line 1: expected `word := formula`"),
+    ("w := s *\n", "w", "error: entry for 'w': "),
+    ("%negative s\nw := s\n", "w", "error: line 1: unknown directive '%negative'"),
+    (LEXICON_TEXT, "", "error: empty sentence"),
+])
+def test_parse_input_errors(tmp_path, lexicon, sentence, message):
+    """A lexicon line that is no entry or directive, an entry that does not
+    parse, and an empty sentence are usage errors."""
+    lex = tmp_path / "x.lex"
+    lex.write_text(lexicon)
+    code, out, err = run(["parse", sentence, "--lexicon", str(lex), "--goal", "dn s"])
+    assert (code, out) == (2, "") and _one_error_line(err) and err.startswith(message)

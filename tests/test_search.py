@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from fdlg.syntax import MAX_NESTING, parse_sequent, parse_formula, render_sequent
-from fdlg.kernel import check_derivation, iter_nodes
+from fdlg.kernel import Derivation, check_derivation, iter_nodes
 from fdlg.focus import check_strong_focalization, minimize_proof
 from fdlg import rules, search
 from fdlg.search import (prove, parse_sentence, sentence_sequent, SearchConfig,
@@ -111,6 +111,22 @@ def test_tabled_answers_hold_their_own_class(closure6):
     assert answers == 2_789
 
 
+def test_a_bound_that_cuts_an_orbit_is_not_tabled(monkeypatch):
+    """A goal first met at remaining bound 1 keeps its result out of the
+    table: its second orbit member costs 2, so the goal's tabled bound must
+    exceed 1 although no subgoal was cut.  Met again at bound 2, the goal is
+    proved through that member.  The steps are stubbed: G's first orbit layer
+    has no expansion that takes premises, so only the member's own cost can
+    raise the bound."""
+    steps = {"T": ([], [("deep", ["A"]), ("shallow", ["G"])]),
+             "A": ([], [("a", ["G"])]),
+             "G": ([("dp", "G'")], []),
+             "G'": ([("dp'", "G")], [("ax", [])])}
+    monkeypatch.setattr(search, "_steps", steps.__getitem__)
+    ax = Derivation("dp", "G", (Derivation("ax", "G'"),))
+    assert prove("T", SearchConfig(max_depth=3)) == [Derivation("shallow", "T", (ax,))]
+
+
 def test_orbit_postulates_come_in_inverse_pairs():
     """The reason the orbits are classes: each orbit display postulate's
     premise and conclusion are another one's conclusion and premise."""
@@ -141,12 +157,19 @@ def test_golden_readings(fig_forall_exists, fig_exists_forall):
     assert all(check_strong_focalization(d).ok for d in sols)
 
 
-def test_lexicon_roundtrip():
+def test_lexicon_from_text():
     lex = Lexicon.from_text(LEXICON_TEXT)
     assert lex.entries == LEXICON.entries
     assert lex.neg_atoms == {"s"}
-    again = Lexicon.from_text(lex.to_text())
-    assert again.entries == lex.entries
+
+
+def test_neg_directive_is_a_whole_token():
+    """`%neg` is a directive only as a token of its own; a longer word that
+    starts with it is an error naming its line."""
+    assert Lexicon.from_text("%neg\ts  m\n%neg\nw := s\n").neg_atoms == {"s", "m"}
+    for line in ("%negative s", "%negs", "%neg:= s"):
+        with pytest.raises(LexiconError, match=f"line 2: unknown directive '{line.split()[0]}'"):
+            Lexicon.from_text(f"w := s\n{line}\n")
 
 
 def test_single_word_sentence():

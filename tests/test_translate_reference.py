@@ -124,6 +124,11 @@ def test_check_flg_matches_reference_on_corrupted_derivations():
             assert got == ref.check_flg(ref.flg_derivation(bad)), (kind, bad)
             rejected[kind] += not got[0]
     assert all(n > 100 for n in rejected.values()), rejected
+    # an Ax node concluding the unfocused `n |- n`, polarized `dn n |- n`:
+    # the check looks through the shift to the atom, and the instance differs
+    ax = Derivation("Ax", parse_flg_sequent("n |- n", {"n"}))
+    assert check_flg(ax) == ref.check_flg(ref.flg_derivation(ax)) == \
+        (False, "at (): conclusion is not the Ax instance")
 
 
 def _odd_atoms(tag: str):
